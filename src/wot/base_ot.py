@@ -7,6 +7,8 @@ One pick moves one of the sender's N fixed-length secrets:
   whatever ``c`` is, so the query carries no information about the choice.
 * Sender: for every index ``i`` draw a fresh nonzero exponent ``k_i`` and
   reply with the pair ``(a_i, m_i) = (g^k_i, pad((y * h^-i)^k_i) XOR s_i)``.
+  The pad element is computed as ``y^k_i * h^(-i * k_i)``, the same group
+  element, from fixed-base tables of ``g``, ``h`` and (once per pick) ``y``.
 * Receiver: only at ``i = c`` does ``(y * h^-i)^k_i`` equal ``a_i^r``, so
   exactly ``s_c`` unmasks; every other mask sits on a group element the
   receiver cannot compute without ``log_g h``.
@@ -24,7 +26,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import GroupError, ProtocolError
-from .group import GroupParams, is_member, kdf_pad, rand_exponent
+from .group import (GroupParams, _fixed_base_pow, _fixed_base_table, _generator_tables,
+                    is_member, kdf_pad, rand_exponent)
 from .instrument import Counters
 
 _SYSTEM_RNG = random.SystemRandom()
@@ -63,7 +66,8 @@ def ot_query(params: GroupParams, n_secrets: int, index: int,
 
 
 def query_element(params: GroupParams, index: int, r: int) -> int:
-    return pow(params.g, r, params.p) * pow(params.h, index, params.p) % params.p
+    g_table, _ = _generator_tables(params)
+    return _fixed_base_pow(params, (g_table, r)) * pow(params.h, index, params.p) % params.p
 
 
 def ot_respond(params: GroupParams, secrets, query: OtQuery, binding: bytes,
@@ -75,19 +79,17 @@ def ot_respond(params: GroupParams, secrets, query: OtQuery, binding: bytes,
     if not is_member(params, query.y):
         raise GroupError("invalid query: not a subgroup member")
     rng = rng or _SYSTEM_RNG
-    p = params.p
-    h_inv = pow(params.h, params.q - 1, p)  # h^-1
-    base = query.y
+    g_table, h_table = _generator_tables(params)
+    y_table = _fixed_base_table(params, query.y)
     pairs = []
     for i, secret in enumerate(secrets):
-        # base == y * h^-i for the current i
         k = rand_exponent(params, rng, include_zero=False)
         if counters:
             counters.response_exponents += 1
-        a = pow(params.g, k, p)
-        mask = kdf_pad(params, pow(base, k, p), _index_binding(binding, i), len(secret))
+        a = _fixed_base_pow(params, (g_table, k))
+        element = _fixed_base_pow(params, (y_table, k), (h_table, -i * k))  # (y * h^-i)^k
+        mask = kdf_pad(params, element, _index_binding(binding, i), len(secret))
         pairs.append((a, bytes(x ^ y for x, y in zip(mask, secret))))
-        base = base * h_inv % p
     return OtResponse(pairs=tuple(pairs))
 
 

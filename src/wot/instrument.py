@@ -20,14 +20,3 @@ class Counters:
     shares_combined: int = 0
     query_exponents: int = 0
     response_exponents: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "encryptions": self.encryptions,
-            "decryptions": self.decryptions,
-            "key_gens": self.key_gens,
-            "share_draws": self.share_draws,
-            "shares_combined": self.shares_combined,
-            "query_exponents": self.query_exponents,
-            "response_exponents": self.response_exponents,
-        }

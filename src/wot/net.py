@@ -224,11 +224,15 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
 
     Returns the purchase result; the printed/billed total equals the sum
     of the chosen items' weights, which the buyer can verify itself.
+    A refused connection, a timeout or a reset raises ``ProtocolError``.
     """
     item_ids = list(item_ids)
     if not item_ids:
         raise ProtocolError("no items requested")
-    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError as exc:
+        raise ProtocolError(f"cannot connect to {host}:{port}: {exc}") from exc
     chan = SocketChannel(sock, timeout=timeout)
     try:
         chan.send(Hello())
@@ -245,6 +249,8 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
         bundle = fetch_bundle(chan, manifest, cache_dir=cache_dir)
 
         result = run_session_receiver(bundle, plan, chan, params, rng)
+    except OSError as exc:  # timeouts and resets on the socket
+        raise ProtocolError(f"connection to {host}:{port} failed: {exc}") from exc
     finally:
         chan.close()
 

@@ -428,22 +428,29 @@ def _write_secrets(path: Path, secrets: SenderSecrets):
 def _read_secrets(path: Path) -> SenderSecrets:
     import struct
     data = path.read_bytes()
+    if len(data) < 8:
+        raise CatalogError("corrupt secrets file: truncated header")
     version, mode_code, share_len, count = struct.unpack("!BBHI", data[:8])
     if version != 1:
         raise CatalogError(f"unsupported secrets file version {version}")
+    if not 1 <= mode_code <= len(MODES):
+        raise CatalogError(f"corrupt secrets file: unknown mode code {mode_code}")
     mode = MODES[mode_code - 1]
-    pos = 8
-    flat = []
-    for _ in range(count):
-        flat.append(data[pos:pos + share_len])
-        pos += share_len
-    (key_count,) = struct.unpack("!I", data[pos:pos + 4])
-    pos += 4
-    keys = []
-    for _ in range(key_count):
-        keys.append(data[pos:pos + share_len])
-        pos += share_len
-    if pos != len(data) or any(len(s) != share_len for s in flat + keys):
+    keys_at = 8 + count * share_len
+    if len(data) < keys_at + 4:
+        raise CatalogError("corrupt secrets file: truncated")
+    (key_count,) = struct.unpack("!I", data[keys_at:keys_at + 4])
+    # Sizes are checked before slicing, so forged counts cannot make the
+    # slicing below run long.
+    if len(data) != keys_at + 4 + key_count * share_len:
         raise CatalogError("corrupt secrets file")
+    if (count or key_count) and not share_len:
+        raise CatalogError("corrupt secrets file: zero-length shares")
+
+    def shares(start: int, n: int) -> list[bytes]:
+        return [data[start + i * share_len:start + (i + 1) * share_len] for i in range(n)]
+
+    flat = shares(8, count)
+    keys = shares(keys_at + 4, key_count)
     return SenderSecrets(mode=mode, flat_secrets=tuple(flat),
                          item_keys=tuple(keys) if keys else None)

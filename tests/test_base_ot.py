@@ -6,8 +6,20 @@ from wot.base_ot import (BatchSenderView, OtQuery, batch_binding, ot_batch_run,
                          ot_query, ot_recover, ot_respond, pick_binding,
                          query_element)
 from wot.errors import GroupError, ProtocolError
-from wot.group import GroupParams
+from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
 from wot.instrument import Counters
+
+
+def reference_respond(params, secrets, y, binding, rng):
+    """Textbook sender: ``(g^k, pad((y * h^-i)^k) XOR s_i)`` with plain ``pow``."""
+    p = params.p
+    pairs = []
+    for i, secret in enumerate(secrets):
+        k = rand_exponent(params, rng, include_zero=False)
+        element = pow(y * pow(params.h, -i, p) % p, k, p)
+        pad = kdf_pad(params, element, binding + i.to_bytes(4, "big"), len(secret))
+        pairs.append((pow(params.g, k, p), bytes(x ^ s for x, s in zip(pad, secret))))
+    return tuple(pairs)
 
 
 def run_single(params, secrets, index, rng, binding=b"t"):
@@ -48,6 +60,30 @@ class TestQuery:
         tv = 0.5 * sum(abs(hist_fixed.get(y, 0) - hist_varying.get(y, 0)) / trials
                        for y in support)
         assert tv < 0.02
+
+
+@pytest.mark.parametrize("preset", ["p23", "p47", "modp-2048"])
+class TestTextbookEquivalence:
+    """The fixed-base code returns exactly what plain ``pow`` returns."""
+
+    def test_respond(self, preset):
+        params = setup_params(preset)
+        rng = random.Random(preset)
+        for n in range(1, 17):
+            secrets = [rng.randbytes(16) for _ in range(n)]
+            query, _ = ot_query(params, n, rng.randrange(n), rng)
+            seed = rng.getrandbits(64)
+            got = ot_respond(params, secrets, query, b"bind", random.Random(seed))
+            want = reference_respond(params, secrets, query.y, b"bind", random.Random(seed))
+            assert got.pairs == want, n
+
+    def test_query_element(self, preset):
+        params = setup_params(preset)
+        rng = random.Random(preset)
+        for index in range(16):
+            for r in (0, params.q - 1, rand_exponent(params, rng)):
+                assert query_element(params, index, r) == \
+                    pow(params.g, r, params.p) * pow(params.h, index, params.p) % params.p
 
 
 class TestRespondRecover:

@@ -1,3 +1,5 @@
+import socket
+
 import pytest
 
 from wot.cli import main
@@ -141,3 +143,15 @@ def test_bad_host_port(tmp_path, capsys):
     rc = main(["buy", "--server", "nocolon", "--items", "a",
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_buy_transport_error_is_one_line(tmp_path, capsys):
+    with socket.socket() as probe:  # a port that was free a moment ago
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rc = main(["buy", "--server", f"127.0.0.1:{port}", "--items", "a",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot connect to 127.0.0.1:")
+    assert len(err.splitlines()) == 1

@@ -5,7 +5,13 @@ from scipy.stats import chisquare
 
 from wot.errors import GroupError
 from wot.group import (GroupParams, derive_h, is_member, kdf_pad, make_params,
-                       rand_exponent, setup_params, _is_probable_prime)
+                       rand_exponent, setup_params, _fixed_base_pow, _fixed_base_table,
+                       _generator_tables, _is_probable_prime)
+
+
+def member_oracle(params, x):
+    """The textbook subgroup test that ``is_member`` must agree with."""
+    return 1 <= x < params.p and pow(x, params.q, params.p) == 1
 
 
 class TestSetup:
@@ -97,6 +103,41 @@ class TestMembership:
     def test_out_of_range(self, p23):
         assert not is_member(p23, 23)
         assert not is_member(p23, -1)
+
+
+class TestMembershipEquivalence:
+    def test_every_input_on_toy_groups(self, p23, p47):
+        cofactor_six = make_params(31, 5, 2, "toy-cofactor-6")  # not a safe prime
+        assert cofactor_six.p != 2 * cofactor_six.q + 1
+        for params in (p23, p47, cofactor_six):
+            for x in range(-1, params.p + 1):
+                assert is_member(params, x) == member_oracle(params, x), (params.param_id, x)
+
+    def test_modp_2048(self):
+        params = setup_params("modp-2048")
+        rng = random.Random(2048)
+        members = [pow(params.g, rand_exponent(params, rng), params.p) for _ in range(4)]
+        samples = members + [params.p - 1, (params.p - params.g) % params.p]
+        samples += [rng.randrange(params.p) for _ in range(8)]
+        verdicts = [member_oracle(params, x) for x in samples]
+        assert [is_member(params, x) for x in samples] == verdicts
+        assert all(verdicts[:4]) and not verdicts[4] and not verdicts[5]  # -1 and -g are not squares
+
+
+class TestFixedBase:
+    def test_matches_pow(self, p23, p47):
+        rng = random.Random(6)
+        for params in (p23, p47, make_params(31, 5, 2, "toy-cofactor-6"),
+                       setup_params("modp-2048")):
+            g_table, h_table = _generator_tables(params)
+            assert g_table == _fixed_base_table(params, params.g)
+            exponents = [0, 1, params.q - 1, params.q, -1, -7 * params.q - 3]
+            exponents += [rng.randrange(params.q) for _ in range(4)]
+            for e in exponents:
+                assert _fixed_base_pow(params, (g_table, e)) == pow(params.g, e, params.p)
+                f = rng.randrange(params.q)
+                assert _fixed_base_pow(params, (g_table, e), (h_table, f)) == \
+                    pow(params.g, e, params.p) * pow(params.h, f, params.p) % params.p
 
 
 class TestDeriveH:

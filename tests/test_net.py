@@ -212,6 +212,23 @@ class TestServerLog:
         assert not any("item" in l for l in lines)
 
 
+class TestTransportErrors:
+    def test_silent_server_times_out_as_protocol_error(self, tmp_path):
+        held = []  # the accepted socket stays open and never answers
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            acceptor = threading.Thread(target=lambda: held.append(listener.accept()[0]))
+            acceptor.start()
+            try:
+                with pytest.raises(ProtocolError, match="failed: timed out"):
+                    buy("127.0.0.1", listener.getsockname()[1], ["item00"], tmp_path,
+                        timeout=0.2)
+            finally:
+                acceptor.join(timeout=5)
+                for conn in held:
+                    conn.close()
+        assert not acceptor.is_alive()
+
+
 class TestRemoteErrors:
     def test_server_error_frame_surfaces_as_remote_error(self, server):
         """A peer ERROR during ciphertext fetch maps to RemoteError."""

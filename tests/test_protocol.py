@@ -6,6 +6,7 @@ from wot.catalog import ciphertext_digest, total_price
 from wot.errors import (CatalogError, ItemAuthenticationError, ProtocolError,
                         WotError)
 from wot.framing import Done, OtBatchQuery
+from wot.group import setup_params
 from wot.instrument import Counters
 from wot.protocol import (LoopbackChannel, PublishedBundle, plan_for_indices,
                           plan_selection, publish, load_bundle, load_secrets,
@@ -114,6 +115,19 @@ class TestSessions:
         assert outcome.billed == 9 == result.total
         assert outcome.rounds == 3
         assert outcome.transcript.num_picks == 9
+
+    def test_modp_2048_sessions(self):
+        """Both modes end to end on the production group."""
+        params = setup_params("modp-2048")
+        rng = random.Random(2048)
+        cat = make_catalog([1, 2, 3], rng)
+        for mode, chosen, total in (("p2", {0, 2}, 4), ("p1", {1}, 2)):
+            bundle, secrets = publish(cat, mode, params, rng=rng)
+            plan = plan_for_indices(bundle.manifest, chosen)
+            result, outcome, _ = run_local_session(bundle, secrets, plan, params,
+                                                   receiver_rng=rng, sender_rng=rng)
+            assert dict(result.items) == {f"item{i:02d}": cat.items[i].payload for i in chosen}
+            assert result.total == outcome.billed == total
 
     def test_single_weight_one_item(self, p23, rng):
         cat = make_catalog([3, 1], rng)
@@ -269,6 +283,22 @@ class TestBundleIO:
         assert load_bundle(tmp_path / "pub") == bundle
         with pytest.raises(CatalogError, match="seller's bundle"):
             load_secrets(tmp_path / "pub")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[:1] + b"\x00" + data[2:],  # mode code 0
+        lambda data: data[:1] + b"\x03" + data[2:],  # mode code 3
+        lambda data: data[:5],  # header shorter than 8 bytes
+        lambda data: data[:8 + 3 * 16 + 2],  # key count cut in half
+        lambda data: b"\x01\x01\x00\x00" + (1 << 20).to_bytes(4, "big") + bytes(4),
+    ], ids=["mode-0", "mode-3", "short-header", "truncated-key-count", "zero-length-shares"])
+    def test_corrupt_secrets_file_refused(self, p23, rng, tmp_path, corrupt):
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        save_bundle(bundle, tmp_path / "b", secrets=secrets)
+        path = tmp_path / "b" / "sender_secrets.bin"
+        assert len(secrets.flat_secrets) == 3 and len(secrets.flat_secrets[0]) == 16
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CatalogError, match="secrets file"):
+            load_secrets(tmp_path / "b")
 
     def test_corrupted_ct_file_detected(self, p23, rng, tmp_path):
         cat = make_catalog([1, 1], rng)
