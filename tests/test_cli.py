@@ -1,7 +1,12 @@
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wot
 from wot.cli import main
 from wot.net import start_server
 from wot.group import setup_params
@@ -52,6 +57,38 @@ def test_serve_refuses_seed(catalog_dir, tmp_path, monkeypatch, capsys):
     rc = main(["serve", "--bundle", str(out), "--listen", "127.0.0.1:0"])
     assert rc == 2
     assert "reproducible tests only" in capsys.readouterr().err
+
+
+def _run_cli(*args):
+    """Run a command in a fresh interpreter, as an operator would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wot.__file__).parents[1]))
+    env.pop("WOT_SEED", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=30)
+
+
+def test_cli_import_loads_no_scipy_or_numpy():
+    """Only privacy-test needs scipy; serve, buy and publish must not pay for it."""
+    proc = _run_cli("-c", "import sys, wot.cli; "
+                          "print(sorted({'scipy', 'numpy'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_serve_refuses_corrupt_ciphertext(catalog_dir, tmp_path):
+    out = tmp_path / "bundle"
+    main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
+          "--out", str(out), "--group", "p23"])
+    ct = out / "paper-b.ct"
+    raw = bytearray(ct.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    ct.write_bytes(bytes(raw))
+    proc = _run_cli("-m", "wot.cli", "serve", "--bundle", str(out),
+                    "--listen", "127.0.0.1:0")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: ciphertext digest mismatch for item 'paper-b'"]
+    assert proc.stdout == ""
 
 
 def test_buy_against_running_server(catalog_dir, tmp_path, capsys):

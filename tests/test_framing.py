@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from wot.base_ot import OtResponse
 from wot.catalog import Manifest, ManifestEntry
-from wot.errors import FrameError
+from wot.errors import CatalogError, FrameError, WotError
 from wot.framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, OtBatchResp, MAX_FRAME_LEN,
                          decode_frame, decode_manifest, encode_frame,
@@ -143,6 +143,39 @@ def test_manifest_rejects_traversal_item_id():
         ManifestEntry(id="../evil", weight=1, ct_len=1, digest_hex="0" * 64)
     with pytest.raises(Exception, match="malformed digest"):
         ManifestEntry(id="ok", weight=1, ct_len=1, digest_hex="ZZ" * 32)
+
+
+def test_out_of_range_fields_refused():
+    """Every wire field is fixed-width; a value that does not fit is a WotError."""
+    for msg in (Done(billed=1 << 32), Done(billed=-1), Hello(key_bits=1 << 16),
+                OtBatchQuery(elem_len=1 << 16, queries=())):
+        with pytest.raises(FrameError, match="out of range"):
+            encode_frame(msg)
+    huge = Manifest(mode="p2", group_id="p23", key_bits=128,
+                    entries=(ManifestEntry(id="a", weight=1, ct_len=1 << 64,
+                                           digest_hex="0" * 64),))
+    with pytest.raises(FrameError, match="out of range"):
+        encode_manifest(huge)
+    assert decode_frame(encode_frame(Done(billed=(1 << 32) - 1))).billed == (1 << 32) - 1
+
+
+def test_manifest_total_weight_fits_u32():
+    """Weights, N and the billed total are u32 on the wire: one limit covers them all."""
+    def manifest(*weights):
+        return Manifest(mode="p2", group_id="p23", key_bits=128, entries=tuple(
+            ManifestEntry(id=f"i{k}", weight=w, ct_len=1, digest_hex="0" * 64)
+            for k, w in enumerate(weights)))
+
+    with pytest.raises(CatalogError, match="overflows"):
+        manifest(1 << 32)
+    with pytest.raises(CatalogError, match="overflows"):
+        manifest(1 << 31, 1 << 31)
+    largest = manifest((1 << 32) - 2, 1)
+    assert decode_manifest(encode_manifest(largest)) == largest
+    raw = encode_manifest(largest).replace(
+        ((1 << 32) - 2).to_bytes(4, "big"), ((1 << 32) - 1).to_bytes(4, "big"))
+    with pytest.raises(WotError, match="overflows"):  # a hostile manifest summing to 2^32
+        decode_manifest(raw)
 
 
 def test_manifest_rejects_bad_version():

@@ -6,7 +6,7 @@ from scipy.stats import chisquare
 from wot.errors import GroupError
 from wot.group import (GroupParams, derive_h, is_member, kdf_pad, make_params,
                        rand_exponent, setup_params, _fixed_base_pow, _fixed_base_table,
-                       _generator_tables, _is_probable_prime)
+                       _generator_tables, _is_probable_prime, _pocklington_prime)
 
 
 def member_oracle(params, x):
@@ -82,6 +82,49 @@ class TestPrimality:
         assert not _is_probable_prime(1)
         assert _is_probable_prime(2)
         assert _is_probable_prime((1 << 61) - 1)  # Mersenne prime
+
+
+class TestCheaperProofs:
+    """Pocklington for ``p`` and the Jacobi test for ``g`` decide what the textbook checks do."""
+
+    def test_pocklington_against_sympy(self):
+        import sympy
+        checked = composites = 0
+        for q in sympy.primerange(2, 2000):
+            for c in range(1, q):
+                p = c * q + 1
+                prime = sympy.isprime(p)
+                assert _pocklington_prime(p, q) == prime, (p, q)
+                checked += 1
+                composites += not prime
+        assert composites > checked // 2
+        assert not _pocklington_prime(15, 7)  # 2*7 + 1
+        assert not _pocklington_prime(27, 13)
+        assert not _pocklington_prime(45, 11)
+        assert _pocklington_prime(47, 23)
+
+    def test_pocklington_proves_modp_2048(self):
+        params = setup_params("modp-2048")
+        assert _pocklington_prime(params.p, params.q)
+        assert not _pocklington_prime(params.p + 2 * params.q, params.q)  # 4q + 1 = 3 * 79 * ...
+
+    def test_generator_accepted_iff_order_q(self):
+        for p, q in ((23, 11), (47, 23), (31, 5)):
+            for g in range(2, p):
+                try:
+                    make_params(p, q, g, f"toy-{p}-{g}")
+                    accepted = True
+                except GroupError as exc:
+                    assert "does not have order" in str(exc)
+                    accepted = False
+                assert accepted == (pow(g, q, p) == 1), (p, q, g)
+
+    def test_composite_modulus_reported_before_divisibility(self):
+        # 11 is prime but does not divide 24; the modulus is still named first.
+        with pytest.raises(GroupError, match="modulus 25 is not prime"):
+            make_params(25, 11, 2, "toy-bad")
+        with pytest.raises(GroupError, match="modulus 27 is not prime"):
+            make_params(27, 13, 2, "toy-bad")  # Pocklington path: 13 | 26
 
 
 class TestMembership:

@@ -5,12 +5,12 @@ import threading
 
 import pytest
 
-from wot.errors import ProtocolError, RemoteError
+from wot.errors import CatalogError, ProtocolError, RemoteError
 from wot.framing import (CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE,
                          ERR_UNKNOWN_ITEM, encode_frame, read_frame)
 from wot.net import SocketChannel, buy, start_server, _recv_exact
-from wot.protocol import publish, save_bundle
+from wot.protocol import PublishedBundle, publish, save_bundle
 
 from conftest import make_catalog
 
@@ -90,6 +90,18 @@ class TestBuy:
         finally:
             SocketChannel.send = original
         assert sorted(counted) == ["item00", "item01", "item02", "item03"]
+
+    def test_bad_ciphertext_aborts_before_transfer(self, server, tmp_path):
+        """The buyer checks each digest once, before its first transfer message."""
+        srv, _, transcripts = server
+        cts = list(srv.bundle.ciphertexts)
+        cts[1] = bytes([cts[1][0] ^ 1]) + cts[1][1:]
+        srv.bundle = PublishedBundle(manifest=srv.bundle.manifest, ciphertexts=tuple(cts))
+        with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
+            buy("127.0.0.1", srv.port, ["item03"], tmp_path / "out",
+                rng=random.Random(19))
+        assert transcripts == []
+        assert not (tmp_path / "out").exists()
 
     def test_two_concurrent_buyers(self, server, tmp_path):
         srv, catalog, transcripts = server
