@@ -14,11 +14,11 @@ from .errors import (AuthenticationError, AuditError, CatalogError, CryptoError,
                      RemoteError, WotError)
 from .group import GroupParams, make_params, setup_params
 from .instrument import Counters
+from .net import run_local_session
 from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan,
                        SenderOutcome, SenderSecrets, SessionTranscript,
                        load_bundle, load_secrets, plan_selection, publish,
-                       run_local_session, run_session_receiver,
-                       run_session_sender, save_bundle)
+                       run_session_receiver, run_session_sender, save_bundle)
 from .weights import ReductionReport, approx_reduce, gcd_reduce, weight_profile
 
 __version__ = "0.1.0"

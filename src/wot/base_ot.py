@@ -119,37 +119,3 @@ def batch_binding(params: GroupParams, queries) -> bytes:
     for q in queries:
         digest.update(params.encode_element(q.y if isinstance(q, OtQuery) else q))
     return digest.digest()
-
-
-@dataclass(frozen=True)
-class BatchSenderView:
-    """Everything the sender sees in a batch: the queries and their count."""
-
-    queries: tuple[int, ...]
-
-    @property
-    def num_picks(self) -> int:
-        return len(self.queries)
-
-
-def ot_batch_run(params: GroupParams, secrets, picks, rng=None,
-                 counters: Counters | None = None) -> tuple[list[bytes], BatchSenderView]:
-    """Run a whole batch in-process: one query and one response per pick.
-
-    Duplicate picks are allowed here (they just re-learn the same secret);
-    the purchase layer above filters them.
-    """
-    secrets = list(secrets)
-    rng = rng or _SYSTEM_RNG
-    queries = []
-    exps = []
-    for pick in picks:
-        query, r = ot_query(params, len(secrets), pick, rng, counters)
-        queries.append(query)
-        exps.append(r)
-    sid = batch_binding(params, queries)
-    recovered = []
-    for ordinal, (pick, query, r) in enumerate(zip(picks, queries, exps)):
-        response = ot_respond(params, secrets, query, pick_binding(sid, ordinal), rng, counters)
-        recovered.append(ot_recover(params, response, pick, r, pick_binding(sid, ordinal)))
-    return recovered, BatchSenderView(queries=tuple(q.y for q in queries))

@@ -21,6 +21,7 @@ flat index is an unambiguous reference to one share of one item's key.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import re
 from dataclasses import dataclass
@@ -88,12 +89,6 @@ class Catalog:
     def ids(self) -> tuple[str, ...]:
         return tuple(item.id for item in self.items)
 
-    def index_of(self, item_id: str) -> int:
-        for i, item in enumerate(self.items):
-            if item.id == item_id:
-                return i
-        raise CatalogError(f"unknown item id {item_id!r}")
-
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -157,12 +152,6 @@ class Manifest:
     def total_weight(self) -> int:
         return sum(e.weight for e in self.entries)
 
-    def entry_for(self, item_id: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.id == item_id:
-                return e
-        raise CatalogError(f"unknown item id {item_id!r}")
-
     def index_of(self, item_id: str) -> int:
         for i, e in enumerate(self.entries):
             if e.id == item_id:
@@ -210,15 +199,8 @@ class FlatIndexMap:
     def item_of(self, flat: int) -> tuple[int, int]:
         if not 0 <= flat < self.total:
             raise CatalogError(f"flat index {flat} out of range")
-        # offsets is strictly increasing; rightmost offset <= flat
-        lo, hi = 0, len(self.offsets) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.offsets[mid] <= flat:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo, flat - self.offsets[lo]
+        item = bisect.bisect_right(self.offsets, flat) - 1  # rightmost offset <= flat
+        return item, flat - self.offsets[item]
 
     def item_range(self, item: int) -> range:
         """All flat indices belonging to one item."""

@@ -33,14 +33,21 @@ def _rng(allow_seed: bool = True):
     return random.Random(int(seed))
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise WotError(f"{what}: {text!r} is not an integer") from None
+
+
 def _read_prices(path: str) -> list[int]:
-    prices = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                prices.append(int(line))
-    return prices
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        raise WotError(f"cannot read prices file {path}: {exc.strerror}") from None
+    return [_int(line, f"{path}:{lineno}") for lineno, line in enumerate(lines, start=1)
+            if line and not line.startswith("#")]
 
 
 def _parse_host_port(text: str) -> tuple[str, int]:
@@ -50,8 +57,8 @@ def _parse_host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _int_set(text: str) -> frozenset[int]:
-    return frozenset(int(x) for x in text.split(",") if x != "")
+def _int_list(text: str, what: str) -> list[int]:
+    return [_int(x, what) for x in text.split(",") if x != ""]
 
 
 def cmd_publish(args) -> int:
@@ -116,9 +123,9 @@ def cmd_reduce(args) -> int:
 
 def cmd_privacy_test(args) -> int:
     exp = PrivacyExperiment(
-        weights=tuple(int(x) for x in args.weights.split(",")),
-        choice_a=_int_set(args.choice_a),
-        choice_b=_int_set(args.choice_b),
+        weights=tuple(_int_list(args.weights, "--weights")),
+        choice_a=frozenset(_int_list(args.choice_a, "--choice-a")),
+        choice_b=frozenset(_int_list(args.choice_b, "--choice-b")),
         sessions=args.sessions,
     )
     report = privacy_experiment(exp, setup_params(args.group), _rng())

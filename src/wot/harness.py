@@ -24,7 +24,8 @@ from .catalog import Catalog, FlatIndexMap, MODE_P2, total_price
 from .errors import HarnessError, WotError
 from .group import GroupParams
 from .instrument import Counters
-from .protocol import item_context, plan_for_indices, publish, run_local_session
+from .net import run_local_session
+from .protocol import item_context, plan_for_indices, publish
 from . import symcrypto
 
 MAX_EXPERIMENT_SUBGROUP = 101
@@ -63,16 +64,6 @@ class PrivacyReport:
         )
 
 
-def _flat_picks(weights, choice) -> list[int]:
-    flat_map = FlatIndexMap(weights)
-    picks = []
-    for i in sorted(choice):
-        if not 0 <= i < len(weights):
-            raise HarnessError(f"choice index {i} out of range")
-        picks.extend(flat_map.item_range(i))
-    return picks
-
-
 def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> PrivacyReport:
     """Compare the seller's view across two equal-price choice sets."""
     # Imported here, not at module level: scipy costs about 0.4 s and 80 MiB
@@ -81,17 +72,24 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> Priv
 
     if params.q > MAX_EXPERIMENT_SUBGROUP:
         raise HarnessError(f"subgroup order {params.q} too large for histogram statistics")
-    weights = tuple(exp.weights)
-    total_a = sum(weights[i] for i in exp.choice_a)
-    total_b = sum(weights[i] for i in exp.choice_b)
-    if total_a != total_b:
+    if exp.sessions < 1:
+        raise HarnessError(f"need at least one session, got {exp.sessions}")
+    flat_map = FlatIndexMap(exp.weights)
+    picks = []
+    for choice in (exp.choice_a, exp.choice_b):
+        if not choice:
+            raise HarnessError("empty choice set")
+        for i in choice:
+            if not 0 <= i < len(flat_map.weights):
+                raise HarnessError(f"choice index {i} out of range")
+        picks.append([f for i in sorted(choice) for f in flat_map.item_range(i)])
+    picks_a, picks_b = picks
+    if len(picks_a) != len(picks_b):
         raise HarnessError(
-            f"choice sets have different totals ({total_a} vs {total_b}); "
+            f"choice sets have different totals ({len(picks_a)} vs {len(picks_b)}); "
             "the comparison would be vacuous")
 
-    picks_a = _flat_picks(weights, exp.choice_a)
-    picks_b = _flat_picks(weights, exp.choice_b)
-    n_flat = sum(weights)
+    n_flat = flat_map.total
     subgroup = sorted({pow(params.g, e, params.p) for e in range(params.q)})
     index_of = {elem: i for i, elem in enumerate(subgroup)}
 

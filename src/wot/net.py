@@ -15,6 +15,11 @@ The buyer fetches *every* ciphertext it does not already hold, not just
 the chosen ones: requesting a subset would reveal the choices out of
 band. A previously downloaded bundle directory can be passed as a cache
 to skip the transfers entirely.
+
+Each side's grammar is written once (``_serve_session`` and
+``_buy_session``). ``run_local_session`` runs the same two functions over
+a socket pair, so an in-process session goes through the frame codec and
+the grammar exactly as a TCP session does.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ import threading
 from pathlib import Path
 
 from .catalog import Manifest, ciphertext_digest
-from .errors import CatalogError, FrameError, GrammarError, ProtocolError, RemoteError
+from .errors import CatalogError, FrameError, GrammarError, ProtocolError
 from .framing import (ANY_GROUP, ANY_KEY_BITS, ANY_MODE, CtData, CtReq,
                       ErrorMsg, Hello, ManifestMsg, OtBatchQuery,
                       ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_INTERNAL, ERR_UNKNOWN_ITEM,
                       PROTOCOL_VERSION, encode_frame, read_frame)
 from .group import GroupParams, setup_params
-from .protocol import (PublishedBundle, SenderSecrets, load_bundle,
-                       plan_selection, run_session_receiver, run_session_sender)
+from .instrument import Counters
+from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderOutcome,
+                       SenderSecrets, _expect, load_bundle, plan_selection,
+                       run_session_receiver, run_session_sender)
 
 log = logging.getLogger("wot.server")
 
@@ -56,22 +63,16 @@ class SocketChannel:
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         sock.settimeout(timeout)
         self._sock = sock
-        self._pushback = []
         self.log: list = []
 
     def send(self, msg):
         self.log.append(("local", type(msg).__name__))
         self._sock.sendall(encode_frame(msg))
 
-    def recv(self, timeout: float | None = None):
-        if self._pushback:
-            return self._pushback.pop()
+    def recv(self):
         msg = read_frame(lambda n: _recv_exact(self._sock, n))
         self.log.append(("peer", type(msg).__name__))
         return msg
-
-    def push(self, msg):
-        self._pushback.append(msg)
 
     def close(self):
         try:
@@ -81,13 +82,68 @@ class SocketChannel:
         self._sock.close()
 
 
+def _serve_session(chan: SocketChannel, bundle: PublishedBundle, secrets: SenderSecrets,
+                   params: GroupParams, rng=None,
+                   counters: Counters | None = None) -> SenderOutcome:
+    """The seller's side of one session: grammar, delivery, then the transfer."""
+    manifest = bundle.manifest
+
+    def fail(code: int, text: str):
+        try:
+            chan.send(ErrorMsg(code=code, text=text))
+        except OSError:
+            pass
+        raise GrammarError(text)
+
+    msg = chan.recv()
+    if not isinstance(msg, Hello):
+        fail(ERR_GRAMMAR, "grammar")
+    if msg.version != PROTOCOL_VERSION:
+        fail(ERR_INCOMPATIBLE, f"unsupported version {msg.version}")
+    if msg.mode not in (ANY_MODE, manifest.mode) \
+            or msg.group_id not in (ANY_GROUP, manifest.group_id) \
+            or msg.key_bits not in (ANY_KEY_BITS, manifest.key_bits):
+        fail(ERR_INCOMPATIBLE, "bundle parameters do not match")
+    chan.send(ManifestMsg(manifest=manifest))
+
+    while True:
+        msg = chan.recv()
+        if isinstance(msg, CtReq):
+            try:
+                ct = bundle.ciphertext_for(msg.item_id)
+            except CatalogError:
+                fail(ERR_UNKNOWN_ITEM, "unknown item")
+            chan.send(CtData(item_id=msg.item_id, ciphertext=ct))
+        elif isinstance(msg, OtBatchQuery):
+            return run_session_sender(secrets, msg, chan, params, rng, counters)
+        else:
+            fail(ERR_GRAMMAR, "grammar")
+
+
+def _buy_session(chan: SocketChannel, item_ids, cache_dir=None, rng=None,
+                 counters: Counters | None = None,
+                 params: GroupParams | None = None) -> PurchaseResult:
+    """The buyer's side of one session, up to the verified plaintexts.
+
+    ``params`` defaults to the preset the manifest names; an in-process
+    session passes the seller's, which may be a ``make_params`` group.
+    """
+    chan.send(Hello())
+    manifest = _expect(chan.recv(), ManifestMsg).manifest
+    # Validate the request before any transfer-related traffic.
+    plan = plan_selection(manifest, item_ids)
+    params = params or setup_params(manifest.group_id)
+    bundle = fetch_bundle(chan, manifest, cache_dir=cache_dir)
+    return run_session_receiver(bundle, plan, chan, params, rng, counters)
+
+
 class _SessionHandler(socketserver.BaseRequestHandler):
     def handle(self):
         server: SenderServer = self.server  # type: ignore[assignment]
         ordinal = server.next_ordinal()
         chan = SocketChannel(self.request, timeout=server.timeout)
         try:
-            self._run(server, chan)
+            outcome = _serve_session(chan, server.bundle, server.secrets, server.params)
         except (ProtocolError, FrameError, OSError) as exc:
             log.debug("session %d aborted: %s", ordinal, exc)
         except Exception:
@@ -97,48 +153,10 @@ class _SessionHandler(socketserver.BaseRequestHandler):
                 pass
             raise
         else:
+            if server.transcript_store is not None:
+                server.transcript_store.append(outcome.transcript)
             # The billed total is the only session fact worth keeping.
-            log.info("session=%d billed T=%d", ordinal, self._billed)
-
-    def _fail(self, chan, code: int, text: str):
-        try:
-            chan.send(ErrorMsg(code=code, text=text))
-        except OSError:
-            pass
-        raise GrammarError(text)
-
-    def _run(self, server: "SenderServer", chan: SocketChannel):
-        bundle = server.bundle
-        manifest = bundle.manifest
-
-        msg = chan.recv()
-        if not isinstance(msg, Hello):
-            self._fail(chan, ERR_GRAMMAR, "grammar")
-        if msg.version != PROTOCOL_VERSION:
-            self._fail(chan, ERR_INCOMPATIBLE, f"unsupported version {msg.version}")
-        if msg.mode not in (ANY_MODE, manifest.mode) \
-                or msg.group_id not in (ANY_GROUP, manifest.group_id) \
-                or msg.key_bits not in (ANY_KEY_BITS, manifest.key_bits):
-            self._fail(chan, ERR_INCOMPATIBLE, "bundle parameters do not match")
-        chan.send(ManifestMsg(manifest=manifest))
-
-        while True:
-            msg = chan.recv()
-            if isinstance(msg, CtReq):
-                try:
-                    ct = bundle.ciphertext_for(msg.item_id)
-                except CatalogError:
-                    self._fail(chan, ERR_UNKNOWN_ITEM, "unknown item")
-                chan.send(CtData(item_id=msg.item_id, ciphertext=ct))
-            elif isinstance(msg, OtBatchQuery):
-                chan.push(msg)
-                outcome = run_session_sender(server.secrets, chan, server.params)
-                self._billed = outcome.billed
-                if server.transcript_store is not None:
-                    server.transcript_store.append(outcome.transcript)
-                return
-            else:
-                self._fail(chan, ERR_GRAMMAR, "grammar")
+            log.info("session=%d billed T=%d", ordinal, outcome.billed)
 
 
 class SenderServer(socketserver.ThreadingTCPServer):
@@ -206,10 +224,8 @@ def fetch_bundle(chan: SocketChannel, manifest: Manifest,
             ct = None  # stale cache entry; refetch
         if ct is None:
             chan.send(CtReq(item_id=entry.id))
-            msg = chan.recv()
-            if isinstance(msg, ErrorMsg):
-                raise RemoteError(msg.code, msg.text)
-            if not isinstance(msg, CtData) or msg.item_id != entry.id:
+            msg = _expect(chan.recv(), CtData)
+            if msg.item_id != entry.id:
                 raise ProtocolError("unexpected reply to ciphertext request")
             ct = msg.ciphertext
         cts.append(ct)
@@ -235,20 +251,7 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
         raise ProtocolError(f"cannot connect to {host}:{port}: {exc}") from exc
     chan = SocketChannel(sock, timeout=timeout)
     try:
-        chan.send(Hello())
-        msg = chan.recv()
-        if isinstance(msg, ErrorMsg):
-            raise RemoteError(msg.code, msg.text)
-        if not isinstance(msg, ManifestMsg):
-            raise ProtocolError(f"expected manifest, got {type(msg).__name__}")
-        manifest = msg.manifest
-
-        # Validate the request before any transfer-related traffic.
-        plan = plan_selection(manifest, item_ids)
-        params = setup_params(manifest.group_id)
-        bundle = fetch_bundle(chan, manifest, cache_dir=cache_dir)
-
-        result = run_session_receiver(bundle, plan, chan, params, rng)
+        result = _buy_session(chan, item_ids, cache_dir, rng)
     except OSError as exc:  # timeouts and resets on the socket
         raise ProtocolError(f"connection to {host}:{port} failed: {exc}") from exc
     finally:
@@ -259,3 +262,48 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
     for item_id, plaintext in result.items:
         (out_path / item_id).write_bytes(plaintext)
     return result
+
+
+def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
+                      plan: SelectionPlan, params: GroupParams,
+                      receiver_rng=None, sender_rng=None,
+                      receiver_counters: Counters | None = None,
+                      sender_counters: Counters | None = None,
+                      ) -> tuple[PurchaseResult, SenderOutcome, list]:
+    """Run both sides in-process over a socket pair.
+
+    Returns the buyer's result, the seller's outcome and the buyer's
+    message log. The buyer resolves ``plan.item_ids`` against the manifest
+    it receives, as ``buy`` does.
+    """
+    rx_sock, tx_sock = socket.socketpair()
+    rx_chan, tx_chan = SocketChannel(rx_sock), SocketChannel(tx_sock)
+    box: dict = {}
+
+    def sender_side():
+        try:
+            box["sender"] = _serve_session(tx_chan, bundle, secrets, params,
+                                           sender_rng, sender_counters)
+        except Exception as exc:  # surfaced after join
+            box["sender_error"] = exc
+        finally:
+            tx_chan.close()
+
+    worker = threading.Thread(target=sender_side, daemon=True)
+    worker.start()
+    try:
+        result = _buy_session(rx_chan, plan.item_ids, rng=receiver_rng,
+                              counters=receiver_counters, params=params)
+    except ProtocolError:
+        # A receiver-side protocol error is usually fallout from a sender
+        # abort; surface the root cause when there is one.
+        worker.join(timeout=5)
+        if "sender_error" in box:
+            raise box["sender_error"] from None
+        raise
+    finally:
+        rx_chan.close()
+        worker.join(timeout=30)
+    if "sender_error" in box:
+        raise box["sender_error"]
+    return result, box["sender"], rx_chan.log

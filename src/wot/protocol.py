@@ -24,8 +24,6 @@ response flight).
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,10 +35,9 @@ from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
 from .errors import (CatalogError, CryptoError, AuthenticationError,
                      ItemAuthenticationError, ProtocolError, RemoteError)
 from .framing import (Done, ErrorMsg, OtBatchQuery, OtBatchResp,
-                      ERR_BAD_QUERY, ERR_INCOMPATIBLE)
+                      ERR_BAD_QUERY, ERR_INCOMPATIBLE, MAX_FRAME_LEN)
 from .group import GroupParams, is_member
 from .instrument import Counters
-from .symcrypto import KeyShareSet
 
 MANIFEST_FILE = "manifest.bin"
 SECRETS_FILE = "sender_secrets.bin"
@@ -61,6 +58,12 @@ class PublishedBundle:
     def __post_init__(self):
         if len(self.ciphertexts) != self.manifest.n:
             raise CatalogError("ciphertext count does not match manifest")
+        for entry, ct in zip(self.manifest.entries, self.ciphertexts):
+            # A CT_DATA frame is the type byte, the u16-prefixed id and the
+            # ciphertext; an item that cannot travel in one is refused here.
+            if len(ct) > MAX_FRAME_LEN - 3 - len(entry.id):
+                raise CatalogError(f"item {entry.id!r}: ciphertext of {len(ct)} bytes "
+                                   f"does not fit in one {MAX_FRAME_LEN}-byte frame")
 
     @property
     def flat_map(self) -> FlatIndexMap:
@@ -80,18 +83,12 @@ class SenderSecrets:
     """Private key material aligned with the flat index space.
 
     ``flat_secrets[offsets[i] + j]`` is item i's j-th key share (``p2``) or
-    its layer-(j+1) key (``p1``). ``item_keys`` is only populated in
-    ``p2`` mode.
+    its layer-(j+1) key (``p1``). A ``p2`` item key is the XOR of its
+    shares, so it is not stored.
     """
 
     mode: str
     flat_secrets: tuple[bytes, ...]
-    item_keys: tuple[bytes, ...] | None
-
-    def share_set(self, flat_map: FlatIndexMap, item_index: int) -> KeyShareSet:
-        rng_ = flat_map.item_range(item_index)
-        return KeyShareSet(item_index=item_index,
-                           shares=tuple(self.flat_secrets[f] for f in rng_))
 
 
 @dataclass(frozen=True)
@@ -132,14 +129,12 @@ def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 12
     if mode not in MODES:
         raise CatalogError(f"unknown mode {mode!r}")
     flat_secrets: list[bytes] = []
-    item_keys: list[bytes] = []
     ciphertexts: list[bytes] = []
     for item in catalog.items:
         context = item_context(mode, item.id)
         if mode == MODE_P2:
             key = symcrypto.new_key(key_bits, rng, counters)
             ciphertexts.append(symcrypto.encrypt(key, item.payload, context, rng, counters))
-            item_keys.append(key)
             flat_secrets.extend(symcrypto.split_key(key, item.weight, rng, counters))
         else:
             layer_keys = [symcrypto.new_key(key_bits, rng, counters) for _ in range(item.weight)]
@@ -154,8 +149,7 @@ def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 12
     manifest = Manifest(mode=mode, group_id=params.param_id, key_bits=key_bits,
                         entries=entries)
     bundle = PublishedBundle(manifest=manifest, ciphertexts=tuple(ciphertexts))
-    secrets = SenderSecrets(mode=mode, flat_secrets=tuple(flat_secrets),
-                            item_keys=tuple(item_keys) if mode == MODE_P2 else None)
+    secrets = SenderSecrets(mode=mode, flat_secrets=tuple(flat_secrets))
     return bundle, secrets
 
 
@@ -185,47 +179,6 @@ def plan_for_indices(manifest: Manifest, indices) -> SelectionPlan:
         picks=tuple(picks),
         total=sum(manifest.weights[i] for i in chosen),
     )
-
-
-class ChannelClosed(ProtocolError):
-    pass
-
-
-class LoopbackChannel:
-    """In-process duplex channel carrying message objects; used by the harness."""
-
-    _CLOSE = object()
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue, log: list, side: str):
-        self._inbox = inbox
-        self._outbox = outbox
-        self.log = log
-        self.side = side
-
-    @classmethod
-    def pair(cls) -> tuple["LoopbackChannel", "LoopbackChannel"]:
-        a_to_b: queue.Queue = queue.Queue()
-        b_to_a: queue.Queue = queue.Queue()
-        log: list = []
-        receiver = cls(inbox=b_to_a, outbox=a_to_b, log=log, side="receiver")
-        sender = cls(inbox=a_to_b, outbox=b_to_a, log=log, side="sender")
-        return receiver, sender
-
-    def send(self, msg):
-        self.log.append((self.side, type(msg).__name__))
-        self._outbox.put(msg)
-
-    def recv(self, timeout: float = 30.0):
-        try:
-            msg = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise ChannelClosed("channel timed out") from None
-        if msg is self._CLOSE:
-            raise ChannelClosed("peer closed the channel")
-        return msg
-
-    def close(self):
-        self._outbox.put(self._CLOSE)
 
 
 def _expect(msg, expected_type):
@@ -298,11 +251,10 @@ def run_session_receiver(bundle: PublishedBundle, plan: SelectionPlan, channel,
     return PurchaseResult(items=tuple(items), total=plan.total, rounds=3)
 
 
-def run_session_sender(secrets: SenderSecrets, channel, params: GroupParams,
-                       rng=None, counters: Counters | None = None) -> SenderOutcome:
+def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
+                       params: GroupParams, rng=None,
+                       counters: Counters | None = None) -> SenderOutcome:
     """Answer one buyer's batch; learns and bills only the pick count."""
-    msg = channel.recv()
-    query = _expect(msg, OtBatchQuery)
     if not query.queries:
         channel.send(ErrorMsg(code=ERR_BAD_QUERY, text="empty purchase"))
         raise ProtocolError("empty purchase rejected")
@@ -330,44 +282,6 @@ def run_session_sender(secrets: SenderSecrets, channel, params: GroupParams,
         transcript=SessionTranscript(num_picks=billed, queries=tuple(query.queries)),
         rounds=3,
     )
-
-
-def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
-                      plan: SelectionPlan, params: GroupParams,
-                      receiver_rng=None, sender_rng=None,
-                      receiver_counters: Counters | None = None,
-                      sender_counters: Counters | None = None,
-                      ) -> tuple[PurchaseResult, SenderOutcome, list]:
-    """Run both sides in-process; returns their outcomes and the message log."""
-    rx_chan, tx_chan = LoopbackChannel.pair()
-    box: dict = {}
-
-    def sender_side():
-        try:
-            box["sender"] = run_session_sender(secrets, tx_chan, params,
-                                               sender_rng, sender_counters)
-        except Exception as exc:  # surfaced after join
-            box["sender_error"] = exc
-            tx_chan.close()
-
-    worker = threading.Thread(target=sender_side, daemon=True)
-    worker.start()
-    try:
-        result = run_session_receiver(bundle, plan, rx_chan, params,
-                                      receiver_rng, receiver_counters)
-    except Exception:
-        # A receiver-side channel error is usually fallout from a sender
-        # abort; surface the root cause when there is one.
-        worker.join(timeout=5)
-        if "sender_error" in box:
-            raise box["sender_error"] from None
-        raise
-    finally:
-        rx_chan.close()
-        worker.join(timeout=30)
-    if "sender_error" in box:
-        raise box["sender_error"]
-    return result, box["sender"], rx_chan.log
 
 
 # --- bundle directory I/O ---------------------------------------------------
@@ -418,10 +332,7 @@ def _write_secrets(path: Path, secrets: SenderSecrets):
     out = bytearray(struct.pack("!BBHI", 1, mode_code, share_len, len(secrets.flat_secrets)))
     for share in secrets.flat_secrets:
         out += share
-    keys = secrets.item_keys or ()
-    out += struct.pack("!I", len(keys))
-    for key in keys:
-        out += key
+    out += struct.pack("!I", 0)  # no stored item keys; see _read_secrets
     path.write_bytes(bytes(out))
 
 
@@ -439,6 +350,8 @@ def _read_secrets(path: Path) -> SenderSecrets:
     keys_at = 8 + count * share_len
     if len(data) < keys_at + 4:
         raise CatalogError("corrupt secrets file: truncated")
+    # Older publishers stored p2 item keys after the shares; the block is
+    # length-checked and ignored, since each key is the XOR of its shares.
     (key_count,) = struct.unpack("!I", data[keys_at:keys_at + 4])
     # Sizes are checked before slicing, so forged counts cannot make the
     # slicing below run long.
@@ -446,11 +359,5 @@ def _read_secrets(path: Path) -> SenderSecrets:
         raise CatalogError("corrupt secrets file")
     if (count or key_count) and not share_len:
         raise CatalogError("corrupt secrets file: zero-length shares")
-
-    def shares(start: int, n: int) -> list[bytes]:
-        return [data[start + i * share_len:start + (i + 1) * share_len] for i in range(n)]
-
-    flat = shares(8, count)
-    keys = shares(keys_at + 4, key_count)
-    return SenderSecrets(mode=mode, flat_secrets=tuple(flat),
-                         item_keys=tuple(keys) if keys else None)
+    flat = tuple(data[8 + i * share_len:8 + (i + 1) * share_len] for i in range(count))
+    return SenderSecrets(mode=mode, flat_secrets=flat)

@@ -18,8 +18,6 @@ subset of shares is jointly uniform and reveals nothing about the key.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -110,17 +108,6 @@ def combine_shares(shares, counters: Counters | None = None) -> bytes:
     if counters:
         counters.shares_combined += len(shares)
     return out
-
-
-@dataclass(frozen=True)
-class KeyShareSet:
-    """One item's key shares, positioned in the flat index space by the owner."""
-
-    item_index: int
-    shares: tuple[bytes, ...]
-
-    def combined(self) -> bytes:
-        return combine_shares(self.shares)
 
 
 def _layer_context(context: str, layer: int) -> str:

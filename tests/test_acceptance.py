@@ -19,7 +19,8 @@ from wot.framing import OtBatchResp
 from wot.group import setup_params
 from wot.harness import PrivacyExperiment, complexity_check, privacy_experiment
 from wot.instrument import Counters
-from wot.protocol import plan_for_indices, publish, run_local_session
+from wot.net import run_local_session
+from wot.protocol import plan_for_indices, publish
 from wot.symcrypto import combine_shares, decrypt
 from wot.weights import approx_reduce, gcd_reduce
 

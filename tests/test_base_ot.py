@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from wot.base_ot import (BatchSenderView, OtQuery, batch_binding, ot_batch_run,
-                         ot_query, ot_recover, ot_respond, pick_binding,
-                         query_element)
+from wot.base_ot import (OtQuery, batch_binding, ot_query, ot_recover, ot_respond,
+                         pick_binding, query_element)
 from wot.errors import GroupError, ProtocolError
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
 from wot.instrument import Counters
@@ -152,42 +151,16 @@ class TestRespondRecover:
 
 
 class TestBatch:
-    def test_all_picks_learn_everything(self, p23, rng):
-        secrets = [rng.randbytes(16) for _ in range(6)]
-        got, view = ot_batch_run(p23, secrets, list(range(6)), rng)
-        assert got == secrets
-        assert view.num_picks == 6
-
-    def test_empty_batch(self, p23, rng):
-        got, view = ot_batch_run(p23, [b"\x01" * 16], [], rng)
-        assert got == []
-        assert view.num_picks == 0
-
-    def test_duplicate_picks_allowed_here(self, p23, rng):
-        secrets = [rng.randbytes(16) for _ in range(4)]
-        got, _ = ot_batch_run(p23, secrets, [2, 2, 2], rng)
-        assert got == [secrets[2]] * 3
-
-    def test_sender_view_is_queries_and_count_only(self, p23, rng):
-        secrets = [rng.randbytes(16) for _ in range(6)]
-        _, view = ot_batch_run(p23, secrets, [2, 3, 4], rng)
-        assert isinstance(view, BatchSenderView)
-        assert set(vars(view)) == {"queries"}
-        assert view.num_picks == 3
-
     def test_equal_size_batches_indistinguishable(self, p23):
         """Same T, different picks: pooled query histograms match."""
         rng = random.Random(99)
-        secrets = [rng.randbytes(16) for _ in range(6)]
         trials = 20_000
         hists = {"a": {}, "b": {}}
         for _ in range(trials):
-            _, view_a = ot_batch_run(p23, secrets, [2, 3, 4], rng)
-            _, view_b = ot_batch_run(p23, secrets, [0, 1, 5], rng)
-            for y in view_a.queries:
-                hists["a"][y] = hists["a"].get(y, 0) + 1
-            for y in view_b.queries:
-                hists["b"][y] = hists["b"].get(y, 0) + 1
+            for name, picks in (("a", [2, 3, 4]), ("b", [0, 1, 5])):
+                for pick in picks:  # the sender's view of a batch: its queries
+                    y = ot_query(p23, 6, pick, rng)[0].y
+                    hists[name][y] = hists[name].get(y, 0) + 1
         from scipy.stats import chi2_contingency
         support = sorted(set(hists["a"]) | set(hists["b"]))
         table = [[hists["a"].get(y, 0) for y in support],

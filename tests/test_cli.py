@@ -192,3 +192,34 @@ def test_buy_transport_error_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot connect to 127.0.0.1:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--weights", "1,2", "--choice-a", "0", "--choice-b", "2"],
+     "choice index 2 out of range"),
+    (["--weights", "1,1", "--choice-a", "0", "--choice-b", "1", "--sessions", "0"],
+     "need at least one session, got 0"),
+    (["--weights", "1,1", "--choice-a", "", "--choice-b", "1"], "empty choice set"),
+    (["--weights", "1,x", "--choice-a", "0", "--choice-b", "1"],
+     "--weights: 'x' is not an integer"),
+    (["--weights", "1,1", "--choice-a", "0", "--choice-b", "1.0"],
+     "--choice-b: '1.0' is not an integer"),
+], ids=["index-past-weights", "zero-sessions", "empty-choice", "weight-not-int",
+        "choice-not-int"])
+def test_privacy_test_bad_input_is_one_line(argv, message, capsys):
+    assert main(["privacy-test", "--group", "p23", *argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["audit", "reduce"])
+def test_bad_prices_file_is_one_line(command, tmp_path, capsys):
+    prices = tmp_path / "prices.txt"
+    prices.write_text("# header\n3\nfour\n")
+    assert main([command, "--prices", str(prices)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {prices}:3: 'four' is not an integer"]
+
+    missing = tmp_path / "missing.txt"
+    assert main([command, "--prices", str(missing)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read prices file {missing}: No such file or directory"]

@@ -33,6 +33,19 @@ class TestPrivacyExperiment:
         with pytest.raises(HarnessError, match="different totals"):
             privacy_experiment(exp, p23, rng)
 
+    @pytest.mark.parametrize("choice_a, choice_b, sessions, message", [
+        ({0}, {3}, 10, "choice index 3 out of range"),
+        ({-1}, {0}, 10, "choice index -1 out of range"),
+        (set(), set(), 10, "empty choice set"),
+        ({0}, {0}, 0, "at least one session"),
+    ], ids=["index-past-weights", "negative-index", "empty-choice", "zero-sessions"])
+    def test_invalid_experiment_refused(self, p23, rng, choice_a, choice_b, sessions,
+                                        message):
+        exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset(choice_a),
+                                choice_b=frozenset(choice_b), sessions=sessions)
+        with pytest.raises(HarnessError, match=message):
+            privacy_experiment(exp, p23, rng)
+
     def test_large_group_refused(self, rng):
         from wot.group import setup_params
         exp = PrivacyExperiment(weights=(1, 2), choice_a=frozenset({0}),
@@ -68,10 +81,10 @@ class TestCorrectnessOracle:
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         broken = list(secrets.flat_secrets)
         broken[1] = bytes(16)  # item 1 loses a share
-        from wot.protocol import SenderSecrets, plan_for_indices, run_local_session
+        from wot.net import run_local_session
+        from wot.protocol import SenderSecrets, plan_for_indices
         from wot.errors import ItemAuthenticationError
-        bad = SenderSecrets(mode="p2", flat_secrets=tuple(broken),
-                            item_keys=secrets.item_keys)
+        bad = SenderSecrets(mode="p2", flat_secrets=tuple(broken))
         plan = plan_for_indices(bundle.manifest, {1})
         with pytest.raises(ItemAuthenticationError):
             run_local_session(bundle, bad, plan, p23,

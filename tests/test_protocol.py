@@ -1,18 +1,31 @@
 import random
+import socket
 
 import pytest
 
-from wot.catalog import ciphertext_digest, total_price
-from wot.errors import (CatalogError, ItemAuthenticationError, ProtocolError,
-                        WotError)
-from wot.framing import Done, OtBatchQuery
-from wot.group import setup_params
+from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
+from wot.cli import main
+from wot.errors import (CatalogError, FrameError, ItemAuthenticationError,
+                        ProtocolError, WotError)
+from wot.framing import (LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done, OtBatchQuery,
+                         encode_frame, encode_manifest)
+from wot.group import make_params, setup_params
 from wot.instrument import Counters
-from wot.protocol import (LoopbackChannel, PublishedBundle, plan_for_indices,
+from wot.net import SocketChannel, run_local_session
+from wot.protocol import (PublishedBundle, item_context, plan_for_indices,
                           plan_selection, publish, load_bundle, load_secrets,
-                          run_local_session, run_session_sender, save_bundle)
+                          run_session_sender, save_bundle)
+from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
 
 from conftest import make_catalog
+
+
+@pytest.fixture
+def channel_pair():
+    """Two connected frame channels: the buyer's end and the seller's end."""
+    rx_sock, tx_sock = socket.socketpair()
+    with rx_sock, tx_sock:
+        yield SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
 
 
 class TestPublish:
@@ -41,7 +54,6 @@ class TestPublish:
         assert counters.encryptions == 6  # one per layer
         assert counters.key_gens == 6
         assert len(secrets.flat_secrets) == 6
-        assert secrets.item_keys is None
 
     def test_manifest_digests_recompute(self, p23, rng):
         cat = make_catalog([2, 3])
@@ -56,9 +68,11 @@ class TestPublish:
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         flat_map = bundle.flat_map
         for i in range(cat.n):
-            share_set = secrets.share_set(flat_map, i)
-            assert share_set.combined() == secrets.item_keys[i]
-            assert len(share_set.shares) == cat.weights[i]
+            shares = [secrets.flat_secrets[f] for f in flat_map.item_range(i)]
+            assert len(shares) == cat.weights[i]
+            key = combine_shares(shares)
+            context = item_context("p2", cat.items[i].id)
+            assert decrypt(key, bundle.ciphertexts[i], context) == cat.items[i].payload
 
     def test_unknown_mode(self, p23, rng):
         with pytest.raises(CatalogError):
@@ -129,6 +143,17 @@ class TestSessions:
             assert dict(result.items) == {f"item{i:02d}": cat.items[i].payload for i in chosen}
             assert result.total == outcome.billed == total
 
+    def test_custom_group_session(self, rng):
+        """In-process sessions run on a make_params group, not only on presets."""
+        params = make_params(23, 11, 4, "toy-g4")
+        cat = make_catalog([1, 2], rng)
+        bundle, secrets = publish(cat, "p2", params, rng=rng)
+        plan = plan_for_indices(bundle.manifest, {1})
+        result, outcome, _ = run_local_session(bundle, secrets, plan, params,
+                                               receiver_rng=rng, sender_rng=rng)
+        assert result.items == (("item01", cat.items[1].payload),)
+        assert outcome.billed == 2
+
     def test_single_weight_one_item(self, p23, rng):
         cat = make_catalog([3, 1], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
@@ -154,7 +179,6 @@ class TestSessions:
         bad_ct = bytearray(bundle.ciphertexts[1])
         bad_ct[-1] ^= 1
         # Keep the manifest consistent so tampering is caught by AE, not digests.
-        from wot.catalog import Manifest, ManifestEntry
         entries = list(bundle.manifest.entries)
         entries[1] = ManifestEntry(id=entries[1].id, weight=entries[1].weight,
                                    ct_len=len(bad_ct),
@@ -170,7 +194,7 @@ class TestSessions:
                               receiver_rng=rng, sender_rng=rng)
         assert err.value.item_id == "item01"
 
-    def test_digest_mismatch_aborts_before_transfer(self, p23, rng):
+    def test_digest_mismatch_aborts_before_transfer(self, p23, rng, channel_pair):
         cat = make_catalog([1, 2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         corrupted = PublishedBundle(
@@ -178,35 +202,35 @@ class TestSessions:
             ciphertexts=(bundle.ciphertexts[0], bundle.ciphertexts[1] + b"x"),
         )
         plan = plan_for_indices(corrupted.manifest, {1})
-        rx_chan, _ = LoopbackChannel.pair()
+        rx_chan, _ = channel_pair
         from wot.protocol import run_session_receiver
         with pytest.raises(CatalogError, match="digest mismatch"):
             run_session_receiver(corrupted, plan, rx_chan, p23, rng)
         assert rx_chan.log == []  # nothing was sent
 
-    def test_empty_batch_rejected_by_sender(self, p23, rng):
+    def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair):
         cat = make_catalog([1, 2], rng)
         _, secrets = publish(cat, "p2", p23, rng=rng)
-        rx_chan, tx_chan = LoopbackChannel.pair()
-        rx_chan.send(OtBatchQuery(elem_len=p23.element_len, queries=()))
+        rx_chan, tx_chan = channel_pair
+        query = OtBatchQuery(elem_len=p23.element_len, queries=())
         with pytest.raises(ProtocolError, match="empty purchase"):
-            run_session_sender(secrets, tx_chan, p23, rng)
+            run_session_sender(secrets, query, tx_chan, p23, rng)
 
-    def test_nonmember_query_aborts_without_responses(self, p23, rng):
+    def test_nonmember_query_aborts_without_responses(self, p23, rng, channel_pair):
         cat = make_catalog([1, 2], rng)
         _, secrets = publish(cat, "p2", p23, rng=rng)
-        rx_chan, tx_chan = LoopbackChannel.pair()
-        rx_chan.send(OtBatchQuery(elem_len=p23.element_len, queries=(2, 5)))  # 5 is not a member
+        rx_chan, tx_chan = channel_pair
+        query = OtBatchQuery(elem_len=p23.element_len, queries=(2, 5))  # 5 is not a member
         with pytest.raises(ProtocolError, match="not a subgroup member"):
-            run_session_sender(secrets, tx_chan, p23, rng)
-        reply = rx_chan.recv(timeout=1)
+            run_session_sender(secrets, query, tx_chan, p23, rng)
+        reply = rx_chan.recv()
         assert type(reply).__name__ == "ErrorMsg"
 
-    def test_billing_echo_mismatch_aborts(self, p23, rng):
+    def test_billing_echo_mismatch_aborts(self, p23, rng, channel_pair):
         cat = make_catalog([2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         plan = plan_for_indices(bundle.manifest, {0})
-        rx_chan, tx_chan = LoopbackChannel.pair()
+        rx_chan, tx_chan = channel_pair
 
         import threading
 
@@ -229,7 +253,7 @@ class TestSessions:
             run_session_receiver(bundle, plan, rx_chan, p23, rng)
         worker.join(timeout=5)
 
-    def test_partial_pick_plan_rejected(self, p23, rng):
+    def test_partial_pick_plan_rejected(self, p23, rng, channel_pair):
         cat = make_catalog([2, 2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         good = plan_for_indices(bundle.manifest, {0})
@@ -237,7 +261,7 @@ class TestSessions:
         partial = SelectionPlan(choice_indices=good.choice_indices,
                                 item_ids=good.item_ids,
                                 picks=good.picks[:-1], total=good.total)
-        rx_chan, _ = LoopbackChannel.pair()
+        rx_chan, _ = channel_pair
         with pytest.raises(ProtocolError, match="full share ranges"):
             run_session_receiver(bundle, partial, rx_chan, p23, rng)
 
@@ -258,6 +282,18 @@ class TestSessions:
         _, outcome, _ = run_local_session(bundle, secrets, plan, p23,
                                           receiver_rng=rng, sender_rng=rng)
         assert set(vars(outcome.transcript)) == {"num_picks", "queries"}
+
+    def test_local_session_runs_the_wire_grammar(self, p23, rng):
+        """In-process sessions deliver every ciphertext and use the TCP grammar."""
+        cat = make_catalog([1, 2, 3], rng)
+        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        plan = plan_for_indices(bundle.manifest, {1})
+        _, _, log = run_local_session(bundle, secrets, plan, p23,
+                                      receiver_rng=rng, sender_rng=rng)
+        sent, got = "local", "peer"
+        assert log == [(sent, "Hello"), (got, "ManifestMsg"),
+                       *[(sent, "CtReq"), (got, "CtData")] * 3,
+                       (sent, "OtBatchQuery"), (got, "OtBatchResp"), (got, "Done")]
 
 
 class TestBundleIO:
@@ -300,6 +336,20 @@ class TestBundleIO:
         with pytest.raises(CatalogError, match="secrets file"):
             load_secrets(tmp_path / "b")
 
+    def test_stored_item_keys_are_checked_and_ignored(self, p23, rng, tmp_path):
+        """Secrets files that still carry p2 item keys load to the same shares."""
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        save_bundle(bundle, tmp_path / "b", secrets=secrets)
+        path = tmp_path / "b" / "sender_secrets.bin"
+        data = path.read_bytes()
+        assert data[-4:] == bytes(4)  # no keys written
+        keys = rng.randbytes(2 * 16)
+        path.write_bytes(data[:-4] + (2).to_bytes(4, "big") + keys)
+        assert load_secrets(tmp_path / "b") == secrets
+        path.write_bytes(data[:-4] + (2).to_bytes(4, "big") + keys[:-1])
+        with pytest.raises(CatalogError, match="corrupt secrets file"):
+            load_secrets(tmp_path / "b")
+
     def test_corrupted_ct_file_detected(self, p23, rng, tmp_path):
         cat = make_catalog([1, 1], rng)
         bundle, _ = publish(cat, "p2", p23, rng=rng)
@@ -335,6 +385,46 @@ class TestBundleIO:
         manifest.write_bytes(manifest.read_bytes().replace(b"\x00\x02ok", b"\x00\x02.."))
         with pytest.raises(WotError, match="invalid manifest entry"):
             load_bundle(tmp_path / "pub")
+
+
+class TestFrameCap:
+    """An item whose CT_DATA frame would pass the frame cap is refused up front."""
+
+    LARGEST = MAX_FRAME_LEN - 3 - len("big")  # type byte, u16 id length, id
+
+    @staticmethod
+    def manifest(p23, ct_len):
+        entry = ManifestEntry(id="big", weight=1, ct_len=ct_len, digest_hex="0" * 64)
+        return Manifest(mode="p2", group_id=p23.param_id, key_bits=128, entries=(entry,))
+
+    def test_boundary(self, p23):
+        ct = bytes(self.LARGEST)
+        bundle = PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
+        frame = encode_frame(CtData(item_id="big", ciphertext=bundle.ciphertexts[0]))
+        assert len(frame) == LENGTH_FIELD + MAX_FRAME_LEN
+        del frame
+        ct += b"\x00"
+        with pytest.raises(CatalogError, match="item 'big'"):
+            PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
+        with pytest.raises(FrameError, match="frame too large"):
+            encode_frame(CtData(item_id="big", ciphertext=ct))
+
+    def test_publish_load_and_serve_refuse(self, p23, rng, tmp_path, capsys):
+        payload_size = self.LARGEST + 1 - NONCE_LEN - TAG_LEN
+        cat = make_catalog([1], rng, payload_size=payload_size, ids=["big"])
+        with pytest.raises(CatalogError, match="item 'big'"):
+            publish(cat, "p2", p23, rng=rng)
+
+        # A bundle directory made by other means: load_bundle refuses it,
+        # so wot serve does not start on it.
+        (tmp_path / "manifest.bin").write_bytes(
+            encode_manifest(self.manifest(p23, self.LARGEST + 1)))
+        (tmp_path / "big.ct").write_bytes(bytes(self.LARGEST + 1))
+        with pytest.raises(CatalogError, match="item 'big'"):
+            load_bundle(tmp_path, verify=False)
+        assert main(["serve", "--bundle", str(tmp_path), "--listen", "127.0.0.1:0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: item 'big': ciphertext of")
 
 
 def test_exhaustive_small_catalog_correctness(p23):
