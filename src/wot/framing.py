@@ -12,6 +12,17 @@ integers on the wire are big-endian. Group elements travel as fixed-width
 integers whose width is carried inside the transfer messages, keeping the
 codec self-contained.
 
+``OT_BATCH_RESP`` (protocol version 2) carries one transfer reply per
+pick::
+
+    [u32 count T] [u32 n N] [u16 elem_len] [u16 mask_len]
+    T times: [elem_len bytes - a = g^k] [N times: mask_len bytes - mask]
+
+so the length field of a reply reads ``1 + 12 + T * (elem_len + N * mask_len)``.
+Version 1 sent N (element, mask) pairs per pick; a version-1 HELLO is
+refused. The manifest record format has its own version byte
+(``MANIFEST_VERSION``), so bundles written before the bump still load.
+
 Session grammar (enforced by the server in ``wot.net``)::
 
     HELLO -> MANIFEST -> (CT_REQ/CT_DATA)* -> OT_BATCH_QUERY
@@ -32,7 +43,8 @@ from .errors import CatalogError, FrameError
 LENGTH_FIELD = 4
 MAX_FRAME_LEN = 1 << 24  # cap on the length field (type byte + payload)
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+MANIFEST_VERSION = 1
 
 TYPE_HELLO = 0x01
 TYPE_MANIFEST = 0x02
@@ -141,6 +153,15 @@ class _Reader:
         except UnicodeDecodeError:
             raise FrameError("invalid string encoding") from None
 
+    def expect_records(self, count: int, size: int):
+        """Refuse a record count the rest of the payload cannot hold.
+
+        Checked before any record is built, so a small frame cannot make
+        the decoder loop over a forged u32 count of zero-width records.
+        """
+        if count * size != len(self.data) - self.pos or (count and not size):
+            raise FrameError("payload does not match its record count")
+
     def rest(self) -> bytes:
         out = self.data[self.pos:]
         self.pos = len(self.data)
@@ -181,7 +202,7 @@ def _decode_mode(code: int) -> str:
 def encode_manifest(manifest: Manifest) -> bytes:
     """Length-prefixed record form, the bundle's on-disk manifest format."""
     out = bytearray()
-    out += _pack("!BBH", PROTOCOL_VERSION, _encode_mode(manifest.mode), manifest.key_bits)
+    out += _pack("!BBH", MANIFEST_VERSION, _encode_mode(manifest.mode), manifest.key_bits)
     out += _string(manifest.group_id)
     out += _pack("!I", manifest.n)
     for e in manifest.entries:
@@ -193,7 +214,7 @@ def encode_manifest(manifest: Manifest) -> bytes:
 def decode_manifest(data: bytes) -> Manifest:
     r = _Reader(data)
     version = r.u8()
-    if version != PROTOCOL_VERSION:
+    if version != MANIFEST_VERSION:
         raise FrameError(f"unsupported manifest version {version}")
     mode = _decode_mode(r.u8())
     key_bits = r.u16()
@@ -241,14 +262,14 @@ def _encode_payload(msg: Message) -> tuple[int, bytes]:
         if len(counts) > 1:
             raise FrameError("responses disagree on secret count")
         n = counts.pop() if counts else 0
-        mask_lens = {len(m) for resp in msg.responses for _, m in resp.pairs}
+        mask_lens = {len(m) for resp in msg.responses for m in resp.masks}
         if len(mask_lens) > 1:
             raise FrameError("responses disagree on mask length")
         mask_len = mask_lens.pop() if mask_lens else 0
         out = bytearray(_pack("!IIHH", len(msg.responses), n, msg.elem_len, mask_len))
         for resp in msg.responses:
-            for a, masked in resp.pairs:
-                out += a.to_bytes(msg.elem_len, "big")
+            out += resp.a.to_bytes(msg.elem_len, "big")
+            for masked in resp.masks:
                 out += masked
         return TYPE_OT_BATCH_RESP, bytes(out)
     if isinstance(msg, Done):
@@ -278,16 +299,17 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
         return CtData(item_id=item_id, ciphertext=r.rest())
     if msg_type == TYPE_OT_BATCH_QUERY:
         count, elem_len = r.u32(), r.u16()
+        r.expect_records(count, elem_len)
         queries = tuple(int.from_bytes(r.take(elem_len), "big") for _ in range(count))
         r.done()
         return OtBatchQuery(elem_len=elem_len, queries=queries)
     if msg_type == TYPE_OT_BATCH_RESP:
         count, n, elem_len, mask_len = r.u32(), r.u32(), r.u16(), r.u16()
+        r.expect_records(count, elem_len + n * mask_len)
         responses = []
         for _ in range(count):
-            pairs = tuple((int.from_bytes(r.take(elem_len), "big"), r.take(mask_len))
-                          for _ in range(n))
-            responses.append(OtResponse(pairs=pairs))
+            a = int.from_bytes(r.take(elem_len), "big")
+            responses.append(OtResponse(a=a, masks=tuple(r.take(mask_len) for _ in range(n))))
         r.done()
         return OtBatchResp(elem_len=elem_len, responses=tuple(responses))
     if msg_type == TYPE_DONE:
@@ -302,6 +324,11 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
             raise FrameError("invalid error text") from None
         return ErrorMsg(code=code, text=text)
     raise FrameError(f"unknown message type 0x{msg_type:02x}")
+
+
+def _ot_batch_resp_len(count: int, n: int, elem_len: int, mask_len: int) -> int:
+    """Length field of an OT_BATCH_RESP: type byte, header, then per pick a and N masks."""
+    return 1 + 12 + count * (elem_len + n * mask_len)
 
 
 def encode_frame(msg: Message) -> bytes:

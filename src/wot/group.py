@@ -38,8 +38,9 @@ every 6-bit digit of an exponent below ``q``, and a product of powers of
 tabled bases costs one multiplication per nonzero digit plus 2 * 63 to
 combine the buckets, about a sixth of a plain ``pow``. The tables of ``g``
 and ``h`` are built on first use and cached per parameter set, not in
-``setup_params``; a table for a one-off base pays for itself once it
-serves a few exponents. These helpers stay private: the calls a session
+``setup_params``; building a table costs about as much as one plain
+``pow``, so a base used once (the buyer's query in the transfer) gets a
+plain ``pow`` instead. These helpers stay private: the calls a session
 makes to the public functions, which the benchmark's tracer counts, must
 not depend on whether the tables were already cached.
 

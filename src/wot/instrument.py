@@ -3,7 +3,9 @@
 Every cost the protocol advertises (encryptions per publish, random share
 draws, exponent draws per transfer, shares consumed on recombination) is
 counted at the call site that does the work, so tests can assert the
-advertised numbers exactly. Passing ``counters=None`` disables counting.
+advertised numbers exactly. A transfer draws one query exponent and one
+response exponent per pick, whatever N is. Passing ``counters=None``
+disables counting.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
 from .errors import (CatalogError, CryptoError, AuthenticationError,
                      ItemAuthenticationError, ProtocolError, RemoteError)
 from .framing import (Done, ErrorMsg, OtBatchQuery, OtBatchResp,
-                      ERR_BAD_QUERY, ERR_INCOMPATIBLE, MAX_FRAME_LEN)
+                      ERR_BAD_QUERY, ERR_INCOMPATIBLE, MAX_FRAME_LEN, _ot_batch_resp_len)
 from .group import GroupParams, is_member
 from .instrument import Counters
 
@@ -261,6 +261,15 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
     if query.elem_len != params.element_len:
         channel.send(ErrorMsg(code=ERR_INCOMPATIBLE, text="element width mismatch"))
         raise ProtocolError("element width mismatch")
+
+    # The reply is one frame whose size follows from (N, T) alone.
+    flat = secrets.flat_secrets
+    reply_len = _ot_batch_resp_len(len(query.queries), len(flat), params.element_len,
+                                   max(map(len, flat), default=0))
+    if reply_len > MAX_FRAME_LEN:
+        channel.send(ErrorMsg(code=ERR_BAD_QUERY, text="purchase too large"))
+        raise ProtocolError(f"purchase too large: its reply would be {reply_len} bytes, "
+                            f"over the {MAX_FRAME_LEN}-byte frame cap")
 
     # Validate the whole batch before answering any of it: a bad element
     # must not extract partial responses.

@@ -282,7 +282,7 @@ def test_criterion_8_wire_protocol(tmp_path):
                           transcript_store=transcripts)
     try:
         rng = random.Random(808)
-        pool = [Hello(), Hello(version=2), Done(billed=1),
+        pool = [Hello(), Hello(version=1), Done(billed=1),
                 OtBatchQuery(elem_len=1, queries=(5,)),
                 OtBatchQuery(elem_len=1, queries=())]
         for _ in range(40):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wot.base_ot import (OtQuery, batch_binding, ot_query, ot_recover, ot_respond,
+from wot.base_ot import (OtQuery, OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
                          pick_binding, query_element)
 from wot.errors import GroupError, ProtocolError
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
@@ -10,15 +10,15 @@ from wot.instrument import Counters
 
 
 def reference_respond(params, secrets, y, binding, rng):
-    """Textbook sender: ``(g^k, pad((y * h^-i)^k) XOR s_i)`` with plain ``pow``."""
+    """Textbook sender with plain ``pow``: one ``k``, ``a = g^k``, pads from ``(y * h^-i)^k``."""
     p = params.p
-    pairs = []
+    k = rand_exponent(params, rng, include_zero=False)
+    masks = []
     for i, secret in enumerate(secrets):
-        k = rand_exponent(params, rng, include_zero=False)
         element = pow(y * pow(params.h, -i, p) % p, k, p)
         pad = kdf_pad(params, element, binding + i.to_bytes(4, "big"), len(secret))
-        pairs.append((pow(params.g, k, p), bytes(x ^ s for x, s in zip(pad, secret))))
-    return tuple(pairs)
+        masks.append(bytes(x ^ s for x, s in zip(pad, secret)))
+    return OtResponse(a=pow(params.g, k, p), masks=tuple(masks))
 
 
 def run_single(params, secrets, index, rng, binding=b"t"):
@@ -74,7 +74,7 @@ class TestTextbookEquivalence:
             seed = rng.getrandbits(64)
             got = ot_respond(params, secrets, query, b"bind", random.Random(seed))
             want = reference_respond(params, secrets, query.y, b"bind", random.Random(seed))
-            assert got.pairs == want, n
+            assert got == want, n
 
     def test_query_element(self, preset):
         params = setup_params(preset)
@@ -147,7 +147,43 @@ class TestRespondRecover:
         query, r = ot_query(p23, 6, 1, rng, counters)
         ot_respond(p23, secrets, query, b"t", rng, counters)
         assert counters.query_exponents == 1
-        assert counters.response_exponents == 6
+        assert counters.response_exponents == 1  # one k per pick, whatever N is
+
+
+@pytest.mark.parametrize("preset, n", [("p47", 12), ("modp-2048", 5)])
+def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n):
+    """The sender's elements differ by powers of ``h^k`` and only ``a^r`` opens ``c``.
+
+    Knowing the elements of two indices ``i != j`` of one pick yields
+    ``h^k = CDH(g, h, g^k)``; so a buyer who could open two indices could
+    compute Diffie-Hellman values without ``log_g h``.
+    """
+    params = setup_params(preset)
+    p, q = params.p, params.q
+    rng = random.Random(f"extract-{preset}")
+    secrets = [rng.randbytes(16) for _ in range(n)]
+    c = rng.randrange(n)
+    query, r = ot_query(params, n, c, rng)
+    seed = rng.getrandbits(64)
+    response = ot_respond(params, secrets, query, b"bind", random.Random(seed))
+    k = rand_exponent(params, random.Random(seed), include_zero=False)  # the sender's draw
+    assert response.a == pow(params.g, k, p)
+    elements = [pow(query.y * pow(params.h, -i, p) % p, k, p) for i in range(n)]
+    for i, (element, masked) in enumerate(zip(elements, response.masks)):
+        pad = kdf_pad(params, element, b"bind" + i.to_bytes(4, "big"), 16)
+        assert bytes(x ^ y for x, y in zip(pad, masked)) == secrets[i]
+    h_k = pow(params.h, k, p)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ratio = elements[i] * pow(elements[j], -1, p) % p
+                assert pow(ratio, pow(j - i, -1, q), p) == h_k
+    opened = pow(response.a, r, p)
+    assert [i for i in range(n) if elements[i] == opened] == [c]
+    assert ot_recover(params, response, c, r, b"bind") == secrets[c]
+    for i in range(n):
+        if i != c:
+            assert ot_recover(params, response, i, r, b"bind") != secrets[i]
 
 
 class TestBatch:

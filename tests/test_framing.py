@@ -5,7 +5,7 @@ from wot.base_ot import OtResponse
 from wot.catalog import Manifest, ManifestEntry
 from wot.errors import CatalogError, FrameError, WotError
 from wot.framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg,
-                         OtBatchQuery, OtBatchResp, MAX_FRAME_LEN,
+                         OtBatchQuery, OtBatchResp, LENGTH_FIELD, MAX_FRAME_LEN,
                          decode_frame, decode_manifest, encode_frame,
                          encode_manifest, read_frame)
 
@@ -33,9 +33,9 @@ def manifest_strategy():
 
 
 def response_strategy(elem_len, mask_len, n):
-    pair = st.tuples(st.integers(min_value=0, max_value=(1 << (8 * elem_len)) - 1),
-                     st.binary(min_size=mask_len, max_size=mask_len))
-    return st.builds(OtResponse, pairs=st.lists(pair, min_size=n, max_size=n).map(tuple))
+    mask = st.binary(min_size=mask_len, max_size=mask_len)
+    return st.builds(OtResponse, a=st.integers(min_value=0, max_value=(1 << (8 * elem_len)) - 1),
+                     masks=st.lists(mask, min_size=n, max_size=n).map(tuple))
 
 
 def message_strategy():
@@ -73,6 +73,34 @@ def test_done_frame_frozen_layout():
     assert frame == bytes.fromhex("00000005" "07" "00000004")
     assert len(frame) == 9
     assert decode_frame(frame) == Done(billed=4)
+
+
+def test_ot_batch_resp_frozen_layout():
+    # T=2 picks over N=3 secrets on p23 (1-byte elements), 2-byte masks:
+    # header count, n, elem_len, mask_len, then per pick a and its N masks.
+    msg = OtBatchResp(elem_len=1, responses=(
+        OtResponse(a=8, masks=(b"\x01\x02", b"\x03\x04", b"\x05\x06")),
+        OtResponse(a=13, masks=(b"\xa0\xa1", b"\xa2\xa3", b"\xa4\xa5")),
+    ))
+    frame = encode_frame(msg)
+    assert frame == bytes.fromhex("0000001b" "06" "00000002" "00000003" "0001" "0002"
+                                  "08" "0102" "0304" "0506"
+                                  "0d" "a0a1" "a2a3" "a4a5")
+    assert len(frame) == LENGTH_FIELD + 1 + 12 + 2 * (1 + 3 * 2)
+    assert decode_frame(frame) == msg
+
+
+def test_forged_record_counts_refused():
+    """A u32 count the payload cannot hold is refused before any record is built."""
+    for payload in (
+        bytes.fromhex("05" "000003e8" "0000"),                    # 1000 zero-width queries
+        bytes.fromhex("05" "00000002" "0001" "07"),               # 2 queries, 1 byte
+        bytes.fromhex("06" "000003e8" "00000000" "0000" "0000"),  # 1000 empty replies
+        bytes.fromhex("06" "00000001" "00000002" "0001" "0001" "08" "01"),  # a mask short
+    ):
+        frame = len(payload).to_bytes(4, "big") + payload
+        with pytest.raises(FrameError, match="record count"):
+            decode_frame(frame)
 
 
 @given(message_strategy())

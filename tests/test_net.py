@@ -150,6 +150,15 @@ class TestGrammar:
         assert isinstance(reply, ErrorMsg) and reply.code == ERR_INCOMPATIBLE
         sock.close()
 
+    def test_version_1_hello_refused(self, server):
+        """Version 1 answered each pick with N pairs; a version-1 buyer cannot read the reply."""
+        srv, _, transcripts = server
+        sock = raw_client(srv.port)
+        reply = exchange(sock, Hello(version=1))
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 1")
+        sock.close()
+        assert transcripts == []
+
     def test_pinned_mode_mismatch(self, server):
         srv, _, _ = server
         sock = raw_client(srv.port)

@@ -7,8 +7,8 @@ from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, ItemAuthenticationError,
                         ProtocolError, WotError)
-from wot.framing import (LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done, OtBatchQuery,
-                         encode_frame, encode_manifest)
+from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done,
+                         OtBatchQuery, encode_frame, encode_manifest)
 from wot.group import make_params, setup_params
 from wot.instrument import Counters
 from wot.net import SocketChannel, run_local_session
@@ -306,6 +306,21 @@ class TestBundleIO:
         reloaded = load_secrets(tmp_path / "bundle")
         assert reloaded == secrets
 
+    def test_version_1_manifest_file_loads(self, tmp_path):
+        """The manifest keeps record version 1 across the protocol bump."""
+        ct = bytes(40)
+        raw = bytes.fromhex(
+            "01" "02" "0080" "0003" + b"p23".hex() + "00000001"  # version, p2, 128, group, n
+            "0000002f" "0001" + b"a".hex()  # record length, id
+            + "00000003" "0000000000000028" + ciphertext_digest(ct))  # weight, ct_len, digest
+        (tmp_path / "manifest.bin").write_bytes(raw)
+        (tmp_path / "a.ct").write_bytes(ct)
+        bundle = load_bundle(tmp_path)
+        assert bundle.manifest == Manifest(mode="p2", group_id="p23", key_bits=128, entries=(
+            ManifestEntry(id="a", weight=3, ct_len=40, digest_hex=ciphertext_digest(ct)),))
+        assert bundle.ciphertexts == (ct,)
+        assert encode_manifest(bundle.manifest) == raw
+
     def test_p1_secrets_round_trip(self, p23, rng, tmp_path):
         cat = make_catalog([2, 1], rng)
         bundle, secrets = publish(cat, "p1", p23, rng=rng)
@@ -408,6 +423,22 @@ class TestFrameCap:
             PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
         with pytest.raises(FrameError, match="frame too large"):
             encode_frame(CtData(item_id="big", ciphertext=ct))
+
+    def test_oversize_reply_refused_before_any_work(self, p23, rng, channel_pair):
+        """A batch whose reply frame would pass the cap is refused from (N, T) alone."""
+        _, secrets = publish(make_catalog([1, 2, 3, 7], rng), "p2", p23, rng=rng)
+        per_pick = p23.element_len + sum(map(len, secrets.flat_secrets))  # a, N masks
+        picks = (MAX_FRAME_LEN - 13) // per_pick + 1
+        assert 1 + 12 + picks * per_pick > MAX_FRAME_LEN
+        # Non-member queries: refusing them would take the membership pass.
+        query = OtBatchQuery(elem_len=p23.element_len, queries=(5,) * picks)
+        counters = Counters()
+        rx_chan, tx_chan = channel_pair
+        with pytest.raises(ProtocolError, match="purchase too large"):
+            run_session_sender(secrets, query, tx_chan, p23, rng, counters)
+        reply = rx_chan.recv()
+        assert (reply.code, reply.text) == (ERR_BAD_QUERY, "purchase too large")
+        assert counters.response_exponents == 0
 
     def test_publish_load_and_serve_refuse(self, p23, rng, tmp_path, capsys):
         payload_size = self.LARGEST + 1 - NONCE_LEN - TAG_LEN
