@@ -50,13 +50,6 @@ _SID_TAG = b"WOT-SID"
 
 
 @dataclass(frozen=True)
-class OtQuery:
-    """Receiver's message for one pick: a single blinded group element."""
-
-    y: int
-
-
-@dataclass(frozen=True)
 class OtResponse:
     """Sender's answer for one pick: ``a = g^k`` and N masked secrets."""
 
@@ -69,15 +62,15 @@ class OtResponse:
 
 
 def ot_query(params: GroupParams, n_secrets: int, index: int,
-             rng=None, counters: Counters | None = None) -> tuple[OtQuery, int]:
-    """Build the query for ``index``; returns it with the secret exponent."""
+             rng=None, counters: Counters | None = None) -> tuple[int, int]:
+    """Build the query element ``y`` for ``index``; returns it with the secret exponent."""
     if not 0 <= index < n_secrets:
         raise ProtocolError(f"pick index {index} out of range [0, {n_secrets})")
     rng = rng or _SYSTEM_RNG
     r = rand_exponent(params, rng)
     if counters:
         counters.query_exponents += 1
-    return OtQuery(y=query_element(params, index, r)), r
+    return query_element(params, index, r), r
 
 
 def query_element(params: GroupParams, index: int, r: int) -> int:
@@ -85,13 +78,13 @@ def query_element(params: GroupParams, index: int, r: int) -> int:
     return _fixed_base_pow(params, (g_table, r)) * pow(params.h, index, params.p) % params.p
 
 
-def ot_respond(params: GroupParams, secrets, query: OtQuery, binding: bytes,
+def ot_respond(params: GroupParams, secrets, y: int, binding: bytes,
                rng=None, counters: Counters | None = None) -> OtResponse:
     """Answer one pick: mask every secret under its per-index pad."""
     secrets = list(secrets)
     if not secrets:
         raise ProtocolError("no secrets to transfer")
-    if not is_member(params, query.y):
+    if not is_member(params, y):
         raise GroupError("invalid query: not a subgroup member")
     rng = rng or _SYSTEM_RNG
     p = params.p
@@ -101,7 +94,7 @@ def ot_respond(params: GroupParams, secrets, query: OtQuery, binding: bytes,
     g_table, h_table = _generator_tables(params)
     a = _fixed_base_pow(params, (g_table, k))
     step = _fixed_base_pow(params, (h_table, -k))
-    element = pow(query.y, k, p)  # e_0 = y^k
+    element = pow(y, k, p)  # e_0 = y^k
     masks = []
     for i, secret in enumerate(secrets):
         if i:
@@ -135,6 +128,6 @@ def pick_binding(batch_binding: bytes, ordinal: int) -> bytes:
 def batch_binding(params: GroupParams, queries) -> bytes:
     """Session binding derived from the query batch both sides observe."""
     digest = hashlib.sha256(_SID_TAG)
-    for q in queries:
-        digest.update(params.encode_element(q.y if isinstance(q, OtQuery) else q))
+    for y in queries:
+        digest.update(params.encode_element(y))
     return digest.digest()

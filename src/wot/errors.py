@@ -54,7 +54,7 @@ class FrameError(ProtocolError):
 
 
 class GrammarError(ProtocolError):
-    """Peer sent a message the session grammar does not allow."""
+    """Peer sent a message the session refuses; it was answered with an ERROR frame."""
 
 
 class RemoteError(ProtocolError):

@@ -97,8 +97,8 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> Priv
         histogram = [0] * len(subgroup)
         for _ in range(exp.sessions):
             for pick in picks:
-                query, _ = ot_query(params, n_flat, pick, rng)
-                histogram[index_of[query.y]] += 1
+                y, _ = ot_query(params, n_flat, pick, rng)
+                histogram[index_of[y]] += 1
         return histogram
 
     hist_a = observe(picks_a)
@@ -180,7 +180,7 @@ def _unchosen_breach(catalog, mode, bundle, secrets, choice) -> list[str]:
                 if mode == MODE_P2:
                     symcrypto.decrypt(key, ct, context)
                 else:
-                    symcrypto.decrypt(key, ct, f"{context}|layer1")
+                    symcrypto.nested_decrypt([key], ct, context)
             except WotError:
                 continue
             failures.append(f"choice {sorted(choice)}: key material opened "
@@ -216,36 +216,34 @@ def complexity_check(catalog: Catalog, mode: str, params: GroupParams,
     billed_weight = plan.total
 
     failures = []
-    expected: dict = {"rounds": 3}
-    observed: dict = {"rounds": outcome.rounds}
     if mode == MODE_P2:
-        expected.update({
+        expected = {
             "encryptions": catalog.n,
             "key_gens": catalog.n,
             "share_draws": sum(w - 1 for w in weights),
             "receiver_decryptions": k,
             "shares_combined": billed_weight,
-        })
-        observed.update({
+        }
+        observed = {
             "encryptions": publish_counters.encryptions,
             "key_gens": publish_counters.key_gens,
             "share_draws": publish_counters.share_draws,
             "receiver_decryptions": rx.decryptions,
             "shares_combined": rx.shares_combined,
-        })
+        }
     else:
-        expected.update({
+        expected = {
             "encryptions": sum(weights),
             "key_gens": sum(weights),
             "share_draws": 0,
             "receiver_decryptions": billed_weight,
-        })
-        observed.update({
+        }
+        observed = {
             "encryptions": publish_counters.encryptions,
             "key_gens": publish_counters.key_gens,
             "share_draws": publish_counters.share_draws,
             "receiver_decryptions": rx.decryptions,
-        })
+        }
     # Exponent freshness: one query exponent and one response exponent per
     # pick, whatever the size of the flat index space.
     expected["query_exponents"] = billed_weight

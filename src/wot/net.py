@@ -1,25 +1,17 @@
-"""TCP transport: the seller's server and the buyer's client.
+"""TCP transport: frame channels, the seller's server and the buyer's client.
 
-Server session grammar::
+``SocketChannel`` moves message objects as frames over one socket. The
+session grammar of both sides lives in ``wot.protocol``; this module only
+connects, accepts, times out and closes.
 
-    HELLO -> MANIFEST -> (CT_REQ -> CT_DATA)* -> OT_BATCH_QUERY
-          -> OT_BATCH_RESP -> DONE
-
-Anything else earns an ERROR frame and a closed connection. Each
-connection is one session; sessions share only the immutable bundle and
-secrets. The persistent log records one line per completed session with
+Each connection is one session; sessions share only the immutable bundle
+and secrets. The persistent log records one line per completed sale with
 the billed total and nothing else: the server never learns which items
 were bought, and it must not log anything that could narrow them down.
 
-The buyer fetches *every* ciphertext it does not already hold, not just
-the chosen ones: requesting a subset would reveal the choices out of
-band. A previously downloaded bundle directory can be passed as a cache
-to skip the transfers entirely.
-
-Each side's grammar is written once (``_serve_session`` and
-``_buy_session``). ``run_local_session`` runs the same two functions over
-a socket pair, so an in-process session goes through the frame codec and
-the grammar exactly as a TCP session does.
+``run_local_session`` runs the same two sides over a socket pair, so an
+in-process session goes through the frame codec and the grammar exactly
+as a TCP session does.
 """
 
 from __future__ import annotations
@@ -30,17 +22,12 @@ import socketserver
 import threading
 from pathlib import Path
 
-from .catalog import Manifest, ciphertext_digest
-from .errors import CatalogError, FrameError, GrammarError, ProtocolError
-from .framing import (ANY_GROUP, ANY_KEY_BITS, ANY_MODE, CtData, CtReq,
-                      ErrorMsg, Hello, ManifestMsg, OtBatchQuery,
-                      ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_INTERNAL, ERR_UNKNOWN_ITEM,
-                      PROTOCOL_VERSION, encode_frame, read_frame)
-from .group import GroupParams, setup_params
+from .errors import ProtocolError
+from .framing import ERR_INTERNAL, ErrorMsg, encode_frame, read_frame
+from .group import GroupParams
 from .instrument import Counters
 from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderOutcome,
-                       SenderSecrets, _expect, load_bundle, plan_selection,
-                       run_session_receiver, run_session_sender)
+                       SenderSecrets, run_session_receiver, serve_session)
 
 log = logging.getLogger("wot.server")
 
@@ -82,69 +69,14 @@ class SocketChannel:
         self._sock.close()
 
 
-def _serve_session(chan: SocketChannel, bundle: PublishedBundle, secrets: SenderSecrets,
-                   params: GroupParams, rng=None,
-                   counters: Counters | None = None) -> SenderOutcome:
-    """The seller's side of one session: grammar, delivery, then the transfer."""
-    manifest = bundle.manifest
-
-    def fail(code: int, text: str):
-        try:
-            chan.send(ErrorMsg(code=code, text=text))
-        except OSError:
-            pass
-        raise GrammarError(text)
-
-    msg = chan.recv()
-    if not isinstance(msg, Hello):
-        fail(ERR_GRAMMAR, "grammar")
-    if msg.version != PROTOCOL_VERSION:
-        fail(ERR_INCOMPATIBLE, f"unsupported version {msg.version}")
-    if msg.mode not in (ANY_MODE, manifest.mode) \
-            or msg.group_id not in (ANY_GROUP, manifest.group_id) \
-            or msg.key_bits not in (ANY_KEY_BITS, manifest.key_bits):
-        fail(ERR_INCOMPATIBLE, "bundle parameters do not match")
-    chan.send(ManifestMsg(manifest=manifest))
-
-    while True:
-        msg = chan.recv()
-        if isinstance(msg, CtReq):
-            try:
-                ct = bundle.ciphertext_for(msg.item_id)
-            except CatalogError:
-                fail(ERR_UNKNOWN_ITEM, "unknown item")
-            chan.send(CtData(item_id=msg.item_id, ciphertext=ct))
-        elif isinstance(msg, OtBatchQuery):
-            return run_session_sender(secrets, msg, chan, params, rng, counters)
-        else:
-            fail(ERR_GRAMMAR, "grammar")
-
-
-def _buy_session(chan: SocketChannel, item_ids, cache_dir=None, rng=None,
-                 counters: Counters | None = None,
-                 params: GroupParams | None = None) -> PurchaseResult:
-    """The buyer's side of one session, up to the verified plaintexts.
-
-    ``params`` defaults to the preset the manifest names; an in-process
-    session passes the seller's, which may be a ``make_params`` group.
-    """
-    chan.send(Hello())
-    manifest = _expect(chan.recv(), ManifestMsg).manifest
-    # Validate the request before any transfer-related traffic.
-    plan = plan_selection(manifest, item_ids)
-    params = params or setup_params(manifest.group_id)
-    bundle = fetch_bundle(chan, manifest, cache_dir=cache_dir)
-    return run_session_receiver(bundle, plan, chan, params, rng, counters)
-
-
 class _SessionHandler(socketserver.BaseRequestHandler):
     def handle(self):
         server: SenderServer = self.server  # type: ignore[assignment]
         ordinal = server.next_ordinal()
         chan = SocketChannel(self.request, timeout=server.timeout)
         try:
-            outcome = _serve_session(chan, server.bundle, server.secrets, server.params)
-        except (ProtocolError, FrameError, OSError) as exc:
+            outcome = serve_session(chan, server.bundle, server.secrets, server.params)
+        except (ProtocolError, OSError) as exc:
             log.debug("session %d aborted: %s", ordinal, exc)
         except Exception:
             try:
@@ -153,8 +85,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
                 pass
             raise
         else:
-            if server.transcript_store is not None:
-                server.transcript_store.append(outcome.transcript)
             # The billed total is the only session fact worth keeping.
             log.info("session=%d billed T=%d", ordinal, outcome.billed)
 
@@ -166,8 +96,7 @@ class SenderServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address, bundle: PublishedBundle, secrets: SenderSecrets,
-                 params: GroupParams, timeout: float = DEFAULT_TIMEOUT,
-                 transcript_store: list | None = None):
+                 params: GroupParams, timeout: float = DEFAULT_TIMEOUT):
         bundle.verify_digests()
         if bundle.manifest.group_id != params.param_id:
             raise ProtocolError("bundle and server group parameters disagree")
@@ -175,7 +104,6 @@ class SenderServer(socketserver.ThreadingTCPServer):
         self.secrets = secrets
         self.params = params
         self.timeout = timeout
-        self.transcript_store = transcript_store
         self._ordinal = 0
         self._ordinal_lock = threading.Lock()
         super().__init__(address, _SessionHandler)
@@ -203,47 +131,13 @@ class SenderServer(socketserver.ThreadingTCPServer):
 
 
 def start_server(bundle: PublishedBundle, secrets: SenderSecrets, params: GroupParams,
-                 host: str = "127.0.0.1", port: int = 0,
-                 transcript_store: list | None = None) -> SenderServer:
+                 host: str = "127.0.0.1", port: int = 0) -> SenderServer:
     """Bind and serve in a background thread; caller shuts it down."""
-    server = SenderServer((host, port), bundle, secrets, params,
-                          transcript_store=transcript_store)
+    server = SenderServer((host, port), bundle, secrets, params)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     log.info("serving on %s:%d", host, server.port)
     return server
-
-
-def fetch_bundle(chan: SocketChannel, manifest: Manifest,
-                 cache_dir=None) -> PublishedBundle:
-    """Assemble the full ciphertext set, from cache where possible.
-
-    Every item is fetched regardless of what will be bought; see module
-    docstring.
-    """
-    cached: dict[str, bytes] = {}
-    if cache_dir is not None:
-        try:
-            local = load_bundle(cache_dir, verify=False)
-            cached = {e.id: ct for e, ct in zip(local.manifest.entries, local.ciphertexts)}
-        except CatalogError:
-            cached = {}
-    cts = []
-    for entry in manifest.entries:
-        ct = cached.get(entry.id)
-        if ct is not None and (len(ct) != entry.ct_len
-                               or ciphertext_digest(ct) != entry.digest_hex):
-            ct = None  # stale cache entry; refetch
-        if ct is None:
-            chan.send(CtReq(item_id=entry.id))
-            msg = _expect(chan.recv(), CtData)
-            if msg.item_id != entry.id:
-                raise ProtocolError("unexpected reply to ciphertext request")
-            ct = msg.ciphertext
-        cts.append(ct)
-    # Not verified here: run_session_receiver checks every digest before
-    # it sends the first transfer message.
-    return PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
 
 
 def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
@@ -263,7 +157,7 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
         raise ProtocolError(f"cannot connect to {host}:{port}: {exc}") from exc
     chan = SocketChannel(sock, timeout=timeout)
     try:
-        result = _buy_session(chan, item_ids, cache_dir, rng)
+        result = run_session_receiver(chan, item_ids, cache_dir=cache_dir, rng=rng)
     except OSError as exc:  # timeouts and resets on the socket
         raise ProtocolError(f"connection to {host}:{port} failed: {exc}") from exc
     finally:
@@ -294,8 +188,8 @@ def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
 
     def sender_side():
         try:
-            box["sender"] = _serve_session(tx_chan, bundle, secrets, params,
-                                           sender_rng, sender_counters)
+            box["sender"] = serve_session(tx_chan, bundle, secrets, params,
+                                          sender_rng, sender_counters)
         except Exception as exc:  # surfaced after join
             box["sender_error"] = exc
         finally:
@@ -304,8 +198,8 @@ def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
     worker = threading.Thread(target=sender_side, daemon=True)
     worker.start()
     try:
-        result = _buy_session(rx_chan, plan.item_ids, rng=receiver_rng,
-                              counters=receiver_counters, params=params)
+        result = run_session_receiver(rx_chan, plan.item_ids, params, rng=receiver_rng,
+                                      counters=receiver_counters)
     except ProtocolError:
         # A receiver-side protocol error is usually fallout from a sender
         # abort; surface the root cause when there is one.

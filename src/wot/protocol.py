@@ -12,31 +12,47 @@ Two publishing modes, one transfer core:
 A purchase picks, per chosen item, *all* of its flat indices. The
 receiver batches one blinded query per pick into a single message; the
 sender answers each pick over the whole flat vector and learns only how
-many picks it answered, which is exactly the total price. Ciphertexts
-travel out of band (published bundle) or over the wire before the
-transfer; either way the receiver checks their digests against the
-manifest before querying.
+many picks it answered, which is exactly the total price.
 
-The session is three logical rounds: ciphertext/manifest delivery, the
-query batch, the response batch (the billing echo rides with the
-response flight).
+This module owns the session grammar on both sides; ``wot.net`` only
+carries frames::
+
+    HELLO -> MANIFEST -> (CT_REQ -> CT_DATA)* -> OT_BATCH_QUERY
+          -> OT_BATCH_RESP -> DONE
+
+The buyer's side is one function, ``run_session_receiver``. It plans
+the purchase from the manifest it receives and then takes *every*
+ciphertext, from a cached bundle directory or over the wire: requesting
+only the chosen ones would reveal the choice out of band. Each
+ciphertext is checked against its manifest entry once, as it is taken,
+so a bad one aborts the session before the first transfer message.
+
+The seller's side is split at the query. ``serve_session`` answers HELLO
+and the CT_REQs and hands the decoded OT_BATCH_QUERY to
+``run_session_sender``, the transfer proper, which bills the pick count.
+Only a session that sent a query enters it: ``perfbench`` counts a sale
+as a session that enters ``run_session_sender``, and its readiness probe
+(connect, then close) must not count as one. Every out-of-grammar or
+refused message earns the peer an ERROR frame and ends the session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from . import symcrypto
-from .base_ot import (OtQuery, batch_binding, ot_query, ot_recover, ot_respond,
-                      pick_binding)
+from .base_ot import batch_binding, ot_query, ot_recover, ot_respond, pick_binding
 from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
                       MODE_P2, MODES, ciphertext_digest)
-from .errors import (CatalogError, CryptoError, AuthenticationError,
-                     ItemAuthenticationError, ProtocolError, RemoteError)
-from .framing import (Done, ErrorMsg, OtBatchQuery, OtBatchResp,
-                      ERR_BAD_QUERY, ERR_INCOMPATIBLE, MAX_FRAME_LEN, _ot_batch_resp_len)
-from .group import GroupParams, is_member
+from .errors import (CatalogError, CryptoError, AuthenticationError, GrammarError,
+                     ItemAuthenticationError, ProtocolError, RemoteError, WotError)
+from .framing import (ANY_GROUP, ANY_KEY_BITS, ANY_MODE, CtData, CtReq, Done, ErrorMsg,
+                      Hello, ManifestMsg, OtBatchQuery, OtBatchResp,
+                      ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_UNKNOWN_ITEM,
+                      MAX_FRAME_LEN, PROTOCOL_VERSION, _ot_batch_resp_len)
+from .group import GroupParams, is_member, setup_params
 from .instrument import Counters
 
 MANIFEST_FILE = "manifest.bin"
@@ -74,8 +90,13 @@ class PublishedBundle:
 
     def verify_digests(self):
         for entry, ct in zip(self.manifest.entries, self.ciphertexts):
-            if len(ct) != entry.ct_len or ciphertext_digest(ct) != entry.digest_hex:
+            if not _matches_entry(entry, ct):
                 raise CatalogError(f"ciphertext digest mismatch for item {entry.id!r}")
+
+
+def _matches_entry(entry: ManifestEntry, ct: bytes) -> bool:
+    """Whether ``ct`` is the ciphertext the manifest lists: its length, then its digest."""
+    return len(ct) == entry.ct_len and ciphertext_digest(ct) == entry.digest_hex
 
 
 @dataclass(frozen=True)
@@ -113,14 +134,12 @@ class SessionTranscript:
 class SenderOutcome:
     billed: int
     transcript: SessionTranscript
-    rounds: int
 
 
 @dataclass(frozen=True)
 class PurchaseResult:
     items: tuple[tuple[str, bytes], ...]  # (item id, plaintext) in manifest order
     total: int
-    rounds: int
 
 
 def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 128,
@@ -189,31 +208,46 @@ def _expect(msg, expected_type):
     return msg
 
 
-def run_session_receiver(bundle: PublishedBundle, plan: SelectionPlan, channel,
-                         params: GroupParams, rng=None,
+def _refuse(channel, code: int, text: str, detail: str | None = None) -> NoReturn:
+    """Send the peer ``ERROR(code, text)`` and abort the session.
+
+    ``text`` is what goes on the wire; the raised error may carry more
+    ``detail``. A peer that is already gone does not hide the refusal.
+    """
+    try:
+        channel.send(ErrorMsg(code=code, text=text))
+    except OSError:
+        pass
+    raise GrammarError(detail or text)
+
+
+def run_session_receiver(channel, item_ids, params: GroupParams | None = None,
+                         cache_dir=None, rng=None,
                          counters: Counters | None = None) -> PurchaseResult:
-    """Drive the buyer's side of one session over an open channel."""
-    manifest = bundle.manifest
+    """Drive the buyer's side of one session, HELLO to DONE, over an open channel.
+
+    ``params`` defaults to the preset the manifest names; an in-process
+    session passes the seller's, which may be a ``make_params`` group.
+    ``cache_dir`` is a previously downloaded bundle directory.
+    """
+    channel.send(Hello())
+    manifest = _expect(channel.recv(), ManifestMsg).manifest
+    # Validate the request before any transfer-related traffic.
+    plan = plan_selection(manifest, item_ids)
+    params = params or setup_params(manifest.group_id)
     if manifest.group_id != params.param_id:
         raise ProtocolError(f"bundle uses group {manifest.group_id!r}, not {params.param_id!r}")
-    bundle.verify_digests()
+    bundle = fetch_bundle(channel, manifest, cache_dir)
     flat_map = bundle.flat_map
-
-    # The plan must cover every share of every chosen item: partial picks
-    # would buy undecryptable fragments.
-    expected = sorted(f for i in plan.choice_indices for f in flat_map.item_range(i))
-    if list(plan.picks) != expected:
-        raise ProtocolError("plan does not cover the chosen items' full share ranges")
 
     total = flat_map.total
     queries = []
     exponents = []
     for pick in plan.picks:
-        q, r = ot_query(params, total, pick, rng, counters)
-        queries.append(q)
+        y, r = ot_query(params, total, pick, rng, counters)
+        queries.append(y)
         exponents.append(r)
-    channel.send(OtBatchQuery(elem_len=params.element_len,
-                              queries=tuple(q.y for q in queries)))
+    channel.send(OtBatchQuery(elem_len=params.element_len, queries=tuple(queries)))
 
     resp = _expect(channel.recv(), OtBatchResp)
     if len(resp.responses) != len(plan.picks):
@@ -248,7 +282,66 @@ def run_session_receiver(bundle: PublishedBundle, plan: SelectionPlan, channel,
     if done.billed != plan.total:
         raise ProtocolError(f"billing mismatch: sender charged {done.billed}, "
                             f"expected {plan.total}")
-    return PurchaseResult(items=tuple(items), total=plan.total, rounds=3)
+    return PurchaseResult(items=tuple(items), total=plan.total)
+
+
+def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle:
+    """Take every ciphertext the manifest lists, from the cache where it matches.
+
+    Each ciphertext is checked against its manifest entry once, as it is
+    taken. A cache that does not load is ignored and everything is fetched.
+    """
+    cached: dict[str, bytes] = {}
+    if cache_dir is not None:
+        try:
+            local = load_bundle(cache_dir, verify=False)
+        except WotError:
+            pass
+        else:
+            cached = dict(zip(local.manifest.ids, local.ciphertexts))
+    cts = []
+    for entry in manifest.entries:
+        ct = cached.get(entry.id)
+        if ct is None or not _matches_entry(entry, ct):  # missing or stale: fetch it
+            channel.send(CtReq(item_id=entry.id))
+            msg = _expect(channel.recv(), CtData)
+            if msg.item_id != entry.id:
+                raise ProtocolError("unexpected reply to ciphertext request")
+            ct = msg.ciphertext
+            if not _matches_entry(entry, ct):
+                raise CatalogError(f"ciphertext digest mismatch for item {entry.id!r}")
+        cts.append(ct)
+    return PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
+
+
+def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
+                  params: GroupParams, rng=None,
+                  counters: Counters | None = None) -> SenderOutcome:
+    """The seller's side of one session: grammar and delivery, then the transfer."""
+    manifest = bundle.manifest
+    msg = channel.recv()
+    if not isinstance(msg, Hello):
+        _refuse(channel, ERR_GRAMMAR, "grammar")
+    if msg.version != PROTOCOL_VERSION:
+        _refuse(channel, ERR_INCOMPATIBLE, f"unsupported version {msg.version}")
+    if msg.mode not in (ANY_MODE, manifest.mode) \
+            or msg.group_id not in (ANY_GROUP, manifest.group_id) \
+            or msg.key_bits not in (ANY_KEY_BITS, manifest.key_bits):
+        _refuse(channel, ERR_INCOMPATIBLE, "bundle parameters do not match")
+    channel.send(ManifestMsg(manifest=manifest))
+
+    while True:
+        msg = channel.recv()
+        if isinstance(msg, CtReq):
+            try:
+                ct = bundle.ciphertext_for(msg.item_id)
+            except CatalogError:
+                _refuse(channel, ERR_UNKNOWN_ITEM, "unknown item")
+            channel.send(CtData(item_id=msg.item_id, ciphertext=ct))
+        elif isinstance(msg, OtBatchQuery):
+            return run_session_sender(secrets, msg, channel, params, rng, counters)
+        else:
+            _refuse(channel, ERR_GRAMMAR, "grammar")
 
 
 def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
@@ -256,40 +349,37 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
                        counters: Counters | None = None) -> SenderOutcome:
     """Answer one buyer's batch; learns and bills only the pick count."""
     if not query.queries:
-        channel.send(ErrorMsg(code=ERR_BAD_QUERY, text="empty purchase"))
-        raise ProtocolError("empty purchase rejected")
+        _refuse(channel, ERR_BAD_QUERY, "empty purchase", "empty purchase rejected")
     if query.elem_len != params.element_len:
-        channel.send(ErrorMsg(code=ERR_INCOMPATIBLE, text="element width mismatch"))
-        raise ProtocolError("element width mismatch")
+        _refuse(channel, ERR_INCOMPATIBLE, "element width mismatch")
 
     # The reply is one frame whose size follows from (N, T) alone.
     flat = secrets.flat_secrets
     reply_len = _ot_batch_resp_len(len(query.queries), len(flat), params.element_len,
                                    max(map(len, flat), default=0))
     if reply_len > MAX_FRAME_LEN:
-        channel.send(ErrorMsg(code=ERR_BAD_QUERY, text="purchase too large"))
-        raise ProtocolError(f"purchase too large: its reply would be {reply_len} bytes, "
-                            f"over the {MAX_FRAME_LEN}-byte frame cap")
+        _refuse(channel, ERR_BAD_QUERY, "purchase too large",
+                f"purchase too large: its reply would be {reply_len} bytes, "
+                f"over the {MAX_FRAME_LEN}-byte frame cap")
 
     # Validate the whole batch before answering any of it: a bad element
     # must not extract partial responses.
     for y in query.queries:
         if not is_member(params, y):
-            channel.send(ErrorMsg(code=ERR_BAD_QUERY, text="invalid query"))
-            raise ProtocolError("invalid query: not a subgroup member")
+            _refuse(channel, ERR_BAD_QUERY, "invalid query",
+                    "invalid query: not a subgroup member")
 
     sid = batch_binding(params, query.queries)
     responses = []
     for ordinal, y in enumerate(query.queries):
-        responses.append(ot_respond(params, secrets.flat_secrets, OtQuery(y=y),
-                                    pick_binding(sid, ordinal), rng, counters))
+        responses.append(ot_respond(params, flat, y, pick_binding(sid, ordinal),
+                                    rng, counters))
     billed = len(query.queries)
     channel.send(OtBatchResp(elem_len=params.element_len, responses=tuple(responses)))
     channel.send(Done(billed=billed))
     return SenderOutcome(
         billed=billed,
         transcript=SessionTranscript(num_picks=billed, queries=tuple(query.queries)),
-        rounds=3,
     )
 
 

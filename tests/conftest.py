@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -40,3 +41,18 @@ def write_catalog_dir(path, entries):
         lines.append(f"{item_id}\t{weight}\t{filename}")
     (path / "items.tsv").write_text("\n".join(lines) + "\n")
     return path
+
+
+def billed_lines(caplog, count=0, timeout=10.0):
+    """The seller's ``billed`` log lines, waiting until at least ``count`` are in.
+
+    A server session logs its sale after sending DONE, so a buyer can
+    return before the line is written.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "wot.server" and " billed " in r.getMessage()]
+        if len(lines) >= count or time.monotonic() > deadline:
+            return lines
+        time.sleep(0.01)

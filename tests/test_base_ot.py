@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wot.base_ot import (OtQuery, OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
+from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
                          pick_binding, query_element)
 from wot.errors import GroupError, ProtocolError
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
@@ -35,8 +35,8 @@ class TestQuery:
         assert query_element(params, index=2, r=4) == 12
 
     def test_index_zero_is_pure_generator_power(self, p23, rng):
-        query, r = ot_query(p23, 6, 0, rng)
-        assert query.y == pow(p23.g, r, p23.p)
+        y, r = ot_query(p23, 6, 0, rng)
+        assert y == pow(p23.g, r, p23.p)
 
     def test_out_of_range(self, p23, rng):
         with pytest.raises(ProtocolError):
@@ -53,8 +53,8 @@ class TestQuery:
         for i in range(trials):
             q1, _ = ot_query(p23, 6, 3, rng)
             q2, _ = ot_query(p23, 6, i % 6, rng)
-            hist_fixed[q1.y] = hist_fixed.get(q1.y, 0) + 1
-            hist_varying[q2.y] = hist_varying.get(q2.y, 0) + 1
+            hist_fixed[q1] = hist_fixed.get(q1, 0) + 1
+            hist_varying[q2] = hist_varying.get(q2, 0) + 1
         support = sorted(hist_fixed) + sorted(set(hist_varying) - set(hist_fixed))
         tv = 0.5 * sum(abs(hist_fixed.get(y, 0) - hist_varying.get(y, 0)) / trials
                        for y in support)
@@ -73,7 +73,7 @@ class TestTextbookEquivalence:
             query, _ = ot_query(params, n, rng.randrange(n), rng)
             seed = rng.getrandbits(64)
             got = ot_respond(params, secrets, query, b"bind", random.Random(seed))
-            want = reference_respond(params, secrets, query.y, b"bind", random.Random(seed))
+            want = reference_respond(params, secrets, query, b"bind", random.Random(seed))
             assert got == want, n
 
     def test_query_element(self, preset):
@@ -99,12 +99,12 @@ class TestRespondRecover:
 
     def test_zero_query_rejected(self, p23, rng):
         with pytest.raises(GroupError, match="not a subgroup member"):
-            ot_respond(p23, [b"\x00" * 16], OtQuery(y=0), b"t", rng)
+            ot_respond(p23, [b"\x00" * 16], 0, b"t", rng)
 
     def test_nonmember_query_rejected(self, p23, rng):
         assert pow(5, 11, 23) != 1
         with pytest.raises(GroupError):
-            ot_respond(p23, [b"\x00" * 16], OtQuery(y=5), b"t", rng)
+            ot_respond(p23, [b"\x00" * 16], 5, b"t", rng)
 
     def test_zero_secret_round_trips(self, p23, rng):
         secrets = [b"\x00" * 16, b"\xff" * 16]
@@ -168,7 +168,7 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n):
     response = ot_respond(params, secrets, query, b"bind", random.Random(seed))
     k = rand_exponent(params, random.Random(seed), include_zero=False)  # the sender's draw
     assert response.a == pow(params.g, k, p)
-    elements = [pow(query.y * pow(params.h, -i, p) % p, k, p) for i in range(n)]
+    elements = [pow(query * pow(params.h, -i, p) % p, k, p) for i in range(n)]
     for i, (element, masked) in enumerate(zip(elements, response.masks)):
         pad = kdf_pad(params, element, b"bind" + i.to_bytes(4, "big"), 16)
         assert bytes(x ^ y for x, y in zip(pad, masked)) == secrets[i]
@@ -195,7 +195,7 @@ class TestBatch:
         for _ in range(trials):
             for name, picks in (("a", [2, 3, 4]), ("b", [0, 1, 5])):
                 for pick in picks:  # the sender's view of a batch: its queries
-                    y = ot_query(p23, 6, pick, rng)[0].y
+                    y = ot_query(p23, 6, pick, rng)[0]
                     hists[name][y] = hists[name].get(y, 0) + 1
         from scipy.stats import chi2_contingency
         support = sorted(set(hists["a"]) | set(hists["b"]))

@@ -1,7 +1,9 @@
 import logging
 import random
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -9,22 +11,39 @@ from wot.errors import CatalogError, ProtocolError, RemoteError
 from wot.framing import (CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE,
                          ERR_UNKNOWN_ITEM, encode_frame, read_frame)
+from wot import net
+from wot.catalog import ciphertext_digest
 from wot.net import SocketChannel, buy, start_server, _recv_exact
-from wot.protocol import PublishedBundle, publish, save_bundle
+from wot.protocol import PublishedBundle, publish, run_session_sender, save_bundle
 
-from conftest import make_catalog
+from conftest import billed_lines, make_catalog
 
 
 @pytest.fixture
-def server(p23):
+def server(p23, caplog):
+    """A live server, its catalog, and ``billed(count=0)``: the seller's sale lines."""
+    caplog.set_level(logging.INFO, logger="wot.server")
     rng = random.Random(14)
     catalog = make_catalog([1, 2, 3, 7], rng, payload_size=128)
     bundle, secrets = publish(catalog, "p2", p23, rng=rng)
-    transcripts = []
-    srv = start_server(bundle, secrets, p23, transcript_store=transcripts)
-    yield srv, catalog, transcripts
+    srv = start_server(bundle, secrets, p23)
+    yield srv, catalog, lambda count=0: billed_lines(caplog, count)
     srv.shutdown()
     srv.server_close()
+
+
+def count_calls(monkeypatch, function):
+    """Record the arguments of every call to ``function``, wherever a ``wot`` module bound it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wot") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
 
 
 def raw_client(port):
@@ -49,11 +68,11 @@ class TestBuy:
         assert not (tmp_path / "out" / "item01").exists()
 
     def test_unknown_id_fails_before_any_transfer(self, server, tmp_path):
-        srv, _, transcripts = server
+        srv, _, billed = server
         with pytest.raises(Exception, match="unknown item"):
             buy("127.0.0.1", srv.port, ["ghost"], tmp_path / "out",
                 rng=random.Random(15))
-        assert transcripts == []  # no batch ever reached the transfer core
+        assert billed() == []  # no batch ever reached the transfer core
 
     def test_cache_dir_skips_fetch(self, server, tmp_path, p23):
         srv, catalog, _ = server
@@ -71,6 +90,71 @@ class TestBuy:
                      cache_dir=tmp_path / "cache", rng=random.Random(18))
         assert (tmp_path / "out" / "item02").read_bytes() == catalog.items[2].payload
         assert result.total == 3
+
+    @pytest.mark.parametrize("manifest", [None, b"\x09garbage"], ids=["missing", "corrupt"])
+    def test_unloadable_cache_is_ignored(self, server, tmp_path, manifest):
+        """A cache whose manifest is missing or does not decode is refetched in full."""
+        srv, catalog, _ = server
+        save_bundle(srv.bundle, tmp_path / "cache")
+        if manifest is None:
+            (tmp_path / "cache" / "manifest.bin").unlink()
+        else:
+            (tmp_path / "cache" / "manifest.bin").write_bytes(manifest)
+        result = buy("127.0.0.1", srv.port, ["item03"], tmp_path / "out",
+                     cache_dir=tmp_path / "cache", rng=random.Random(22))
+        assert result.items == (("item03", catalog.items[3].payload),)
+
+    def test_cached_buy_hashes_each_ciphertext_once(self, server, tmp_path, monkeypatch):
+        srv, _, _ = server
+        save_bundle(srv.bundle, tmp_path / "cache")
+        hashed = count_calls(monkeypatch, ciphertext_digest)
+        buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
+            cache_dir=tmp_path / "cache", rng=random.Random(23))
+        assert len(hashed) == len(srv.bundle.ciphertexts)
+        assert sorted(args[0] for args in hashed) == sorted(srv.bundle.ciphertexts)
+
+    def test_buy_uses_only_create_connection_sendall_and_recv(self, server, tmp_path,
+                                                              monkeypatch):
+        """A stand-in for ``socket`` with only these names sees every byte of a buy."""
+        srv, catalog, _ = server
+
+        class Conn:
+            def __init__(self, sock):
+                self.sock, self.nbytes = sock, 0
+
+            def sendall(self, data):
+                self.nbytes += len(data)
+                self.sock.sendall(data)
+
+            def recv(self, n):
+                data = self.sock.recv(n)
+                self.nbytes += len(data)
+                return data
+
+            def settimeout(self, timeout):
+                self.sock.settimeout(timeout)
+
+            def shutdown(self, how):
+                self.sock.shutdown(how)
+
+            def close(self):
+                self.sock.close()
+
+        class SocketModule:
+            SHUT_RDWR = socket.SHUT_RDWR
+            conns = []
+
+            def create_connection(self, *args, **kwargs):
+                self.conns.append(Conn(socket.create_connection(*args, **kwargs)))
+                return self.conns[-1]
+
+        stand_in = SocketModule()
+        monkeypatch.setattr(net, "socket", stand_in)
+        result = buy("127.0.0.1", srv.port, ["item02"], tmp_path / "out",
+                     rng=random.Random(24))
+        assert result.items == (("item02", catalog.items[2].payload),)
+        assert len(stand_in.conns) == 1
+        assert stand_in.conns[0].nbytes > sum(map(len, srv.bundle.ciphertexts))
 
     def test_all_ciphertexts_fetched_not_only_chosen(self, server, tmp_path):
         """Fetching a subset of ciphertexts would leak the choices."""
@@ -93,18 +177,18 @@ class TestBuy:
 
     def test_bad_ciphertext_aborts_before_transfer(self, server, tmp_path):
         """The buyer checks each digest once, before its first transfer message."""
-        srv, _, transcripts = server
+        srv, _, billed = server
         cts = list(srv.bundle.ciphertexts)
         cts[1] = bytes([cts[1][0] ^ 1]) + cts[1][1:]
         srv.bundle = PublishedBundle(manifest=srv.bundle.manifest, ciphertexts=tuple(cts))
         with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
             buy("127.0.0.1", srv.port, ["item03"], tmp_path / "out",
                 rng=random.Random(19))
-        assert transcripts == []
+        assert billed() == []
         assert not (tmp_path / "out").exists()
 
     def test_two_concurrent_buyers(self, server, tmp_path):
-        srv, catalog, transcripts = server
+        srv, catalog, billed = server
         errors = []
 
         def one(buyer, items):
@@ -121,8 +205,9 @@ class TestBuy:
         for t in threads:
             t.join(timeout=30)
         assert not errors
-        assert len(transcripts) == 2
-        assert all(t.num_picks == 9 for t in transcripts)
+        lines = billed(2)
+        assert len(lines) == 2
+        assert all(line.endswith(" billed T=9") for line in lines)
 
 
 class TestGrammar:
@@ -152,12 +237,12 @@ class TestGrammar:
 
     def test_version_1_hello_refused(self, server):
         """Version 1 answered each pick with N pairs; a version-1 buyer cannot read the reply."""
-        srv, _, transcripts = server
+        srv, _, billed = server
         sock = raw_client(srv.port)
         reply = exchange(sock, Hello(version=1))
         assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 1")
         sock.close()
-        assert transcripts == []
+        assert billed() == []
 
     def test_pinned_mode_mismatch(self, server):
         srv, _, _ = server
@@ -184,7 +269,7 @@ class TestGrammar:
 
     def test_fuzzed_sequences_never_yield_partial_response(self, server):
         """Random message orderings: either ERROR or close, never transfer data."""
-        srv, _, transcripts = server
+        srv, _, billed = server
         rng = random.Random(404)
         pool = [
             Hello(),
@@ -214,7 +299,24 @@ class TestGrammar:
             finally:
                 sock.close()
             assert not got_resp
-        assert transcripts == []  # no fuzz session reached the transfer core
+        assert billed() == []  # no fuzz session was billed
+
+
+class TestSales:
+    def test_only_a_query_enters_the_transfer(self, server, tmp_path, caplog, monkeypatch):
+        """A connect-and-close is no sale; a purchase enters ``run_session_sender`` once."""
+        srv, _, billed = server
+        caplog.set_level(logging.DEBUG, logger="wot.server")
+        entered = count_calls(monkeypatch, run_session_sender)
+        raw_client(srv.port).close()
+        deadline = time.monotonic() + 10
+        while not any("aborted" in r.getMessage() for r in caplog.records):
+            assert time.monotonic() < deadline, "the probe session never ended"
+            time.sleep(0.01)
+        assert entered == []
+        buy("127.0.0.1", srv.port, ["item00"], tmp_path / "out", rng=random.Random(25))
+        assert len(billed(1)) == 1
+        assert len(entered) == 1
 
 
 class TestServerLog:
@@ -231,6 +333,15 @@ class TestServerLog:
         for line in billing:
             assert re.fullmatch(r"session=\d+ billed T=\d+", line)
         assert not any("item" in l for l in lines)
+
+    def test_equal_price_sales_log_identically(self, server, tmp_path, caplog):
+        """{item00, item01} and {item02} both cost 3: the seller's lines differ only in ordinal."""
+        srv, _, billed = server
+        for k, items in enumerate((["item00", "item01"], ["item02"])):
+            buy("127.0.0.1", srv.port, items, tmp_path / f"out{k}", rng=random.Random(26))
+        assert len(billed(2)) == 2
+        lines = [r.getMessage() for r in caplog.records if r.name == "wot.server"]
+        assert lines == ["session=1 billed T=3", "session=2 billed T=3"]
 
 
 class TestTransportErrors:
@@ -254,7 +365,7 @@ class TestRemoteErrors:
     def test_server_error_frame_surfaces_as_remote_error(self, server):
         """A peer ERROR during ciphertext fetch maps to RemoteError."""
         from wot.catalog import Manifest, ManifestEntry
-        from wot.net import fetch_bundle
+        from wot.protocol import fetch_bundle
         srv, _, _ = server
         sock = raw_client(srv.port)
         chan = SocketChannel(sock)

@@ -8,7 +8,7 @@ from wot.cli import main
 from wot.errors import (CatalogError, FrameError, ItemAuthenticationError,
                         ProtocolError, WotError)
 from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done,
-                         OtBatchQuery, encode_frame, encode_manifest)
+                         ManifestMsg, OtBatchQuery, encode_frame, encode_manifest)
 from wot.group import make_params, setup_params
 from wot.instrument import Counters
 from wot.net import SocketChannel, run_local_session
@@ -127,7 +127,6 @@ class TestSessions:
             "item03": cat.items[3].payload,
         }
         assert outcome.billed == 9 == result.total
-        assert outcome.rounds == 3
         assert outcome.transcript.num_picks == 9
 
     def test_modp_2048_sessions(self):
@@ -201,12 +200,24 @@ class TestSessions:
             manifest=bundle.manifest,
             ciphertexts=(bundle.ciphertexts[0], bundle.ciphertexts[1] + b"x"),
         )
-        plan = plan_for_indices(corrupted.manifest, {1})
-        rx_chan, _ = channel_pair
-        from wot.protocol import run_session_receiver
-        with pytest.raises(CatalogError, match="digest mismatch"):
-            run_session_receiver(corrupted, plan, rx_chan, p23, rng)
-        assert rx_chan.log == []  # nothing was sent
+        rx_chan, tx_chan = channel_pair
+        import threading
+        from wot.protocol import run_session_receiver, serve_session
+
+        def seller():
+            try:
+                serve_session(tx_chan, corrupted, secrets, p23, rng)
+            except ProtocolError:
+                pass  # the buyer hangs up
+
+        worker = threading.Thread(target=seller, daemon=True)
+        worker.start()
+        with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
+            run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
+        rx_chan.close()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert ("local", "OtBatchQuery") not in rx_chan.log
 
     def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair):
         cat = make_catalog([1, 2], rng)
@@ -229,18 +240,20 @@ class TestSessions:
     def test_billing_echo_mismatch_aborts(self, p23, rng, channel_pair):
         cat = make_catalog([2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {0})
         rx_chan, tx_chan = channel_pair
 
         import threading
 
         def lying_sender():
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+            tx_chan.recv()  # CT_REQ for the one item
+            tx_chan.send(CtData(item_id="item00", ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
-            from wot.base_ot import OtQuery, batch_binding, ot_respond, pick_binding
+            from wot.base_ot import batch_binding, ot_respond, pick_binding
             sid = batch_binding(p23, msg.queries)
             responses = tuple(
-                ot_respond(p23, secrets.flat_secrets, OtQuery(y=y),
-                           pick_binding(sid, t), rng)
+                ot_respond(p23, secrets.flat_secrets, y, pick_binding(sid, t), rng)
                 for t, y in enumerate(msg.queries))
             from wot.framing import OtBatchResp
             tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=responses))
@@ -250,20 +263,8 @@ class TestSessions:
         worker.start()
         from wot.protocol import run_session_receiver
         with pytest.raises(ProtocolError, match="billing mismatch"):
-            run_session_receiver(bundle, plan, rx_chan, p23, rng)
+            run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
         worker.join(timeout=5)
-
-    def test_partial_pick_plan_rejected(self, p23, rng, channel_pair):
-        cat = make_catalog([2, 2], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        good = plan_for_indices(bundle.manifest, {0})
-        from wot.protocol import SelectionPlan, run_session_receiver
-        partial = SelectionPlan(choice_indices=good.choice_indices,
-                                item_ids=good.item_ids,
-                                picks=good.picks[:-1], total=good.total)
-        rx_chan, _ = channel_pair
-        with pytest.raises(ProtocolError, match="full share ranges"):
-            run_session_receiver(bundle, partial, rx_chan, p23, rng)
 
     def test_sender_bills_exactly_the_pick_count(self, p23, rng):
         cat = make_catalog([1, 2, 3, 7], rng)
