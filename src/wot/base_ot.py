@@ -11,10 +11,10 @@ on two generators ``g`` and ``h``:
   ``a = g^k`` and, for every index ``i``, the mask
   ``m_i = pad(e_i, binding || i) XOR s_i`` where ``e_i = (y * h^-i)^k``.
   The elements form one running product: ``e_0 = y^k`` and
-  ``e_(i+1) = e_i * h^-k``. A pick therefore costs one variable-base
-  ``pow`` (``y^k``), two fixed-base exponentiations from the cached ``g``
-  and ``h`` tables (``g^k`` and ``h^-k``), and one multiplication and one
-  pad per index. The reply is one element plus N masks.
+  ``e_(i+1) = e_i * h^-k``, with ``h^-k = h^(q - k)``. A pick therefore
+  costs three constant-time exponentiations (``g^k``, ``h^-k`` and
+  ``y^k``; see ``wot.group``), and one multiplication and one pad per
+  index. The reply is one element plus N masks.
 * Receiver: ``a^r = g^(rk) = e_c``, so exactly ``s_c`` unmasks.
 
 Why the receiver opens only one index. For ``i != j``,
@@ -40,8 +40,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GroupError, ProtocolError
-from .group import (GroupParams, _fixed_base_pow, _generator_tables, is_member, kdf_pad,
-                    rand_exponent)
+from .group import GroupParams, _powmod, is_member, kdf_pad, rand_exponent
 from .instrument import Counters
 
 _SYSTEM_RNG = random.SystemRandom()
@@ -74,8 +73,8 @@ def ot_query(params: GroupParams, n_secrets: int, index: int,
 
 
 def query_element(params: GroupParams, index: int, r: int) -> int:
-    g_table, _ = _generator_tables(params)
-    return _fixed_base_pow(params, (g_table, r)) * pow(params.h, index, params.p) % params.p
+    p = params.p
+    return _powmod(params.g, r, p) * _powmod(params.h, index, p) % p
 
 
 def ot_respond(params: GroupParams, secrets, y: int, binding: bytes,
@@ -91,10 +90,9 @@ def ot_respond(params: GroupParams, secrets, y: int, binding: bytes,
     k = rand_exponent(params, rng, include_zero=False)
     if counters:
         counters.response_exponents += 1
-    g_table, h_table = _generator_tables(params)
-    a = _fixed_base_pow(params, (g_table, k))
-    step = _fixed_base_pow(params, (h_table, -k))
-    element = pow(y, k, p)  # e_0 = y^k
+    a = _powmod(params.g, k, p)
+    step = _powmod(params.h, params.q - k, p)  # h^-k
+    element = _powmod(y, k, p)  # e_0 = y^k
     masks = []
     for i, secret in enumerate(secrets):
         if i:
@@ -112,7 +110,7 @@ def ot_recover(params: GroupParams, response: OtResponse, index: int, r: int,
     if not is_member(params, response.a):
         raise GroupError("invalid response element")
     masked = response.masks[index]
-    pad = kdf_pad(params, pow(response.a, r, params.p), _index_binding(binding, index),
+    pad = kdf_pad(params, _powmod(response.a, r, params.p), _index_binding(binding, index),
                   len(masked))
     return bytes(x ^ y for x, y in zip(pad, masked))
 

@@ -52,8 +52,8 @@ def _read_prices(path: str) -> list[int]:
 
 def _parse_host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise WotError(f"expected HOST:PORT, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise WotError(f"expected HOST:PORT with a port up to 65535, got {text!r}")
     return host, int(port)
 
 
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WotError as exc:
+    except (WotError, OSError) as exc:  # OSError: a path, port or host the arguments named
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

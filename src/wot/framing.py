@@ -23,7 +23,7 @@ Version 1 sent N (element, mask) pairs per pick; a version-1 HELLO is
 refused. The manifest record format has its own version byte
 (``MANIFEST_VERSION``), so bundles written before the bump still load.
 
-Session grammar (enforced by the server in ``wot.net``)::
+Session grammar (enforced on both sides in ``wot.protocol``)::
 
     HELLO -> MANIFEST -> (CT_REQ/CT_DATA)* -> OT_BATCH_QUERY
           -> OT_BATCH_RESP -> DONE

@@ -146,11 +146,17 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
 
     Returns the purchase result; the printed/billed total equals the sum
     of the chosen items' weights, which the buyer can verify itself.
-    A refused connection, a timeout or a reset raises ``ProtocolError``.
+    A refused connection, a timeout or a reset raises ``ProtocolError``; an
+    output directory it cannot create raises ``OSError`` before it connects.
     """
     item_ids = list(item_ids)
     if not item_ids:
         raise ProtocolError("no items requested")
+    out_path = Path(out_dir)
+    missing = [d for d in (out_path, *out_path.parents) if not d.exists()]
+    out_path.mkdir(parents=True, exist_ok=True)  # fails here, before the buyer pays
+    for d in missing:  # deepest first: a failed purchase leaves no directory behind
+        d.rmdir()
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
@@ -163,7 +169,6 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
     finally:
         chan.close()
 
-    out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     for item_id, plaintext in result.items:
         (out_path / item_id).write_bytes(plaintext)

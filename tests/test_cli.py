@@ -1,5 +1,7 @@
+import logging
 import os
 import socket
+import socketserver
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from wot.net import start_server
 from wot.group import setup_params
 from wot.protocol import load_bundle, load_secrets
 
-from conftest import write_catalog_dir
+from conftest import billed_lines, write_catalog_dir
 
 
 @pytest.fixture
@@ -107,6 +109,70 @@ def test_buy_against_running_server(catalog_dir, tmp_path, capsys):
     assert (tmp_path / "got" / "paper-a").read_bytes() == b"contents of paper a"
     assert (tmp_path / "got" / "paper-c").read_bytes() == b"contents of paper c"
     assert "total paid: 4" in capsys.readouterr().out
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
+
+
+@pytest.fixture
+def p23_bundle(catalog_dir, tmp_path):
+    out = tmp_path / "bundle"
+    main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
+          "--out", str(out), "--group", "p23"])
+    return out
+
+
+def test_buy_checks_out_before_paying(p23_bundle, tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="wot.server")
+    blocker = tmp_path / "a-file"
+    blocker.write_bytes(b"")
+    server = start_server(load_bundle(p23_bundle), load_secrets(p23_bundle), setup_params("p23"))
+    try:
+        rc = main(["buy", "--server", f"127.0.0.1:{server.port}",
+                   "--items", "paper-a", "--out", str(blocker / "got")])
+        assert billed_lines(caplog, count=1, timeout=0.5) == []
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert rc == 2
+    assert "Not a directory" in _one_error_line(capsys)
+
+
+def test_serve_on_busy_port_is_one_line(p23_bundle, capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        rc = main(["serve", "--bundle", str(p23_bundle),
+                   "--listen", f"127.0.0.1:{taken.getsockname()[1]}"])
+    assert rc == 2
+    assert "Address already in use" in _one_error_line(capsys)
+
+
+def test_serve_on_unresolvable_host_is_one_line(p23_bundle, monkeypatch, capsys):
+    def no_such_host(server):  # stands in for the resolver, so no lookup leaves the machine
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socketserver.TCPServer, "server_bind", no_such_host)
+    assert main(["serve", "--bundle", str(p23_bundle), "--listen", "no-such-host:7000"]) == 2
+    assert "Name or service not known" in _one_error_line(capsys)
+
+
+def test_serve_refuses_port_past_65535(p23_bundle, capsys):
+    assert main(["serve", "--bundle", str(p23_bundle), "--listen", "127.0.0.1:99999"]) == 2
+    assert _one_error_line(capsys) == \
+        "error: expected HOST:PORT with a port up to 65535, got '127.0.0.1:99999'\n"
+
+
+def test_publish_to_unwritable_out_is_one_line(catalog_dir, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_bytes(b"")
+    rc = main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
+               "--out", str(blocker / "bundle"), "--group", "p23"])
+    assert rc == 2
+    assert "Not a directory" in _one_error_line(capsys)
 
 
 def test_audit_exit_codes(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import random
+import sys
+import threading
 
 import pytest
 from scipy.stats import chisquare
 
+from wot import group
 from wot.errors import GroupError
 from wot.group import (GroupParams, derive_h, is_member, kdf_pad, make_params,
-                       rand_exponent, setup_params, _fixed_base_pow, _fixed_base_table,
-                       _generator_tables, _is_probable_prime, _pocklington_prime)
+                       rand_exponent, setup_params, _is_probable_prime, _jacobi,
+                       _pocklington_prime, _powmod)
 
 
 def member_oracle(params, x):
@@ -167,20 +170,81 @@ class TestMembershipEquivalence:
         assert all(verdicts[:4]) and not verdicts[4] and not verdicts[5]  # -1 and -g are not squares
 
 
-class TestFixedBase:
-    def test_matches_pow(self, p23, p47):
+class TestKernel:
+    """``_powmod`` and ``_jacobi`` agree with builtin ``pow`` and Euler's criterion."""
+
+    def test_powmod_matches_pow(self, p23, p47):
         rng = random.Random(6)
+        for bits in (64, 100, 127, 128, 129, 256, 1024, 2048):  # both sides of the cutoff
+            for _ in range(2):
+                odd = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+                for mod in (odd, odd + 1):  # Montgomery needs odd; even moduli use pow
+                    for e in (0, 1, 2, mod - 1, rng.getrandbits(bits)):
+                        for base in (0, 1, mod - 1, mod + 5, rng.getrandbits(bits + 8)):
+                            assert _powmod(base, e, mod) == pow(base, e, mod), (bits, mod, e)
         for params in (p23, p47, make_params(31, 5, 2, "toy-cofactor-6"),
                        setup_params("modp-2048")):
-            g_table, h_table = _generator_tables(params)
-            assert g_table == _fixed_base_table(params, params.g)
-            exponents = [0, 1, params.q - 1, params.q, -1, -7 * params.q - 3]
-            exponents += [rng.randrange(params.q) for _ in range(4)]
-            for e in exponents:
-                assert _fixed_base_pow(params, (g_table, e)) == pow(params.g, e, params.p)
-                f = rng.randrange(params.q)
-                assert _fixed_base_pow(params, (g_table, e), (h_table, f)) == \
-                    pow(params.g, e, params.p) * pow(params.h, f, params.p) % params.p
+            p, q = params.p, params.q
+            for e in (0, 1, q - 1, q):
+                for base in (params.g, params.h, rng.randrange(p)):
+                    assert _powmod(base, e, p) == pow(base, e, p), (params.param_id, e)
+
+    def test_jacobi_is_eulers_criterion_on_modp_2048(self):
+        params = setup_params("modp-2048")
+        p, q = params.p, params.q
+        rng = random.Random(2048)
+        samples = [rng.randrange(1, p) for _ in range(8)] + [1, 2, p - 1, params.g, params.h]
+        symbols = [_jacobi(x, p) for x in samples]
+        assert symbols == [1 if pow(x, q, p) == 1 else -1 for x in samples]
+        assert {1, -1} <= set(symbols)
+        assert _jacobi(0, p) == _jacobi(p, p) == 0
+
+    def test_threads_get_their_own_results(self):
+        params = setup_params("modp-2048")
+        rng = random.Random(8)
+        jobs = [(rng.randrange(params.p), rng.randrange(params.q)) for _ in range(8)]
+        want = [pow(base, e, params.p) for base, e in jobs]
+        got = [[] for _ in jobs]
+
+        def work(slot, base, e):
+            for _ in range(6):
+                got[slot].append(_powmod(base, e, params.p))
+
+        threads = [threading.Thread(target=work, args=(i, *job)) for i, job in enumerate(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 6 for w in want]
+
+    def test_modp_2048_never_reaches_builtin_pow(self, monkeypatch):
+        params = setup_params("modp-2048")
+        p, q = params.p, params.q
+        want = pow(params.h, q - 1, p), pow(params.h, q, p)
+
+        def refuse(*args):
+            raise AssertionError("builtin pow called")
+
+        monkeypatch.setattr(group, "pow", refuse, raising=False)
+        assert (_powmod(params.h, q - 1, p), _powmod(params.h, q, p)) == want
+        assert is_member(params, params.h)
+        with pytest.raises(AssertionError, match="builtin pow called"):
+            _powmod(2, 5, 23)  # the guard bites where builtin pow is meant to run
+
+    def test_unloadable_library_is_a_group_error(self, monkeypatch):
+        params = setup_params("modp-2048")
+        monkeypatch.setattr(group, "_LIBCRYPTO", "libcrypto-absent.so.0")
+        group._libcrypto.cache_clear()  # a failed load is not cached
+        with pytest.raises(GroupError, match="cannot load libcrypto-absent.so.0"):
+            _powmod(params.g, 3, params.p)
+        with pytest.raises(GroupError, match="cannot load libcrypto-absent.so.0"):
+            is_member(params, params.g)
 
 
 class TestDeriveH:
