@@ -15,8 +15,7 @@ from .errors import (AuthenticationError, AuditError, CatalogError, CryptoError,
 from .group import GroupParams, make_params, setup_params
 from .instrument import Counters
 from .net import run_local_session
-from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan,
-                       SenderOutcome, SenderSecrets, SessionTranscript,
+from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderSecrets,
                        load_bundle, load_secrets, plan_selection, publish,
                        run_session_receiver, run_session_sender, save_bundle)
 from .weights import ReductionReport, approx_reduce, gcd_reduce, weight_profile
@@ -29,9 +28,9 @@ __all__ = [
     "GroupParams", "HarnessError", "Item", "ItemAuthenticationError", "Manifest",
     "ManifestEntry", "MODE_P1", "MODE_P2", "ProtocolError", "PublishedBundle",
     "PurchaseResult", "ReductionError", "ReductionReport", "RemoteError",
-    "SelectionPlan", "SenderOutcome", "SenderSecrets", "SessionTranscript",
-    "WotError", "approx_reduce", "build_flat_index", "gcd_reduce", "load_bundle",
-    "load_catalog", "load_secrets", "make_params", "plan_selection", "publish",
-    "run_local_session", "run_session_receiver", "run_session_sender",
-    "save_bundle", "setup_params", "total_price", "weight_profile",
+    "SelectionPlan", "SenderSecrets", "WotError", "approx_reduce", "build_flat_index",
+    "gcd_reduce", "load_bundle", "load_catalog", "load_secrets", "make_params",
+    "plan_selection", "publish", "run_local_session", "run_session_receiver",
+    "run_session_sender", "save_bundle", "setup_params", "total_price",
+    "weight_profile",
 ]

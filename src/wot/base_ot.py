@@ -29,6 +29,16 @@ indices ``i`` and ``i + q`` share one element. ``k`` is fresh per pick and
 never shared across picks, and every pad is bound to (batch transcript,
 pick ordinal, index), so no pad is reused across picks or indices.
 
+Why nothing here checks subgroup membership. Every element a pad is
+derived from is a product or power of elements already known to lie in
+the order-``q`` subgroup G_q, and G_q is closed under both. ``h`` is
+checked once, when the parameters are validated (see ``wot.group``). The
+peer's elements, ``y`` on the sender's side and ``a`` on the receiver's,
+are checked once at the session boundary, before any exponentiation, by
+``wot.protocol``. Then ``y``, ``h`` in G_q gives
+``e_i = y^k * h^(-ik)`` in G_q, and ``a`` in G_q gives ``a^r`` in G_q.
+``ot_respond`` and ``ot_recover`` take that check as a precondition.
+
 A k-of-N transfer is this primitive repeated once per pick with fresh
 randomness, batched into a single request and a single response.
 """
@@ -39,8 +49,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .errors import GroupError, ProtocolError
-from .group import GroupParams, _powmod, is_member, kdf_pad, rand_exponent
+from .errors import ProtocolError
+from .group import GroupParams, _powmod, kdf_pad, rand_exponent
 from .instrument import Counters
 
 _SYSTEM_RNG = random.SystemRandom()
@@ -79,12 +89,13 @@ def query_element(params: GroupParams, index: int, r: int) -> int:
 
 def ot_respond(params: GroupParams, secrets, y: int, binding: bytes,
                rng=None, counters: Counters | None = None) -> OtResponse:
-    """Answer one pick: mask every secret under its per-index pad."""
+    """Answer one pick: mask every secret under its per-index pad.
+
+    ``y`` must be a subgroup member; the caller checks the peer's query.
+    """
     secrets = list(secrets)
     if not secrets:
         raise ProtocolError("no secrets to transfer")
-    if not is_member(params, y):
-        raise GroupError("invalid query: not a subgroup member")
     rng = rng or _SYSTEM_RNG
     p = params.p
     k = rand_exponent(params, rng, include_zero=False)
@@ -104,11 +115,12 @@ def ot_respond(params: GroupParams, secrets, y: int, binding: bytes,
 
 def ot_recover(params: GroupParams, response: OtResponse, index: int, r: int,
                binding: bytes) -> bytes:
-    """Unmask the secret at ``index`` using the query's secret exponent."""
+    """Unmask the secret at ``index`` using the query's secret exponent.
+
+    ``response.a`` must be a subgroup member; the caller checks the peer's reply.
+    """
     if not 0 <= index < response.n_secrets:
         raise ProtocolError(f"pick index {index} out of range")
-    if not is_member(params, response.a):
-        raise GroupError("invalid response element")
     masked = response.masks[index]
     pad = kdf_pad(params, _powmod(response.a, r, params.p), _index_binding(binding, index),
                   len(masked))

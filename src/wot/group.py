@@ -294,7 +294,9 @@ def rand_exponent(params: GroupParams, rng=None, include_zero: bool = True) -> i
 
 
 def kdf_pad(params: GroupParams, element: int, transcript_binding: bytes, out_len: int) -> bytes:
-    """Pseudorandom mask derived from a group element and a binding string."""
-    if not is_member(params, element):
-        raise GroupError("pad input is not a subgroup member")
+    """Pseudorandom mask derived from a group element and a binding string.
+
+    ``element`` must be a subgroup member; it is not checked here. Every
+    pad input is a product or power of checked members (see ``wot.base_ot``).
+    """
     return _hash_blocks(_PAD_TAG, (bytes(transcript_binding), params.encode_element(element)), out_len)

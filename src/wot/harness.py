@@ -5,8 +5,9 @@ Three experiments, all deterministic given a seed:
 * ``privacy_experiment`` runs many sessions for two equal-price choice
   sets on a tiny group and compares what the seller saw: the billed
   totals must be identical, and the pooled query-element histograms must
-  be statistically indistinguishable (chi-square). Tiny subgroups make
-  the uniformity claim exhaustively testable rather than asymptotic.
+  be statistically indistinguishable (a chi-square test, computed with
+  the standard library). Tiny subgroups make the uniformity claim
+  exhaustively testable rather than asymptotic.
 * ``correctness_oracle`` runs a real session for every nonempty choice
   set of a small catalog and checks the buyer got exactly the chosen
   plaintexts, the seller billed exactly their weight sum, and none of the
@@ -17,6 +18,7 @@ Three experiments, all deterministic given a seed:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .base_ot import ot_query
@@ -66,10 +68,6 @@ class PrivacyReport:
 
 def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> PrivacyReport:
     """Compare the seller's view across two equal-price choice sets."""
-    # Imported here, not at module level: scipy costs about 0.4 s and 80 MiB
-    # to load, and the cli imports this module for every command.
-    from scipy.stats import chi2_contingency
-
     if params.q > MAX_EXPERIMENT_SUBGROUP:
         raise HarnessError(f"subgroup order {params.q} too large for histogram statistics")
     if exp.sessions < 1:
@@ -106,7 +104,7 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> Priv
 
     count_a, count_b = sum(hist_a), sum(hist_b)
     tv = 0.5 * sum(abs(a / count_a - b / count_b) for a, b in zip(hist_a, hist_b))
-    chi2_p = float(chi2_contingency([hist_a, hist_b]).pvalue)
+    chi2_p = chi2_two_row_pvalue(hist_a, hist_b)
     totals_identical = len(picks_a) == len(picks_b)
     verdict = "PASS" if totals_identical and chi2_p > exp.p_threshold else "FAIL"
     return PrivacyReport(
@@ -120,6 +118,66 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> Priv
         subgroup_order=params.q,
         p_threshold=exp.p_threshold,
     )
+
+
+def chi2_two_row_pvalue(row_a, row_b) -> float:
+    """Chi-square test of independence on a 2 x K table of counts.
+
+    Empty columns carry no information and are dropped; with fewer than
+    two left the rows cannot differ and the p-value is 1. At one degree of
+    freedom Yates' continuity correction applies, as in scipy's
+    ``chi2_contingency`` default.
+    """
+    columns = [(a, b) for a, b in zip(row_a, row_b) if a or b]
+    total_a = sum(a for a, _ in columns)
+    total_b = sum(b for _, b in columns)
+    if len(columns) < 2 or not total_a or not total_b:
+        return 1.0
+    dof = len(columns) - 1
+    total = total_a + total_b
+    stat = 0.0
+    for a, b in columns:
+        for observed, row_total in ((a, total_a), (b, total_b)):
+            expected = row_total * (a + b) / total
+            diff = abs(observed - expected)
+            if dof == 1:
+                diff -= min(0.5, diff)
+            stat += diff * diff / expected
+    return _gamma_q(dof / 2, stat / 2)
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma ``Q(a, x)``, the chi-square tail.
+
+    Series for ``P = 1 - Q`` below ``x = a + 1``, Lentz's continued
+    fraction for ``Q`` above (Numerical Recipes, 2nd ed., section 6.2).
+    """
+    if x <= 0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        for n in range(1, 10_000):
+            term *= x / (a + n)
+            total += term
+            if term < total * 1e-16:
+                break
+        return max(0.0, 1 - total * front)
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1) < 1e-16:
+            break
+    return front * h
 
 
 @dataclass(frozen=True)
@@ -140,16 +198,16 @@ def correctness_oracle(catalog: Catalog, mode: str, params: GroupParams,
     for mask in range(1, 1 << catalog.n):
         choice = {i for i in range(catalog.n) if mask >> i & 1}
         plan = plan_for_indices(bundle.manifest, choice)
-        result, outcome, _ = run_local_session(bundle, secrets, plan, params,
-                                               receiver_rng=rng, sender_rng=rng)
+        result, billed, _ = run_local_session(bundle, secrets, plan, params,
+                                              receiver_rng=rng, sender_rng=rng)
         sessions += 1
         expected = {catalog.items[i].id: catalog.items[i].payload for i in choice}
         got = dict(result.items)
         if got != expected:
             failures.append(f"choice {sorted(choice)}: wrong plaintexts")
         want_total = total_price(catalog, choice)
-        if outcome.billed != want_total or result.total != want_total:
-            failures.append(f"choice {sorted(choice)}: billed {outcome.billed}, "
+        if billed != want_total or result.total != want_total:
+            failures.append(f"choice {sorted(choice)}: billed {billed}, "
                             f"expected {want_total}")
         failures.extend(_unchosen_breach(catalog, mode, bundle, secrets, choice))
     return OracleVerdict(passed=not failures, sessions_run=sessions,
@@ -209,9 +267,9 @@ def complexity_check(catalog: Catalog, mode: str, params: GroupParams,
     plan = plan_for_indices(bundle.manifest, choice)
     rx = Counters()
     tx = Counters()
-    result, outcome, log = run_local_session(bundle, secrets, plan, params,
-                                             receiver_rng=rng, sender_rng=rng,
-                                             receiver_counters=rx, sender_counters=tx)
+    result, billed, log = run_local_session(bundle, secrets, plan, params,
+                                            receiver_rng=rng, sender_rng=rng,
+                                            receiver_counters=rx, sender_counters=tx)
     k = len(plan.choice_indices)
     billed_weight = plan.total
 
@@ -260,7 +318,7 @@ def complexity_check(catalog: Catalog, mode: str, params: GroupParams,
     for name, want in expected.items():
         if observed.get(name) != want:
             failures.append(f"{name}: expected {want}, observed {observed.get(name)}")
-    if outcome.billed != billed_weight or result.total != billed_weight:
-        failures.append(f"billed {outcome.billed}, expected {billed_weight}")
+    if billed != billed_weight or result.total != billed_weight:
+        failures.append(f"billed {billed}, expected {billed_weight}")
     return ComplexityReport(mode=mode, passed=not failures, expected=expected,
                             observed=observed, failures=tuple(failures))

@@ -26,8 +26,8 @@ from .errors import ProtocolError
 from .framing import ERR_INTERNAL, ErrorMsg, encode_frame, read_frame
 from .group import GroupParams
 from .instrument import Counters
-from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderOutcome,
-                       SenderSecrets, run_session_receiver, serve_session)
+from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderSecrets,
+                       run_session_receiver, serve_session)
 
 log = logging.getLogger("wot.server")
 
@@ -75,7 +75,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         ordinal = server.next_ordinal()
         chan = SocketChannel(self.request, timeout=server.timeout)
         try:
-            outcome = serve_session(chan, server.bundle, server.secrets, server.params)
+            billed = serve_session(chan, server.bundle, server.secrets, server.params)
         except (ProtocolError, OSError) as exc:
             log.debug("session %d aborted: %s", ordinal, exc)
         except Exception:
@@ -86,7 +86,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             raise
         else:
             # The billed total is the only session fact worth keeping.
-            log.info("session=%d billed T=%d", ordinal, outcome.billed)
+            log.info("session=%d billed T=%d", ordinal, billed)
 
 
 class SenderServer(socketserver.ThreadingTCPServer):
@@ -180,10 +180,10 @@ def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
                       receiver_rng=None, sender_rng=None,
                       receiver_counters: Counters | None = None,
                       sender_counters: Counters | None = None,
-                      ) -> tuple[PurchaseResult, SenderOutcome, list]:
+                      ) -> tuple[PurchaseResult, int, list]:
     """Run both sides in-process over a socket pair.
 
-    Returns the buyer's result, the seller's outcome and the buyer's
+    Returns the buyer's result, the seller's billed count and the buyer's
     message log. The buyer resolves ``plan.item_ids`` against the manifest
     it receives, as ``buy`` does.
     """

@@ -34,6 +34,11 @@ Only a session that sent a query enters it: ``perfbench`` counts a sale
 as a session that enters ``run_session_sender``, and its readiness probe
 (connect, then close) must not count as one. Every out-of-grammar or
 refused message earns the peer an ERROR frame and ends the session.
+
+Each group element a peer sends is checked for subgroup membership once,
+here, before any exponentiation or pad: ``run_session_sender`` checks
+every query ``y`` and ``run_session_receiver`` every reply's ``a``, and
+``wot.base_ot`` relies on those two passes.
 """
 
 from __future__ import annotations
@@ -120,20 +125,6 @@ class SelectionPlan:
     item_ids: tuple[str, ...]
     picks: tuple[int, ...]  # ascending; the canonical order hides pick structure
     total: int
-
-
-@dataclass(frozen=True)
-class SessionTranscript:
-    """The sender's whole view of one session."""
-
-    num_picks: int
-    queries: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SenderOutcome:
-    billed: int
-    transcript: SessionTranscript
 
 
 @dataclass(frozen=True)
@@ -255,6 +246,8 @@ def run_session_receiver(channel, item_ids, params: GroupParams | None = None,
     for r_ in resp.responses:
         if r_.n_secrets != total:
             raise ProtocolError("response does not cover the flat index space")
+        if not is_member(params, r_.a):
+            raise ProtocolError("invalid response element")
 
     sid = batch_binding(params, queries)
     recovered: dict[int, bytes] = {}
@@ -316,8 +309,11 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
 
 def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
                   params: GroupParams, rng=None,
-                  counters: Counters | None = None) -> SenderOutcome:
-    """The seller's side of one session: grammar and delivery, then the transfer."""
+                  counters: Counters | None = None) -> int:
+    """The seller's side of one session: grammar and delivery, then the transfer.
+
+    Returns the billed pick count.
+    """
     manifest = bundle.manifest
     msg = channel.recv()
     if not isinstance(msg, Hello):
@@ -346,8 +342,8 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
 
 def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
                        params: GroupParams, rng=None,
-                       counters: Counters | None = None) -> SenderOutcome:
-    """Answer one buyer's batch; learns and bills only the pick count."""
+                       counters: Counters | None = None) -> int:
+    """Answer one buyer's batch; learns and returns only the billed pick count."""
     if not query.queries:
         _refuse(channel, ERR_BAD_QUERY, "empty purchase", "empty purchase rejected")
     if query.elem_len != params.element_len:
@@ -361,6 +357,10 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
         _refuse(channel, ERR_BAD_QUERY, "purchase too large",
                 f"purchase too large: its reply would be {reply_len} bytes, "
                 f"over the {MAX_FRAME_LEN}-byte frame cap")
+    # An honest buyer picks each flat index at most once.
+    if len(query.queries) > len(flat):
+        _refuse(channel, ERR_BAD_QUERY, "too many picks",
+                f"too many picks: {len(query.queries)} for {len(flat)} secrets")
 
     # Validate the whole batch before answering any of it: a bad element
     # must not extract partial responses.
@@ -377,10 +377,7 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
     billed = len(query.queries)
     channel.send(OtBatchResp(elem_len=params.element_len, responses=tuple(responses)))
     channel.send(Done(billed=billed))
-    return SenderOutcome(
-        billed=billed,
-        transcript=SessionTranscript(num_picks=billed, queries=tuple(query.queries)),
-    )
+    return billed
 
 
 # --- bundle directory I/O ---------------------------------------------------

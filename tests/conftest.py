@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -56,3 +57,17 @@ def billed_lines(caplog, count=0, timeout=10.0):
         if len(lines) >= count or time.monotonic() > deadline:
             return lines
         time.sleep(0.01)
+
+
+def count_calls(monkeypatch, function):
+    """Record the arguments of every call to ``function``, wherever a ``wot`` module bound it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wot") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls

@@ -55,13 +55,13 @@ def test_criterion_1_correctness_exhaustive():
             for mask in range(1, 1 << catalog.n):
                 choice = {i for i in range(catalog.n) if mask >> i & 1}
                 plan = plan_for_indices(bundle.manifest, choice)
-                result, outcome, _ = run_local_session(
+                result, billed, _ = run_local_session(
                     bundle, secrets, plan, params,
                     receiver_rng=rng, sender_rng=rng)
                 expected = {catalog.items[i].id: catalog.items[i].payload
                             for i in choice}
                 assert dict(result.items) == expected
-                assert outcome.billed == total_price(catalog, choice)
+                assert billed == total_price(catalog, choice)
                 sessions += 1
     elapsed = time.time() - started
     _report(1, elapsed < 60.0,

@@ -70,11 +70,22 @@ def _run_cli(*args):
 
 
 def test_cli_import_loads_no_scipy_or_numpy():
-    """Only privacy-test needs scipy; serve, buy and publish must not pay for it."""
+    """``wot`` needs neither at run time; loading them costs every command."""
     proc = _run_cli("-c", "import sys, wot.cli; "
                           "print(sorted({'scipy', 'numpy'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_privacy_test_needs_no_scipy():
+    """Three sessions leave most of the 11 query elements unseen: empty columns."""
+    argv = ["privacy-test", "--weights", "1,2,3", "--choice-a", "0,1",
+            "--choice-b", "2", "--sessions", "3"]
+    proc = _run_cli("-c", "import sys; sys.modules['scipy'] = None; "
+                          f"from wot.cli import main; sys.exit(main({argv!r}))")
+    assert proc.returncode in (0, 1), proc.stderr  # 1: a FAIL verdict
+    assert proc.stderr == ""
+    assert "verdict: " in proc.stdout
 
 
 def test_serve_refuses_corrupt_ciphertext(catalog_dir, tmp_path):

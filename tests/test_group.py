@@ -302,10 +302,6 @@ class TestKdfPad:
         assert len(kdf_pad(p23, 2, b"bind", 100)) == 100
         assert kdf_pad(p23, 2, b"bind", 100)[:32] != kdf_pad(p23, 2, b"bind2", 100)[:32]
 
-    def test_nonmember_rejected(self, p23):
-        with pytest.raises(GroupError):
-            kdf_pad(p23, 5, b"bind", 16)
-
     def test_binding_collision_trial(self, p23):
         """10^4 binding pairs differing in one byte: zero pad collisions."""
         rng = random.Random(31337)

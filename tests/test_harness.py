@@ -3,8 +3,8 @@ import random
 import pytest
 
 from wot.errors import HarnessError
-from wot.harness import (ComplexityReport, PrivacyExperiment, complexity_check,
-                         correctness_oracle, privacy_experiment)
+from wot.harness import (ComplexityReport, PrivacyExperiment, chi2_two_row_pvalue,
+                         complexity_check, correctness_oracle, privacy_experiment)
 from wot.protocol import publish
 
 from conftest import make_catalog
@@ -58,6 +58,33 @@ class TestPrivacyExperiment:
                                 choice_b=frozenset({1}), sessions=2_000)
         text = privacy_experiment(exp, p23, random.Random(53)).to_text()
         assert "verdict" in text and "chi-square" in text
+
+
+class TestChiSquare:
+    def test_matches_scipy_on_random_tables(self):
+        """Over seeded 2 x K tables, K from 2 to 23, against ``chi2_contingency``."""
+        from scipy.stats import chi2_contingency
+        rng = random.Random(71)
+        compared = 0
+        for _ in range(1_200):
+            k = rng.randint(2, 23)
+            scale = rng.choice((3, 20, 200, 5_000))
+            row_a = [rng.randrange(scale) for _ in range(k)]
+            row_b = [rng.randrange(scale) for _ in range(k)]
+            got = chi2_two_row_pvalue(row_a, row_b)
+            # scipy refuses empty columns; they carry no information.
+            kept = [(a, b) for a, b in zip(row_a, row_b) if a or b]
+            if len(kept) < 2 or not all(map(sum, zip(*kept))):
+                assert got == 1.0
+                continue
+            want = chi2_contingency(list(zip(*kept))).pvalue
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-300), (row_a, row_b)
+            compared += 1
+        assert compared >= 1_000
+
+    def test_fewer_than_two_columns(self):
+        assert chi2_two_row_pvalue([0, 4, 0], [0, 9, 0]) == 1.0
+        assert chi2_two_row_pvalue([0, 0], [0, 0]) == 1.0
 
 
 class TestCorrectnessOracle:

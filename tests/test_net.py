@@ -1,7 +1,6 @@
 import logging
 import random
 import socket
-import sys
 import threading
 import time
 
@@ -16,7 +15,7 @@ from wot.catalog import ciphertext_digest
 from wot.net import SocketChannel, buy, start_server, _recv_exact
 from wot.protocol import PublishedBundle, publish, run_session_sender, save_bundle
 
-from conftest import billed_lines, make_catalog
+from conftest import billed_lines, count_calls, make_catalog
 
 
 @pytest.fixture
@@ -30,20 +29,6 @@ def server(p23, caplog):
     yield srv, catalog, lambda count=0: billed_lines(caplog, count)
     srv.shutdown()
     srv.server_close()
-
-
-def count_calls(monkeypatch, function):
-    """Record the arguments of every call to ``function``, wherever a ``wot`` module bound it."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return function(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("wot") and getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, counting)
-    return calls
 
 
 def raw_client(port):

@@ -7,17 +7,19 @@ from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, ItemAuthenticationError,
                         ProtocolError, WotError)
+from wot.base_ot import OtResponse
 from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done,
-                         ManifestMsg, OtBatchQuery, encode_frame, encode_manifest)
-from wot.group import make_params, setup_params
+                         ManifestMsg, OtBatchQuery, OtBatchResp, encode_frame,
+                         encode_manifest)
+from wot.group import is_member, kdf_pad, make_params, setup_params
 from wot.instrument import Counters
 from wot.net import SocketChannel, run_local_session
 from wot.protocol import (PublishedBundle, item_context, plan_for_indices,
                           plan_selection, publish, load_bundle, load_secrets,
-                          run_session_sender, save_bundle)
+                          run_session_receiver, run_session_sender, save_bundle)
 from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
 
-from conftest import make_catalog
+from conftest import count_calls, make_catalog
 
 
 @pytest.fixture
@@ -120,14 +122,13 @@ class TestSessions:
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, mode, p23, rng=rng)
         plan = plan_for_indices(bundle.manifest, {1, 3})
-        result, outcome, _ = run_local_session(bundle, secrets, plan, p23,
-                                               receiver_rng=rng, sender_rng=rng)
+        result, billed, _ = run_local_session(bundle, secrets, plan, p23,
+                                              receiver_rng=rng, sender_rng=rng)
         assert dict(result.items) == {
             "item01": cat.items[1].payload,
             "item03": cat.items[3].payload,
         }
-        assert outcome.billed == 9 == result.total
-        assert outcome.transcript.num_picks == 9
+        assert billed == 9 == result.total
 
     def test_modp_2048_sessions(self):
         """Both modes end to end on the production group."""
@@ -137,10 +138,10 @@ class TestSessions:
         for mode, chosen, total in (("p2", {0, 2}, 4), ("p1", {1}, 2)):
             bundle, secrets = publish(cat, mode, params, rng=rng)
             plan = plan_for_indices(bundle.manifest, chosen)
-            result, outcome, _ = run_local_session(bundle, secrets, plan, params,
-                                                   receiver_rng=rng, sender_rng=rng)
+            result, billed, _ = run_local_session(bundle, secrets, plan, params,
+                                                  receiver_rng=rng, sender_rng=rng)
             assert dict(result.items) == {f"item{i:02d}": cat.items[i].payload for i in chosen}
-            assert result.total == outcome.billed == total
+            assert result.total == billed == total
 
     def test_custom_group_session(self, rng):
         """In-process sessions run on a make_params group, not only on presets."""
@@ -148,19 +149,19 @@ class TestSessions:
         cat = make_catalog([1, 2], rng)
         bundle, secrets = publish(cat, "p2", params, rng=rng)
         plan = plan_for_indices(bundle.manifest, {1})
-        result, outcome, _ = run_local_session(bundle, secrets, plan, params,
-                                               receiver_rng=rng, sender_rng=rng)
+        result, billed, _ = run_local_session(bundle, secrets, plan, params,
+                                              receiver_rng=rng, sender_rng=rng)
         assert result.items == (("item01", cat.items[1].payload),)
-        assert outcome.billed == 2
+        assert billed == 2
 
     def test_single_weight_one_item(self, p23, rng):
         cat = make_catalog([3, 1], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         plan = plan_for_indices(bundle.manifest, {1})
-        result, outcome, _ = run_local_session(bundle, secrets, plan, p23,
-                                               receiver_rng=rng, sender_rng=rng)
+        result, billed, _ = run_local_session(bundle, secrets, plan, p23,
+                                              receiver_rng=rng, sender_rng=rng)
         assert result.items == (("item01", cat.items[1].payload),)
-        assert outcome.billed == 1
+        assert billed == 1
 
     @pytest.mark.parametrize("mode", ["p1", "p2"])
     def test_modes_return_identical_plaintexts(self, p23, rng, mode):
@@ -202,7 +203,7 @@ class TestSessions:
         )
         rx_chan, tx_chan = channel_pair
         import threading
-        from wot.protocol import run_session_receiver, serve_session
+        from wot.protocol import serve_session
 
         def seller():
             try:
@@ -231,11 +232,66 @@ class TestSessions:
         cat = make_catalog([1, 2], rng)
         _, secrets = publish(cat, "p2", p23, rng=rng)
         rx_chan, tx_chan = channel_pair
-        query = OtBatchQuery(elem_len=p23.element_len, queries=(2, 5))  # 5 is not a member
-        with pytest.raises(ProtocolError, match="not a subgroup member"):
-            run_session_sender(secrets, query, tx_chan, p23, rng)
+        counters = Counters()
+        for bad in (5, 0):  # neither is in the order-11 subgroup
+            query = OtBatchQuery(elem_len=p23.element_len, queries=(2, bad))
+            with pytest.raises(ProtocolError, match="not a subgroup member"):
+                run_session_sender(secrets, query, tx_chan, p23, rng, counters)
+            reply = rx_chan.recv()
+            assert (reply.code, reply.text) == (ERR_BAD_QUERY, "invalid query")
+        assert counters.response_exponents == 0
+
+    def test_more_picks_than_secrets_refused(self, p23, rng, channel_pair):
+        """An honest buyer picks each of the N flat indices at most once."""
+        _, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        n = len(secrets.flat_secrets)
+        rx_chan, tx_chan = channel_pair
+        query = OtBatchQuery(elem_len=p23.element_len, queries=(2,) * (n + 1))
+        counters = Counters()
+        with pytest.raises(ProtocolError, match="too many picks"):
+            run_session_sender(secrets, query, tx_chan, p23, rng, counters)
         reply = rx_chan.recv()
-        assert type(reply).__name__ == "ErrorMsg"
+        assert (reply.code, reply.text) == (ERR_BAD_QUERY, "too many picks")
+        assert counters.response_exponents == 0
+
+    def test_nonmember_response_aborts_before_any_pad(self, p23, rng, channel_pair,
+                                                      monkeypatch):
+        cat = make_catalog([2], rng)
+        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        n = len(secrets.flat_secrets)
+        rx_chan, tx_chan = channel_pair
+
+        import threading
+
+        def forging_sender():
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+            tx_chan.recv()  # CT_REQ for the one item
+            tx_chan.send(CtData(item_id="item00", ciphertext=bundle.ciphertexts[0]))
+            msg = tx_chan.recv()
+            forged = OtResponse(a=5, masks=(bytes(16),) * n)  # 5 is not a member
+            tx_chan.send(OtBatchResp(elem_len=p23.element_len,
+                                     responses=(forged,) * len(msg.queries)))
+            tx_chan.send(Done(billed=len(msg.queries)))
+
+        pads = count_calls(monkeypatch, kdf_pad)
+        worker = threading.Thread(target=forging_sender, daemon=True)
+        worker.start()
+        with pytest.raises(ProtocolError, match="invalid response element"):
+            run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
+        worker.join(timeout=5)
+        assert pads == []
+
+    def test_each_peer_element_checked_once(self, p23, rng, monkeypatch):
+        """T picks: T query checks by the seller, T response checks by the buyer."""
+        cat = make_catalog([1, 2, 3, 7], rng)
+        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        plan = plan_for_indices(bundle.manifest, {1, 3})
+        checks = count_calls(monkeypatch, is_member)
+        _, billed, _ = run_local_session(bundle, secrets, plan, p23,
+                                         receiver_rng=rng, sender_rng=rng)
+        assert billed == 9
+        assert len(checks) == 2 * billed
 
     def test_billing_echo_mismatch_aborts(self, p23, rng, channel_pair):
         cat = make_catalog([2], rng)
@@ -255,13 +311,11 @@ class TestSessions:
             responses = tuple(
                 ot_respond(p23, secrets.flat_secrets, y, pick_binding(sid, t), rng)
                 for t, y in enumerate(msg.queries))
-            from wot.framing import OtBatchResp
             tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=responses))
             tx_chan.send(Done(billed=99))
 
         worker = threading.Thread(target=lying_sender, daemon=True)
         worker.start()
-        from wot.protocol import run_session_receiver
         with pytest.raises(ProtocolError, match="billing mismatch"):
             run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
         worker.join(timeout=5)
@@ -271,18 +325,10 @@ class TestSessions:
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         for choice in ({0, 2}, {1}, {0, 1, 2, 3}):
             plan = plan_for_indices(bundle.manifest, choice)
-            _, outcome, _ = run_local_session(bundle, secrets, plan, p23,
-                                              receiver_rng=rng, sender_rng=rng)
-            assert outcome.billed == total_price(cat, choice)
-            assert outcome.billed == len(plan.picks)
-
-    def test_transcript_contains_only_count_and_queries(self, p23, rng):
-        cat = make_catalog([1, 2], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {0})
-        _, outcome, _ = run_local_session(bundle, secrets, plan, p23,
-                                          receiver_rng=rng, sender_rng=rng)
-        assert set(vars(outcome.transcript)) == {"num_picks", "queries"}
+            _, billed, _ = run_local_session(bundle, secrets, plan, p23,
+                                             receiver_rng=rng, sender_rng=rng)
+            assert billed == total_price(cat, choice)
+            assert billed == len(plan.picks)
 
     def test_local_session_runs_the_wire_grammar(self, p23, rng):
         """In-process sessions deliver every ciphertext and use the TCP grammar."""
@@ -468,8 +514,8 @@ def test_exhaustive_small_catalog_correctness(p23):
         for mask in range(1, 1 << 4):
             choice = {i for i in range(4) if mask >> i & 1}
             plan = plan_for_indices(bundle.manifest, choice)
-            result, outcome, _ = run_local_session(bundle, secrets, plan, p23,
-                                                   receiver_rng=rng, sender_rng=rng)
+            result, billed, _ = run_local_session(bundle, secrets, plan, p23,
+                                                  receiver_rng=rng, sender_rng=rng)
             assert dict(result.items) == {cat.items[i].id: cat.items[i].payload
                                           for i in choice}
-            assert outcome.billed == total_price(cat, choice)
+            assert billed == total_price(cat, choice)
