@@ -39,13 +39,6 @@ class TotalReport:
 
 
 @dataclass(frozen=True)
-class SubsetCount:
-    total: int
-    count: int
-    witnesses: tuple[frozenset[int], ...] | None  # materialized only below the cap
-
-
-@dataclass(frozen=True)
 class LeakReport:
     prices: tuple[int, ...]
     totals: tuple[TotalReport, ...]  # ascending by total; covers every achievable total
@@ -54,18 +47,6 @@ class LeakReport:
     min_ambiguity: int | None        # min count over interior totals; None if no interior totals
     below_threshold: tuple[int, ...]  # interior totals with count < min_ambiguity threshold
     threshold: int
-
-    def report_for(self, total: int) -> TotalReport | None:
-        lo, hi = 0, len(self.totals) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self.totals[mid].total == total:
-                return self.totals[mid]
-            if self.totals[mid].total < total:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
 
     def to_text(self, max_rows: int = 40) -> str:
         lines = [
@@ -121,52 +102,6 @@ def _half_profile(prices: tuple[int, ...]) -> dict[int, tuple[int, int, int]]:
         else:
             profile[s] = (1, mask, mask)
     return profile
-
-
-def count_subsets(prices, total: int, witness_cap: int = 64) -> SubsetCount:
-    """Exact number of subsets with the given sum (meet-in-the-middle).
-
-    Witness subsets are materialized only when the count is at most
-    ``witness_cap``.
-    """
-    prices = _check_prices(prices)
-    if total < 0:
-        raise AuditError("total must be nonnegative")
-    half = len(prices) // 2
-    a_prices, b_prices = prices[:half], prices[half:]
-    a_sums = _half_masks(a_prices)
-    b_by_sum: dict[int, list[int]] = {}
-    for mask, s in enumerate(_half_masks(b_prices)):
-        b_by_sum.setdefault(s, []).append(mask)
-    count = 0
-    for s in a_sums:
-        count += len(b_by_sum.get(total - s, ()))
-    witnesses = None
-    if count <= witness_cap:
-        found = []
-        for a_mask, s in enumerate(a_sums):
-            for b_mask in b_by_sum.get(total - s, ()):
-                subset = frozenset(
-                    [i for i in range(len(a_prices)) if a_mask >> i & 1]
-                    + [half + i for i in range(len(b_prices)) if b_mask >> i & 1]
-                )
-                found.append(subset)
-        witnesses = tuple(sorted(found, key=sorted))
-    return SubsetCount(total=total, count=count, witnesses=witnesses)
-
-
-def subset_sum_distribution(prices) -> dict[int, int]:
-    """Map of achievable total -> subset count; the counts sum to 2^n."""
-    prices = _check_prices(prices)
-    half = len(prices) // 2
-    a_profile = _half_profile(prices[:half])
-    b_profile = _half_profile(prices[half:])
-    dist: dict[int, int] = {}
-    for sa, (ca, _, _) in a_profile.items():
-        for sb, (cb, _, _) in b_profile.items():
-            t = sa + sb
-            dist[t] = dist.get(t, 0) + ca * cb
-    return dist
 
 
 def audit_prices(prices, min_ambiguity: int = 2) -> LeakReport:

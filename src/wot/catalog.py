@@ -21,7 +21,6 @@ flat index is an unambiguous reference to one share of one item's key.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import re
 from dataclasses import dataclass
@@ -84,10 +83,6 @@ class Catalog:
     @property
     def total_weight(self) -> int:
         return sum(item.weight for item in self.items)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(item.id for item in self.items)
 
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -170,7 +165,7 @@ class Manifest:
 
 
 class FlatIndexMap:
-    """Bijection between (item, share) pairs and flat indices [0, N)."""
+    """The flat indices [0, N), cut into one contiguous range per item."""
 
     def __init__(self, weights):
         weights = tuple(weights)
@@ -189,27 +184,10 @@ class FlatIndexMap:
         self.offsets = tuple(offsets)
         self.total = acc
 
-    def flat_of(self, item: int, share: int) -> int:
-        if not 0 <= item < len(self.weights):
-            raise CatalogError(f"item index {item} out of range")
-        if not 0 <= share < self.weights[item]:
-            raise CatalogError(f"share index {share} out of range for item {item}")
-        return self.offsets[item] + share
-
-    def item_of(self, flat: int) -> tuple[int, int]:
-        if not 0 <= flat < self.total:
-            raise CatalogError(f"flat index {flat} out of range")
-        item = bisect.bisect_right(self.offsets, flat) - 1  # rightmost offset <= flat
-        return item, flat - self.offsets[item]
-
     def item_range(self, item: int) -> range:
         """All flat indices belonging to one item."""
         start = self.offsets[item]
         return range(start, start + self.weights[item])
-
-
-def build_flat_index(catalog: Catalog) -> FlatIndexMap:
-    return FlatIndexMap(catalog.weights)
 
 
 def total_price(catalog: Catalog, choices) -> int:
@@ -221,7 +199,7 @@ def total_price(catalog: Catalog, choices) -> int:
     return sum(catalog.items[i].weight for i in chosen)
 
 
-def load_catalog(path, max_weight: int = DEFAULT_MAX_WEIGHT) -> Catalog:
+def load_catalog(path) -> Catalog:
     """Read a catalog directory (``items.tsv`` plus payload files)."""
     directory = Path(path)
     source = directory / MANIFEST_SOURCE
@@ -242,8 +220,8 @@ def load_catalog(path, max_weight: int = DEFAULT_MAX_WEIGHT) -> Catalog:
             raise CatalogError(f"{source}:{lineno}: weight {weight_text!r} is not an integer") from None
         if weight < 1:
             raise CatalogError(f"{source}:{lineno}: nonpositive weight {weight}")
-        if weight > max_weight:
-            raise CatalogError(f"{source}:{lineno}: weight {weight} exceeds cap {max_weight}")
+        if weight > DEFAULT_MAX_WEIGHT:
+            raise CatalogError(f"{source}:{lineno}: weight {weight} exceeds cap {DEFAULT_MAX_WEIGHT}")
         payload_path = directory / filename
         if not payload_path.is_file():
             raise CatalogError(f"{source}:{lineno}: missing payload file {payload_path}")

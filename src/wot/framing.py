@@ -10,7 +10,9 @@ The length field therefore equals ``1 + len(payload)`` and is capped at
 16 MiB; a frame claiming more is rejected before any allocation. All
 integers on the wire are big-endian. Group elements travel as fixed-width
 integers whose width is carried inside the transfer messages, keeping the
-codec self-contained.
+codec self-contained. ``encode_frame`` is the only encoder and
+``read_frame``, which pulls one frame from a ``recv_exact(n)`` callable,
+the only decoder; in-process sessions run both over a socket pair too.
 
 ``OT_BATCH_RESP`` (protocol version 2) carries one transfer reply per
 pick::
@@ -306,6 +308,8 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
     if msg_type == TYPE_OT_BATCH_RESP:
         count, n, elem_len, mask_len = r.u32(), r.u32(), r.u16(), r.u16()
         r.expect_records(count, elem_len + n * mask_len)
+        if n and not mask_len:  # zero-width masks: expect_records cannot bound n
+            raise FrameError("payload does not match its record count")
         responses = []
         for _ in range(count):
             a = int.from_bytes(r.take(elem_len), "big")
@@ -337,23 +341,6 @@ def encode_frame(msg: Message) -> bytes:
     if length > MAX_FRAME_LEN:
         raise FrameError(f"frame too large: {length} bytes")
     return struct.pack("!IB", length, msg_type) + payload
-
-
-def decode_frame(data: bytes) -> Message:
-    """Decode exactly one complete frame."""
-    if len(data) < LENGTH_FIELD + 1:
-        raise FrameError("incomplete frame")
-    length = struct.unpack("!I", data[:LENGTH_FIELD])[0]
-    if length > MAX_FRAME_LEN:
-        raise FrameError(f"frame too large: {length} bytes")
-    if length < 1:
-        raise FrameError("frame has no type byte")
-    if len(data) - LENGTH_FIELD < length:
-        raise FrameError("incomplete frame")
-    if len(data) - LENGTH_FIELD > length:
-        raise FrameError("trailing bytes after frame")
-    msg_type = data[LENGTH_FIELD]
-    return _decode_payload(msg_type, data[LENGTH_FIELD + 1:LENGTH_FIELD + length])
 
 
 def read_frame(recv_exact) -> Message:

@@ -134,11 +134,6 @@ class GroupParams:
     def encode_element(self, x: int) -> bytes:
         return x.to_bytes(self.element_len, "big")
 
-    def decode_element(self, data: bytes) -> int:
-        if len(data) != self.element_len:
-            raise GroupError(f"element encoding must be {self.element_len} bytes")
-        return int.from_bytes(data, "big")
-
 
 def is_member(params: GroupParams, x: int) -> bool:
     """True iff ``x`` lies in [1, p-1] and in the order-``q`` subgroup."""

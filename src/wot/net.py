@@ -73,7 +73,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
     def handle(self):
         server: SenderServer = self.server  # type: ignore[assignment]
         ordinal = server.next_ordinal()
-        chan = SocketChannel(self.request, timeout=server.timeout)
+        chan = SocketChannel(self.request)
         try:
             billed = serve_session(chan, server.bundle, server.secrets, server.params)
         except (ProtocolError, OSError) as exc:
@@ -96,14 +96,13 @@ class SenderServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address, bundle: PublishedBundle, secrets: SenderSecrets,
-                 params: GroupParams, timeout: float = DEFAULT_TIMEOUT):
+                 params: GroupParams):
         bundle.verify_digests()
         if bundle.manifest.group_id != params.param_id:
             raise ProtocolError("bundle and server group parameters disagree")
         self.bundle = bundle
         self.secrets = secrets
         self.params = params
-        self.timeout = timeout
         self._ordinal = 0
         self._ordinal_lock = threading.Lock()
         super().__init__(address, _SessionHandler)

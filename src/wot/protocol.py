@@ -21,11 +21,13 @@ carries frames::
           -> OT_BATCH_RESP -> DONE
 
 The buyer's side is one function, ``run_session_receiver``. It plans
-the purchase from the manifest it receives and then takes *every*
-ciphertext, from a cached bundle directory or over the wire: requesting
-only the chosen ones would reveal the choice out of band. Each
-ciphertext is checked against its manifest entry once, as it is taken,
-so a bad one aborts the session before the first transfer message.
+the purchase from the manifest it receives, refuses one whose reply
+would pass the frame cap (a size that follows from ``(N, T)`` alone, as
+the seller computes it), and then takes *every* ciphertext, from a
+cached bundle directory or over the wire: requesting only the chosen
+ones would reveal the choice out of band. Each ciphertext is checked
+against its manifest entry once, as it is taken, so a bad one aborts
+the session before the first transfer message.
 
 The seller's side is split at the query. ``serve_session`` answers HELLO
 and the CT_REQs and hands the decoded OT_BATCH_QUERY to
@@ -163,16 +165,8 @@ def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 12
     return bundle, secrets
 
 
-def plan_selection(manifest: Manifest, item_ids) -> SelectionPlan:
-    """Resolve chosen item ids into the full flat pick set."""
-    ids = set(item_ids)
-    if not ids:
-        raise ProtocolError("empty choice set")
-    indices = sorted(manifest.index_of(item_id) for item_id in ids)
-    return plan_for_indices(manifest, indices)
-
-
 def plan_for_indices(manifest: Manifest, indices) -> SelectionPlan:
+    """Resolve chosen item indices into the full flat pick set."""
     chosen = sorted(set(indices))
     if not chosen:
         raise ProtocolError("empty choice set")
@@ -223,11 +217,19 @@ def run_session_receiver(channel, item_ids, params: GroupParams | None = None,
     """
     channel.send(Hello())
     manifest = _expect(channel.recv(), ManifestMsg).manifest
-    # Validate the request before any transfer-related traffic.
-    plan = plan_selection(manifest, item_ids)
+    # Validate the request before any transfer-related traffic, and its
+    # size from (N, T) alone before any work that grows with T.
+    chosen = {manifest.index_of(item_id) for item_id in item_ids}
     params = params or setup_params(manifest.group_id)
     if manifest.group_id != params.param_id:
         raise ProtocolError(f"bundle uses group {manifest.group_id!r}, not {params.param_id!r}")
+    reply_len = _ot_batch_resp_len(sum(manifest.entries[i].weight for i in chosen),
+                                   manifest.total_weight, params.element_len,
+                                   manifest.key_bits // 8)
+    if reply_len > MAX_FRAME_LEN:
+        raise ProtocolError(f"purchase too large: its reply would be {reply_len} bytes, "
+                            f"over the {MAX_FRAME_LEN}-byte frame cap")
+    plan = plan_for_indices(manifest, chosen)
     bundle = fetch_bundle(channel, manifest, cache_dir)
     flat_map = bundle.flat_map
 

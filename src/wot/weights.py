@@ -11,7 +11,6 @@ relative price error for the same speedup.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,11 +24,6 @@ class ReductionReport:
     reduced: tuple[int, ...]
     exact: bool
     max_relative_error: Fraction
-
-    @property
-    def unit_price_multiplier(self) -> int:
-        """Currency units billed per transferred share."""
-        return self.q
 
     @property
     def work_before(self) -> int:
@@ -99,33 +93,6 @@ def approx_reduce(weights, q: int) -> ReductionReport:
         reduced=reduced,
         exact=exact,
         max_relative_error=max(errors),
-    )
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    categories: tuple[tuple[int, int], ...]  # (weight value, multiplicity), ascending
-    gcd: int
-    work_estimate: int  # share count after dividing out the gcd
-
-    @property
-    def num_categories(self) -> int:
-        return len(self.categories)
-
-
-def weight_profile(weights) -> WeightProfile:
-    """Summarize how category-like a price vector is.
-
-    Few distinct values with small reduced weights means the transfer work
-    stays near a small multiple of the item count.
-    """
-    weights = _check_weights(weights)
-    counts = Counter(weights)
-    q = math.gcd(*weights)
-    return WeightProfile(
-        categories=tuple(sorted(counts.items())),
-        gcd=q,
-        work_estimate=sum(weights) // q,
     )
 
 

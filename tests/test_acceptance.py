@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from wot.auditor import VERDICT_OK, VERDICT_UNSAFE, audit_prices, subset_sum_distribution
+from wot.auditor import VERDICT_OK, VERDICT_UNSAFE, audit_prices
 from wot.base_ot import ot_query, ot_recover, ot_respond
 from wot.catalog import Catalog, Item, total_price
 from wot.errors import HarnessError, WotError
@@ -191,14 +191,14 @@ def test_criterion_6_leakage_auditor():
         naive = [0]
         for p in prices:
             naive += [s + p for s in naive]
-        assert subset_sum_distribution(prices) == Counter(naive)
+        assert {t.total: t.count for t in audit_prices(prices).totals} == Counter(naive)
         vectors += 1
     for _ in range(25):  # pin the top of the range explicitly
         prices = [rng.randint(1, 40) for _ in range(16)]
         naive = [0]
         for p in prices:
             naive += [s + p for s in naive]
-        assert subset_sum_distribution(prices) == Counter(naive)
+        assert {t.total: t.count for t in audit_prices(prices).totals} == Counter(naive)
         vectors += 1
     _report(6, True,
             f"auditor: [1,2,4,8] UNSAFE with 15 unique totals, [1,1,1,1] OK, "
@@ -248,14 +248,14 @@ def test_criterion_7_base_transfer():
 def test_criterion_8_wire_protocol(tmp_path, caplog):
     """Codec fuzz, grammar fuzz, and the publish -> serve -> buy demo."""
     # codec round trips over random messages
-    from wot.framing import decode_frame, encode_frame
-    from test_framing import message_strategy
+    from wot.framing import encode_frame
+    from test_framing import decode, message_strategy
     from hypothesis import given, settings
 
     @given(message_strategy())
     @settings(max_examples=300, deadline=None)
     def codec_roundtrip(msg):
-        assert decode_frame(encode_frame(msg)) == msg
+        assert decode(encode_frame(msg)) == msg
 
     codec_roundtrip()
 

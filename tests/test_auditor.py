@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from wot.auditor import (LeakReport, VERDICT_OK, VERDICT_UNSAFE, VERDICT_WARN,
-                         audit_prices, count_subsets, subset_sum_distribution)
+                         audit_prices)
 from wot.errors import AuditError
 from wot.weights import gcd_reduce
 
@@ -33,55 +33,52 @@ def naive_forced(prices, total):
     return tuple(sorted(forced_in)), tuple(sorted(forced_out))
 
 
+def subset_counts(prices):
+    """Total -> number of subsets achieving it, as ``wot audit`` computes it."""
+    return {t.total: t.count for t in audit_prices(prices).totals}
+
+
 class TestCountSubsets:
     def test_power_of_two_prices_unique(self):
-        result = count_subsets([1, 2, 4, 8], 11)
-        assert result.count == 1
-        assert result.witnesses == (frozenset({0, 1, 3}),)
+        report = audit_prices([1, 2, 4, 8])
+        by_total = {t.total: t for t in report.totals}
+        assert by_total[11].count == 1
+        # A unique subset is named by its forced sets.
+        assert by_total[11].forced_in == (0, 1, 3)
+        assert by_total[11].forced_out == (2,)
 
     def test_equal_prices_binomial(self):
-        assert count_subsets([1, 1, 1], 2).count == 3
+        assert subset_counts([1, 1, 1])[2] == 3
 
     def test_zero_total_is_empty_set(self):
-        result = count_subsets([5, 9, 14], 0)
-        assert result.count == 1
-        assert result.witnesses == (frozenset(),)
+        zero = audit_prices([5, 9, 14]).totals[0]
+        assert (zero.total, zero.count) == (0, 1)
+        assert zero.forced_in == ()
+        assert zero.forced_out == (0, 1, 2)
 
     def test_unreachable_total(self):
-        assert count_subsets([2, 4], 3).count == 0
-
-    def test_witness_cap(self):
-        result = count_subsets([1] * 10, 5, witness_cap=10)
-        assert result.count == 252
-        assert result.witnesses is None
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(AuditError):
-            count_subsets([1, 2], -1)
+        assert 3 not in subset_counts([2, 4])
 
     def test_too_many_items_rejected(self):
         with pytest.raises(AuditError, match="too many"):
-            count_subsets([1] * 31, 5)
+            audit_prices([1] * 31)
 
     def test_counts_match_naive_oracle(self):
         rng = random.Random(606)
         for _ in range(300):
             n = rng.randint(1, 12)
             prices = [rng.randint(1, 30) for _ in range(n)]
-            oracle = naive_distribution(prices)
-            total = rng.randint(0, sum(prices) + 2)
-            assert count_subsets(prices, total).count == oracle.get(total, 0)
+            assert subset_counts(prices) == naive_distribution(prices)
 
     def test_witnesses_actually_sum(self):
+        """A total with one subset names it: its forced-in items sum to the total."""
         rng = random.Random(607)
         for _ in range(100):
             prices = [rng.randint(1, 20) for _ in range(rng.randint(1, 10))]
-            total = rng.randint(0, sum(prices))
-            result = count_subsets(prices, total, witness_cap=1 << 12)
-            assert result.witnesses is not None
-            assert len(result.witnesses) == result.count
-            for witness in result.witnesses:
-                assert sum(prices[i] for i in witness) == total
+            for t in audit_prices(prices).totals:
+                if t.count == 1:
+                    assert sum(prices[i] for i in t.forced_in) == t.total
+                    assert len(t.forced_in) + len(t.forced_out) == len(prices)
 
 
 class TestDistribution:
@@ -90,7 +87,7 @@ class TestDistribution:
         for _ in range(50):
             n = rng.randint(1, 20)
             prices = [rng.randint(1, 50) for _ in range(n)]
-            dist = subset_sum_distribution(prices)
+            dist = subset_counts(prices)
             assert sum(dist.values()) == 1 << n
             assert dist[0] == 1
 
@@ -98,7 +95,7 @@ class TestDistribution:
         rng = random.Random(12)
         for _ in range(100):
             prices = [rng.randint(1, 25) for _ in range(rng.randint(1, 14))]
-            assert subset_sum_distribution(prices) == naive_distribution(prices)
+            assert subset_counts(prices) == naive_distribution(prices)
 
 
 class TestAudit:
@@ -124,9 +121,10 @@ class TestAudit:
         # total 6 additionally forces item 0 into every explanation.
         report = audit_prices([5, 1, 1])
         assert report.verdict == VERDICT_UNSAFE
-        assert report.report_for(6).count == 2
-        assert report.report_for(6).forced_in == (0,)
-        assert report.report_for(6).forced_out == ()
+        six = {t.total: t for t in report.totals}[6]
+        assert six.count == 2
+        assert six.forced_in == (0,)
+        assert six.forced_out == ()
         assert 2 in report.fully_leaking and 5 in report.fully_leaking
 
     def test_warn_without_unique_interior_totals(self):
@@ -136,13 +134,14 @@ class TestAudit:
         report = audit_prices([1, 1, 2, 2])
         assert report.verdict == VERDICT_WARN
         assert report.min_ambiguity == 2
-        assert report.report_for(5).forced_in == (2, 3)
-        assert report.report_for(1).forced_out == (2, 3)
+        by_total = {t.total: t for t in report.totals}
+        assert by_total[5].forced_in == (2, 3)
+        assert by_total[1].forced_out == (2, 3)
 
     def test_buying_everything_is_not_flagged(self):
         # The full-catalog total is always unique; it must not drive UNSAFE.
         report = audit_prices([3, 3])
-        assert report.report_for(6).count == 1
+        assert {t.total: t.count for t in report.totals}[6] == 1
         assert report.verdict == VERDICT_OK
         assert report.fully_leaking == (6,)
 
@@ -184,9 +183,9 @@ class TestAudit:
         assert "fully leaking totals" in text
 
     def test_report_lookup(self):
-        report = audit_prices([2, 3])
-        assert report.report_for(5).count == 1
-        assert report.report_for(4) is None
+        counts = subset_counts([2, 3])
+        assert counts[5] == 1
+        assert 4 not in counts
 
 
 def test_leak_report_is_frozen():

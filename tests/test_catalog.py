@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wot.catalog import (Catalog, FlatIndexMap, Item, build_flat_index,
-                         ciphertext_digest, load_catalog, total_price)
-from wot.errors import CatalogError
+from wot.catalog import (Catalog, FlatIndexMap, Item, ciphertext_digest, load_catalog,
+                         total_price)
+from wot.errors import CatalogError, ProtocolError
+from wot.protocol import plan_for_indices, publish
 
 from conftest import make_catalog, write_catalog_dir
 
@@ -17,12 +18,12 @@ class TestLoadCatalog:
         assert cat.n == 2
         assert cat.weights == (100, 200)
         assert cat.items[0].payload == b"A" * 10
-        assert cat.ids == ("a", "b")
+        assert [item.id for item in cat.items] == ["a", "b"]
 
     def test_order_preserved(self, tmp_path):
         entries = [(f"x{i}", i + 1, bytes([i])) for i in range(9, -1, -1)]
         cat = load_catalog(write_catalog_dir(tmp_path / "cat", entries))
-        assert cat.ids == tuple(e[0] for e in entries)
+        assert [item.id for item in cat.items] == [e[0] for e in entries]
 
     def test_zero_weight_rejected(self, tmp_path):
         d = write_catalog_dir(tmp_path / "cat", [("a", 0, b"A")])
@@ -51,7 +52,8 @@ class TestLoadCatalog:
         d = write_catalog_dir(tmp_path / "cat", [("a", (1 << 20) + 1, b"A")])
         with pytest.raises(CatalogError, match="exceeds cap"):
             load_catalog(d)
-        assert load_catalog(d, max_weight=1 << 21).weights == ((1 << 20) + 1,)
+        (d / "items.tsv").write_text(f"a\t{1 << 20}\ta.bin\n")
+        assert load_catalog(d).weights == (1 << 20,)
 
     def test_comments_and_blank_lines(self, tmp_path):
         d = write_catalog_dir(tmp_path / "cat", [("a", 3, b"A")])
@@ -67,16 +69,11 @@ class TestLoadCatalog:
 
 class TestFlatIndexMap:
     def test_small_map_by_hand(self):
-        # weights [2,1,3]: enumerate all six (item, share) pairs.
+        # weights [2,1,3]: items own [0,2), [2,3) and [3,6).
         m = FlatIndexMap([2, 1, 3])
         assert m.offsets == (0, 2, 3)
         assert m.total == 6
-        expected = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (2, 0), 4: (2, 1), 5: (2, 2)}
-        for flat, pair in expected.items():
-            assert m.item_of(flat) == pair
-            assert m.flat_of(*pair) == flat
-        assert m.flat_of(1, 0) == 2
-        assert m.item_of(5) == (2, 2)
+        assert [m.item_range(i) for i in range(3)] == [range(0, 2), range(2, 3), range(3, 6)]
 
     def test_single_item(self):
         m = FlatIndexMap([1])
@@ -86,30 +83,25 @@ class TestFlatIndexMap:
     def test_reduced_demo_vector(self):
         assert FlatIndexMap([1, 2, 3, 7]).total == 13
 
-    def test_out_of_range(self):
-        m = FlatIndexMap([2, 1])
-        with pytest.raises(CatalogError):
-            m.flat_of(0, 2)
-        with pytest.raises(CatalogError):
-            m.flat_of(2, 0)
-        with pytest.raises(CatalogError):
-            m.item_of(3)
-        with pytest.raises(CatalogError):
-            m.item_of(-1)
+    def test_out_of_range(self, p23):
+        """An item index outside the manifest is refused before any range is taken."""
+        manifest = publish(make_catalog([2, 1]), "p2", p23)[0].manifest
+        for bad in ({2}, {-1}, {0, 2}):
+            with pytest.raises(ProtocolError, match="out of range"):
+                plan_for_indices(manifest, bad)
 
     @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=50))
     @settings(max_examples=100)
     def test_round_trip_property(self, weights):
+        """The item ranges tile [0, N) in order, one range of its weight per item."""
         m = FlatIndexMap(weights)
-        for flat in range(m.total):
-            item, share = m.item_of(flat)
-            assert m.flat_of(item, share) == flat
-        pairs = [(i, j) for i, w in enumerate(weights) for j in range(w)]
-        assert [m.flat_of(i, j) for i, j in pairs] == list(range(m.total))
+        ranges = [m.item_range(i) for i in range(len(weights))]
+        assert [len(r) for r in ranges] == weights
+        assert [f for r in ranges for f in r] == list(range(m.total))
 
     def test_build_from_catalog(self):
         cat = make_catalog([2, 1, 3])
-        assert build_flat_index(cat).offsets == (0, 2, 3)
+        assert FlatIndexMap(cat.weights).offsets == (0, 2, 3)
 
 
 class TestTotalPrice:

@@ -1,18 +1,36 @@
+import io
+import socket
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wot.base_ot import OtResponse
 from wot.catalog import Manifest, ManifestEntry
-from wot.errors import CatalogError, FrameError, WotError
+from wot.errors import CatalogError, FrameError, ProtocolError, WotError
 from wot.framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, OtBatchResp, LENGTH_FIELD, MAX_FRAME_LEN,
-                         decode_frame, decode_manifest, encode_frame,
-                         encode_manifest, read_frame)
+                         decode_manifest, encode_frame, encode_manifest, read_frame)
+from wot.net import SocketChannel
 
 # Valid item ids: dotted ids such as "a.b" and "..." stay in, "." and ".." name
 # a directory and are refused by ManifestEntry.
 ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1,
               max_size=20).filter(lambda s: s not in (".", ".."))
+
+
+def decode(frame: bytes):
+    """Decode one whole frame through ``read_frame``, the decoder the transport runs."""
+    stream = io.BytesIO(frame)
+
+    def recv_exact(n):
+        out = stream.read(n)
+        if len(out) < n:
+            raise EOFError(f"short read: {len(out)} of {n} bytes")
+        return out
+
+    msg = read_frame(recv_exact)
+    assert stream.read() == b"", "bytes left over after the frame"
+    return msg
 
 
 def manifest_strategy():
@@ -46,7 +64,7 @@ def message_strategy():
             queries=st.lists(st.integers(min_value=0, max_value=(1 << (8 * elem_len)) - 1),
                              min_size=0, max_size=8).map(tuple),
         ))
-    batch_resp = st.tuples(st.integers(1, 3), st.integers(0, 24), st.integers(1, 4)).flatmap(
+    batch_resp = st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 4)).flatmap(
         lambda dims: st.builds(
             OtBatchResp,
             elem_len=st.just(dims[0]),
@@ -72,7 +90,7 @@ def test_done_frame_frozen_layout():
     frame = encode_frame(Done(billed=4))
     assert frame == bytes.fromhex("00000005" "07" "00000004")
     assert len(frame) == 9
-    assert decode_frame(frame) == Done(billed=4)
+    assert decode(frame) == Done(billed=4)
 
 
 def test_ot_batch_resp_frozen_layout():
@@ -87,7 +105,7 @@ def test_ot_batch_resp_frozen_layout():
                                   "08" "0102" "0304" "0506"
                                   "0d" "a0a1" "a2a3" "a4a5")
     assert len(frame) == LENGTH_FIELD + 1 + 12 + 2 * (1 + 3 * 2)
-    assert decode_frame(frame) == msg
+    assert decode(frame) == msg
 
 
 def test_forged_record_counts_refused():
@@ -97,46 +115,56 @@ def test_forged_record_counts_refused():
         bytes.fromhex("05" "00000002" "0001" "07"),               # 2 queries, 1 byte
         bytes.fromhex("06" "000003e8" "00000000" "0000" "0000"),  # 1000 empty replies
         bytes.fromhex("06" "00000001" "00000002" "0001" "0001" "08" "01"),  # a mask short
+        bytes.fromhex("06" "00000001" "000f4240" "0001" "0000" "08"),  # 10^6 empty masks
     ):
         frame = len(payload).to_bytes(4, "big") + payload
         with pytest.raises(FrameError, match="record count"):
-            decode_frame(frame)
+            decode(frame)
 
 
 @given(message_strategy())
 @settings(max_examples=300, deadline=None)
 def test_round_trip_property(msg):
-    assert decode_frame(encode_frame(msg)) == msg
+    assert decode(encode_frame(msg)) == msg
 
 
 def test_oversize_length_rejected_before_allocation():
     header = (1 << 30).to_bytes(4, "big") + b"\x07"
     with pytest.raises(FrameError, match="too large"):
-        decode_frame(header)
+        decode(header)
 
 
 def test_truncated_frames_rejected():
+    """A peer that closes mid-frame ends the read with a ProtocolError, at any cut."""
     frame = encode_frame(Done(billed=4))
     for cut in range(len(frame)):
-        with pytest.raises(FrameError):
-            decode_frame(frame[:cut])
+        near, far = socket.socketpair()
+        with far:
+            far.sendall(frame[:cut])
+        chan = SocketChannel(near, timeout=5)
+        try:
+            with pytest.raises(ProtocolError, match="connection closed mid-frame"):
+                chan.recv()
+        finally:
+            chan.close()
 
 
 def test_trailing_bytes_rejected():
     frame = encode_frame(Done(billed=4))
+    padded = (len(frame) - LENGTH_FIELD + 1).to_bytes(4, "big") + frame[LENGTH_FIELD:] + b"\x00"
     with pytest.raises(FrameError, match="trailing"):
-        decode_frame(frame + b"\x00")
+        decode(padded)
 
 
 def test_unknown_type_rejected():
     frame = bytes.fromhex("00000001" "55")
     with pytest.raises(FrameError, match="unknown message type"):
-        decode_frame(frame)
+        decode(frame)
 
 
 def test_zero_length_rejected():
     with pytest.raises(FrameError, match="no type byte"):
-        decode_frame(bytes.fromhex("00000000") + b"\x00")
+        decode(bytes.fromhex("00000000") + b"\x00")
 
 
 def test_garbled_payload_rejected():
@@ -144,7 +172,7 @@ def test_garbled_payload_rejected():
     short_payload = good[:4] + good[4:5] + good[5:7]  # truncated u32
     fixed = (3).to_bytes(4, "big") + short_payload[4:]
     with pytest.raises(FrameError):
-        decode_frame(fixed)
+        decode(fixed)
 
 
 def test_encode_rejects_oversize_frame():
@@ -184,7 +212,7 @@ def test_out_of_range_fields_refused():
                                            digest_hex="0" * 64),))
     with pytest.raises(FrameError, match="out of range"):
         encode_manifest(huge)
-    assert decode_frame(encode_frame(Done(billed=(1 << 32) - 1))).billed == (1 << 32) - 1
+    assert decode(encode_frame(Done(billed=(1 << 32) - 1))).billed == (1 << 32) - 1
 
 
 def test_manifest_total_weight_fits_u32():

