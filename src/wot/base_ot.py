@@ -11,11 +11,20 @@ on two generators ``g`` and ``h``:
   ``a = g^k`` and, for every index ``i``, the mask
   ``m_i = pad(e_i, binding || i) XOR s_i`` where ``e_i = (y * h^-i)^k``.
   The elements form one running product: ``e_0 = y^k`` and
-  ``e_(i+1) = e_i * h^-k``, with ``h^-k = h^(q - k)``. A pick therefore
-  costs three constant-time exponentiations (``g^k``, ``h^-k`` and
-  ``y^k``; see ``wot.group``), and one multiplication and one pad per
+  ``e_(i+1) = e_i * h^-k``, with ``h^-k = h^(q - k)``: three
+  exponentiations per pick, then one multiplication and one pad per
   index. The reply is one element plus N masks.
 * Receiver: ``a^r = g^(rk) = e_c``, so exactly ``s_c`` unmasks.
+
+A batch's exponentiations run together, drawn serially. Each side draws
+every exponent of its batch on its own thread, in pick order, and only
+then hands all of the batch's constant-time exponentiations to
+``group._powmods`` at once (see ``wot.group``): ``ot_query`` computes
+every ``g^r`` and ``h^c``, ``respond_powers`` every pick's ``g^k``,
+``h^-k`` and ``y^k``, and ``ot_recover`` every ``a^r``. A seeded ``rng``
+therefore gives the same draws, and the same wire bytes, as answering one
+pick after another. ``ot_respond`` then masks one pick's secrets from its
+three powers, with multiplications and pads only.
 
 Why the receiver opens only one index. For ``i != j``,
 ``e_i / e_j = h^((j - i) * k)``. A receiver that learned the pads of two
@@ -37,7 +46,7 @@ peer's elements, ``y`` on the sender's side and ``a`` on the receiver's,
 are checked once at the session boundary, before any exponentiation, by
 ``wot.protocol``. Then ``y``, ``h`` in G_q gives
 ``e_i = y^k * h^(-ik)`` in G_q, and ``a`` in G_q gives ``a^r`` in G_q.
-``ot_respond`` and ``ot_recover`` take that check as a precondition.
+``respond_powers`` and ``ot_recover`` take that check as a precondition.
 
 A k-of-N transfer is this primitive repeated once per pick with fresh
 randomness, batched into a single request and a single response.
@@ -50,7 +59,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ProtocolError
-from .group import GroupParams, _powmod, kdf_pad, rand_exponent
+from .group import GroupParams, _powmods, kdf_pad, rand_exponent
 from .instrument import Counters
 
 _SYSTEM_RNG = random.SystemRandom()
@@ -70,40 +79,49 @@ class OtResponse:
         return len(self.masks)
 
 
-def ot_query(params: GroupParams, n_secrets: int, index: int,
-             rng=None, counters: Counters | None = None) -> tuple[int, int]:
-    """Build the query element ``y`` for ``index``; returns it with the secret exponent."""
-    if not 0 <= index < n_secrets:
-        raise ProtocolError(f"pick index {index} out of range [0, {n_secrets})")
+def ot_query(params: GroupParams, n_secrets: int, indices, rng=None,
+             counters: Counters | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Build one query element ``y`` per pick index; returns them with their secret exponents."""
+    indices = tuple(indices)
+    for index in indices:
+        if not 0 <= index < n_secrets:
+            raise ProtocolError(f"pick index {index} out of range [0, {n_secrets})")
     rng = rng or _SYSTEM_RNG
-    r = rand_exponent(params, rng)
+    exponents = tuple(rand_exponent(params, rng) for _ in indices)
     if counters:
-        counters.query_exponents += 1
-    return query_element(params, index, r), r
-
-
-def query_element(params: GroupParams, index: int, r: int) -> int:
+        counters.query_exponents += len(exponents)
     p = params.p
-    return _powmod(params.g, r, p) * _powmod(params.h, index, p) % p
+    powers = _powmods([(params.g, r) for r in exponents]
+                      + [(params.h, index) for index in indices], p)
+    t = len(indices)
+    return tuple(gr * hc % p for gr, hc in zip(powers[:t], powers[t:])), exponents
 
 
-def ot_respond(params: GroupParams, secrets, y: int, binding: bytes,
-               rng=None, counters: Counters | None = None) -> OtResponse:
-    """Answer one pick: mask every secret under its per-index pad.
+def respond_powers(params: GroupParams, queries, rng=None,
+                   counters: Counters | None = None) -> tuple[tuple[int, int, int], ...]:
+    """Draw each pick's fresh nonzero ``k``; returns ``(g^k, h^-k, y^k)`` per query ``y``.
 
-    ``y`` must be a subgroup member; the caller checks the peer's query.
+    Every ``y`` must be a subgroup member; the caller checks the peer's query.
     """
+    rng = rng or _SYSTEM_RNG
+    ks = [rand_exponent(params, rng, include_zero=False) for _ in queries]
+    if counters:
+        counters.response_exponents += len(ks)
+    jobs = []
+    for y, k in zip(queries, ks):
+        jobs += [(params.g, k), (params.h, params.q - k), (y, k)]
+    powers = _powmods(jobs, params.p)
+    return tuple(tuple(powers[i:i + 3]) for i in range(0, len(powers), 3))
+
+
+def ot_respond(params: GroupParams, secrets, powers: tuple[int, int, int],
+               binding: bytes) -> OtResponse:
+    """Answer one pick from its ``respond_powers`` entry: mask every secret under its pad."""
     secrets = list(secrets)
     if not secrets:
         raise ProtocolError("no secrets to transfer")
-    rng = rng or _SYSTEM_RNG
     p = params.p
-    k = rand_exponent(params, rng, include_zero=False)
-    if counters:
-        counters.response_exponents += 1
-    a = _powmod(params.g, k, p)
-    step = _powmod(params.h, params.q - k, p)  # h^-k
-    element = _powmod(y, k, p)  # e_0 = y^k
+    a, step, element = powers  # g^k, h^-k and e_0 = y^k
     masks = []
     for i, secret in enumerate(secrets):
         if i:
@@ -113,18 +131,23 @@ def ot_respond(params: GroupParams, secrets, y: int, binding: bytes,
     return OtResponse(a=a, masks=tuple(masks))
 
 
-def ot_recover(params: GroupParams, response: OtResponse, index: int, r: int,
-               binding: bytes) -> bytes:
-    """Unmask the secret at ``index`` using the query's secret exponent.
+def ot_recover(params: GroupParams, responses, indices, exponents,
+               bindings) -> tuple[bytes, ...]:
+    """Unmask each pick's secret at its index, using its query's secret exponent.
 
-    ``response.a`` must be a subgroup member; the caller checks the peer's reply.
+    Every ``response.a`` must be a subgroup member; the caller checks the peer's reply.
     """
-    if not 0 <= index < response.n_secrets:
-        raise ProtocolError(f"pick index {index} out of range")
-    masked = response.masks[index]
-    pad = kdf_pad(params, _powmod(response.a, r, params.p), _index_binding(binding, index),
-                  len(masked))
-    return bytes(x ^ y for x, y in zip(pad, masked))
+    picks = list(zip(responses, indices, exponents, bindings, strict=True))
+    for response, index, _, _ in picks:
+        if not 0 <= index < response.n_secrets:
+            raise ProtocolError(f"pick index {index} out of range")
+    shared = _powmods([(response.a, r) for response, _, r, _ in picks], params.p)
+    secrets = []
+    for (response, index, _, binding), element in zip(picks, shared):
+        masked = response.masks[index]
+        pad = kdf_pad(params, element, _index_binding(binding, index), len(masked))
+        secrets.append(bytes(x ^ y for x, y in zip(pad, masked)))
+    return tuple(secrets)
 
 
 def _index_binding(binding: bytes, index: int) -> bytes:

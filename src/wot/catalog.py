@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CatalogError
@@ -128,6 +129,11 @@ class Manifest:
             raise CatalogError(f"unsupported key length {self.key_bits}")
         if not self.entries:
             raise CatalogError("manifest has no entries")
+        index = {}
+        for i, e in enumerate(self.entries):
+            if index.setdefault(e.id, i) != i:
+                raise CatalogError(f"duplicate item id {e.id!r}")
+        object.__setattr__(self, "_index", index)
         if self.total_weight >= MAX_TOTAL_WEIGHT:
             raise CatalogError("total weight overflows the flat index space")
 
@@ -135,23 +141,23 @@ class Manifest:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         return tuple(e.weight for e in self.entries)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.entries)
 
     @property
     def total_weight(self) -> int:
-        return sum(e.weight for e in self.entries)
+        return sum(self.weights)
 
     def index_of(self, item_id: str) -> int:
-        for i, e in enumerate(self.entries):
-            if e.id == item_id:
-                return i
-        raise CatalogError(f"unknown item id {item_id!r}")
+        try:
+            return self._index[item_id]
+        except KeyError:
+            raise CatalogError(f"unknown item id {item_id!r}") from None
 
     def to_text(self) -> str:
         lines = [

@@ -268,6 +268,8 @@ def _encode_payload(msg: Message) -> tuple[int, bytes]:
         if len(mask_lens) > 1:
             raise FrameError("responses disagree on mask length")
         mask_len = mask_lens.pop() if mask_lens else 0
+        if n and not mask_len:  # read_frame refuses zero-width masks too
+            raise FrameError("payload does not match its record count")
         out = bytearray(_pack("!IIHH", len(msg.responses), n, msg.elem_len, mask_len))
         for resp in msg.responses:
             out += resp.a.to_bytes(msg.elem_len, "big")

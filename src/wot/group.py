@@ -40,6 +40,18 @@ steer its timing, and a 2048-bit modexp costs about a tenth of builtin
 ``pow``. Moduli under 128 bits (where the foreign call costs more than
 the work; toy groups take ``x^q`` there) and even moduli use ``pow``.
 
+A transfer batch's exponentiations are independent, so ``_powmods`` takes
+them all at once and maps ``_powmod`` over one process-wide thread pool
+with a worker per CPU the process may use; ctypes releases the GIL for the
+ladder, so the workers run in parallel. Every server session shares that
+pool, so concurrent sessions queue their work instead of oversubscribing
+the CPUs. The pool starts on the first batch that needs it, never during
+setup. A batch runs inline on the calling thread when it has fewer than two
+jobs, when the process may use one CPU, or when the modulus is under 128
+bits. Pool threads run ``_powmod`` and nothing else: every public function
+runs on the thread of the session that called it, so whatever watches a
+session per thread sees all of its calls.
+
 Wire encoding of an element is a fixed-width big-endian integer of
 ``ceil(bitlen(p) / 8)`` bytes. Pads are derived as
 ``SHA-256("WOT-PAD" || binding || element || counter)`` blocks truncated
@@ -52,7 +64,9 @@ import contextlib
 import ctypes
 import hashlib
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,6 +208,35 @@ def _powmod(base: int, exp: int, mod: int) -> int:
         _checked(lib.BN_mod_exp_mont_consttime(result, *args, ctx, None), "modexp")
         _checked(lib.BN_bn2binpad(result, out, width) == width, "BN_bn2binpad")
     return int.from_bytes(out.raw, "big")
+
+
+@lru_cache(maxsize=None)
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+_pool = None  # the ThreadPoolExecutor, made by the first batch that needs it
+_pool_lock = threading.Lock()
+
+
+def _powmods(jobs: list[tuple[int, int]], mod: int) -> list[int]:
+    """``[_powmod(base, exp, mod) for base, exp in jobs]``, spread over the CPUs.
+
+    See the module docstring for the pool and the batches that run inline.
+    """
+    global _pool
+    if len(jobs) < 2 or _cpus() < 2 or mod.bit_length() < _FFI_MIN_BITS:
+        return [_powmod(base, exp, mod) for base, exp in jobs]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # kept out of cold start
+            _pool = ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="wot-powmod")
+        pool = _pool
+    return list(pool.map(lambda job: _powmod(job[0], job[1], mod), jobs))
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -94,8 +94,7 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> Priv
     def observe(picks) -> list[int]:
         histogram = [0] * len(subgroup)
         for _ in range(exp.sessions):
-            for pick in picks:
-                y, _ = ot_query(params, n_flat, pick, rng)
+            for y in ot_query(params, n_flat, picks, rng)[0]:
                 histogram[index_of[y]] += 1
         return histogram
 

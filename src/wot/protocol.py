@@ -40,7 +40,12 @@ refused message earns the peer an ERROR frame and ends the session.
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
 every query ``y`` and ``run_session_receiver`` every reply's ``a``, and
-``wot.base_ot`` relies on those two passes.
+``wot.base_ot`` relies on those two passes. Each batch step comes after
+its pass: the seller's ``respond_powers``, which runs the batch's
+exponentiations together, follows the check of every ``y``, and the
+buyer's ``ot_recover`` follows the check of every ``a``. The buyer's
+``ot_query`` raises its batch's powers of ``g`` and ``h`` before it sends
+the query.
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import symcrypto
-from .base_ot import batch_binding, ot_query, ot_recover, ot_respond, pick_binding
+from .base_ot import (batch_binding, ot_query, ot_recover, ot_respond, pick_binding,
+                      respond_powers)
 from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
                       MODE_P2, MODES, ciphertext_digest)
 from .errors import (CatalogError, CryptoError, AuthenticationError, GrammarError,
@@ -234,13 +240,8 @@ def run_session_receiver(channel, item_ids, params: GroupParams | None = None,
     flat_map = bundle.flat_map
 
     total = flat_map.total
-    queries = []
-    exponents = []
-    for pick in plan.picks:
-        y, r = ot_query(params, total, pick, rng, counters)
-        queries.append(y)
-        exponents.append(r)
-    channel.send(OtBatchQuery(elem_len=params.element_len, queries=tuple(queries)))
+    queries, exponents = ot_query(params, total, plan.picks, rng, counters)
+    channel.send(OtBatchQuery(elem_len=params.element_len, queries=queries))
 
     resp = _expect(channel.recv(), OtBatchResp)
     if len(resp.responses) != len(plan.picks):
@@ -252,10 +253,9 @@ def run_session_receiver(channel, item_ids, params: GroupParams | None = None,
             raise ProtocolError("invalid response element")
 
     sid = batch_binding(params, queries)
-    recovered: dict[int, bytes] = {}
-    for ordinal, (pick, r) in enumerate(zip(plan.picks, exponents)):
-        recovered[pick] = ot_recover(params, resp.responses[ordinal], pick, r,
-                                     pick_binding(sid, ordinal))
+    bindings = [pick_binding(sid, ordinal) for ordinal in range(len(plan.picks))]
+    recovered = dict(zip(plan.picks, ot_recover(params, resp.responses, plan.picks,
+                                                exponents, bindings)))
 
     items = []
     for i in plan.choice_indices:
@@ -372,12 +372,11 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
                     "invalid query: not a subgroup member")
 
     sid = batch_binding(params, query.queries)
-    responses = []
-    for ordinal, y in enumerate(query.queries):
-        responses.append(ot_respond(params, flat, y, pick_binding(sid, ordinal),
-                                    rng, counters))
+    powers = respond_powers(params, query.queries, rng, counters)
+    responses = tuple(ot_respond(params, flat, pick, pick_binding(sid, ordinal))
+                      for ordinal, pick in enumerate(powers))
     billed = len(query.queries)
-    channel.send(OtBatchResp(elem_len=params.element_len, responses=tuple(responses)))
+    channel.send(OtBatchResp(elem_len=params.element_len, responses=responses))
     channel.send(Done(billed=billed))
     return billed
 

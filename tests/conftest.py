@@ -59,12 +59,15 @@ def billed_lines(caplog, count=0, timeout=10.0):
         time.sleep(0.01)
 
 
-def count_calls(monkeypatch, function):
-    """Record the arguments of every call to ``function``, wherever a ``wot`` module bound it."""
+def count_calls(monkeypatch, function, record=None):
+    """Record every call to ``function``, wherever a ``wot`` module bound it.
+
+    A call is recorded as its arguments, or as what ``record()`` returns.
+    """
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(record() if record else args)
         return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from wot.auditor import VERDICT_OK, VERDICT_UNSAFE, audit_prices
-from wot.base_ot import ot_query, ot_recover, ot_respond
+from wot.base_ot import ot_query, ot_recover, ot_respond, respond_powers
 from wot.catalog import Catalog, Item, total_price
 from wot.errors import HarnessError, WotError
 from wot.framing import OtBatchResp
@@ -214,16 +214,17 @@ def test_criterion_7_base_transfer():
     for n in range(1, 9):
         secrets = [rng.randbytes(16) for _ in range(n)]
         for index in range(n):
-            query, r = ot_query(params, n, index, rng)
-            response = ot_respond(params, secrets, query, b"acc", rng)
-            assert ot_recover(params, response, index, r, b"acc") == secrets[index]
+            (query,), (r,) = ot_query(params, n, [index], rng)
+            (powers,) = respond_powers(params, [query], rng)
+            response = ot_respond(params, secrets, powers, b"acc")
+            assert ot_recover(params, [response], [index], [r], [b"acc"]) == (secrets[index],)
 
     # (b) query-element distributions for two fixed choices: TV < 0.02 at 1e5
     trials = 100_000
     hist = {0: Counter(), 5: Counter()}
     for _ in range(trials):
         for index in (0, 5):
-            q, _ = ot_query(params, 6, index, rng)
+            (q,), _ = ot_query(params, 6, [index], rng)
             hist[index][q] += 1
     support = set(hist[0]) | set(hist[5])
     tv = 0.5 * sum(abs(hist[0][y] - hist[5][y]) / trials for y in support)
@@ -235,10 +236,11 @@ def test_criterion_7_base_transfer():
     secrets = [bytes([tag]) * 16 for tag in range(4)]
     for _ in range(adversarial):
         index = rng.randrange(4)
-        query, r = ot_query(params, 4, index, rng)
-        response = ot_respond(params, secrets, query, b"adv", rng)
+        (query,), (r,) = ot_query(params, 4, [index], rng)
+        (powers,) = respond_powers(params, [query], rng)
+        response = ot_respond(params, secrets, powers, b"adv")
         wrong = (index + 1 + rng.randrange(3)) % 4
-        if ot_recover(params, response, wrong, r, b"adv") == secrets[wrong]:
+        if ot_recover(params, [response], [wrong], [r], [b"adv"]) == (secrets[wrong],):
             cross += 1
     _report(7, cross == 0,
             f"base transfer: exhaustive recovery N<=8, query TV={tv:.4f} < 0.02, "
@@ -248,14 +250,13 @@ def test_criterion_7_base_transfer():
 def test_criterion_8_wire_protocol(tmp_path, caplog):
     """Codec fuzz, grammar fuzz, and the publish -> serve -> buy demo."""
     # codec round trips over random messages
-    from wot.framing import encode_frame
-    from test_framing import decode, message_strategy
+    from test_framing import check_round_trip, message_strategy
     from hypothesis import given, settings
 
     @given(message_strategy())
     @settings(max_examples=300, deadline=None)
     def codec_roundtrip(msg):
-        assert decode(encode_frame(msg)) == msg
+        check_round_trip(msg)
 
     codec_roundtrip()
 

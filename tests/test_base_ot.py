@@ -3,10 +3,12 @@ import random
 import pytest
 
 from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
-                         pick_binding, query_element)
+                         pick_binding, respond_powers)
 from wot.errors import ProtocolError
+from wot.framing import OtBatchQuery, OtBatchResp, encode_frame
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
 from wot.instrument import Counters
+from wot.protocol import SenderSecrets, run_session_sender
 
 
 def reference_respond(params, secrets, y, binding, rng):
@@ -21,10 +23,37 @@ def reference_respond(params, secrets, y, binding, rng):
     return OtResponse(a=pow(params.g, k, p), masks=tuple(masks))
 
 
+class Scripted:
+    """An ``rng`` whose ``getrandbits`` returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def getrandbits(self, bits):
+        return next(self.values)
+
+
+def query(params, n, index, rng, counters=None):
+    """One pick's query element and secret exponent."""
+    (y,), (r,) = ot_query(params, n, [index], rng, counters)
+    return y, r
+
+
+def respond(params, secrets, y, binding, rng, counters=None):
+    """One pick's response: its batch of powers, then its masks."""
+    (powers,) = respond_powers(params, [y], rng, counters)
+    return ot_respond(params, secrets, powers, binding)
+
+
+def recover(params, response, index, r, binding):
+    (secret,) = ot_recover(params, [response], [index], [r], [binding])
+    return secret
+
+
 def run_single(params, secrets, index, rng, binding=b"t"):
-    query, r = ot_query(params, len(secrets), index, rng)
-    response = ot_respond(params, secrets, query, binding, rng)
-    return ot_recover(params, response, index, r, binding), response, query, r
+    y, r = query(params, len(secrets), index, rng)
+    response = respond(params, secrets, y, binding, rng)
+    return recover(params, response, index, r, binding), response, y, r
 
 
 class TestQuery:
@@ -32,17 +61,17 @@ class TestQuery:
         # On (p=23, q=11, g=2) with a hand-picked h = g^3 = 8:
         # index 2, exponent 4 -> y = 2^4 * 8^2 mod 23 = 12.
         params = GroupParams(p=23, q=11, g=2, h=8, param_id="toy-frozen")
-        assert query_element(params, index=2, r=4) == 12
+        assert ot_query(params, 6, [2], Scripted([4])) == ((12,), (4,))
 
     def test_index_zero_is_pure_generator_power(self, p23, rng):
-        y, r = ot_query(p23, 6, 0, rng)
+        y, r = query(p23, 6, 0, rng)
         assert y == pow(p23.g, r, p23.p)
 
     def test_out_of_range(self, p23, rng):
         with pytest.raises(ProtocolError):
-            ot_query(p23, 6, 6, rng)
+            ot_query(p23, 6, [6], rng)
         with pytest.raises(ProtocolError):
-            ot_query(p23, 6, -1, rng)
+            ot_query(p23, 6, [1, -1], rng)
 
     def test_query_histograms_indistinguishable(self, p23):
         """Fixed vs varying index: the query element looks the same."""
@@ -51,8 +80,8 @@ class TestQuery:
         hist_fixed: dict[int, int] = {}
         hist_varying: dict[int, int] = {}
         for i in range(trials):
-            q1, _ = ot_query(p23, 6, 3, rng)
-            q2, _ = ot_query(p23, 6, i % 6, rng)
+            q1, _ = query(p23, 6, 3, rng)
+            q2, _ = query(p23, 6, i % 6, rng)
             hist_fixed[q1] = hist_fixed.get(q1, 0) + 1
             hist_varying[q2] = hist_varying.get(q2, 0) + 1
         support = sorted(hist_fixed) + sorted(set(hist_varying) - set(hist_fixed))
@@ -63,26 +92,68 @@ class TestQuery:
 
 @pytest.mark.parametrize("preset", ["p23", "p47", "modp-2048"])
 class TestTextbookEquivalence:
-    """The libcrypto kernel ``group._powmod`` gives exactly what plain ``pow`` gives."""
+    """The batch kernel ``group._powmods`` gives exactly what plain ``pow`` gives."""
 
     def test_respond(self, preset):
         params = setup_params(preset)
         rng = random.Random(preset)
         for n in range(1, 17):
             secrets = [rng.randbytes(16) for _ in range(n)]
-            query, _ = ot_query(params, n, rng.randrange(n), rng)
+            y, _ = query(params, n, rng.randrange(n), rng)
             seed = rng.getrandbits(64)
-            got = ot_respond(params, secrets, query, b"bind", random.Random(seed))
-            want = reference_respond(params, secrets, query, b"bind", random.Random(seed))
+            got = respond(params, secrets, y, b"bind", random.Random(seed))
+            want = reference_respond(params, secrets, y, b"bind", random.Random(seed))
             assert got == want, n
 
     def test_query_element(self, preset):
         params = setup_params(preset)
         rng = random.Random(preset)
-        for index in range(16):
-            for r in (0, params.q - 1, rand_exponent(params, rng)):
-                assert query_element(params, index, r) == \
-                    pow(params.g, r, params.p) * pow(params.h, index, params.p) % params.p
+        picks = [(index, r) for index in range(16)
+                 for r in (0, params.q - 1, rand_exponent(params, rng))]
+        queries, exponents = ot_query(params, 16, [index for index, _ in picks],
+                                      Scripted([r for _, r in picks]))
+        assert exponents == tuple(r for _, r in picks)
+        assert queries == tuple(
+            pow(params.g, r, params.p) * pow(params.h, index, params.p) % params.p
+            for index, r in picks)
+
+
+def test_batch_frames_match_per_pick_reference():
+    """A seeded batch puts the textbook per-pick bytes on the wire, both ways."""
+    params = setup_params("modp-2048")
+    p = params.p
+    rng = random.Random("frames")
+    secrets = tuple(rng.randbytes(16) for _ in range(5))
+    picks = [3, 0, 4, 1, 1]
+    seed = rng.getrandbits(64)
+
+    queries, _ = ot_query(params, len(secrets), picks, random.Random(seed))
+    reference_rng = random.Random(seed)
+    want_queries = []
+    for index in picks:
+        r = rand_exponent(params, reference_rng)
+        want_queries.append(pow(params.g, r, p) * pow(params.h, index, p) % p)
+    query_msg = OtBatchQuery(elem_len=params.element_len, queries=queries)
+    assert encode_frame(query_msg) == encode_frame(
+        OtBatchQuery(elem_len=params.element_len, queries=tuple(want_queries)))
+
+    class Recorder:
+        def __init__(self):
+            self.sent = []
+
+        def send(self, msg):
+            self.sent.append(msg)
+
+    channel = Recorder()
+    run_session_sender(SenderSecrets(mode="p2", flat_secrets=secrets), query_msg, channel,
+                       params, random.Random(seed))
+    sid = batch_binding(params, queries)
+    reference_rng = random.Random(seed)
+    want = OtBatchResp(elem_len=params.element_len, responses=tuple(
+        reference_respond(params, secrets, y, pick_binding(sid, ordinal), reference_rng)
+        for ordinal, y in enumerate(queries)))
+    assert isinstance(channel.sent[0], OtBatchResp)
+    assert encode_frame(channel.sent[0]) == encode_frame(want)
 
 
 class TestRespondRecover:
@@ -103,9 +174,10 @@ class TestRespondRecover:
         assert got == b"\x00" * 16
 
     def test_empty_secret_list_rejected(self, p23, rng):
-        query, _ = ot_query(p23, 1, 0, rng)
+        y, _ = query(p23, 1, 0, rng)
+        (powers,) = respond_powers(p23, [y], rng)
         with pytest.raises(ProtocolError):
-            ot_respond(p23, [], query, b"t", rng)
+            ot_respond(p23, [], powers, b"t")
 
     def test_exhaustive_recovery_small_spaces(self, p23, rng):
         for n in range(1, 9):
@@ -126,19 +198,22 @@ class TestRespondRecover:
         secrets = [bytes([i]) * 16 for i in range(6)]
         for _ in range(trials):
             index = rng.randrange(6)
-            query, r = ot_query(p23, 6, index, rng)
-            response = ot_respond(p23, secrets, query, b"t", rng)
+            y, r = query(p23, 6, index, rng)
+            response = respond(p23, secrets, y, b"t", rng)
             wrong = (index + 1 + rng.randrange(5)) % 6
-            got = ot_recover(p23, response, wrong, r, b"t")
+            got = recover(p23, response, wrong, r, b"t")
             assert got != secrets[wrong]
 
     def test_fresh_exponents_counted(self, p23, rng):
         counters = Counters()
         secrets = [rng.randbytes(16) for _ in range(6)]
-        query, r = ot_query(p23, 6, 1, rng, counters)
-        ot_respond(p23, secrets, query, b"t", rng, counters)
+        y, r = query(p23, 6, 1, rng, counters)
+        respond(p23, secrets, y, b"t", rng, counters)
         assert counters.query_exponents == 1
         assert counters.response_exponents == 1  # one k per pick, whatever N is
+        queries, _ = ot_query(p23, 6, [0, 2, 5], rng, counters)
+        respond_powers(p23, queries, rng, counters)
+        assert (counters.query_exponents, counters.response_exponents) == (4, 4)
 
 
 @pytest.mark.parametrize("preset, n", [("p47", 12), ("modp-2048", 5)])
@@ -154,12 +229,12 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n):
     rng = random.Random(f"extract-{preset}")
     secrets = [rng.randbytes(16) for _ in range(n)]
     c = rng.randrange(n)
-    query, r = ot_query(params, n, c, rng)
+    y, r = query(params, n, c, rng)
     seed = rng.getrandbits(64)
-    response = ot_respond(params, secrets, query, b"bind", random.Random(seed))
+    response = respond(params, secrets, y, b"bind", random.Random(seed))
     k = rand_exponent(params, random.Random(seed), include_zero=False)  # the sender's draw
     assert response.a == pow(params.g, k, p)
-    elements = [pow(query * pow(params.h, -i, p) % p, k, p) for i in range(n)]
+    elements = [pow(y * pow(params.h, -i, p) % p, k, p) for i in range(n)]
     for i, (element, masked) in enumerate(zip(elements, response.masks)):
         pad = kdf_pad(params, element, b"bind" + i.to_bytes(4, "big"), 16)
         assert bytes(x ^ y for x, y in zip(pad, masked)) == secrets[i]
@@ -171,10 +246,10 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n):
                 assert pow(ratio, pow(j - i, -1, q), p) == h_k
     opened = pow(response.a, r, p)
     assert [i for i in range(n) if elements[i] == opened] == [c]
-    assert ot_recover(params, response, c, r, b"bind") == secrets[c]
+    assert recover(params, response, c, r, b"bind") == secrets[c]
     for i in range(n):
         if i != c:
-            assert ot_recover(params, response, i, r, b"bind") != secrets[i]
+            assert recover(params, response, i, r, b"bind") != secrets[i]
 
 
 class TestBatch:
@@ -185,8 +260,7 @@ class TestBatch:
         hists = {"a": {}, "b": {}}
         for _ in range(trials):
             for name, picks in (("a", [2, 3, 4]), ("b", [0, 1, 5])):
-                for pick in picks:  # the sender's view of a batch: its queries
-                    y = ot_query(p23, 6, pick, rng)[0]
+                for y in ot_query(p23, 6, picks, rng)[0]:  # the sender's view of a batch
                     hists[name][y] = hists[name].get(y, 0) + 1
         from scipy.stats import chi2_contingency
         support = sorted(set(hists["a"]) | set(hists["b"]))
@@ -195,7 +269,7 @@ class TestBatch:
         assert chi2_contingency(table).pvalue > 0.01
 
     def test_pick_bindings_differ_per_ordinal(self, p23, rng):
-        queries = [ot_query(p23, 6, i, rng)[0] for i in (1, 2)]
+        queries, _ = ot_query(p23, 6, (1, 2), rng)
         sid = batch_binding(p23, queries)
         assert pick_binding(sid, 0) != pick_binding(sid, 1)
         assert batch_binding(p23, queries) == sid  # deterministic in the batch

@@ -64,7 +64,7 @@ def message_strategy():
             queries=st.lists(st.integers(min_value=0, max_value=(1 << (8 * elem_len)) - 1),
                              min_size=0, max_size=8).map(tuple),
         ))
-    batch_resp = st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 4)).flatmap(
+    batch_resp = st.tuples(st.integers(1, 3), st.integers(0, 24), st.integers(1, 4)).flatmap(
         lambda dims: st.builds(
             OtBatchResp,
             elem_len=st.just(dims[0]),
@@ -122,10 +122,27 @@ def test_forged_record_counts_refused():
             decode(frame)
 
 
+def check_round_trip(msg):
+    """``msg`` decodes back to itself, or, with zero-width masks, both sides refuse it."""
+    zero_width = isinstance(msg, OtBatchResp) and any(
+        masked == b"" for resp in msg.responses for masked in resp.masks)
+    if not zero_width:
+        assert decode(encode_frame(msg)) == msg
+        return
+    with pytest.raises(FrameError, match="record count"):
+        encode_frame(msg)
+    payload = (bytes([0x06]) + len(msg.responses).to_bytes(4, "big")
+               + msg.responses[0].n_secrets.to_bytes(4, "big")
+               + msg.elem_len.to_bytes(2, "big") + bytes(2)
+               + b"".join(resp.a.to_bytes(msg.elem_len, "big") for resp in msg.responses))
+    with pytest.raises(FrameError, match="record count"):
+        decode(len(payload).to_bytes(4, "big") + payload)
+
+
 @given(message_strategy())
 @settings(max_examples=300, deadline=None)
 def test_round_trip_property(msg):
-    assert decode(encode_frame(msg)) == msg
+    check_round_trip(msg)
 
 
 def test_oversize_length_rejected_before_allocation():
@@ -199,6 +216,17 @@ def test_manifest_rejects_traversal_item_id():
         ManifestEntry(id="../evil", weight=1, ct_len=1, digest_hex="0" * 64)
     with pytest.raises(Exception, match="malformed digest"):
         ManifestEntry(id="ok", weight=1, ct_len=1, digest_hex="ZZ" * 32)
+
+
+def test_manifest_rejects_duplicate_item_ids():
+    """Two entries named ``x`` would make ``x`` name two ciphertexts."""
+    entry = ManifestEntry(id="xa", weight=1, ct_len=1, digest_hex="0" * 64)
+    raw = encode_manifest(Manifest(mode="p2", group_id="p23", key_bits=128, entries=(
+        entry, ManifestEntry(id="xb", weight=2, ct_len=1, digest_hex="0" * 64))))
+    with pytest.raises(FrameError, match="duplicate item id 'xa'"):
+        decode_manifest(raw.replace(b"\x00\x02xb", b"\x00\x02xa"))
+    with pytest.raises(CatalogError, match="duplicate item id"):
+        Manifest(mode="p2", group_id="p23", key_bits=128, entries=(entry, entry))
 
 
 def test_out_of_range_fields_refused():

@@ -9,7 +9,7 @@ from wot import group
 from wot.errors import GroupError
 from wot.group import (GroupParams, derive_h, is_member, kdf_pad, make_params,
                        rand_exponent, setup_params, _is_probable_prime, _jacobi,
-                       _pocklington_prime, _powmod)
+                       _pocklington_prime, _powmod, _powmods)
 
 
 def member_oracle(params, x):
@@ -222,6 +222,29 @@ class TestKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [[w] * 6 for w in want]
+
+    def test_powmods_matches_pow_from_four_threads(self):
+        """Batches of 1, 2, 3 and 12 jobs on the shared pool, four callers at once."""
+        params = setup_params("modp-2048")
+        p, q = params.p, params.q
+        rng = random.Random(12)
+        exponents = [0, 1, q - 1] + [rand_exponent(params, rng) for _ in range(15)]
+        jobs = [(rng.randrange(p), e) for e in exponents]
+        want = [pow(base, e, p) for base, e in jobs]
+        batches = [(0, 1), (1, 3), (3, 6), (6, 18)]
+        got = [[] for _ in range(4)]
+
+        def caller(slot):
+            for _ in range(3):
+                got[slot].append([_powmods(jobs[a:b], p) for a, b in batches])
+
+        threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[[want[a:b] for a, b in batches]] * 3] * 4
 
     def test_modp_2048_never_reaches_builtin_pow(self, monkeypatch):
         params = setup_params("modp-2048")

@@ -1,6 +1,8 @@
 import random
 import socket
 import threading
+import concurrent.futures
+import time
 
 import pytest
 
@@ -8,13 +10,14 @@ from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, ItemAuthenticationError,
                         ProtocolError, WotError)
-from wot.base_ot import OtResponse, ot_query
+from wot import group
+from wot.base_ot import OtResponse, ot_query, ot_recover, ot_respond
 from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done,
                          ManifestMsg, OtBatchQuery, OtBatchResp, encode_frame,
                          encode_manifest)
 from wot.group import is_member, kdf_pad, make_params, setup_params
 from wot.instrument import Counters
-from wot.net import SocketChannel, run_local_session
+from wot.net import SocketChannel, buy, run_local_session, start_server
 from wot.protocol import (PublishedBundle, item_context, plan_for_indices,
                           publish, load_bundle, load_secrets, run_session_receiver,
                           run_session_sender, save_bundle, serve_session)
@@ -135,6 +138,20 @@ class TestSelectionPlan:
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
         with pytest.raises(CatalogError, match="unknown item"):
             buy_over(channel_pair, bundle, secrets, p23, {"nope"}, rng)
+
+    def test_lookups_and_plans_are_linear(self):
+        """10,000 id lookups, and a plan of all 10,000 items, each well under a second."""
+        n = 10_000
+        entries = tuple(ManifestEntry(id=f"i{i}", weight=1 + i % 3, ct_len=1,
+                                      digest_hex="0" * 64) for i in range(n))
+        manifest = Manifest(mode="p2", group_id="p23", key_bits=128, entries=entries)
+        start = time.perf_counter()
+        assert [manifest.index_of(f"i{i}") for i in range(n)] == list(range(n))
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        plan = plan_for_indices(manifest, range(n))
+        assert time.perf_counter() - start < 1.0
+        assert plan.total == manifest.total_weight == len(plan.picks)
 
 
 class TestSessions:
@@ -299,6 +316,69 @@ class TestSessions:
         worker.join(timeout=5)
         assert pads == []
 
+    def test_pool_threads_run_no_public_function(self, monkeypatch):
+        """Pads, checks, responses and recoveries stay on the thread of the side that made them."""
+        params = setup_params("modp-2048")
+        rng = random.Random(2049)
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params, rng=rng)
+        plan = plan_for_indices(bundle.manifest, {0, 2})
+        threads = {fn.__name__: count_calls(monkeypatch, fn, record=threading.current_thread)
+                   for fn in (kdf_pad, is_member, ot_respond, ot_recover)}
+        run_local_session(bundle, secrets, plan, params, receiver_rng=rng, sender_rng=rng)
+        buyer = threading.current_thread()
+        assert set(threads["ot_recover"]) == {buyer}
+        (seller,) = set(threads["ot_respond"])
+        assert seller is not buyer and not seller.name.startswith("wot-powmod")
+        assert set(threads["kdf_pad"]) == set(threads["is_member"]) == {buyer, seller}
+
+    def test_toy_group_session_starts_no_pool(self, p23, rng, monkeypatch):
+        monkeypatch.setattr(group, "_pool", None)
+        cat = make_catalog([1, 2, 3, 7], rng)
+        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        plan = plan_for_indices(bundle.manifest, {1, 3})
+        run_local_session(bundle, secrets, plan, p23, receiver_rng=rng, sender_rng=rng)
+        assert group._pool is None
+
+    def test_concurrent_buys_share_one_cpu_sized_pool(self, tmp_path, monkeypatch):
+        params = setup_params("modp-2048")
+        rng = random.Random(2050)
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params, rng=rng)
+        pools = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def recorded_pool(*args, **kwargs):
+            pools.append(real_pool(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(group, "_pool", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded_pool)
+        srv = start_server(bundle, secrets, params)
+        errors = []
+
+        def one(buyer):
+            try:
+                buy("127.0.0.1", srv.port, ["item01", "item02"], tmp_path / buyer)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        buyers = [threading.Thread(target=one, args=(f"buyer{i}",)) for i in range(4)]
+        before = set(threading.enumerate())  # an earlier test's pool stays out of the count
+        try:
+            for t in buyers:
+                t.start()
+            for t in buyers:
+                t.join(timeout=60)
+            workers = [t for t in set(threading.enumerate()) - before
+                       if t.name.startswith("wot-powmod")]
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            for pool in pools:
+                pool.shutdown()
+        assert not errors and not any(t.is_alive() for t in buyers)
+        assert len(pools) == (group._cpus() > 1)  # one pool, made by the first batch
+        assert len(workers) <= group._cpus()
+
     def test_each_peer_element_checked_once(self, p23, rng, monkeypatch):
         """T picks: T query checks by the seller, T response checks by the buyer."""
         cat = make_catalog([1, 2, 3, 7], rng)
@@ -321,11 +401,11 @@ class TestSessions:
             tx_chan.recv()  # CT_REQ for the one item
             tx_chan.send(CtData(item_id="item00", ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
-            from wot.base_ot import batch_binding, ot_respond, pick_binding
+            from wot.base_ot import batch_binding, ot_respond, pick_binding, respond_powers
             sid = batch_binding(p23, msg.queries)
             responses = tuple(
-                ot_respond(p23, secrets.flat_secrets, y, pick_binding(sid, t), rng)
-                for t, y in enumerate(msg.queries))
+                ot_respond(p23, secrets.flat_secrets, powers, pick_binding(sid, t))
+                for t, powers in enumerate(respond_powers(p23, msg.queries, rng)))
             tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=responses))
             tx_chan.send(Done(billed=99))
 
