@@ -11,7 +11,7 @@ from .errors import (AuthenticationError, AuditError, CatalogError, CryptoError,
                      FrameError, GrammarError, GroupError, HarnessError,
                      ItemAuthenticationError, ProtocolError, ReductionError,
                      RemoteError, WotError)
-from .group import GroupParams, make_params, setup_params
+from .group import GroupParams, setup_params
 from .instrument import Counters
 from .net import run_local_session
 from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderSecrets,
@@ -28,7 +28,7 @@ __all__ = [
     "ManifestEntry", "MODE_P1", "MODE_P2", "ProtocolError", "PublishedBundle",
     "PurchaseResult", "ReductionError", "ReductionReport", "RemoteError",
     "SelectionPlan", "SenderSecrets", "WotError", "approx_reduce",
-    "gcd_reduce", "load_bundle", "load_catalog", "load_secrets", "make_params",
-    "publish", "run_local_session", "run_session_receiver",
-    "run_session_sender", "save_bundle", "setup_params", "total_price",
+    "gcd_reduce", "load_bundle", "load_catalog", "load_secrets", "publish",
+    "run_local_session", "run_session_receiver", "run_session_sender",
+    "save_bundle", "setup_params", "total_price",
 ]

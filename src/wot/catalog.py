@@ -211,8 +211,12 @@ def load_catalog(path) -> Catalog:
     source = directory / MANIFEST_SOURCE
     if not source.is_file():
         raise CatalogError(f"missing manifest source {source}")
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{source}: not UTF-8 text (byte {exc.start})") from None
     items = []
-    for lineno, raw in enumerate(source.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

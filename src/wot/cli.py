@@ -42,10 +42,13 @@ def _int(text: str, what: str) -> int:
 
 def _read_prices(path: str) -> list[int]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise WotError(f"cannot read prices file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise WotError(f"cannot read prices file {path}: "
+                       f"not UTF-8 text (byte {exc.start})") from None
     return [_int(line, f"{path}:{lineno}") for lineno, line in enumerate(lines, start=1)
             if line and not line.startswith("#")]
 
@@ -78,9 +81,8 @@ def cmd_serve(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     bundle = load_bundle(args.bundle, verify=False)  # SenderServer verifies it
     secrets = load_secrets(args.bundle)
-    params = setup_params(bundle.manifest.group_id)
     host, port = _parse_host_port(args.listen)
-    server = net.SenderServer((host, port), bundle, secrets, params)
+    server = net.SenderServer((host, port), bundle, secrets)
     print(f"serving on {host}:{server.port}")
     try:
         server.serve_forever()

@@ -14,22 +14,14 @@ Presets:
 * ``p23`` / ``p47``: tiny test groups (orders 11 and 23) small enough
   for exhaustive statistics. Never use these for real transfers.
 
-Validation: ``setup_params`` and ``make_params`` check every parameter set
-when it is first used, presets included. ``q`` must pass Miller-Rabin with
-the twelve prime bases up to 37. ``p`` is then proved prime from ``q`` by
-Pocklington's criterion (Brillhart-Lehmer-Selfridge, 1975): when
-``q | p - 1`` and ``q * q > p``, ``p`` is prime iff some base ``a`` has
-``a^(p-1) = 1 (mod p)`` and ``gcd(a^((p-1)/q) - 1, p) = 1``, since every
-prime factor of ``p`` is then ``1 mod q``, hence above ``sqrt(p)``. For
-``modp-2048`` that is one modexp; groups with a small ``q``, or where no
-base settles it, fall back to Miller-Rabin on ``p``. The order of ``g`` is
-checked with the membership predicate below, Jacobi symbol included.
+Validation: presets are constants proved by tier-1 (``tests/test_group.py``:
+``p`` and ``q`` prime, ``p = 2q + 1``, ``g`` and ``h`` of order ``q``); a
+manifest can only name one, so ``setup_params`` proves nothing at run time.
 
-Membership: when ``p = 2q + 1`` (every preset), the order-``q`` subgroup
-is exactly the set of quadratic residues mod ``p``, so by Euler's
+Membership: every preset has ``p = 2q + 1``, so the order-``q`` subgroup
+is exactly the set of quadratic residues mod ``p``, and by Euler's
 criterion ``x^q mod p`` equals the Legendre symbol ``(x/p)``, which
-``is_member`` computes as a Jacobi symbol; the answer is exact. Groups
-with a larger cofactor, which ``make_params`` accepts, keep ``x^q == 1``.
+``is_member`` computes as a Jacobi symbol; the answer is exact.
 
 Arithmetic: every modexp and Jacobi symbol goes through one kernel,
 ``_powmod`` and ``_jacobi``, which call ``BN_mod_exp_mont_consttime`` and
@@ -37,8 +29,8 @@ Arithmetic: every modexp and Jacobi symbol goes through one kernel,
 with a fresh ``BN_CTX`` per call since server sessions run on threads.
 The ladder is constant-time, so the transfer's secret exponents do not
 steer its timing, and a 2048-bit modexp costs about a tenth of builtin
-``pow``. Moduli under 128 bits (where the foreign call costs more than
-the work; toy groups take ``x^q`` there) and even moduli use ``pow``.
+``pow``. Moduli under 128 bits, where the foreign call costs more than
+the work, use ``pow``; toy groups take ``x^q`` there.
 
 A transfer batch's exponentiations are independent, so ``_powmods`` takes
 them all at once and maps ``_powmod`` over one process-wide thread pool
@@ -63,7 +55,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
-import math
 import os
 import random
 import threading
@@ -92,46 +83,6 @@ _MODP_2048_HEX = (
     "15728E5A8AACAA68FFFFFFFFFFFFFFFF"
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the deterministic witness set for n < 3.3e24."""
-    if n < 2:
-        return False
-    for sp in _SMALL_PRIMES:
-        if n == sp:
-            return True
-        if n % sp == 0:
-            return False
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
-    d = (n - 1) >> r
-    for a in _SMALL_PRIMES:
-        x = _powmod(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = _powmod(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pocklington_prime(p: int, q: int) -> bool:
-    """Primality of ``p``, given that ``q`` is prime; see the module docstring."""
-    if (p - 1) % q or q * q <= p:
-        return _is_probable_prime(p)
-    cofactor = (p - 1) // q
-    for a in _SMALL_PRIMES:
-        x = _powmod(a, cofactor, p)
-        if _powmod(x, q, p) != 1:
-            return False  # Fermat witness
-        if math.gcd(x - 1, p) == 1:
-            return True
-    return _is_probable_prime(p)
-
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -150,8 +101,11 @@ class GroupParams:
 
 
 def is_member(params: GroupParams, x: int) -> bool:
-    """True iff ``x`` lies in [1, p-1] and in the order-``q`` subgroup."""
-    return 1 <= x <= params.p - 1 and _has_order_q(x, params.p, params.q)
+    """True iff ``x`` is in [1, p-1] and the order-``q`` subgroup; see the module docstring."""
+    p = params.p
+    if p.bit_length() < _FFI_MIN_BITS:  # toy presets
+        return 1 <= x < p and _powmod(x, params.q, p) == 1
+    return 1 <= x < p and _jacobi(x, p) == 1
 
 
 _LIBCRYPTO = "libcrypto.so.3"
@@ -199,8 +153,8 @@ def _bignums(*values: int):
 
 
 def _powmod(base: int, exp: int, mod: int) -> int:
-    """``pow(base, exp, mod)`` for ``exp >= 0``; see the module docstring."""
-    if mod.bit_length() < _FFI_MIN_BITS or not mod & 1:
+    """``pow(base, exp, mod)`` for ``exp >= 0`` and odd ``mod``; see the module docstring."""
+    if mod.bit_length() < _FFI_MIN_BITS:
         return pow(base, exp, mod)
     width = (mod.bit_length() + 7) // 8
     out = ctypes.create_string_buffer(width)
@@ -247,13 +201,6 @@ def _jacobi(a: int, n: int) -> int:
     return symbol
 
 
-def _has_order_q(x: int, p: int, q: int) -> bool:
-    """``x^q == 1 (mod p)``, for ``x`` in ``[1, p - 1]``; see the module docstring."""
-    if p == 2 * q + 1 and p.bit_length() >= _FFI_MIN_BITS:
-        return _jacobi(x, p) == 1
-    return _powmod(x, q, p) == 1
-
-
 def _hash_blocks(tag: bytes, parts: tuple[bytes, ...], out_len: int) -> bytes:
     out = bytearray()
     counter = 0
@@ -278,26 +225,6 @@ def derive_h(p: int, q: int, param_id: str) -> int:
         seed_counter += 1
 
 
-def _validated(p: int, q: int, g: int, param_id: str) -> GroupParams:
-    q_is_prime = _is_probable_prime(q)
-    if not (_pocklington_prime(p, q) if q_is_prime else _is_probable_prime(p)):
-        raise GroupError(f"modulus {p} is not prime")
-    if not q_is_prime:
-        raise GroupError(f"subgroup order {q} is not prime")
-    if (p - 1) % q != 0:
-        raise GroupError("subgroup order does not divide p - 1")
-    if g <= 1 or g >= p:
-        raise GroupError("trivial generator")
-    # is_member's predicate without a call to it, whose calls the tracer counts.
-    if not _has_order_q(g, p, q):
-        raise GroupError(f"generator {g} does not have order {q}")
-    h = derive_h(p, q, param_id)
-    params = GroupParams(p=p, q=q, g=g, h=h, param_id=param_id)
-    if not is_member(params, h):
-        raise GroupError("derived generator is not a subgroup member")
-    return params
-
-
 _PRESETS = {
     "p23": (23, 11, 2),
     "p47": (47, 23, 2),
@@ -307,17 +234,11 @@ _PRESETS = {
 
 @lru_cache(maxsize=None)
 def setup_params(preset: str = "modp-2048") -> GroupParams:
+    """The named preset with its hash-derived ``h``; tier-1 proves every preset."""
     if preset not in _PRESETS:
         raise GroupError(f"unknown group preset {preset!r}")
     p, q, g = _PRESETS[preset]
-    return _validated(p, q, g, preset)
-
-
-def make_params(p: int, q: int, g: int, param_id: str) -> GroupParams:
-    """Validate explicit (test) parameters and derive their ``h``."""
-    if param_id in _PRESETS:
-        raise GroupError(f"{param_id!r} is a reserved preset name")
-    return _validated(p, q, g, param_id)
+    return GroupParams(p=p, q=q, g=g, h=derive_h(p, q, preset), param_id=preset)
 
 
 def rand_exponent(params: GroupParams, rng=None, include_zero: bool = True) -> int:

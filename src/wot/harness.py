@@ -196,8 +196,8 @@ def correctness_oracle(catalog: Catalog, mode: str, params: GroupParams,
     sessions = 0
     for mask in range(1, 1 << catalog.n):
         choice = {i for i in range(catalog.n) if mask >> i & 1}
-        plan = plan_for_indices(bundle.manifest, choice)
-        result, billed, _ = run_local_session(bundle, secrets, plan, params,
+        ids = [catalog.items[i].id for i in choice]
+        result, billed, _ = run_local_session(bundle, secrets, ids,
                                               receiver_rng=rng, sender_rng=rng)
         sessions += 1
         expected = {catalog.items[i].id: catalog.items[i].payload for i in choice}
@@ -266,7 +266,7 @@ def complexity_check(catalog: Catalog, mode: str, params: GroupParams,
     plan = plan_for_indices(bundle.manifest, choice)
     rx = Counters()
     tx = Counters()
-    result, billed, log = run_local_session(bundle, secrets, plan, params,
+    result, billed, log = run_local_session(bundle, secrets, plan.item_ids,
                                             receiver_rng=rng, sender_rng=rng,
                                             receiver_counters=rx, sender_counters=tx)
     k = len(plan.choice_indices)

@@ -22,11 +22,11 @@ import socketserver
 import threading
 from pathlib import Path
 
-from .errors import ProtocolError
+from .errors import CatalogError, ProtocolError
 from .framing import ERR_INTERNAL, ErrorMsg, encode_frame, read_frame
-from .group import GroupParams
+from .group import setup_params
 from .instrument import Counters
-from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderSecrets,
+from .protocol import (PublishedBundle, PurchaseResult, SenderSecrets,
                        run_session_receiver, serve_session)
 
 log = logging.getLogger("wot.server")
@@ -95,14 +95,20 @@ class SenderServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, bundle: PublishedBundle, secrets: SenderSecrets,
-                 params: GroupParams):
+    def __init__(self, address, bundle: PublishedBundle, secrets: SenderSecrets):
+        manifest, flat = bundle.manifest, secrets.flat_secrets
+        # Set the group up here, not in a session, so every sale looks alike.
+        self.params = setup_params(manifest.group_id)
+        if secrets.mode != manifest.mode:
+            raise CatalogError(f"secrets are for mode {secrets.mode}, the bundle for {manifest.mode}")
+        if len(flat) != manifest.total_weight:
+            raise CatalogError(f"secrets hold {len(flat)} shares, "
+                               f"the bundle prices {manifest.total_weight}")
+        if any(len(share) != manifest.key_bits // 8 for share in flat):
+            raise CatalogError(f"secrets are not {manifest.key_bits}-bit keys, as the bundle's are")
         bundle.verify_digests()
-        if bundle.manifest.group_id != params.param_id:
-            raise ProtocolError("bundle and server group parameters disagree")
         self.bundle = bundle
         self.secrets = secrets
-        self.params = params
         self._ordinal = 0
         self._ordinal_lock = threading.Lock()
         super().__init__(address, _SessionHandler)
@@ -129,10 +135,10 @@ class SenderServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
 
-def start_server(bundle: PublishedBundle, secrets: SenderSecrets, params: GroupParams,
+def start_server(bundle: PublishedBundle, secrets: SenderSecrets,
                  host: str = "127.0.0.1", port: int = 0) -> SenderServer:
     """Bind and serve in a background thread; caller shuts it down."""
-    server = SenderServer((host, port), bundle, secrets, params)
+    server = SenderServer((host, port), bundle, secrets)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     log.info("serving on %s:%d", host, server.port)
@@ -174,8 +180,7 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
     return result
 
 
-def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
-                      plan: SelectionPlan, params: GroupParams,
+def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets, item_ids,
                       receiver_rng=None, sender_rng=None,
                       receiver_counters: Counters | None = None,
                       sender_counters: Counters | None = None,
@@ -183,9 +188,10 @@ def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
     """Run both sides in-process over a socket pair.
 
     Returns the buyer's result, the seller's billed count and the buyer's
-    message log. The buyer resolves ``plan.item_ids`` against the manifest
-    it receives, as ``buy`` does.
+    message log. The buyer resolves ``item_ids`` against the manifest it
+    receives, as ``buy`` does.
     """
+    params = setup_params(bundle.manifest.group_id)
     rx_sock, tx_sock = socket.socketpair()
     rx_chan, tx_chan = SocketChannel(rx_sock), SocketChannel(tx_sock)
     box: dict = {}
@@ -202,7 +208,7 @@ def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets,
     worker = threading.Thread(target=sender_side, daemon=True)
     worker.start()
     try:
-        result = run_session_receiver(rx_chan, plan.item_ids, params, rng=receiver_rng,
+        result = run_session_receiver(rx_chan, item_ids, rng=receiver_rng,
                                       counters=receiver_counters)
     except ProtocolError:
         # A receiver-side protocol error is usually fallout from a sender

@@ -212,13 +212,12 @@ def _refuse(channel, code: int, text: str, detail: str | None = None) -> NoRetur
     raise GrammarError(detail or text)
 
 
-def run_session_receiver(channel, item_ids, params: GroupParams | None = None,
-                         cache_dir=None, rng=None,
+def run_session_receiver(channel, item_ids, cache_dir=None, rng=None,
                          counters: Counters | None = None) -> PurchaseResult:
     """Drive the buyer's side of one session, HELLO to DONE, over an open channel.
 
-    ``params`` defaults to the preset the manifest names; an in-process
-    session passes the seller's, which may be a ``make_params`` group.
+    The group is the preset the manifest names; a manifest naming any
+    other group raises ``GroupError`` before the query is sent.
     ``cache_dir`` is a previously downloaded bundle directory.
     """
     channel.send(Hello())
@@ -226,9 +225,7 @@ def run_session_receiver(channel, item_ids, params: GroupParams | None = None,
     # Validate the request before any transfer-related traffic, and its
     # size from (N, T) alone before any work that grows with T.
     chosen = {manifest.index_of(item_id) for item_id in item_ids}
-    params = params or setup_params(manifest.group_id)
-    if manifest.group_id != params.param_id:
-        raise ProtocolError(f"bundle uses group {manifest.group_id!r}, not {params.param_id!r}")
+    params = setup_params(manifest.group_id)
     reply_len = _ot_batch_resp_len(sum(manifest.entries[i].weight for i in chosen),
                                    manifest.total_weight, params.element_len,
                                    manifest.key_bits // 8)

@@ -54,9 +54,8 @@ def test_criterion_1_correctness_exhaustive():
             bundle, secrets = publish(catalog, mode, params, rng=rng)
             for mask in range(1, 1 << catalog.n):
                 choice = {i for i in range(catalog.n) if mask >> i & 1}
-                plan = plan_for_indices(bundle.manifest, choice)
                 result, billed, _ = run_local_session(
-                    bundle, secrets, plan, params,
+                    bundle, secrets, [catalog.items[i].id for i in choice],
                     receiver_rng=rng, sender_rng=rng)
                 expected = {catalog.items[i].id: catalog.items[i].payload
                             for i in choice}
@@ -106,7 +105,7 @@ def test_criterion_3_no_extra_information():
     for mask in range(1, (1 << catalog.n) - 1):  # proper nonempty choice sets
         choice = {i for i in range(catalog.n) if mask >> i & 1}
         plan = plan_for_indices(bundle.manifest, choice)
-        result, _, _ = run_local_session(bundle, secrets, plan, params,
+        result, _, _ = run_local_session(bundle, secrets, plan.item_ids,
                                          receiver_rng=rng, sender_rng=rng)
         assert len(result.items) == len(choice)
         learned = [secrets.flat_secrets[f] for f in plan.picks]
@@ -280,7 +279,7 @@ def test_criterion_8_wire_protocol(tmp_path, caplog):
 
     bundle = load_bundle(bundle_dir)
     caplog.set_level(logging.INFO, logger="wot.server")
-    server = start_server(bundle, load_secrets(bundle_dir), setup_params("p23"))
+    server = start_server(bundle, load_secrets(bundle_dir))
     try:
         rng = random.Random(808)
         pool = [Hello(), Hello(version=1), Done(billed=1),

@@ -1,9 +1,11 @@
 import logging
 import os
+import shutil
 import socket
 import socketserver
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 import wot
 from wot.cli import main
 from wot.net import start_server
-from wot.group import setup_params
+from wot.framing import encode_manifest
 from wot.protocol import load_bundle, load_secrets
 
 from conftest import billed_lines, write_catalog_dir
@@ -77,6 +79,12 @@ def test_cli_import_loads_no_scipy_or_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from wot import *", namespace)  # raises on a name ``wot`` lacks
+    assert set(wot.__all__) <= namespace.keys()
+
+
 def test_privacy_test_needs_no_scipy():
     """Three sessions leave most of the 11 query elements unseen: empty columns."""
     argv = ["privacy-test", "--weights", "1,2,3", "--choice-a", "0,1",
@@ -109,7 +117,7 @@ def test_buy_against_running_server(catalog_dir, tmp_path, capsys):
     main(["publish", "--catalog", str(catalog_dir), "--mode", "p1",
           "--out", str(out), "--group", "p23"])
     bundle = load_bundle(out)
-    server = start_server(bundle, load_secrets(out), setup_params("p23"))
+    server = start_server(bundle, load_secrets(out))
     try:
         rc = main(["buy", "--server", f"127.0.0.1:{server.port}",
                    "--items", "paper-a,paper-c", "--out", str(tmp_path / "got")])
@@ -140,7 +148,7 @@ def test_buy_checks_out_before_paying(p23_bundle, tmp_path, capsys, caplog):
     caplog.set_level(logging.INFO, logger="wot.server")
     blocker = tmp_path / "a-file"
     blocker.write_bytes(b"")
-    server = start_server(load_bundle(p23_bundle), load_secrets(p23_bundle), setup_params("p23"))
+    server = start_server(load_bundle(p23_bundle), load_secrets(p23_bundle))
     try:
         rc = main(["buy", "--server", f"127.0.0.1:{server.port}",
                    "--items", "paper-a", "--out", str(blocker / "got")])
@@ -150,6 +158,38 @@ def test_buy_checks_out_before_paying(p23_bundle, tmp_path, capsys, caplog):
         server.server_close()
     assert rc == 2
     assert "Not a directory" in _one_error_line(capsys)
+
+
+@pytest.fixture
+def never_serves(monkeypatch):
+    """A ``wot serve`` that gets as far as serving fails the test instead of blocking it."""
+    def serve_forever(server, poll_interval=0.5):
+        server.server_close()
+        raise AssertionError("started serving")
+
+    monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
+
+
+def test_serve_refuses_secrets_of_another_bundle(tmp_path, never_serves, capsys):
+    """Each mismatch is refused by ``start_server`` (``tests/test_net.py::TestStartUp``)."""
+    for name, prices in (("a", (1, 2, 3)), ("b", (1, 2, 3, 4))):
+        catalog = write_catalog_dir(tmp_path / f"catalog-{name}", [
+            (f"item{i}", w, b"payload %d" % i) for i, w in enumerate(prices)])
+        assert main(["publish", "--catalog", str(catalog), "--out", str(tmp_path / name),
+                     "--mode", "p2", "--group", "p23"]) == 0
+    shutil.copy(tmp_path / "b" / "sender_secrets.bin", tmp_path / "a")
+    capsys.readouterr()
+    assert main(["serve", "--bundle", str(tmp_path / "a"), "--listen", "127.0.0.1:0"]) == 2
+    assert _one_error_line(capsys) == "error: secrets hold 10 shares, the bundle prices 6\n"
+
+
+def test_serve_refuses_unknown_group(p23_bundle, never_serves, capsys):
+    manifest = load_bundle(p23_bundle).manifest
+    (p23_bundle / "manifest.bin").write_bytes(
+        encode_manifest(replace(manifest, group_id="toy-g4")))
+    capsys.readouterr()
+    assert main(["serve", "--bundle", str(p23_bundle), "--listen", "127.0.0.1:0"]) == 2
+    assert _one_error_line(capsys) == "error: unknown group preset 'toy-g4'\n"
 
 
 def test_serve_on_busy_port_is_one_line(p23_bundle, capsys):
@@ -175,6 +215,17 @@ def test_serve_refuses_port_past_65535(p23_bundle, capsys):
     assert main(["serve", "--bundle", str(p23_bundle), "--listen", "127.0.0.1:99999"]) == 2
     assert _one_error_line(capsys) == \
         "error: expected HOST:PORT with a port up to 65535, got '127.0.0.1:99999'\n"
+
+
+def test_publish_non_utf8_catalog_is_one_line(catalog_dir, tmp_path, capsys):
+    source = catalog_dir / "items.tsv"
+    text = source.read_bytes()
+    source.write_bytes(text + b"# caf\xe9\n")
+    rc = main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
+               "--out", str(tmp_path / "bundle"), "--group", "p23"])
+    assert rc == 2
+    assert _one_error_line(capsys) == \
+        f"error: {source}: not UTF-8 text (byte {len(text) + 5})\n"
 
 
 def test_publish_to_unwritable_out_is_one_line(catalog_dir, tmp_path, capsys):
@@ -300,3 +351,8 @@ def test_bad_prices_file_is_one_line(command, tmp_path, capsys):
     assert main([command, "--prices", str(missing)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot read prices file {missing}: No such file or directory"]
+
+    prices.write_bytes(b"1\n2\xff\n")
+    assert main([command, "--prices", str(prices)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read prices file {prices}: not UTF-8 text (byte 3)"]

@@ -7,9 +7,10 @@ from scipy.stats import chisquare
 
 from wot import group
 from wot.errors import GroupError
-from wot.group import (GroupParams, derive_h, is_member, kdf_pad, make_params,
-                       rand_exponent, setup_params, _is_probable_prime, _jacobi,
-                       _pocklington_prime, _powmod, _powmods)
+from wot.group import (GroupParams, derive_h, is_member, kdf_pad, rand_exponent,
+                       setup_params, _jacobi, _powmod, _powmods)
+
+from conftest import count_calls
 
 
 def member_oracle(params, x):
@@ -22,46 +23,32 @@ class TestSetup:
         assert (p23.p, p23.q, p23.g) == (23, 11, 2)
         assert pow(2, 11, 23) == 1  # direct oracle for the generator order
 
-    def test_explicit_params_g4(self):
-        # 4 = 2^2 and gcd(2, 11) = 1, so 4 also has order 11 mod 23.
-        params = make_params(23, 11, 4, "toy-g4")
-        order = next(k for k in range(1, 12) if pow(4, k, 23) == 1)
-        assert order == 11
-        assert params.g == 4
-
-    def test_trivial_generator_rejected(self):
-        with pytest.raises(GroupError, match="trivial generator"):
-            make_params(23, 11, 1, "toy-bad")
-
-    def test_wrong_order_rejected(self):
-        # 5 is a non-residue mod 23, so its order is not 11.
-        with pytest.raises(GroupError, match="order"):
-            make_params(23, 11, 5, "toy-bad")
-
-    def test_composite_modulus_rejected(self):
-        with pytest.raises(GroupError, match="not prime"):
-            make_params(25, 11, 2, "toy-bad")
-        with pytest.raises(GroupError, match="not prime"):
-            make_params(23, 12, 2, "toy-bad")
-
-    def test_order_must_divide(self):
-        with pytest.raises(GroupError):
-            make_params(23, 7, 2, "toy-bad")
-
-    def test_preset_names_reserved(self):
-        with pytest.raises(GroupError, match="reserved"):
-            make_params(23, 11, 2, "p23")
-
     def test_unknown_preset(self):
         with pytest.raises(GroupError, match="unknown group preset"):
             setup_params("p17")
 
     def test_production_preset_is_safe_prime_group(self):
+        """Every preset is a safe-prime group; ``setup_params`` relies on it and proves nothing."""
+        import sympy
+        for name in ("p23", "p47", "modp-2048"):
+            params = setup_params(name)
+            p, q, g, h = params.p, params.q, params.g, params.h
+            assert sympy.isprime(q) and sympy.isprime(p) and p == 2 * q + 1, name
+            assert 1 < g < p and pow(g, q, p) == 1, name
+            assert h == derive_h(p, q, name) and h not in (0, 1) and pow(h, q, p) == 1, name
         params = setup_params("modp-2048")
         assert params.p.bit_length() == 2048
-        assert params.p == 2 * params.q + 1
-        assert pow(params.g, params.q, params.p) == 1
         assert params.element_len == 256
+
+    def test_setup_does_no_primality_work(self, monkeypatch):
+        """A cold set-up raises only the powers ``derive_h`` raises."""
+        params = setup_params("modp-2048")
+        calls = count_calls(monkeypatch, _powmod)
+        derive_h(params.p, params.q, "modp-2048")
+        derive_calls = len(calls)
+        calls.clear()
+        assert setup_params.__wrapped__("modp-2048") == params
+        assert len(calls) == derive_calls
 
     def test_modp_2048_matches_published_formula(self):
         # Independent reconstruction: p = 2^2048 - 2^1984 - 1 + 2^64*(floor(2^1918*pi) + 124476)
@@ -70,64 +57,6 @@ class TestSetup:
         middle = int(mpmath.floor(mpmath.mpf(2) ** 1918 * mpmath.pi)) + 124476
         expected = 2**2048 - 2**1984 - 1 + 2**64 * middle
         assert setup_params("modp-2048").p == expected
-
-
-class TestPrimality:
-    def test_against_sympy(self):
-        import sympy
-        rng = random.Random(7)
-        for _ in range(300):
-            n = rng.randrange(2, 10**9)
-            assert _is_probable_prime(n) == sympy.isprime(n)
-
-    def test_edges(self):
-        assert not _is_probable_prime(0)
-        assert not _is_probable_prime(1)
-        assert _is_probable_prime(2)
-        assert _is_probable_prime((1 << 61) - 1)  # Mersenne prime
-
-
-class TestCheaperProofs:
-    """Pocklington for ``p`` and the Jacobi test for ``g`` decide what the textbook checks do."""
-
-    def test_pocklington_against_sympy(self):
-        import sympy
-        checked = composites = 0
-        for q in sympy.primerange(2, 2000):
-            for c in range(1, q):
-                p = c * q + 1
-                prime = sympy.isprime(p)
-                assert _pocklington_prime(p, q) == prime, (p, q)
-                checked += 1
-                composites += not prime
-        assert composites > checked // 2
-        assert not _pocklington_prime(15, 7)  # 2*7 + 1
-        assert not _pocklington_prime(27, 13)
-        assert not _pocklington_prime(45, 11)
-        assert _pocklington_prime(47, 23)
-
-    def test_pocklington_proves_modp_2048(self):
-        params = setup_params("modp-2048")
-        assert _pocklington_prime(params.p, params.q)
-        assert not _pocklington_prime(params.p + 2 * params.q, params.q)  # 4q + 1 = 3 * 79 * ...
-
-    def test_generator_accepted_iff_order_q(self):
-        for p, q in ((23, 11), (47, 23), (31, 5)):
-            for g in range(2, p):
-                try:
-                    make_params(p, q, g, f"toy-{p}-{g}")
-                    accepted = True
-                except GroupError as exc:
-                    assert "does not have order" in str(exc)
-                    accepted = False
-                assert accepted == (pow(g, q, p) == 1), (p, q, g)
-
-    def test_composite_modulus_reported_before_divisibility(self):
-        # 11 is prime but does not divide 24; the modulus is still named first.
-        with pytest.raises(GroupError, match="modulus 25 is not prime"):
-            make_params(25, 11, 2, "toy-bad")
-        with pytest.raises(GroupError, match="modulus 27 is not prime"):
-            make_params(27, 13, 2, "toy-bad")  # Pocklington path: 13 | 26
 
 
 class TestMembership:
@@ -153,9 +82,7 @@ class TestMembership:
 
 class TestMembershipEquivalence:
     def test_every_input_on_toy_groups(self, p23, p47):
-        cofactor_six = make_params(31, 5, 2, "toy-cofactor-6")  # not a safe prime
-        assert cofactor_six.p != 2 * cofactor_six.q + 1
-        for params in (p23, p47, cofactor_six):
+        for params in (p23, p47):
             for x in range(-1, params.p + 1):
                 assert is_member(params, x) == member_oracle(params, x), (params.param_id, x)
 
@@ -177,13 +104,11 @@ class TestKernel:
         rng = random.Random(6)
         for bits in (64, 100, 127, 128, 129, 256, 1024, 2048):  # both sides of the cutoff
             for _ in range(2):
-                odd = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-                for mod in (odd, odd + 1):  # Montgomery needs odd; even moduli use pow
-                    for e in (0, 1, 2, mod - 1, rng.getrandbits(bits)):
-                        for base in (0, 1, mod - 1, mod + 5, rng.getrandbits(bits + 8)):
-                            assert _powmod(base, e, mod) == pow(base, e, mod), (bits, mod, e)
-        for params in (p23, p47, make_params(31, 5, 2, "toy-cofactor-6"),
-                       setup_params("modp-2048")):
+                mod = rng.getrandbits(bits) | 1 << (bits - 1) | 1  # Montgomery needs odd
+                for e in (0, 1, 2, mod - 1, rng.getrandbits(bits)):
+                    for base in (0, 1, mod - 1, mod + 5, rng.getrandbits(bits + 8)):
+                        assert _powmod(base, e, mod) == pow(base, e, mod), (bits, mod, e)
+        for params in (p23, p47, setup_params("modp-2048")):
             p, q = params.p, params.q
             for e in (0, 1, q - 1, q):
                 for base in (params.g, params.h, rng.randrange(p)):
@@ -284,8 +209,7 @@ class TestDeriveH:
         a = derive_h(23, 11, "id-one")
         b = derive_h(23, 11, "id-two")
         big_a = derive_h(*(setup_params("modp-2048").p, setup_params("modp-2048").q), "other-id")
-        assert is_member(make_params(23, 11, 2, "id-one"), a)
-        assert is_member(make_params(23, 11, 2, "id-two"), b)
+        assert pow(a, 11, 23) == 1 and pow(b, 11, 23) == 1
         # At 2048 bits distinct ids give distinct generators in practice.
         assert big_a != setup_params("modp-2048").h
 

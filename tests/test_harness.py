@@ -109,12 +109,11 @@ class TestCorrectnessOracle:
         broken = list(secrets.flat_secrets)
         broken[1] = bytes(16)  # item 1 loses a share
         from wot.net import run_local_session
-        from wot.protocol import SenderSecrets, plan_for_indices
+        from wot.protocol import SenderSecrets
         from wot.errors import ItemAuthenticationError
         bad = SenderSecrets(mode="p2", flat_secrets=tuple(broken))
-        plan = plan_for_indices(bundle.manifest, {1})
         with pytest.raises(ItemAuthenticationError):
-            run_local_session(bundle, bad, plan, p23,
+            run_local_session(bundle, bad, [cat.items[1].id],
                               receiver_rng=rng, sender_rng=rng)
 
     def test_oversize_catalog_refused(self, p23, rng):

@@ -1,12 +1,14 @@
 import logging
 import random
 import socket
+import socketserver
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from wot.errors import CatalogError, ProtocolError, RemoteError
+from wot.errors import CatalogError, GroupError, ProtocolError, RemoteError
 from wot.framing import (CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE,
                          ERR_UNKNOWN_ITEM, encode_frame, read_frame)
@@ -25,7 +27,7 @@ def server(p23, caplog):
     rng = random.Random(14)
     catalog = make_catalog([1, 2, 3, 7], rng, payload_size=128)
     bundle, secrets = publish(catalog, "p2", p23, rng=rng)
-    srv = start_server(bundle, secrets, p23)
+    srv = start_server(bundle, secrets)
     yield srv, catalog, lambda count=0: billed_lines(caplog, count)
     srv.shutdown()
     srv.server_close()
@@ -193,6 +195,39 @@ class TestBuy:
         lines = billed(2)
         assert len(lines) == 2
         assert all(line.endswith(" billed T=9") for line in lines)
+
+
+class TestStartUp:
+    """A server refuses what it cannot serve before it binds a port."""
+
+    @pytest.fixture
+    def unbindable(self, monkeypatch):
+        def bind(server):
+            raise AssertionError("bound a port")
+
+        monkeypatch.setattr(socketserver.TCPServer, "server_bind", bind)
+
+    @pytest.mark.parametrize("weights, mode, key_bits, message", [
+        ((1, 2, 3, 4), "p2", 128, "secrets hold 10 shares, the bundle prices 6"),
+        ((1, 2, 3), "p1", 128, "secrets are for mode p1, the bundle for p2"),
+        ((1, 2, 3), "p2", 256, "secrets are not 128-bit keys, as the bundle's are"),
+    ], ids=["count", "mode", "width"])
+    def test_secrets_that_do_not_fit_are_refused(self, p23, unbindable,
+                                                 weights, mode, key_bits, message):
+        rng = random.Random(19)
+        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+        _, other = publish(make_catalog(weights, rng), mode, p23, key_bits=key_bits, rng=rng)
+        with pytest.raises(CatalogError) as err:
+            start_server(bundle, other)
+        assert str(err.value) == message
+
+    def test_unknown_group_refused(self, p23, unbindable):
+        rng = random.Random(20)
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        foreign = PublishedBundle(manifest=replace(bundle.manifest, group_id="toy-g4"),
+                                  ciphertexts=bundle.ciphertexts)
+        with pytest.raises(GroupError, match="unknown group preset 'toy-g4'"):
+            start_server(foreign, secrets)
 
 
 class TestGrammar:

@@ -3,19 +3,20 @@ import socket
 import threading
 import concurrent.futures
 import time
+from dataclasses import replace
 
 import pytest
 
 from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
 from wot.cli import main
-from wot.errors import (CatalogError, FrameError, ItemAuthenticationError,
+from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
                         ProtocolError, WotError)
 from wot import group
 from wot.base_ot import OtResponse, ot_query, ot_recover, ot_respond
 from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done,
                          ManifestMsg, OtBatchQuery, OtBatchResp, encode_frame,
                          encode_manifest)
-from wot.group import is_member, kdf_pad, make_params, setup_params
+from wot.group import is_member, kdf_pad, setup_params
 from wot.instrument import Counters
 from wot.net import SocketChannel, buy, run_local_session, start_server
 from wot.protocol import (PublishedBundle, item_context, plan_for_indices,
@@ -47,7 +48,7 @@ def buy_over(channel_pair, bundle, secrets, params, item_ids, rng):
     worker = threading.Thread(target=seller, daemon=True)
     worker.start()
     try:
-        return run_session_receiver(rx_chan, item_ids, params, rng=rng)
+        return run_session_receiver(rx_chan, item_ids, rng=rng)
     finally:
         rx_chan.close()
         worker.join(timeout=5)
@@ -159,8 +160,7 @@ class TestSessions:
     def test_end_to_end(self, p23, rng, mode):
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, mode, p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {1, 3})
-        result, billed, _ = run_local_session(bundle, secrets, plan, p23,
+        result, billed, _ = run_local_session(bundle, secrets, ["item01", "item03"],
                                               receiver_rng=rng, sender_rng=rng)
         assert dict(result.items) == {
             "item01": cat.items[1].payload,
@@ -176,27 +176,25 @@ class TestSessions:
         for mode, chosen, total in (("p2", {0, 2}, 4), ("p1", {1}, 2)):
             bundle, secrets = publish(cat, mode, params, rng=rng)
             plan = plan_for_indices(bundle.manifest, chosen)
-            result, billed, _ = run_local_session(bundle, secrets, plan, params,
+            result, billed, _ = run_local_session(bundle, secrets, plan.item_ids,
                                                   receiver_rng=rng, sender_rng=rng)
             assert dict(result.items) == {f"item{i:02d}": cat.items[i].payload for i in chosen}
             assert result.total == billed == total
 
-    def test_custom_group_session(self, rng):
-        """In-process sessions run on a make_params group, not only on presets."""
-        params = make_params(23, 11, 4, "toy-g4")
-        cat = make_catalog([1, 2], rng)
-        bundle, secrets = publish(cat, "p2", params, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {1})
-        result, billed, _ = run_local_session(bundle, secrets, plan, params,
-                                              receiver_rng=rng, sender_rng=rng)
-        assert result.items == (("item01", cat.items[1].payload),)
-        assert billed == 2
+    def test_unknown_group_refused_before_query(self, p23, rng, channel_pair):
+        """A manifest can only name a preset; the buyer refuses any other group."""
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        foreign = PublishedBundle(manifest=replace(bundle.manifest, group_id="toy-g4"),
+                                  ciphertexts=bundle.ciphertexts)
+        with pytest.raises(GroupError) as err:
+            buy_over(channel_pair, foreign, secrets, p23, ["item01"], rng)
+        assert str(err.value) == "unknown group preset 'toy-g4'"
+        assert ("local", "OtBatchQuery") not in channel_pair[0].log
 
     def test_single_weight_one_item(self, p23, rng):
         cat = make_catalog([3, 1], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {1})
-        result, billed, _ = run_local_session(bundle, secrets, plan, p23,
+        result, billed, _ = run_local_session(bundle, secrets, ["item01"],
                                               receiver_rng=rng, sender_rng=rng)
         assert result.items == (("item01", cat.items[1].payload),)
         assert billed == 1
@@ -205,8 +203,7 @@ class TestSessions:
     def test_modes_return_identical_plaintexts(self, p23, rng, mode):
         cat = make_catalog([2, 3, 1], rng)
         bundle, secrets = publish(cat, mode, p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {0, 2})
-        result, _, _ = run_local_session(bundle, secrets, plan, p23,
+        result, _, _ = run_local_session(bundle, secrets, ["item00", "item02"],
                                          receiver_rng=rng, sender_rng=rng)
         assert dict(result.items) == {"item00": cat.items[0].payload,
                                       "item02": cat.items[2].payload}
@@ -226,9 +223,8 @@ class TestSessions:
                               entries=tuple(entries)),
             ciphertexts=(bundle.ciphertexts[0], bytes(bad_ct)),
         )
-        plan = plan_for_indices(tampered.manifest, {1})
         with pytest.raises(ItemAuthenticationError) as err:
-            run_local_session(tampered, secrets, plan, p23,
+            run_local_session(tampered, secrets, ["item01"],
                               receiver_rng=rng, sender_rng=rng)
         assert err.value.item_id == "item01"
 
@@ -250,7 +246,7 @@ class TestSessions:
         worker = threading.Thread(target=seller, daemon=True)
         worker.start()
         with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
-            run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
+            run_session_receiver(rx_chan, ["item00"], rng=rng)
         rx_chan.close()
         worker.join(timeout=5)
         assert not worker.is_alive()
@@ -312,7 +308,7 @@ class TestSessions:
         worker = threading.Thread(target=forging_sender, daemon=True)
         worker.start()
         with pytest.raises(ProtocolError, match="invalid response element"):
-            run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
+            run_session_receiver(rx_chan, ["item00"], rng=rng)
         worker.join(timeout=5)
         assert pads == []
 
@@ -321,10 +317,10 @@ class TestSessions:
         params = setup_params("modp-2048")
         rng = random.Random(2049)
         bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {0, 2})
         threads = {fn.__name__: count_calls(monkeypatch, fn, record=threading.current_thread)
                    for fn in (kdf_pad, is_member, ot_respond, ot_recover)}
-        run_local_session(bundle, secrets, plan, params, receiver_rng=rng, sender_rng=rng)
+        run_local_session(bundle, secrets, ["item00", "item02"],
+                          receiver_rng=rng, sender_rng=rng)
         buyer = threading.current_thread()
         assert set(threads["ot_recover"]) == {buyer}
         (seller,) = set(threads["ot_respond"])
@@ -335,8 +331,8 @@ class TestSessions:
         monkeypatch.setattr(group, "_pool", None)
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {1, 3})
-        run_local_session(bundle, secrets, plan, p23, receiver_rng=rng, sender_rng=rng)
+        run_local_session(bundle, secrets, ["item01", "item03"],
+                          receiver_rng=rng, sender_rng=rng)
         assert group._pool is None
 
     def test_concurrent_buys_share_one_cpu_sized_pool(self, tmp_path, monkeypatch):
@@ -352,7 +348,7 @@ class TestSessions:
 
         monkeypatch.setattr(group, "_pool", None)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded_pool)
-        srv = start_server(bundle, secrets, params)
+        srv = start_server(bundle, secrets)
         errors = []
 
         def one(buyer):
@@ -383,9 +379,8 @@ class TestSessions:
         """T picks: T query checks by the seller, T response checks by the buyer."""
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {1, 3})
         checks = count_calls(monkeypatch, is_member)
-        _, billed, _ = run_local_session(bundle, secrets, plan, p23,
+        _, billed, _ = run_local_session(bundle, secrets, ["item01", "item03"],
                                          receiver_rng=rng, sender_rng=rng)
         assert billed == 9
         assert len(checks) == 2 * billed
@@ -412,7 +407,7 @@ class TestSessions:
         worker = threading.Thread(target=lying_sender, daemon=True)
         worker.start()
         with pytest.raises(ProtocolError, match="billing mismatch"):
-            run_session_receiver(rx_chan, ["item00"], p23, rng=rng)
+            run_session_receiver(rx_chan, ["item00"], rng=rng)
         worker.join(timeout=5)
 
     def test_oversize_purchase_refused_before_fetching(self, p23, rng, channel_pair,
@@ -436,7 +431,7 @@ class TestSessions:
         worker = threading.Thread(target=lying_sender, daemon=True)
         worker.start()
         with pytest.raises(ProtocolError, match="purchase too large"):
-            run_session_receiver(rx_chan, ["big"], p23, rng=rng)
+            run_session_receiver(rx_chan, ["big"], rng=rng)
         rx_chan.close()
         worker.join(timeout=5)
         assert not worker.is_alive()
@@ -448,7 +443,7 @@ class TestSessions:
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         for choice in ({0, 2}, {1}, {0, 1, 2, 3}):
             plan = plan_for_indices(bundle.manifest, choice)
-            _, billed, _ = run_local_session(bundle, secrets, plan, p23,
+            _, billed, _ = run_local_session(bundle, secrets, plan.item_ids,
                                              receiver_rng=rng, sender_rng=rng)
             assert billed == total_price(cat, choice)
             assert billed == len(plan.picks)
@@ -457,8 +452,7 @@ class TestSessions:
         """In-process sessions deliver every ciphertext and use the TCP grammar."""
         cat = make_catalog([1, 2, 3], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {1})
-        _, _, log = run_local_session(bundle, secrets, plan, p23,
+        _, _, log = run_local_session(bundle, secrets, ["item01"],
                                       receiver_rng=rng, sender_rng=rng)
         sent, got = "local", "peer"
         assert log == [(sent, "Hello"), (got, "ManifestMsg"),
@@ -548,10 +542,9 @@ class TestBundleIO:
         cat = make_catalog([1, 2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         save_bundle(bundle, tmp_path / "b", secrets=secrets)
-        plan = plan_for_indices(bundle.manifest, {1})
         result, _, _ = run_local_session(load_bundle(tmp_path / "b"),
                                          load_secrets(tmp_path / "b"),
-                                         plan, p23, receiver_rng=rng, sender_rng=rng)
+                                         ["item01"], receiver_rng=rng, sender_rng=rng)
         assert dict(result.items) == {"item01": cat.items[1].payload}
 
     def test_dotted_ids_round_trip(self, p23, rng, tmp_path):
@@ -637,7 +630,7 @@ def test_exhaustive_small_catalog_correctness(p23):
         for mask in range(1, 1 << 4):
             choice = {i for i in range(4) if mask >> i & 1}
             plan = plan_for_indices(bundle.manifest, choice)
-            result, billed, _ = run_local_session(bundle, secrets, plan, p23,
+            result, billed, _ = run_local_session(bundle, secrets, plan.item_ids,
                                                   receiver_rng=rng, sender_rng=rng)
             assert dict(result.items) == {cat.items[i].id: cat.items[i].payload
                                           for i in choice}
