@@ -14,6 +14,15 @@ codec self-contained. ``encode_frame`` is the only encoder and
 ``read_frame``, which pulls one frame from a ``recv_exact(n)`` callable,
 the only decoder; in-process sessions run both over a socket pair too.
 
+Each ciphertext is copied once on each side. ``encode_frame`` joins the
+header and the payload's parts in one pass, and a ``CT_DATA`` ciphertext
+is a part of its own, so the seller's one copy is that join.
+``read_frame`` decodes from a read-only view over the frame body. Every
+field is copied out as ``bytes`` or decoded to an ``int`` or ``str``,
+except ``CtData.ciphertext``: it is a view over the body. The buyer's one
+copy is the join in which ``wot.net._recv_exact`` assembles the body
+from its ``recv`` chunks, and there is none when one ``recv`` fills it.
+
 ``OT_BATCH_RESP`` (protocol version 2) carries one transfer reply per
 pick::
 
@@ -90,7 +99,7 @@ class CtReq:
 @dataclass(frozen=True)
 class CtData:
     item_id: str
-    ciphertext: bytes
+    ciphertext: bytes | memoryview  # decoded: a read-only view over the received frame
 
 
 @dataclass(frozen=True)
@@ -125,14 +134,16 @@ _MODE_NAMES[0] = ANY_MODE
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Decode fields from a read-only view; ``take`` copies a field, ``rest`` does not."""
+
+    def __init__(self, data):
+        self.data = memoryview(data).toreadonly()
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
             raise FrameError("truncated payload")
-        out = self.data[self.pos:self.pos + n]
+        out = self.data[self.pos:self.pos + n].tobytes()
         self.pos += n
         return out
 
@@ -164,7 +175,7 @@ class _Reader:
         if count * size != len(self.data) - self.pos or (count and not size):
             raise FrameError("payload does not match its record count")
 
-    def rest(self) -> bytes:
+    def rest(self) -> memoryview:
         out = self.data[self.pos:]
         self.pos = len(self.data)
         return out
@@ -243,7 +254,8 @@ def decode_manifest(data: bytes) -> Manifest:
         raise FrameError(f"invalid manifest: {exc}") from None
 
 
-def _encode_payload(msg: Message) -> tuple[int, bytes]:
+def _encode_payload(msg: Message) -> tuple:
+    """The type byte, then the payload's parts; ``encode_frame`` joins them once."""
     if isinstance(msg, Hello):
         return TYPE_HELLO, (_pack("!BB", msg.version, _encode_mode(msg.mode))
                             + _string(msg.group_id)
@@ -253,12 +265,12 @@ def _encode_payload(msg: Message) -> tuple[int, bytes]:
     if isinstance(msg, CtReq):
         return TYPE_CT_REQ, _string(msg.item_id)
     if isinstance(msg, CtData):
-        return TYPE_CT_DATA, _string(msg.item_id) + msg.ciphertext
+        return TYPE_CT_DATA, _string(msg.item_id), msg.ciphertext
     if isinstance(msg, OtBatchQuery):
         out = bytearray(_pack("!IH", len(msg.queries), msg.elem_len))
         for y in msg.queries:
             out += y.to_bytes(msg.elem_len, "big")
-        return TYPE_OT_BATCH_QUERY, bytes(out)
+        return TYPE_OT_BATCH_QUERY, out
     if isinstance(msg, OtBatchResp):
         counts = {resp.n_secrets for resp in msg.responses}
         if len(counts) > 1:
@@ -275,7 +287,7 @@ def _encode_payload(msg: Message) -> tuple[int, bytes]:
             out += resp.a.to_bytes(msg.elem_len, "big")
             for masked in resp.masks:
                 out += masked
-        return TYPE_OT_BATCH_RESP, bytes(out)
+        return TYPE_OT_BATCH_RESP, out
     if isinstance(msg, Done):
         return TYPE_DONE, _pack("!I", msg.billed)
     if isinstance(msg, ErrorMsg):
@@ -283,7 +295,7 @@ def _encode_payload(msg: Message) -> tuple[int, bytes]:
     raise FrameError(f"cannot encode {type(msg).__name__}")
 
 
-def _decode_payload(msg_type: int, payload: bytes) -> Message:
+def _decode_payload(msg_type: int, payload: memoryview) -> Message:
     r = _Reader(payload)
     if msg_type == TYPE_HELLO:
         version, mode_code = r.u8(), r.u8()
@@ -325,7 +337,7 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
     if msg_type == TYPE_ERROR:
         code = r.u8()
         try:
-            text = r.rest().decode()
+            text = bytes(r.rest()).decode()
         except UnicodeDecodeError:
             raise FrameError("invalid error text") from None
         return ErrorMsg(code=code, text=text)
@@ -338,11 +350,12 @@ def _ot_batch_resp_len(count: int, n: int, elem_len: int, mask_len: int) -> int:
 
 
 def encode_frame(msg: Message) -> bytes:
-    msg_type, payload = _encode_payload(msg)
-    length = 1 + len(payload)
+    """The whole frame as one ``bytes``, built by a single join of its parts."""
+    msg_type, *parts = _encode_payload(msg)
+    length = 1 + sum(map(len, parts))
     if length > MAX_FRAME_LEN:
         raise FrameError(f"frame too large: {length} bytes")
-    return struct.pack("!IB", length, msg_type) + payload
+    return b"".join((struct.pack("!IB", length, msg_type), *parts))
 
 
 def read_frame(recv_exact) -> Message:
@@ -354,4 +367,4 @@ def read_frame(recv_exact) -> Message:
     if length < 1:
         raise FrameError("frame has no type byte")
     body = recv_exact(length)
-    return _decode_payload(body[0], body[1:])
+    return _decode_payload(body[0], memoryview(body)[1:])

@@ -266,7 +266,8 @@ def complexity_check(catalog: Catalog, mode: str, params: GroupParams,
     plan = plan_for_indices(bundle.manifest, choice)
     rx = Counters()
     tx = Counters()
-    result, billed, log = run_local_session(bundle, secrets, plan.item_ids,
+    item_ids = [bundle.manifest.ids[i] for i in plan.choice_indices]
+    result, billed, log = run_local_session(bundle, secrets, item_ids,
                                             receiver_rng=rng, sender_rng=rng,
                                             receiver_counters=rx, sender_counters=tx)
     k = len(plan.choice_indices)

@@ -35,13 +35,16 @@ DEFAULT_TIMEOUT = 30.0
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+    """Read exactly ``n`` bytes: the chunk itself if one ``recv`` fills them, else one join."""
+    chunks = []
+    remaining = n
+    while remaining:
+        chunk = sock.recv(remaining)
         if not chunk:
             raise ProtocolError("connection closed mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 class SocketChannel:

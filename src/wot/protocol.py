@@ -27,7 +27,10 @@ the seller computes it), and then takes *every* ciphertext, from a
 cached bundle directory or over the wire: requesting only the chosen
 ones would reveal the choice out of band. Each ciphertext is checked
 against its manifest entry once, as it is taken, so a bad one aborts
-the session before the first transfer message.
+the session before the first transfer message. A fetched ciphertext is
+the read-only view that ``read_frame`` decoded (see ``wot.framing``):
+it is length-checked, hashed and decrypted where it was received, and
+the buyer's ``PublishedBundle.ciphertexts`` hold such views.
 
 The seller's side is split at the query. ``serve_session`` answers HELLO
 and the CT_REQs and hands the decoded OT_BATCH_QUERY to
@@ -82,7 +85,7 @@ class PublishedBundle:
     """Everything a buyer may see before a session."""
 
     manifest: Manifest
-    ciphertexts: tuple[bytes, ...]
+    ciphertexts: tuple[bytes | memoryview, ...]  # a buyer's are views over received frames
 
     def __post_init__(self):
         if len(self.ciphertexts) != self.manifest.n:
@@ -130,7 +133,6 @@ class SelectionPlan:
     """A buyer's resolved choice: item indices, their flat picks, the price."""
 
     choice_indices: tuple[int, ...]
-    item_ids: tuple[str, ...]
     picks: tuple[int, ...]  # ascending; the canonical order hides pick structure
     total: int
 
@@ -185,7 +187,6 @@ def plan_for_indices(manifest: Manifest, indices) -> SelectionPlan:
     picks.sort()
     return SelectionPlan(
         choice_indices=tuple(chosen),
-        item_ids=tuple(manifest.ids[i] for i in chosen),
         picks=tuple(picks),
         total=sum(manifest.weights[i] for i in chosen),
     )

@@ -8,7 +8,9 @@ The cipher is AES-128-GCM for 128-bit keys and AES-256-GCM for 256-bit
 keys, so independently published bundles are bit-exact given the same key
 and nonce. The ``context`` string is bound as associated data; it carries
 the protocol mode, item id, and layer ordinal so a ciphertext cannot be
-swapped for another item's and still authenticate.
+swapped for another item's and still authenticate. ``decrypt`` and
+``nested_decrypt`` take any bytes-like ciphertext (a buyer's is a view
+over the received frame) and read it in place, without copying it.
 
 A key split into ``p`` shares draws ``p - 1`` uniform share strings and
 sets the last share to the XOR of the key with all of them: any proper
@@ -65,9 +67,9 @@ def decrypt(key: bytes, ciphertext: bytes, context: str = "",
         raise CryptoError("malformed ciphertext: too short")
     if counters:
         counters.decryptions += 1
-    nonce, rest = ciphertext[:NONCE_LEN], ciphertext[NONCE_LEN:]
+    view = memoryview(ciphertext)
     try:
-        return AESGCM(key).decrypt(nonce, bytes(rest), context.encode())
+        return AESGCM(key).decrypt(view[:NONCE_LEN], view[NONCE_LEN:], context.encode())
     except InvalidTag:
         raise AuthenticationError() from None
 
@@ -132,7 +134,7 @@ def nested_decrypt(keys, ciphertext: bytes, context: str = "",
     keys = list(keys)
     if not keys:
         raise CryptoError("nested decryption needs at least one key")
-    blob = bytes(ciphertext)
+    blob = ciphertext
     for layer in range(1, len(keys) + 1):
         try:
             blob = decrypt(keys[layer - 1], blob, _layer_context(context, layer), counters)

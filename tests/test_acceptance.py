@@ -105,7 +105,8 @@ def test_criterion_3_no_extra_information():
     for mask in range(1, (1 << catalog.n) - 1):  # proper nonempty choice sets
         choice = {i for i in range(catalog.n) if mask >> i & 1}
         plan = plan_for_indices(bundle.manifest, choice)
-        result, _, _ = run_local_session(bundle, secrets, plan.item_ids,
+        result, _, _ = run_local_session(bundle, secrets,
+                                         [catalog.items[i].id for i in choice],
                                          receiver_rng=rng, sender_rng=rng)
         assert len(result.items) == len(choice)
         learned = [secrets.flat_secrets[f] for f in plan.picks]

@@ -93,6 +93,39 @@ def test_done_frame_frozen_layout():
     assert decode(frame) == Done(billed=4)
 
 
+def test_ct_data_frozen_layout():
+    """The id and the ciphertext are joined as separate parts, into the same bytes."""
+    frame = encode_frame(CtData(item_id="ab", ciphertext=b"\x01\x02\x03"))
+    assert frame == bytes.fromhex("00000008" "04" "0002" "6162" "010203")
+    assert type(frame) is bytes
+    assert decode(frame) == CtData(item_id="ab", ciphertext=b"\x01\x02\x03")
+
+
+def test_ct_data_ciphertext_is_a_view_over_the_body():
+    """The decoder copies no ciphertext: it is a read-only view over what was received."""
+    ciphertext = bytes(range(256)) * 4
+    frame = encode_frame(CtData(item_id="item00", ciphertext=ciphertext))
+    stream, received = io.BytesIO(frame), []
+
+    def recv_exact(n):
+        received.append(stream.read(n))
+        return received[-1]
+
+    msg = read_frame(recv_exact)
+    header, body = received
+    assert isinstance(msg.ciphertext, memoryview)
+    assert msg.ciphertext.readonly
+    assert msg.ciphertext.obj is body
+    assert msg.ciphertext == ciphertext
+    assert type(msg.item_id) is str
+
+
+def test_fields_other_than_the_ciphertext_are_copied_out():
+    """A decoded mask is ``bytes``, not a view that holds its frame alive."""
+    msg = OtBatchResp(elem_len=1, responses=(OtResponse(a=8, masks=(b"\x01\x02", b"\x03\x04")),))
+    assert {type(m) for m in decode(encode_frame(msg)).responses[0].masks} == {bytes}
+
+
 def test_ot_batch_resp_frozen_layout():
     # T=2 picks over N=3 secrets on p23 (1-byte elements), 2-byte masks:
     # header count, n, elem_len, mask_len, then per pick a and its N masks.

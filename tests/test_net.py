@@ -5,13 +5,15 @@ import socketserver
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from wot.errors import CatalogError, GroupError, ProtocolError, RemoteError
 from wot.framing import (CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE,
-                         ERR_UNKNOWN_ITEM, encode_frame, read_frame)
+                         ERR_UNKNOWN_ITEM, LENGTH_FIELD, TYPE_CT_REQ, TYPE_HELLO,
+                         TYPE_OT_BATCH_QUERY, encode_frame, read_frame)
 from wot import net
 from wot.catalog import ciphertext_digest
 from wot.net import SocketChannel, buy, start_server, _recv_exact
@@ -42,6 +44,38 @@ def raw_client(port):
 def exchange(sock, msg):
     sock.sendall(encode_frame(msg))
     return read_frame(lambda n: _recv_exact(sock, n))
+
+
+class ChunkedSocket:
+    """A peer that hands out ``data`` in ``recv`` chunks of the sizes ``sizes`` draws."""
+
+    def __init__(self, data, sizes):
+        self.data, self.pos, self.sizes = data, 0, sizes
+
+    def recv(self, n):
+        chunk = self.data[self.pos:self.pos + min(n, self.sizes())]
+        self.pos += len(chunk)
+        return chunk
+
+
+class TestRecvExact:
+    def test_small_chunks_make_exactly_n_bytes(self):
+        rng = random.Random(25)
+        data = rng.randbytes(1000)
+        sock = ChunkedSocket(data, lambda: rng.randint(1, 7))
+        out = [_recv_exact(sock, n) for n in (1, 4, 0, 250, 745)]
+        assert [len(part) for part in out] == [1, 4, 0, 250, 745]
+        assert b"".join(out) == data
+
+    def test_one_recv_returns_its_chunk(self):
+        chunk = bytes(range(200))
+        sock = SimpleNamespace(recv=lambda n: chunk)
+        assert _recv_exact(sock, len(chunk)) is chunk
+
+    def test_peer_closing_early_is_a_protocol_error(self):
+        sock = ChunkedSocket(b"\x00" * 10, lambda: 3)
+        with pytest.raises(ProtocolError, match="connection closed mid-frame"):
+            _recv_exact(sock, 11)
 
 
 class TestBuy:
@@ -107,10 +141,11 @@ class TestBuy:
 
         class Conn:
             def __init__(self, sock):
-                self.sock, self.nbytes = sock, 0
+                self.sock, self.nbytes, self.writes = sock, 0, []
 
             def sendall(self, data):
                 self.nbytes += len(data)
+                self.writes.append(bytes(data))
                 self.sock.sendall(data)
 
             def recv(self, n):
@@ -142,6 +177,13 @@ class TestBuy:
         assert result.items == (("item02", catalog.items[2].payload),)
         assert len(stand_in.conns) == 1
         assert stand_in.conns[0].nbytes > sum(map(len, srv.bundle.ciphertexts))
+        # One write per frame: a frame split across two writes would invite
+        # Nagle/delayed-ACK stalls.
+        writes = stand_in.conns[0].writes
+        assert [LENGTH_FIELD + int.from_bytes(w[:LENGTH_FIELD], "big") for w in writes] \
+            == [len(w) for w in writes]
+        assert [w[LENGTH_FIELD] for w in writes] \
+            == [TYPE_HELLO] + [TYPE_CT_REQ] * catalog.n + [TYPE_OT_BATCH_QUERY]
 
     def test_all_ciphertexts_fetched_not_only_chosen(self, server, tmp_path):
         """Fetching a subset of ciphertexts would leak the choices."""

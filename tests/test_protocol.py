@@ -113,7 +113,7 @@ class TestSelectionPlan:
         plan = plan_for_indices(bundle.manifest, {0, 2})
         assert plan.total == 4
         assert plan.picks == (0, 3, 4, 5)  # offsets are [0, 1, 3, 6]
-        assert plan.item_ids == ("item00", "item02")
+        assert plan.choice_indices == (0, 2)
 
     def test_choose_everything(self, p23, rng):
         cat = make_catalog([1, 2, 3, 7])
@@ -175,8 +175,8 @@ class TestSessions:
         cat = make_catalog([1, 2, 3], rng)
         for mode, chosen, total in (("p2", {0, 2}, 4), ("p1", {1}, 2)):
             bundle, secrets = publish(cat, mode, params, rng=rng)
-            plan = plan_for_indices(bundle.manifest, chosen)
-            result, billed, _ = run_local_session(bundle, secrets, plan.item_ids,
+            result, billed, _ = run_local_session(bundle, secrets,
+                                                  [cat.items[i].id for i in chosen],
                                                   receiver_rng=rng, sender_rng=rng)
             assert dict(result.items) == {f"item{i:02d}": cat.items[i].payload for i in chosen}
             assert result.total == billed == total
@@ -443,7 +443,8 @@ class TestSessions:
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         for choice in ({0, 2}, {1}, {0, 1, 2, 3}):
             plan = plan_for_indices(bundle.manifest, choice)
-            _, billed, _ = run_local_session(bundle, secrets, plan.item_ids,
+            _, billed, _ = run_local_session(bundle, secrets,
+                                             [cat.items[i].id for i in choice],
                                              receiver_rng=rng, sender_rng=rng)
             assert billed == total_price(cat, choice)
             assert billed == len(plan.picks)
@@ -629,8 +630,8 @@ def test_exhaustive_small_catalog_correctness(p23):
         bundle, secrets = publish(cat, mode, p23, rng=rng)
         for mask in range(1, 1 << 4):
             choice = {i for i in range(4) if mask >> i & 1}
-            plan = plan_for_indices(bundle.manifest, choice)
-            result, billed, _ = run_local_session(bundle, secrets, plan.item_ids,
+            result, billed, _ = run_local_session(bundle, secrets,
+                                                  [cat.items[i].id for i in choice],
                                                   receiver_rng=rng, sender_rng=rng)
             assert dict(result.items) == {cat.items[i].id: cat.items[i].payload
                                           for i in choice}

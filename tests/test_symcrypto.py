@@ -71,6 +71,40 @@ class TestAuthenticatedEncryption:
         assert successes == 0
 
 
+# The buyer decrypts a view over the received frame; a frame header in
+# front of the ciphertext must not matter.
+BYTES_LIKE = [bytes, bytearray, memoryview,
+              lambda ct: memoryview(b"\x04\x00\x01a" + ct)[4:]]
+BYTES_LIKE_IDS = ["bytes", "bytearray", "memoryview", "frame-view"]
+
+
+def tampered(ct: bytes) -> bytes:
+    return ct[:20] + bytes([ct[20] ^ 1]) + ct[21:]
+
+
+class TestBytesLikeCiphertexts:
+    @pytest.mark.parametrize("as_type", BYTES_LIKE, ids=BYTES_LIKE_IDS)
+    def test_decrypt(self, rng, as_type):
+        key = new_key(128, rng)
+        ct = encrypt(key, b"priced goods", "ctx", rng)
+        assert decrypt(key, as_type(ct), "ctx") == b"priced goods"
+        with pytest.raises(AuthenticationError):
+            decrypt(key, as_type(tampered(ct)), "ctx")
+
+    @pytest.mark.parametrize("as_type", BYTES_LIKE, ids=BYTES_LIKE_IDS)
+    def test_nested_decrypt(self, rng, as_type):
+        keys = [new_key(128, rng) for _ in range(3)]
+        ct = nested_encrypt(keys, b"priced goods", "item:a", rng)
+        assert nested_decrypt(keys, as_type(ct), "item:a") == b"priced goods"
+        with pytest.raises(AuthenticationError) as err:
+            nested_decrypt(keys, as_type(tampered(ct)), "item:a")
+        assert err.value.layer == 1
+        broken = [keys[0], keys[1], new_key(128, rng)]
+        with pytest.raises(AuthenticationError) as err:
+            nested_decrypt(broken, as_type(ct), "item:a")
+        assert err.value.layer == 3
+
+
 class TestSplitCombine:
     def test_single_share_is_identity(self, rng):
         key = b"\xa0" * 16
