@@ -42,7 +42,10 @@ setup. A batch runs inline on the calling thread when it has fewer than two
 jobs, when the process may use one CPU, or when the modulus is under 128
 bits. Pool threads run ``_powmod`` and nothing else: every public function
 runs on the thread of the session that called it, so whatever watches a
-session per thread sees all of its calls.
+session per thread sees all of its calls. The one exception is outside
+this module: the buyer's ``wot-digest`` thread (``protocol.fetch_bundle``)
+hashes the ciphertexts it fetches, so their ``catalog.ciphertext_digest``
+calls run off the session's thread.
 
 Wire encoding of an element is a fixed-width big-endian integer of
 ``ceil(bitlen(p) / 8)`` bytes. Pads are derived as

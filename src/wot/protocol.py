@@ -26,11 +26,22 @@ would pass the frame cap (a size that follows from ``(N, T)`` alone, as
 the seller computes it), and then takes *every* ciphertext, from a
 cached bundle directory or over the wire: requesting only the chosen
 ones would reveal the choice out of band. Each ciphertext is checked
-against its manifest entry once, as it is taken, so a bad one aborts
-the session before the first transfer message. A fetched ciphertext is
-the read-only view that ``read_frame`` decoded (see ``wot.framing``):
-it is length-checked, hashed and decrypted where it was received, and
-the buyer's ``PublishedBundle.ciphertexts`` hold such views.
+against its manifest entry once. A cached one is checked as it is
+taken, since the check decides whether to fetch it. Delivery of the
+rest is a pipeline in ``fetch_bundle``: the buyer sends the CT_REQ for
+the next item before it reads the current CT_DATA, never more than one
+ahead (more could fill both socket buffers against the seller's
+blocking send), and hands each received ciphertext, in manifest order,
+to one ``wot-digest`` thread that hashes it while the next one arrives.
+That thread is joined before ``fetch_bundle`` returns or raises, and
+the first mismatch in manifest order is raised then, so a bad
+ciphertext still aborts the session before the first transfer message,
+whatever the choice. The wire bytes are those of the lock-step
+exchange, and the seller's grammar is unchanged. A fetched ciphertext
+is the read-only view that ``read_frame`` decoded (see
+``wot.framing``): it is length-checked, hashed and decrypted where it
+was received, and the buyer's ``PublishedBundle.ciphertexts`` hold
+such views.
 
 The seller's side is split at the query. ``serve_session`` answers HELLO
 and the CT_REQs and hands the decoded OT_BATCH_QUERY to
@@ -53,6 +64,8 @@ the query.
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -281,8 +294,12 @@ def run_session_receiver(channel, item_ids, cache_dir=None, rng=None,
 def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle:
     """Take every ciphertext the manifest lists, from the cache where it matches.
 
-    Each ciphertext is checked against its manifest entry once, as it is
-    taken. A cache that does not load is ignored and everything is fetched.
+    A cached ciphertext is checked here, since the check decides whether
+    to fetch it. A fetched one is requested one ahead of the reply being
+    read and checked on a ``wot-digest`` thread, in manifest order; the
+    thread is joined before this returns or raises, and the first
+    mismatch is raised then. A cache that does not load is ignored and
+    everything is fetched.
     """
     cached: dict[str, bytes] = {}
     if cache_dir is not None:
@@ -292,19 +309,50 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
             pass
         else:
             cached = dict(zip(local.manifest.ids, local.ciphertexts))
-    cts = []
-    for entry in manifest.entries:
-        ct = cached.get(entry.id)
-        if ct is None or not _matches_entry(entry, ct):  # missing or stale: fetch it
-            channel.send(CtReq(item_id=entry.id))
+    cts = [cached.get(entry.id) for entry in manifest.entries]
+    fetch = [i for i, (entry, ct) in enumerate(zip(manifest.entries, cts))
+             if ct is None or not _matches_entry(entry, ct)]  # missing or stale
+    if not fetch:
+        return PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
+
+    handed = queue.SimpleQueue()
+    checked: list[ManifestEntry] = []
+    helper = threading.Thread(target=_check_digests, args=(handed, checked),
+                              name="wot-digest", daemon=True)
+    helper.start()
+    received = 0
+    try:
+        channel.send(CtReq(item_id=manifest.entries[fetch[0]].id))
+        for k, i in enumerate(fetch):
+            entry = manifest.entries[i]
+            if k + 1 < len(fetch):  # at most one request ahead of the reply read
+                try:
+                    channel.send(CtReq(item_id=manifest.entries[fetch[k + 1]].id))
+                except OSError:
+                    # A seller that refused the last request and hung up
+                    # left its reason in the pending frame.
+                    _expect(channel.recv(), CtData)
+                    raise
             msg = _expect(channel.recv(), CtData)
             if msg.item_id != entry.id:
                 raise ProtocolError("unexpected reply to ciphertext request")
-            ct = msg.ciphertext
-            if not _matches_entry(entry, ct):
-                raise CatalogError(f"ciphertext digest mismatch for item {entry.id!r}")
-        cts.append(ct)
+            cts[i] = msg.ciphertext
+            handed.put((entry, msg.ciphertext))
+            received += 1
+    finally:
+        handed.put(None)
+        helper.join()
+        if len(checked) < received:
+            # An earlier item's mismatch stands before any later failure.
+            entry = manifest.entries[fetch[len(checked)]]
+            raise CatalogError(f"ciphertext digest mismatch for item {entry.id!r}")
     return PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
+
+
+def _check_digests(handed: queue.SimpleQueue, checked: list):
+    """Check each ``(entry, ciphertext)`` handed over, in order, up to the first mismatch."""
+    while (item := handed.get()) is not None and _matches_entry(*item):
+        checked.append(item[0])
 
 
 def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -16,6 +17,18 @@ def p23():
 @pytest.fixture(scope="session")
 def p47():
     return setup_params("p47")
+
+
+@pytest.fixture(autouse=True)
+def no_digest_thread_left():
+    """Fail a test that leaves a buyer's digest helper running.
+
+    ``fetch_bundle`` joins its ``wot-digest`` thread before it returns or
+    raises, on every path.
+    """
+    yield
+    left = [t for t in threading.enumerate() if t.name == "wot-digest"]
+    assert not left, f"live digest helper threads: {left}"
 
 
 @pytest.fixture

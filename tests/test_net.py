@@ -207,14 +207,17 @@ class TestBuy:
     def test_bad_ciphertext_aborts_before_transfer(self, server, tmp_path):
         """The buyer checks each digest once, before its first transfer message."""
         srv, _, billed = server
-        cts = list(srv.bundle.ciphertexts)
-        cts[1] = bytes([cts[1][0] ^ 1]) + cts[1][1:]
-        srv.bundle = PublishedBundle(manifest=srv.bundle.manifest, ciphertexts=tuple(cts))
-        with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
-            buy("127.0.0.1", srv.port, ["item03"], tmp_path / "out",
-                rng=random.Random(19))
-        assert billed() == []
-        assert not (tmp_path / "out").exists()
+        honest = srv.bundle
+        # One bad item, then two: the first bad one in manifest order is named.
+        for bad in ({1}, {1, 3}):
+            cts = [bytes([ct[0] ^ 1]) + ct[1:] if i in bad else ct
+                   for i, ct in enumerate(honest.ciphertexts)]
+            srv.bundle = PublishedBundle(manifest=honest.manifest, ciphertexts=tuple(cts))
+            out = tmp_path / f"out{len(bad)}"
+            with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
+                buy("127.0.0.1", srv.port, ["item03"], out, rng=random.Random(19))
+            assert billed() == []
+            assert not out.exists()
 
     def test_two_concurrent_buyers(self, server, tmp_path):
         srv, catalog, billed = server

@@ -10,16 +10,16 @@ import pytest
 from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
-                        ProtocolError, WotError)
-from wot import group
+                        ProtocolError, RemoteError, WotError)
+from wot import group, protocol
 from wot.base_ot import OtResponse, ot_query, ot_recover, ot_respond
-from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN, CtData, Done,
-                         ManifestMsg, OtBatchQuery, OtBatchResp, encode_frame,
-                         encode_manifest)
+from wot.framing import (ERR_BAD_QUERY, ERR_UNKNOWN_ITEM, LENGTH_FIELD, MAX_FRAME_LEN,
+                         CtData, CtReq, Done, ErrorMsg, ManifestMsg, OtBatchQuery,
+                         OtBatchResp, encode_frame, encode_manifest)
 from wot.group import is_member, kdf_pad, setup_params
 from wot.instrument import Counters
 from wot.net import SocketChannel, buy, run_local_session, start_server
-from wot.protocol import (PublishedBundle, item_context, plan_for_indices,
+from wot.protocol import (PublishedBundle, fetch_bundle, item_context, plan_for_indices,
                           publish, load_bundle, load_secrets, run_session_receiver,
                           run_session_sender, save_bundle, serve_session)
 from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
@@ -228,29 +228,36 @@ class TestSessions:
                               receiver_rng=rng, sender_rng=rng)
         assert err.value.item_id == "item01"
 
-    def test_digest_mismatch_aborts_before_transfer(self, p23, rng, channel_pair):
-        cat = make_catalog([1, 2], rng)
+    def test_digest_mismatch_aborts_before_transfer(self, p23, rng):
+        cat = make_catalog([1, 2, 3, 4], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        corrupted = PublishedBundle(
-            manifest=bundle.manifest,
-            ciphertexts=(bundle.ciphertexts[0], bundle.ciphertexts[1] + b"x"),
-        )
-        rx_chan, tx_chan = channel_pair
+        # One bad item, then two: the first bad one in manifest order is named.
+        for bad in ({1}, {1, 3}):
+            corrupted = PublishedBundle(
+                manifest=bundle.manifest,
+                ciphertexts=tuple(ct + b"x" if i in bad else ct
+                                  for i, ct in enumerate(bundle.ciphertexts)),
+            )
+            rx_sock, tx_sock = socket.socketpair()
+            rx_chan, tx_chan = SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
+            billed = []
 
-        def seller():
-            try:
-                serve_session(tx_chan, corrupted, secrets, p23, rng)
-            except ProtocolError:
-                pass  # the buyer hangs up
+            def seller():
+                try:
+                    billed.append(serve_session(tx_chan, corrupted, secrets, p23, rng))
+                except (ProtocolError, OSError):
+                    pass  # the buyer hangs up
 
-        worker = threading.Thread(target=seller, daemon=True)
-        worker.start()
-        with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
-            run_session_receiver(rx_chan, ["item00"], rng=rng)
-        rx_chan.close()
-        worker.join(timeout=5)
-        assert not worker.is_alive()
-        assert ("local", "OtBatchQuery") not in rx_chan.log
+            worker = threading.Thread(target=seller, daemon=True)
+            worker.start()
+            with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
+                run_session_receiver(rx_chan, ["item00"], rng=rng)
+            rx_chan.close()
+            worker.join(timeout=5)
+            tx_chan.close()
+            assert not worker.is_alive()
+            assert ("local", "OtBatchQuery") not in rx_chan.log
+            assert billed == []
 
     def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair):
         cat = make_catalog([1, 2], rng)
@@ -450,15 +457,153 @@ class TestSessions:
             assert billed == len(plan.picks)
 
     def test_local_session_runs_the_wire_grammar(self, p23, rng):
-        """In-process sessions deliver every ciphertext and use the TCP grammar."""
+        """In-process sessions deliver every ciphertext and use the TCP grammar.
+
+        The buyer keeps one ciphertext request ahead of the reply it reads.
+        """
         cat = make_catalog([1, 2, 3], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         _, _, log = run_local_session(bundle, secrets, ["item01"],
                                       receiver_rng=rng, sender_rng=rng)
         sent, got = "local", "peer"
         assert log == [(sent, "Hello"), (got, "ManifestMsg"),
-                       *[(sent, "CtReq"), (got, "CtData")] * 3,
+                       (sent, "CtReq"), (sent, "CtReq"), (got, "CtData"),
+                       (sent, "CtReq"), (got, "CtData"), (got, "CtData"),
                        (sent, "OtBatchQuery"), (got, "OtBatchResp"), (got, "Done")]
+
+        bundle, secrets = publish(make_catalog([1] * 5, rng), "p2", p23, rng=rng)
+        _, _, log = run_local_session(bundle, secrets, ["item04"],
+                                      receiver_rng=rng, sender_rng=rng)
+        lead = 0  # requests sent minus replies read
+        for side, name in log:
+            lead += (side, name) == (sent, "CtReq")
+            lead -= (side, name) == (got, "CtData")
+            assert 0 <= lead <= 2  # the reply being read and one request ahead
+        assert log.count((sent, "CtReq")) == log.count((got, "CtData")) == 5
+
+
+class TestPipelinedDelivery:
+    """The buyer keeps one request ahead and checks digests on a ``wot-digest`` thread."""
+
+    @staticmethod
+    def against(seller, buyer):
+        """Run ``buyer(rx_chan)`` against ``seller(tx_chan)`` over a socket pair."""
+        rx_sock, tx_sock = socket.socketpair()
+        rx_chan, tx_chan = SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
+
+        def seller_side():
+            try:
+                seller(tx_chan)
+            except (ProtocolError, OSError):
+                pass  # the buyer hangs up
+            finally:
+                tx_chan.close()
+
+        worker = threading.Thread(target=seller_side, daemon=True)
+        worker.start()
+        try:
+            return buyer(rx_chan)
+        finally:
+            rx_chan.close()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+
+    @staticmethod
+    def buyer_joining_helpers(monkeypatch, item_ids, rng):
+        """The buyer's side, checking as it returns or raises that its digest helper has ended."""
+        helpers = count_calls(monkeypatch, protocol._check_digests,
+                              record=threading.current_thread)
+
+        def buyer(rx_chan):
+            started = len(helpers)
+            try:
+                return run_session_receiver(rx_chan, item_ids, rng=rng)
+            finally:
+                assert len(helpers) == started + 1
+                assert helpers[-1].name == "wot-digest" and not helpers[-1].is_alive()
+
+        return buyer
+
+    @staticmethod
+    def open_delivery(tx_chan, bundle, first=None):
+        """Send the manifest and ``first`` (by default the true item00), read two requests."""
+        tx_chan.recv()  # HELLO
+        tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+        assert tx_chan.recv() == CtReq(item_id="item00")
+        tx_chan.send(CtData(item_id="item00", ciphertext=first or bundle.ciphertexts[0]))
+        assert tx_chan.recv() == CtReq(item_id="item01")
+
+    def test_every_fetched_digest_is_checked_on_the_helper(self, p23, rng, monkeypatch):
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+        threads = count_calls(monkeypatch, ciphertext_digest, record=threading.current_thread)
+        run_local_session(bundle, secrets, ["item01"], receiver_rng=rng, sender_rng=rng)
+        assert len(threads) == 3 and {t.name for t in threads} == {"wot-digest"}
+
+    def test_helper_is_joined_when_a_digest_fails(self, p23, rng, monkeypatch):
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+        corrupted = replace(bundle, ciphertexts=(bundle.ciphertexts[0] + b"x",
+                                                 *bundle.ciphertexts[1:]))
+        with pytest.raises(CatalogError, match="digest mismatch for item 'item00'"):
+            self.against(lambda tx: serve_session(tx, corrupted, secrets, p23, rng),
+                         self.buyer_joining_helpers(monkeypatch, ["item02"], rng))
+
+    def test_helper_is_joined_when_the_seller_closes_mid_frame(self, p23, rng, monkeypatch):
+        """A bad item received before the cut is reported over the cut, as it was first."""
+        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+        buyer = self.buyer_joining_helpers(monkeypatch, ["item00"], rng)
+        for first, error, match in (
+                (None, ProtocolError, "connection closed mid-frame"),
+                (bundle.ciphertexts[0] + b"x", CatalogError, "digest mismatch for item 'item00'")):
+
+            def close_mid_frame(tx_chan, first=first):
+                self.open_delivery(tx_chan, bundle, first)
+                assert tx_chan.recv() == CtReq(item_id="item02")  # nothing left unread
+                frame = encode_frame(CtData(item_id="item01", ciphertext=bundle.ciphertexts[1]))
+                tx_chan._sock.sendall(frame[:len(frame) // 2])
+
+            with pytest.raises(error, match=match):
+                self.against(close_mid_frame, buyer)
+
+    def test_refusal_with_a_request_ahead_is_a_remote_error(self, p23, rng, monkeypatch):
+        """The seller refuses the second request and hangs up with the third unread.
+
+        Whether the buyer's third request lands before the hang-up or fails
+        after it is a race; either way the buyer reports the seller's ERROR.
+        """
+        bundle, _ = publish(make_catalog([1, 2, 3, 4], rng), "p2", p23, rng=rng)
+
+        def refuse_second(tx_chan):
+            self.open_delivery(tx_chan, bundle)
+            tx_chan.send(ErrorMsg(code=ERR_UNKNOWN_ITEM, text="unknown item"))
+
+        buyer = self.buyer_joining_helpers(monkeypatch, ["item03"], rng)
+        for _ in range(20):
+            with pytest.raises(RemoteError, match=f"remote error {ERR_UNKNOWN_ITEM}: unknown item"):
+                self.against(refuse_second, buyer)
+
+    def test_failed_request_ahead_reads_the_pending_frame(self, p23, rng):
+        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+
+        class HungUpSeller:
+            """The seller refused the second request and closed before the third."""
+
+            def __init__(self):
+                self.sent = []
+                self.replies = iter([CtData(item_id="item00", ciphertext=bundle.ciphertexts[0]),
+                                     ErrorMsg(code=ERR_UNKNOWN_ITEM, text="unknown item")])
+
+            def send(self, msg):
+                if len(self.sent) == 2:
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.sent.append(msg)
+
+            def recv(self):
+                return next(self.replies)
+
+        channel = HungUpSeller()
+        with pytest.raises(RemoteError, match="unknown item"):
+            fetch_bundle(channel, bundle.manifest)
+        assert channel.sent == [CtReq(item_id="item00"), CtReq(item_id="item01")]
 
 
 class TestBundleIO:
