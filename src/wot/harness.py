@@ -1,19 +1,11 @@
-"""Executable evidence for the protocol's privacy and cost claims.
+"""Executable evidence for the protocol's privacy claim.
 
-Three experiments, all deterministic given a seed:
-
-* ``privacy_experiment`` runs many sessions for two equal-price choice
-  sets on a tiny group and compares what the seller saw: the billed
-  totals must be identical, and the pooled query-element histograms must
-  be statistically indistinguishable (a chi-square test, computed with
-  the standard library). Tiny subgroups make the uniformity claim
-  exhaustively testable rather than asymptotic.
-* ``correctness_oracle`` runs a real session for every nonempty choice
-  set of a small catalog and checks the buyer got exactly the chosen
-  plaintexts, the seller billed exactly their weight sum, and none of the
-  buyer's recovered key material opens an unchosen item.
-* ``complexity_check`` publishes and transacts with counters attached
-  and asserts the advertised operation counts exactly.
+``privacy_experiment`` runs many sessions for two equal-price choice sets
+on a tiny group and compares what the seller saw: the billed totals must
+be identical, and the pooled query-element histograms must be
+statistically indistinguishable (a chi-square test, computed with the
+standard library). Tiny subgroups make the uniformity claim exhaustively
+testable rather than asymptotic. It is deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -22,16 +14,11 @@ import math
 from dataclasses import dataclass
 
 from .base_ot import ot_query
-from .catalog import Catalog, FlatIndexMap, MODE_P2, total_price
-from .errors import HarnessError, WotError
+from .catalog import FlatIndexMap
+from .errors import HarnessError
 from .group import GroupParams
-from .instrument import Counters
-from .net import run_local_session
-from .protocol import item_context, plan_for_indices, publish
-from . import symcrypto
 
 MAX_EXPERIMENT_SUBGROUP = 101
-MAX_ORACLE_ITEMS = 6
 
 
 @dataclass(frozen=True)
@@ -177,148 +164,3 @@ def _gamma_q(a: float, x: float) -> float:
         if abs(d * c - 1) < 1e-16:
             break
     return front * h
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    passed: bool
-    sessions_run: int
-    failures: tuple[str, ...]
-
-
-def correctness_oracle(catalog: Catalog, mode: str, params: GroupParams,
-                       rng) -> OracleVerdict:
-    """Exhaustively transact every nonempty choice set of a small catalog."""
-    if catalog.n > MAX_ORACLE_ITEMS:
-        raise HarnessError(f"oracle is exhaustive; {catalog.n} items is too many")
-    bundle, secrets = publish(catalog, mode, params, rng=rng)
-    failures = []
-    sessions = 0
-    for mask in range(1, 1 << catalog.n):
-        choice = {i for i in range(catalog.n) if mask >> i & 1}
-        ids = [catalog.items[i].id for i in choice]
-        result, billed, _ = run_local_session(bundle, secrets, ids,
-                                              receiver_rng=rng, sender_rng=rng)
-        sessions += 1
-        expected = {catalog.items[i].id: catalog.items[i].payload for i in choice}
-        got = dict(result.items)
-        if got != expected:
-            failures.append(f"choice {sorted(choice)}: wrong plaintexts")
-        want_total = total_price(catalog, choice)
-        if billed != want_total or result.total != want_total:
-            failures.append(f"choice {sorted(choice)}: billed {billed}, "
-                            f"expected {want_total}")
-        failures.extend(_unchosen_breach(catalog, mode, bundle, secrets, choice))
-    return OracleVerdict(passed=not failures, sessions_run=sessions,
-                         failures=tuple(failures))
-
-
-def _unchosen_breach(catalog, mode, bundle, secrets, choice) -> list[str]:
-    """Try opening unchosen items with the material a buyer of ``choice`` holds."""
-    flat_map = bundle.flat_map
-    learned = [secrets.flat_secrets[f] for i in choice for f in flat_map.item_range(i)]
-    learned_keys = []
-    if mode == MODE_P2:
-        for i in choice:
-            learned_keys.append(symcrypto.combine_shares(
-                [secrets.flat_secrets[f] for f in flat_map.item_range(i)]))
-    else:
-        learned_keys.extend(learned)
-    all_xor = learned[0] if len(learned) == 1 else symcrypto.combine_shares(learned)
-    failures = []
-    for i in range(catalog.n):
-        if i in choice:
-            continue
-        item = catalog.items[i]
-        ct = bundle.ciphertexts[i]
-        context = item_context(mode, item.id)
-        for key in [*learned_keys, all_xor]:
-            try:
-                if mode == MODE_P2:
-                    symcrypto.decrypt(key, ct, context)
-                else:
-                    symcrypto.nested_decrypt([key], ct, context)
-            except WotError:
-                continue
-            failures.append(f"choice {sorted(choice)}: key material opened "
-                            f"unchosen item {item.id!r}")
-    return failures
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    mode: str
-    passed: bool
-    expected: dict
-    observed: dict
-    failures: tuple[str, ...]
-
-
-def complexity_check(catalog: Catalog, mode: str, params: GroupParams,
-                     rng, choice=None) -> ComplexityReport:
-    """Publish + one session with counters; assert the advertised costs."""
-    weights = catalog.weights
-    publish_counters = Counters()
-    bundle, secrets = publish(catalog, mode, params, rng=rng, counters=publish_counters)
-
-    if choice is None:
-        choice = set(range(catalog.n))
-    plan = plan_for_indices(bundle.manifest, choice)
-    rx = Counters()
-    tx = Counters()
-    item_ids = [bundle.manifest.ids[i] for i in plan.choice_indices]
-    result, billed, log = run_local_session(bundle, secrets, item_ids,
-                                            receiver_rng=rng, sender_rng=rng,
-                                            receiver_counters=rx, sender_counters=tx)
-    k = len(plan.choice_indices)
-    billed_weight = plan.total
-
-    failures = []
-    if mode == MODE_P2:
-        expected = {
-            "encryptions": catalog.n,
-            "key_gens": catalog.n,
-            "share_draws": sum(w - 1 for w in weights),
-            "receiver_decryptions": k,
-            "shares_combined": billed_weight,
-        }
-        observed = {
-            "encryptions": publish_counters.encryptions,
-            "key_gens": publish_counters.key_gens,
-            "share_draws": publish_counters.share_draws,
-            "receiver_decryptions": rx.decryptions,
-            "shares_combined": rx.shares_combined,
-        }
-    else:
-        expected = {
-            "encryptions": sum(weights),
-            "key_gens": sum(weights),
-            "share_draws": 0,
-            "receiver_decryptions": billed_weight,
-        }
-        observed = {
-            "encryptions": publish_counters.encryptions,
-            "key_gens": publish_counters.key_gens,
-            "share_draws": publish_counters.share_draws,
-            "receiver_decryptions": rx.decryptions,
-        }
-    # Exponent freshness: one query exponent and one response exponent per
-    # pick, whatever the size of the flat index space.
-    expected["query_exponents"] = billed_weight
-    observed["query_exponents"] = rx.query_exponents
-    expected["response_exponents"] = billed_weight
-    observed["response_exponents"] = tx.response_exponents
-
-    # One query flight and one response flight in the message log.
-    query_flights = [entry for entry in log if entry[1] == "OtBatchQuery"]
-    resp_flights = [entry for entry in log if entry[1] == "OtBatchResp"]
-    if len(query_flights) != 1 or len(resp_flights) != 1:
-        failures.append(f"expected one query and one response flight, log={log}")
-
-    for name, want in expected.items():
-        if observed.get(name) != want:
-            failures.append(f"{name}: expected {want}, observed {observed.get(name)}")
-    if billed != billed_weight or result.total != billed_weight:
-        failures.append(f"billed {billed}, expected {billed_weight}")
-    return ComplexityReport(mode=mode, passed=not failures, expected=expected,
-                            observed=observed, failures=tuple(failures))

@@ -25,7 +25,6 @@ from pathlib import Path
 from .errors import CatalogError, ProtocolError
 from .framing import ERR_INTERNAL, ErrorMsg, encode_frame, read_frame
 from .group import setup_params
-from .instrument import Counters
 from .protocol import (PublishedBundle, PurchaseResult, SenderSecrets,
                        run_session_receiver, serve_session)
 
@@ -184,10 +183,7 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
 
 
 def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets, item_ids,
-                      receiver_rng=None, sender_rng=None,
-                      receiver_counters: Counters | None = None,
-                      sender_counters: Counters | None = None,
-                      ) -> tuple[PurchaseResult, int, list]:
+                      receiver_rng=None, sender_rng=None) -> tuple[PurchaseResult, int, list]:
     """Run both sides in-process over a socket pair.
 
     Returns the buyer's result, the seller's billed count and the buyer's
@@ -201,8 +197,7 @@ def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets, item_ids,
 
     def sender_side():
         try:
-            box["sender"] = serve_session(tx_chan, bundle, secrets, params,
-                                          sender_rng, sender_counters)
+            box["sender"] = serve_session(tx_chan, bundle, secrets, params, sender_rng)
         except Exception as exc:  # surfaced after join
             box["sender_error"] = exc
         finally:
@@ -211,8 +206,7 @@ def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets, item_ids,
     worker = threading.Thread(target=sender_side, daemon=True)
     worker.start()
     try:
-        result = run_session_receiver(rx_chan, item_ids, rng=receiver_rng,
-                                      counters=receiver_counters)
+        result = run_session_receiver(rx_chan, item_ids, rng=receiver_rng)
     except ProtocolError:
         # A receiver-side protocol error is usually fallout from a sender
         # abort; surface the root cause when there is one.

@@ -1,4 +1,4 @@
-"""Weighted-transfer sessions: publish, plan, buy.
+"""Weighted-transfer sessions: publish, buy, sell.
 
 Two publishing modes, one transfer core:
 
@@ -20,12 +20,12 @@ carries frames::
     HELLO -> MANIFEST -> (CT_REQ -> CT_DATA)* -> OT_BATCH_QUERY
           -> OT_BATCH_RESP -> DONE
 
-The buyer's side is one function, ``run_session_receiver``. It plans
-the purchase from the manifest it receives, refuses one whose reply
-would pass the frame cap (a size that follows from ``(N, T)`` alone, as
-the seller computes it), and then takes *every* ciphertext, from a
-cached bundle directory or over the wire: requesting only the chosen
-ones would reveal the choice out of band. Each ciphertext is checked
+The buyer's side is one function, ``run_session_receiver``. It looks
+up the chosen ids in the manifest it receives, refuses a purchase
+whose reply would pass the frame cap (a size that follows from
+``(N, T)`` alone, as the seller computes it), and then takes *every*
+ciphertext, from a cached bundle directory or over the wire: requesting
+only the chosen ones would reveal the choice out of band. Each ciphertext is checked
 against its manifest entry once. A cached one is checked as it is
 taken, since the check decides whether to fetch it. Delivery of the
 rest is a pipeline in ``fetch_bundle``: the buyer sends the CT_REQ for
@@ -82,7 +82,6 @@ from .framing import (ANY_GROUP, ANY_KEY_BITS, ANY_MODE, CtData, CtReq, Done, Er
                       ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_UNKNOWN_ITEM,
                       MAX_FRAME_LEN, PROTOCOL_VERSION, _ot_batch_resp_len)
 from .group import GroupParams, is_member, setup_params
-from .instrument import Counters
 
 MANIFEST_FILE = "manifest.bin"
 SECRETS_FILE = "sender_secrets.bin"
@@ -142,22 +141,13 @@ class SenderSecrets:
 
 
 @dataclass(frozen=True)
-class SelectionPlan:
-    """A buyer's resolved choice: item indices, their flat picks, the price."""
-
-    choice_indices: tuple[int, ...]
-    picks: tuple[int, ...]  # ascending; the canonical order hides pick structure
-    total: int
-
-
-@dataclass(frozen=True)
 class PurchaseResult:
     items: tuple[tuple[str, bytes], ...]  # (item id, plaintext) in manifest order
     total: int
 
 
 def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 128,
-            rng=None, counters: Counters | None = None) -> tuple[PublishedBundle, SenderSecrets]:
+            rng=None) -> tuple[PublishedBundle, SenderSecrets]:
     """Encrypt a catalog and derive the flat secret vector for transfers."""
     if mode not in MODES:
         raise CatalogError(f"unknown mode {mode!r}")
@@ -166,13 +156,12 @@ def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 12
     for item in catalog.items:
         context = item_context(mode, item.id)
         if mode == MODE_P2:
-            key = symcrypto.new_key(key_bits, rng, counters)
-            ciphertexts.append(symcrypto.encrypt(key, item.payload, context, rng, counters))
-            flat_secrets.extend(symcrypto.split_key(key, item.weight, rng, counters))
+            key = symcrypto.new_key(key_bits, rng)
+            ciphertexts.append(symcrypto.encrypt(key, item.payload, context, rng))
+            flat_secrets.extend(symcrypto.split_key(key, item.weight, rng))
         else:
-            layer_keys = [symcrypto.new_key(key_bits, rng, counters) for _ in range(item.weight)]
-            ciphertexts.append(symcrypto.nested_encrypt(layer_keys, item.payload, context,
-                                                        rng, counters))
+            layer_keys = [symcrypto.new_key(key_bits, rng) for _ in range(item.weight)]
+            ciphertexts.append(symcrypto.nested_encrypt(layer_keys, item.payload, context, rng))
             flat_secrets.extend(layer_keys)
     entries = tuple(
         ManifestEntry(id=item.id, weight=item.weight, ct_len=len(ct),
@@ -184,25 +173,6 @@ def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 12
     bundle = PublishedBundle(manifest=manifest, ciphertexts=tuple(ciphertexts))
     secrets = SenderSecrets(mode=mode, flat_secrets=tuple(flat_secrets))
     return bundle, secrets
-
-
-def plan_for_indices(manifest: Manifest, indices) -> SelectionPlan:
-    """Resolve chosen item indices into the full flat pick set."""
-    chosen = sorted(set(indices))
-    if not chosen:
-        raise ProtocolError("empty choice set")
-    if chosen[0] < 0 or chosen[-1] >= manifest.n:
-        raise ProtocolError("choice index out of range")
-    flat_map = FlatIndexMap(manifest.weights)
-    picks = []
-    for i in chosen:
-        picks.extend(flat_map.item_range(i))  # every share of the item
-    picks.sort()
-    return SelectionPlan(
-        choice_indices=tuple(chosen),
-        picks=tuple(picks),
-        total=sum(manifest.weights[i] for i in chosen),
-    )
 
 
 def _expect(msg, expected_type):
@@ -226,8 +196,7 @@ def _refuse(channel, code: int, text: str, detail: str | None = None) -> NoRetur
     raise GrammarError(detail or text)
 
 
-def run_session_receiver(channel, item_ids, cache_dir=None, rng=None,
-                         counters: Counters | None = None) -> PurchaseResult:
+def run_session_receiver(channel, item_ids, cache_dir=None, rng=None) -> PurchaseResult:
     """Drive the buyer's side of one session, HELLO to DONE, over an open channel.
 
     The group is the preset the manifest names; a manifest naming any
@@ -238,7 +207,9 @@ def run_session_receiver(channel, item_ids, cache_dir=None, rng=None,
     manifest = _expect(channel.recv(), ManifestMsg).manifest
     # Validate the request before any transfer-related traffic, and its
     # size from (N, T) alone before any work that grows with T.
-    chosen = {manifest.index_of(item_id) for item_id in item_ids}
+    chosen = sorted({manifest.index_of(item_id) for item_id in item_ids})
+    if not chosen:
+        raise ProtocolError("empty choice set")
     params = setup_params(manifest.group_id)
     reply_len = _ot_batch_resp_len(sum(manifest.entries[i].weight for i in chosen),
                                    manifest.total_weight, params.element_len,
@@ -246,16 +217,18 @@ def run_session_receiver(channel, item_ids, cache_dir=None, rng=None,
     if reply_len > MAX_FRAME_LEN:
         raise ProtocolError(f"purchase too large: its reply would be {reply_len} bytes, "
                             f"over the {MAX_FRAME_LEN}-byte frame cap")
-    plan = plan_for_indices(manifest, chosen)
+    flat_map = FlatIndexMap(manifest.weights)
+    # Every share of every chosen item, ascending: the canonical order
+    # hides the pick structure, and the bill is the pick count.
+    picks = [f for i in chosen for f in flat_map.item_range(i)]
     bundle = fetch_bundle(channel, manifest, cache_dir)
-    flat_map = bundle.flat_map
 
     total = flat_map.total
-    queries, exponents = ot_query(params, total, plan.picks, rng, counters)
+    queries, exponents = ot_query(params, total, picks, rng)
     channel.send(OtBatchQuery(elem_len=params.element_len, queries=queries))
 
     resp = _expect(channel.recv(), OtBatchResp)
-    if len(resp.responses) != len(plan.picks):
+    if len(resp.responses) != len(picks):
         raise ProtocolError("response count does not match pick count")
     for r_ in resp.responses:
         if r_.n_secrets != total:
@@ -264,31 +237,30 @@ def run_session_receiver(channel, item_ids, cache_dir=None, rng=None,
             raise ProtocolError("invalid response element")
 
     sid = batch_binding(params, queries)
-    bindings = [pick_binding(sid, ordinal) for ordinal in range(len(plan.picks))]
-    recovered = dict(zip(plan.picks, ot_recover(params, resp.responses, plan.picks,
-                                                exponents, bindings)))
+    bindings = [pick_binding(sid, ordinal) for ordinal in range(len(picks))]
+    recovered = dict(zip(picks, ot_recover(params, resp.responses, picks,
+                                           exponents, bindings)))
 
     items = []
-    for i in plan.choice_indices:
+    for i in chosen:
         entry = manifest.entries[i]
         material = [recovered[f] for f in flat_map.item_range(i)]
         context = item_context(manifest.mode, entry.id)
         try:
             if manifest.mode == MODE_P2:
-                key = symcrypto.combine_shares(material, counters)
-                plaintext = symcrypto.decrypt(key, bundle.ciphertexts[i], context, counters)
+                key = symcrypto.combine_shares(material)
+                plaintext = symcrypto.decrypt(key, bundle.ciphertexts[i], context)
             else:
-                plaintext = symcrypto.nested_decrypt(material, bundle.ciphertexts[i],
-                                                     context, counters)
+                plaintext = symcrypto.nested_decrypt(material, bundle.ciphertexts[i], context)
         except (AuthenticationError, CryptoError):
             raise ItemAuthenticationError(entry.id) from None
         items.append((entry.id, plaintext))
 
     done = _expect(channel.recv(), Done)
-    if done.billed != plan.total:
+    if done.billed != len(picks):
         raise ProtocolError(f"billing mismatch: sender charged {done.billed}, "
-                            f"expected {plan.total}")
-    return PurchaseResult(items=tuple(items), total=plan.total)
+                            f"expected {len(picks)}")
+    return PurchaseResult(items=tuple(items), total=len(picks))
 
 
 def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle:
@@ -356,8 +328,7 @@ def _check_digests(handed: queue.SimpleQueue, checked: list):
 
 
 def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
-                  params: GroupParams, rng=None,
-                  counters: Counters | None = None) -> int:
+                  params: GroupParams, rng=None) -> int:
     """The seller's side of one session: grammar and delivery, then the transfer.
 
     Returns the billed pick count.
@@ -383,14 +354,13 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
                 _refuse(channel, ERR_UNKNOWN_ITEM, "unknown item")
             channel.send(CtData(item_id=msg.item_id, ciphertext=ct))
         elif isinstance(msg, OtBatchQuery):
-            return run_session_sender(secrets, msg, channel, params, rng, counters)
+            return run_session_sender(secrets, msg, channel, params, rng)
         else:
             _refuse(channel, ERR_GRAMMAR, "grammar")
 
 
 def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
-                       params: GroupParams, rng=None,
-                       counters: Counters | None = None) -> int:
+                       params: GroupParams, rng=None) -> int:
     """Answer one buyer's batch; learns and returns only the billed pick count."""
     if not query.queries:
         _refuse(channel, ERR_BAD_QUERY, "empty purchase", "empty purchase rejected")
@@ -418,7 +388,7 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
                     "invalid query: not a subgroup member")
 
     sid = batch_binding(params, query.queries)
-    powers = respond_powers(params, query.queries, rng, counters)
+    powers = respond_powers(params, query.queries, rng)
     responses = tuple(ot_respond(params, flat, pick, pick_binding(sid, ordinal))
                       for ordinal, pick in enumerate(powers))
     billed = len(query.queries)

@@ -24,7 +24,6 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import AuthenticationError, CryptoError
-from .instrument import Counters
 
 NONCE_LEN = 12
 TAG_LEN = 16
@@ -41,32 +40,24 @@ def _check_key(key: bytes) -> bytes:
     return bytes(key)
 
 
-def new_key(key_bits: int = 128, rng=None, counters: Counters | None = None) -> bytes:
+def new_key(key_bits: int = 128, rng=None) -> bytes:
     if key_bits not in KEY_BITS_CHOICES:
         raise CryptoError(f"unsupported key length {key_bits}")
     rng = rng or _SYSTEM_RNG
-    if counters:
-        counters.key_gens += 1
     return rng.randbytes(key_bits // 8)
 
 
-def encrypt(key: bytes, plaintext: bytes, context: str = "",
-            rng=None, counters: Counters | None = None) -> bytes:
+def encrypt(key: bytes, plaintext: bytes, context: str = "", rng=None) -> bytes:
     key = _check_key(key)
     rng = rng or _SYSTEM_RNG
     nonce = rng.randbytes(NONCE_LEN)
-    if counters:
-        counters.encryptions += 1
     return nonce + AESGCM(key).encrypt(nonce, bytes(plaintext), context.encode())
 
 
-def decrypt(key: bytes, ciphertext: bytes, context: str = "",
-            counters: Counters | None = None) -> bytes:
+def decrypt(key: bytes, ciphertext: bytes, context: str = "") -> bytes:
     key = _check_key(key)
     if len(ciphertext) < NONCE_LEN + TAG_LEN:
         raise CryptoError("malformed ciphertext: too short")
-    if counters:
-        counters.decryptions += 1
     view = memoryview(ciphertext)
     try:
         return AESGCM(key).decrypt(view[:NONCE_LEN], view[NONCE_LEN:], context.encode())
@@ -80,7 +71,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def split_key(key: bytes, parts: int, rng=None, counters: Counters | None = None) -> list[bytes]:
+def split_key(key: bytes, parts: int, rng=None) -> list[bytes]:
     """Split ``key`` into ``parts`` XOR shares; all of them recombine to the key.
 
     Exactly ``parts - 1`` random strings are drawn; the final share absorbs
@@ -93,22 +84,18 @@ def split_key(key: bytes, parts: int, rng=None, counters: Counters | None = None
     last = bytes(key)
     for _ in range(parts - 1):
         share = rng.randbytes(len(key))
-        if counters:
-            counters.share_draws += 1
         shares.append(share)
         last = xor_bytes(last, share)
     shares.append(last)
     return shares
 
 
-def combine_shares(shares, counters: Counters | None = None) -> bytes:
+def combine_shares(shares) -> bytes:
     if not shares:
         raise CryptoError("cannot combine zero shares")
     out = bytes(shares[0])
     for share in shares[1:]:
         out = xor_bytes(out, share)
-    if counters:
-        counters.shares_combined += len(shares)
     return out
 
 
@@ -116,20 +103,18 @@ def _layer_context(context: str, layer: int) -> str:
     return f"{context}|layer{layer}"
 
 
-def nested_encrypt(keys, plaintext: bytes, context: str = "",
-                   rng=None, counters: Counters | None = None) -> bytes:
+def nested_encrypt(keys, plaintext: bytes, context: str = "", rng=None) -> bytes:
     """Encrypt under every key in turn; ``keys[0]`` ends up outermost."""
     keys = list(keys)
     if not keys:
         raise CryptoError("nested encryption needs at least one key")
     blob = bytes(plaintext)
     for layer in range(len(keys), 0, -1):
-        blob = encrypt(keys[layer - 1], blob, _layer_context(context, layer), rng, counters)
+        blob = encrypt(keys[layer - 1], blob, _layer_context(context, layer), rng)
     return blob
 
 
-def nested_decrypt(keys, ciphertext: bytes, context: str = "",
-                   counters: Counters | None = None) -> bytes:
+def nested_decrypt(keys, ciphertext: bytes, context: str = "") -> bytes:
     """Peel layers outermost-first; raises naming the first failing layer."""
     keys = list(keys)
     if not keys:
@@ -137,7 +122,7 @@ def nested_decrypt(keys, ciphertext: bytes, context: str = "",
     blob = ciphertext
     for layer in range(1, len(keys) + 1):
         try:
-            blob = decrypt(keys[layer - 1], blob, _layer_context(context, layer), counters)
+            blob = decrypt(keys[layer - 1], blob, _layer_context(context, layer))
         except AuthenticationError:
             raise AuthenticationError(f"authentication failure at layer {layer}", layer=layer) from None
     return blob

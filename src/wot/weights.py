@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from .errors import ReductionError
 
+TRIAL_DIVISION_LIMIT = 10**6
+
 
 @dataclass(frozen=True)
 class ReductionReport:
@@ -103,6 +105,13 @@ def candidate_divisors(weights, limit: int = 8) -> tuple[int, ...]:
     (1/2/5 times powers of ten) that keep every rounded weight nonzero,
     ranked by the relative price error they would introduce. Advisory
     only; the two parties pick the divisor themselves.
+
+    The median's divisors come from trial division by ``d`` up to
+    ``TRIAL_DIVISION_LIMIT``, each with its cofactor ``median // d``. Below
+    ``TRIAL_DIVISION_LIMIT ** 2 = 10^12`` that finds every divisor; above
+    it, divisors whose cofactor is also past the limit are missed, which
+    keeps a large prime median from taking time that grows as its square
+    root.
     """
     weights = _check_weights(weights)
     ordered = sorted(weights)
@@ -110,11 +119,9 @@ def candidate_divisors(weights, limit: int = 8) -> tuple[int, ...]:
     cap = 2 * min(weights)  # anything above rounds the cheapest item to zero
 
     candidates = set()
-    d = 2
-    while d * d <= median:
+    for d in range(2, min(math.isqrt(median), TRIAL_DIVISION_LIMIT) + 1):
         if median % d == 0:
             candidates.update((d, median // d))
-        d += 1
     candidates.add(median)
     scale = 10
     while scale <= cap:

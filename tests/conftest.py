@@ -87,3 +87,8 @@ def count_calls(monkeypatch, function, record=None):
         if name.startswith("wot") and getattr(module, function.__name__, None) is function:
             monkeypatch.setattr(module, function.__name__, counting)
     return calls
+
+
+def share_draws(splits) -> int:
+    """Random shares drawn by the recorded ``split_key(key, parts, rng)`` calls."""
+    return sum(parts - 1 for _, parts, _ in splits)

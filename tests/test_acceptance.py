@@ -7,25 +7,27 @@ fixed seeds and the thresholds stated inline.
 
 import logging
 import random
+import threading
 import time
 from collections import Counter
 
 import pytest
 
+from wot import symcrypto
 from wot.auditor import VERDICT_OK, VERDICT_UNSAFE, audit_prices
 from wot.base_ot import ot_query, ot_recover, ot_respond, respond_powers
 from wot.catalog import Catalog, Item, total_price
 from wot.errors import HarnessError, WotError
 from wot.framing import OtBatchResp
-from wot.group import setup_params
-from wot.harness import PrivacyExperiment, complexity_check, privacy_experiment
-from wot.instrument import Counters
+from wot.group import rand_exponent, setup_params
+from wot.harness import PrivacyExperiment, privacy_experiment
 from wot.net import run_local_session
-from wot.protocol import plan_for_indices, publish
-from wot.symcrypto import combine_shares, decrypt
+from wot.protocol import item_context, publish
+from wot.symcrypto import combine_shares, decrypt, nested_decrypt
 from wot.weights import approx_reduce, gcd_reduce
 
-from conftest import billed_lines, make_catalog, write_catalog_dir
+from conftest import (billed_lines, count_calls, make_catalog, share_draws,
+                      write_catalog_dir)
 
 
 def _report(number, ok, text):
@@ -60,7 +62,7 @@ def test_criterion_1_correctness_exhaustive():
                 expected = {catalog.items[i].id: catalog.items[i].payload
                             for i in choice}
                 assert dict(result.items) == expected
-                assert billed == total_price(catalog, choice)
+                assert billed == result.total == total_price(catalog, choice)
                 sessions += 1
     elapsed = time.time() - started
     _report(1, elapsed < 60.0,
@@ -94,44 +96,65 @@ def test_criterion_2_receiver_privacy():
 
 
 def test_criterion_3_no_extra_information():
-    """Every share combination fails on every unchosen ciphertext (N <= 10)."""
+    """Every combination of learned key material fails on every unchosen item (N <= 10).
+
+    In ``p2`` a guess is an XOR of learned shares, tried as an item key; in
+    ``p1`` it is an XOR of learned layer keys, tried as a one-layer lock.
+    """
     params = setup_params("p23")
     rng = random.Random(31415)
     catalog = make_catalog([2, 3, 4], rng)  # N = 9
-    bundle, secrets = publish(catalog, "p2", params, rng=rng)
-    flat_map = bundle.flat_map
     attempts = 0
     breaches = 0
-    for mask in range(1, (1 << catalog.n) - 1):  # proper nonempty choice sets
-        choice = {i for i in range(catalog.n) if mask >> i & 1}
-        plan = plan_for_indices(bundle.manifest, choice)
-        result, _, _ = run_local_session(bundle, secrets,
-                                         [catalog.items[i].id for i in choice],
-                                         receiver_rng=rng, sender_rng=rng)
-        assert len(result.items) == len(choice)
-        learned = [secrets.flat_secrets[f] for f in plan.picks]
-        unchosen = [i for i in range(catalog.n) if i not in choice]
-        for submask in range(1, 1 << len(learned)):
-            key_guess = combine_shares(
-                [learned[j] for j in range(len(learned)) if submask >> j & 1])
-            for i in unchosen:
-                attempts += 1
-                from wot.protocol import item_context
-                try:
-                    decrypt(key_guess, bundle.ciphertexts[i],
-                            item_context("p2", catalog.items[i].id))
-                    breaches += 1
-                except WotError:
-                    pass
+    for mode in ("p2", "p1"):
+        bundle, secrets = publish(catalog, mode, params, rng=rng)
+        flat_map = bundle.flat_map
+        for mask in range(1, (1 << catalog.n) - 1):  # proper nonempty choice sets
+            choice = {i for i in range(catalog.n) if mask >> i & 1}
+            result, _, _ = run_local_session(bundle, secrets,
+                                             [catalog.items[i].id for i in choice],
+                                             receiver_rng=rng, sender_rng=rng)
+            assert len(result.items) == len(choice)
+            learned = [secrets.flat_secrets[f] for i in sorted(choice)
+                       for f in flat_map.item_range(i)]
+            unchosen = [i for i in range(catalog.n) if i not in choice]
+            for submask in range(1, 1 << len(learned)):
+                key_guess = combine_shares(
+                    [learned[j] for j in range(len(learned)) if submask >> j & 1])
+                for i in unchosen:
+                    attempts += 1
+                    context = item_context(mode, catalog.items[i].id)
+                    try:
+                        if mode == "p2":
+                            decrypt(key_guess, bundle.ciphertexts[i], context)
+                        else:
+                            nested_decrypt([key_guess], bundle.ciphertexts[i], context)
+                        breaches += 1
+                    except WotError:
+                        pass
     _report(3, breaches == 0,
-            f"receiver learns nothing extra: {attempts} share-combination "
-            f"decryption attempts on unchosen items, {breaches} succeeded")
+            f"receiver learns nothing extra: {attempts} key-combination "
+            f"decryption attempts on unchosen items (p2 and p1), {breaches} succeeded")
 
 
-def test_criterion_4_complexity_claims():
-    """Publish costs, transfer flights, and receiver costs match exactly."""
+def test_criterion_4_complexity_claims(monkeypatch):
+    """Publish costs, transfer flights, and receiver costs match exactly.
+
+    ``p2`` publish: ``n`` keys and encryptions, ``sum(p_i - 1)`` share draws.
+    ``p1`` publish: ``sum(p_i)`` keys and encryptions, no share draws. The
+    buyer decrypts once per chosen item (``p2``) or per layer (``p1``), and
+    each pick draws one fresh exponent on each side, whatever ``N`` is.
+    """
     params = setup_params("p23")
     rng = random.Random(6174)
+    buyer = threading.current_thread()  # the seller answers on a worker thread
+    key_gens = count_calls(monkeypatch, symcrypto.new_key)
+    encrypts = count_calls(monkeypatch, symcrypto.encrypt)
+    splits = count_calls(monkeypatch, symcrypto.split_key)
+    decrypts = count_calls(monkeypatch, symcrypto.decrypt)
+    combines = count_calls(monkeypatch, symcrypto.combine_shares)
+    exponents = count_calls(monkeypatch, rand_exponent, record=threading.current_thread)
+    counted = (key_gens, encrypts, splits, decrypts, combines, exponents)
     checked = 0
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -139,8 +162,27 @@ def test_criterion_4_complexity_claims():
         catalog = make_catalog(weights, rng, payload_size=32)
         choice = {i for i in range(n) if rng.random() < 0.5} or {rng.randrange(n)}
         mode = rng.choice(("p1", "p2"))
-        report = complexity_check(catalog, mode, params, rng, choice=choice)
-        assert report.passed, report.failures
+        for calls in counted:
+            calls.clear()
+        bundle, secrets = publish(catalog, mode, params, rng=rng)
+        assert (len(key_gens), len(encrypts)) == ((n, n) if mode == "p2"
+                                                  else (sum(weights), sum(weights)))
+        assert share_draws(splits) == (sum(w - 1 for w in weights) if mode == "p2" else 0)
+        assert decrypts == [] and exponents == []
+
+        result, billed, log = run_local_session(
+            bundle, secrets, [catalog.items[i].id for i in sorted(choice)],
+            receiver_rng=rng, sender_rng=rng)
+        billed_weight = total_price(catalog, choice)
+        assert billed == result.total == billed_weight
+        assert len(decrypts) == (len(choice) if mode == "p2" else billed_weight)
+        assert sum(len(shares) for (shares,) in combines) == (
+            billed_weight if mode == "p2" else 0)
+        query_exponents = sum(thread is buyer for thread in exponents)
+        response_exponents = len(exponents) - query_exponents
+        assert (query_exponents, response_exponents) == (billed_weight, billed_weight)
+        assert [name for _, name in log].count("OtBatchQuery") == 1
+        assert [name for _, name in log].count("OtBatchResp") == 1
         checked += 1
     _report(4, checked == 100,
             "complexity: encryptions=n, share draws=sum(p_i-1), one query and one "
@@ -148,7 +190,7 @@ def test_criterion_4_complexity_claims():
             f"over {checked} random catalogs (both modes)")
 
 
-def test_criterion_5_weight_reduction():
+def test_criterion_5_weight_reduction(monkeypatch):
     """The reduction examples and the exact factor-q work shrinkage."""
     exact = gcd_reduce([100, 200, 300, 700])
     assert exact.q == 100 and exact.reduced == (1, 2, 3, 7)
@@ -159,17 +201,18 @@ def test_criterion_5_weight_reduction():
     rng = random.Random(55)
     original = make_catalog([100, 200, 300, 700], rng, payload_size=8)
     reduced = make_catalog([1, 2, 3, 7], rng, payload_size=8)
-    counters_orig, counters_red = Counters(), Counters()
-    bundle_orig, _ = publish(original, "p2", params, rng=rng, counters=counters_orig)
-    bundle_red, _ = publish(reduced, "p2", params, rng=rng, counters=counters_red)
+    splits = count_calls(monkeypatch, symcrypto.split_key)
+    bundle_orig, _ = publish(original, "p2", params, rng=rng)
+    draws_orig = share_draws(splits)
+    splits.clear()
+    bundle_red, _ = publish(reduced, "p2", params, rng=rng)
+    draws_red = share_draws(splits)
     n_orig = bundle_orig.flat_map.total
     n_red = bundle_red.flat_map.total
     assert n_orig == n_red * exact.q == 1300
-    plan_orig = plan_for_indices(bundle_orig.manifest, {0, 2})
-    plan_red = plan_for_indices(bundle_red.manifest, {0, 2})
-    assert plan_orig.total == plan_red.total * exact.q
-    assert counters_orig.share_draws == 1296
-    assert counters_red.share_draws == 9
+    assert total_price(original, {0, 2}) == total_price(reduced, {0, 2}) * exact.q
+    assert draws_orig == 1296
+    assert draws_red == 9
     _report(5, True,
             "weight reduction: gcd (100,[1,2,3,7]), rounding [105,190,307,689]/100"
             f" -> [1,2,3,7]; transfer space {n_orig} -> {n_red} (factor {exact.q})")

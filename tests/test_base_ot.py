@@ -7,8 +7,9 @@ from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_res
 from wot.errors import ProtocolError
 from wot.framing import OtBatchQuery, OtBatchResp, encode_frame
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
-from wot.instrument import Counters
 from wot.protocol import SenderSecrets, run_session_sender
+
+from conftest import count_calls
 
 
 def reference_respond(params, secrets, y, binding, rng):
@@ -33,15 +34,15 @@ class Scripted:
         return next(self.values)
 
 
-def query(params, n, index, rng, counters=None):
+def query(params, n, index, rng):
     """One pick's query element and secret exponent."""
-    (y,), (r,) = ot_query(params, n, [index], rng, counters)
+    (y,), (r,) = ot_query(params, n, [index], rng)
     return y, r
 
 
-def respond(params, secrets, y, binding, rng, counters=None):
+def respond(params, secrets, y, binding, rng):
     """One pick's response: its batch of powers, then its masks."""
-    (powers,) = respond_powers(params, [y], rng, counters)
+    (powers,) = respond_powers(params, [y], rng)
     return ot_respond(params, secrets, powers, binding)
 
 
@@ -204,16 +205,17 @@ class TestRespondRecover:
             got = recover(p23, response, wrong, r, b"t")
             assert got != secrets[wrong]
 
-    def test_fresh_exponents_counted(self, p23, rng):
-        counters = Counters()
+    def test_fresh_exponents_counted(self, p23, rng, monkeypatch):
         secrets = [rng.randbytes(16) for _ in range(6)]
-        y, r = query(p23, 6, 1, rng, counters)
-        respond(p23, secrets, y, b"t", rng, counters)
-        assert counters.query_exponents == 1
-        assert counters.response_exponents == 1  # one k per pick, whatever N is
-        queries, _ = ot_query(p23, 6, [0, 2, 5], rng, counters)
-        respond_powers(p23, queries, rng, counters)
-        assert (counters.query_exponents, counters.response_exponents) == (4, 4)
+        draws = count_calls(monkeypatch, rand_exponent)
+        y, r = query(p23, 6, 1, rng)
+        assert len(draws) == 1  # one r per pick
+        respond(p23, secrets, y, b"t", rng)
+        assert len(draws) == 2  # one k per pick, whatever N is
+        queries, _ = ot_query(p23, 6, [0, 2, 5], rng)
+        assert len(draws) == 5
+        respond_powers(p23, queries, rng)
+        assert len(draws) == 8
 
 
 @pytest.mark.parametrize("preset, n", [("p47", 12), ("modp-2048", 5)])

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wot.catalog import (Catalog, FlatIndexMap, Item, ciphertext_digest, load_catalog,
                          total_price)
-from wot.errors import CatalogError, ProtocolError
-from wot.protocol import plan_for_indices, publish
+from wot.errors import CatalogError
 
 from conftest import make_catalog, write_catalog_dir
 
@@ -82,13 +81,6 @@ class TestFlatIndexMap:
 
     def test_reduced_demo_vector(self):
         assert FlatIndexMap([1, 2, 3, 7]).total == 13
-
-    def test_out_of_range(self, p23):
-        """An item index outside the manifest is refused before any range is taken."""
-        manifest = publish(make_catalog([2, 1]), "p2", p23)[0].manifest
-        for bad in ({2}, {-1}, {0, 2}):
-            with pytest.raises(ProtocolError, match="out of range"):
-                plan_for_indices(manifest, bad)
 
     @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=50))
     @settings(max_examples=100)

@@ -63,12 +63,12 @@ def test_serve_refuses_seed(catalog_dir, tmp_path, monkeypatch, capsys):
     assert "reproducible tests only" in capsys.readouterr().err
 
 
-def _run_cli(*args):
+def _run_cli(*args, timeout=30):
     """Run a command in a fresh interpreter, as an operator would."""
     env = dict(os.environ, PYTHONPATH=str(Path(wot.__file__).parents[1]))
     env.pop("WOT_SEED", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=30)
+                          text=True, timeout=timeout)
 
 
 def test_cli_import_loads_no_scipy_or_numpy():
@@ -268,6 +268,27 @@ def test_reduce_suggests_divisors_when_gcd_is_one(tmp_path, capsys):
     prices.write_text("105\n190\n307\n689\n")
     main(["reduce", "--prices", str(prices)])
     assert "candidate divisors" in capsys.readouterr().out
+
+
+def test_reduce_large_coprime_prices_finish(tmp_path):
+    """Trial division stops at a fixed bound, not at the median's square root."""
+    prices = tmp_path / "prices.txt"
+    prices.write_text(f"{10**24}\n{10**24 + 7}\n")
+    proc = _run_cli("-m", "wot.cli", "reduce", "--prices", str(prices), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "candidate divisors" in proc.stdout
+
+
+def test_audit_refuses_oversize_merge_in_one_line(tmp_path):
+    """Thirty distinct powers of two pass the item cap but not the merge cap."""
+    prices = tmp_path / "prices.txt"
+    prices.write_text("".join(f"{2**i}\n" for i in range(30)))
+    proc = _run_cli("-m", "wot.cli", "audit", "--prices", str(prices), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: too many distinct subset sums for exhaustive audit: "
+        f"{2**30} half-sum pairs > {2**18}"]
 
 
 def test_privacy_test_command(capsys, monkeypatch):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from wot import symcrypto
 from wot.errors import HarnessError
-from wot.harness import (ComplexityReport, PrivacyExperiment, chi2_two_row_pvalue,
-                         complexity_check, correctness_oracle, privacy_experiment)
+from wot.harness import PrivacyExperiment, chi2_two_row_pvalue, privacy_experiment
+from wot.net import run_local_session
 from wot.protocol import publish
 
-from conftest import make_catalog
+from conftest import count_calls, make_catalog, share_draws
 
 
 class TestPrivacyExperiment:
@@ -87,78 +88,59 @@ class TestChiSquare:
         assert chi2_two_row_pvalue([0, 0], [0, 0]) == 1.0
 
 
-class TestCorrectnessOracle:
-    @pytest.mark.parametrize("mode", ["p1", "p2"])
-    def test_three_item_catalog_all_sets(self, p23, mode):
-        cat = make_catalog([1, 2, 3], random.Random(8))
-        verdict = correctness_oracle(cat, mode, p23, random.Random(9))
-        assert verdict.passed, verdict.failures
-        assert verdict.sessions_run == 7
-
-    def test_single_item(self, p23):
-        cat = make_catalog([1], random.Random(8))
-        verdict = correctness_oracle(cat, "p2", p23, random.Random(9))
-        assert verdict.passed
-        assert verdict.sessions_run == 1
-
-    def test_oracle_detects_mis_split_share(self, p23):
-        """Mutation check: corrupt one share and the oracle must notice."""
-        cat = make_catalog([1, 2], random.Random(8))
-        rng = random.Random(9)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        broken = list(secrets.flat_secrets)
-        broken[1] = bytes(16)  # item 1 loses a share
-        from wot.net import run_local_session
-        from wot.protocol import SenderSecrets
-        from wot.errors import ItemAuthenticationError
-        bad = SenderSecrets(mode="p2", flat_secrets=tuple(broken))
-        with pytest.raises(ItemAuthenticationError):
-            run_local_session(bundle, bad, [cat.items[1].id],
-                              receiver_rng=rng, sender_rng=rng)
-
-    def test_oversize_catalog_refused(self, p23, rng):
-        cat = make_catalog([1] * 7)
-        with pytest.raises(HarnessError):
-            correctness_oracle(cat, "p2", p23, rng)
-
-
 class TestComplexityCheck:
-    def test_demo_vector_counts(self, p23):
+    """The advertised costs on small catalogs, counted call by call."""
+
+    def test_demo_vector_counts(self, p23, monkeypatch):
         cat = make_catalog([1, 2, 3, 7], random.Random(4))
-        report = complexity_check(cat, "p2", p23, random.Random(5))
-        assert report.passed, report.failures
-        assert report.expected["encryptions"] == 4
-        assert report.expected["share_draws"] == 9
+        encrypts = count_calls(monkeypatch, symcrypto.encrypt)
+        splits = count_calls(monkeypatch, symcrypto.split_key)
+        bundle, secrets = publish(cat, "p2", p23, rng=random.Random(5))
+        assert len(encrypts) == 4
+        assert share_draws(splits) == 9
+        result, billed, _ = run_local_session(bundle, secrets, [i.id for i in cat.items])
+        assert billed == result.total == 13
 
-    def test_weight_one_items_draw_nothing(self, p23):
+    def test_weight_one_items_draw_nothing(self, p23, monkeypatch):
         cat = make_catalog([1, 1], random.Random(4))
-        report = complexity_check(cat, "p2", p23, random.Random(5))
-        assert report.passed
-        assert report.observed["share_draws"] == 0
+        splits = count_calls(monkeypatch, symcrypto.split_key)
+        publish(cat, "p2", p23, rng=random.Random(5))
+        assert len(splits) == 2
+        assert share_draws(splits) == 0
 
-    def test_receiver_side_counts(self, p23):
+    def test_receiver_side_counts(self, p23, monkeypatch):
         # Choosing everything on [2, 1, 3]: six shares combined, three decryptions.
         cat = make_catalog([2, 1, 3], random.Random(4))
-        report = complexity_check(cat, "p2", p23, random.Random(5),
-                                  choice={0, 1, 2})
-        assert report.passed
-        assert report.observed["shares_combined"] == 6
-        assert report.observed["receiver_decryptions"] == 3
+        bundle, secrets = publish(cat, "p2", p23, rng=random.Random(5))
+        combines = count_calls(monkeypatch, symcrypto.combine_shares)
+        decrypts = count_calls(monkeypatch, symcrypto.decrypt)
+        run_local_session(bundle, secrets, [i.id for i in cat.items])
+        assert sum(len(shares) for (shares,) in combines) == 6
+        assert len(decrypts) == 3
 
-    def test_p1_counts(self, p23):
+    def test_p1_counts(self, p23, monkeypatch):
         cat = make_catalog([2, 1, 3], random.Random(4))
-        report = complexity_check(cat, "p1", p23, random.Random(5))
-        assert report.passed, report.failures
-        assert report.observed["encryptions"] == 6
-        assert report.observed["share_draws"] == 0
+        encrypts = count_calls(monkeypatch, symcrypto.encrypt)
+        splits = count_calls(monkeypatch, symcrypto.split_key)
+        bundle, secrets = publish(cat, "p1", p23, rng=random.Random(5))
+        assert len(encrypts) == 6
+        assert splits == []
+        decrypts = count_calls(monkeypatch, symcrypto.decrypt)
+        run_local_session(bundle, secrets, [i.id for i in cat.items])
+        assert len(decrypts) == 6  # one per layer
 
-    def test_random_catalogs(self, p23):
+    def test_random_catalogs(self, p23, monkeypatch):
+        """One catalog in both modes: ``n`` against ``sum(p_i)`` encryptions."""
         rng = random.Random(6)
+        encrypts = count_calls(monkeypatch, symcrypto.encrypt)
+        splits = count_calls(monkeypatch, symcrypto.split_key)
         for _ in range(10):
             weights = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
             cat = make_catalog(weights, rng, payload_size=32)
-            choice = {i for i in range(len(weights)) if rng.random() < 0.5} or {0}
-            for mode in ("p1", "p2"):
-                report = complexity_check(cat, mode, p23, rng, choice=choice)
-                assert isinstance(report, ComplexityReport)
-                assert report.passed, report.failures
+            for mode, want_encrypts, want_draws in (
+                    ("p1", sum(weights), 0),
+                    ("p2", len(weights), sum(weights) - len(weights))):
+                encrypts.clear()
+                splits.clear()
+                publish(cat, mode, p23, rng=rng)
+                assert (len(encrypts), share_draws(splits)) == (want_encrypts, want_draws)

@@ -12,19 +12,19 @@ from wot.cli import main
 from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
                         ProtocolError, RemoteError, WotError)
 from wot import group, protocol
-from wot.base_ot import OtResponse, ot_query, ot_recover, ot_respond
+from wot import symcrypto
+from wot.base_ot import OtResponse, ot_query, ot_recover, ot_respond, respond_powers
 from wot.framing import (ERR_BAD_QUERY, ERR_UNKNOWN_ITEM, LENGTH_FIELD, MAX_FRAME_LEN,
                          CtData, CtReq, Done, ErrorMsg, ManifestMsg, OtBatchQuery,
-                         OtBatchResp, encode_frame, encode_manifest)
+                         OtBatchResp, _ot_batch_resp_len, encode_frame, encode_manifest)
 from wot.group import is_member, kdf_pad, setup_params
-from wot.instrument import Counters
 from wot.net import SocketChannel, buy, run_local_session, start_server
-from wot.protocol import (PublishedBundle, fetch_bundle, item_context, plan_for_indices,
-                          publish, load_bundle, load_secrets, run_session_receiver,
+from wot.protocol import (PublishedBundle, fetch_bundle, item_context, publish,
+                          load_bundle, load_secrets, run_session_receiver,
                           run_session_sender, save_bundle, serve_session)
 from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
 
-from conftest import count_calls, make_catalog
+from conftest import count_calls, make_catalog, share_draws
 
 
 @pytest.fixture
@@ -56,30 +56,36 @@ def buy_over(channel_pair, bundle, secrets, params, item_ids, rng):
 
 
 class TestPublish:
-    def test_p2_counters_match_advertised_costs(self, p23, rng):
+    def test_p2_counters_match_advertised_costs(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 7])
-        counters = Counters()
-        publish(cat, "p2", p23, rng=rng, counters=counters)
-        assert counters.encryptions == 4
-        assert counters.key_gens == 4
-        assert counters.share_draws == 9  # sum of (weight - 1)
+        encrypts = count_calls(monkeypatch, symcrypto.encrypt)
+        key_gens = count_calls(monkeypatch, symcrypto.new_key)
+        splits = count_calls(monkeypatch, symcrypto.split_key)
+        publish(cat, "p2", p23, rng=rng)
+        assert len(encrypts) == 4
+        assert len(key_gens) == 4
+        assert share_draws(splits) == 9  # sum of (weight - 1)
 
-    def test_single_item_either_mode(self, p23, rng):
+    def test_single_item_either_mode(self, p23, rng, monkeypatch):
         cat = make_catalog([1])
+        encrypts = count_calls(monkeypatch, symcrypto.encrypt)
+        splits = count_calls(monkeypatch, symcrypto.split_key)
         for mode in ("p1", "p2"):
-            counters = Counters()
-            bundle, secrets = publish(cat, mode, p23, rng=rng, counters=counters)
-            assert counters.encryptions == 1
-            assert counters.share_draws == 0
+            encrypts.clear()
+            splits.clear()
+            bundle, secrets = publish(cat, mode, p23, rng=rng)
+            assert len(encrypts) == 1
+            assert share_draws(splits) == 0
             assert len(secrets.flat_secrets) == 1
             assert bundle.manifest.weights == (1,)
 
-    def test_p1_layer_encryptions(self, p23, rng):
+    def test_p1_layer_encryptions(self, p23, rng, monkeypatch):
         cat = make_catalog([2, 1, 3])
-        counters = Counters()
-        bundle, secrets = publish(cat, "p1", p23, rng=rng, counters=counters)
-        assert counters.encryptions == 6  # one per layer
-        assert counters.key_gens == 6
+        encrypts = count_calls(monkeypatch, symcrypto.encrypt)
+        key_gens = count_calls(monkeypatch, symcrypto.new_key)
+        bundle, secrets = publish(cat, "p1", p23, rng=rng)
+        assert len(encrypts) == 6  # one per layer
+        assert len(key_gens) == 6
         assert len(secrets.flat_secrets) == 6
 
     def test_manifest_digests_recompute(self, p23, rng):
@@ -107,20 +113,27 @@ class TestPublish:
 
 
 class TestSelectionPlan:
-    def test_demo_vector(self, p23, rng):
+    def test_demo_vector(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 7])
-        bundle, _ = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, {0, 2})
-        assert plan.total == 4
-        assert plan.picks == (0, 3, 4, 5)  # offsets are [0, 1, 3, 6]
-        assert plan.choice_indices == (0, 2)
+        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        queries = count_calls(monkeypatch, ot_query)
+        result, billed, _ = run_local_session(bundle, secrets, ["item02", "item00"],
+                                              receiver_rng=rng, sender_rng=rng)
+        assert result.total == billed == 4
+        [(_, _, picks, _)] = queries
+        assert tuple(picks) == (0, 3, 4, 5)  # offsets are [0, 1, 3, 6]
+        assert [item_id for item_id, _ in result.items] == ["item00", "item02"]
 
-    def test_choose_everything(self, p23, rng):
+    def test_choose_everything(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 7])
-        bundle, _ = publish(cat, "p2", p23, rng=rng)
-        plan = plan_for_indices(bundle.manifest, range(4))
-        assert plan.total == 13
-        assert plan.picks == tuple(range(13))
+        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        queries = count_calls(monkeypatch, ot_query)
+        result, billed, _ = run_local_session(bundle, secrets,
+                                              [item.id for item in cat.items],
+                                              receiver_rng=rng, sender_rng=rng)
+        assert result.total == billed == 13
+        [(_, _, picks, _)] = queries
+        assert tuple(picks) == tuple(range(13))
 
     def test_by_item_id(self, p23, rng, channel_pair):
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
@@ -132,16 +145,18 @@ class TestSelectionPlan:
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
         with pytest.raises(ProtocolError, match="empty"):
             buy_over(channel_pair, bundle, secrets, p23, set(), rng)
-        with pytest.raises(ProtocolError, match="empty"):
-            plan_for_indices(bundle.manifest, [])
 
     def test_unknown_id_rejected(self, p23, rng, channel_pair):
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
         with pytest.raises(CatalogError, match="unknown item"):
             buy_over(channel_pair, bundle, secrets, p23, {"nope"}, rng)
 
-    def test_lookups_and_plans_are_linear(self):
-        """10,000 id lookups, and a plan of all 10,000 items, each well under a second."""
+    def test_lookups_and_plans_are_linear(self, p23):
+        """10,000 id lookups, and a buy of all 10,000 items, each well under a second.
+
+        The buy resolves every id and prices the purchase, then refuses its
+        reply size before it sends anything past HELLO.
+        """
         n = 10_000
         entries = tuple(ManifestEntry(id=f"i{i}", weight=1 + i % 3, ct_len=1,
                                       digest_hex="0" * 64) for i in range(n))
@@ -149,10 +164,21 @@ class TestSelectionPlan:
         start = time.perf_counter()
         assert [manifest.index_of(f"i{i}") for i in range(n)] == list(range(n))
         assert time.perf_counter() - start < 1.0
+        sent = []
+
+        class ManifestOnly:
+            send = sent.append
+
+            def recv(self):
+                return ManifestMsg(manifest=manifest)
+
+        t = manifest.total_weight
+        reply_len = _ot_batch_resp_len(t, t, p23.element_len, 16)  # T = N picks
         start = time.perf_counter()
-        plan = plan_for_indices(manifest, range(n))
+        with pytest.raises(ProtocolError, match=f"reply would be {reply_len} bytes"):
+            run_session_receiver(ManifestOnly(), manifest.ids)
         assert time.perf_counter() - start < 1.0
-        assert plan.total == manifest.total_weight == len(plan.picks)
+        assert [type(msg).__name__ for msg in sent] == ["Hello"]
 
 
 class TestSessions:
@@ -228,6 +254,18 @@ class TestSessions:
                               receiver_rng=rng, sender_rng=rng)
         assert err.value.item_id == "item01"
 
+    def test_mis_split_share_fails_authentication(self, p23):
+        """Mutation check: corrupt one share and the buyer of that item must notice."""
+        cat = make_catalog([1, 2], random.Random(8))
+        rng = random.Random(9)
+        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        broken = list(secrets.flat_secrets)
+        broken[1] = bytes(16)  # item 1 loses a share
+        bad = replace(secrets, flat_secrets=tuple(broken))
+        with pytest.raises(ItemAuthenticationError):
+            run_local_session(bundle, bad, [cat.items[1].id],
+                              receiver_rng=rng, sender_rng=rng)
+
     def test_digest_mismatch_aborts_before_transfer(self, p23, rng):
         cat = make_catalog([1, 2, 3, 4], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
@@ -267,31 +305,32 @@ class TestSessions:
         with pytest.raises(ProtocolError, match="empty purchase"):
             run_session_sender(secrets, query, tx_chan, p23, rng)
 
-    def test_nonmember_query_aborts_without_responses(self, p23, rng, channel_pair):
+    def test_nonmember_query_aborts_without_responses(self, p23, rng, channel_pair,
+                                                      monkeypatch):
         cat = make_catalog([1, 2], rng)
         _, secrets = publish(cat, "p2", p23, rng=rng)
         rx_chan, tx_chan = channel_pair
-        counters = Counters()
+        responses = count_calls(monkeypatch, respond_powers)
         for bad in (5, 0):  # neither is in the order-11 subgroup
             query = OtBatchQuery(elem_len=p23.element_len, queries=(2, bad))
             with pytest.raises(ProtocolError, match="not a subgroup member"):
-                run_session_sender(secrets, query, tx_chan, p23, rng, counters)
+                run_session_sender(secrets, query, tx_chan, p23, rng)
             reply = rx_chan.recv()
             assert (reply.code, reply.text) == (ERR_BAD_QUERY, "invalid query")
-        assert counters.response_exponents == 0
+        assert responses == []
 
-    def test_more_picks_than_secrets_refused(self, p23, rng, channel_pair):
+    def test_more_picks_than_secrets_refused(self, p23, rng, channel_pair, monkeypatch):
         """An honest buyer picks each of the N flat indices at most once."""
         _, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
         n = len(secrets.flat_secrets)
         rx_chan, tx_chan = channel_pair
         query = OtBatchQuery(elem_len=p23.element_len, queries=(2,) * (n + 1))
-        counters = Counters()
+        responses = count_calls(monkeypatch, respond_powers)
         with pytest.raises(ProtocolError, match="too many picks"):
-            run_session_sender(secrets, query, tx_chan, p23, rng, counters)
+            run_session_sender(secrets, query, tx_chan, p23, rng)
         reply = rx_chan.recv()
         assert (reply.code, reply.text) == (ERR_BAD_QUERY, "too many picks")
-        assert counters.response_exponents == 0
+        assert responses == []
 
     def test_nonmember_response_aborts_before_any_pad(self, p23, rng, channel_pair,
                                                       monkeypatch):
@@ -449,12 +488,10 @@ class TestSessions:
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         for choice in ({0, 2}, {1}, {0, 1, 2, 3}):
-            plan = plan_for_indices(bundle.manifest, choice)
-            _, billed, _ = run_local_session(bundle, secrets,
-                                             [cat.items[i].id for i in choice],
-                                             receiver_rng=rng, sender_rng=rng)
-            assert billed == total_price(cat, choice)
-            assert billed == len(plan.picks)
+            result, billed, _ = run_local_session(bundle, secrets,
+                                                  [cat.items[i].id for i in choice],
+                                                  receiver_rng=rng, sender_rng=rng)
+            assert billed == result.total == total_price(cat, choice)
 
     def test_local_session_runs_the_wire_grammar(self, p23, rng):
         """In-process sessions deliver every ciphertext and use the TCP grammar.
@@ -733,7 +770,8 @@ class TestFrameCap:
         with pytest.raises(FrameError, match="frame too large"):
             encode_frame(CtData(item_id="big", ciphertext=ct))
 
-    def test_oversize_reply_refused_before_any_work(self, p23, rng, channel_pair):
+    def test_oversize_reply_refused_before_any_work(self, p23, rng, channel_pair,
+                                                    monkeypatch):
         """A batch whose reply frame would pass the cap is refused from (N, T) alone."""
         _, secrets = publish(make_catalog([1, 2, 3, 7], rng), "p2", p23, rng=rng)
         per_pick = p23.element_len + sum(map(len, secrets.flat_secrets))  # a, N masks
@@ -741,13 +779,13 @@ class TestFrameCap:
         assert 1 + 12 + picks * per_pick > MAX_FRAME_LEN
         # Non-member queries: refusing them would take the membership pass.
         query = OtBatchQuery(elem_len=p23.element_len, queries=(5,) * picks)
-        counters = Counters()
+        responses = count_calls(monkeypatch, respond_powers)
         rx_chan, tx_chan = channel_pair
         with pytest.raises(ProtocolError, match="purchase too large"):
-            run_session_sender(secrets, query, tx_chan, p23, rng, counters)
+            run_session_sender(secrets, query, tx_chan, p23, rng)
         reply = rx_chan.recv()
         assert (reply.code, reply.text) == (ERR_BAD_QUERY, "purchase too large")
-        assert counters.response_exponents == 0
+        assert responses == []
 
     def test_publish_load_and_serve_refuse(self, p23, rng, tmp_path, capsys):
         payload_size = self.LARGEST + 1 - NONCE_LEN - TAG_LEN
