@@ -6,13 +6,12 @@ beyond the purchased items. See README.md for the protocol walkthrough.
 """
 
 from .catalog import (Catalog, FlatIndexMap, Item, Manifest, ManifestEntry,
-                      MODE_P1, MODE_P2, load_catalog, total_price)
+                      MODE_P1, MODE_P2, load_catalog)
 from .errors import (AuthenticationError, AuditError, CatalogError, CryptoError,
                      FrameError, GrammarError, GroupError, HarnessError,
                      ItemAuthenticationError, ProtocolError, ReductionError,
                      RemoteError, WotError)
 from .group import GroupParams, setup_params
-from .net import run_local_session
 from .protocol import (PublishedBundle, PurchaseResult, SenderSecrets,
                        load_bundle, load_secrets, publish, run_session_receiver,
                        run_session_sender, save_bundle)
@@ -28,6 +27,5 @@ __all__ = [
     "PurchaseResult", "ReductionError", "ReductionReport", "RemoteError",
     "SenderSecrets", "WotError", "approx_reduce",
     "gcd_reduce", "load_bundle", "load_catalog", "load_secrets", "publish",
-    "run_local_session", "run_session_receiver", "run_session_sender",
-    "save_bundle", "setup_params", "total_price",
+    "run_session_receiver", "run_session_sender", "save_bundle", "setup_params",
 ]

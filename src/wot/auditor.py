@@ -5,14 +5,13 @@ the price vector produces a given total, that total names the purchase
 outright; if every subset achieving it contains (or omits) some item, the
 total leaks that item. This module counts, for every achievable total,
 the subsets producing it, and derives forced-in/forced-out items per
-total, by meet-in-the-middle over the two halves of the vector: each half
-enumerates at most 2^15 subsets (n is capped at 30 items), and the merge
-then visits every pair of distinct half-sums. That merge, and the report
-it builds, can reach 2^30 entries, so a vector whose halves have more
-than ``MAX_MERGE_PAIRS`` pairs of distinct sums is refused before it
-starts. The worst accepted vector, prices ``1, 2, 4, ..., 2^17``, takes
-about 2.5 s and 180 MiB on a 2-vCPU machine; vectors with many repeated
-prices are cheap at any length up to the cap.
+total, in one pass over the items that keeps, per total so far, the
+subset count and the AND and OR of the subsets' item masks. The work and
+the report grow with the number of distinct totals, so a vector is
+refused as soon as the pass goes past ``MAX_TOTALS`` of them. Prices
+``1, 2, 4, ..., 2^17`` take about 2 s on a 2-vCPU machine, and the worst
+accepted 30-item vectors about 5 s; vectors with many repeated prices
+are cheap at any length up to the item cap.
 
 Buying nothing and buying everything are inherently self-revealing, so
 the verdict only weighs interior totals (0 < t < sum of all prices):
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from .errors import AuditError
 
 MAX_ITEMS = 30
-MAX_MERGE_PAIRS = 1 << 18
+MAX_TOTALS = 1 << 18
 
 VERDICT_OK = "OK"
 VERDICT_WARN = "WARN"
@@ -89,61 +88,36 @@ def _check_prices(prices) -> tuple[int, ...]:
     return prices
 
 
-def _half_masks(prices: tuple[int, ...]) -> list[int]:
-    """Subset sums of one half, indexed by bitmask (mask over the half)."""
-    sums = [0] * (1 << len(prices))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + prices[low.bit_length() - 1]
-    return sums
-
-
-def _half_profile(prices: tuple[int, ...]) -> dict[int, tuple[int, int, int]]:
-    """Per half-sum: (count, AND of masks, OR of masks)."""
-    sums = _half_masks(prices)
-    profile: dict[int, tuple[int, int, int]] = {}
-    for mask, s in enumerate(sums):
-        if s in profile:
-            count, and_mask, or_mask = profile[s]
-            profile[s] = (count + 1, and_mask & mask, or_mask | mask)
-        else:
-            profile[s] = (1, mask, mask)
-    return profile
-
-
 def audit_prices(prices, min_ambiguity: int = 2) -> LeakReport:
     """Full leakage report over every achievable total."""
     prices = _check_prices(prices)
     n = len(prices)
-    half = n // 2
-    a_profile = _half_profile(prices[:half])
-    b_profile = _half_profile(prices[half:])
-    pairs = len(a_profile) * len(b_profile)
-    if pairs > MAX_MERGE_PAIRS:
-        raise AuditError(f"too many distinct subset sums for exhaustive audit: "
-                         f"{pairs} half-sum pairs > {MAX_MERGE_PAIRS}")
     grand_total = sum(prices)
 
-    # Merge halves: B-half masks are shifted into the high bits.
-    merged: dict[int, tuple[int, int, int]] = {}
-    for sa, (ca, and_a, or_a) in a_profile.items():
-        for sb, (cb, and_b, or_b) in b_profile.items():
-            t = sa + sb
-            cell_and = and_a | (and_b << half)
-            cell_or = or_a | (or_b << half)
-            if t in merged:
-                count, and_mask, or_mask = merged[t]
-                merged[t] = (count + ca * cb, and_mask & cell_and, or_mask | cell_or)
+    # Per total: (count, AND of masks, OR of masks) over the subsets so far.
+    profile: dict[int, tuple[int, int, int]] = {0: (1, 0, 0)}
+    for i, price in enumerate(prices):
+        bit = 1 << i
+        grown = dict(profile)  # the subsets without item i
+        for t, (count, and_mask, or_mask) in profile.items():
+            t += price
+            if t in grown:
+                c, a, o = grown[t]
+                grown[t] = (c + count, a & (and_mask | bit), o | or_mask | bit)
             else:
-                merged[t] = (ca * cb, cell_and, cell_or)
+                grown[t] = (count, and_mask | bit, or_mask | bit)
+        if len(grown) > MAX_TOTALS:
+            raise AuditError(f"too many distinct subset sums for exhaustive audit: "
+                             f"more than {MAX_TOTALS} totals")
+        profile = grown
 
     totals = []
     fully_leaking = []
     below = []
     min_interior: int | None = None
     any_forced_interior = False
-    for t in sorted(merged):
-        count, and_mask, or_mask = merged[t]
+    for t in sorted(profile):
+        count, and_mask, or_mask = profile[t]
         forced_in = tuple(i for i in range(n) if and_mask >> i & 1)
         forced_out = tuple(i for i in range(n) if not (or_mask >> i & 1))
         totals.append(TotalReport(total=t, count=count,

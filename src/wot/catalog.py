@@ -78,10 +78,6 @@ class Catalog:
         return len(self.items)
 
     @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(item.weight for item in self.items)
-
-    @property
     def total_weight(self) -> int:
         return sum(item.weight for item in self.items)
 
@@ -194,15 +190,6 @@ class FlatIndexMap:
         """All flat indices belonging to one item."""
         start = self.offsets[item]
         return range(start, start + self.weights[item])
-
-
-def total_price(catalog: Catalog, choices) -> int:
-    """Sum of weights over a set of item indices; the sender's billable total."""
-    chosen = set(choices)
-    for i in chosen:
-        if not 0 <= i < catalog.n:
-            raise CatalogError(f"choice index {i} out of range")
-    return sum(catalog.items[i].weight for i in chosen)
 
 
 def load_catalog(path) -> Catalog:

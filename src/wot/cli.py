@@ -1,17 +1,14 @@
 """Command-line entry points.
 
-`WOT_SEED` seeds every random draw for reproducible test runs. It is
-refused by ``serve``: a seller running on a predictable random stream
-would hand its whole flat secret vector to any buyer who guesses the
-seed.
+Every command draws its keys, shares, nonces and exponents from the
+system's random source; none can be seeded. A publisher or buyer on a
+predictable stream would give away every item key or every choice.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
-import random
 import sys
 
 from . import net
@@ -22,15 +19,6 @@ from .group import setup_params
 from .harness import PrivacyExperiment, privacy_experiment
 from .protocol import load_bundle, load_secrets, publish, save_bundle
 from .weights import approx_reduce, candidate_divisors, gcd_reduce
-
-
-def _rng(allow_seed: bool = True):
-    seed = os.environ.get("WOT_SEED")
-    if seed is None:
-        return random.SystemRandom()
-    if not allow_seed:
-        raise WotError("WOT_SEED is for reproducible tests only; refusing to serve with it")
-    return random.Random(int(seed))
 
 
 def _int(text: str, what: str) -> int:
@@ -67,8 +55,7 @@ def _int_list(text: str, what: str) -> list[int]:
 def cmd_publish(args) -> int:
     catalog = load_catalog(args.catalog)
     params = setup_params(args.group)
-    bundle, secrets = publish(catalog, args.mode, params,
-                              key_bits=args.key_bits, rng=_rng())
+    bundle, secrets = publish(catalog, args.mode, params, key_bits=args.key_bits)
     save_bundle(bundle, args.out, secrets=secrets)
     print(f"published {catalog.n} items, {catalog.total_weight} shares,"
           f" mode={args.mode}, group={args.group} -> {args.out}")
@@ -77,7 +64,6 @@ def cmd_publish(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    _rng(allow_seed=False)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     bundle = load_bundle(args.bundle, verify=False)  # SenderServer verifies it
     secrets = load_secrets(args.bundle)
@@ -94,8 +80,7 @@ def cmd_serve(args) -> int:
 def cmd_buy(args) -> int:
     host, port = _parse_host_port(args.server)
     item_ids = [x for x in args.items.split(",") if x]
-    result = net.buy(host, port, item_ids, args.out,
-                     cache_dir=args.bundle, rng=_rng())
+    result = net.buy(host, port, item_ids, args.out, cache_dir=args.bundle)
     for item_id, _ in result.items:
         print(f"wrote {args.out}/{item_id}")
     print(f"total paid: {result.total}")
@@ -130,7 +115,7 @@ def cmd_privacy_test(args) -> int:
         choice_b=frozenset(_int_list(args.choice_b, "--choice-b")),
         sessions=args.sessions,
     )
-    report = privacy_experiment(exp, setup_params(args.group), _rng())
+    report = privacy_experiment(exp, setup_params(args.group))
     print(report.to_text(), end="")
     return 0 if report.verdict == "PASS" else 1
 

@@ -53,7 +53,8 @@ class PrivacyReport:
         )
 
 
-def privacy_experiment(exp: PrivacyExperiment, params: GroupParams, rng) -> PrivacyReport:
+def privacy_experiment(exp: PrivacyExperiment, params: GroupParams,
+                       rng=None) -> PrivacyReport:
     """Compare the seller's view across two equal-price choice sets."""
     if params.q > MAX_EXPERIMENT_SUBGROUP:
         raise HarnessError(f"subgroup order {params.q} too large for histogram statistics")

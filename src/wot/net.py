@@ -8,10 +8,6 @@ Each connection is one session; sessions share only the immutable bundle
 and secrets. The persistent log records one line per completed sale with
 the billed total and nothing else: the server never learns which items
 were bought, and it must not log anything that could narrow them down.
-
-``run_local_session`` runs the same two sides over a socket pair, so an
-in-process session goes through the frame codec and the grammar exactly
-as a TCP session does.
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ from pathlib import Path
 from .errors import CatalogError, ProtocolError
 from .framing import ERR_INTERNAL, ErrorMsg, encode_frame, read_frame
 from .group import setup_params
-from .protocol import (PublishedBundle, PurchaseResult, SenderSecrets,
-                       run_session_receiver, serve_session)
+from .protocol import PublishedBundle, SenderSecrets, run_session_receiver, serve_session
 
 log = logging.getLogger("wot.server")
 
@@ -52,16 +47,12 @@ class SocketChannel:
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         sock.settimeout(timeout)
         self._sock = sock
-        self.log: list = []
 
     def send(self, msg):
-        self.log.append(("local", type(msg).__name__))
         self._sock.sendall(encode_frame(msg))
 
     def recv(self):
-        msg = read_frame(lambda n: _recv_exact(self._sock, n))
-        self.log.append(("peer", type(msg).__name__))
-        return msg
+        return read_frame(lambda n: _recv_exact(self._sock, n))
 
     def close(self):
         try:
@@ -137,16 +128,6 @@ class SenderServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
 
-def start_server(bundle: PublishedBundle, secrets: SenderSecrets,
-                 host: str = "127.0.0.1", port: int = 0) -> SenderServer:
-    """Bind and serve in a background thread; caller shuts it down."""
-    server = SenderServer((host, port), bundle, secrets)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    log.info("serving on %s:%d", host, server.port)
-    return server
-
-
 def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
         rng=None, timeout: float = DEFAULT_TIMEOUT):
     """Purchase items from a running server and write their plaintexts.
@@ -180,43 +161,3 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
     for item_id, plaintext in result.items:
         (out_path / item_id).write_bytes(plaintext)
     return result
-
-
-def run_local_session(bundle: PublishedBundle, secrets: SenderSecrets, item_ids,
-                      receiver_rng=None, sender_rng=None) -> tuple[PurchaseResult, int, list]:
-    """Run both sides in-process over a socket pair.
-
-    Returns the buyer's result, the seller's billed count and the buyer's
-    message log. The buyer resolves ``item_ids`` against the manifest it
-    receives, as ``buy`` does.
-    """
-    params = setup_params(bundle.manifest.group_id)
-    rx_sock, tx_sock = socket.socketpair()
-    rx_chan, tx_chan = SocketChannel(rx_sock), SocketChannel(tx_sock)
-    box: dict = {}
-
-    def sender_side():
-        try:
-            box["sender"] = serve_session(tx_chan, bundle, secrets, params, sender_rng)
-        except Exception as exc:  # surfaced after join
-            box["sender_error"] = exc
-        finally:
-            tx_chan.close()
-
-    worker = threading.Thread(target=sender_side, daemon=True)
-    worker.start()
-    try:
-        result = run_session_receiver(rx_chan, item_ids, rng=receiver_rng)
-    except ProtocolError:
-        # A receiver-side protocol error is usually fallout from a sender
-        # abort; surface the root cause when there is one.
-        worker.join(timeout=5)
-        if "sender_error" in box:
-            raise box["sender_error"] from None
-        raise
-    finally:
-        rx_chan.close()
-        worker.join(timeout=30)
-    if "sender_error" in box:
-        raise box["sender_error"]
-    return result, box["sender"], rx_chan.log

@@ -65,6 +65,7 @@ the query.
 from __future__ import annotations
 
 import queue
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,7 +81,8 @@ from .errors import (CatalogError, CryptoError, AuthenticationError, GrammarErro
 from .framing import (ANY_GROUP, ANY_KEY_BITS, ANY_MODE, CtData, CtReq, Done, ErrorMsg,
                       Hello, ManifestMsg, OtBatchQuery, OtBatchResp,
                       ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_UNKNOWN_ITEM,
-                      MAX_FRAME_LEN, PROTOCOL_VERSION, _ot_batch_resp_len)
+                      MAX_FRAME_LEN, PROTOCOL_VERSION, _ot_batch_resp_len,
+                      decode_manifest, encode_manifest)
 from .group import GroupParams, is_member, setup_params
 
 MANIFEST_FILE = "manifest.bin"
@@ -108,10 +110,6 @@ class PublishedBundle:
             if len(ct) > MAX_FRAME_LEN - 3 - len(entry.id):
                 raise CatalogError(f"item {entry.id!r}: ciphertext of {len(ct)} bytes "
                                    f"does not fit in one {MAX_FRAME_LEN}-byte frame")
-
-    @property
-    def flat_map(self) -> FlatIndexMap:
-        return FlatIndexMap(self.manifest.weights)
 
     def ciphertext_for(self, item_id: str) -> bytes:
         return self.ciphertexts[self.manifest.index_of(item_id)]
@@ -402,7 +400,6 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
 def save_bundle(bundle: PublishedBundle, directory,
                 secrets: SenderSecrets | None = None):
     """Write manifest + ciphertext files (and, for the seller, the secrets)."""
-    from .framing import encode_manifest
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     (path / MANIFEST_FILE).write_bytes(encode_manifest(bundle.manifest))
@@ -413,7 +410,6 @@ def save_bundle(bundle: PublishedBundle, directory,
 
 
 def load_bundle(directory, verify: bool = True) -> PublishedBundle:
-    from .framing import decode_manifest
     path = Path(directory)
     manifest_path = path / MANIFEST_FILE
     if not manifest_path.is_file():
@@ -439,7 +435,6 @@ def load_secrets(directory) -> SenderSecrets:
 
 
 def _write_secrets(path: Path, secrets: SenderSecrets):
-    import struct
     mode_code = MODES.index(secrets.mode) + 1
     share_len = len(secrets.flat_secrets[0]) if secrets.flat_secrets else 0
     out = bytearray(struct.pack("!BBHI", 1, mode_code, share_len, len(secrets.flat_secrets)))
@@ -450,7 +445,6 @@ def _write_secrets(path: Path, secrets: SenderSecrets):
 
 
 def _read_secrets(path: Path) -> SenderSecrets:
-    import struct
     data = path.read_bytes()
     if len(data) < 8:
         raise CatalogError("corrupt secrets file: truncated header")

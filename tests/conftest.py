@@ -1,4 +1,6 @@
+import contextlib
 import random
+import socket
 import sys
 import threading
 import time
@@ -6,7 +8,14 @@ import time
 import pytest
 
 from wot.catalog import Catalog, Item
+from wot.errors import ProtocolError
 from wot.group import setup_params
+from wot.net import SenderServer, SocketChannel
+from wot.protocol import run_session_receiver, serve_session
+
+# The threads the session helpers below start; a test may leave none running.
+SELLER_THREAD = "test-seller"
+SERVER_THREAD = "test-server"
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +38,14 @@ def no_digest_thread_left():
     yield
     left = [t for t in threading.enumerate() if t.name == "wot-digest"]
     assert not left, f"live digest helper threads: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_session_thread_left():
+    """Fail a test that leaves a ``local_session`` seller or a ``serving`` server running."""
+    yield
+    left = [t for t in threading.enumerate() if t.name in (SELLER_THREAD, SERVER_THREAD)]
+    assert not left, f"live session helper threads: {left}"
 
 
 @pytest.fixture
@@ -92,3 +109,75 @@ def count_calls(monkeypatch, function, record=None):
 def share_draws(splits) -> int:
     """Random shares drawn by the recorded ``split_key(key, parts, rng)`` calls."""
     return sum(parts - 1 for _, parts, _ in splits)
+
+
+def record(channel, log: list):
+    """Log each message ``channel`` sends or receives as ``("local" | "peer", type name)``."""
+    send, recv = channel.send, channel.recv
+
+    def sending(msg):
+        log.append(("local", type(msg).__name__))
+        send(msg)
+
+    def receiving():
+        msg = recv()
+        log.append(("peer", type(msg).__name__))
+        return msg
+
+    channel.send, channel.recv = sending, receiving
+
+
+def local_session(bundle, secrets, item_ids, rng=None, log=None):
+    """Buy ``item_ids`` from ``serve_session`` over a socket pair: ``(result, billed)``.
+
+    The seller runs on a thread that is joined on every path. A seller's
+    error is raised in place of the buyer's result or ``ProtocolError``,
+    which is usually fallout from it. ``log``, when given, records the
+    buyer's messages (see ``record``).
+    """
+    params = setup_params(bundle.manifest.group_id)
+    rx_sock, tx_sock = socket.socketpair()
+    rx_chan, tx_chan = SocketChannel(rx_sock), SocketChannel(tx_sock)
+    if log is not None:
+        record(rx_chan, log)
+    box = {}
+
+    def seller():
+        try:
+            box["billed"] = serve_session(tx_chan, bundle, secrets, params, rng)
+        except Exception as exc:  # raised on the buyer's side below
+            box["error"] = exc
+        finally:
+            tx_chan.close()
+
+    worker = threading.Thread(target=seller, name=SELLER_THREAD)
+    worker.start()
+    try:
+        result = run_session_receiver(rx_chan, item_ids, rng=rng)
+    except ProtocolError:
+        # Join before closing: a seller still sending must not fail on a
+        # closed socket and hide the buyer's error.
+        worker.join(timeout=5)
+        if "error" in box:
+            raise box["error"] from None
+        raise
+    finally:
+        rx_chan.close()
+        worker.join(timeout=30)
+    if "error" in box:
+        raise box["error"]
+    return result, box["billed"]
+
+
+@contextlib.contextmanager
+def serving(bundle, secrets):
+    """A ``SenderServer`` on a free loopback port, serving on a thread for the block."""
+    server = SenderServer(("127.0.0.1", 0), bundle, secrets)
+    thread = threading.Thread(target=server.serve_forever, name=SERVER_THREAD)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=30)

@@ -16,18 +16,17 @@ import pytest
 from wot import symcrypto
 from wot.auditor import VERDICT_OK, VERDICT_UNSAFE, audit_prices
 from wot.base_ot import ot_query, ot_recover, ot_respond, respond_powers
-from wot.catalog import Catalog, Item, total_price
+from wot.catalog import Catalog, FlatIndexMap, Item
 from wot.errors import HarnessError, WotError
 from wot.framing import OtBatchResp
 from wot.group import rand_exponent, setup_params
 from wot.harness import PrivacyExperiment, privacy_experiment
-from wot.net import run_local_session
 from wot.protocol import item_context, publish
 from wot.symcrypto import combine_shares, decrypt, nested_decrypt
 from wot.weights import approx_reduce, gcd_reduce
 
-from conftest import (billed_lines, count_calls, make_catalog, share_draws,
-                      write_catalog_dir)
+from conftest import (billed_lines, count_calls, local_session, make_catalog, serving,
+                      share_draws, write_catalog_dir)
 
 
 def _report(number, ok, text):
@@ -56,13 +55,13 @@ def test_criterion_1_correctness_exhaustive():
             bundle, secrets = publish(catalog, mode, params, rng=rng)
             for mask in range(1, 1 << catalog.n):
                 choice = {i for i in range(catalog.n) if mask >> i & 1}
-                result, billed, _ = run_local_session(
-                    bundle, secrets, [catalog.items[i].id for i in choice],
-                    receiver_rng=rng, sender_rng=rng)
+                result, billed = local_session(
+                    bundle, secrets, [catalog.items[i].id for i in choice], rng)
                 expected = {catalog.items[i].id: catalog.items[i].payload
                             for i in choice}
                 assert dict(result.items) == expected
-                assert billed == result.total == total_price(catalog, choice)
+                assert billed == result.total == sum(catalog.items[i].weight
+                                                     for i in choice)
                 sessions += 1
     elapsed = time.time() - started
     _report(1, elapsed < 60.0,
@@ -108,12 +107,11 @@ def test_criterion_3_no_extra_information():
     breaches = 0
     for mode in ("p2", "p1"):
         bundle, secrets = publish(catalog, mode, params, rng=rng)
-        flat_map = bundle.flat_map
+        flat_map = FlatIndexMap(bundle.manifest.weights)
         for mask in range(1, (1 << catalog.n) - 1):  # proper nonempty choice sets
             choice = {i for i in range(catalog.n) if mask >> i & 1}
-            result, _, _ = run_local_session(bundle, secrets,
-                                             [catalog.items[i].id for i in choice],
-                                             receiver_rng=rng, sender_rng=rng)
+            result, _ = local_session(bundle, secrets,
+                                      [catalog.items[i].id for i in choice], rng)
             assert len(result.items) == len(choice)
             learned = [secrets.flat_secrets[f] for i in sorted(choice)
                        for f in flat_map.item_range(i)]
@@ -170,10 +168,10 @@ def test_criterion_4_complexity_claims(monkeypatch):
         assert share_draws(splits) == (sum(w - 1 for w in weights) if mode == "p2" else 0)
         assert decrypts == [] and exponents == []
 
-        result, billed, log = run_local_session(
-            bundle, secrets, [catalog.items[i].id for i in sorted(choice)],
-            receiver_rng=rng, sender_rng=rng)
-        billed_weight = total_price(catalog, choice)
+        log = []
+        result, billed = local_session(
+            bundle, secrets, [catalog.items[i].id for i in sorted(choice)], rng, log)
+        billed_weight = sum(weights[i] for i in choice)
         assert billed == result.total == billed_weight
         assert len(decrypts) == (len(choice) if mode == "p2" else billed_weight)
         assert sum(len(shares) for (shares,) in combines) == (
@@ -207,10 +205,11 @@ def test_criterion_5_weight_reduction(monkeypatch):
     splits.clear()
     bundle_red, _ = publish(reduced, "p2", params, rng=rng)
     draws_red = share_draws(splits)
-    n_orig = bundle_orig.flat_map.total
-    n_red = bundle_red.flat_map.total
+    n_orig = bundle_orig.manifest.total_weight
+    n_red = bundle_red.manifest.total_weight
     assert n_orig == n_red * exact.q == 1300
-    assert total_price(original, {0, 2}) == total_price(reduced, {0, 2}) * exact.q
+    assert sum(original.items[i].weight for i in (0, 2)) == \
+        sum(reduced.items[i].weight for i in (0, 2)) * exact.q
     assert draws_orig == 1296
     assert draws_red == 9
     _report(5, True,
@@ -245,7 +244,7 @@ def test_criterion_6_leakage_auditor():
         vectors += 1
     _report(6, True,
             f"auditor: [1,2,4,8] UNSAFE with 15 unique totals, [1,1,1,1] OK, "
-            f"meet-in-the-middle == naive enumeration on {vectors} vectors (n <= 16)")
+            f"subset-sum pass == naive enumeration on {vectors} vectors (n <= 16)")
 
 
 def test_criterion_7_base_transfer():
@@ -307,7 +306,7 @@ def test_criterion_8_wire_protocol(tmp_path, caplog):
     import socket
     from wot.framing import (Done, Hello, OtBatchQuery, ErrorMsg,
                              encode_frame as enc, read_frame)
-    from wot.net import start_server, _recv_exact
+    from wot.net import _recv_exact
     from wot.protocol import load_bundle, load_secrets
     from wot.cli import main
 
@@ -323,8 +322,7 @@ def test_criterion_8_wire_protocol(tmp_path, caplog):
 
     bundle = load_bundle(bundle_dir)
     caplog.set_level(logging.INFO, logger="wot.server")
-    server = start_server(bundle, load_secrets(bundle_dir))
-    try:
+    with serving(bundle, load_secrets(bundle_dir)) as server:
         rng = random.Random(808)
         pool = [Hello(), Hello(version=1), Done(billed=1),
                 OtBatchQuery(elem_len=1, queries=(5,)),
@@ -352,9 +350,6 @@ def test_criterion_8_wire_protocol(tmp_path, caplog):
         assert (out_dir / "paper-b").read_bytes() == b"B" * 200
         assert (out_dir / "paper-d").read_bytes() == b"D" * 700
         assert [line.split()[1:] for line in billed_lines(caplog, 1)] == [["billed", "T=9"]]
-    finally:
-        server.shutdown()
-        server.server_close()
     _report(8, True,
             "wire protocol: codec fuzz round-trips, grammar fuzz yields no "
             "partial responses, publish->serve->buy demo verified")

@@ -11,7 +11,7 @@ from wot.weights import gcd_reduce
 
 
 def naive_distribution(prices):
-    """Doubling enumeration, independent of the meet-in-the-middle path."""
+    """Doubling enumeration over the sums themselves, with no per-total masks."""
     sums = [0]
     for p in prices:
         sums += [s + p for s in sums]
@@ -62,6 +62,15 @@ class TestCountSubsets:
     def test_too_many_items_rejected(self):
         with pytest.raises(AuditError, match="too many"):
             audit_prices([1] * 31)
+
+    def test_many_subsets_few_totals(self):
+        """2^30 subsets but only 2^15 + 15 totals: the audit runs in full."""
+        prices = [2 ** i for i in range(15)] + [1] * 15
+        totals = audit_prices(prices).totals
+        assert [t.total for t in totals] == list(range(2 ** 15 + 15))
+        assert sum(t.count for t in totals) == 2 ** 30
+        assert totals[1].count == 16  # item 0 or any one of the fifteen 1s
+        assert totals[-1].forced_in == tuple(range(30))
 
     def test_counts_match_naive_oracle(self):
         rng = random.Random(606)

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wot.catalog import (Catalog, FlatIndexMap, Item, ciphertext_digest, load_catalog,
-                         total_price)
+from wot.catalog import Catalog, FlatIndexMap, Item, ciphertext_digest, load_catalog
 from wot.errors import CatalogError
 
 from conftest import make_catalog, write_catalog_dir
@@ -15,7 +14,7 @@ class TestLoadCatalog:
         d = write_catalog_dir(tmp_path / "cat", [("a", 100, b"A" * 10), ("b", 200, b"B" * 20)])
         cat = load_catalog(d)
         assert cat.n == 2
-        assert cat.weights == (100, 200)
+        assert [item.weight for item in cat.items] == [100, 200]
         assert cat.items[0].payload == b"A" * 10
         assert [item.id for item in cat.items] == ["a", "b"]
 
@@ -52,12 +51,12 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="exceeds cap"):
             load_catalog(d)
         (d / "items.tsv").write_text(f"a\t{1 << 20}\ta.bin\n")
-        assert load_catalog(d).weights == (1 << 20,)
+        assert load_catalog(d).items[0].weight == 1 << 20
 
     def test_comments_and_blank_lines(self, tmp_path):
         d = write_catalog_dir(tmp_path / "cat", [("a", 3, b"A")])
         (d / "items.tsv").write_text("# header\n\na\t3\ta.bin\n\n")
-        assert load_catalog(d).weights == (3,)
+        assert [item.weight for item in load_catalog(d).items] == [3]
 
     def test_example_weight_sum(self, tmp_path):
         # The four-item demo vector: total share space is 1291.
@@ -93,32 +92,7 @@ class TestFlatIndexMap:
 
     def test_build_from_catalog(self):
         cat = make_catalog([2, 1, 3])
-        assert FlatIndexMap(cat.weights).offsets == (0, 2, 3)
-
-
-class TestTotalPrice:
-    def test_examples(self):
-        assert total_price(make_catalog([100, 200, 300, 700]), {0, 2}) == 400
-        assert total_price(make_catalog([1, 2, 4, 8]), {0, 1, 3}) == 11
-        assert total_price(make_catalog([5]), set()) == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(CatalogError):
-            total_price(make_catalog([1, 2]), {2})
-
-    @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=12),
-           st.data())
-    @settings(max_examples=100)
-    def test_monotone_and_additive(self, weights, data):
-        cat = make_catalog(weights)
-        n = len(weights)
-        a = data.draw(st.sets(st.integers(0, n - 1)))
-        b = data.draw(st.sets(st.integers(0, n - 1)))
-        assert total_price(cat, a | b) <= total_price(cat, a) + total_price(cat, b)
-        if a <= b:
-            assert total_price(cat, a) <= total_price(cat, b)
-        if not (a & b):
-            assert total_price(cat, a | b) == total_price(cat, a) + total_price(cat, b)
+        assert FlatIndexMap(item.weight for item in cat.items).offsets == (0, 2, 3)
 
 
 def test_item_validation():

@@ -1,22 +1,26 @@
 import logging
 import os
+import random
 import shutil
 import socket
 import socketserver
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import wot
+from wot import cli
+from wot.base_ot import batch_binding
 from wot.cli import main
-from wot.net import start_server
 from wot.framing import encode_manifest
+from wot.harness import privacy_experiment
 from wot.protocol import load_bundle, load_secrets
 
-from conftest import billed_lines, write_catalog_dir
+from conftest import billed_lines, count_calls, serving, write_catalog_dir
 
 
 @pytest.fixture
@@ -42,31 +46,40 @@ def test_publish_creates_bundle(catalog_dir, tmp_path, capsys):
     assert "13 shares" in capsys.readouterr().out
 
 
-def test_publish_seeded_is_reproducible(catalog_dir, tmp_path, monkeypatch):
+def test_seed_variable_seeds_nothing(catalog_dir, tmp_path, monkeypatch):
+    """``WOT_SEED`` is not read: publish, serve and buy all draw fresh randomness."""
     monkeypatch.setenv("WOT_SEED", "420")
-    main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
-          "--out", str(tmp_path / "b1"), "--group", "p23"])
-    main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
-          "--out", str(tmp_path / "b2"), "--group", "p23"])
-    assert (tmp_path / "b1" / "paper-a.ct").read_bytes() == \
-        (tmp_path / "b2" / "paper-a.ct").read_bytes()
-    assert load_secrets(tmp_path / "b1") == load_secrets(tmp_path / "b2")
+    for name in ("b1", "b2"):
+        assert main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
+                     "--out", str(tmp_path / name), "--group", "p23"]) == 0
+    for item in ("paper-a", "paper-b", "paper-c", "paper-d"):
+        assert (tmp_path / "b1" / f"{item}.ct").read_bytes() != \
+            (tmp_path / "b2" / f"{item}.ct").read_bytes()
+    shares = [load_secrets(tmp_path / name).flat_secrets for name in ("b1", "b2")]
+    assert set(shares[0]).isdisjoint(shares[1])
 
+    served = []
 
-def test_serve_refuses_seed(catalog_dir, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "bundle"
-    main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
-          "--out", str(out), "--group", "p23"])
-    monkeypatch.setenv("WOT_SEED", "7")
-    rc = main(["serve", "--bundle", str(out), "--listen", "127.0.0.1:0"])
-    assert rc == 2
-    assert "reproducible tests only" in capsys.readouterr().err
+    def serve_once(server):
+        served.append(server.port)
+        server.server_close()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(socketserver.BaseServer, "serve_forever", serve_once)
+        assert main(["serve", "--bundle", str(tmp_path / "b1"), "--listen", "127.0.0.1:0"]) == 0
+    assert len(served) == 1
+
+    batches = count_calls(monkeypatch, batch_binding)  # each query, as both sides see it
+    with serving(load_bundle(tmp_path / "b1"), load_secrets(tmp_path / "b1")) as server:
+        for k in range(2):
+            assert main(["buy", "--server", f"127.0.0.1:{server.port}",
+                         "--items", "paper-c,paper-d", "--out", str(tmp_path / f"got{k}")]) == 0
+    assert len(batches) == 4 and len({queries for _, queries in batches}) == 2
 
 
 def _run_cli(*args, timeout=30):
     """Run a command in a fresh interpreter, as an operator would."""
     env = dict(os.environ, PYTHONPATH=str(Path(wot.__file__).parents[1]))
-    env.pop("WOT_SEED", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=timeout)
 
@@ -116,14 +129,9 @@ def test_buy_against_running_server(catalog_dir, tmp_path, capsys):
     out = tmp_path / "bundle"
     main(["publish", "--catalog", str(catalog_dir), "--mode", "p1",
           "--out", str(out), "--group", "p23"])
-    bundle = load_bundle(out)
-    server = start_server(bundle, load_secrets(out))
-    try:
+    with serving(load_bundle(out), load_secrets(out)) as server:
         rc = main(["buy", "--server", f"127.0.0.1:{server.port}",
                    "--items", "paper-a,paper-c", "--out", str(tmp_path / "got")])
-    finally:
-        server.shutdown()
-        server.server_close()
     assert rc == 0
     assert (tmp_path / "got" / "paper-a").read_bytes() == b"contents of paper a"
     assert (tmp_path / "got" / "paper-c").read_bytes() == b"contents of paper c"
@@ -148,14 +156,10 @@ def test_buy_checks_out_before_paying(p23_bundle, tmp_path, capsys, caplog):
     caplog.set_level(logging.INFO, logger="wot.server")
     blocker = tmp_path / "a-file"
     blocker.write_bytes(b"")
-    server = start_server(load_bundle(p23_bundle), load_secrets(p23_bundle))
-    try:
+    with serving(load_bundle(p23_bundle), load_secrets(p23_bundle)) as server:
         rc = main(["buy", "--server", f"127.0.0.1:{server.port}",
                    "--items", "paper-a", "--out", str(blocker / "got")])
         assert billed_lines(caplog, count=1, timeout=0.5) == []
-    finally:
-        server.shutdown()
-        server.server_close()
     assert rc == 2
     assert "Not a directory" in _one_error_line(capsys)
 
@@ -171,7 +175,7 @@ def never_serves(monkeypatch):
 
 
 def test_serve_refuses_secrets_of_another_bundle(tmp_path, never_serves, capsys):
-    """Each mismatch is refused by ``start_server`` (``tests/test_net.py::TestStartUp``)."""
+    """Each mismatch is refused by ``SenderServer`` (``tests/test_net.py::TestStartUp``)."""
     for name, prices in (("a", (1, 2, 3)), ("b", (1, 2, 3, 4))):
         catalog = write_catalog_dir(tmp_path / f"catalog-{name}", [
             (f"item{i}", w, b"payload %d" % i) for i, w in enumerate(prices)])
@@ -280,19 +284,19 @@ def test_reduce_large_coprime_prices_finish(tmp_path):
 
 
 def test_audit_refuses_oversize_merge_in_one_line(tmp_path):
-    """Thirty distinct powers of two pass the item cap but not the merge cap."""
+    """Thirty distinct powers of two pass the item cap but not the cap on distinct totals."""
     prices = tmp_path / "prices.txt"
     prices.write_text("".join(f"{2**i}\n" for i in range(30)))
     proc = _run_cli("-m", "wot.cli", "audit", "--prices", str(prices), timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "error: too many distinct subset sums for exhaustive audit: "
-        f"{2**30} half-sum pairs > {2**18}"]
+        f"error: too many distinct subset sums for exhaustive audit: more than {2**18} totals"]
 
 
 def test_privacy_test_command(capsys, monkeypatch):
-    monkeypatch.setenv("WOT_SEED", "99")
+    monkeypatch.setattr(cli, "privacy_experiment",
+                        partial(privacy_experiment, rng=random.Random(99)))
     rc = main(["privacy-test", "--weights", "1,2,3", "--choice-a", "0,1",
                "--choice-b", "2", "--sessions", "5000", "--group", "p23"])
     assert rc == 0

@@ -5,10 +5,9 @@ import pytest
 from wot import symcrypto
 from wot.errors import HarnessError
 from wot.harness import PrivacyExperiment, chi2_two_row_pvalue, privacy_experiment
-from wot.net import run_local_session
 from wot.protocol import publish
 
-from conftest import count_calls, make_catalog, share_draws
+from conftest import count_calls, local_session, make_catalog, share_draws
 
 
 class TestPrivacyExperiment:
@@ -98,7 +97,7 @@ class TestComplexityCheck:
         bundle, secrets = publish(cat, "p2", p23, rng=random.Random(5))
         assert len(encrypts) == 4
         assert share_draws(splits) == 9
-        result, billed, _ = run_local_session(bundle, secrets, [i.id for i in cat.items])
+        result, billed = local_session(bundle, secrets, [i.id for i in cat.items])
         assert billed == result.total == 13
 
     def test_weight_one_items_draw_nothing(self, p23, monkeypatch):
@@ -114,7 +113,7 @@ class TestComplexityCheck:
         bundle, secrets = publish(cat, "p2", p23, rng=random.Random(5))
         combines = count_calls(monkeypatch, symcrypto.combine_shares)
         decrypts = count_calls(monkeypatch, symcrypto.decrypt)
-        run_local_session(bundle, secrets, [i.id for i in cat.items])
+        local_session(bundle, secrets, [i.id for i in cat.items])
         assert sum(len(shares) for (shares,) in combines) == 6
         assert len(decrypts) == 3
 
@@ -126,7 +125,7 @@ class TestComplexityCheck:
         assert len(encrypts) == 6
         assert splits == []
         decrypts = count_calls(monkeypatch, symcrypto.decrypt)
-        run_local_session(bundle, secrets, [i.id for i in cat.items])
+        local_session(bundle, secrets, [i.id for i in cat.items])
         assert len(decrypts) == 6  # one per layer
 
     def test_random_catalogs(self, p23, monkeypatch):

@@ -16,10 +16,10 @@ from wot.framing import (CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          TYPE_OT_BATCH_QUERY, encode_frame, read_frame)
 from wot import net
 from wot.catalog import ciphertext_digest
-from wot.net import SocketChannel, buy, start_server, _recv_exact
+from wot.net import SenderServer, SocketChannel, buy, _recv_exact
 from wot.protocol import PublishedBundle, publish, run_session_sender, save_bundle
 
-from conftest import billed_lines, count_calls, make_catalog
+from conftest import billed_lines, count_calls, make_catalog, serving
 
 
 @pytest.fixture
@@ -29,10 +29,8 @@ def server(p23, caplog):
     rng = random.Random(14)
     catalog = make_catalog([1, 2, 3, 7], rng, payload_size=128)
     bundle, secrets = publish(catalog, "p2", p23, rng=rng)
-    srv = start_server(bundle, secrets)
-    yield srv, catalog, lambda count=0: billed_lines(caplog, count)
-    srv.shutdown()
-    srv.server_close()
+    with serving(bundle, secrets) as srv:
+        yield srv, catalog, lambda count=0: billed_lines(caplog, count)
 
 
 def raw_client(port):
@@ -263,7 +261,7 @@ class TestStartUp:
         bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
         _, other = publish(make_catalog(weights, rng), mode, p23, key_bits=key_bits, rng=rng)
         with pytest.raises(CatalogError) as err:
-            start_server(bundle, other)
+            SenderServer(("127.0.0.1", 0), bundle, other)
         assert str(err.value) == message
 
     def test_unknown_group_refused(self, p23, unbindable):
@@ -272,7 +270,7 @@ class TestStartUp:
         foreign = PublishedBundle(manifest=replace(bundle.manifest, group_id="toy-g4"),
                                   ciphertexts=bundle.ciphertexts)
         with pytest.raises(GroupError, match="unknown group preset 'toy-g4'"):
-            start_server(foreign, secrets)
+            SenderServer(("127.0.0.1", 0), foreign, secrets)
 
 
 class TestGrammar:

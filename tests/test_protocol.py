@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from wot.catalog import Manifest, ManifestEntry, ciphertext_digest, total_price
+from wot.catalog import FlatIndexMap, Manifest, ManifestEntry, ciphertext_digest
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
                         ProtocolError, RemoteError, WotError)
@@ -18,13 +18,14 @@ from wot.framing import (ERR_BAD_QUERY, ERR_UNKNOWN_ITEM, LENGTH_FIELD, MAX_FRAM
                          CtData, CtReq, Done, ErrorMsg, ManifestMsg, OtBatchQuery,
                          OtBatchResp, _ot_batch_resp_len, encode_frame, encode_manifest)
 from wot.group import is_member, kdf_pad, setup_params
-from wot.net import SocketChannel, buy, run_local_session, start_server
+from wot.net import SocketChannel, buy
 from wot.protocol import (PublishedBundle, fetch_bundle, item_context, publish,
                           load_bundle, load_secrets, run_session_receiver,
                           run_session_sender, save_bundle, serve_session)
 from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
 
-from conftest import count_calls, make_catalog, share_draws
+from conftest import (SELLER_THREAD, count_calls, local_session, make_catalog, record, serving,
+                      share_draws)
 
 
 @pytest.fixture
@@ -35,24 +36,37 @@ def channel_pair():
         yield SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
 
 
-def buy_over(channel_pair, bundle, secrets, params, item_ids, rng):
-    """The buyer's side for ``item_ids`` against ``serve_session`` over a socket pair."""
-    rx_chan, tx_chan = channel_pair
+def against(seller, buyer):
+    """Run ``buyer(rx_chan)`` against ``seller(tx_chan)`` over a socket pair."""
+    rx_sock, tx_sock = socket.socketpair()
+    rx_chan, tx_chan = SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
 
-    def seller():
+    def seller_side():
         try:
-            serve_session(tx_chan, bundle, secrets, params, rng)
-        except ProtocolError:
+            seller(tx_chan)
+        except (ProtocolError, OSError):
             pass  # the buyer hangs up
+        finally:
+            tx_chan.close()
 
-    worker = threading.Thread(target=seller, daemon=True)
+    worker = threading.Thread(target=seller_side, name=SELLER_THREAD)
     worker.start()
     try:
-        return run_session_receiver(rx_chan, item_ids, rng=rng)
+        return buyer(rx_chan)
     finally:
         rx_chan.close()
         worker.join(timeout=5)
         assert not worker.is_alive()
+
+
+def buying(item_ids, rng, log=None):
+    """The buyer's side for ``against``, recording its messages in ``log`` when given."""
+    def buyer(rx_chan):
+        if log is not None:
+            record(rx_chan, log)
+        return run_session_receiver(rx_chan, item_ids, rng=rng)
+
+    return buyer
 
 
 class TestPublish:
@@ -99,10 +113,10 @@ class TestPublish:
     def test_p2_shares_recombine_to_item_keys(self, p23, rng):
         cat = make_catalog([3, 2])
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        flat_map = bundle.flat_map
+        flat_map = FlatIndexMap(bundle.manifest.weights)
         for i in range(cat.n):
             shares = [secrets.flat_secrets[f] for f in flat_map.item_range(i)]
-            assert len(shares) == cat.weights[i]
+            assert len(shares) == cat.items[i].weight
             key = combine_shares(shares)
             context = item_context("p2", cat.items[i].id)
             assert decrypt(key, bundle.ciphertexts[i], context) == cat.items[i].payload
@@ -117,8 +131,7 @@ class TestSelectionPlan:
         cat = make_catalog([1, 2, 3, 7])
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         queries = count_calls(monkeypatch, ot_query)
-        result, billed, _ = run_local_session(bundle, secrets, ["item02", "item00"],
-                                              receiver_rng=rng, sender_rng=rng)
+        result, billed = local_session(bundle, secrets, ["item02", "item00"], rng)
         assert result.total == billed == 4
         [(_, _, picks, _)] = queries
         assert tuple(picks) == (0, 3, 4, 5)  # offsets are [0, 1, 3, 6]
@@ -128,28 +141,27 @@ class TestSelectionPlan:
         cat = make_catalog([1, 2, 3, 7])
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         queries = count_calls(monkeypatch, ot_query)
-        result, billed, _ = run_local_session(bundle, secrets,
-                                              [item.id for item in cat.items],
-                                              receiver_rng=rng, sender_rng=rng)
+        result, billed = local_session(bundle, secrets,
+                                       [item.id for item in cat.items], rng)
         assert result.total == billed == 13
         [(_, _, picks, _)] = queries
         assert tuple(picks) == tuple(range(13))
 
-    def test_by_item_id(self, p23, rng, channel_pair):
+    def test_by_item_id(self, p23, rng):
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
-        result = buy_over(channel_pair, bundle, secrets, p23, {"item01"}, rng)
+        result, _ = local_session(bundle, secrets, {"item01"}, rng)
         assert [item_id for item_id, _ in result.items] == ["item01"]
         assert result.total == 2
 
-    def test_empty_choice_rejected(self, p23, rng, channel_pair):
+    def test_empty_choice_rejected(self, p23, rng):
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
         with pytest.raises(ProtocolError, match="empty"):
-            buy_over(channel_pair, bundle, secrets, p23, set(), rng)
+            against(lambda tx: serve_session(tx, bundle, secrets, p23, rng), buying(set(), rng))
 
-    def test_unknown_id_rejected(self, p23, rng, channel_pair):
+    def test_unknown_id_rejected(self, p23, rng):
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
         with pytest.raises(CatalogError, match="unknown item"):
-            buy_over(channel_pair, bundle, secrets, p23, {"nope"}, rng)
+            local_session(bundle, secrets, {"nope"}, rng)
 
     def test_lookups_and_plans_are_linear(self, p23):
         """10,000 id lookups, and a buy of all 10,000 items, each well under a second.
@@ -186,8 +198,7 @@ class TestSessions:
     def test_end_to_end(self, p23, rng, mode):
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, mode, p23, rng=rng)
-        result, billed, _ = run_local_session(bundle, secrets, ["item01", "item03"],
-                                              receiver_rng=rng, sender_rng=rng)
+        result, billed = local_session(bundle, secrets, ["item01", "item03"], rng)
         assert dict(result.items) == {
             "item01": cat.items[1].payload,
             "item03": cat.items[3].payload,
@@ -201,27 +212,27 @@ class TestSessions:
         cat = make_catalog([1, 2, 3], rng)
         for mode, chosen, total in (("p2", {0, 2}, 4), ("p1", {1}, 2)):
             bundle, secrets = publish(cat, mode, params, rng=rng)
-            result, billed, _ = run_local_session(bundle, secrets,
-                                                  [cat.items[i].id for i in chosen],
-                                                  receiver_rng=rng, sender_rng=rng)
+            result, billed = local_session(bundle, secrets,
+                                           [cat.items[i].id for i in chosen], rng)
             assert dict(result.items) == {f"item{i:02d}": cat.items[i].payload for i in chosen}
             assert result.total == billed == total
 
-    def test_unknown_group_refused_before_query(self, p23, rng, channel_pair):
+    def test_unknown_group_refused_before_query(self, p23, rng):
         """A manifest can only name a preset; the buyer refuses any other group."""
         bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
         foreign = PublishedBundle(manifest=replace(bundle.manifest, group_id="toy-g4"),
                                   ciphertexts=bundle.ciphertexts)
+        log = []
         with pytest.raises(GroupError) as err:
-            buy_over(channel_pair, foreign, secrets, p23, ["item01"], rng)
+            against(lambda tx: serve_session(tx, foreign, secrets, p23, rng),
+                    buying(["item01"], rng, log))
         assert str(err.value) == "unknown group preset 'toy-g4'"
-        assert ("local", "OtBatchQuery") not in channel_pair[0].log
+        assert ("local", "OtBatchQuery") not in log
 
     def test_single_weight_one_item(self, p23, rng):
         cat = make_catalog([3, 1], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        result, billed, _ = run_local_session(bundle, secrets, ["item01"],
-                                              receiver_rng=rng, sender_rng=rng)
+        result, billed = local_session(bundle, secrets, ["item01"], rng)
         assert result.items == (("item01", cat.items[1].payload),)
         assert billed == 1
 
@@ -229,8 +240,7 @@ class TestSessions:
     def test_modes_return_identical_plaintexts(self, p23, rng, mode):
         cat = make_catalog([2, 3, 1], rng)
         bundle, secrets = publish(cat, mode, p23, rng=rng)
-        result, _, _ = run_local_session(bundle, secrets, ["item00", "item02"],
-                                         receiver_rng=rng, sender_rng=rng)
+        result, _ = local_session(bundle, secrets, ["item00", "item02"], rng)
         assert dict(result.items) == {"item00": cat.items[0].payload,
                                       "item02": cat.items[2].payload}
 
@@ -250,8 +260,7 @@ class TestSessions:
             ciphertexts=(bundle.ciphertexts[0], bytes(bad_ct)),
         )
         with pytest.raises(ItemAuthenticationError) as err:
-            run_local_session(tampered, secrets, ["item01"],
-                              receiver_rng=rng, sender_rng=rng)
+            local_session(tampered, secrets, ["item01"], rng)
         assert err.value.item_id == "item01"
 
     def test_mis_split_share_fails_authentication(self, p23):
@@ -263,39 +272,22 @@ class TestSessions:
         broken[1] = bytes(16)  # item 1 loses a share
         bad = replace(secrets, flat_secrets=tuple(broken))
         with pytest.raises(ItemAuthenticationError):
-            run_local_session(bundle, bad, [cat.items[1].id],
-                              receiver_rng=rng, sender_rng=rng)
+            local_session(bundle, bad, [cat.items[1].id], rng)
 
-    def test_digest_mismatch_aborts_before_transfer(self, p23, rng):
+    def test_digest_mismatch_aborts_before_transfer(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 4], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        sales = count_calls(monkeypatch, run_session_sender)
         # One bad item, then two: the first bad one in manifest order is named.
         for bad in ({1}, {1, 3}):
-            corrupted = PublishedBundle(
-                manifest=bundle.manifest,
-                ciphertexts=tuple(ct + b"x" if i in bad else ct
-                                  for i, ct in enumerate(bundle.ciphertexts)),
-            )
-            rx_sock, tx_sock = socket.socketpair()
-            rx_chan, tx_chan = SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
-            billed = []
-
-            def seller():
-                try:
-                    billed.append(serve_session(tx_chan, corrupted, secrets, p23, rng))
-                except (ProtocolError, OSError):
-                    pass  # the buyer hangs up
-
-            worker = threading.Thread(target=seller, daemon=True)
-            worker.start()
+            corrupted = replace(bundle, ciphertexts=tuple(
+                ct + b"x" if i in bad else ct for i, ct in enumerate(bundle.ciphertexts)))
+            log = []
             with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
-                run_session_receiver(rx_chan, ["item00"], rng=rng)
-            rx_chan.close()
-            worker.join(timeout=5)
-            tx_chan.close()
-            assert not worker.is_alive()
-            assert ("local", "OtBatchQuery") not in rx_chan.log
-            assert billed == []
+                against(lambda tx: serve_session(tx, corrupted, secrets, p23, rng),
+                        buying(["item00"], rng, log))
+            assert ("local", "OtBatchQuery") not in log
+        assert sales == []
 
     def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair):
         cat = make_catalog([1, 2], rng)
@@ -332,14 +324,12 @@ class TestSessions:
         assert (reply.code, reply.text) == (ERR_BAD_QUERY, "too many picks")
         assert responses == []
 
-    def test_nonmember_response_aborts_before_any_pad(self, p23, rng, channel_pair,
-                                                      monkeypatch):
+    def test_nonmember_response_aborts_before_any_pad(self, p23, rng, monkeypatch):
         cat = make_catalog([2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         n = len(secrets.flat_secrets)
-        rx_chan, tx_chan = channel_pair
 
-        def forging_sender():
+        def forging_sender(tx_chan):
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
             tx_chan.recv()  # CT_REQ for the one item
@@ -351,11 +341,8 @@ class TestSessions:
             tx_chan.send(Done(billed=len(msg.queries)))
 
         pads = count_calls(monkeypatch, kdf_pad)
-        worker = threading.Thread(target=forging_sender, daemon=True)
-        worker.start()
         with pytest.raises(ProtocolError, match="invalid response element"):
-            run_session_receiver(rx_chan, ["item00"], rng=rng)
-        worker.join(timeout=5)
+            against(forging_sender, buying(["item00"], rng))
         assert pads == []
 
     def test_pool_threads_run_no_public_function(self, monkeypatch):
@@ -365,8 +352,7 @@ class TestSessions:
         bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params, rng=rng)
         threads = {fn.__name__: count_calls(monkeypatch, fn, record=threading.current_thread)
                    for fn in (kdf_pad, is_member, ot_respond, ot_recover)}
-        run_local_session(bundle, secrets, ["item00", "item02"],
-                          receiver_rng=rng, sender_rng=rng)
+        local_session(bundle, secrets, ["item00", "item02"], rng)
         buyer = threading.current_thread()
         assert set(threads["ot_recover"]) == {buyer}
         (seller,) = set(threads["ot_respond"])
@@ -377,8 +363,7 @@ class TestSessions:
         monkeypatch.setattr(group, "_pool", None)
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        run_local_session(bundle, secrets, ["item01", "item03"],
-                          receiver_rng=rng, sender_rng=rng)
+        local_session(bundle, secrets, ["item01", "item03"], rng)
         assert group._pool is None
 
     def test_concurrent_buys_share_one_cpu_sized_pool(self, tmp_path, monkeypatch):
@@ -394,27 +379,26 @@ class TestSessions:
 
         monkeypatch.setattr(group, "_pool", None)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded_pool)
-        srv = start_server(bundle, secrets)
         errors = []
 
-        def one(buyer):
+        def one(port, buyer):
             try:
-                buy("127.0.0.1", srv.port, ["item01", "item02"], tmp_path / buyer)
+                buy("127.0.0.1", port, ["item01", "item02"], tmp_path / buyer)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        buyers = [threading.Thread(target=one, args=(f"buyer{i}",)) for i in range(4)]
-        before = set(threading.enumerate())  # an earlier test's pool stays out of the count
         try:
-            for t in buyers:
-                t.start()
-            for t in buyers:
-                t.join(timeout=60)
-            workers = [t for t in set(threading.enumerate()) - before
-                       if t.name.startswith("wot-powmod")]
+            with serving(bundle, secrets) as srv:
+                buyers = [threading.Thread(target=one, args=(srv.port, f"buyer{i}"))
+                          for i in range(4)]
+                before = set(threading.enumerate())  # an earlier test's pool stays out
+                for t in buyers:
+                    t.start()
+                for t in buyers:
+                    t.join(timeout=60)
+                workers = [t for t in set(threading.enumerate()) - before
+                           if t.name.startswith("wot-powmod")]
         finally:
-            srv.shutdown()
-            srv.server_close()
             for pool in pools:
                 pool.shutdown()
         assert not errors and not any(t.is_alive() for t in buyers)
@@ -426,17 +410,15 @@ class TestSessions:
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         checks = count_calls(monkeypatch, is_member)
-        _, billed, _ = run_local_session(bundle, secrets, ["item01", "item03"],
-                                         receiver_rng=rng, sender_rng=rng)
+        _, billed = local_session(bundle, secrets, ["item01", "item03"], rng)
         assert billed == 9
         assert len(checks) == 2 * billed
 
-    def test_billing_echo_mismatch_aborts(self, p23, rng, channel_pair):
+    def test_billing_echo_mismatch_aborts(self, p23, rng):
         cat = make_catalog([2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        rx_chan, tx_chan = channel_pair
 
-        def lying_sender():
+        def lying_sender(tx_chan):
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
             tx_chan.recv()  # CT_REQ for the one item
@@ -450,48 +432,33 @@ class TestSessions:
             tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=responses))
             tx_chan.send(Done(billed=99))
 
-        worker = threading.Thread(target=lying_sender, daemon=True)
-        worker.start()
         with pytest.raises(ProtocolError, match="billing mismatch"):
-            run_session_receiver(rx_chan, ["item00"], rng=rng)
-        worker.join(timeout=5)
+            against(lying_sender, buying(["item00"], rng))
 
-    def test_oversize_purchase_refused_before_fetching(self, p23, rng, channel_pair,
-                                                       monkeypatch):
+    def test_oversize_purchase_refused_before_fetching(self, p23, rng, monkeypatch):
         """The buyer sizes the reply from (N, T) before any ciphertext or query."""
         entry = ManifestEntry(id="big", weight=200_000, ct_len=1, digest_hex="0" * 64)
         manifest = Manifest(mode="p2", group_id="p23", key_bits=128, entries=(entry,))
-        rx_chan, tx_chan = channel_pair
 
-        def lying_sender():
-            try:
-                tx_chan.recv()  # HELLO
-                tx_chan.send(ManifestMsg(manifest=manifest))
-                tx_chan.recv()  # the buyer hangs up here
-            except ProtocolError:
-                pass
-            finally:
-                tx_chan.close()
+        def lying_sender(tx_chan):
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=manifest))
+            tx_chan.recv()  # the buyer hangs up here
 
         queries = count_calls(monkeypatch, ot_query)
-        worker = threading.Thread(target=lying_sender, daemon=True)
-        worker.start()
+        log = []
         with pytest.raises(ProtocolError, match="purchase too large"):
-            run_session_receiver(rx_chan, ["big"], rng=rng)
-        rx_chan.close()
-        worker.join(timeout=5)
-        assert not worker.is_alive()
-        assert ("local", "CtReq") not in rx_chan.log
+            against(lying_sender, buying(["big"], rng, log))
+        assert ("local", "CtReq") not in log
         assert queries == []
 
     def test_sender_bills_exactly_the_pick_count(self, p23, rng):
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         for choice in ({0, 2}, {1}, {0, 1, 2, 3}):
-            result, billed, _ = run_local_session(bundle, secrets,
-                                                  [cat.items[i].id for i in choice],
-                                                  receiver_rng=rng, sender_rng=rng)
-            assert billed == result.total == total_price(cat, choice)
+            result, billed = local_session(bundle, secrets,
+                                           [cat.items[i].id for i in choice], rng)
+            assert billed == result.total == sum(cat.items[i].weight for i in choice)
 
     def test_local_session_runs_the_wire_grammar(self, p23, rng):
         """In-process sessions deliver every ciphertext and use the TCP grammar.
@@ -500,8 +467,8 @@ class TestSessions:
         """
         cat = make_catalog([1, 2, 3], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        _, _, log = run_local_session(bundle, secrets, ["item01"],
-                                      receiver_rng=rng, sender_rng=rng)
+        log = []
+        local_session(bundle, secrets, ["item01"], rng, log)
         sent, got = "local", "peer"
         assert log == [(sent, "Hello"), (got, "ManifestMsg"),
                        (sent, "CtReq"), (sent, "CtReq"), (got, "CtData"),
@@ -509,8 +476,8 @@ class TestSessions:
                        (sent, "OtBatchQuery"), (got, "OtBatchResp"), (got, "Done")]
 
         bundle, secrets = publish(make_catalog([1] * 5, rng), "p2", p23, rng=rng)
-        _, _, log = run_local_session(bundle, secrets, ["item04"],
-                                      receiver_rng=rng, sender_rng=rng)
+        log = []
+        local_session(bundle, secrets, ["item04"], rng, log)
         lead = 0  # requests sent minus replies read
         for side, name in log:
             lead += (side, name) == (sent, "CtReq")
@@ -521,29 +488,6 @@ class TestSessions:
 
 class TestPipelinedDelivery:
     """The buyer keeps one request ahead and checks digests on a ``wot-digest`` thread."""
-
-    @staticmethod
-    def against(seller, buyer):
-        """Run ``buyer(rx_chan)`` against ``seller(tx_chan)`` over a socket pair."""
-        rx_sock, tx_sock = socket.socketpair()
-        rx_chan, tx_chan = SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
-
-        def seller_side():
-            try:
-                seller(tx_chan)
-            except (ProtocolError, OSError):
-                pass  # the buyer hangs up
-            finally:
-                tx_chan.close()
-
-        worker = threading.Thread(target=seller_side, daemon=True)
-        worker.start()
-        try:
-            return buyer(rx_chan)
-        finally:
-            rx_chan.close()
-            worker.join(timeout=5)
-            assert not worker.is_alive()
 
     @staticmethod
     def buyer_joining_helpers(monkeypatch, item_ids, rng):
@@ -573,7 +517,7 @@ class TestPipelinedDelivery:
     def test_every_fetched_digest_is_checked_on_the_helper(self, p23, rng, monkeypatch):
         bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
         threads = count_calls(monkeypatch, ciphertext_digest, record=threading.current_thread)
-        run_local_session(bundle, secrets, ["item01"], receiver_rng=rng, sender_rng=rng)
+        local_session(bundle, secrets, ["item01"], rng)
         assert len(threads) == 3 and {t.name for t in threads} == {"wot-digest"}
 
     def test_helper_is_joined_when_a_digest_fails(self, p23, rng, monkeypatch):
@@ -581,7 +525,7 @@ class TestPipelinedDelivery:
         corrupted = replace(bundle, ciphertexts=(bundle.ciphertexts[0] + b"x",
                                                  *bundle.ciphertexts[1:]))
         with pytest.raises(CatalogError, match="digest mismatch for item 'item00'"):
-            self.against(lambda tx: serve_session(tx, corrupted, secrets, p23, rng),
+            against(lambda tx: serve_session(tx, corrupted, secrets, p23, rng),
                          self.buyer_joining_helpers(monkeypatch, ["item02"], rng))
 
     def test_helper_is_joined_when_the_seller_closes_mid_frame(self, p23, rng, monkeypatch):
@@ -599,7 +543,7 @@ class TestPipelinedDelivery:
                 tx_chan._sock.sendall(frame[:len(frame) // 2])
 
             with pytest.raises(error, match=match):
-                self.against(close_mid_frame, buyer)
+                against(close_mid_frame, buyer)
 
     def test_refusal_with_a_request_ahead_is_a_remote_error(self, p23, rng, monkeypatch):
         """The seller refuses the second request and hangs up with the third unread.
@@ -616,7 +560,7 @@ class TestPipelinedDelivery:
         buyer = self.buyer_joining_helpers(monkeypatch, ["item03"], rng)
         for _ in range(20):
             with pytest.raises(RemoteError, match=f"remote error {ERR_UNKNOWN_ITEM}: unknown item"):
-                self.against(refuse_second, buyer)
+                against(refuse_second, buyer)
 
     def test_failed_request_ahead_reads_the_pending_frame(self, p23, rng):
         bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
@@ -725,9 +669,8 @@ class TestBundleIO:
         cat = make_catalog([1, 2], rng)
         bundle, secrets = publish(cat, "p2", p23, rng=rng)
         save_bundle(bundle, tmp_path / "b", secrets=secrets)
-        result, _, _ = run_local_session(load_bundle(tmp_path / "b"),
-                                         load_secrets(tmp_path / "b"),
-                                         ["item01"], receiver_rng=rng, sender_rng=rng)
+        result, _ = local_session(load_bundle(tmp_path / "b"),
+                                  load_secrets(tmp_path / "b"), ["item01"], rng)
         assert dict(result.items) == {"item01": cat.items[1].payload}
 
     def test_dotted_ids_round_trip(self, p23, rng, tmp_path):
@@ -813,9 +756,8 @@ def test_exhaustive_small_catalog_correctness(p23):
         bundle, secrets = publish(cat, mode, p23, rng=rng)
         for mask in range(1, 1 << 4):
             choice = {i for i in range(4) if mask >> i & 1}
-            result, billed, _ = run_local_session(bundle, secrets,
-                                                  [cat.items[i].id for i in choice],
-                                                  receiver_rng=rng, sender_rng=rng)
+            result, billed = local_session(bundle, secrets,
+                                           [cat.items[i].id for i in choice], rng)
             assert dict(result.items) == {cat.items[i].id: cat.items[i].payload
                                           for i in choice}
-            assert billed == total_price(cat, choice)
+            assert billed == sum(cat.items[i].weight for i in choice)
