@@ -30,6 +30,7 @@ from .errors import AuditError
 
 MAX_ITEMS = 30
 MAX_TOTALS = 1 << 18
+MAX_ROWS = 40  # per list in ``LeakReport.to_text``
 
 VERDICT_OK = "OK"
 VERDICT_WARN = "WARN"
@@ -54,25 +55,26 @@ class LeakReport:
     below_threshold: tuple[int, ...]  # interior totals with count < min_ambiguity threshold
     threshold: int
 
-    def to_text(self, max_rows: int = 40) -> str:
+    def to_text(self) -> str:
         lines = [
             f"items={len(self.prices)} achievable_totals={len(self.totals)}"
             f" verdict={self.verdict}",
             f"min_ambiguity={self.min_ambiguity} threshold={self.threshold}",
         ]
         if self.fully_leaking:
-            shown = ", ".join(map(str, self.fully_leaking[:max_rows]))
-            more = "" if len(self.fully_leaking) <= max_rows else f" (+{len(self.fully_leaking) - max_rows} more)"
+            shown = ", ".join(map(str, self.fully_leaking[:MAX_ROWS]))
+            more = "" if len(self.fully_leaking) <= MAX_ROWS else f" (+{len(self.fully_leaking) - MAX_ROWS} more)"
             lines.append(f"fully leaking totals: {shown}{more}")
+        grand_total = sum(self.prices)
         flagged = [t for t in self.totals
-                   if (t.forced_in or t.forced_out) and 0 < t.total < sum(self.prices)]
-        for t in flagged[:max_rows]:
+                   if (t.forced_in or t.forced_out) and 0 < t.total < grand_total]
+        for t in flagged[:MAX_ROWS]:
             lines.append(
                 f"total {t.total}: count={t.count}"
                 f" forced_in={list(t.forced_in)} forced_out={list(t.forced_out)}"
             )
-        if len(flagged) > max_rows:
-            lines.append(f"... {len(flagged) - max_rows} more totals with forced items")
+        if len(flagged) > MAX_ROWS:
+            lines.append(f"... {len(flagged) - MAX_ROWS} more totals with forced items")
         return "\n".join(lines) + "\n"
 
 

@@ -21,10 +21,10 @@ every exponent of its batch on its own thread, in pick order, and only
 then hands all of the batch's constant-time exponentiations to
 ``group._powmods`` at once (see ``wot.group``): ``ot_query`` computes
 every ``g^r`` and ``h^c``, ``respond_powers`` every pick's ``g^k``,
-``h^-k`` and ``y^k``, and ``ot_recover`` every ``a^r``. A seeded ``rng``
-therefore gives the same draws, and the same wire bytes, as answering one
-pick after another. ``ot_respond`` then masks one pick's secrets from its
-three powers, with multiplications and pads only.
+``h^-k`` and ``y^k``, and ``ot_recover`` every ``a^r``. So a batch reads
+``symcrypto._RNG`` in the order one pick after another would. ``ot_respond``
+then masks one pick's secrets from its three powers, with multiplications
+and pads only.
 
 Why the receiver opens only one index. For ``i != j``,
 ``e_i / e_j = h^((j - i) * k)``. A receiver that learned the pads of two
@@ -55,13 +55,10 @@ randomness, batched into a single request and a single response.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 
 from .errors import ProtocolError
 from .group import GroupParams, _powmods, kdf_pad, rand_exponent
-
-_SYSTEM_RNG = random.SystemRandom()
 
 _SID_TAG = b"WOT-SID"
 
@@ -78,15 +75,14 @@ class OtResponse:
         return len(self.masks)
 
 
-def ot_query(params: GroupParams, n_secrets: int, indices,
-             rng=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def ot_query(params: GroupParams, n_secrets: int,
+             indices) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Build one query element ``y`` per pick index; returns them with their secret exponents."""
     indices = tuple(indices)
     for index in indices:
         if not 0 <= index < n_secrets:
             raise ProtocolError(f"pick index {index} out of range [0, {n_secrets})")
-    rng = rng or _SYSTEM_RNG
-    exponents = tuple(rand_exponent(params, rng) for _ in indices)
+    exponents = tuple(rand_exponent(params) for _ in indices)
     p = params.p
     powers = _powmods([(params.g, r) for r in exponents]
                       + [(params.h, index) for index in indices], p)
@@ -94,14 +90,12 @@ def ot_query(params: GroupParams, n_secrets: int, indices,
     return tuple(gr * hc % p for gr, hc in zip(powers[:t], powers[t:])), exponents
 
 
-def respond_powers(params: GroupParams, queries,
-                   rng=None) -> tuple[tuple[int, int, int], ...]:
+def respond_powers(params: GroupParams, queries) -> tuple[tuple[int, int, int], ...]:
     """Draw each pick's fresh nonzero ``k``; returns ``(g^k, h^-k, y^k)`` per query ``y``.
 
     Every ``y`` must be a subgroup member; the caller checks the peer's query.
     """
-    rng = rng or _SYSTEM_RNG
-    ks = [rand_exponent(params, rng, include_zero=False) for _ in queries]
+    ks = [rand_exponent(params, include_zero=False) for _ in queries]
     jobs = []
     for y, k in zip(queries, ks):
         jobs += [(params.g, k), (params.h, params.q - k), (y, k)]

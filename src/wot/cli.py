@@ -1,8 +1,7 @@
 """Command-line entry points.
 
-Every command draws its keys, shares, nonces and exponents from the
-system's random source; none can be seeded. A publisher or buyer on a
-predictable stream would give away every item key or every choice.
+Every command, like every library call, draws its secrets from the
+operating system's random source (see ``wot.symcrypto``); none can be seeded.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .catalog import MODES, load_catalog
 from .errors import WotError
 from .group import setup_params
 from .harness import PrivacyExperiment, privacy_experiment
-from .protocol import load_bundle, load_secrets, publish, save_bundle
+from .protocol import load_bundle, load_manifest, load_secrets, publish, save_bundle
 from .weights import approx_reduce, candidate_divisors, gcd_reduce
 
 
@@ -121,8 +120,7 @@ def cmd_privacy_test(args) -> int:
 
 
 def cmd_manifest(args) -> int:
-    bundle = load_bundle(args.bundle, verify=False)
-    print(bundle.manifest.to_text(), end="")
+    print(load_manifest(args.bundle).to_text(), end="")
     return 0
 
 

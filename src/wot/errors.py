@@ -44,8 +44,8 @@ class ProtocolError(WotError):
 class ItemAuthenticationError(ProtocolError):
     """Decryption of a purchased item failed; names the offending item."""
 
-    def __init__(self, item_id: str, message: str | None = None):
-        super().__init__(message or f"authentication failure for item {item_id!r}")
+    def __init__(self, item_id: str):
+        super().__init__(f"authentication failure for item {item_id!r}")
         self.item_id = item_id
 
 

@@ -59,14 +59,12 @@ import contextlib
 import ctypes
 import hashlib
 import os
-import random
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import symcrypto
 from .errors import GroupError
-
-_SYSTEM_RNG = random.SystemRandom()
 
 _H2G_TAG = b"WOT-H2G"
 _PAD_TAG = b"WOT-PAD"
@@ -244,13 +242,12 @@ def setup_params(preset: str = "modp-2048") -> GroupParams:
     return GroupParams(p=p, q=q, g=g, h=derive_h(p, q, preset), param_id=preset)
 
 
-def rand_exponent(params: GroupParams, rng=None, include_zero: bool = True) -> int:
-    """Uniform exponent via rejection sampling on getrandbits."""
-    rng = rng or _SYSTEM_RNG
+def rand_exponent(params: GroupParams, include_zero: bool = True) -> int:
+    """Uniform exponent via rejection sampling on the package's random source."""
     bound = params.q if include_zero else params.q - 1
     bits = bound.bit_length()
     while True:
-        x = rng.getrandbits(bits)
+        x = symcrypto._RNG.getrandbits(bits)
         if x < bound:
             return x if include_zero else x + 1
 

@@ -5,7 +5,7 @@ on a tiny group and compares what the seller saw: the billed totals must
 be identical, and the pooled query-element histograms must be
 statistically indistinguishable (a chi-square test, computed with the
 standard library). Tiny subgroups make the uniformity claim exhaustively
-testable rather than asymptotic. It is deterministic given a seed.
+testable rather than asymptotic. Every draw comes from ``symcrypto._RNG``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import HarnessError
 from .group import GroupParams
 
 MAX_EXPERIMENT_SUBGROUP = 101
+P_THRESHOLD = 0.01  # chi-square p-value at or below which the views differ
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class PrivacyExperiment:
     choice_a: frozenset[int]
     choice_b: frozenset[int]
     sessions: int = 100_000
-    p_threshold: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class PrivacyReport:
     tv_distance: float
     sessions: int
     subgroup_order: int
-    p_threshold: float
 
     def to_text(self) -> str:
         return (
@@ -48,13 +47,12 @@ class PrivacyReport:
             f"billed totals: {self.billed_a} vs {self.billed_b}"
             f" ({'identical' if self.totals_identical else 'DIFFERENT'})\n"
             f"query histogram chi-square p={self.chi2_p:.4f}"
-            f" (threshold {self.p_threshold}), TV distance {self.tv_distance:.4f}\n"
+            f" (threshold {P_THRESHOLD}), TV distance {self.tv_distance:.4f}\n"
             f"verdict: {self.verdict}\n"
         )
 
 
-def privacy_experiment(exp: PrivacyExperiment, params: GroupParams,
-                       rng=None) -> PrivacyReport:
+def privacy_experiment(exp: PrivacyExperiment, params: GroupParams) -> PrivacyReport:
     """Compare the seller's view across two equal-price choice sets."""
     if params.q > MAX_EXPERIMENT_SUBGROUP:
         raise HarnessError(f"subgroup order {params.q} too large for histogram statistics")
@@ -82,7 +80,7 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams,
     def observe(picks) -> list[int]:
         histogram = [0] * len(subgroup)
         for _ in range(exp.sessions):
-            for y in ot_query(params, n_flat, picks, rng)[0]:
+            for y in ot_query(params, n_flat, picks)[0]:
                 histogram[index_of[y]] += 1
         return histogram
 
@@ -93,7 +91,7 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams,
     tv = 0.5 * sum(abs(a / count_a - b / count_b) for a, b in zip(hist_a, hist_b))
     chi2_p = chi2_two_row_pvalue(hist_a, hist_b)
     totals_identical = len(picks_a) == len(picks_b)
-    verdict = "PASS" if totals_identical and chi2_p > exp.p_threshold else "FAIL"
+    verdict = "PASS" if totals_identical and chi2_p > P_THRESHOLD else "FAIL"
     return PrivacyReport(
         verdict=verdict,
         totals_identical=totals_identical,
@@ -103,7 +101,6 @@ def privacy_experiment(exp: PrivacyExperiment, params: GroupParams,
         tv_distance=tv,
         sessions=exp.sessions,
         subgroup_order=params.q,
-        p_threshold=exp.p_threshold,
     )
 
 

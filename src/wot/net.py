@@ -44,8 +44,8 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 class SocketChannel:
     """Frame-codec adapter exposing the message-object channel interface."""
 
-    def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
-        sock.settimeout(timeout)
+    def __init__(self, sock: socket.socket):
+        sock.settimeout(DEFAULT_TIMEOUT)
         self._sock = sock
 
     def send(self, msg):
@@ -128,8 +128,7 @@ class SenderServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
 
-def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
-        rng=None, timeout: float = DEFAULT_TIMEOUT):
+def buy(host: str, port: int, item_ids, out_dir, cache_dir=None):
     """Purchase items from a running server and write their plaintexts.
 
     Returns the purchase result; the printed/billed total equals the sum
@@ -146,12 +145,12 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None,
     for d in missing:  # deepest first: a failed purchase leaves no directory behind
         d.rmdir()
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = socket.create_connection((host, port), timeout=DEFAULT_TIMEOUT)
     except OSError as exc:
         raise ProtocolError(f"cannot connect to {host}:{port}: {exc}") from exc
-    chan = SocketChannel(sock, timeout=timeout)
+    chan = SocketChannel(sock)
     try:
-        result = run_session_receiver(chan, item_ids, cache_dir=cache_dir, rng=rng)
+        result = run_session_receiver(chan, item_ids, cache_dir=cache_dir)
     except OSError as exc:  # timeouts and resets on the socket
         raise ProtocolError(f"connection to {host}:{port} failed: {exc}") from exc
     finally:

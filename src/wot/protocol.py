@@ -144,8 +144,8 @@ class PurchaseResult:
     total: int
 
 
-def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 128,
-            rng=None) -> tuple[PublishedBundle, SenderSecrets]:
+def publish(catalog: Catalog, mode: str, params: GroupParams,
+            key_bits: int = 128) -> tuple[PublishedBundle, SenderSecrets]:
     """Encrypt a catalog and derive the flat secret vector for transfers."""
     if mode not in MODES:
         raise CatalogError(f"unknown mode {mode!r}")
@@ -154,12 +154,12 @@ def publish(catalog: Catalog, mode: str, params: GroupParams, key_bits: int = 12
     for item in catalog.items:
         context = item_context(mode, item.id)
         if mode == MODE_P2:
-            key = symcrypto.new_key(key_bits, rng)
-            ciphertexts.append(symcrypto.encrypt(key, item.payload, context, rng))
-            flat_secrets.extend(symcrypto.split_key(key, item.weight, rng))
+            key = symcrypto.new_key(key_bits)
+            ciphertexts.append(symcrypto.encrypt(key, item.payload, context))
+            flat_secrets.extend(symcrypto.split_key(key, item.weight))
         else:
-            layer_keys = [symcrypto.new_key(key_bits, rng) for _ in range(item.weight)]
-            ciphertexts.append(symcrypto.nested_encrypt(layer_keys, item.payload, context, rng))
+            layer_keys = [symcrypto.new_key(key_bits) for _ in range(item.weight)]
+            ciphertexts.append(symcrypto.nested_encrypt(layer_keys, item.payload, context))
             flat_secrets.extend(layer_keys)
     entries = tuple(
         ManifestEntry(id=item.id, weight=item.weight, ct_len=len(ct),
@@ -194,7 +194,7 @@ def _refuse(channel, code: int, text: str, detail: str | None = None) -> NoRetur
     raise GrammarError(detail or text)
 
 
-def run_session_receiver(channel, item_ids, cache_dir=None, rng=None) -> PurchaseResult:
+def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
     """Drive the buyer's side of one session, HELLO to DONE, over an open channel.
 
     The group is the preset the manifest names; a manifest naming any
@@ -222,7 +222,7 @@ def run_session_receiver(channel, item_ids, cache_dir=None, rng=None) -> Purchas
     bundle = fetch_bundle(channel, manifest, cache_dir)
 
     total = flat_map.total
-    queries, exponents = ot_query(params, total, picks, rng)
+    queries, exponents = ot_query(params, total, picks)
     channel.send(OtBatchQuery(elem_len=params.element_len, queries=queries))
 
     resp = _expect(channel.recv(), OtBatchResp)
@@ -326,7 +326,7 @@ def _check_digests(handed: queue.SimpleQueue, checked: list):
 
 
 def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
-                  params: GroupParams, rng=None) -> int:
+                  params: GroupParams) -> int:
     """The seller's side of one session: grammar and delivery, then the transfer.
 
     Returns the billed pick count.
@@ -352,13 +352,13 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
                 _refuse(channel, ERR_UNKNOWN_ITEM, "unknown item")
             channel.send(CtData(item_id=msg.item_id, ciphertext=ct))
         elif isinstance(msg, OtBatchQuery):
-            return run_session_sender(secrets, msg, channel, params, rng)
+            return run_session_sender(secrets, msg, channel, params)
         else:
             _refuse(channel, ERR_GRAMMAR, "grammar")
 
 
 def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
-                       params: GroupParams, rng=None) -> int:
+                       params: GroupParams) -> int:
     """Answer one buyer's batch; learns and returns only the billed pick count."""
     if not query.queries:
         _refuse(channel, ERR_BAD_QUERY, "empty purchase", "empty purchase rejected")
@@ -386,7 +386,7 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
                     "invalid query: not a subgroup member")
 
     sid = batch_binding(params, query.queries)
-    powers = respond_powers(params, query.queries, rng)
+    powers = respond_powers(params, query.queries)
     responses = tuple(ot_respond(params, flat, pick, pick_binding(sid, ordinal))
                       for ordinal, pick in enumerate(powers))
     billed = len(query.queries)
@@ -409,12 +409,16 @@ def save_bundle(bundle: PublishedBundle, directory,
         _write_secrets(path / SECRETS_FILE, secrets)
 
 
+def load_manifest(directory) -> Manifest:
+    path = Path(directory) / MANIFEST_FILE
+    if not path.is_file():
+        raise CatalogError(f"missing {path}")
+    return decode_manifest(path.read_bytes())
+
+
 def load_bundle(directory, verify: bool = True) -> PublishedBundle:
     path = Path(directory)
-    manifest_path = path / MANIFEST_FILE
-    if not manifest_path.is_file():
-        raise CatalogError(f"missing {manifest_path}")
-    manifest = decode_manifest(manifest_path.read_bytes())
+    manifest = load_manifest(path)
     cts = []
     for entry in manifest.entries:
         ct_path = path / (entry.id + CT_SUFFIX)

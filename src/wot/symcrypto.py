@@ -15,6 +15,10 @@ over the received frame) and read it in place, without copying it.
 A key split into ``p`` shares draws ``p - 1`` uniform share strings and
 sets the last share to the XOR of the key with all of them: any proper
 subset of shares is jointly uniform and reveals nothing about the key.
+
+Every key, nonce, share and transfer exponent is drawn at call time from
+``_RNG``, the operating system's source and the package's only one. No
+caller can pass another: a predictable one would give away every key or choice.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ NONCE_LEN = 12
 TAG_LEN = 16
 KEY_BITS_CHOICES = (128, 256)
 
-_SYSTEM_RNG = random.SystemRandom()
+_RNG = random.SystemRandom()
 
 
 def _check_key(key: bytes) -> bytes:
@@ -40,17 +44,15 @@ def _check_key(key: bytes) -> bytes:
     return bytes(key)
 
 
-def new_key(key_bits: int = 128, rng=None) -> bytes:
+def new_key(key_bits: int = 128) -> bytes:
     if key_bits not in KEY_BITS_CHOICES:
         raise CryptoError(f"unsupported key length {key_bits}")
-    rng = rng or _SYSTEM_RNG
-    return rng.randbytes(key_bits // 8)
+    return _RNG.randbytes(key_bits // 8)
 
 
-def encrypt(key: bytes, plaintext: bytes, context: str = "", rng=None) -> bytes:
+def encrypt(key: bytes, plaintext: bytes, context: str = "") -> bytes:
     key = _check_key(key)
-    rng = rng or _SYSTEM_RNG
-    nonce = rng.randbytes(NONCE_LEN)
+    nonce = _RNG.randbytes(NONCE_LEN)
     return nonce + AESGCM(key).encrypt(nonce, bytes(plaintext), context.encode())
 
 
@@ -71,7 +73,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def split_key(key: bytes, parts: int, rng=None) -> list[bytes]:
+def split_key(key: bytes, parts: int) -> list[bytes]:
     """Split ``key`` into ``parts`` XOR shares; all of them recombine to the key.
 
     Exactly ``parts - 1`` random strings are drawn; the final share absorbs
@@ -79,15 +81,11 @@ def split_key(key: bytes, parts: int, rng=None) -> list[bytes]:
     """
     if parts < 1:
         raise CryptoError(f"share count must be >= 1, got {parts}")
-    rng = rng or _SYSTEM_RNG
-    shares = []
+    shares = [_RNG.randbytes(len(key)) for _ in range(parts - 1)]
     last = bytes(key)
-    for _ in range(parts - 1):
-        share = rng.randbytes(len(key))
-        shares.append(share)
+    for share in shares:
         last = xor_bytes(last, share)
-    shares.append(last)
-    return shares
+    return shares + [last]
 
 
 def combine_shares(shares) -> bytes:
@@ -103,14 +101,14 @@ def _layer_context(context: str, layer: int) -> str:
     return f"{context}|layer{layer}"
 
 
-def nested_encrypt(keys, plaintext: bytes, context: str = "", rng=None) -> bytes:
+def nested_encrypt(keys, plaintext: bytes, context: str = "") -> bytes:
     """Encrypt under every key in turn; ``keys[0]`` ends up outermost."""
     keys = list(keys)
     if not keys:
         raise CryptoError("nested encryption needs at least one key")
     blob = bytes(plaintext)
     for layer in range(len(keys), 0, -1):
-        blob = encrypt(keys[layer - 1], blob, _layer_context(context, layer), rng)
+        blob = encrypt(keys[layer - 1], blob, _layer_context(context, layer))
     return blob
 
 

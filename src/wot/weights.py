@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import ReductionError
 
 TRIAL_DIVISION_LIMIT = 10**6
+MAX_CANDIDATES = 8  # divisors ``candidate_divisors`` suggests at most
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def approx_reduce(weights, q: int) -> ReductionReport:
     )
 
 
-def candidate_divisors(weights, limit: int = 8) -> tuple[int, ...]:
+def candidate_divisors(weights) -> tuple[int, ...]:
     """Suggest divisors worth negotiating when the gcd is 1.
 
     Candidates are the median weight's divisors plus round numbers
@@ -138,4 +139,4 @@ def candidate_divisors(weights, limit: int = 8) -> tuple[int, ...]:
             continue
         scored.append((report.max_relative_error, -q))
     scored.sort()
-    return tuple(-negq for _, negq in scored[:limit])
+    return tuple(-negq for _, negq in scored[:MAX_CANDIDATES])

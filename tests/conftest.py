@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from wot import symcrypto
 from wot.catalog import Catalog, Item
 from wot.errors import ProtocolError
 from wot.group import setup_params
@@ -48,9 +49,16 @@ def no_session_thread_left():
     assert not left, f"live session helper threads: {left}"
 
 
+def seed_source(monkeypatch, rng):
+    """Make ``rng`` the package's one random source for the test; returns it."""
+    monkeypatch.setattr(symcrypto, "_RNG", rng)
+    return rng
+
+
 @pytest.fixture
-def rng():
-    return random.Random(0xC0FFEE)
+def rng(monkeypatch):
+    """A seeded stream that is also the package's random source, so every draw is repeatable."""
+    return seed_source(monkeypatch, random.Random(0xC0FFEE))
 
 
 def make_catalog(weights, rng=None, payload_size=64, ids=None):
@@ -107,8 +115,8 @@ def count_calls(monkeypatch, function, record=None):
 
 
 def share_draws(splits) -> int:
-    """Random shares drawn by the recorded ``split_key(key, parts, rng)`` calls."""
-    return sum(parts - 1 for _, parts, _ in splits)
+    """Random shares drawn by the recorded ``split_key(key, parts)`` calls."""
+    return sum(parts - 1 for _, parts in splits)
 
 
 def record(channel, log: list):
@@ -127,7 +135,7 @@ def record(channel, log: list):
     channel.send, channel.recv = sending, receiving
 
 
-def local_session(bundle, secrets, item_ids, rng=None, log=None):
+def local_session(bundle, secrets, item_ids, log=None):
     """Buy ``item_ids`` from ``serve_session`` over a socket pair: ``(result, billed)``.
 
     The seller runs on a thread that is joined on every path. A seller's
@@ -144,7 +152,7 @@ def local_session(bundle, secrets, item_ids, rng=None, log=None):
 
     def seller():
         try:
-            box["billed"] = serve_session(tx_chan, bundle, secrets, params, rng)
+            box["billed"] = serve_session(tx_chan, bundle, secrets, params)
         except Exception as exc:  # raised on the buyer's side below
             box["error"] = exc
         finally:
@@ -153,7 +161,7 @@ def local_session(bundle, secrets, item_ids, rng=None, log=None):
     worker = threading.Thread(target=seller, name=SELLER_THREAD)
     worker.start()
     try:
-        result = run_session_receiver(rx_chan, item_ids, rng=rng)
+        result = run_session_receiver(rx_chan, item_ids)
     except ProtocolError:
         # Join before closing: a seller still sending must not fail on a
         # closed socket and hide the buyer's error.

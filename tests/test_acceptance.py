@@ -25,8 +25,8 @@ from wot.protocol import item_context, publish
 from wot.symcrypto import combine_shares, decrypt, nested_decrypt
 from wot.weights import approx_reduce, gcd_reduce
 
-from conftest import (billed_lines, count_calls, local_session, make_catalog, serving,
-                      share_draws, write_catalog_dir)
+from conftest import (billed_lines, count_calls, local_session, make_catalog, seed_source,
+                      serving, share_draws, write_catalog_dir)
 
 
 def _report(number, ok, text):
@@ -43,20 +43,20 @@ def random_catalog(rng, n=6, max_weight=6, max_payload=1024):
     return Catalog(items=items)
 
 
-def test_criterion_1_correctness_exhaustive():
+def test_criterion_1_correctness_exhaustive(monkeypatch):
     """All 2^6-1 choice sets, random catalogs, both modes, under 60 s."""
     params = setup_params("p23")
     started = time.time()
     sessions = 0
     for seed in (101, 202, 303):
-        rng = random.Random(seed)
+        rng = seed_source(monkeypatch, random.Random(seed))
         catalog = random_catalog(rng)
         for mode in ("p1", "p2"):
-            bundle, secrets = publish(catalog, mode, params, rng=rng)
+            bundle, secrets = publish(catalog, mode, params)
             for mask in range(1, 1 << catalog.n):
                 choice = {i for i in range(catalog.n) if mask >> i & 1}
                 result, billed = local_session(
-                    bundle, secrets, [catalog.items[i].id for i in choice], rng)
+                    bundle, secrets, [catalog.items[i].id for i in choice])
                 expected = {catalog.items[i].id: catalog.items[i].payload
                             for i in choice}
                 assert dict(result.items) == expected
@@ -69,49 +69,51 @@ def test_criterion_1_correctness_exhaustive():
             f"{elapsed:.1f}s < 60s")
 
 
-def test_criterion_2_receiver_privacy():
+def test_criterion_2_receiver_privacy(monkeypatch):
     """Equal-total transcripts indistinguishable at M=1e5 on the order-11 group."""
     params = setup_params("p23")
     sessions = 100_000
     exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0, 1}),
                             choice_b=frozenset({2}), sessions=sessions)
-    report = privacy_experiment(exp, params, random.Random(2718))
+    seed_source(monkeypatch, random.Random(2718))
+    report = privacy_experiment(exp, params)
     assert report.totals_identical and report.billed_a == report.billed_b == 3
     assert report.chi2_p > 0.01, f"chi-square p={report.chi2_p}"
 
     control = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({2}),
                                 choice_b=frozenset({2}), sessions=sessions)
-    control_report = privacy_experiment(control, params, random.Random(2719))
+    seed_source(monkeypatch, random.Random(2719))
+    control_report = privacy_experiment(control, params)
     assert control_report.verdict == "PASS"
 
     with pytest.raises(HarnessError):
         privacy_experiment(
             PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0}),
                               choice_b=frozenset({2}), sessions=10),
-            params, random.Random(1))
+            params)
     _report(2, report.verdict == "PASS",
             f"receiver privacy: T identical, chi2 p={report.chi2_p:.3f} > 0.01 "
             f"(M={sessions}), control PASS, unequal totals refused")
 
 
-def test_criterion_3_no_extra_information():
+def test_criterion_3_no_extra_information(monkeypatch):
     """Every combination of learned key material fails on every unchosen item (N <= 10).
 
     In ``p2`` a guess is an XOR of learned shares, tried as an item key; in
     ``p1`` it is an XOR of learned layer keys, tried as a one-layer lock.
     """
     params = setup_params("p23")
-    rng = random.Random(31415)
+    rng = seed_source(monkeypatch, random.Random(31415))
     catalog = make_catalog([2, 3, 4], rng)  # N = 9
     attempts = 0
     breaches = 0
     for mode in ("p2", "p1"):
-        bundle, secrets = publish(catalog, mode, params, rng=rng)
+        bundle, secrets = publish(catalog, mode, params)
         flat_map = FlatIndexMap(bundle.manifest.weights)
         for mask in range(1, (1 << catalog.n) - 1):  # proper nonempty choice sets
             choice = {i for i in range(catalog.n) if mask >> i & 1}
             result, _ = local_session(bundle, secrets,
-                                      [catalog.items[i].id for i in choice], rng)
+                                      [catalog.items[i].id for i in choice])
             assert len(result.items) == len(choice)
             learned = [secrets.flat_secrets[f] for i in sorted(choice)
                        for f in flat_map.item_range(i)]
@@ -144,7 +146,7 @@ def test_criterion_4_complexity_claims(monkeypatch):
     each pick draws one fresh exponent on each side, whatever ``N`` is.
     """
     params = setup_params("p23")
-    rng = random.Random(6174)
+    rng = seed_source(monkeypatch, random.Random(6174))
     buyer = threading.current_thread()  # the seller answers on a worker thread
     key_gens = count_calls(monkeypatch, symcrypto.new_key)
     encrypts = count_calls(monkeypatch, symcrypto.encrypt)
@@ -162,7 +164,7 @@ def test_criterion_4_complexity_claims(monkeypatch):
         mode = rng.choice(("p1", "p2"))
         for calls in counted:
             calls.clear()
-        bundle, secrets = publish(catalog, mode, params, rng=rng)
+        bundle, secrets = publish(catalog, mode, params)
         assert (len(key_gens), len(encrypts)) == ((n, n) if mode == "p2"
                                                   else (sum(weights), sum(weights)))
         assert share_draws(splits) == (sum(w - 1 for w in weights) if mode == "p2" else 0)
@@ -170,7 +172,7 @@ def test_criterion_4_complexity_claims(monkeypatch):
 
         log = []
         result, billed = local_session(
-            bundle, secrets, [catalog.items[i].id for i in sorted(choice)], rng, log)
+            bundle, secrets, [catalog.items[i].id for i in sorted(choice)], log)
         billed_weight = sum(weights[i] for i in choice)
         assert billed == result.total == billed_weight
         assert len(decrypts) == (len(choice) if mode == "p2" else billed_weight)
@@ -196,14 +198,14 @@ def test_criterion_5_weight_reduction(monkeypatch):
     assert approx.reduced == (1, 2, 3, 7)
 
     params = setup_params("p23")
-    rng = random.Random(55)
+    rng = seed_source(monkeypatch, random.Random(55))
     original = make_catalog([100, 200, 300, 700], rng, payload_size=8)
     reduced = make_catalog([1, 2, 3, 7], rng, payload_size=8)
     splits = count_calls(monkeypatch, symcrypto.split_key)
-    bundle_orig, _ = publish(original, "p2", params, rng=rng)
+    bundle_orig, _ = publish(original, "p2", params)
     draws_orig = share_draws(splits)
     splits.clear()
-    bundle_red, _ = publish(reduced, "p2", params, rng=rng)
+    bundle_red, _ = publish(reduced, "p2", params)
     draws_red = share_draws(splits)
     n_orig = bundle_orig.manifest.total_weight
     n_red = bundle_red.manifest.total_weight
@@ -247,17 +249,17 @@ def test_criterion_6_leakage_auditor():
             f"subset-sum pass == naive enumeration on {vectors} vectors (n <= 16)")
 
 
-def test_criterion_7_base_transfer():
+def test_criterion_7_base_transfer(monkeypatch):
     """Exhaustive recovery, query uniformity, zero cross-index recoveries."""
     params = setup_params("p23")
-    rng = random.Random(777)
+    rng = seed_source(monkeypatch, random.Random(777))
 
     # (a) exhaustive correctness for every space size up to 8
     for n in range(1, 9):
         secrets = [rng.randbytes(16) for _ in range(n)]
         for index in range(n):
-            (query,), (r,) = ot_query(params, n, [index], rng)
-            (powers,) = respond_powers(params, [query], rng)
+            (query,), (r,) = ot_query(params, n, [index])
+            (powers,) = respond_powers(params, [query])
             response = ot_respond(params, secrets, powers, b"acc")
             assert ot_recover(params, [response], [index], [r], [b"acc"]) == (secrets[index],)
 
@@ -266,7 +268,7 @@ def test_criterion_7_base_transfer():
     hist = {0: Counter(), 5: Counter()}
     for _ in range(trials):
         for index in (0, 5):
-            (q,), _ = ot_query(params, 6, [index], rng)
+            (q,), _ = ot_query(params, 6, [index])
             hist[index][q] += 1
     support = set(hist[0]) | set(hist[5])
     tv = 0.5 * sum(abs(hist[0][y] - hist[5][y]) / trials for y in support)
@@ -278,8 +280,8 @@ def test_criterion_7_base_transfer():
     secrets = [bytes([tag]) * 16 for tag in range(4)]
     for _ in range(adversarial):
         index = rng.randrange(4)
-        (query,), (r,) = ot_query(params, 4, [index], rng)
-        (powers,) = respond_powers(params, [query], rng)
+        (query,), (r,) = ot_query(params, 4, [index])
+        (powers,) = respond_powers(params, [query])
         response = ot_respond(params, secrets, powers, b"adv")
         wrong = (index + 1 + rng.randrange(3)) % 4
         if ot_recover(params, [response], [wrong], [r], [b"adv"]) == (secrets[wrong],):

@@ -9,13 +9,13 @@ from wot.framing import OtBatchQuery, OtBatchResp, encode_frame
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
 from wot.protocol import SenderSecrets, run_session_sender
 
-from conftest import count_calls
+from conftest import count_calls, seed_source
 
 
-def reference_respond(params, secrets, y, binding, rng):
+def reference_respond(params, secrets, y, binding):
     """Textbook sender with plain ``pow``: one ``k``, ``a = g^k``, pads from ``(y * h^-i)^k``."""
     p = params.p
-    k = rand_exponent(params, rng, include_zero=False)
+    k = rand_exponent(params, include_zero=False)
     masks = []
     for i, secret in enumerate(secrets):
         element = pow(y * pow(params.h, -i, p) % p, k, p)
@@ -25,7 +25,7 @@ def reference_respond(params, secrets, y, binding, rng):
 
 
 class Scripted:
-    """An ``rng`` whose ``getrandbits`` returns the given values in order."""
+    """A random source whose ``getrandbits`` returns the given values in order."""
 
     def __init__(self, values):
         self.values = iter(values)
@@ -34,15 +34,15 @@ class Scripted:
         return next(self.values)
 
 
-def query(params, n, index, rng):
+def query(params, n, index):
     """One pick's query element and secret exponent."""
-    (y,), (r,) = ot_query(params, n, [index], rng)
+    (y,), (r,) = ot_query(params, n, [index])
     return y, r
 
 
-def respond(params, secrets, y, binding, rng):
+def respond(params, secrets, y, binding):
     """One pick's response: its batch of powers, then its masks."""
-    (powers,) = respond_powers(params, [y], rng)
+    (powers,) = respond_powers(params, [y])
     return ot_respond(params, secrets, powers, binding)
 
 
@@ -51,38 +51,39 @@ def recover(params, response, index, r, binding):
     return secret
 
 
-def run_single(params, secrets, index, rng, binding=b"t"):
-    y, r = query(params, len(secrets), index, rng)
-    response = respond(params, secrets, y, binding, rng)
+def run_single(params, secrets, index, binding=b"t"):
+    y, r = query(params, len(secrets), index)
+    response = respond(params, secrets, y, binding)
     return recover(params, response, index, r, binding), response, y, r
 
 
 class TestQuery:
-    def test_frozen_vector(self):
+    def test_frozen_vector(self, monkeypatch):
         # On (p=23, q=11, g=2) with a hand-picked h = g^3 = 8:
         # index 2, exponent 4 -> y = 2^4 * 8^2 mod 23 = 12.
         params = GroupParams(p=23, q=11, g=2, h=8, param_id="toy-frozen")
-        assert ot_query(params, 6, [2], Scripted([4])) == ((12,), (4,))
+        seed_source(monkeypatch, Scripted([4]))
+        assert ot_query(params, 6, [2]) == ((12,), (4,))
 
     def test_index_zero_is_pure_generator_power(self, p23, rng):
-        y, r = query(p23, 6, 0, rng)
+        y, r = query(p23, 6, 0)
         assert y == pow(p23.g, r, p23.p)
 
     def test_out_of_range(self, p23, rng):
         with pytest.raises(ProtocolError):
-            ot_query(p23, 6, [6], rng)
+            ot_query(p23, 6, [6])
         with pytest.raises(ProtocolError):
-            ot_query(p23, 6, [1, -1], rng)
+            ot_query(p23, 6, [1, -1])
 
-    def test_query_histograms_indistinguishable(self, p23):
+    def test_query_histograms_indistinguishable(self, p23, monkeypatch):
         """Fixed vs varying index: the query element looks the same."""
-        rng = random.Random(2024)
+        seed_source(monkeypatch, random.Random(2024))
         trials = 100_000
         hist_fixed: dict[int, int] = {}
         hist_varying: dict[int, int] = {}
         for i in range(trials):
-            q1, _ = query(p23, 6, 3, rng)
-            q2, _ = query(p23, 6, i % 6, rng)
+            q1, _ = query(p23, 6, 3)
+            q2, _ = query(p23, 6, i % 6)
             hist_fixed[q1] = hist_fixed.get(q1, 0) + 1
             hist_varying[q2] = hist_varying.get(q2, 0) + 1
         support = sorted(hist_fixed) + sorted(set(hist_varying) - set(hist_fixed))
@@ -95,31 +96,34 @@ class TestQuery:
 class TestTextbookEquivalence:
     """The batch kernel ``group._powmods`` gives exactly what plain ``pow`` gives."""
 
-    def test_respond(self, preset):
+    def test_respond(self, preset, monkeypatch):
         params = setup_params(preset)
-        rng = random.Random(preset)
+        rng = seed_source(monkeypatch, random.Random(preset))
         for n in range(1, 17):
             secrets = [rng.randbytes(16) for _ in range(n)]
-            y, _ = query(params, n, rng.randrange(n), rng)
+            y, _ = query(params, n, rng.randrange(n))
             seed = rng.getrandbits(64)
-            got = respond(params, secrets, y, b"bind", random.Random(seed))
-            want = reference_respond(params, secrets, y, b"bind", random.Random(seed))
+            with monkeypatch.context() as m:
+                seed_source(m, random.Random(seed))
+                got = respond(params, secrets, y, b"bind")
+                seed_source(m, random.Random(seed))
+                want = reference_respond(params, secrets, y, b"bind")
             assert got == want, n
 
-    def test_query_element(self, preset):
+    def test_query_element(self, preset, monkeypatch):
         params = setup_params(preset)
-        rng = random.Random(preset)
+        seed_source(monkeypatch, random.Random(preset))
         picks = [(index, r) for index in range(16)
-                 for r in (0, params.q - 1, rand_exponent(params, rng))]
-        queries, exponents = ot_query(params, 16, [index for index, _ in picks],
-                                      Scripted([r for _, r in picks]))
+                 for r in (0, params.q - 1, rand_exponent(params))]
+        seed_source(monkeypatch, Scripted([r for _, r in picks]))
+        queries, exponents = ot_query(params, 16, [index for index, _ in picks])
         assert exponents == tuple(r for _, r in picks)
         assert queries == tuple(
             pow(params.g, r, params.p) * pow(params.h, index, params.p) % params.p
             for index, r in picks)
 
 
-def test_batch_frames_match_per_pick_reference():
+def test_batch_frames_match_per_pick_reference(monkeypatch):
     """A seeded batch puts the textbook per-pick bytes on the wire, both ways."""
     params = setup_params("modp-2048")
     p = params.p
@@ -128,11 +132,12 @@ def test_batch_frames_match_per_pick_reference():
     picks = [3, 0, 4, 1, 1]
     seed = rng.getrandbits(64)
 
-    queries, _ = ot_query(params, len(secrets), picks, random.Random(seed))
-    reference_rng = random.Random(seed)
+    seed_source(monkeypatch, random.Random(seed))
+    queries, _ = ot_query(params, len(secrets), picks)
+    seed_source(monkeypatch, random.Random(seed))
     want_queries = []
     for index in picks:
-        r = rand_exponent(params, reference_rng)
+        r = rand_exponent(params)
         want_queries.append(pow(params.g, r, p) * pow(params.h, index, p) % p)
     query_msg = OtBatchQuery(elem_len=params.element_len, queries=queries)
     assert encode_frame(query_msg) == encode_frame(
@@ -146,12 +151,13 @@ def test_batch_frames_match_per_pick_reference():
             self.sent.append(msg)
 
     channel = Recorder()
+    seed_source(monkeypatch, random.Random(seed))
     run_session_sender(SenderSecrets(mode="p2", flat_secrets=secrets), query_msg, channel,
-                       params, random.Random(seed))
+                       params)
     sid = batch_binding(params, queries)
-    reference_rng = random.Random(seed)
+    seed_source(monkeypatch, random.Random(seed))
     want = OtBatchResp(elem_len=params.element_len, responses=tuple(
-        reference_respond(params, secrets, y, pick_binding(sid, ordinal), reference_rng)
+        reference_respond(params, secrets, y, pick_binding(sid, ordinal))
         for ordinal, y in enumerate(queries)))
     assert isinstance(channel.sent[0], OtBatchResp)
     assert encode_frame(channel.sent[0]) == encode_frame(want)
@@ -160,23 +166,23 @@ def test_batch_frames_match_per_pick_reference():
 class TestRespondRecover:
     def test_single_secret_always_recovered(self, p23, rng):
         secrets = [b"\x42" * 16]
-        got, *_ = run_single(p23, secrets, 0, rng)
+        got, *_ = run_single(p23, secrets, 0)
         assert got == secrets[0]
 
     def test_full_protocol_recovers_chosen(self, p23, rng):
         secrets = [bytes([i]) * 16 for i in range(6)]
-        got, response, _, _ = run_single(p23, secrets, 2, rng)
+        got, response, _, _ = run_single(p23, secrets, 2)
         assert got == secrets[2]
         assert response.n_secrets == 6
 
     def test_zero_secret_round_trips(self, p23, rng):
         secrets = [b"\x00" * 16, b"\xff" * 16]
-        got, *_ = run_single(p23, secrets, 0, rng)
+        got, *_ = run_single(p23, secrets, 0)
         assert got == b"\x00" * 16
 
     def test_empty_secret_list_rejected(self, p23, rng):
-        y, _ = query(p23, 1, 0, rng)
-        (powers,) = respond_powers(p23, [y], rng)
+        y, _ = query(p23, 1, 0)
+        (powers,) = respond_powers(p23, [y])
         with pytest.raises(ProtocolError):
             ot_respond(p23, [], powers, b"t")
 
@@ -184,23 +190,23 @@ class TestRespondRecover:
         for n in range(1, 9):
             secrets = [rng.randbytes(16) for _ in range(n)]
             for index in range(n):
-                got, *_ = run_single(p23, secrets, index, rng)
+                got, *_ = run_single(p23, secrets, index)
                 assert got == secrets[index]
 
     def test_recovery_on_p47(self, p47, rng):
         secrets = [rng.randbytes(16) for _ in range(5)]
-        got, *_ = run_single(p47, secrets, 4, rng)
+        got, *_ = run_single(p47, secrets, 4)
         assert got == secrets[4]
 
-    def test_wrong_index_recovery_yields_garbage(self, p23):
+    def test_wrong_index_recovery_yields_garbage(self, p23, monkeypatch):
         """Honest-exponent recovery at a wrong index never lands on a secret."""
-        rng = random.Random(555)
+        rng = seed_source(monkeypatch, random.Random(555))
         trials = 10_000
         secrets = [bytes([i]) * 16 for i in range(6)]
         for _ in range(trials):
             index = rng.randrange(6)
-            y, r = query(p23, 6, index, rng)
-            response = respond(p23, secrets, y, b"t", rng)
+            y, r = query(p23, 6, index)
+            response = respond(p23, secrets, y, b"t")
             wrong = (index + 1 + rng.randrange(5)) % 6
             got = recover(p23, response, wrong, r, b"t")
             assert got != secrets[wrong]
@@ -208,18 +214,18 @@ class TestRespondRecover:
     def test_fresh_exponents_counted(self, p23, rng, monkeypatch):
         secrets = [rng.randbytes(16) for _ in range(6)]
         draws = count_calls(monkeypatch, rand_exponent)
-        y, r = query(p23, 6, 1, rng)
+        y, r = query(p23, 6, 1)
         assert len(draws) == 1  # one r per pick
-        respond(p23, secrets, y, b"t", rng)
+        respond(p23, secrets, y, b"t")
         assert len(draws) == 2  # one k per pick, whatever N is
-        queries, _ = ot_query(p23, 6, [0, 2, 5], rng)
+        queries, _ = ot_query(p23, 6, [0, 2, 5])
         assert len(draws) == 5
-        respond_powers(p23, queries, rng)
+        respond_powers(p23, queries)
         assert len(draws) == 8
 
 
 @pytest.mark.parametrize("preset, n", [("p47", 12), ("modp-2048", 5)])
-def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n):
+def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
     """The sender's elements differ by powers of ``h^k`` and only ``a^r`` opens ``c``.
 
     Knowing the elements of two indices ``i != j`` of one pick yields
@@ -228,13 +234,15 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n):
     """
     params = setup_params(preset)
     p, q = params.p, params.q
-    rng = random.Random(f"extract-{preset}")
+    rng = seed_source(monkeypatch, random.Random(f"extract-{preset}"))
     secrets = [rng.randbytes(16) for _ in range(n)]
     c = rng.randrange(n)
-    y, r = query(params, n, c, rng)
+    y, r = query(params, n, c)
     seed = rng.getrandbits(64)
-    response = respond(params, secrets, y, b"bind", random.Random(seed))
-    k = rand_exponent(params, random.Random(seed), include_zero=False)  # the sender's draw
+    seed_source(monkeypatch, random.Random(seed))
+    response = respond(params, secrets, y, b"bind")
+    seed_source(monkeypatch, random.Random(seed))
+    k = rand_exponent(params, include_zero=False)  # the sender's draw
     assert response.a == pow(params.g, k, p)
     elements = [pow(y * pow(params.h, -i, p) % p, k, p) for i in range(n)]
     for i, (element, masked) in enumerate(zip(elements, response.masks)):
@@ -255,14 +263,14 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n):
 
 
 class TestBatch:
-    def test_equal_size_batches_indistinguishable(self, p23):
+    def test_equal_size_batches_indistinguishable(self, p23, monkeypatch):
         """Same T, different picks: pooled query histograms match."""
-        rng = random.Random(99)
+        seed_source(monkeypatch, random.Random(99))
         trials = 20_000
         hists = {"a": {}, "b": {}}
         for _ in range(trials):
             for name, picks in (("a", [2, 3, 4]), ("b", [0, 1, 5])):
-                for y in ot_query(p23, 6, picks, rng)[0]:  # the sender's view of a batch
+                for y in ot_query(p23, 6, picks)[0]:  # the sender's view of a batch
                     hists[name][y] = hists[name].get(y, 0) + 1
         from scipy.stats import chi2_contingency
         support = sorted(set(hists["a"]) | set(hists["b"]))
@@ -271,7 +279,7 @@ class TestBatch:
         assert chi2_contingency(table).pvalue > 0.01
 
     def test_pick_bindings_differ_per_ordinal(self, p23, rng):
-        queries, _ = ot_query(p23, 6, (1, 2), rng)
+        queries, _ = ot_query(p23, 6, (1, 2))
         sid = batch_binding(p23, queries)
         assert pick_binding(sid, 0) != pick_binding(sid, 1)
         assert batch_binding(p23, queries) == sid  # deterministic in the batch

@@ -7,20 +7,17 @@ import socketserver
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import pytest
 
 import wot
-from wot import cli
 from wot.base_ot import batch_binding
 from wot.cli import main
 from wot.framing import encode_manifest
-from wot.harness import privacy_experiment
 from wot.protocol import load_bundle, load_secrets
 
-from conftest import billed_lines, count_calls, serving, write_catalog_dir
+from conftest import billed_lines, count_calls, seed_source, serving, write_catalog_dir
 
 
 @pytest.fixture
@@ -295,8 +292,7 @@ def test_audit_refuses_oversize_merge_in_one_line(tmp_path):
 
 
 def test_privacy_test_command(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "privacy_experiment",
-                        partial(privacy_experiment, rng=random.Random(99)))
+    seed_source(monkeypatch, random.Random(99))
     rc = main(["privacy-test", "--weights", "1,2,3", "--choice-a", "0,1",
                "--choice-b", "2", "--sessions", "5000", "--group", "p23"])
     assert rc == 0
@@ -312,10 +308,13 @@ def test_privacy_test_unequal_totals_refused(capsys):
 
 
 def test_manifest_dump(catalog_dir, tmp_path, capsys):
+    """The manifest alone is read: a buyer's copy without ciphertexts dumps too."""
     out = tmp_path / "bundle"
     main(["publish", "--catalog", str(catalog_dir), "--mode", "p2",
           "--out", str(out), "--group", "p23"])
     capsys.readouterr()
+    for ct in out.glob("*.ct"):
+        ct.unlink()
     assert main(["manifest", "--bundle", str(out)]) == 0
     text = capsys.readouterr().out
     assert "mode=p2 group=p23" in text

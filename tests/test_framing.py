@@ -191,7 +191,7 @@ def test_truncated_frames_rejected():
         near, far = socket.socketpair()
         with far:
             far.sendall(frame[:cut])
-        chan = SocketChannel(near, timeout=5)
+        chan = SocketChannel(near)
         try:
             with pytest.raises(ProtocolError, match="connection closed mid-frame"):
                 chan.recv()

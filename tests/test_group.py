@@ -10,7 +10,7 @@ from wot.errors import GroupError
 from wot.group import (GroupParams, derive_h, is_member, kdf_pad, rand_exponent,
                        setup_params, _jacobi, _powmod, _powmods)
 
-from conftest import count_calls
+from conftest import count_calls, seed_source
 
 
 def member_oracle(params, x):
@@ -86,10 +86,10 @@ class TestMembershipEquivalence:
             for x in range(-1, params.p + 1):
                 assert is_member(params, x) == member_oracle(params, x), (params.param_id, x)
 
-    def test_modp_2048(self):
+    def test_modp_2048(self, monkeypatch):
         params = setup_params("modp-2048")
-        rng = random.Random(2048)
-        members = [pow(params.g, rand_exponent(params, rng), params.p) for _ in range(4)]
+        rng = seed_source(monkeypatch, random.Random(2048))
+        members = [pow(params.g, rand_exponent(params), params.p) for _ in range(4)]
         samples = members + [params.p - 1, (params.p - params.g) % params.p]
         samples += [rng.randrange(params.p) for _ in range(8)]
         verdicts = [member_oracle(params, x) for x in samples]
@@ -148,12 +148,12 @@ class TestKernel:
         assert not any(t.is_alive() for t in threads)
         assert got == [[w] * 6 for w in want]
 
-    def test_powmods_matches_pow_from_four_threads(self):
+    def test_powmods_matches_pow_from_four_threads(self, monkeypatch):
         """Batches of 1, 2, 3 and 12 jobs on the shared pool, four callers at once."""
         params = setup_params("modp-2048")
         p, q = params.p, params.q
-        rng = random.Random(12)
-        exponents = [0, 1, q - 1] + [rand_exponent(params, rng) for _ in range(15)]
+        rng = seed_source(monkeypatch, random.Random(12))
+        exponents = [0, 1, q - 1] + [rand_exponent(params) for _ in range(15)]
         jobs = [(rng.randrange(p), e) for e in exponents]
         want = [pow(base, e, p) for base, e in jobs]
         batches = [(0, 1), (1, 3), (3, 6), (6, 18)]
@@ -216,27 +216,27 @@ class TestDeriveH:
 
 class TestExponents:
     def test_range_and_coverage(self, p23, rng):
-        seen = {rand_exponent(p23, rng) for _ in range(1000)}
+        seen = {rand_exponent(p23) for _ in range(1000)}
         assert seen == set(range(11))
-        nonzero = {rand_exponent(p23, rng, include_zero=False) for _ in range(1000)}
+        nonzero = {rand_exponent(p23, include_zero=False) for _ in range(1000)}
         assert nonzero == set(range(1, 11))
 
-    def test_powers_of_g_uniform(self, p23):
+    def test_powers_of_g_uniform(self, p23, monkeypatch):
         """g^r over random r covers the subgroup uniformly (chi-square)."""
-        rng = random.Random(777)
+        seed_source(monkeypatch, random.Random(777))
         hist = {pow(p23.g, e, 23): 0 for e in range(11)}
         for _ in range(100_000):
-            hist[pow(p23.g, rand_exponent(p23, rng), 23)] += 1
+            hist[pow(p23.g, rand_exponent(p23), 23)] += 1
         p = chisquare(list(hist.values())).pvalue
         assert p > 0.01
 
     def test_group_laws(self, p23, rng):
         p, g = p23.p, p23.g
         for _ in range(200):
-            a = rand_exponent(p23, rng)
-            b = rand_exponent(p23, rng)
+            a = rand_exponent(p23)
+            b = rand_exponent(p23)
             assert pow(g, a + b, p) == pow(g, a, p) * pow(g, b, p) % p
-            x, y, z = (pow(g, rand_exponent(p23, rng), p) for _ in range(3))
+            x, y, z = (pow(g, rand_exponent(p23), p) for _ in range(3))
             assert (x * y % p) * z % p == x * (y * z % p) % p
 
 

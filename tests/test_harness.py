@@ -7,31 +7,33 @@ from wot.errors import HarnessError
 from wot.harness import PrivacyExperiment, chi2_two_row_pvalue, privacy_experiment
 from wot.protocol import publish
 
-from conftest import count_calls, local_session, make_catalog, share_draws
+from conftest import count_calls, local_session, make_catalog, seed_source, share_draws
 
 
 class TestPrivacyExperiment:
-    def test_equal_totals_pass(self, p23):
+    def test_equal_totals_pass(self, p23, monkeypatch):
         exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0, 1}),
                                 choice_b=frozenset({2}), sessions=20_000)
-        report = privacy_experiment(exp, p23, random.Random(51))
+        seed_source(monkeypatch, random.Random(51))
+        report = privacy_experiment(exp, p23)
         assert report.verdict == "PASS"
         assert report.totals_identical
         assert report.billed_a == report.billed_b == 3
         assert report.chi2_p > 0.01
         assert report.tv_distance < 0.02
 
-    def test_identical_choices_control(self, p23):
+    def test_identical_choices_control(self, p23, monkeypatch):
         exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({2}),
                                 choice_b=frozenset({2}), sessions=10_000)
-        report = privacy_experiment(exp, p23, random.Random(52))
+        seed_source(monkeypatch, random.Random(52))
+        report = privacy_experiment(exp, p23)
         assert report.verdict == "PASS"
 
     def test_unequal_totals_refused(self, p23, rng):
         exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0}),
                                 choice_b=frozenset({2}), sessions=100)
         with pytest.raises(HarnessError, match="different totals"):
-            privacy_experiment(exp, p23, rng)
+            privacy_experiment(exp, p23)
 
     @pytest.mark.parametrize("choice_a, choice_b, sessions, message", [
         ({0}, {3}, 10, "choice index 3 out of range"),
@@ -44,20 +46,21 @@ class TestPrivacyExperiment:
         exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset(choice_a),
                                 choice_b=frozenset(choice_b), sessions=sessions)
         with pytest.raises(HarnessError, match=message):
-            privacy_experiment(exp, p23, rng)
+            privacy_experiment(exp, p23)
 
     def test_large_group_refused(self, rng):
         from wot.group import setup_params
         exp = PrivacyExperiment(weights=(1, 2), choice_a=frozenset({0}),
                                 choice_b=frozenset({0}), sessions=10)
         with pytest.raises(HarnessError, match="too large"):
-            privacy_experiment(exp, setup_params("modp-2048"), rng)
+            privacy_experiment(exp, setup_params("modp-2048"))
 
-    def test_report_text(self, p23):
+    def test_report_text(self, p23, monkeypatch):
         exp = PrivacyExperiment(weights=(1, 1), choice_a=frozenset({0}),
                                 choice_b=frozenset({1}), sessions=2_000)
-        text = privacy_experiment(exp, p23, random.Random(53)).to_text()
-        assert "verdict" in text and "chi-square" in text
+        seed_source(monkeypatch, random.Random(53))
+        text = privacy_experiment(exp, p23).to_text()
+        assert "verdict" in text and "chi-square" in text and "(threshold 0.01)" in text
 
 
 class TestChiSquare:
@@ -94,7 +97,7 @@ class TestComplexityCheck:
         cat = make_catalog([1, 2, 3, 7], random.Random(4))
         encrypts = count_calls(monkeypatch, symcrypto.encrypt)
         splits = count_calls(monkeypatch, symcrypto.split_key)
-        bundle, secrets = publish(cat, "p2", p23, rng=random.Random(5))
+        bundle, secrets = publish(cat, "p2", p23)
         assert len(encrypts) == 4
         assert share_draws(splits) == 9
         result, billed = local_session(bundle, secrets, [i.id for i in cat.items])
@@ -103,14 +106,14 @@ class TestComplexityCheck:
     def test_weight_one_items_draw_nothing(self, p23, monkeypatch):
         cat = make_catalog([1, 1], random.Random(4))
         splits = count_calls(monkeypatch, symcrypto.split_key)
-        publish(cat, "p2", p23, rng=random.Random(5))
+        publish(cat, "p2", p23)
         assert len(splits) == 2
         assert share_draws(splits) == 0
 
     def test_receiver_side_counts(self, p23, monkeypatch):
         # Choosing everything on [2, 1, 3]: six shares combined, three decryptions.
         cat = make_catalog([2, 1, 3], random.Random(4))
-        bundle, secrets = publish(cat, "p2", p23, rng=random.Random(5))
+        bundle, secrets = publish(cat, "p2", p23)
         combines = count_calls(monkeypatch, symcrypto.combine_shares)
         decrypts = count_calls(monkeypatch, symcrypto.decrypt)
         local_session(bundle, secrets, [i.id for i in cat.items])
@@ -121,7 +124,7 @@ class TestComplexityCheck:
         cat = make_catalog([2, 1, 3], random.Random(4))
         encrypts = count_calls(monkeypatch, symcrypto.encrypt)
         splits = count_calls(monkeypatch, symcrypto.split_key)
-        bundle, secrets = publish(cat, "p1", p23, rng=random.Random(5))
+        bundle, secrets = publish(cat, "p1", p23)
         assert len(encrypts) == 6
         assert splits == []
         decrypts = count_calls(monkeypatch, symcrypto.decrypt)
@@ -130,7 +133,7 @@ class TestComplexityCheck:
 
     def test_random_catalogs(self, p23, monkeypatch):
         """One catalog in both modes: ``n`` against ``sum(p_i)`` encryptions."""
-        rng = random.Random(6)
+        rng = seed_source(monkeypatch, random.Random(6))
         encrypts = count_calls(monkeypatch, symcrypto.encrypt)
         splits = count_calls(monkeypatch, symcrypto.split_key)
         for _ in range(10):
@@ -141,5 +144,5 @@ class TestComplexityCheck:
                     ("p2", len(weights), sum(weights) - len(weights))):
                 encrypts.clear()
                 splits.clear()
-                publish(cat, mode, p23, rng=rng)
+                publish(cat, mode, p23)
                 assert (len(encrypts), share_draws(splits)) == (want_encrypts, want_draws)

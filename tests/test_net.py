@@ -28,7 +28,7 @@ def server(p23, caplog):
     caplog.set_level(logging.INFO, logger="wot.server")
     rng = random.Random(14)
     catalog = make_catalog([1, 2, 3, 7], rng, payload_size=128)
-    bundle, secrets = publish(catalog, "p2", p23, rng=rng)
+    bundle, secrets = publish(catalog, "p2", p23)
     with serving(bundle, secrets) as srv:
         yield srv, catalog, lambda count=0: billed_lines(caplog, count)
 
@@ -79,8 +79,7 @@ class TestRecvExact:
 class TestBuy:
     def test_purchase_writes_files(self, server, tmp_path):
         srv, catalog, _ = server
-        result = buy("127.0.0.1", srv.port, ["item00", "item02"], tmp_path / "out",
-                     rng=random.Random(15))
+        result = buy("127.0.0.1", srv.port, ["item00", "item02"], tmp_path / "out")
         assert result.total == 4
         assert (tmp_path / "out" / "item00").read_bytes() == catalog.items[0].payload
         assert (tmp_path / "out" / "item02").read_bytes() == catalog.items[2].payload
@@ -89,15 +88,14 @@ class TestBuy:
     def test_unknown_id_fails_before_any_transfer(self, server, tmp_path):
         srv, _, billed = server
         with pytest.raises(Exception, match="unknown item"):
-            buy("127.0.0.1", srv.port, ["ghost"], tmp_path / "out",
-                rng=random.Random(15))
+            buy("127.0.0.1", srv.port, ["ghost"], tmp_path / "out")
         assert billed() == []  # no batch ever reached the transfer core
 
     def test_cache_dir_skips_fetch(self, server, tmp_path, p23):
         srv, catalog, _ = server
         save_bundle(srv.bundle, tmp_path / "cache")
         result = buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
-                     cache_dir=tmp_path / "cache", rng=random.Random(16))
+                     cache_dir=tmp_path / "cache")
         assert result.total == 2
 
     def test_stale_cache_entry_is_refetched(self, server, tmp_path):
@@ -106,7 +104,7 @@ class TestBuy:
         stale = tmp_path / "cache" / "item02.ct"
         stale.write_bytes(stale.read_bytes()[:-1] + b"\x00")
         result = buy("127.0.0.1", srv.port, ["item02"], tmp_path / "out",
-                     cache_dir=tmp_path / "cache", rng=random.Random(18))
+                     cache_dir=tmp_path / "cache")
         assert (tmp_path / "out" / "item02").read_bytes() == catalog.items[2].payload
         assert result.total == 3
 
@@ -120,7 +118,7 @@ class TestBuy:
         else:
             (tmp_path / "cache" / "manifest.bin").write_bytes(manifest)
         result = buy("127.0.0.1", srv.port, ["item03"], tmp_path / "out",
-                     cache_dir=tmp_path / "cache", rng=random.Random(22))
+                     cache_dir=tmp_path / "cache")
         assert result.items == (("item03", catalog.items[3].payload),)
 
     def test_cached_buy_hashes_each_ciphertext_once(self, server, tmp_path, monkeypatch):
@@ -128,7 +126,7 @@ class TestBuy:
         save_bundle(srv.bundle, tmp_path / "cache")
         hashed = count_calls(monkeypatch, ciphertext_digest)
         buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
-            cache_dir=tmp_path / "cache", rng=random.Random(23))
+            cache_dir=tmp_path / "cache")
         assert len(hashed) == len(srv.bundle.ciphertexts)
         assert sorted(args[0] for args in hashed) == sorted(srv.bundle.ciphertexts)
 
@@ -170,8 +168,7 @@ class TestBuy:
 
         stand_in = SocketModule()
         monkeypatch.setattr(net, "socket", stand_in)
-        result = buy("127.0.0.1", srv.port, ["item02"], tmp_path / "out",
-                     rng=random.Random(24))
+        result = buy("127.0.0.1", srv.port, ["item02"], tmp_path / "out")
         assert result.items == (("item02", catalog.items[2].payload),)
         assert len(stand_in.conns) == 1
         assert stand_in.conns[0].nbytes > sum(map(len, srv.bundle.ciphertexts))
@@ -196,8 +193,7 @@ class TestBuy:
 
         SocketChannel.send = counting_send
         try:
-            buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
-                rng=random.Random(17))
+            buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out")
         finally:
             SocketChannel.send = original
         assert sorted(counted) == ["item00", "item01", "item02", "item03"]
@@ -213,7 +209,7 @@ class TestBuy:
             srv.bundle = PublishedBundle(manifest=honest.manifest, ciphertexts=tuple(cts))
             out = tmp_path / f"out{len(bad)}"
             with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
-                buy("127.0.0.1", srv.port, ["item03"], out, rng=random.Random(19))
+                buy("127.0.0.1", srv.port, ["item03"], out)
             assert billed() == []
             assert not out.exists()
 
@@ -223,8 +219,7 @@ class TestBuy:
 
         def one(buyer, items):
             try:
-                buy("127.0.0.1", srv.port, items, tmp_path / buyer,
-                    rng=random.Random(hash(buyer) & 0xFFFF))
+                buy("127.0.0.1", srv.port, items, tmp_path / buyer)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -258,15 +253,15 @@ class TestStartUp:
     def test_secrets_that_do_not_fit_are_refused(self, p23, unbindable,
                                                  weights, mode, key_bits, message):
         rng = random.Random(19)
-        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
-        _, other = publish(make_catalog(weights, rng), mode, p23, key_bits=key_bits, rng=rng)
+        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23)
+        _, other = publish(make_catalog(weights, rng), mode, p23, key_bits=key_bits)
         with pytest.raises(CatalogError) as err:
             SenderServer(("127.0.0.1", 0), bundle, other)
         assert str(err.value) == message
 
     def test_unknown_group_refused(self, p23, unbindable):
         rng = random.Random(20)
-        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         foreign = PublishedBundle(manifest=replace(bundle.manifest, group_id="toy-g4"),
                                   ciphertexts=bundle.ciphertexts)
         with pytest.raises(GroupError, match="unknown group preset 'toy-g4'"):
@@ -377,7 +372,7 @@ class TestSales:
             assert time.monotonic() < deadline, "the probe session never ended"
             time.sleep(0.01)
         assert entered == []
-        buy("127.0.0.1", srv.port, ["item00"], tmp_path / "out", rng=random.Random(25))
+        buy("127.0.0.1", srv.port, ["item00"], tmp_path / "out")
         assert len(billed(1)) == 1
         assert len(entered) == 1
 
@@ -386,8 +381,7 @@ class TestServerLog:
     def test_log_contains_only_billing_lines(self, server, tmp_path, caplog):
         srv, _, _ = server
         with caplog.at_level(logging.INFO, logger="wot.server"):
-            buy("127.0.0.1", srv.port, ["item01", "item02"], tmp_path / "out",
-                rng=random.Random(21))
+            buy("127.0.0.1", srv.port, ["item01", "item02"], tmp_path / "out")
         lines = [r.getMessage() for r in caplog.records if r.name == "wot.server"]
         billing = [l for l in lines if l.startswith("session=")]
         assert len(billing) == 1
@@ -401,22 +395,22 @@ class TestServerLog:
         """{item00, item01} and {item02} both cost 3: the seller's lines differ only in ordinal."""
         srv, _, billed = server
         for k, items in enumerate((["item00", "item01"], ["item02"])):
-            buy("127.0.0.1", srv.port, items, tmp_path / f"out{k}", rng=random.Random(26))
+            buy("127.0.0.1", srv.port, items, tmp_path / f"out{k}")
         assert len(billed(2)) == 2
         lines = [r.getMessage() for r in caplog.records if r.name == "wot.server"]
         assert lines == ["session=1 billed T=3", "session=2 billed T=3"]
 
 
 class TestTransportErrors:
-    def test_silent_server_times_out_as_protocol_error(self, tmp_path):
+    def test_silent_server_times_out_as_protocol_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(net, "DEFAULT_TIMEOUT", 0.2)
         held = []  # the accepted socket stays open and never answers
         with socket.create_server(("127.0.0.1", 0)) as listener:
             acceptor = threading.Thread(target=lambda: held.append(listener.accept()[0]))
             acceptor.start()
             try:
                 with pytest.raises(ProtocolError, match="failed: timed out"):
-                    buy("127.0.0.1", listener.getsockname()[1], ["item00"], tmp_path,
-                        timeout=0.2)
+                    buy("127.0.0.1", listener.getsockname()[1], ["item00"], tmp_path)
             finally:
                 acceptor.join(timeout=5)
                 for conn in held:

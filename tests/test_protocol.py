@@ -11,9 +11,10 @@ from wot.catalog import FlatIndexMap, Manifest, ManifestEntry, ciphertext_digest
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
                         ProtocolError, RemoteError, WotError)
-from wot import group, protocol
+from wot import group, net, protocol
 from wot import symcrypto
-from wot.base_ot import OtResponse, ot_query, ot_recover, ot_respond, respond_powers
+from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
+                         respond_powers)
 from wot.framing import (ERR_BAD_QUERY, ERR_UNKNOWN_ITEM, LENGTH_FIELD, MAX_FRAME_LEN,
                          CtData, CtReq, Done, ErrorMsg, ManifestMsg, OtBatchQuery,
                          OtBatchResp, _ot_batch_resp_len, encode_frame, encode_manifest)
@@ -24,22 +25,25 @@ from wot.protocol import (PublishedBundle, fetch_bundle, item_context, publish,
                           run_session_sender, save_bundle, serve_session)
 from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
 
-from conftest import (SELLER_THREAD, count_calls, local_session, make_catalog, record, serving,
-                      share_draws)
+from conftest import (SELLER_THREAD, count_calls, local_session, make_catalog, record,
+                      seed_source, serving, share_draws)
 
 
 @pytest.fixture
-def channel_pair():
+def channel_pair(monkeypatch):
     """Two connected frame channels: the buyer's end and the seller's end."""
+    monkeypatch.setattr(net, "DEFAULT_TIMEOUT", 5)
     rx_sock, tx_sock = socket.socketpair()
     with rx_sock, tx_sock:
-        yield SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
+        yield SocketChannel(rx_sock), SocketChannel(tx_sock)
 
 
 def against(seller, buyer):
     """Run ``buyer(rx_chan)`` against ``seller(tx_chan)`` over a socket pair."""
     rx_sock, tx_sock = socket.socketpair()
-    rx_chan, tx_chan = SocketChannel(rx_sock, timeout=5), SocketChannel(tx_sock, timeout=5)
+    rx_chan, tx_chan = SocketChannel(rx_sock), SocketChannel(tx_sock)
+    for sock in (rx_sock, tx_sock):
+        sock.settimeout(5)  # a hung peer fails the test in seconds
 
     def seller_side():
         try:
@@ -59,12 +63,12 @@ def against(seller, buyer):
         assert not worker.is_alive()
 
 
-def buying(item_ids, rng, log=None):
+def buying(item_ids, log=None):
     """The buyer's side for ``against``, recording its messages in ``log`` when given."""
     def buyer(rx_chan):
         if log is not None:
             record(rx_chan, log)
-        return run_session_receiver(rx_chan, item_ids, rng=rng)
+        return run_session_receiver(rx_chan, item_ids)
 
     return buyer
 
@@ -75,7 +79,7 @@ class TestPublish:
         encrypts = count_calls(monkeypatch, symcrypto.encrypt)
         key_gens = count_calls(monkeypatch, symcrypto.new_key)
         splits = count_calls(monkeypatch, symcrypto.split_key)
-        publish(cat, "p2", p23, rng=rng)
+        publish(cat, "p2", p23)
         assert len(encrypts) == 4
         assert len(key_gens) == 4
         assert share_draws(splits) == 9  # sum of (weight - 1)
@@ -87,7 +91,7 @@ class TestPublish:
         for mode in ("p1", "p2"):
             encrypts.clear()
             splits.clear()
-            bundle, secrets = publish(cat, mode, p23, rng=rng)
+            bundle, secrets = publish(cat, mode, p23)
             assert len(encrypts) == 1
             assert share_draws(splits) == 0
             assert len(secrets.flat_secrets) == 1
@@ -97,14 +101,14 @@ class TestPublish:
         cat = make_catalog([2, 1, 3])
         encrypts = count_calls(monkeypatch, symcrypto.encrypt)
         key_gens = count_calls(monkeypatch, symcrypto.new_key)
-        bundle, secrets = publish(cat, "p1", p23, rng=rng)
+        bundle, secrets = publish(cat, "p1", p23)
         assert len(encrypts) == 6  # one per layer
         assert len(key_gens) == 6
         assert len(secrets.flat_secrets) == 6
 
     def test_manifest_digests_recompute(self, p23, rng):
         cat = make_catalog([2, 3])
-        bundle, _ = publish(cat, "p2", p23, rng=rng)
+        bundle, _ = publish(cat, "p2", p23)
         for entry, ct in zip(bundle.manifest.entries, bundle.ciphertexts):
             assert entry.digest_hex == ciphertext_digest(ct)
             assert entry.ct_len == len(ct)
@@ -112,7 +116,7 @@ class TestPublish:
 
     def test_p2_shares_recombine_to_item_keys(self, p23, rng):
         cat = make_catalog([3, 2])
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         flat_map = FlatIndexMap(bundle.manifest.weights)
         for i in range(cat.n):
             shares = [secrets.flat_secrets[f] for f in flat_map.item_range(i)]
@@ -123,45 +127,65 @@ class TestPublish:
 
     def test_unknown_mode(self, p23, rng):
         with pytest.raises(CatalogError):
-            publish(make_catalog([1]), "p3", p23, rng=rng)
+            publish(make_catalog([1]), "p3", p23)
+
+    def test_every_draw_reaches_the_one_source(self, p23, monkeypatch):
+        """Reseeding ``symcrypto._RNG`` repeats every key, nonce, share and exponent."""
+        cat = make_catalog([1, 2, 3])
+        assert isinstance(symcrypto._RNG, random.SystemRandom)
+        assert publish(cat, "p2", p23) != publish(cat, "p2", p23)
+        bindings = count_calls(monkeypatch, batch_binding)  # the query elements, both sides
+        answers = count_calls(monkeypatch, ot_respond)  # the seller's g^k, h^-k and y^k
+
+        def run():
+            seed_source(monkeypatch, random.Random(7))
+            bindings.clear()
+            answers.clear()
+            p2, p1 = (publish(cat, mode, p23) for mode in ("p2", "p1"))
+            local_session(*p2, ["item00", "item02"])
+            return p2, p1, list(bindings), list(answers)
+
+        first = run()
+        assert len(first[2]) == 2 and len(first[3]) == 4
+        assert run() == first
 
 
 class TestSelectionPlan:
     def test_demo_vector(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 7])
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         queries = count_calls(monkeypatch, ot_query)
-        result, billed = local_session(bundle, secrets, ["item02", "item00"], rng)
+        result, billed = local_session(bundle, secrets, ["item02", "item00"])
         assert result.total == billed == 4
-        [(_, _, picks, _)] = queries
+        [(_, _, picks)] = queries
         assert tuple(picks) == (0, 3, 4, 5)  # offsets are [0, 1, 3, 6]
         assert [item_id for item_id, _ in result.items] == ["item00", "item02"]
 
     def test_choose_everything(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 7])
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         queries = count_calls(monkeypatch, ot_query)
         result, billed = local_session(bundle, secrets,
-                                       [item.id for item in cat.items], rng)
+                                       [item.id for item in cat.items])
         assert result.total == billed == 13
-        [(_, _, picks, _)] = queries
+        [(_, _, picks)] = queries
         assert tuple(picks) == tuple(range(13))
 
     def test_by_item_id(self, p23, rng):
-        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
-        result, _ = local_session(bundle, secrets, {"item01"}, rng)
+        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23)
+        result, _ = local_session(bundle, secrets, {"item01"})
         assert [item_id for item_id, _ in result.items] == ["item01"]
         assert result.total == 2
 
     def test_empty_choice_rejected(self, p23, rng):
-        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23)
         with pytest.raises(ProtocolError, match="empty"):
-            against(lambda tx: serve_session(tx, bundle, secrets, p23, rng), buying(set(), rng))
+            against(lambda tx: serve_session(tx, bundle, secrets, p23), buying(set()))
 
     def test_unknown_id_rejected(self, p23, rng):
-        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2]), "p2", p23)
         with pytest.raises(CatalogError, match="unknown item"):
-            local_session(bundle, secrets, {"nope"}, rng)
+            local_session(bundle, secrets, {"nope"})
 
     def test_lookups_and_plans_are_linear(self, p23):
         """10,000 id lookups, and a buy of all 10,000 items, each well under a second.
@@ -197,8 +221,8 @@ class TestSessions:
     @pytest.mark.parametrize("mode", ["p1", "p2"])
     def test_end_to_end(self, p23, rng, mode):
         cat = make_catalog([1, 2, 3, 7], rng)
-        bundle, secrets = publish(cat, mode, p23, rng=rng)
-        result, billed = local_session(bundle, secrets, ["item01", "item03"], rng)
+        bundle, secrets = publish(cat, mode, p23)
+        result, billed = local_session(bundle, secrets, ["item01", "item03"])
         assert dict(result.items) == {
             "item01": cat.items[1].payload,
             "item03": cat.items[3].payload,
@@ -211,42 +235,42 @@ class TestSessions:
         rng = random.Random(2048)
         cat = make_catalog([1, 2, 3], rng)
         for mode, chosen, total in (("p2", {0, 2}, 4), ("p1", {1}, 2)):
-            bundle, secrets = publish(cat, mode, params, rng=rng)
+            bundle, secrets = publish(cat, mode, params)
             result, billed = local_session(bundle, secrets,
-                                           [cat.items[i].id for i in chosen], rng)
+                                           [cat.items[i].id for i in chosen])
             assert dict(result.items) == {f"item{i:02d}": cat.items[i].payload for i in chosen}
             assert result.total == billed == total
 
     def test_unknown_group_refused_before_query(self, p23, rng):
         """A manifest can only name a preset; the buyer refuses any other group."""
-        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         foreign = PublishedBundle(manifest=replace(bundle.manifest, group_id="toy-g4"),
                                   ciphertexts=bundle.ciphertexts)
         log = []
         with pytest.raises(GroupError) as err:
-            against(lambda tx: serve_session(tx, foreign, secrets, p23, rng),
-                    buying(["item01"], rng, log))
+            against(lambda tx: serve_session(tx, foreign, secrets, p23),
+                    buying(["item01"], log))
         assert str(err.value) == "unknown group preset 'toy-g4'"
         assert ("local", "OtBatchQuery") not in log
 
     def test_single_weight_one_item(self, p23, rng):
         cat = make_catalog([3, 1], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        result, billed = local_session(bundle, secrets, ["item01"], rng)
+        bundle, secrets = publish(cat, "p2", p23)
+        result, billed = local_session(bundle, secrets, ["item01"])
         assert result.items == (("item01", cat.items[1].payload),)
         assert billed == 1
 
     @pytest.mark.parametrize("mode", ["p1", "p2"])
     def test_modes_return_identical_plaintexts(self, p23, rng, mode):
         cat = make_catalog([2, 3, 1], rng)
-        bundle, secrets = publish(cat, mode, p23, rng=rng)
-        result, _ = local_session(bundle, secrets, ["item00", "item02"], rng)
+        bundle, secrets = publish(cat, mode, p23)
+        result, _ = local_session(bundle, secrets, ["item00", "item02"])
         assert dict(result.items) == {"item00": cat.items[0].payload,
                                       "item02": cat.items[2].payload}
 
     def test_tampered_ciphertext_names_item(self, p23, rng):
         cat = make_catalog([1, 2], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         bad_ct = bytearray(bundle.ciphertexts[1])
         bad_ct[-1] ^= 1
         # Keep the manifest consistent so tampering is caught by AE, not digests.
@@ -260,23 +284,22 @@ class TestSessions:
             ciphertexts=(bundle.ciphertexts[0], bytes(bad_ct)),
         )
         with pytest.raises(ItemAuthenticationError) as err:
-            local_session(tampered, secrets, ["item01"], rng)
+            local_session(tampered, secrets, ["item01"])
         assert err.value.item_id == "item01"
 
     def test_mis_split_share_fails_authentication(self, p23):
         """Mutation check: corrupt one share and the buyer of that item must notice."""
         cat = make_catalog([1, 2], random.Random(8))
-        rng = random.Random(9)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         broken = list(secrets.flat_secrets)
         broken[1] = bytes(16)  # item 1 loses a share
         bad = replace(secrets, flat_secrets=tuple(broken))
         with pytest.raises(ItemAuthenticationError):
-            local_session(bundle, bad, [cat.items[1].id], rng)
+            local_session(bundle, bad, [cat.items[1].id])
 
     def test_digest_mismatch_aborts_before_transfer(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 4], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         sales = count_calls(monkeypatch, run_session_sender)
         # One bad item, then two: the first bad one in manifest order is named.
         for bad in ({1}, {1, 3}):
@@ -284,49 +307,49 @@ class TestSessions:
                 ct + b"x" if i in bad else ct for i, ct in enumerate(bundle.ciphertexts)))
             log = []
             with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
-                against(lambda tx: serve_session(tx, corrupted, secrets, p23, rng),
-                        buying(["item00"], rng, log))
+                against(lambda tx: serve_session(tx, corrupted, secrets, p23),
+                        buying(["item00"], log))
             assert ("local", "OtBatchQuery") not in log
         assert sales == []
 
     def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair):
         cat = make_catalog([1, 2], rng)
-        _, secrets = publish(cat, "p2", p23, rng=rng)
+        _, secrets = publish(cat, "p2", p23)
         rx_chan, tx_chan = channel_pair
         query = OtBatchQuery(elem_len=p23.element_len, queries=())
         with pytest.raises(ProtocolError, match="empty purchase"):
-            run_session_sender(secrets, query, tx_chan, p23, rng)
+            run_session_sender(secrets, query, tx_chan, p23)
 
     def test_nonmember_query_aborts_without_responses(self, p23, rng, channel_pair,
                                                       monkeypatch):
         cat = make_catalog([1, 2], rng)
-        _, secrets = publish(cat, "p2", p23, rng=rng)
+        _, secrets = publish(cat, "p2", p23)
         rx_chan, tx_chan = channel_pair
         responses = count_calls(monkeypatch, respond_powers)
         for bad in (5, 0):  # neither is in the order-11 subgroup
             query = OtBatchQuery(elem_len=p23.element_len, queries=(2, bad))
             with pytest.raises(ProtocolError, match="not a subgroup member"):
-                run_session_sender(secrets, query, tx_chan, p23, rng)
+                run_session_sender(secrets, query, tx_chan, p23)
             reply = rx_chan.recv()
             assert (reply.code, reply.text) == (ERR_BAD_QUERY, "invalid query")
         assert responses == []
 
     def test_more_picks_than_secrets_refused(self, p23, rng, channel_pair, monkeypatch):
         """An honest buyer picks each of the N flat indices at most once."""
-        _, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        _, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         n = len(secrets.flat_secrets)
         rx_chan, tx_chan = channel_pair
         query = OtBatchQuery(elem_len=p23.element_len, queries=(2,) * (n + 1))
         responses = count_calls(monkeypatch, respond_powers)
         with pytest.raises(ProtocolError, match="too many picks"):
-            run_session_sender(secrets, query, tx_chan, p23, rng)
+            run_session_sender(secrets, query, tx_chan, p23)
         reply = rx_chan.recv()
         assert (reply.code, reply.text) == (ERR_BAD_QUERY, "too many picks")
         assert responses == []
 
     def test_nonmember_response_aborts_before_any_pad(self, p23, rng, monkeypatch):
         cat = make_catalog([2], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         n = len(secrets.flat_secrets)
 
         def forging_sender(tx_chan):
@@ -342,17 +365,17 @@ class TestSessions:
 
         pads = count_calls(monkeypatch, kdf_pad)
         with pytest.raises(ProtocolError, match="invalid response element"):
-            against(forging_sender, buying(["item00"], rng))
+            against(forging_sender, buying(["item00"]))
         assert pads == []
 
     def test_pool_threads_run_no_public_function(self, monkeypatch):
         """Pads, checks, responses and recoveries stay on the thread of the side that made them."""
         params = setup_params("modp-2048")
         rng = random.Random(2049)
-        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params)
         threads = {fn.__name__: count_calls(monkeypatch, fn, record=threading.current_thread)
                    for fn in (kdf_pad, is_member, ot_respond, ot_recover)}
-        local_session(bundle, secrets, ["item00", "item02"], rng)
+        local_session(bundle, secrets, ["item00", "item02"])
         buyer = threading.current_thread()
         assert set(threads["ot_recover"]) == {buyer}
         (seller,) = set(threads["ot_respond"])
@@ -362,14 +385,14 @@ class TestSessions:
     def test_toy_group_session_starts_no_pool(self, p23, rng, monkeypatch):
         monkeypatch.setattr(group, "_pool", None)
         cat = make_catalog([1, 2, 3, 7], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
-        local_session(bundle, secrets, ["item01", "item03"], rng)
+        bundle, secrets = publish(cat, "p2", p23)
+        local_session(bundle, secrets, ["item01", "item03"])
         assert group._pool is None
 
     def test_concurrent_buys_share_one_cpu_sized_pool(self, tmp_path, monkeypatch):
         params = setup_params("modp-2048")
         rng = random.Random(2050)
-        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", params)
         pools = []
         real_pool = concurrent.futures.ThreadPoolExecutor
 
@@ -408,15 +431,15 @@ class TestSessions:
     def test_each_peer_element_checked_once(self, p23, rng, monkeypatch):
         """T picks: T query checks by the seller, T response checks by the buyer."""
         cat = make_catalog([1, 2, 3, 7], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         checks = count_calls(monkeypatch, is_member)
-        _, billed = local_session(bundle, secrets, ["item01", "item03"], rng)
+        _, billed = local_session(bundle, secrets, ["item01", "item03"])
         assert billed == 9
         assert len(checks) == 2 * billed
 
     def test_billing_echo_mismatch_aborts(self, p23, rng):
         cat = make_catalog([2], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
 
         def lying_sender(tx_chan):
             tx_chan.recv()  # HELLO
@@ -428,12 +451,12 @@ class TestSessions:
             sid = batch_binding(p23, msg.queries)
             responses = tuple(
                 ot_respond(p23, secrets.flat_secrets, powers, pick_binding(sid, t))
-                for t, powers in enumerate(respond_powers(p23, msg.queries, rng)))
+                for t, powers in enumerate(respond_powers(p23, msg.queries)))
             tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=responses))
             tx_chan.send(Done(billed=99))
 
         with pytest.raises(ProtocolError, match="billing mismatch"):
-            against(lying_sender, buying(["item00"], rng))
+            against(lying_sender, buying(["item00"]))
 
     def test_oversize_purchase_refused_before_fetching(self, p23, rng, monkeypatch):
         """The buyer sizes the reply from (N, T) before any ciphertext or query."""
@@ -448,16 +471,16 @@ class TestSessions:
         queries = count_calls(monkeypatch, ot_query)
         log = []
         with pytest.raises(ProtocolError, match="purchase too large"):
-            against(lying_sender, buying(["big"], rng, log))
+            against(lying_sender, buying(["big"], log))
         assert ("local", "CtReq") not in log
         assert queries == []
 
     def test_sender_bills_exactly_the_pick_count(self, p23, rng):
         cat = make_catalog([1, 2, 3, 7], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         for choice in ({0, 2}, {1}, {0, 1, 2, 3}):
             result, billed = local_session(bundle, secrets,
-                                           [cat.items[i].id for i in choice], rng)
+                                           [cat.items[i].id for i in choice])
             assert billed == result.total == sum(cat.items[i].weight for i in choice)
 
     def test_local_session_runs_the_wire_grammar(self, p23, rng):
@@ -466,18 +489,18 @@ class TestSessions:
         The buyer keeps one ciphertext request ahead of the reply it reads.
         """
         cat = make_catalog([1, 2, 3], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         log = []
-        local_session(bundle, secrets, ["item01"], rng, log)
+        local_session(bundle, secrets, ["item01"], log)
         sent, got = "local", "peer"
         assert log == [(sent, "Hello"), (got, "ManifestMsg"),
                        (sent, "CtReq"), (sent, "CtReq"), (got, "CtData"),
                        (sent, "CtReq"), (got, "CtData"), (got, "CtData"),
                        (sent, "OtBatchQuery"), (got, "OtBatchResp"), (got, "Done")]
 
-        bundle, secrets = publish(make_catalog([1] * 5, rng), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1] * 5, rng), "p2", p23)
         log = []
-        local_session(bundle, secrets, ["item04"], rng, log)
+        local_session(bundle, secrets, ["item04"], log)
         lead = 0  # requests sent minus replies read
         for side, name in log:
             lead += (side, name) == (sent, "CtReq")
@@ -490,7 +513,7 @@ class TestPipelinedDelivery:
     """The buyer keeps one request ahead and checks digests on a ``wot-digest`` thread."""
 
     @staticmethod
-    def buyer_joining_helpers(monkeypatch, item_ids, rng):
+    def buyer_joining_helpers(monkeypatch, item_ids):
         """The buyer's side, checking as it returns or raises that its digest helper has ended."""
         helpers = count_calls(monkeypatch, protocol._check_digests,
                               record=threading.current_thread)
@@ -498,7 +521,7 @@ class TestPipelinedDelivery:
         def buyer(rx_chan):
             started = len(helpers)
             try:
-                return run_session_receiver(rx_chan, item_ids, rng=rng)
+                return run_session_receiver(rx_chan, item_ids)
             finally:
                 assert len(helpers) == started + 1
                 assert helpers[-1].name == "wot-digest" and not helpers[-1].is_alive()
@@ -515,23 +538,23 @@ class TestPipelinedDelivery:
         assert tx_chan.recv() == CtReq(item_id="item01")
 
     def test_every_fetched_digest_is_checked_on_the_helper(self, p23, rng, monkeypatch):
-        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23)
         threads = count_calls(monkeypatch, ciphertext_digest, record=threading.current_thread)
-        local_session(bundle, secrets, ["item01"], rng)
+        local_session(bundle, secrets, ["item01"])
         assert len(threads) == 3 and {t.name for t in threads} == {"wot-digest"}
 
     def test_helper_is_joined_when_a_digest_fails(self, p23, rng, monkeypatch):
-        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23)
         corrupted = replace(bundle, ciphertexts=(bundle.ciphertexts[0] + b"x",
                                                  *bundle.ciphertexts[1:]))
         with pytest.raises(CatalogError, match="digest mismatch for item 'item00'"):
-            against(lambda tx: serve_session(tx, corrupted, secrets, p23, rng),
-                         self.buyer_joining_helpers(monkeypatch, ["item02"], rng))
+            against(lambda tx: serve_session(tx, corrupted, secrets, p23),
+                         self.buyer_joining_helpers(monkeypatch, ["item02"]))
 
     def test_helper_is_joined_when_the_seller_closes_mid_frame(self, p23, rng, monkeypatch):
         """A bad item received before the cut is reported over the cut, as it was first."""
-        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
-        buyer = self.buyer_joining_helpers(monkeypatch, ["item00"], rng)
+        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23)
+        buyer = self.buyer_joining_helpers(monkeypatch, ["item00"])
         for first, error, match in (
                 (None, ProtocolError, "connection closed mid-frame"),
                 (bundle.ciphertexts[0] + b"x", CatalogError, "digest mismatch for item 'item00'")):
@@ -551,19 +574,19 @@ class TestPipelinedDelivery:
         Whether the buyer's third request lands before the hang-up or fails
         after it is a race; either way the buyer reports the seller's ERROR.
         """
-        bundle, _ = publish(make_catalog([1, 2, 3, 4], rng), "p2", p23, rng=rng)
+        bundle, _ = publish(make_catalog([1, 2, 3, 4], rng), "p2", p23)
 
         def refuse_second(tx_chan):
             self.open_delivery(tx_chan, bundle)
             tx_chan.send(ErrorMsg(code=ERR_UNKNOWN_ITEM, text="unknown item"))
 
-        buyer = self.buyer_joining_helpers(monkeypatch, ["item03"], rng)
+        buyer = self.buyer_joining_helpers(monkeypatch, ["item03"])
         for _ in range(20):
             with pytest.raises(RemoteError, match=f"remote error {ERR_UNKNOWN_ITEM}: unknown item"):
                 against(refuse_second, buyer)
 
     def test_failed_request_ahead_reads_the_pending_frame(self, p23, rng):
-        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23, rng=rng)
+        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23)
 
         class HungUpSeller:
             """The seller refused the second request and closed before the third."""
@@ -590,7 +613,7 @@ class TestPipelinedDelivery:
 class TestBundleIO:
     def test_round_trip_with_secrets(self, p23, rng, tmp_path):
         cat = make_catalog([1, 2, 3], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         save_bundle(bundle, tmp_path / "bundle", secrets=secrets)
         loaded = load_bundle(tmp_path / "bundle")
         assert loaded == bundle
@@ -614,13 +637,13 @@ class TestBundleIO:
 
     def test_p1_secrets_round_trip(self, p23, rng, tmp_path):
         cat = make_catalog([2, 1], rng)
-        bundle, secrets = publish(cat, "p1", p23, rng=rng)
+        bundle, secrets = publish(cat, "p1", p23)
         save_bundle(bundle, tmp_path / "b", secrets=secrets)
         assert load_secrets(tmp_path / "b") == secrets
 
     def test_receiver_view_has_no_secrets(self, p23, rng, tmp_path):
         cat = make_catalog([1, 1], rng)
-        bundle, _ = publish(cat, "p2", p23, rng=rng)
+        bundle, _ = publish(cat, "p2", p23)
         save_bundle(bundle, tmp_path / "pub")
         assert load_bundle(tmp_path / "pub") == bundle
         with pytest.raises(CatalogError, match="seller's bundle"):
@@ -634,7 +657,7 @@ class TestBundleIO:
         lambda data: b"\x01\x01\x00\x00" + (1 << 20).to_bytes(4, "big") + bytes(4),
     ], ids=["mode-0", "mode-3", "short-header", "truncated-key-count", "zero-length-shares"])
     def test_corrupt_secrets_file_refused(self, p23, rng, tmp_path, corrupt):
-        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         save_bundle(bundle, tmp_path / "b", secrets=secrets)
         path = tmp_path / "b" / "sender_secrets.bin"
         assert len(secrets.flat_secrets) == 3 and len(secrets.flat_secrets[0]) == 16
@@ -644,7 +667,7 @@ class TestBundleIO:
 
     def test_stored_item_keys_are_checked_and_ignored(self, p23, rng, tmp_path):
         """Secrets files that still carry p2 item keys load to the same shares."""
-        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23, rng=rng)
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         save_bundle(bundle, tmp_path / "b", secrets=secrets)
         path = tmp_path / "b" / "sender_secrets.bin"
         data = path.read_bytes()
@@ -658,7 +681,7 @@ class TestBundleIO:
 
     def test_corrupted_ct_file_detected(self, p23, rng, tmp_path):
         cat = make_catalog([1, 1], rng)
-        bundle, _ = publish(cat, "p2", p23, rng=rng)
+        bundle, _ = publish(cat, "p2", p23)
         save_bundle(bundle, tmp_path / "pub")
         ct_file = tmp_path / "pub" / "item00.ct"
         ct_file.write_bytes(ct_file.read_bytes() + b"!")
@@ -667,15 +690,15 @@ class TestBundleIO:
 
     def test_session_from_disk(self, p23, rng, tmp_path):
         cat = make_catalog([1, 2], rng)
-        bundle, secrets = publish(cat, "p2", p23, rng=rng)
+        bundle, secrets = publish(cat, "p2", p23)
         save_bundle(bundle, tmp_path / "b", secrets=secrets)
         result, _ = local_session(load_bundle(tmp_path / "b"),
-                                  load_secrets(tmp_path / "b"), ["item01"], rng)
+                                  load_secrets(tmp_path / "b"), ["item01"])
         assert dict(result.items) == {"item01": cat.items[1].payload}
 
     def test_dotted_ids_round_trip(self, p23, rng, tmp_path):
         cat = make_catalog([1, 2], rng, ids=["a.b", "..."])
-        bundle, _ = publish(cat, "p2", p23, rng=rng)
+        bundle, _ = publish(cat, "p2", p23)
         save_bundle(bundle, tmp_path / "pub")
         assert (tmp_path / "pub" / "a.b.ct").is_file()
         assert (tmp_path / "pub" / "....ct").is_file()
@@ -683,7 +706,7 @@ class TestBundleIO:
 
     def test_manifest_naming_parent_dir_refused(self, p23, rng, tmp_path):
         cat = make_catalog([1], rng, ids=["ok"])
-        bundle, _ = publish(cat, "p2", p23, rng=rng)
+        bundle, _ = publish(cat, "p2", p23)
         save_bundle(bundle, tmp_path / "pub")
         manifest = tmp_path / "pub" / "manifest.bin"
         manifest.write_bytes(manifest.read_bytes().replace(b"\x00\x02ok", b"\x00\x02.."))
@@ -716,7 +739,7 @@ class TestFrameCap:
     def test_oversize_reply_refused_before_any_work(self, p23, rng, channel_pair,
                                                     monkeypatch):
         """A batch whose reply frame would pass the cap is refused from (N, T) alone."""
-        _, secrets = publish(make_catalog([1, 2, 3, 7], rng), "p2", p23, rng=rng)
+        _, secrets = publish(make_catalog([1, 2, 3, 7], rng), "p2", p23)
         per_pick = p23.element_len + sum(map(len, secrets.flat_secrets))  # a, N masks
         picks = (MAX_FRAME_LEN - 13) // per_pick + 1
         assert 1 + 12 + picks * per_pick > MAX_FRAME_LEN
@@ -725,7 +748,7 @@ class TestFrameCap:
         responses = count_calls(monkeypatch, respond_powers)
         rx_chan, tx_chan = channel_pair
         with pytest.raises(ProtocolError, match="purchase too large"):
-            run_session_sender(secrets, query, tx_chan, p23, rng)
+            run_session_sender(secrets, query, tx_chan, p23)
         reply = rx_chan.recv()
         assert (reply.code, reply.text) == (ERR_BAD_QUERY, "purchase too large")
         assert responses == []
@@ -734,7 +757,7 @@ class TestFrameCap:
         payload_size = self.LARGEST + 1 - NONCE_LEN - TAG_LEN
         cat = make_catalog([1], rng, payload_size=payload_size, ids=["big"])
         with pytest.raises(CatalogError, match="item 'big'"):
-            publish(cat, "p2", p23, rng=rng)
+            publish(cat, "p2", p23)
 
         # A bundle directory made by other means: load_bundle refuses it,
         # so wot serve does not start on it.
@@ -753,11 +776,11 @@ def test_exhaustive_small_catalog_correctness(p23):
     rng = random.Random(4242)
     cat = make_catalog([1, 2, 1, 3], rng)
     for mode in ("p1", "p2"):
-        bundle, secrets = publish(cat, mode, p23, rng=rng)
+        bundle, secrets = publish(cat, mode, p23)
         for mask in range(1, 1 << 4):
             choice = {i for i in range(4) if mask >> i & 1}
             result, billed = local_session(bundle, secrets,
-                                           [cat.items[i].id for i in choice], rng)
+                                           [cat.items[i].id for i in choice])
             assert dict(result.items) == {cat.items[i].id: cat.items[i].payload
                                           for i in choice}
             assert billed == sum(cat.items[i].weight for i in choice)

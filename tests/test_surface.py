@@ -1,9 +1,15 @@
-"""No public name in ``src/wot`` that only tests use.
+"""No public name or parameter in ``src/wot`` that only tests use.
 
 Every public module-level function and class of ``src/wot`` must be
 loaded, as a name or an attribute, somewhere in ``src/wot`` or
 ``perfbench`` outside its own definition. An import or an ``__all__``
 entry does not count as a use.
+
+Every parameter with a default must be passed, by position or by keyword,
+by some call there outside its own definition. That covers public
+module-level functions, public methods, the ``__init__`` of public
+classes and the defaulted fields of public dataclasses. Calls are matched
+by name, and a call with ``*args`` or ``**kwargs`` passes everything.
 """
 
 import ast
@@ -18,6 +24,11 @@ def _trees(directory):
             for path in sorted(directory.glob("*.py"))]
 
 
+def _public(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+        and not node.name.startswith("_")
+
+
 def test_every_public_definition_is_used_outside_tests():
     loads = []  # (path, line, name)
     for path, tree in _trees(SRC) + _trees(ROOT / "perfbench"):
@@ -30,11 +41,81 @@ def test_every_public_definition_is_used_outside_tests():
     unused = []
     for path, tree in _trees(SRC):
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+            if not _public(node):
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(name == node.name and not (where == path and line in inside)
                        for where, line, name in loads):
                 unused.append(f"{path.name}::{node.name}")
     assert unused == []
+
+
+def _defaulted(function, skip_self):
+    """``(name, position)`` of each defaulted parameter; keyword-only ones have no position."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    if skip_self and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in function.decorator_list):
+        positional = positional[1:]
+    with_default = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    found = [(arg.arg, positional.index(arg)) for arg in with_default]
+    found += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def _is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _defaulted_parameters(tree):
+    """``(label, called name, parameter, position, definition)`` for each defaulted parameter."""
+    module = tree.body
+    for node in module:
+        if not _public(node):
+            continue
+        if not isinstance(node, ast.ClassDef):
+            for name, position in _defaulted(node, skip_self=False):
+                yield node.name, node.name, name, position, node
+            continue
+        if _is_dataclass(node):
+            fields = [s for s in node.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            for position, field in enumerate(fields):
+                if field.value is not None:
+                    yield node.name, node.name, field.target.id, position, node
+        for method in node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if method.name == "__init__":
+                label, called = node.name, node.name
+            elif method.name.startswith("_"):
+                continue
+            else:
+                label, called = f"{node.name}.{method.name}", method.name
+            for name, position in _defaulted(method, skip_self=True):
+                yield label, called, name, position, method
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    calls = []  # (path, line, called name, positional count, keywords, passes everything)
+    for path, tree in _trees(SRC) + _trees(ROOT / "perfbench"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            star = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            calls.append((path, node.lineno, name, len(node.args), keywords, star))
+
+    unpassed = []
+    for path, tree in _trees(SRC):
+        for label, called, param, position, definition in _defaulted_parameters(tree):
+            inside = range(definition.lineno, definition.end_lineno + 1)
+            if not any(name == called and not (where == path and line in inside)
+                       and (star or param in keywords
+                            or (position is not None and position < npos))
+                       for where, line, name, npos, keywords, star in calls):
+                unpassed.append(f"{path.stem}.{label}({param})")
+    assert unpassed == []

@@ -9,7 +9,7 @@ from wot.errors import AuthenticationError, CryptoError
 from wot.symcrypto import (combine_shares, decrypt, encrypt, nested_decrypt,
                            nested_encrypt, new_key, split_key, xor_bytes)
 
-from conftest import count_calls
+from conftest import count_calls, seed_source
 
 
 class CountingRandom(random.Random):
@@ -24,37 +24,37 @@ class CountingRandom(random.Random):
 
 class TestAuthenticatedEncryption:
     def test_round_trip(self, rng):
-        key = new_key(128, rng)
-        ct = encrypt(key, b"hello goods", "ctx", rng)
+        key = new_key(128)
+        ct = encrypt(key, b"hello goods", "ctx")
         assert decrypt(key, ct, "ctx") == b"hello goods"
 
     def test_one_bit_key_flip_fails(self, rng):
-        key = new_key(128, rng)
-        ct = encrypt(key, b"payload", "ctx", rng)
+        key = new_key(128)
+        ct = encrypt(key, b"payload", "ctx")
         bad = bytes([key[0] ^ 1]) + key[1:]
         with pytest.raises(AuthenticationError):
             decrypt(bad, ct, "ctx")
 
     def test_context_mismatch_fails(self, rng):
-        key = new_key(128, rng)
-        ct = encrypt(key, b"payload", "item:a", rng)
+        key = new_key(128)
+        ct = encrypt(key, b"payload", "item:a")
         with pytest.raises(AuthenticationError):
             decrypt(key, ct, "item:b")
 
     def test_empty_plaintext(self, rng):
-        key = new_key(128, rng)
-        ct = encrypt(key, b"", "ctx", rng)
+        key = new_key(128)
+        ct = encrypt(key, b"", "ctx")
         assert len(ct) == 12 + 16  # nonce + tag only
         assert decrypt(key, ct, "ctx") == b""
 
     def test_256_bit_keys(self, rng):
-        key = new_key(256, rng)
+        key = new_key(256)
         assert len(key) == 32
-        ct = encrypt(key, b"big key", "ctx", rng)
+        ct = encrypt(key, b"big key", "ctx")
         assert decrypt(key, ct, "ctx") == b"big key"
 
     def test_malformed_ciphertext(self, rng):
-        key = new_key(128, rng)
+        key = new_key(128)
         with pytest.raises(CryptoError, match="too short"):
             decrypt(key, b"\x00" * 10, "ctx")
 
@@ -64,11 +64,11 @@ class TestAuthenticatedEncryption:
         with pytest.raises(CryptoError):
             new_key(192)
 
-    def test_wrong_key_never_authenticates(self):
+    def test_wrong_key_never_authenticates(self, monkeypatch):
         """AE soundness: forged decryptions are empirically impossible."""
-        rng = random.Random(9001)
-        key = new_key(128, rng)
-        ct = encrypt(key, b"sixteen byte msg", "ctx", rng)
+        rng = seed_source(monkeypatch, random.Random(9001))
+        key = new_key(128)
+        ct = encrypt(key, b"sixteen byte msg", "ctx")
         successes = 0
         trials = 1_000_000
         for _ in range(trials):
@@ -97,21 +97,21 @@ def tampered(ct: bytes) -> bytes:
 class TestBytesLikeCiphertexts:
     @pytest.mark.parametrize("as_type", BYTES_LIKE, ids=BYTES_LIKE_IDS)
     def test_decrypt(self, rng, as_type):
-        key = new_key(128, rng)
-        ct = encrypt(key, b"priced goods", "ctx", rng)
+        key = new_key(128)
+        ct = encrypt(key, b"priced goods", "ctx")
         assert decrypt(key, as_type(ct), "ctx") == b"priced goods"
         with pytest.raises(AuthenticationError):
             decrypt(key, as_type(tampered(ct)), "ctx")
 
     @pytest.mark.parametrize("as_type", BYTES_LIKE, ids=BYTES_LIKE_IDS)
     def test_nested_decrypt(self, rng, as_type):
-        keys = [new_key(128, rng) for _ in range(3)]
-        ct = nested_encrypt(keys, b"priced goods", "item:a", rng)
+        keys = [new_key(128) for _ in range(3)]
+        ct = nested_encrypt(keys, b"priced goods", "item:a")
         assert nested_decrypt(keys, as_type(ct), "item:a") == b"priced goods"
         with pytest.raises(AuthenticationError) as err:
             nested_decrypt(keys, as_type(tampered(ct)), "item:a")
         assert err.value.layer == 1
-        broken = [keys[0], keys[1], new_key(128, rng)]
+        broken = [keys[0], keys[1], new_key(128)]
         with pytest.raises(AuthenticationError) as err:
             nested_decrypt(broken, as_type(ct), "item:a")
         assert err.value.layer == 3
@@ -120,41 +120,43 @@ class TestBytesLikeCiphertexts:
 class TestSplitCombine:
     def test_single_share_is_identity(self, rng):
         key = b"\xa0" * 16
-        assert split_key(key, 1, rng) == [key]
+        assert split_key(key, 1) == [key]
 
-    def test_two_share_xor_arithmetic(self):
+    def test_two_share_xor_arithmetic(self, monkeypatch):
         # Force the first (random) share and check the closing share.
         class FixedRng:
             def randbytes(self, n):
                 return b"\x06" * n
 
-        shares = split_key(b"\x0a" * 16, 2, FixedRng())
+        seed_source(monkeypatch, FixedRng())
+        shares = split_key(b"\x0a" * 16, 2)
         assert shares[0] == b"\x06" * 16
         assert shares[1] == b"\x0c" * 16  # 0x0a ^ 0x06
 
     def test_round_trip_many(self, rng):
         for _ in range(1000):
-            key = new_key(128, rng)
+            key = new_key(128)
             parts = rng.randint(1, 10)
-            assert combine_shares(split_key(key, parts, rng)) == key
+            assert combine_shares(split_key(key, parts)) == key
 
     def test_corrupt_share_breaks_key(self, rng):
-        key = new_key(128, rng)
-        shares = split_key(key, 5, rng)
+        key = new_key(128)
+        shares = split_key(key, 5)
         shares[2] = rng.randbytes(16)
         assert combine_shares(shares) != key  # up to 2^-128 fluke
 
-    def test_draw_count_is_parts_minus_one(self, rng):
-        counting = CountingRandom(7)
-        split_key(new_key(128, rng), 7, counting)
+    def test_draw_count_is_parts_minus_one(self, rng, monkeypatch):
+        key = new_key(128)
+        counting = seed_source(monkeypatch, CountingRandom(7))
+        split_key(key, 7)
         assert counting.draws == 6
-        counting = CountingRandom(7)
-        split_key(new_key(128, rng), 1, counting)
+        counting = seed_source(monkeypatch, CountingRandom(7))
+        split_key(key, 1)
         assert counting.draws == 0
 
     def test_zero_parts_rejected(self, rng):
         with pytest.raises(CryptoError):
-            split_key(new_key(128, rng), 0, rng)
+            split_key(new_key(128), 0)
 
     def test_combine_validation(self):
         with pytest.raises(CryptoError):
@@ -162,14 +164,14 @@ class TestSplitCombine:
         with pytest.raises(CryptoError):
             combine_shares([b"\x00" * 16, b"\x00" * 8])
 
-    def test_share_marginals_uniform(self):
+    def test_share_marginals_uniform(self, monkeypatch):
         """Chi-square on pooled share bytes: proper subsets look uniform."""
-        rng = random.Random(1234)
+        seed_source(monkeypatch, random.Random(1234))
         key = bytes(range(16))  # fixed, decidedly non-uniform key
         histograms = {0: [0] * 256, 4: [0] * 256, "pair": [0] * 256}
         trials = 10_000
         for _ in range(trials):
-            shares = split_key(key, 5, rng)
+            shares = split_key(key, 5)
             for b in shares[0]:
                 histograms[0][b] += 1
             for b in shares[4]:  # the closing share, key-dependent
@@ -183,28 +185,28 @@ class TestSplitCombine:
 
 class TestNestedLayers:
     def test_round_trip_three_layers(self, rng):
-        keys = [new_key(128, rng) for _ in range(3)]
-        ct = nested_encrypt(keys, b"inner goods", "item:a", rng)
+        keys = [new_key(128) for _ in range(3)]
+        ct = nested_encrypt(keys, b"inner goods", "item:a")
         assert nested_decrypt(keys, ct, "item:a") == b"inner goods"
 
     def test_single_layer_equals_one_encryption(self, rng, monkeypatch):
         encrypts = count_calls(monkeypatch, symcrypto.encrypt)
-        key = new_key(128, rng)
-        ct = nested_encrypt([key], b"goods", "item:a", rng)
+        key = new_key(128)
+        ct = nested_encrypt([key], b"goods", "item:a")
         assert len(encrypts) == 1
         assert nested_decrypt([key], ct, "item:a") == b"goods"
 
     def test_wrong_order_fails_and_names_layer(self, rng):
-        keys = [new_key(128, rng) for _ in range(3)]
-        ct = nested_encrypt(keys, b"goods", "item:a", rng)
+        keys = [new_key(128) for _ in range(3)]
+        ct = nested_encrypt(keys, b"goods", "item:a")
         with pytest.raises(AuthenticationError) as err:
             nested_decrypt([keys[1], keys[0], keys[2]], ct, "item:a")
         assert err.value.layer == 1
 
     def test_inner_layer_failure_identified(self, rng):
-        keys = [new_key(128, rng) for _ in range(3)]
-        ct = nested_encrypt(keys, b"goods", "item:a", rng)
-        broken = [keys[0], keys[1], new_key(128, rng)]
+        keys = [new_key(128) for _ in range(3)]
+        ct = nested_encrypt(keys, b"goods", "item:a")
+        broken = [keys[0], keys[1], new_key(128)]
         with pytest.raises(AuthenticationError) as err:
             nested_decrypt(broken, ct, "item:a")
         assert err.value.layer == 3
@@ -212,31 +214,31 @@ class TestNestedLayers:
     def test_layer_count_matches_key_count(self, rng, monkeypatch):
         encrypts = count_calls(monkeypatch, symcrypto.encrypt)
         decrypts = count_calls(monkeypatch, symcrypto.decrypt)
-        keys = [new_key(128, rng) for _ in range(6)]
-        ct = nested_encrypt(keys, b"goods", "item:a", rng)
+        keys = [new_key(128) for _ in range(6)]
+        ct = nested_encrypt(keys, b"goods", "item:a")
         assert len(encrypts) == 6
         nested_decrypt(keys, ct, "item:a")
         assert len(decrypts) == 6
 
     def test_empty_key_list_rejected(self, rng):
         with pytest.raises(CryptoError):
-            nested_encrypt([], b"goods", "c", rng)
+            nested_encrypt([], b"goods", "c")
         with pytest.raises(CryptoError):
             nested_decrypt([], b"blob", "c")
 
 
 class TestShareRecombinationContract:
     def test_all_shares_decrypt(self, rng):
-        key = new_key(128, rng)
-        ct = encrypt(key, b"goods", "ctx", rng)
-        shares = split_key(key, 6, rng)
+        key = new_key(128)
+        ct = encrypt(key, b"goods", "ctx")
+        shares = split_key(key, 6)
         assert decrypt(combine_shares(shares), ct, "ctx") == b"goods"
 
     def test_missing_share_fails_authentication(self, rng):
         """p-1 shares plus zero filler is just a wrong key."""
-        key = new_key(128, rng)
-        ct = encrypt(key, b"goods", "ctx", rng)
-        shares = split_key(key, 6, rng)
+        key = new_key(128)
+        ct = encrypt(key, b"goods", "ctx")
+        shares = split_key(key, 6)
         partial = combine_shares(shares[:-1] + [b"\x00" * 16])
         with pytest.raises(AuthenticationError):
             decrypt(partial, ct, "ctx")
@@ -245,8 +247,7 @@ class TestShareRecombinationContract:
 @given(st.binary(min_size=0, max_size=200), st.integers(min_value=1, max_value=12))
 @settings(max_examples=50, deadline=None)
 def test_split_combine_roundtrip_property(payload, parts):
-    rng = random.Random(len(payload) * 31 + parts)
-    key = new_key(128, rng)
-    assert combine_shares(split_key(key, parts, rng)) == key
-    ct = encrypt(key, payload, "prop", rng)
+    key = new_key(128)
+    assert combine_shares(split_key(key, parts)) == key
+    ct = encrypt(key, payload, "prop")
     assert decrypt(key, ct, "prop") == payload
