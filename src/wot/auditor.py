@@ -52,14 +52,12 @@ class LeakReport:
     verdict: str
     fully_leaking: tuple[int, ...]   # nonzero totals with a unique subset
     min_ambiguity: int | None        # min count over interior totals; None if no interior totals
-    below_threshold: tuple[int, ...]  # interior totals with count < min_ambiguity threshold
-    threshold: int
 
     def to_text(self) -> str:
         lines = [
             f"items={len(self.prices)} achievable_totals={len(self.totals)}"
             f" verdict={self.verdict}",
-            f"min_ambiguity={self.min_ambiguity} threshold={self.threshold}",
+            f"min_ambiguity={self.min_ambiguity}",
         ]
         if self.fully_leaking:
             shown = ", ".join(map(str, self.fully_leaking[:MAX_ROWS]))
@@ -90,7 +88,7 @@ def _check_prices(prices) -> tuple[int, ...]:
     return prices
 
 
-def audit_prices(prices, min_ambiguity: int = 2) -> LeakReport:
+def audit_prices(prices) -> LeakReport:
     """Full leakage report over every achievable total."""
     prices = _check_prices(prices)
     n = len(prices)
@@ -115,7 +113,6 @@ def audit_prices(prices, min_ambiguity: int = 2) -> LeakReport:
 
     totals = []
     fully_leaking = []
-    below = []
     min_interior: int | None = None
     any_forced_interior = False
     for t in sorted(profile):
@@ -129,8 +126,6 @@ def audit_prices(prices, min_ambiguity: int = 2) -> LeakReport:
         if 0 < t < grand_total:
             if min_interior is None or count < min_interior:
                 min_interior = count
-            if count < min_ambiguity:
-                below.append(t)
             if forced_in or forced_out:
                 any_forced_interior = True
 
@@ -146,6 +141,4 @@ def audit_prices(prices, min_ambiguity: int = 2) -> LeakReport:
         verdict=verdict,
         fully_leaking=tuple(fully_leaking),
         min_ambiguity=min_interior,
-        below_threshold=tuple(below),
-        threshold=min_ambiguity,
     )

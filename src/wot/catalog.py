@@ -28,6 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import CatalogError
+from .symcrypto import KEY_BITS_CHOICES
 
 MANIFEST_SOURCE = "items.tsv"
 DEFAULT_MAX_WEIGHT = 1 << 20  # guards N explosion: transfer cost is O(N * T)
@@ -121,7 +122,7 @@ class Manifest:
     def __post_init__(self):
         if self.mode not in MODES:
             raise CatalogError(f"unknown mode {self.mode!r}")
-        if self.key_bits not in (128, 256):
+        if self.key_bits not in KEY_BITS_CHOICES:
             raise CatalogError(f"unsupported key length {self.key_bits}")
         if not self.entries:
             raise CatalogError("manifest has no entries")
@@ -190,6 +191,14 @@ class FlatIndexMap:
         """All flat indices belonging to one item."""
         start = self.offsets[item]
         return range(start, start + self.weights[item])
+
+    def picks(self, items) -> list[int]:
+        """Every flat index of the given items, ascending.
+
+        A purchase sends its picks in this order, which hides which pick
+        belongs to which item.
+        """
+        return [f for i in sorted(set(items)) for f in self.item_range(i)]
 
 
 def load_catalog(path) -> Catalog:

@@ -15,8 +15,9 @@ from .auditor import VERDICT_UNSAFE, audit_prices
 from .catalog import MODES, load_catalog
 from .errors import WotError
 from .group import setup_params
-from .harness import PrivacyExperiment, privacy_experiment
+from .harness import privacy_experiment
 from .protocol import load_bundle, load_manifest, load_secrets, publish, save_bundle
+from .symcrypto import KEY_BITS_CHOICES
 from .weights import approx_reduce, candidate_divisors, gcd_reduce
 
 
@@ -87,7 +88,7 @@ def cmd_buy(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    report = audit_prices(_read_prices(args.prices), min_ambiguity=args.min_ambiguity)
+    report = audit_prices(_read_prices(args.prices))
     print(report.to_text(), end="")
     return 1 if report.verdict == VERDICT_UNSAFE else 0
 
@@ -108,13 +109,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_privacy_test(args) -> int:
-    exp = PrivacyExperiment(
-        weights=tuple(_int_list(args.weights, "--weights")),
-        choice_a=frozenset(_int_list(args.choice_a, "--choice-a")),
-        choice_b=frozenset(_int_list(args.choice_b, "--choice-b")),
-        sessions=args.sessions,
-    )
-    report = privacy_experiment(exp, setup_params(args.group))
+    report = privacy_experiment(_int_list(args.weights, "--weights"),
+                                _int_list(args.choice_a, "--choice-a"),
+                                _int_list(args.choice_b, "--choice-b"),
+                                args.sessions, setup_params(args.group))
     print(report.to_text(), end="")
     return 0 if report.verdict == "PASS" else 1
 
@@ -135,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True, help="catalog directory with items.tsv")
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--out", required=True, help="bundle output directory")
-    p.add_argument("--lambda", dest="key_bits", type=int, choices=(128, 256), default=128)
+    p.add_argument("--lambda", dest="key_bits", type=int, choices=KEY_BITS_CHOICES, default=128)
     p.add_argument("--group", default="modp-2048")
     p.set_defaults(func=cmd_publish)
 
@@ -154,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="report what billed totals leak about choices")
     p.add_argument("--prices", required=True, help="file with one integer price per line")
-    p.add_argument("--min-ambiguity", type=int, default=2)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("reduce", help="shrink a price vector by a common divisor")

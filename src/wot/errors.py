@@ -20,10 +20,6 @@ class CryptoError(WotError):
 class AuthenticationError(CryptoError):
     """Ciphertext failed authentication (wrong or incomplete key)."""
 
-    def __init__(self, message: str = "authentication failure", layer: int | None = None):
-        super().__init__(message)
-        self.layer = layer
-
 
 class GroupError(WotError):
     """Invalid group parameters or non-member element."""
@@ -46,7 +42,6 @@ class ItemAuthenticationError(ProtocolError):
 
     def __init__(self, item_id: str):
         super().__init__(f"authentication failure for item {item_id!r}")
-        self.item_id = item_id
 
 
 class FrameError(ProtocolError):
@@ -62,5 +57,3 @@ class RemoteError(ProtocolError):
 
     def __init__(self, code: int, text: str):
         super().__init__(f"remote error {code}: {text}")
-        self.code = code
-        self.text = text

@@ -344,6 +344,11 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
     raise FrameError(f"unknown message type 0x{msg_type:02x}")
 
 
+def _ct_data_len(item_id: str, ct_len: int) -> int:
+    """Length field of a CT_DATA: type byte, u16-prefixed id, then the ciphertext."""
+    return 1 + len(_string(item_id)) + ct_len
+
+
 def _ot_batch_resp_len(count: int, n: int, elem_len: int, mask_len: int) -> int:
     """Length field of an OT_BATCH_RESP: type byte, header, then per pick a and N masks."""
     return 1 + 12 + count * (elem_len + n * mask_len)

@@ -29,8 +29,9 @@ Arithmetic: every modexp and Jacobi symbol goes through one kernel,
 with a fresh ``BN_CTX`` per call since server sessions run on threads.
 The ladder is constant-time, so the transfer's secret exponents do not
 steer its timing, and a 2048-bit modexp costs about a tenth of builtin
-``pow``. Moduli under 128 bits, where the foreign call costs more than
-the work, use ``pow``; toy groups take ``x^q`` there.
+``pow``. Modexps under 128-bit moduli, where the foreign call costs more
+than the work, use ``pow``. Membership is a Jacobi symbol for every
+preset, the toy ones included.
 
 A transfer batch's exponentiations are independent, so ``_powmods`` takes
 them all at once and maps ``_powmod`` over one process-wide thread pool
@@ -103,10 +104,7 @@ class GroupParams:
 
 def is_member(params: GroupParams, x: int) -> bool:
     """True iff ``x`` is in [1, p-1] and the order-``q`` subgroup; see the module docstring."""
-    p = params.p
-    if p.bit_length() < _FFI_MIN_BITS:  # toy presets
-        return 1 <= x < p and _powmod(x, params.q, p) == 1
-    return 1 <= x < p and _jacobi(x, p) == 1
+    return 1 <= x < params.p and _jacobi(x, params.p) == 1
 
 
 _LIBCRYPTO = "libcrypto.so.3"

@@ -81,7 +81,7 @@ from .errors import (CatalogError, CryptoError, AuthenticationError, GrammarErro
 from .framing import (ANY_GROUP, ANY_KEY_BITS, ANY_MODE, CtData, CtReq, Done, ErrorMsg,
                       Hello, ManifestMsg, OtBatchQuery, OtBatchResp,
                       ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_UNKNOWN_ITEM,
-                      MAX_FRAME_LEN, PROTOCOL_VERSION, _ot_batch_resp_len,
+                      MAX_FRAME_LEN, PROTOCOL_VERSION, _ct_data_len, _ot_batch_resp_len,
                       decode_manifest, encode_manifest)
 from .group import GroupParams, is_member, setup_params
 
@@ -105,11 +105,7 @@ class PublishedBundle:
         if len(self.ciphertexts) != self.manifest.n:
             raise CatalogError("ciphertext count does not match manifest")
         for entry, ct in zip(self.manifest.entries, self.ciphertexts):
-            # A CT_DATA frame is the type byte, the u16-prefixed id and the
-            # ciphertext; an item that cannot travel in one is refused here.
-            if len(ct) > MAX_FRAME_LEN - 3 - len(entry.id):
-                raise CatalogError(f"item {entry.id!r}: ciphertext of {len(ct)} bytes "
-                                   f"does not fit in one {MAX_FRAME_LEN}-byte frame")
+            _check_deliverable(entry.id, len(ct))
 
     def ciphertext_for(self, item_id: str) -> bytes:
         return self.ciphertexts[self.manifest.index_of(item_id)]
@@ -118,6 +114,13 @@ class PublishedBundle:
         for entry, ct in zip(self.manifest.entries, self.ciphertexts):
             if not _matches_entry(entry, ct):
                 raise CatalogError(f"ciphertext digest mismatch for item {entry.id!r}")
+
+
+def _check_deliverable(item_id: str, ct_len: int):
+    """Refuse an item whose ciphertext cannot travel in one CT_DATA frame."""
+    if _ct_data_len(item_id, ct_len) > MAX_FRAME_LEN:
+        raise CatalogError(f"item {item_id!r}: ciphertext of {ct_len} bytes "
+                           f"does not fit in one {MAX_FRAME_LEN}-byte frame")
 
 
 def _matches_entry(entry: ManifestEntry, ct: bytes) -> bool:
@@ -149,6 +152,12 @@ def publish(catalog: Catalog, mode: str, params: GroupParams,
     """Encrypt a catalog and derive the flat secret vector for transfers."""
     if mode not in MODES:
         raise CatalogError(f"unknown mode {mode!r}")
+    # Each layer adds a nonce and a tag; p2 has one layer, p1 one per unit
+    # of weight. An item too big to deliver is refused before any work.
+    for item in catalog.items:
+        layers = 1 if mode == MODE_P2 else item.weight
+        _check_deliverable(item.id, len(item.payload)
+                           + layers * (symcrypto.NONCE_LEN + symcrypto.TAG_LEN))
     flat_secrets: list[bytes] = []
     ciphertexts: list[bytes] = []
     for item in catalog.items:
@@ -216,9 +225,7 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
         raise ProtocolError(f"purchase too large: its reply would be {reply_len} bytes, "
                             f"over the {MAX_FRAME_LEN}-byte frame cap")
     flat_map = FlatIndexMap(manifest.weights)
-    # Every share of every chosen item, ascending: the canonical order
-    # hides the pick structure, and the bill is the pick count.
-    picks = [f for i in chosen for f in flat_map.item_range(i)]
+    picks = flat_map.picks(chosen)  # the bill is the pick count
     bundle = fetch_bundle(channel, manifest, cache_dir)
 
     total = flat_map.total

@@ -64,7 +64,7 @@ def decrypt(key: bytes, ciphertext: bytes, context: str = "") -> bytes:
     try:
         return AESGCM(key).decrypt(view[:NONCE_LEN], view[NONCE_LEN:], context.encode())
     except InvalidTag:
-        raise AuthenticationError() from None
+        raise AuthenticationError("authentication failure") from None
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -122,5 +122,5 @@ def nested_decrypt(keys, ciphertext: bytes, context: str = "") -> bytes:
         try:
             blob = decrypt(keys[layer - 1], blob, _layer_context(context, layer))
         except AuthenticationError:
-            raise AuthenticationError(f"authentication failure at layer {layer}", layer=layer) from None
+            raise AuthenticationError(f"authentication failure at layer {layer}") from None
     return blob

@@ -20,7 +20,7 @@ from wot.catalog import Catalog, FlatIndexMap, Item
 from wot.errors import HarnessError, WotError
 from wot.framing import OtBatchResp
 from wot.group import rand_exponent, setup_params
-from wot.harness import PrivacyExperiment, privacy_experiment
+from wot.harness import privacy_experiment
 from wot.protocol import item_context, publish
 from wot.symcrypto import combine_shares, decrypt, nested_decrypt
 from wot.weights import approx_reduce, gcd_reduce
@@ -73,24 +73,17 @@ def test_criterion_2_receiver_privacy(monkeypatch):
     """Equal-total transcripts indistinguishable at M=1e5 on the order-11 group."""
     params = setup_params("p23")
     sessions = 100_000
-    exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0, 1}),
-                            choice_b=frozenset({2}), sessions=sessions)
     seed_source(monkeypatch, random.Random(2718))
-    report = privacy_experiment(exp, params)
-    assert report.totals_identical and report.billed_a == report.billed_b == 3
+    report = privacy_experiment((1, 2, 3), {0, 1}, {2}, sessions, params)
+    assert report.billed == 3
     assert report.chi2_p > 0.01, f"chi-square p={report.chi2_p}"
 
-    control = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({2}),
-                                choice_b=frozenset({2}), sessions=sessions)
     seed_source(monkeypatch, random.Random(2719))
-    control_report = privacy_experiment(control, params)
+    control_report = privacy_experiment((1, 2, 3), {2}, {2}, sessions, params)
     assert control_report.verdict == "PASS"
 
     with pytest.raises(HarnessError):
-        privacy_experiment(
-            PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0}),
-                              choice_b=frozenset({2}), sessions=10),
-            params)
+        privacy_experiment((1, 2, 3), {0}, {2}, 10, params)
     _report(2, report.verdict == "PASS",
             f"receiver privacy: T identical, chi2 p={report.chi2_p:.3f} > 0.01 "
             f"(M={sessions}), control PASS, unequal totals refused")

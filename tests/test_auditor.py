@@ -175,12 +175,6 @@ class TestAudit:
             assert a.forced_in == b.forced_in
             assert a.forced_out == b.forced_out
 
-    def test_below_threshold_listing(self):
-        report = audit_prices([1, 1, 5], min_ambiguity=3)
-        # Interior totals: 1 (count 2), 2 (count 1), 5 (count 1), 6 (count 2).
-        assert set(report.below_threshold) == {1, 2, 5, 6}
-        assert report.threshold == 3
-
     def test_single_item_catalog(self):
         report = audit_prices([7])
         assert report.min_ambiguity is None

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from wot import symcrypto
+from wot.base_ot import ot_query
 from wot.errors import HarnessError
-from wot.harness import PrivacyExperiment, chi2_two_row_pvalue, privacy_experiment
+from wot.harness import chi2_two_row_pvalue, privacy_experiment
 from wot.protocol import publish
 
 from conftest import count_calls, local_session, make_catalog, seed_source, share_draws
@@ -12,28 +13,21 @@ from conftest import count_calls, local_session, make_catalog, seed_source, shar
 
 class TestPrivacyExperiment:
     def test_equal_totals_pass(self, p23, monkeypatch):
-        exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0, 1}),
-                                choice_b=frozenset({2}), sessions=20_000)
         seed_source(monkeypatch, random.Random(51))
-        report = privacy_experiment(exp, p23)
+        report = privacy_experiment((1, 2, 3), {0, 1}, {2}, 20_000, p23)
         assert report.verdict == "PASS"
-        assert report.totals_identical
-        assert report.billed_a == report.billed_b == 3
+        assert report.billed == 3
         assert report.chi2_p > 0.01
         assert report.tv_distance < 0.02
 
     def test_identical_choices_control(self, p23, monkeypatch):
-        exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({2}),
-                                choice_b=frozenset({2}), sessions=10_000)
         seed_source(monkeypatch, random.Random(52))
-        report = privacy_experiment(exp, p23)
+        report = privacy_experiment((1, 2, 3), {2}, {2}, 10_000, p23)
         assert report.verdict == "PASS"
 
     def test_unequal_totals_refused(self, p23, rng):
-        exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset({0}),
-                                choice_b=frozenset({2}), sessions=100)
         with pytest.raises(HarnessError, match="different totals"):
-            privacy_experiment(exp, p23)
+            privacy_experiment((1, 2, 3), {0}, {2}, 100, p23)
 
     @pytest.mark.parametrize("choice_a, choice_b, sessions, message", [
         ({0}, {3}, 10, "choice index 3 out of range"),
@@ -43,24 +37,29 @@ class TestPrivacyExperiment:
     ], ids=["index-past-weights", "negative-index", "empty-choice", "zero-sessions"])
     def test_invalid_experiment_refused(self, p23, rng, choice_a, choice_b, sessions,
                                         message):
-        exp = PrivacyExperiment(weights=(1, 2, 3), choice_a=frozenset(choice_a),
-                                choice_b=frozenset(choice_b), sessions=sessions)
         with pytest.raises(HarnessError, match=message):
-            privacy_experiment(exp, p23)
+            privacy_experiment((1, 2, 3), choice_a, choice_b, sessions, p23)
 
     def test_large_group_refused(self, rng):
         from wot.group import setup_params
-        exp = PrivacyExperiment(weights=(1, 2), choice_a=frozenset({0}),
-                                choice_b=frozenset({0}), sessions=10)
         with pytest.raises(HarnessError, match="too large"):
-            privacy_experiment(exp, setup_params("modp-2048"))
+            privacy_experiment((1, 2), {0}, {0}, 10, setup_params("modp-2048"))
+
+    def test_picks_as_a_purchase_does(self, p23, rng, monkeypatch):
+        """The experiment queries the picks a purchase of the same items sends, in its order."""
+        cat = make_catalog([2, 1, 3], rng)
+        bundle, secrets = publish(cat, "p2", p23)
+        queries = count_calls(monkeypatch, ot_query)
+        local_session(bundle, secrets, ["item02", "item00"])
+        privacy_experiment(bundle.manifest.weights, {2, 0}, {0, 2}, 1, p23)
+        session, experiment_a, experiment_b = [picks for _, _, picks in queries]
+        assert session == experiment_a == experiment_b == [0, 1, 3, 4, 5]
 
     def test_report_text(self, p23, monkeypatch):
-        exp = PrivacyExperiment(weights=(1, 1), choice_a=frozenset({0}),
-                                choice_b=frozenset({1}), sessions=2_000)
         seed_source(monkeypatch, random.Random(53))
-        text = privacy_experiment(exp, p23).to_text()
+        text = privacy_experiment((1, 1), {0}, {1}, 2_000, p23).to_text()
         assert "verdict" in text and "chi-square" in text and "(threshold 0.01)" in text
+        assert "billed total: 1 for each choice set\n" in text
 
 
 class TestChiSquare:

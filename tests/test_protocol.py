@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from wot.catalog import FlatIndexMap, Manifest, ManifestEntry, ciphertext_digest
+from wot.catalog import (Catalog, FlatIndexMap, Item, Manifest, ManifestEntry,
+                         ciphertext_digest)
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
                         ProtocolError, RemoteError, WotError)
@@ -283,9 +284,9 @@ class TestSessions:
                               entries=tuple(entries)),
             ciphertexts=(bundle.ciphertexts[0], bytes(bad_ct)),
         )
-        with pytest.raises(ItemAuthenticationError) as err:
+        with pytest.raises(ItemAuthenticationError,
+                           match="^authentication failure for item 'item01'$"):
             local_session(tampered, secrets, ["item01"])
-        assert err.value.item_id == "item01"
 
     def test_mis_split_share_fails_authentication(self, p23):
         """Mutation check: corrupt one share and the buyer of that item must notice."""
@@ -735,6 +736,24 @@ class TestFrameCap:
             PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
         with pytest.raises(FrameError, match="frame too large"):
             encode_frame(CtData(item_id="big", ciphertext=ct))
+
+    @pytest.mark.parametrize("mode, layers", [("p2", 1), ("p1", 3)])
+    def test_publish_refuses_before_encrypting(self, p23, rng, monkeypatch, mode, layers):
+        """An item one byte over the cap is refused before any key is drawn."""
+        fits = self.LARGEST - layers * (NONCE_LEN + TAG_LEN)
+        calls = [count_calls(monkeypatch, fn) for fn in
+                 (symcrypto.new_key, symcrypto.encrypt, symcrypto.nested_encrypt)]
+        for payload_size in (fits + 1, fits):
+            cat = Catalog(items=(Item(id="small", weight=1, payload=b"x"),
+                                 Item(id="big", weight=3, payload=bytes(payload_size))))
+            if payload_size > fits:
+                with pytest.raises(CatalogError, match=f"item 'big': ciphertext of "
+                                                       f"{self.LARGEST + 1} bytes"):
+                    publish(cat, mode, p23)
+                assert calls == [[], [], []]
+            else:  # the bound is exact: one byte less publishes
+                bundle, _ = publish(cat, mode, p23)
+                assert len(bundle.ciphertext_for("big")) == self.LARGEST
 
     def test_oversize_reply_refused_before_any_work(self, p23, rng, channel_pair,
                                                     monkeypatch):

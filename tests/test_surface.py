@@ -10,6 +10,11 @@ by some call there outside its own definition. That covers public
 module-level functions, public methods, the ``__init__`` of public
 classes and the defaulted fields of public dataclasses. Calls are matched
 by name, and a call with ``*args`` or ``**kwargs`` passes everything.
+
+Every field of a public dataclass, and every public attribute that a
+public class sets on ``self`` in its ``__init__``, must be read as an
+attribute somewhere there. Reads are matched by name, so a field that
+shares its name with another class's read attribute passes unseen.
 """
 
 import ast
@@ -119,3 +124,30 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
                        for where, line, name, npos, keywords, star in calls):
                 unpassed.append(f"{path.stem}.{label}({param})")
     assert unpassed == []
+
+
+def _stored_attributes(tree):
+    """``(class, attribute)`` per dataclass field and per public ``self.x`` set in ``__init__``."""
+    for node in tree.body:
+        if not (_public(node) and isinstance(node, ast.ClassDef)):
+            continue
+        if _is_dataclass(node):
+            for field in node.body:
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
+                    yield node.name, field.target.id
+        for method in node.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+                for target in ast.walk(method):
+                    if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store) \
+                            and isinstance(target.value, ast.Name) and target.value.id == "self" \
+                            and not target.attr.startswith("_"):
+                        yield node.name, target.attr
+
+
+def test_every_stored_attribute_is_read_outside_tests():
+    read = {node.attr for _, tree in _trees(SRC) + _trees(ROOT / "perfbench")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted({f"{path.stem}.{cls}.{attr}" for path, tree in _trees(SRC)
+                     for cls, attr in _stored_attributes(tree) if attr not in read})
+    assert unread == []
