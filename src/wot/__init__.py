@@ -8,9 +8,8 @@ beyond the purchased items. See README.md for the protocol walkthrough.
 from .catalog import (Catalog, FlatIndexMap, Item, Manifest, ManifestEntry,
                       MODE_P1, MODE_P2, load_catalog)
 from .errors import (AuthenticationError, AuditError, CatalogError, CryptoError,
-                     FrameError, GrammarError, GroupError, HarnessError,
-                     ItemAuthenticationError, ProtocolError, ReductionError,
-                     RemoteError, WotError)
+                     FrameError, GroupError, HarnessError, ItemAuthenticationError,
+                     ProtocolError, ReductionError, RemoteError, WotError)
 from .group import GroupParams, setup_params
 from .protocol import (PublishedBundle, PurchaseResult, SenderSecrets,
                        load_bundle, load_secrets, publish, run_session_receiver,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditError", "AuthenticationError", "Catalog", "CatalogError",
-    "CryptoError", "FlatIndexMap", "FrameError", "GrammarError", "GroupError",
+    "CryptoError", "FlatIndexMap", "FrameError", "GroupError",
     "GroupParams", "HarnessError", "Item", "ItemAuthenticationError", "Manifest",
     "ManifestEntry", "MODE_P1", "MODE_P2", "ProtocolError", "PublishedBundle",
     "PurchaseResult", "ReductionError", "ReductionReport", "RemoteError",

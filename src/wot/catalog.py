@@ -31,7 +31,6 @@ from .errors import CatalogError
 from .symcrypto import KEY_BITS_CHOICES
 
 MANIFEST_SOURCE = "items.tsv"
-DEFAULT_MAX_WEIGHT = 1 << 20  # guards N explosion: transfer cost is O(N * T)
 # Weights, the share count N and the billed total travel as u32 fields,
 # so the total weight of a catalog or manifest stays below 2^32.
 MAX_TOTAL_WEIGHT = 1 << 32
@@ -226,8 +225,6 @@ def load_catalog(path) -> Catalog:
             raise CatalogError(f"{source}:{lineno}: weight {weight_text!r} is not an integer") from None
         if weight < 1:
             raise CatalogError(f"{source}:{lineno}: nonpositive weight {weight}")
-        if weight > DEFAULT_MAX_WEIGHT:
-            raise CatalogError(f"{source}:{lineno}: weight {weight} exceeds cap {DEFAULT_MAX_WEIGHT}")
         payload_path = directory / filename
         if not payload_path.is_file():
             raise CatalogError(f"{source}:{lineno}: missing payload file {payload_path}")

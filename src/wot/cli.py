@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True, help="comma-separated item ids")
     p.add_argument("--out", required=True, help="output directory for plaintexts")
     p.add_argument("--bundle", default=None,
-                   help="previously downloaded bundle directory (skips ciphertext fetch)")
+                   help="previously downloaded bundle directory, used if it matches")
     p.set_defaults(func=cmd_buy)
 
     p = sub.add_parser("audit", help="report what billed totals leak about choices")

@@ -48,10 +48,6 @@ class FrameError(ProtocolError):
     """Wire frame could not be encoded or decoded."""
 
 
-class GrammarError(ProtocolError):
-    """Peer sent a message the session refuses; it was answered with an ERROR frame."""
-
-
 class RemoteError(ProtocolError):
     """Peer reported an error frame."""
 

@@ -34,6 +34,18 @@ Version 1 sent N (element, mask) pairs per pick; a version-1 HELLO is
 refused. The manifest record format has its own version byte
 (``MANIFEST_VERSION``), so bundles written before the bump still load.
 
+``HELLO`` carries only the buyer's protocol version; every other session
+parameter comes from the seller's manifest. Its payload is read version
+first::
+
+    [u8 version] [5 zero bytes]
+
+The five zero bytes are the fields a version-2 HELLO once used to pin a
+mode, group and key size, always sent empty. A version-2 HELLO must end
+in exactly those bytes. A HELLO of any other version decodes from its
+first byte alone, whatever follows, so the seller can answer it with
+``ERROR(ERR_INCOMPATIBLE, "unsupported version N")``.
+
 Session grammar (enforced on both sides in ``wot.protocol``)::
 
     HELLO -> MANIFEST -> (CT_REQ/CT_DATA)* -> OT_BATCH_QUERY
@@ -72,18 +84,12 @@ ERR_INCOMPATIBLE = 0x03
 ERR_BAD_QUERY = 0x04
 ERR_INTERNAL = 0x05
 
-# Wildcards a client may send in HELLO before it has seen the manifest.
-ANY_MODE = ""
-ANY_GROUP = ""
-ANY_KEY_BITS = 0
+_HELLO_V2_TAIL = bytes(5)  # the empty mode, group and key-size fields of version 2
 
 
 @dataclass(frozen=True)
 class Hello:
     version: int = PROTOCOL_VERSION
-    mode: str = ANY_MODE
-    group_id: str = ANY_GROUP
-    key_bits: int = ANY_KEY_BITS
 
 
 @dataclass(frozen=True)
@@ -127,10 +133,9 @@ class ErrorMsg:
 
 Message = Hello | ManifestMsg | CtReq | CtData | OtBatchQuery | OtBatchResp | Done | ErrorMsg
 
+# The one mode-code table, shared by the manifest and the secrets file.
 _MODE_CODES = {mode: i + 1 for i, mode in enumerate(MODES)}
-_MODE_NAMES = {i + 1: mode for i, mode in enumerate(MODES)}
-_MODE_CODES[ANY_MODE] = 0
-_MODE_NAMES[0] = ANY_MODE
+_MODE_NAMES = {code: mode for mode, code in _MODE_CODES.items()}
 
 
 class _Reader:
@@ -257,9 +262,7 @@ def decode_manifest(data: bytes) -> Manifest:
 def _encode_payload(msg: Message) -> tuple:
     """The type byte, then the payload's parts; ``encode_frame`` joins them once."""
     if isinstance(msg, Hello):
-        return TYPE_HELLO, (_pack("!BB", msg.version, _encode_mode(msg.mode))
-                            + _string(msg.group_id)
-                            + _pack("!H", msg.key_bits))
+        return TYPE_HELLO, _pack("!B", msg.version) + _HELLO_V2_TAIL
     if isinstance(msg, ManifestMsg):
         return TYPE_MANIFEST, encode_manifest(msg.manifest)
     if isinstance(msg, CtReq):
@@ -298,12 +301,12 @@ def _encode_payload(msg: Message) -> tuple:
 def _decode_payload(msg_type: int, payload: memoryview) -> Message:
     r = _Reader(payload)
     if msg_type == TYPE_HELLO:
-        version, mode_code = r.u8(), r.u8()
-        group_id = r.string()
-        key_bits = r.u16()
-        r.done()
-        return Hello(version=version, mode=_decode_mode(mode_code),
-                     group_id=group_id, key_bits=key_bits)
+        version = r.u8()
+        if version == PROTOCOL_VERSION:  # another version's tail is its own business
+            if r.take(len(_HELLO_V2_TAIL)) != _HELLO_V2_TAIL:
+                raise FrameError("HELLO pins a session parameter")
+            r.done()
+        return Hello(version=version)
     if msg_type == TYPE_MANIFEST:
         return ManifestMsg(manifest=decode_manifest(payload))
     if msg_type == TYPE_CT_REQ:

@@ -68,7 +68,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         ordinal = server.next_ordinal()
         chan = SocketChannel(self.request)
         try:
-            billed = serve_session(chan, server.bundle, server.secrets, server.params)
+            billed = serve_session(chan, server.bundle, server.secrets)
         except (ProtocolError, OSError) as exc:
             log.debug("session %d aborted: %s", ordinal, exc)
         except Exception:
@@ -90,8 +90,9 @@ class SenderServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address, bundle: PublishedBundle, secrets: SenderSecrets):
         manifest, flat = bundle.manifest, secrets.flat_secrets
-        # Set the group up here, not in a session, so every sale looks alike.
-        self.params = setup_params(manifest.group_id)
+        # Set the group up here, so an unknown one is refused before the
+        # port is bound and every session's own setup is a cache hit.
+        setup_params(manifest.group_id)
         if secrets.mode != manifest.mode:
             raise CatalogError(f"secrets are for mode {secrets.mode}, the bundle for {manifest.mode}")
         if len(flat) != manifest.total_weight:

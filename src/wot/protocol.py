@@ -25,10 +25,13 @@ up the chosen ids in the manifest it receives, refuses a purchase
 whose reply would pass the frame cap (a size that follows from
 ``(N, T)`` alone, as the seller computes it), and then takes *every*
 ciphertext, from a cached bundle directory or over the wire: requesting
-only the chosen ones would reveal the choice out of band. Each ciphertext is checked
-against its manifest entry once. A cached one is checked as it is
-taken, since the check decides whether to fetch it. Delivery of the
-rest is a pipeline in ``fetch_bundle``: the buyer sends the CT_REQ for
+only the chosen ones would reveal the choice out of band. The seller's
+manifest is the only source of session parameters; the buyer's HELLO
+carries just the protocol version. A cached bundle is used whole or not
+at all: it is taken when it loads, its digests verify and its manifest
+equals the seller's, and otherwise every ciphertext is fetched. Either
+way each ciphertext is checked against its manifest entry once.
+Delivery is a pipeline in ``fetch_bundle``: the buyer sends the CT_REQ for
 the next item before it reads the current CT_DATA, never more than one
 ahead (more could fill both socket buffers against the seller's
 blocking send), and hands each received ciphertext, in manifest order,
@@ -76,13 +79,13 @@ from .base_ot import (batch_binding, ot_query, ot_recover, ot_respond, pick_bind
                       respond_powers)
 from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
                       MODE_P2, MODES, ciphertext_digest)
-from .errors import (CatalogError, CryptoError, AuthenticationError, GrammarError,
+from .errors import (CatalogError, CryptoError, AuthenticationError,
                      ItemAuthenticationError, ProtocolError, RemoteError, WotError)
-from .framing import (ANY_GROUP, ANY_KEY_BITS, ANY_MODE, CtData, CtReq, Done, ErrorMsg,
-                      Hello, ManifestMsg, OtBatchQuery, OtBatchResp,
-                      ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_UNKNOWN_ITEM,
-                      MAX_FRAME_LEN, PROTOCOL_VERSION, _ct_data_len, _ot_batch_resp_len,
-                      decode_manifest, encode_manifest)
+from .framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg, OtBatchQuery,
+                      OtBatchResp, ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE,
+                      ERR_UNKNOWN_ITEM, MAX_FRAME_LEN, PROTOCOL_VERSION, _MODE_CODES,
+                      _MODE_NAMES, _ct_data_len, _ot_batch_resp_len, decode_manifest,
+                      encode_manifest)
 from .group import GroupParams, is_member, setup_params
 
 MANIFEST_FILE = "manifest.bin"
@@ -153,11 +156,19 @@ def publish(catalog: Catalog, mode: str, params: GroupParams,
     if mode not in MODES:
         raise CatalogError(f"unknown mode {mode!r}")
     # Each layer adds a nonce and a tag; p2 has one layer, p1 one per unit
-    # of weight. An item too big to deliver is refused before any work.
+    # of weight. An item too big to deliver, or too heavy for the smallest
+    # purchase that holds it to be answered in one frame, is refused before
+    # any work.
+    total = catalog.total_weight
     for item in catalog.items:
         layers = 1 if mode == MODE_P2 else item.weight
         _check_deliverable(item.id, len(item.payload)
                            + layers * (symcrypto.NONCE_LEN + symcrypto.TAG_LEN))
+        reply_len = _ot_batch_resp_len(item.weight, total, params.element_len, key_bits // 8)
+        if reply_len > MAX_FRAME_LEN:
+            raise CatalogError(f"item {item.id!r}: a purchase of weight {item.weight} "
+                               f"would need a {reply_len}-byte reply, over the "
+                               f"{MAX_FRAME_LEN}-byte frame cap")
     flat_secrets: list[bytes] = []
     ciphertexts: list[bytes] = []
     for item in catalog.items:
@@ -200,7 +211,7 @@ def _refuse(channel, code: int, text: str, detail: str | None = None) -> NoRetur
         channel.send(ErrorMsg(code=code, text=text))
     except OSError:
         pass
-    raise GrammarError(detail or text)
+    raise ProtocolError(detail or text)
 
 
 def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
@@ -269,42 +280,35 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
 
 
 def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle:
-    """Take every ciphertext the manifest lists, from the cache where it matches.
+    """Take every ciphertext the manifest lists: the whole cache, or all over the wire.
 
-    A cached ciphertext is checked here, since the check decides whether
-    to fetch it. A fetched one is requested one ahead of the reply being
-    read and checked on a ``wot-digest`` thread, in manifest order; the
-    thread is joined before this returns or raises, and the first
-    mismatch is raised then. A cache that does not load is ignored and
-    everything is fetched.
+    The cache is used when it loads, its digests verify and its manifest
+    equals the seller's; otherwise, a cache from another publish or with
+    one bad file included, every ciphertext is fetched. A fetched one is
+    requested one ahead of the reply being read and checked on a
+    ``wot-digest`` thread, in manifest order; the thread is joined before
+    this returns or raises, and the first mismatch is raised then.
     """
-    cached: dict[str, bytes] = {}
     if cache_dir is not None:
         try:
-            local = load_bundle(cache_dir, verify=False)
+            if load_manifest(cache_dir) == manifest:  # else its files are not worth reading
+                return load_bundle(cache_dir)
         except WotError:
             pass
-        else:
-            cached = dict(zip(local.manifest.ids, local.ciphertexts))
-    cts = [cached.get(entry.id) for entry in manifest.entries]
-    fetch = [i for i, (entry, ct) in enumerate(zip(manifest.entries, cts))
-             if ct is None or not _matches_entry(entry, ct)]  # missing or stale
-    if not fetch:
-        return PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
 
+    entries = manifest.entries
+    cts = []
     handed = queue.SimpleQueue()
     checked: list[ManifestEntry] = []
     helper = threading.Thread(target=_check_digests, args=(handed, checked),
                               name="wot-digest", daemon=True)
     helper.start()
-    received = 0
     try:
-        channel.send(CtReq(item_id=manifest.entries[fetch[0]].id))
-        for k, i in enumerate(fetch):
-            entry = manifest.entries[i]
-            if k + 1 < len(fetch):  # at most one request ahead of the reply read
+        channel.send(CtReq(item_id=entries[0].id))
+        for k, entry in enumerate(entries):
+            if k + 1 < len(entries):  # at most one request ahead of the reply read
                 try:
-                    channel.send(CtReq(item_id=manifest.entries[fetch[k + 1]].id))
+                    channel.send(CtReq(item_id=entries[k + 1].id))
                 except OSError:
                     # A seller that refused the last request and hung up
                     # left its reason in the pending frame.
@@ -313,16 +317,14 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
             msg = _expect(channel.recv(), CtData)
             if msg.item_id != entry.id:
                 raise ProtocolError("unexpected reply to ciphertext request")
-            cts[i] = msg.ciphertext
+            cts.append(msg.ciphertext)
             handed.put((entry, msg.ciphertext))
-            received += 1
     finally:
         handed.put(None)
         helper.join()
-        if len(checked) < received:
+        if len(checked) < len(cts):
             # An earlier item's mismatch stands before any later failure.
-            entry = manifest.entries[fetch[len(checked)]]
-            raise CatalogError(f"ciphertext digest mismatch for item {entry.id!r}")
+            raise CatalogError(f"ciphertext digest mismatch for item {entries[len(checked)].id!r}")
     return PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
 
 
@@ -332,23 +334,18 @@ def _check_digests(handed: queue.SimpleQueue, checked: list):
         checked.append(item[0])
 
 
-def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
-                  params: GroupParams) -> int:
+def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> int:
     """The seller's side of one session: grammar and delivery, then the transfer.
 
-    Returns the billed pick count.
+    The group is the one the bundle's manifest names. Returns the billed
+    pick count.
     """
-    manifest = bundle.manifest
     msg = channel.recv()
     if not isinstance(msg, Hello):
         _refuse(channel, ERR_GRAMMAR, "grammar")
     if msg.version != PROTOCOL_VERSION:
         _refuse(channel, ERR_INCOMPATIBLE, f"unsupported version {msg.version}")
-    if msg.mode not in (ANY_MODE, manifest.mode) \
-            or msg.group_id not in (ANY_GROUP, manifest.group_id) \
-            or msg.key_bits not in (ANY_KEY_BITS, manifest.key_bits):
-        _refuse(channel, ERR_INCOMPATIBLE, "bundle parameters do not match")
-    channel.send(ManifestMsg(manifest=manifest))
+    channel.send(ManifestMsg(manifest=bundle.manifest))
 
     while True:
         msg = channel.recv()
@@ -359,7 +356,8 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets,
                 _refuse(channel, ERR_UNKNOWN_ITEM, "unknown item")
             channel.send(CtData(item_id=msg.item_id, ciphertext=ct))
         elif isinstance(msg, OtBatchQuery):
-            return run_session_sender(secrets, msg, channel, params)
+            return run_session_sender(secrets, msg, channel,
+                                      setup_params(bundle.manifest.group_id))
         else:
             _refuse(channel, ERR_GRAMMAR, "grammar")
 
@@ -446,7 +444,7 @@ def load_secrets(directory) -> SenderSecrets:
 
 
 def _write_secrets(path: Path, secrets: SenderSecrets):
-    mode_code = MODES.index(secrets.mode) + 1
+    mode_code = _MODE_CODES[secrets.mode]
     share_len = len(secrets.flat_secrets[0]) if secrets.flat_secrets else 0
     out = bytearray(struct.pack("!BBHI", 1, mode_code, share_len, len(secrets.flat_secrets)))
     for share in secrets.flat_secrets:
@@ -462,9 +460,9 @@ def _read_secrets(path: Path) -> SenderSecrets:
     version, mode_code, share_len, count = struct.unpack("!BBHI", data[:8])
     if version != 1:
         raise CatalogError(f"unsupported secrets file version {version}")
-    if not 1 <= mode_code <= len(MODES):
+    mode = _MODE_NAMES.get(mode_code)
+    if mode is None:
         raise CatalogError(f"corrupt secrets file: unknown mode code {mode_code}")
-    mode = MODES[mode_code - 1]
     keys_at = 8 + count * share_len
     if len(data) < keys_at + 4:
         raise CatalogError("corrupt secrets file: truncated")

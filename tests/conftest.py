@@ -143,7 +143,6 @@ def local_session(bundle, secrets, item_ids, log=None):
     which is usually fallout from it. ``log``, when given, records the
     buyer's messages (see ``record``).
     """
-    params = setup_params(bundle.manifest.group_id)
     rx_sock, tx_sock = socket.socketpair()
     rx_chan, tx_chan = SocketChannel(rx_sock), SocketChannel(tx_sock)
     if log is not None:
@@ -152,7 +151,7 @@ def local_session(bundle, secrets, item_ids, log=None):
 
     def seller():
         try:
-            box["billed"] = serve_session(tx_chan, bundle, secrets, params)
+            box["billed"] = serve_session(tx_chan, bundle, secrets)
         except Exception as exc:  # raised on the buyer's side below
             box["error"] = exc
         finally:

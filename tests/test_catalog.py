@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wot import symcrypto
 from wot.catalog import Catalog, FlatIndexMap, Item, ciphertext_digest, load_catalog
 from wot.errors import CatalogError
+from wot.group import setup_params
+from wot.protocol import publish
 
-from conftest import make_catalog, write_catalog_dir
+from conftest import count_calls, make_catalog, write_catalog_dir
 
 
 class TestLoadCatalog:
@@ -46,12 +49,25 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="duplicate"):
             load_catalog(d)
 
-    def test_weight_cap(self, tmp_path):
-        d = write_catalog_dir(tmp_path / "cat", [("a", (1 << 20) + 1, b"A")])
-        with pytest.raises(CatalogError, match="exceeds cap"):
-            load_catalog(d)
-        (d / "items.tsv").write_text(f"a\t{1 << 20}\ta.bin\n")
-        assert load_catalog(d).items[0].weight == 1 << 20
+    def test_weight_cap(self, tmp_path, monkeypatch):
+        """The cap on a weight is the frame cap, and ``publish`` checks it before any key.
+
+        On modp-2048 with 128-bit keys, the reply to a buy of a lone item of
+        weight 1,017 would be 16,808,989 bytes; weight 1,016 fits.
+        """
+        params = setup_params("modp-2048")
+        key_gens = count_calls(monkeypatch, symcrypto.new_key)
+        for mode in ("p1", "p2"):
+            d = write_catalog_dir(tmp_path / mode, [("a", 1017, b"A")])
+            with pytest.raises(CatalogError) as err:
+                publish(load_catalog(d), mode, params)
+            assert str(err.value) == ("item 'a': a purchase of weight 1017 would need a "
+                                      "16808989-byte reply, over the 16777216-byte frame cap")
+            assert key_gens == []
+            (d / "items.tsv").write_text("a\t1016\ta.bin\n")
+            _, secrets = publish(load_catalog(d), mode, params)
+            assert len(secrets.flat_secrets) == 1016
+            key_gens.clear()
 
     def test_comments_and_blank_lines(self, tmp_path):
         d = write_catalog_dir(tmp_path / "cat", [("a", 3, b"A")])

@@ -72,9 +72,7 @@ def message_strategy():
                                min_size=0, max_size=4).map(tuple),
         ))
     return st.one_of(
-        st.builds(Hello, version=st.integers(0, 255), mode=st.sampled_from(["", "p1", "p2"]),
-                  group_id=st.sampled_from(["", "p23", "modp-2048"]),
-                  key_bits=st.sampled_from([0, 128, 256])),
+        st.builds(Hello, version=st.integers(0, 255)),
         st.builds(ManifestMsg, manifest=manifest_strategy()),
         st.builds(CtReq, item_id=ids),
         st.builds(CtData, item_id=ids, ciphertext=st.binary(max_size=200)),
@@ -91,6 +89,36 @@ def test_done_frame_frozen_layout():
     assert frame == bytes.fromhex("00000005" "07" "00000004")
     assert len(frame) == 9
     assert decode(frame) == Done(billed=4)
+
+
+def test_hello_frame_frozen_layout():
+    """The version, then the five zero bytes of version 2's empty mode, group and key size."""
+    frame = encode_frame(Hello())
+    assert frame == bytes.fromhex("00000007" "01" "02" "0000000000")
+    assert decode(frame) == Hello(version=2)
+
+
+def test_hello_is_read_version_first():
+    """A version-2 HELLO must leave its fields empty; another version is read from one byte."""
+    assert decode(bytes.fromhex("00000002" "01" "03")) == Hello(version=3)
+    assert decode(bytes.fromhex("00000004" "01" "03" "0102")) == Hello(version=3)
+    for payload, message in (
+            ("02" "0200000000", "HELLO pins a session parameter"),  # mode p2
+            ("02" "0000000080", "HELLO pins a session parameter"),  # 128-bit keys
+            ("02" "00000000", "truncated payload"),
+            ("02" "000000000000", "trailing bytes in payload"),
+            ("02", "truncated payload")):
+        frame = (1 + len(payload) // 2).to_bytes(4, "big") + bytes.fromhex("01" + payload)
+        with pytest.raises(FrameError, match=f"^{message}$"):
+            decode(frame)
+
+
+def test_non_utf8_text_refused():
+    """A string field or an ERROR text that is not UTF-8 is a ``FrameError``."""
+    with pytest.raises(FrameError, match="^invalid string encoding$"):
+        decode(bytes.fromhex("00000004" "03" "0001" "ff"))  # CT_REQ id
+    with pytest.raises(FrameError, match="^invalid error text$"):
+        decode(bytes.fromhex("00000004" "7f" "01" "c328"))
 
 
 def test_ct_data_frozen_layout():
@@ -264,7 +292,7 @@ def test_manifest_rejects_duplicate_item_ids():
 
 def test_out_of_range_fields_refused():
     """Every wire field is fixed-width; a value that does not fit is a WotError."""
-    for msg in (Done(billed=1 << 32), Done(billed=-1), Hello(key_bits=1 << 16),
+    for msg in (Done(billed=1 << 32), Done(billed=-1), Hello(version=256),
                 OtBatchQuery(elem_len=1 << 16, queries=())):
         with pytest.raises(FrameError, match="out of range"):
             encode_frame(msg)

@@ -108,6 +108,26 @@ class TestBuy:
         assert (tmp_path / "out" / "item02").read_bytes() == catalog.items[2].payload
         assert result.total == 3
 
+    def test_cache_of_another_publish_is_refetched_whole(self, server, tmp_path, p23,
+                                                         monkeypatch):
+        """Each publish draws fresh keys, so another publish's cache shares no ciphertext."""
+        srv, catalog, _ = server
+        other, _ = publish(catalog, "p2", p23)
+        save_bundle(other, tmp_path / "cache")
+        requested = []
+        send = SocketChannel.send
+
+        def counting_send(chan, msg):
+            if isinstance(msg, CtReq):
+                requested.append(msg.item_id)
+            send(chan, msg)
+
+        monkeypatch.setattr(SocketChannel, "send", counting_send)
+        result = buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
+                     cache_dir=tmp_path / "cache")
+        assert requested == [item.id for item in catalog.items]
+        assert result.items == (("item01", catalog.items[1].payload),)
+
     @pytest.mark.parametrize("manifest", [None, b"\x09garbage"], ids=["missing", "corrupt"])
     def test_unloadable_cache_is_ignored(self, server, tmp_path, manifest):
         """A cache whose manifest is missing or does not decode is refetched in full."""
@@ -271,59 +291,80 @@ class TestStartUp:
 class TestGrammar:
     def test_query_before_hello(self, server):
         srv, _, _ = server
-        sock = raw_client(srv.port)
-        reply = exchange(sock, OtBatchQuery(elem_len=1, queries=(2,)))
+        with raw_client(srv.port) as sock:
+            reply = exchange(sock, OtBatchQuery(elem_len=1, queries=(2,)))
         assert isinstance(reply, ErrorMsg)
         assert reply.code == ERR_GRAMMAR
         assert reply.text == "grammar"
-        sock.close()
 
     def test_double_hello(self, server):
         srv, _, _ = server
-        sock = raw_client(srv.port)
-        assert isinstance(exchange(sock, Hello()), ManifestMsg)
-        reply = exchange(sock, Hello())
+        with raw_client(srv.port) as sock:
+            assert isinstance(exchange(sock, Hello()), ManifestMsg)
+            reply = exchange(sock, Hello())
         assert isinstance(reply, ErrorMsg) and reply.code == ERR_GRAMMAR
-        sock.close()
 
     def test_version_mismatch(self, server):
         srv, _, _ = server
-        sock = raw_client(srv.port)
-        reply = exchange(sock, Hello(version=9))
+        with raw_client(srv.port) as sock:
+            reply = exchange(sock, Hello(version=9))
         assert isinstance(reply, ErrorMsg) and reply.code == ERR_INCOMPATIBLE
-        sock.close()
 
     def test_version_1_hello_refused(self, server):
         """Version 1 answered each pick with N pairs; a version-1 buyer cannot read the reply."""
         srv, _, billed = server
-        sock = raw_client(srv.port)
-        reply = exchange(sock, Hello(version=1))
+        with raw_client(srv.port) as sock:
+            reply = exchange(sock, Hello(version=1))
         assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 1")
-        sock.close()
         assert billed() == []
 
-    def test_pinned_mode_mismatch(self, server):
-        srv, _, _ = server
-        sock = raw_client(srv.port)
-        reply = exchange(sock, Hello(mode="p1"))
-        assert isinstance(reply, ErrorMsg) and reply.code == ERR_INCOMPATIBLE
-        sock.close()
+    def test_one_byte_later_version_hello_refused(self, server):
+        """A version-3 HELLO may carry nothing past its version byte; it is refused by that byte."""
+        srv, _, billed = server
+        with raw_client(srv.port) as sock:
+            sock.sendall(bytes.fromhex("00000002" "01" "03"))
+            reply = read_frame(lambda n: _recv_exact(sock, n))
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 3")
+        assert billed() == []
+
+    def test_hello_pinning_a_mode_gets_no_manifest(self, server):
+        """The manifest is the only source of session parameters; a HELLO cannot pin one."""
+        srv, _, billed = server
+        with raw_client(srv.port) as sock:
+            sock.sendall(bytes.fromhex("00000007" "01" "02" "02" "0000" "0000"))  # mode p2
+            with pytest.raises(ProtocolError, match="connection closed mid-frame"):
+                read_frame(lambda n: _recv_exact(sock, n))
+        assert billed() == []
 
     def test_unknown_item_request(self, server):
         srv, _, _ = server
-        sock = raw_client(srv.port)
-        exchange(sock, Hello())
-        reply = exchange(sock, CtReq(item_id="ghost"))
+        with raw_client(srv.port) as sock:
+            exchange(sock, Hello())
+            reply = exchange(sock, CtReq(item_id="ghost"))
         assert isinstance(reply, ErrorMsg) and reply.code == ERR_UNKNOWN_ITEM
-        sock.close()
 
     def test_done_from_client_is_grammar_error(self, server):
         srv, _, _ = server
-        sock = raw_client(srv.port)
-        exchange(sock, Hello())
-        reply = exchange(sock, Done(billed=1))
+        with raw_client(srv.port) as sock:
+            exchange(sock, Hello())
+            reply = exchange(sock, Done(billed=1))
         assert isinstance(reply, ErrorMsg) and reply.code == ERR_GRAMMAR
-        sock.close()
+
+    def test_query_of_another_width_refused(self, server, caplog):
+        """A query whose elements are not the group's width earns an ERROR and no bill."""
+        srv, _, billed = server
+        caplog.set_level(logging.DEBUG, logger="wot.server")
+        with raw_client(srv.port) as sock:
+            exchange(sock, Hello())
+            reply = exchange(sock, OtBatchQuery(elem_len=4, queries=(2,)))
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="element width mismatch")
+        deadline = time.monotonic() + 10
+        while not (aborted := [r.getMessage() for r in caplog.records
+                               if "aborted" in r.getMessage()]):
+            assert time.monotonic() < deadline, "the session never ended"
+            time.sleep(0.01)
+        assert aborted == ["session 1 aborted: element width mismatch"]
+        assert billed() == []
 
     def test_fuzzed_sequences_never_yield_partial_response(self, server):
         """Random message orderings: either ERROR or close, never transfer data."""
@@ -341,21 +382,19 @@ class TestGrammar:
             OtBatchQuery(elem_len=4, queries=(2,)),   # wrong width
         ]
         for _ in range(60):
-            sock = raw_client(srv.port)
             got_resp = False
-            try:
-                for _ in range(rng.randint(1, 5)):
-                    msg = pool[rng.randrange(len(pool))]
-                    sock.sendall(encode_frame(msg))
-                    reply = read_frame(lambda n: _recv_exact(sock, n))
-                    if type(reply).__name__ == "OtBatchResp":
-                        got_resp = True
-                    if isinstance(reply, ErrorMsg):
-                        break
-            except (ProtocolError, OSError):
-                pass  # server closed on us: acceptable
-            finally:
-                sock.close()
+            with raw_client(srv.port) as sock:
+                try:
+                    for _ in range(rng.randint(1, 5)):
+                        msg = pool[rng.randrange(len(pool))]
+                        sock.sendall(encode_frame(msg))
+                        reply = read_frame(lambda n: _recv_exact(sock, n))
+                        if type(reply).__name__ == "OtBatchResp":
+                            got_resp = True
+                        if isinstance(reply, ErrorMsg):
+                            break
+                except (ProtocolError, OSError):
+                    pass  # server closed on us: acceptable
             assert not got_resp
         assert billed() == []  # no fuzz session was billed
 
@@ -366,7 +405,8 @@ class TestSales:
         srv, _, billed = server
         caplog.set_level(logging.DEBUG, logger="wot.server")
         entered = count_calls(monkeypatch, run_session_sender)
-        raw_client(srv.port).close()
+        with raw_client(srv.port):
+            pass
         deadline = time.monotonic() + 10
         while not any("aborted" in r.getMessage() for r in caplog.records):
             assert time.monotonic() < deadline, "the probe session never ended"
@@ -424,16 +464,15 @@ class TestRemoteErrors:
         from wot.catalog import Manifest, ManifestEntry
         from wot.protocol import fetch_bundle
         srv, _, _ = server
-        sock = raw_client(srv.port)
-        chan = SocketChannel(sock)
-        chan.send(Hello())
-        manifest = chan.recv().manifest
-        doctored = Manifest(
-            mode=manifest.mode, group_id=manifest.group_id,
-            key_bits=manifest.key_bits,
-            entries=manifest.entries + (
-                ManifestEntry(id="ghost", weight=1, ct_len=1, digest_hex="0" * 64),),
-        )
-        with pytest.raises(RemoteError, match="unknown item"):
-            fetch_bundle(chan, doctored)
-        chan.close()
+        with raw_client(srv.port) as sock:
+            chan = SocketChannel(sock)
+            chan.send(Hello())
+            manifest = chan.recv().manifest
+            doctored = Manifest(
+                mode=manifest.mode, group_id=manifest.group_id,
+                key_bits=manifest.key_bits,
+                entries=manifest.entries + (
+                    ManifestEntry(id="ghost", weight=1, ct_len=1, digest_hex="0" * 64),),
+            )
+            with pytest.raises(RemoteError, match="unknown item"):
+                fetch_bundle(chan, doctored)

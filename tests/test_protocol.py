@@ -15,7 +15,7 @@ from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthentication
 from wot import group, net, protocol
 from wot import symcrypto
 from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
-                         respond_powers)
+                         pick_binding, respond_powers)
 from wot.framing import (ERR_BAD_QUERY, ERR_UNKNOWN_ITEM, LENGTH_FIELD, MAX_FRAME_LEN,
                          CtData, CtReq, Done, ErrorMsg, ManifestMsg, OtBatchQuery,
                          OtBatchResp, _ot_batch_resp_len, encode_frame, encode_manifest)
@@ -181,7 +181,7 @@ class TestSelectionPlan:
     def test_empty_choice_rejected(self, p23, rng):
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23)
         with pytest.raises(ProtocolError, match="empty"):
-            against(lambda tx: serve_session(tx, bundle, secrets, p23), buying(set()))
+            against(lambda tx: serve_session(tx, bundle, secrets), buying(set()))
 
     def test_unknown_id_rejected(self, p23, rng):
         bundle, secrets = publish(make_catalog([1, 2]), "p2", p23)
@@ -244,13 +244,17 @@ class TestSessions:
 
     def test_unknown_group_refused_before_query(self, p23, rng):
         """A manifest can only name a preset; the buyer refuses any other group."""
-        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
-        foreign = PublishedBundle(manifest=replace(bundle.manifest, group_id="toy-g4"),
-                                  ciphertexts=bundle.ciphertexts)
+        bundle, _ = publish(make_catalog([1, 2], rng), "p2", p23)
+        foreign = replace(bundle.manifest, group_id="toy-g4")
+
+        def foreign_seller(tx_chan):
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=foreign))
+            tx_chan.recv()  # the buyer hangs up here
+
         log = []
         with pytest.raises(GroupError) as err:
-            against(lambda tx: serve_session(tx, foreign, secrets, p23),
-                    buying(["item01"], log))
+            against(foreign_seller, buying(["item01"], log))
         assert str(err.value) == "unknown group preset 'toy-g4'"
         assert ("local", "OtBatchQuery") not in log
 
@@ -308,7 +312,7 @@ class TestSessions:
                 ct + b"x" if i in bad else ct for i, ct in enumerate(bundle.ciphertexts)))
             log = []
             with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
-                against(lambda tx: serve_session(tx, corrupted, secrets, p23),
+                against(lambda tx: serve_session(tx, corrupted, secrets),
                         buying(["item00"], log))
             assert ("local", "OtBatchQuery") not in log
         assert sales == []
@@ -459,6 +463,51 @@ class TestSessions:
         with pytest.raises(ProtocolError, match="billing mismatch"):
             against(lying_sender, buying(["item00"]))
 
+    @pytest.mark.parametrize("forge, message", [
+        (lambda responses, n: responses[1:], "response count does not match pick count"),
+        (lambda responses, n: tuple(OtResponse(a=r.a, masks=r.masks[:n - 1])
+                                    for r in responses),
+         "response does not cover the flat index space"),
+    ], ids=["count", "width"])
+    def test_reply_of_another_shape_refused(self, p23, rng, monkeypatch, forge, message):
+        """A reply that does not answer every pick over all N secrets is refused before recovery."""
+        bundle, secrets = publish(make_catalog([2, 1], rng), "p2", p23)
+        n = len(secrets.flat_secrets)
+
+        def forging_sender(tx_chan):
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+            for ct in bundle.ciphertexts:
+                msg = tx_chan.recv()
+                tx_chan.send(CtData(item_id=msg.item_id, ciphertext=ct))
+            msg = tx_chan.recv()
+            sid = batch_binding(p23, msg.queries)
+            responses = tuple(
+                ot_respond(p23, secrets.flat_secrets, powers, pick_binding(sid, t))
+                for t, powers in enumerate(respond_powers(p23, msg.queries)))
+            tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=forge(responses, n)))
+            tx_chan.recv()  # the buyer hangs up here
+
+        recoveries = count_calls(monkeypatch, ot_recover)
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            against(forging_sender, buying(["item00"]))
+        assert recoveries == []
+
+    def test_ciphertext_for_another_item_refused(self, p23, rng):
+        bundle, _ = publish(make_catalog([1, 2], rng), "p2", p23)
+
+        def swapping_sender(tx_chan):
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+            assert tx_chan.recv() == CtReq(item_id="item00")
+            tx_chan.send(CtData(item_id="item01", ciphertext=bundle.ciphertexts[1]))
+            tx_chan.recv()  # the request one ahead
+
+        log = []
+        with pytest.raises(ProtocolError, match="^unexpected reply to ciphertext request$"):
+            against(swapping_sender, buying(["item00"], log))
+        assert ("local", "OtBatchQuery") not in log
+
     def test_oversize_purchase_refused_before_fetching(self, p23, rng, monkeypatch):
         """The buyer sizes the reply from (N, T) before any ciphertext or query."""
         entry = ManifestEntry(id="big", weight=200_000, ct_len=1, digest_hex="0" * 64)
@@ -549,7 +598,7 @@ class TestPipelinedDelivery:
         corrupted = replace(bundle, ciphertexts=(bundle.ciphertexts[0] + b"x",
                                                  *bundle.ciphertexts[1:]))
         with pytest.raises(CatalogError, match="digest mismatch for item 'item00'"):
-            against(lambda tx: serve_session(tx, corrupted, secrets, p23),
+            against(lambda tx: serve_session(tx, corrupted, secrets),
                          self.buyer_joining_helpers(monkeypatch, ["item02"]))
 
     def test_helper_is_joined_when_the_seller_closes_mid_frame(self, p23, rng, monkeypatch):
@@ -650,21 +699,25 @@ class TestBundleIO:
         with pytest.raises(CatalogError, match="seller's bundle"):
             load_secrets(tmp_path / "pub")
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda data: data[:1] + b"\x00" + data[2:],  # mode code 0
-        lambda data: data[:1] + b"\x03" + data[2:],  # mode code 3
-        lambda data: data[:5],  # header shorter than 8 bytes
-        lambda data: data[:8 + 3 * 16 + 2],  # key count cut in half
-        lambda data: b"\x01\x01\x00\x00" + (1 << 20).to_bytes(4, "big") + bytes(4),
-    ], ids=["mode-0", "mode-3", "short-header", "truncated-key-count", "zero-length-shares"])
-    def test_corrupt_secrets_file_refused(self, p23, rng, tmp_path, corrupt):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda data: data[:1] + b"\x00" + data[2:], "corrupt secrets file: unknown mode code 0"),
+        (lambda data: data[:1] + b"\x03" + data[2:], "corrupt secrets file: unknown mode code 3"),
+        (lambda data: data[:5], "corrupt secrets file: truncated header"),
+        (lambda data: data[:8 + 3 * 16 + 2], "corrupt secrets file: truncated"),
+        (lambda data: b"\x01\x01\x00\x00" + (1 << 20).to_bytes(4, "big") + bytes(4),
+         "corrupt secrets file: zero-length shares"),
+        (lambda data: b"\x02" + data[1:], "unsupported secrets file version 2"),
+    ], ids=["mode-0", "mode-3", "short-header", "truncated-key-count", "zero-length-shares",
+            "version-2"])
+    def test_corrupt_secrets_file_refused(self, p23, rng, tmp_path, corrupt, message):
         bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         save_bundle(bundle, tmp_path / "b", secrets=secrets)
         path = tmp_path / "b" / "sender_secrets.bin"
         assert len(secrets.flat_secrets) == 3 and len(secrets.flat_secrets[0]) == 16
         path.write_bytes(corrupt(path.read_bytes()))
-        with pytest.raises(CatalogError, match="secrets file"):
+        with pytest.raises(CatalogError) as err:
             load_secrets(tmp_path / "b")
+        assert str(err.value) == message
 
     def test_stored_item_keys_are_checked_and_ignored(self, p23, rng, tmp_path):
         """Secrets files that still carry p2 item keys load to the same shares."""
@@ -679,6 +732,31 @@ class TestBundleIO:
         path.write_bytes(data[:-4] + (2).to_bytes(4, "big") + keys[:-1])
         with pytest.raises(CatalogError, match="corrupt secrets file"):
             load_secrets(tmp_path / "b")
+
+    def test_missing_ct_file_refused(self, p23, rng, tmp_path):
+        bundle, _ = publish(make_catalog([1, 2], rng), "p2", p23)
+        save_bundle(bundle, tmp_path / "pub")
+        (tmp_path / "pub" / "item01.ct").unlink()
+        with pytest.raises(CatalogError) as err:
+            load_bundle(tmp_path / "pub")
+        assert str(err.value) == f"missing ciphertext file {tmp_path / 'pub' / 'item01.ct'}"
+
+    @pytest.mark.parametrize("key_bits, n, weight, message", [
+        (64, 1, 3, "invalid manifest: unsupported key length 64"),
+        (128, 0, 3, "invalid manifest: manifest has no entries"),
+        (128, 1, 0, "invalid manifest entry: entry 'a': nonpositive weight"),
+    ], ids=["key-bits-64", "no-entries", "weight-0"])
+    def test_hostile_manifest_file_refused(self, tmp_path, key_bits, n, weight, message):
+        """A manifest.bin the publisher could not have written is one ``FrameError``."""
+        ct = bytes(40)
+        record = ("0000002f" "0001" + b"a".hex() + f"{weight:08x}" "0000000000000028"
+                  + ciphertext_digest(ct))
+        (tmp_path / "manifest.bin").write_bytes(bytes.fromhex(
+            "01" "02" f"{key_bits:04x}" "0003" + b"p23".hex() + f"{n:08x}" + record * n))
+        (tmp_path / "a.ct").write_bytes(ct)
+        with pytest.raises(FrameError) as err:
+            load_bundle(tmp_path)
+        assert str(err.value) == message
 
     def test_corrupted_ct_file_detected(self, p23, rng, tmp_path):
         cat = make_catalog([1, 1], rng)
