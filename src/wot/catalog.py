@@ -28,6 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import CatalogError
+from .group import _on_cpus
 from .symcrypto import KEY_BITS_CHOICES
 
 MANIFEST_SOURCE = "items.tsv"
@@ -43,6 +44,11 @@ MODE_P2 = "p2"  # one key per item, split into price-many XOR shares
 MODES = (MODE_P1, MODE_P2)
 
 
+def _check_id(item_id: str):
+    if not _ID_RE.match(item_id):
+        raise CatalogError(f"invalid item id {item_id!r}")
+
+
 @dataclass(frozen=True)
 class Item:
     id: str
@@ -50,8 +56,7 @@ class Item:
     payload: bytes
 
     def __post_init__(self):
-        if not _ID_RE.match(self.id):
-            raise CatalogError(f"invalid item id {self.id!r}")
+        _check_id(self.id)
         if not isinstance(self.weight, int) or isinstance(self.weight, bool):
             raise CatalogError(f"item {self.id!r}: weight must be an integer")
         if self.weight < 1:
@@ -95,8 +100,7 @@ class ManifestEntry:
     def __post_init__(self):
         # Ids double as filenames; manifests can arrive from the network,
         # so reject anything that could escape a directory.
-        if not _ID_RE.match(self.id):
-            raise CatalogError(f"invalid item id {self.id!r}")
+        _check_id(self.id)
         if not isinstance(self.weight, int) or self.weight < 1:
             raise CatalogError(f"entry {self.id!r}: nonpositive weight")
         if self.ct_len < 0:
@@ -201,7 +205,11 @@ class FlatIndexMap:
 
 
 def load_catalog(path) -> Catalog:
-    """Read a catalog directory (``items.tsv`` plus payload files)."""
+    """Read a catalog directory (``items.tsv`` plus payload files).
+
+    Every line is checked before any payload is read; the payloads are
+    then read on the CPU pool (``group._on_cpus``).
+    """
     directory = Path(path)
     source = directory / MANIFEST_SOURCE
     if not source.is_file():
@@ -210,7 +218,7 @@ def load_catalog(path) -> Catalog:
         text = source.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CatalogError(f"{source}: not UTF-8 text (byte {exc.start})") from None
-    items = []
+    listed = []  # (id, weight, payload path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -228,10 +236,13 @@ def load_catalog(path) -> Catalog:
         payload_path = directory / filename
         if not payload_path.is_file():
             raise CatalogError(f"{source}:{lineno}: missing payload file {payload_path}")
-        items.append(Item(id=item_id, weight=weight, payload=payload_path.read_bytes()))
-    if not items:
+        _check_id(item_id)
+        listed.append((item_id, weight, payload_path))
+    if not listed:
         raise CatalogError(f"{source}: no items listed")
-    return Catalog(items=tuple(items))
+    payloads = _on_cpus(Path.read_bytes, [payload_path for _, _, payload_path in listed])
+    return Catalog(items=tuple(Item(id=item_id, weight=weight, payload=payload)
+                               for (item_id, weight, _), payload in zip(listed, payloads)))
 
 
 def ciphertext_digest(ciphertext: bytes) -> str:

@@ -33,20 +33,25 @@ steer its timing, and a 2048-bit modexp costs about a tenth of builtin
 than the work, use ``pow``. Membership is a Jacobi symbol for every
 preset, the toy ones included.
 
-A transfer batch's exponentiations are independent, so ``_powmods`` takes
-them all at once and maps ``_powmod`` over one process-wide thread pool
-with a worker per CPU the process may use; ctypes releases the GIL for the
-ladder, so the workers run in parallel. Every server session shares that
-pool, so concurrent sessions queue their work instead of oversubscribing
-the CPUs. The pool starts on the first batch that needs it, never during
-setup. A batch runs inline on the calling thread when it has fewer than two
-jobs, when the process may use one CPU, or when the modulus is under 128
-bits. Pool threads run ``_powmod`` and nothing else: every public function
-runs on the thread of the session that called it, so whatever watches a
-session per thread sees all of its calls. The one exception is outside
-this module: the buyer's ``wot-digest`` thread (``protocol.fetch_bundle``)
-hashes the ciphertexts it fetches, so their ``catalog.ciphertext_digest``
-calls run off the session's thread.
+Work that runs without the GIL goes through ``_on_cpus``, which maps a
+function over its jobs on one process-wide thread pool with a worker per
+CPU the process may use. A transfer batch's exponentiations are
+independent, so ``_powmods`` takes them all at once and maps ``_powmod``
+there; ctypes releases the GIL for the ladder, so the workers run in
+parallel. The publisher also hashes its ciphertexts there
+(``protocol.publish``) and reads its payload files there
+(``catalog.load_catalog``); ``hashlib`` and file reads release the GIL
+too. Every server session shares that pool, so concurrent sessions queue
+their work instead of oversubscribing the CPUs. The pool starts on the
+first call that needs it, never during setup. A call runs inline on the
+calling thread when it has fewer than two jobs or the process may use one
+CPU, and a ``_powmods`` batch also when its modulus is under 128 bits.
+Pool threads run ``_powmod``, ``catalog.ciphertext_digest`` and file
+reads, nothing else. So a publish's digests run off its thread, as do a
+buyer's, which its ``wot-digest`` thread (``protocol.fetch_bundle``)
+computes as the ciphertexts arrive. Every other public function runs on
+the thread of the session that called it, so whatever watches a session
+per thread sees all of its other calls.
 
 Wire encoding of an element is a fixed-width big-endian integer of
 ``ceil(bitlen(p) / 8)`` bytes. Pads are derived as
@@ -172,24 +177,31 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool = None  # the ThreadPoolExecutor, made by the first batch that needs it
+_pool = None  # the ThreadPoolExecutor, made by the first call that needs it
 _pool_lock = threading.Lock()
 
 
-def _powmods(jobs: list[tuple[int, int]], mod: int) -> list[int]:
-    """``[_powmod(base, exp, mod) for base, exp in jobs]``, spread over the CPUs.
+def _on_cpus(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, spread over the CPUs; a worker's exception is raised here.
 
-    See the module docstring for the pool and the batches that run inline.
+    See the module docstring for the pool and the calls that run inline.
     """
     global _pool
-    if len(jobs) < 2 or _cpus() < 2 or mod.bit_length() < _FFI_MIN_BITS:
-        return [_powmod(base, exp, mod) for base, exp in jobs]
+    if len(jobs) < 2 or _cpus() < 2:
+        return [fn(job) for job in jobs]
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor  # kept out of cold start
-            _pool = ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="wot-powmod")
+            _pool = ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="wot-cpu")
         pool = _pool
-    return list(pool.map(lambda job: _powmod(job[0], job[1], mod), jobs))
+    return list(pool.map(fn, jobs))
+
+
+def _powmods(jobs: list[tuple[int, int]], mod: int) -> list[int]:
+    """``[_powmod(base, exp, mod) for base, exp in jobs]``, on the CPU pool for large moduli."""
+    if mod.bit_length() < _FFI_MIN_BITS:
+        return [_powmod(base, exp, mod) for base, exp in jobs]
+    return _on_cpus(lambda job: _powmod(job[0], job[1], mod), jobs)
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -52,7 +52,8 @@ and the CT_REQs and hands the decoded OT_BATCH_QUERY to
 Only a session that sent a query enters it: ``perfbench`` counts a sale
 as a session that enters ``run_session_sender``, and its readiness probe
 (connect, then close) must not count as one. Every out-of-grammar or
-refused message earns the peer an ERROR frame and ends the session.
+refused message, a frame that does not decode included, earns the peer an
+ERROR frame and ends the session unbilled.
 
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
@@ -79,14 +80,14 @@ from .base_ot import (batch_binding, ot_query, ot_recover, ot_respond, pick_bind
                       respond_powers)
 from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
                       MODE_P2, MODES, ciphertext_digest)
-from .errors import (CatalogError, CryptoError, AuthenticationError,
+from .errors import (CatalogError, CryptoError, AuthenticationError, FrameError,
                      ItemAuthenticationError, ProtocolError, RemoteError, WotError)
 from .framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg, OtBatchQuery,
                       OtBatchResp, ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE,
                       ERR_UNKNOWN_ITEM, MAX_FRAME_LEN, PROTOCOL_VERSION, _MODE_CODES,
                       _MODE_NAMES, _ct_data_len, _ot_batch_resp_len, decode_manifest,
                       encode_manifest)
-from .group import GroupParams, is_member, setup_params
+from .group import GroupParams, _on_cpus, is_member, setup_params
 
 MANIFEST_FILE = "manifest.bin"
 SECRETS_FILE = "sender_secrets.bin"
@@ -102,7 +103,9 @@ class PublishedBundle:
     """Everything a buyer may see before a session."""
 
     manifest: Manifest
-    ciphertexts: tuple[bytes | memoryview, ...]  # a buyer's are views over received frames
+    # A seller's are read-only views over its encryption buffers, a buyer's
+    # views over received frames; a bundle loaded from disk holds bytes.
+    ciphertexts: tuple[bytes | memoryview, ...]
 
     def __post_init__(self):
         if len(self.ciphertexts) != self.manifest.n:
@@ -110,7 +113,7 @@ class PublishedBundle:
         for entry, ct in zip(self.manifest.entries, self.ciphertexts):
             _check_deliverable(entry.id, len(ct))
 
-    def ciphertext_for(self, item_id: str) -> bytes:
+    def ciphertext_for(self, item_id: str) -> bytes | memoryview:
         return self.ciphertexts[self.manifest.index_of(item_id)]
 
     def verify_digests(self):
@@ -152,7 +155,11 @@ class PurchaseResult:
 
 def publish(catalog: Catalog, mode: str, params: GroupParams,
             key_bits: int = 128) -> tuple[PublishedBundle, SenderSecrets]:
-    """Encrypt a catalog and derive the flat secret vector for transfers."""
+    """Encrypt a catalog and derive the flat secret vector for transfers.
+
+    Each ciphertext is a read-only view written once (see ``wot.symcrypto``);
+    the manifest digests are computed on the CPU pool (``group._on_cpus``).
+    """
     if mode not in MODES:
         raise CatalogError(f"unknown mode {mode!r}")
     # Each layer adds a nonce and a tag; p2 has one layer, p1 one per unit
@@ -170,7 +177,7 @@ def publish(catalog: Catalog, mode: str, params: GroupParams,
                                f"would need a {reply_len}-byte reply, over the "
                                f"{MAX_FRAME_LEN}-byte frame cap")
     flat_secrets: list[bytes] = []
-    ciphertexts: list[bytes] = []
+    ciphertexts: list[memoryview] = []
     for item in catalog.items:
         context = item_context(mode, item.id)
         if mode == MODE_P2:
@@ -181,10 +188,10 @@ def publish(catalog: Catalog, mode: str, params: GroupParams,
             layer_keys = [symcrypto.new_key(key_bits) for _ in range(item.weight)]
             ciphertexts.append(symcrypto.nested_encrypt(layer_keys, item.payload, context))
             flat_secrets.extend(layer_keys)
+    digests = _on_cpus(ciphertext_digest, ciphertexts)
     entries = tuple(
-        ManifestEntry(id=item.id, weight=item.weight, ct_len=len(ct),
-                      digest_hex=ciphertext_digest(ct))
-        for item, ct in zip(catalog.items, ciphertexts)
+        ManifestEntry(id=item.id, weight=item.weight, ct_len=len(ct), digest_hex=digest)
+        for item, ct, digest in zip(catalog.items, ciphertexts, digests)
     )
     manifest = Manifest(mode=mode, group_id=params.param_id, key_bits=key_bits,
                         entries=entries)
@@ -340,7 +347,7 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> i
     The group is the one the bundle's manifest names. Returns the billed
     pick count.
     """
-    msg = channel.recv()
+    msg = _recv_decoded(channel)
     if not isinstance(msg, Hello):
         _refuse(channel, ERR_GRAMMAR, "grammar")
     if msg.version != PROTOCOL_VERSION:
@@ -348,7 +355,7 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> i
     channel.send(ManifestMsg(manifest=bundle.manifest))
 
     while True:
-        msg = channel.recv()
+        msg = _recv_decoded(channel)
         if isinstance(msg, CtReq):
             try:
                 ct = bundle.ciphertext_for(msg.item_id)
@@ -360,6 +367,14 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> i
                                       setup_params(bundle.manifest.group_id))
         else:
             _refuse(channel, ERR_GRAMMAR, "grammar")
+
+
+def _recv_decoded(channel):
+    """The buyer's next message; a frame that does not decode is refused as out of grammar."""
+    try:
+        return channel.recv()
+    except FrameError as exc:
+        _refuse(channel, ERR_GRAMMAR, "grammar", f"malformed frame: {exc}")
 
 
 def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,

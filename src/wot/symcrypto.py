@@ -12,6 +12,14 @@ swapped for another item's and still authenticate. ``decrypt`` and
 ``nested_decrypt`` take any bytes-like ciphertext (a buyer's is a view
 over the received frame) and read it in place, without copying it.
 
+``encrypt`` writes each ciphertext once, with ``AESGCM.encrypt_into``,
+into one buffer of exactly its size, and returns a read-only
+``memoryview`` of it; a seller's ciphertexts are such views, as a buyer's
+are. ``nested_encrypt`` alternates its layers between two buffers, each
+layer reading the one below from the other buffer, so that the outermost
+layer lands in the buffer it returns: an item costs two allocations
+however many layers it has.
+
 A key split into ``p`` shares draws ``p - 1`` uniform share strings and
 sets the last share to the XOR of the key with all of them: any proper
 subset of shares is jointly uniform and reveals nothing about the key.
@@ -50,10 +58,18 @@ def new_key(key_bits: int = 128) -> bytes:
     return _RNG.randbytes(key_bits // 8)
 
 
-def encrypt(key: bytes, plaintext: bytes, context: str = "") -> bytes:
+def encrypt(key: bytes, plaintext, context: str = "", out=None) -> memoryview:
+    """``nonce || body || tag`` as a read-only view, written into the front of ``out``.
+
+    Without ``out``, into a new buffer of exactly the ciphertext's size.
+    """
     key = _check_key(key)
     nonce = _RNG.randbytes(NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, bytes(plaintext), context.encode())
+    size = NONCE_LEN + len(plaintext) + TAG_LEN
+    view = memoryview(bytearray(size) if out is None else out)[:size]
+    view[:NONCE_LEN] = nonce
+    AESGCM(key).encrypt_into(nonce, plaintext, context.encode(), view[NONCE_LEN:])
+    return view.toreadonly()
 
 
 def decrypt(key: bytes, ciphertext: bytes, context: str = "") -> bytes:
@@ -101,14 +117,23 @@ def _layer_context(context: str, layer: int) -> str:
     return f"{context}|layer{layer}"
 
 
-def nested_encrypt(keys, plaintext: bytes, context: str = "") -> bytes:
-    """Encrypt under every key in turn; ``keys[0]`` ends up outermost."""
+def nested_encrypt(keys, plaintext, context: str = "") -> memoryview:
+    """Encrypt under every key in turn; ``keys[0]`` ends up outermost.
+
+    Odd layers go into the outermost layer's buffer and even layers into
+    one sized for layer 2, so each layer reads the one below from the other.
+    """
     keys = list(keys)
     if not keys:
         raise CryptoError("nested encryption needs at least one key")
-    blob = bytes(plaintext)
+    overhead = NONCE_LEN + TAG_LEN
+    outer = bytearray(len(plaintext) + len(keys) * overhead)
+    second = bytearray(len(plaintext) + (len(keys) - 1) * overhead) if len(keys) > 1 else None
+    buffers = (second, outer)  # indexed by layer parity
+    blob = plaintext
     for layer in range(len(keys), 0, -1):
-        blob = encrypt(keys[layer - 1], blob, _layer_context(context, layer))
+        blob = encrypt(keys[layer - 1], blob, _layer_context(context, layer),
+                       buffers[layer % 2])
     return blob
 
 

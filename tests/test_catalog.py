@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wot import symcrypto
+from wot import group, symcrypto
 from wot.catalog import Catalog, FlatIndexMap, Item, ciphertext_digest, load_catalog
 from wot.errors import CatalogError
 from wot.group import setup_params
@@ -42,6 +43,29 @@ class TestLoadCatalog:
         (d / "a.bin").unlink()
         with pytest.raises(CatalogError, match="missing payload"):
             load_catalog(d)
+
+    @pytest.mark.parametrize("bad_line, match", [
+        ("c\tzero\tc.bin", "items.tsv:3: weight 'zero' is not an integer"),
+        ("c\t1\tnone.bin", "items.tsv:3: missing payload file"),
+        ("c/d\t1\ta.bin", "invalid item id 'c/d'"),
+    ], ids=["weight", "missing-file", "bad-id"])
+    def test_bad_line_is_refused_before_any_payload_is_read(self, tmp_path, monkeypatch,
+                                                            bad_line, match):
+        d = write_catalog_dir(tmp_path / "cat", [("a", 1, b"A"), ("b", 2, b"B")])
+        (d / "items.tsv").write_text(f"a\t1\ta.bin\nb\t2\tb.bin\n{bad_line}\n")
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+        with pytest.raises(CatalogError, match=match):
+            load_catalog(d)
+        assert reads == []
+
+    def test_payloads_are_read_in_listed_order(self, tmp_path, monkeypatch):
+        """Reads run on the CPU pool; each payload still lands on its own line's item."""
+        monkeypatch.setattr(group, "_cpus", lambda: 2)
+        entries = [(f"x{i}", 1, bytes([i]) * (1000 * i + 1)) for i in range(12)]
+        cat = load_catalog(write_catalog_dir(tmp_path / "cat", entries))
+        assert [(item.id, item.payload) for item in cat.items] == [(i, p) for i, _, p in entries]
 
     def test_duplicate_id_rejected(self, tmp_path):
         d = write_catalog_dir(tmp_path / "cat", [("a", 1, b"A")])

@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 from wot import group
 from wot.errors import GroupError
 from wot.group import (GroupParams, derive_h, is_member, kdf_pad, rand_exponent,
-                       setup_params, _jacobi, _powmod, _powmods)
+                       setup_params, _jacobi, _on_cpus, _powmod, _powmods)
 
 from conftest import count_calls, seed_source
 
@@ -193,6 +193,34 @@ class TestKernel:
             _powmod(params.g, 3, params.p)
         with pytest.raises(GroupError, match="cannot load libcrypto-absent.so.0"):
             is_member(params, params.g)
+
+
+class TestCpuPool:
+    """``_on_cpus`` maps a function over jobs on the shared pool, or inline."""
+
+    def test_preserves_order(self):
+        jobs = list(range(40))
+        assert _on_cpus(lambda x: (x, x * x), jobs) == [(x, x * x) for x in jobs]
+
+    @pytest.mark.parametrize("cpus, jobs", [(1, [1, 2, 3]), (4, [7])], ids=["one-cpu", "one-job"])
+    def test_runs_inline(self, monkeypatch, cpus, jobs):
+        monkeypatch.setattr(group, "_cpus", lambda: cpus)
+        monkeypatch.setattr(group, "_pool", None)
+        caller = threading.current_thread()
+        ran_on = _on_cpus(lambda job: threading.current_thread(), jobs)
+        assert ran_on == [caller] * len(jobs)
+        assert group._pool is None
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(group, "_cpus", lambda: 2)
+
+        def fails_on_three(x):
+            if x == 3:
+                raise GroupError(f"job {x} failed")
+            return x
+
+        with pytest.raises(GroupError, match="^job 3 failed$"):
+            _on_cpus(fails_on_three, [1, 2, 3, 4])
 
 
 class TestDeriveH:

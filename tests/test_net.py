@@ -148,7 +148,8 @@ class TestBuy:
         buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
             cache_dir=tmp_path / "cache")
         assert len(hashed) == len(srv.bundle.ciphertexts)
-        assert sorted(args[0] for args in hashed) == sorted(srv.bundle.ciphertexts)
+        assert sorted(bytes(args[0]) for args in hashed) == sorted(
+            bytes(ct) for ct in srv.bundle.ciphertexts)
 
     def test_buy_uses_only_create_connection_sendall_and_recv(self, server, tmp_path,
                                                               monkeypatch):
@@ -332,8 +333,25 @@ class TestGrammar:
         srv, _, billed = server
         with raw_client(srv.port) as sock:
             sock.sendall(bytes.fromhex("00000007" "01" "02" "02" "0000" "0000"))  # mode p2
-            with pytest.raises(ProtocolError, match="connection closed mid-frame"):
-                read_frame(lambda n: _recv_exact(sock, n))
+            reply = read_frame(lambda n: _recv_exact(sock, n))
+        assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
+        assert billed() == []
+
+    @pytest.mark.parametrize("frame", [
+        "00000002" "42" "00",  # an unknown message type
+        "00000003" "03" "0005",  # a CT_REQ whose id runs past the frame
+        "00000001" "05",  # an OT_BATCH_QUERY with no fields
+    ], ids=["unknown-type", "truncated-ct-req", "empty-query"])
+    def test_malformed_frame_mid_delivery_gets_an_error(self, server, frame):
+        """A frame that does not decode is out of grammar: ERROR, the session ends, no bill."""
+        srv, _, billed = server
+        with raw_client(srv.port) as sock:
+            assert isinstance(exchange(sock, Hello()), ManifestMsg)
+            assert exchange(sock, CtReq(item_id="item00")).item_id == "item00"
+            sock.sendall(bytes.fromhex(frame))
+            reply = read_frame(lambda n: _recv_exact(sock, n))
+            assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
+            assert sock.recv(1) == b""  # the seller hung up
         assert billed() == []
 
     def test_unknown_item_request(self, server):

@@ -309,7 +309,7 @@ class TestSessions:
         # One bad item, then two: the first bad one in manifest order is named.
         for bad in ({1}, {1, 3}):
             corrupted = replace(bundle, ciphertexts=tuple(
-                ct + b"x" if i in bad else ct for i, ct in enumerate(bundle.ciphertexts)))
+                bytes(ct) + b"x" if i in bad else ct for i, ct in enumerate(bundle.ciphertexts)))
             log = []
             with pytest.raises(CatalogError, match="digest mismatch for item 'item01'"):
                 against(lambda tx: serve_session(tx, corrupted, secrets),
@@ -384,13 +384,13 @@ class TestSessions:
         buyer = threading.current_thread()
         assert set(threads["ot_recover"]) == {buyer}
         (seller,) = set(threads["ot_respond"])
-        assert seller is not buyer and not seller.name.startswith("wot-powmod")
+        assert seller is not buyer and not seller.name.startswith("wot-cpu")
         assert set(threads["kdf_pad"]) == set(threads["is_member"]) == {buyer, seller}
 
     def test_toy_group_session_starts_no_pool(self, p23, rng, monkeypatch):
-        monkeypatch.setattr(group, "_pool", None)
         cat = make_catalog([1, 2, 3, 7], rng)
-        bundle, secrets = publish(cat, "p2", p23)
+        bundle, secrets = publish(cat, "p2", p23)  # may start the pool for its digests
+        monkeypatch.setattr(group, "_pool", None)
         local_session(bundle, secrets, ["item01", "item03"])
         assert group._pool is None
 
@@ -425,7 +425,7 @@ class TestSessions:
                 for t in buyers:
                     t.join(timeout=60)
                 workers = [t for t in set(threading.enumerate()) - before
-                           if t.name.startswith("wot-powmod")]
+                           if t.name.startswith("wot-cpu")]
         finally:
             for pool in pools:
                 pool.shutdown()
@@ -595,7 +595,7 @@ class TestPipelinedDelivery:
 
     def test_helper_is_joined_when_a_digest_fails(self, p23, rng, monkeypatch):
         bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23)
-        corrupted = replace(bundle, ciphertexts=(bundle.ciphertexts[0] + b"x",
+        corrupted = replace(bundle, ciphertexts=(bytes(bundle.ciphertexts[0]) + b"x",
                                                  *bundle.ciphertexts[1:]))
         with pytest.raises(CatalogError, match="digest mismatch for item 'item00'"):
             against(lambda tx: serve_session(tx, corrupted, secrets),
@@ -607,7 +607,8 @@ class TestPipelinedDelivery:
         buyer = self.buyer_joining_helpers(monkeypatch, ["item00"])
         for first, error, match in (
                 (None, ProtocolError, "connection closed mid-frame"),
-                (bundle.ciphertexts[0] + b"x", CatalogError, "digest mismatch for item 'item00'")):
+                (bytes(bundle.ciphertexts[0]) + b"x", CatalogError,
+                 "digest mismatch for item 'item00'")):
 
             def close_mid_frame(tx_chan, first=first):
                 self.open_delivery(tx_chan, bundle, first)

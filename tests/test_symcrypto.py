@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
@@ -90,7 +92,8 @@ BYTES_LIKE = [bytes, bytearray, memoryview,
 BYTES_LIKE_IDS = ["bytes", "bytearray", "memoryview", "frame-view"]
 
 
-def tampered(ct: bytes) -> bytes:
+def tampered(ct) -> bytes:
+    ct = bytes(ct)
     return ct[:20] + bytes([ct[20] ^ 1]) + ct[21:]
 
 
@@ -221,6 +224,71 @@ class TestNestedLayers:
             nested_encrypt([], b"goods", "c")
         with pytest.raises(CryptoError):
             nested_decrypt([], b"blob", "c")
+
+
+class TestLayerFormat:
+    """Ciphertexts written into reused buffers are the bytes of a plain layer-by-layer build."""
+
+    @staticmethod
+    def reference(seed, key_count, plaintext, context):
+        """Keys drawn first, then one nonce per layer, innermost first, from ``Random(seed)``."""
+        rng = random.Random(seed)
+        keys = [rng.randbytes(16) for _ in range(key_count)]
+        blob = plaintext
+        for layer in range(key_count, 0, -1):
+            nonce = rng.randbytes(12)
+            blob = nonce + AESGCM(keys[layer - 1]).encrypt(
+                nonce, blob, f"{context}|layer{layer}".encode())
+        return keys, blob
+
+    @pytest.mark.parametrize("payload", [b"", bytes(range(256)) * 5], ids=["empty", "1280-byte"])
+    def test_encrypt_known_answer(self, monkeypatch, payload):
+        seed_source(monkeypatch, random.Random(31))
+        key = new_key(128)
+        ct = encrypt(key, payload, "ctx")
+        rng = random.Random(31)
+        assert rng.randbytes(16) == key
+        nonce = rng.randbytes(12)
+        assert bytes(ct) == nonce + AESGCM(key).encrypt(nonce, payload, b"ctx")
+        assert ct.readonly
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("payload", [b"", bytes(range(256)) * 5], ids=["empty", "1280-byte"])
+    def test_nested_encrypt_known_answer(self, monkeypatch, layers, payload):
+        """Odd and even layer counts both end in the returned buffer with the same bytes."""
+        seed_source(monkeypatch, random.Random(layers))
+        keys = [new_key(128) for _ in range(layers)]
+        ct = nested_encrypt(keys, payload, "item:a")
+        want_keys, want = self.reference(layers, layers, payload, "item:a")
+        assert keys == want_keys
+        assert bytes(ct) == want and len(ct) == len(payload) + layers * 28
+        assert ct.readonly
+        assert nested_decrypt(keys, ct, "item:a") == payload
+
+
+class TestCiphertextAllocations:
+    """Peak traced memory, as a multiple of the ciphertext's length, for a 1 MiB payload."""
+
+    PAYLOAD = bytes(1 << 20)
+
+    @staticmethod
+    def peak_ratio(call):
+        tracemalloc.start()
+        try:
+            ct = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / len(ct)
+
+    def test_encrypt_writes_the_ciphertext_once(self, rng):
+        key = new_key(128)
+        assert self.peak_ratio(lambda: encrypt(key, self.PAYLOAD, "ctx")) <= 1.01
+
+    @pytest.mark.parametrize("layers", [2, 3, 8])
+    def test_nested_encrypt_uses_two_buffers(self, rng, layers):
+        keys = [new_key(128) for _ in range(layers)]
+        assert self.peak_ratio(lambda: nested_encrypt(keys, self.PAYLOAD, "item:a")) <= 2.01
 
 
 class TestShareRecombinationContract:
