@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 from .errors import ProtocolError
 from .group import GroupParams, _powmods, kdf_pad, rand_exponent
+from .symcrypto import xor_bytes
 
 _SID_TAG = b"WOT-SID"
 
@@ -116,7 +117,7 @@ def ot_respond(params: GroupParams, secrets, powers: tuple[int, int, int],
         if i:
             element = element * step % p  # e_i = (y * h^-i)^k
         pad = kdf_pad(params, element, _index_binding(binding, i), len(secret))
-        masks.append(bytes(x ^ y for x, y in zip(pad, secret)))
+        masks.append(xor_bytes(pad, secret))
     return OtResponse(a=a, masks=tuple(masks))
 
 
@@ -135,7 +136,7 @@ def ot_recover(params: GroupParams, responses, indices, exponents,
     for (response, index, _, binding), element in zip(picks, shared):
         masked = response.masks[index]
         pad = kdf_pad(params, element, _index_binding(binding, index), len(masked))
-        secrets.append(bytes(x ^ y for x, y in zip(pad, masked)))
+        secrets.append(xor_bytes(pad, masked))
     return tuple(secrets)
 
 

@@ -23,32 +23,30 @@ except ``CtData.ciphertext``: it is a view over the body. The buyer's one
 copy is the join in which ``wot.net._recv_exact`` assembles the body
 from its ``recv`` chunks, and there is none when one ``recv`` fills it.
 
-``OT_BATCH_RESP`` (protocol version 2) carries one transfer reply per
+Protocol version 3 delivers by position. ``HELLO`` is ``[u8 version]``
+alone: every session parameter comes from the seller's manifest. A
+version-3 HELLO with anything after its version byte is a ``FrameError``;
+a HELLO of any other version decodes from its first byte alone, whatever
+follows, so the seller can answer it with
+``ERROR(ERR_INCOMPATIBLE, "unsupported version N")``. ``CT_REQ`` has an
+empty payload and asks for every ciphertext, in manifest order; each
+``CT_DATA`` is ``[type][ciphertext]``, and its place in that stream names
+the item. Version 2 named an item in each request and reply.
+
+``OT_BATCH_RESP`` (since version 2) carries one transfer reply per
 pick::
 
     [u32 count T] [u32 n N] [u16 elem_len] [u16 mask_len]
     T times: [elem_len bytes - a = g^k] [N times: mask_len bytes - mask]
 
 so the length field of a reply reads ``1 + 12 + T * (elem_len + N * mask_len)``.
-Version 1 sent N (element, mask) pairs per pick; a version-1 HELLO is
-refused. The manifest record format has its own version byte
-(``MANIFEST_VERSION``), so bundles written before the bump still load.
-
-``HELLO`` carries only the buyer's protocol version; every other session
-parameter comes from the seller's manifest. Its payload is read version
-first::
-
-    [u8 version] [5 zero bytes]
-
-The five zero bytes are the fields a version-2 HELLO once used to pin a
-mode, group and key size, always sent empty. A version-2 HELLO must end
-in exactly those bytes. A HELLO of any other version decodes from its
-first byte alone, whatever follows, so the seller can answer it with
-``ERROR(ERR_INCOMPATIBLE, "unsupported version N")``.
+Version 1 sent N (element, mask) pairs per pick. The manifest record
+format has its own version byte (``MANIFEST_VERSION``), so bundles written
+before either bump still load.
 
 Session grammar (enforced on both sides in ``wot.protocol``)::
 
-    HELLO -> MANIFEST -> (CT_REQ/CT_DATA)* -> OT_BATCH_QUERY
+    HELLO -> MANIFEST -> [CT_REQ -> N x CT_DATA] -> OT_BATCH_QUERY
           -> OT_BATCH_RESP -> DONE
 
 Any deviation earns an ERROR frame and a closed connection.
@@ -66,7 +64,7 @@ from .errors import CatalogError, FrameError
 LENGTH_FIELD = 4
 MAX_FRAME_LEN = 1 << 24  # cap on the length field (type byte + payload)
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MANIFEST_VERSION = 1
 
 TYPE_HELLO = 0x01
@@ -78,13 +76,10 @@ TYPE_OT_BATCH_RESP = 0x06
 TYPE_DONE = 0x07
 TYPE_ERROR = 0x7F
 
-ERR_GRAMMAR = 0x01
-ERR_UNKNOWN_ITEM = 0x02
+ERR_GRAMMAR = 0x01  # 0x02 stays unassigned: version 2 refused an unknown item with it
 ERR_INCOMPATIBLE = 0x03
 ERR_BAD_QUERY = 0x04
 ERR_INTERNAL = 0x05
-
-_HELLO_V2_TAIL = bytes(5)  # the empty mode, group and key-size fields of version 2
 
 
 @dataclass(frozen=True)
@@ -99,12 +94,11 @@ class ManifestMsg:
 
 @dataclass(frozen=True)
 class CtReq:
-    item_id: str
+    """Every ciphertext, in manifest order."""
 
 
 @dataclass(frozen=True)
 class CtData:
-    item_id: str
     ciphertext: bytes | memoryview  # decoded: a read-only view over the received frame
 
 
@@ -262,13 +256,13 @@ def decode_manifest(data: bytes) -> Manifest:
 def _encode_payload(msg: Message) -> tuple:
     """The type byte, then the payload's parts; ``encode_frame`` joins them once."""
     if isinstance(msg, Hello):
-        return TYPE_HELLO, _pack("!B", msg.version) + _HELLO_V2_TAIL
+        return TYPE_HELLO, _pack("!B", msg.version)
     if isinstance(msg, ManifestMsg):
         return TYPE_MANIFEST, encode_manifest(msg.manifest)
     if isinstance(msg, CtReq):
-        return TYPE_CT_REQ, _string(msg.item_id)
+        return TYPE_CT_REQ, b""
     if isinstance(msg, CtData):
-        return TYPE_CT_DATA, _string(msg.item_id), msg.ciphertext
+        return TYPE_CT_DATA, msg.ciphertext
     if isinstance(msg, OtBatchQuery):
         out = bytearray(_pack("!IH", len(msg.queries), msg.elem_len))
         for y in msg.queries:
@@ -303,19 +297,15 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
     if msg_type == TYPE_HELLO:
         version = r.u8()
         if version == PROTOCOL_VERSION:  # another version's tail is its own business
-            if r.take(len(_HELLO_V2_TAIL)) != _HELLO_V2_TAIL:
-                raise FrameError("HELLO pins a session parameter")
             r.done()
         return Hello(version=version)
     if msg_type == TYPE_MANIFEST:
         return ManifestMsg(manifest=decode_manifest(payload))
     if msg_type == TYPE_CT_REQ:
-        item_id = r.string()
         r.done()
-        return CtReq(item_id=item_id)
+        return CtReq()
     if msg_type == TYPE_CT_DATA:
-        item_id = r.string()
-        return CtData(item_id=item_id, ciphertext=r.rest())
+        return CtData(ciphertext=r.rest())
     if msg_type == TYPE_OT_BATCH_QUERY:
         count, elem_len = r.u32(), r.u16()
         r.expect_records(count, elem_len)
@@ -347,9 +337,9 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
     raise FrameError(f"unknown message type 0x{msg_type:02x}")
 
 
-def _ct_data_len(item_id: str, ct_len: int) -> int:
-    """Length field of a CT_DATA: type byte, u16-prefixed id, then the ciphertext."""
-    return 1 + len(_string(item_id)) + ct_len
+def _ct_data_len(ct_len: int) -> int:
+    """Length field of a CT_DATA: the type byte, then the ciphertext."""
+    return 1 + ct_len
 
 
 def _ot_batch_resp_len(count: int, n: int, elem_len: int, mask_len: int) -> int:

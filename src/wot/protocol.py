@@ -17,43 +17,48 @@ many picks it answered, which is exactly the total price.
 This module owns the session grammar on both sides; ``wot.net`` only
 carries frames::
 
-    HELLO -> MANIFEST -> (CT_REQ -> CT_DATA)* -> OT_BATCH_QUERY
+    HELLO -> MANIFEST -> [CT_REQ -> N x CT_DATA] -> OT_BATCH_QUERY
           -> OT_BATCH_RESP -> DONE
 
 The buyer's side is one function, ``run_session_receiver``. It looks
 up the chosen ids in the manifest it receives, refuses a purchase
 whose reply would pass the frame cap (a size that follows from
 ``(N, T)`` alone, as the seller computes it), and then takes *every*
-ciphertext, from a cached bundle directory or over the wire: requesting
+ciphertext, from a cached bundle directory or over the wire: taking
 only the chosen ones would reveal the choice out of band. The seller's
 manifest is the only source of session parameters; the buyer's HELLO
 carries just the protocol version. A cached bundle is used whole or not
 at all: it is taken when it loads, its digests verify and its manifest
 equals the seller's, and otherwise every ciphertext is fetched. Either
 way each ciphertext is checked against its manifest entry once.
-Delivery is a pipeline in ``fetch_bundle``: the buyer sends the CT_REQ for
-the next item before it reads the current CT_DATA, never more than one
-ahead (more could fill both socket buffers against the seller's
-blocking send), and hands each received ciphertext, in manifest order,
-to one ``wot-digest`` thread that hashes it while the next one arrives.
-That thread is joined before ``fetch_bundle`` returns or raises, and
-the first mismatch in manifest order is raised then, so a bad
-ciphertext still aborts the session before the first transfer message,
-whatever the choice. The wire bytes are those of the lock-step
-exchange, and the seller's grammar is unchanged. A fetched ciphertext
-is the read-only view that ``read_frame`` decoded (see
-``wot.framing``): it is length-checked, hashed and decrypted where it
-was received, and the buyer's ``PublishedBundle.ciphertexts`` hold
-such views.
 
-The seller's side is split at the query. ``serve_session`` answers HELLO
-and the CT_REQs and hands the decoded OT_BATCH_QUERY to
-``run_session_sender``, the transfer proper, which bills the pick count.
-Only a session that sent a query enters it: ``perfbench`` counts a sale
-as a session that enters ``run_session_sender``, and its readiness probe
-(connect, then close) must not count as one. Every out-of-grammar or
-refused message, a frame that does not decode included, earns the peer an
-ERROR frame and ends the session unbilled.
+Delivery is positional (protocol version 3). ``fetch_bundle`` sends one
+CT_REQ, and the seller answers it with all ``N`` ciphertexts in manifest
+order, so the ``k``-th CT_DATA is entry ``k``'s; one out of place fails
+that entry's length and digest check. The buyer sends nothing more until
+it has read all ``N``, so the seller's blocking sends always drain and
+neither side can deadlock on full socket buffers. The buyer hands each
+received ciphertext, in manifest order, to one ``wot-digest`` thread that
+hashes it while the next one arrives. That thread is joined before
+``fetch_bundle`` returns or raises, and the first mismatch in manifest
+order is raised then, so a bad ciphertext still aborts the session
+before the first transfer message, whatever the choice. A fetched
+ciphertext is the read-only view that ``read_frame`` decoded (see
+``wot.framing``): it is length-checked, hashed and decrypted where it
+was received, and the buyer's ``PublishedBundle.ciphertexts`` hold such
+views.
+
+The seller's side is split at the query. ``serve_session`` reads at most
+three messages, in order: HELLO, then an optional CT_REQ, which it
+answers with the whole catalog, then the OT_BATCH_QUERY, which it hands
+to ``run_session_sender``, the transfer proper, which bills the pick
+count. So a session sends at most one catalog's worth of ciphertexts.
+Only a session that sent a query enters ``run_session_sender``:
+``perfbench`` counts a sale as a session that enters it, and its
+readiness probe (connect, then close) must not count as one. Every
+out-of-grammar or refused message, a second CT_REQ or a frame that does
+not decode included, earns the peer an ERROR frame and ends the session
+unbilled.
 
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
@@ -84,9 +89,8 @@ from .errors import (CatalogError, CryptoError, AuthenticationError, FrameError,
                      ItemAuthenticationError, ProtocolError, RemoteError, WotError)
 from .framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg, OtBatchQuery,
                       OtBatchResp, ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE,
-                      ERR_UNKNOWN_ITEM, MAX_FRAME_LEN, PROTOCOL_VERSION, _MODE_CODES,
-                      _MODE_NAMES, _ct_data_len, _ot_batch_resp_len, decode_manifest,
-                      encode_manifest)
+                      MAX_FRAME_LEN, PROTOCOL_VERSION, _MODE_CODES, _MODE_NAMES,
+                      _ct_data_len, _ot_batch_resp_len, decode_manifest, encode_manifest)
 from .group import GroupParams, _on_cpus, is_member, setup_params
 
 MANIFEST_FILE = "manifest.bin"
@@ -113,9 +117,6 @@ class PublishedBundle:
         for entry, ct in zip(self.manifest.entries, self.ciphertexts):
             _check_deliverable(entry.id, len(ct))
 
-    def ciphertext_for(self, item_id: str) -> bytes | memoryview:
-        return self.ciphertexts[self.manifest.index_of(item_id)]
-
     def verify_digests(self):
         for entry, ct in zip(self.manifest.entries, self.ciphertexts):
             if not _matches_entry(entry, ct):
@@ -124,7 +125,7 @@ class PublishedBundle:
 
 def _check_deliverable(item_id: str, ct_len: int):
     """Refuse an item whose ciphertext cannot travel in one CT_DATA frame."""
-    if _ct_data_len(item_id, ct_len) > MAX_FRAME_LEN:
+    if _ct_data_len(ct_len) > MAX_FRAME_LEN:
         raise CatalogError(f"item {item_id!r}: ciphertext of {ct_len} bytes "
                            f"does not fit in one {MAX_FRAME_LEN}-byte frame")
 
@@ -253,9 +254,13 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
     resp = _expect(channel.recv(), OtBatchResp)
     if len(resp.responses) != len(picks):
         raise ProtocolError("response count does not match pick count")
+    if resp.elem_len != params.element_len:
+        raise ProtocolError("response element width mismatch")
     for r_ in resp.responses:
         if r_.n_secrets != total:
             raise ProtocolError("response does not cover the flat index space")
+        if len(r_.masks[0]) != manifest.key_bits // 8:  # the codec gives a reply one mask width
+            raise ProtocolError("response mask width mismatch")
         if not is_member(params, r_.a):
             raise ProtocolError("invalid response element")
 
@@ -291,10 +296,10 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
 
     The cache is used when it loads, its digests verify and its manifest
     equals the seller's; otherwise, a cache from another publish or with
-    one bad file included, every ciphertext is fetched. A fetched one is
-    requested one ahead of the reply being read and checked on a
-    ``wot-digest`` thread, in manifest order; the thread is joined before
-    this returns or raises, and the first mismatch is raised then.
+    one bad file included, every ciphertext is fetched: one CT_REQ, then
+    ``N`` CT_DATA in manifest order, each checked on a ``wot-digest``
+    thread as the next arrives. The thread is joined before this returns
+    or raises, and the first mismatch is raised then.
     """
     if cache_dir is not None:
         try:
@@ -311,21 +316,11 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
                               name="wot-digest", daemon=True)
     helper.start()
     try:
-        channel.send(CtReq(item_id=entries[0].id))
-        for k, entry in enumerate(entries):
-            if k + 1 < len(entries):  # at most one request ahead of the reply read
-                try:
-                    channel.send(CtReq(item_id=entries[k + 1].id))
-                except OSError:
-                    # A seller that refused the last request and hung up
-                    # left its reason in the pending frame.
-                    _expect(channel.recv(), CtData)
-                    raise
-            msg = _expect(channel.recv(), CtData)
-            if msg.item_id != entry.id:
-                raise ProtocolError("unexpected reply to ciphertext request")
-            cts.append(msg.ciphertext)
-            handed.put((entry, msg.ciphertext))
+        channel.send(CtReq())
+        for entry in entries:
+            ct = _expect(channel.recv(), CtData).ciphertext
+            cts.append(ct)
+            handed.put((entry, ct))
     finally:
         handed.put(None)
         helper.join()
@@ -342,39 +337,35 @@ def _check_digests(handed: queue.SimpleQueue, checked: list):
 
 
 def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> int:
-    """The seller's side of one session: grammar and delivery, then the transfer.
+    """The seller's side of one session: HELLO, an optional CT_REQ, then the transfer.
 
     The group is the one the bundle's manifest names. Returns the billed
     pick count.
     """
-    msg = _recv_decoded(channel)
-    if not isinstance(msg, Hello):
-        _refuse(channel, ERR_GRAMMAR, "grammar")
-    if msg.version != PROTOCOL_VERSION:
-        _refuse(channel, ERR_INCOMPATIBLE, f"unsupported version {msg.version}")
+    hello = _recv_decoded(channel, Hello)
+    if hello.version != PROTOCOL_VERSION:
+        _refuse(channel, ERR_INCOMPATIBLE, f"unsupported version {hello.version}")
     channel.send(ManifestMsg(manifest=bundle.manifest))
-
-    while True:
-        msg = _recv_decoded(channel)
-        if isinstance(msg, CtReq):
-            try:
-                ct = bundle.ciphertext_for(msg.item_id)
-            except CatalogError:
-                _refuse(channel, ERR_UNKNOWN_ITEM, "unknown item")
-            channel.send(CtData(item_id=msg.item_id, ciphertext=ct))
-        elif isinstance(msg, OtBatchQuery):
-            return run_session_sender(secrets, msg, channel,
-                                      setup_params(bundle.manifest.group_id))
-        else:
-            _refuse(channel, ERR_GRAMMAR, "grammar")
+    msg = _recv_decoded(channel, CtReq | OtBatchQuery)
+    if isinstance(msg, CtReq):
+        for ct in bundle.ciphertexts:
+            channel.send(CtData(ciphertext=ct))
+        msg = _recv_decoded(channel, OtBatchQuery)
+    return run_session_sender(secrets, msg, channel, setup_params(bundle.manifest.group_id))
 
 
-def _recv_decoded(channel):
-    """The buyer's next message; a frame that does not decode is refused as out of grammar."""
+def _recv_decoded(channel, expected):
+    """The buyer's next message, if it is an ``expected`` one; anything else is out of grammar.
+
+    A frame that does not decode is refused the same way.
+    """
     try:
-        return channel.recv()
+        msg = channel.recv()
     except FrameError as exc:
         _refuse(channel, ERR_GRAMMAR, "grammar", f"malformed frame: {exc}")
+    if not isinstance(msg, expected):
+        _refuse(channel, ERR_GRAMMAR, "grammar")
+    return msg
 
 
 def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
@@ -444,6 +435,8 @@ def load_bundle(directory, verify: bool = True) -> PublishedBundle:
         ct_path = path / (entry.id + CT_SUFFIX)
         if not ct_path.is_file():
             raise CatalogError(f"missing ciphertext file {ct_path}")
+        if ct_path.stat().st_size != entry.ct_len:  # before a forged size is read in
+            raise CatalogError(f"ciphertext file {ct_path} is not {entry.ct_len} bytes")
         cts.append(ct_path.read_bytes())
     bundle = PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
     if verify:

@@ -86,7 +86,7 @@ def decrypt(key: bytes, ciphertext: bytes, context: str = "") -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise CryptoError("xor length mismatch")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def split_key(key: bytes, parts: int) -> list[bytes]:

@@ -74,8 +74,8 @@ def message_strategy():
     return st.one_of(
         st.builds(Hello, version=st.integers(0, 255)),
         st.builds(ManifestMsg, manifest=manifest_strategy()),
-        st.builds(CtReq, item_id=ids),
-        st.builds(CtData, item_id=ids, ciphertext=st.binary(max_size=200)),
+        st.just(CtReq()),
+        st.builds(CtData, ciphertext=st.binary(max_size=200)),
         batch_query,
         batch_resp,
         st.builds(Done, billed=st.integers(min_value=0, max_value=(1 << 32) - 1)),
@@ -92,47 +92,55 @@ def test_done_frame_frozen_layout():
 
 
 def test_hello_frame_frozen_layout():
-    """The version, then the five zero bytes of version 2's empty mode, group and key size."""
+    """The version byte alone."""
     frame = encode_frame(Hello())
-    assert frame == bytes.fromhex("00000007" "01" "02" "0000000000")
-    assert decode(frame) == Hello(version=2)
+    assert frame == bytes.fromhex("00000002" "01" "03")
+    assert decode(frame) == Hello(version=3)
 
 
 def test_hello_is_read_version_first():
-    """A version-2 HELLO must leave its fields empty; another version is read from one byte."""
-    assert decode(bytes.fromhex("00000002" "01" "03")) == Hello(version=3)
-    assert decode(bytes.fromhex("00000004" "01" "03" "0102")) == Hello(version=3)
+    """A version-3 HELLO is its version byte alone; another version is read from one byte."""
+    assert decode(bytes.fromhex("00000007" "01" "02" "0000000000")) == Hello(version=2)
+    assert decode(bytes.fromhex("00000002" "01" "04")) == Hello(version=4)
+    assert decode(bytes.fromhex("00000004" "01" "04" "0102")) == Hello(version=4)
     for payload, message in (
-            ("02" "0200000000", "HELLO pins a session parameter"),  # mode p2
-            ("02" "0000000080", "HELLO pins a session parameter"),  # 128-bit keys
-            ("02" "00000000", "truncated payload"),
-            ("02" "000000000000", "trailing bytes in payload"),
-            ("02", "truncated payload")):
+            ("03" "00", "trailing bytes in payload"),
+            ("03" "0000000000", "trailing bytes in payload"),  # version 2's empty fields
+            ("", "truncated payload")):
         frame = (1 + len(payload) // 2).to_bytes(4, "big") + bytes.fromhex("01" + payload)
         with pytest.raises(FrameError, match=f"^{message}$"):
             decode(frame)
 
 
+def test_ct_req_frozen_layout():
+    """The type byte alone: every ciphertext, in manifest order. A payload is refused."""
+    frame = encode_frame(CtReq())
+    assert frame == bytes.fromhex("00000001" "03")
+    assert decode(frame) == CtReq()
+    with pytest.raises(FrameError, match="^trailing bytes in payload$"):
+        decode(bytes.fromhex("00000003" "03" "0000"))  # version 2's empty id
+
+
 def test_non_utf8_text_refused():
     """A string field or an ERROR text that is not UTF-8 is a ``FrameError``."""
     with pytest.raises(FrameError, match="^invalid string encoding$"):
-        decode(bytes.fromhex("00000004" "03" "0001" "ff"))  # CT_REQ id
+        decode(bytes.fromhex("00000008" "02" "01" "02" "0080" "0001" "ff"))  # manifest group
     with pytest.raises(FrameError, match="^invalid error text$"):
         decode(bytes.fromhex("00000004" "7f" "01" "c328"))
 
 
 def test_ct_data_frozen_layout():
-    """The id and the ciphertext are joined as separate parts, into the same bytes."""
-    frame = encode_frame(CtData(item_id="ab", ciphertext=b"\x01\x02\x03"))
-    assert frame == bytes.fromhex("00000008" "04" "0002" "6162" "010203")
+    """The type byte, then the ciphertext; its place in the stream names the item."""
+    frame = encode_frame(CtData(ciphertext=b"\x01\x02\x03"))
+    assert frame == bytes.fromhex("00000004" "04" "010203")
     assert type(frame) is bytes
-    assert decode(frame) == CtData(item_id="ab", ciphertext=b"\x01\x02\x03")
+    assert decode(frame) == CtData(ciphertext=b"\x01\x02\x03")
 
 
 def test_ct_data_ciphertext_is_a_view_over_the_body():
     """The decoder copies no ciphertext: it is a read-only view over what was received."""
     ciphertext = bytes(range(256)) * 4
-    frame = encode_frame(CtData(item_id="item00", ciphertext=ciphertext))
+    frame = encode_frame(CtData(ciphertext=ciphertext))
     stream, received = io.BytesIO(frame), []
 
     def recv_exact(n):
@@ -145,7 +153,6 @@ def test_ct_data_ciphertext_is_a_view_over_the_body():
     assert msg.ciphertext.readonly
     assert msg.ciphertext.obj is body
     assert msg.ciphertext == ciphertext
-    assert type(msg.item_id) is str
 
 
 def test_fields_other_than_the_ciphertext_are_copied_out():
@@ -255,7 +262,7 @@ def test_garbled_payload_rejected():
 
 def test_encode_rejects_oversize_frame():
     with pytest.raises(FrameError, match="too large"):
-        encode_frame(CtData(item_id="a", ciphertext=b"\x00" * MAX_FRAME_LEN))
+        encode_frame(CtData(ciphertext=b"\x00" * MAX_FRAME_LEN))
 
 
 @given(manifest_strategy())
@@ -333,7 +340,7 @@ def test_manifest_rejects_bad_version():
 
 
 def test_read_frame_from_stream():
-    frames = encode_frame(CtReq(item_id="paper-a")) + encode_frame(Done(billed=7))
+    frames = encode_frame(CtReq()) + encode_frame(Done(billed=7))
     stream = {"pos": 0}
 
     def recv_exact(n):
@@ -341,5 +348,5 @@ def test_read_frame_from_stream():
         stream["pos"] += n
         return out
 
-    assert read_frame(recv_exact) == CtReq(item_id="paper-a")
+    assert read_frame(recv_exact) == CtReq()
     assert read_frame(recv_exact) == Done(billed=7)

@@ -5,19 +5,21 @@ import socketserver
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from wot.errors import CatalogError, GroupError, ProtocolError, RemoteError
-from wot.framing import (CtReq, Done, ErrorMsg, Hello, ManifestMsg,
-                         OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE,
-                         ERR_UNKNOWN_ITEM, LENGTH_FIELD, TYPE_CT_REQ, TYPE_HELLO,
+from wot.framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg,
+                         OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_INTERNAL,
+                         LENGTH_FIELD, TYPE_CT_REQ, TYPE_HELLO,
                          TYPE_OT_BATCH_QUERY, encode_frame, read_frame)
 from wot import net
 from wot.catalog import ciphertext_digest
 from wot.net import SenderServer, SocketChannel, buy, _recv_exact
-from wot.protocol import PublishedBundle, publish, run_session_sender, save_bundle
+from wot.protocol import (PublishedBundle, fetch_bundle, publish, run_session_sender,
+                          save_bundle)
 
 from conftest import billed_lines, count_calls, make_catalog, serving
 
@@ -42,6 +44,30 @@ def raw_client(port):
 def exchange(sock, msg):
     sock.sendall(encode_frame(msg))
     return read_frame(lambda n: _recv_exact(sock, n))
+
+
+def message_log(monkeypatch):
+    """The type name of every message the calling thread's channels send or receive, in order.
+
+    The seller's sessions run on the server's threads and are not logged.
+    """
+    log, buyer = [], threading.current_thread()
+    send, recv = SocketChannel.send, SocketChannel.recv
+
+    def sending(chan, msg):
+        if threading.current_thread() is buyer:
+            log.append(type(msg).__name__)
+        send(chan, msg)
+
+    def receiving(chan):
+        msg = recv(chan)
+        if threading.current_thread() is buyer:
+            log.append(type(msg).__name__)
+        return msg
+
+    monkeypatch.setattr(SocketChannel, "send", sending)
+    monkeypatch.setattr(SocketChannel, "recv", receiving)
+    return log
 
 
 class ChunkedSocket:
@@ -114,19 +140,32 @@ class TestBuy:
         srv, catalog, _ = server
         other, _ = publish(catalog, "p2", p23)
         save_bundle(other, tmp_path / "cache")
-        requested = []
-        send = SocketChannel.send
-
-        def counting_send(chan, msg):
-            if isinstance(msg, CtReq):
-                requested.append(msg.item_id)
-            send(chan, msg)
-
-        monkeypatch.setattr(SocketChannel, "send", counting_send)
+        log = message_log(monkeypatch)
         result = buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
                      cache_dir=tmp_path / "cache")
-        assert requested == [item.id for item in catalog.items]
+        assert log.count("CtReq") == 1 and log.count("CtData") == catalog.n
         assert result.items == (("item01", catalog.items[1].payload),)
+
+    def test_oversized_cache_file_is_refused_unread(self, server, tmp_path, monkeypatch):
+        """A cached ``.ct`` longer than its entry is refused by its size, and all is refetched."""
+        srv, catalog, _ = server
+        save_bundle(srv.bundle, tmp_path / "cache")
+        oversized = tmp_path / "cache" / "item02.ct"
+        oversized.write_bytes(oversized.read_bytes() + b"\x00")
+        read, read_bytes = [], Path.read_bytes
+
+        def spy(path):
+            read.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        log = message_log(monkeypatch)
+        result = buy("127.0.0.1", srv.port, ["item02"], tmp_path / "out",
+                     cache_dir=tmp_path / "cache")
+        assert result.items == (("item02", catalog.items[2].payload),)
+        assert log.count("CtReq") == 1 and log.count("CtData") == catalog.n
+        assert (tmp_path / "cache" / "item00.ct") in read  # loading got as far as the file
+        assert oversized not in read
 
     @pytest.mark.parametrize("manifest", [None, b"\x09garbage"], ids=["missing", "corrupt"])
     def test_unloadable_cache_is_ignored(self, server, tmp_path, manifest):
@@ -199,25 +238,15 @@ class TestBuy:
         assert [LENGTH_FIELD + int.from_bytes(w[:LENGTH_FIELD], "big") for w in writes] \
             == [len(w) for w in writes]
         assert [w[LENGTH_FIELD] for w in writes] \
-            == [TYPE_HELLO] + [TYPE_CT_REQ] * catalog.n + [TYPE_OT_BATCH_QUERY]
+            == [TYPE_HELLO, TYPE_CT_REQ, TYPE_OT_BATCH_QUERY]
 
-    def test_all_ciphertexts_fetched_not_only_chosen(self, server, tmp_path):
+    def test_all_ciphertexts_fetched_not_only_chosen(self, server, tmp_path, monkeypatch):
         """Fetching a subset of ciphertexts would leak the choices."""
         srv, catalog, _ = server
-        counted = []
-        original = SocketChannel.send
-
-        def counting_send(self, msg):
-            if isinstance(msg, CtReq):
-                counted.append(msg.item_id)
-            return original(self, msg)
-
-        SocketChannel.send = counting_send
-        try:
-            buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out")
-        finally:
-            SocketChannel.send = original
-        assert sorted(counted) == ["item00", "item01", "item02", "item03"]
+        log = message_log(monkeypatch)
+        buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out")
+        assert log == ["Hello", "ManifestMsg", "CtReq"] + ["CtData"] * catalog.n \
+            + ["OtBatchQuery", "OtBatchResp", "Done"]
 
     def test_bad_ciphertext_aborts_before_transfer(self, server, tmp_path):
         """The buyer checks each digest once, before its first transfer message."""
@@ -319,27 +348,37 @@ class TestGrammar:
         assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 1")
         assert billed() == []
 
-    def test_one_byte_later_version_hello_refused(self, server):
-        """A version-3 HELLO may carry nothing past its version byte; it is refused by that byte."""
+    def test_version_2_hello_refused(self, server):
+        """Version 2 named an item in each CT_REQ; its buyer's HELLO is refused, byte for byte."""
         srv, _, billed = server
         with raw_client(srv.port) as sock:
-            sock.sendall(bytes.fromhex("00000002" "01" "03"))
+            sock.sendall(bytes.fromhex("00000007" "01" "02" "0000000000"))
             reply = read_frame(lambda n: _recv_exact(sock, n))
-        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 3")
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 2")
         assert billed() == []
 
-    def test_hello_pinning_a_mode_gets_no_manifest(self, server):
-        """The manifest is the only source of session parameters; a HELLO cannot pin one."""
+    def test_one_byte_later_version_hello_refused(self, server):
+        """A later version's HELLO is refused by its version byte, whatever its layout."""
         srv, _, billed = server
         with raw_client(srv.port) as sock:
-            sock.sendall(bytes.fromhex("00000007" "01" "02" "02" "0000" "0000"))  # mode p2
+            sock.sendall(bytes.fromhex("00000002" "01" "04"))
             reply = read_frame(lambda n: _recv_exact(sock, n))
-        assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 4")
+        assert billed() == []
+
+    def test_hello_with_a_trailing_byte_gets_no_manifest(self, server):
+        """A version-3 HELLO is its version byte alone; a HELLO cannot pin a session parameter."""
+        srv, _, billed = server
+        with raw_client(srv.port) as sock:
+            sock.sendall(bytes.fromhex("00000003" "01" "03" "02"))
+            reply = read_frame(lambda n: _recv_exact(sock, n))
+            assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
+            assert sock.recv(1) == b""  # the seller hung up
         assert billed() == []
 
     @pytest.mark.parametrize("frame", [
         "00000002" "42" "00",  # an unknown message type
-        "00000003" "03" "0005",  # a CT_REQ whose id runs past the frame
+        "00000003" "03" "0005",  # a version-2 CT_REQ whose id runs past the frame
         "00000001" "05",  # an OT_BATCH_QUERY with no fields
     ], ids=["unknown-type", "truncated-ct-req", "empty-query"])
     def test_malformed_frame_mid_delivery_gets_an_error(self, server, frame):
@@ -347,19 +386,23 @@ class TestGrammar:
         srv, _, billed = server
         with raw_client(srv.port) as sock:
             assert isinstance(exchange(sock, Hello()), ManifestMsg)
-            assert exchange(sock, CtReq(item_id="item00")).item_id == "item00"
             sock.sendall(bytes.fromhex(frame))
             reply = read_frame(lambda n: _recv_exact(sock, n))
             assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
             assert sock.recv(1) == b""  # the seller hung up
         assert billed() == []
 
-    def test_unknown_item_request(self, server):
-        srv, _, _ = server
+    def test_second_ct_req_gets_an_error_after_one_catalog(self, server):
+        """One session delivers the catalog at most once: a second CT_REQ is out of grammar."""
+        srv, catalog, billed = server
         with raw_client(srv.port) as sock:
-            exchange(sock, Hello())
-            reply = exchange(sock, CtReq(item_id="ghost"))
-        assert isinstance(reply, ErrorMsg) and reply.code == ERR_UNKNOWN_ITEM
+            assert isinstance(exchange(sock, Hello()), ManifestMsg)
+            sock.sendall(encode_frame(CtReq()) + encode_frame(CtReq()))
+            frames = [read_frame(lambda n: _recv_exact(sock, n)) for _ in range(catalog.n + 1)]
+            assert sock.recv(1) == b""  # the seller hung up
+        assert frames == [CtData(ciphertext=ct) for ct in srv.bundle.ciphertexts] \
+            + [ErrorMsg(code=ERR_GRAMMAR, text="grammar")]
+        assert billed() == []
 
     def test_done_from_client_is_grammar_error(self, server):
         srv, _, _ = server
@@ -390,9 +433,8 @@ class TestGrammar:
         rng = random.Random(404)
         pool = [
             Hello(),
-            Hello(version=3),
-            CtReq(item_id="item00"),
-            CtReq(item_id="ghost"),
+            Hello(version=2),
+            CtReq(),
             Done(billed=5),
             ErrorMsg(code=1, text="client says no"),
             OtBatchQuery(elem_len=1, queries=(5,)),   # non-member element
@@ -477,20 +519,17 @@ class TestTransportErrors:
 
 
 class TestRemoteErrors:
-    def test_server_error_frame_surfaces_as_remote_error(self, server):
-        """A peer ERROR during ciphertext fetch maps to RemoteError."""
-        from wot.catalog import Manifest, ManifestEntry
-        from wot.protocol import fetch_bundle
-        srv, _, _ = server
-        with raw_client(srv.port) as sock:
-            chan = SocketChannel(sock)
-            chan.send(Hello())
-            manifest = chan.recv().manifest
-            doctored = Manifest(
-                mode=manifest.mode, group_id=manifest.group_id,
-                key_bits=manifest.key_bits,
-                entries=manifest.entries + (
-                    ManifestEntry(id="ghost", weight=1, ct_len=1, digest_hex="0" * 64),),
-            )
-            with pytest.raises(RemoteError, match="unknown item"):
-                fetch_bundle(chan, doctored)
+    def test_server_error_frame_surfaces_as_remote_error(self, p23):
+        """A seller's ERROR in reply to the CT_REQ maps to RemoteError."""
+        bundle, _ = publish(make_catalog([1, 2], random.Random(21)), "p2", p23)
+        near, far = socket.socketpair()
+        buyer, seller = SocketChannel(near), SocketChannel(far)
+        try:
+            # The stub seller's answer waits in the socket before the request is sent.
+            seller.send(ErrorMsg(code=ERR_INTERNAL, text="internal error"))
+            with pytest.raises(RemoteError, match=f"^remote error {ERR_INTERNAL}: internal error$"):
+                fetch_bundle(buyer, bundle.manifest)
+            assert seller.recv() == CtReq()
+        finally:
+            buyer.close()
+            seller.close()

@@ -11,17 +11,17 @@ from wot.catalog import (Catalog, FlatIndexMap, Item, Manifest, ManifestEntry,
                          ciphertext_digest)
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
-                        ProtocolError, RemoteError, WotError)
+                        ProtocolError, WotError)
 from wot import group, net, protocol
 from wot import symcrypto
 from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
                          pick_binding, respond_powers)
-from wot.framing import (ERR_BAD_QUERY, ERR_UNKNOWN_ITEM, LENGTH_FIELD, MAX_FRAME_LEN,
-                         CtData, CtReq, Done, ErrorMsg, ManifestMsg, OtBatchQuery,
+from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN,
+                         CtData, CtReq, Done, ManifestMsg, OtBatchQuery,
                          OtBatchResp, _ot_batch_resp_len, encode_frame, encode_manifest)
 from wot.group import is_member, kdf_pad, setup_params
 from wot.net import SocketChannel, buy
-from wot.protocol import (PublishedBundle, fetch_bundle, item_context, publish,
+from wot.protocol import (PublishedBundle, item_context, publish,
                           load_bundle, load_secrets, run_session_receiver,
                           run_session_sender, save_bundle, serve_session)
 from wot.symcrypto import NONCE_LEN, TAG_LEN, combine_shares, decrypt
@@ -360,8 +360,8 @@ class TestSessions:
         def forging_sender(tx_chan):
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
-            tx_chan.recv()  # CT_REQ for the one item
-            tx_chan.send(CtData(item_id="item00", ciphertext=bundle.ciphertexts[0]))
+            tx_chan.recv()  # CT_REQ
+            tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
             forged = OtResponse(a=5, masks=(bytes(16),) * n)  # 5 is not a member
             tx_chan.send(OtBatchResp(elem_len=p23.element_len,
@@ -449,8 +449,8 @@ class TestSessions:
         def lying_sender(tx_chan):
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
-            tx_chan.recv()  # CT_REQ for the one item
-            tx_chan.send(CtData(item_id="item00", ciphertext=bundle.ciphertexts[0]))
+            tx_chan.recv()  # CT_REQ
+            tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
             from wot.base_ot import batch_binding, ot_respond, pick_binding, respond_powers
             sid = batch_binding(p23, msg.queries)
@@ -464,28 +464,34 @@ class TestSessions:
             against(lying_sender, buying(["item00"]))
 
     @pytest.mark.parametrize("forge, message", [
-        (lambda responses, n: responses[1:], "response count does not match pick count"),
-        (lambda responses, n: tuple(OtResponse(a=r.a, masks=r.masks[:n - 1])
-                                    for r in responses),
+        (lambda resp: replace(resp, responses=resp.responses[1:]),
+         "response count does not match pick count"),
+        (lambda resp: replace(resp, responses=tuple(OtResponse(a=r.a, masks=r.masks[1:])
+                                                    for r in resp.responses)),
          "response does not cover the flat index space"),
-    ], ids=["count", "width"])
+        (lambda resp: replace(resp, elem_len=resp.elem_len + 1),
+         "response element width mismatch"),
+        (lambda resp: replace(resp, responses=tuple(
+            OtResponse(a=r.a, masks=tuple(m[:8] for m in r.masks)) for r in resp.responses)),
+         "response mask width mismatch"),  # 64-bit masks for 128-bit keys
+    ], ids=["count", "width", "elem-width", "mask-width"])
     def test_reply_of_another_shape_refused(self, p23, rng, monkeypatch, forge, message):
-        """A reply that does not answer every pick over all N secrets is refused before recovery."""
+        """A reply that does not answer every pick over all N secrets, at the widths the
+        group and the manifest fix, is refused before recovery."""
         bundle, secrets = publish(make_catalog([2, 1], rng), "p2", p23)
-        n = len(secrets.flat_secrets)
 
         def forging_sender(tx_chan):
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+            tx_chan.recv()  # CT_REQ
             for ct in bundle.ciphertexts:
-                msg = tx_chan.recv()
-                tx_chan.send(CtData(item_id=msg.item_id, ciphertext=ct))
+                tx_chan.send(CtData(ciphertext=ct))
             msg = tx_chan.recv()
             sid = batch_binding(p23, msg.queries)
             responses = tuple(
                 ot_respond(p23, secrets.flat_secrets, powers, pick_binding(sid, t))
                 for t, powers in enumerate(respond_powers(p23, msg.queries)))
-            tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=forge(responses, n)))
+            tx_chan.send(forge(OtBatchResp(elem_len=p23.element_len, responses=responses)))
             tx_chan.recv()  # the buyer hangs up here
 
         recoveries = count_calls(monkeypatch, ot_recover)
@@ -494,17 +500,19 @@ class TestSessions:
         assert recoveries == []
 
     def test_ciphertext_for_another_item_refused(self, p23, rng):
+        """The k-th CT_DATA is entry k's; one out of place fails that entry's digest check."""
         bundle, _ = publish(make_catalog([1, 2], rng), "p2", p23)
 
         def swapping_sender(tx_chan):
             tx_chan.recv()  # HELLO
             tx_chan.send(ManifestMsg(manifest=bundle.manifest))
-            assert tx_chan.recv() == CtReq(item_id="item00")
-            tx_chan.send(CtData(item_id="item01", ciphertext=bundle.ciphertexts[1]))
-            tx_chan.recv()  # the request one ahead
+            assert tx_chan.recv() == CtReq()
+            for ct in reversed(bundle.ciphertexts):  # item 1's first
+                tx_chan.send(CtData(ciphertext=ct))
+            tx_chan.recv()  # the buyer hangs up here
 
         log = []
-        with pytest.raises(ProtocolError, match="^unexpected reply to ciphertext request$"):
+        with pytest.raises(CatalogError, match="^ciphertext digest mismatch for item 'item00'$"):
             against(swapping_sender, buying(["item00"], log))
         assert ("local", "OtBatchQuery") not in log
 
@@ -536,31 +544,21 @@ class TestSessions:
     def test_local_session_runs_the_wire_grammar(self, p23, rng):
         """In-process sessions deliver every ciphertext and use the TCP grammar.
 
-        The buyer keeps one ciphertext request ahead of the reply it reads.
+        One CT_REQ brings every ciphertext; the buyer sends nothing more until
+        it has read them all.
         """
         cat = make_catalog([1, 2, 3], rng)
         bundle, secrets = publish(cat, "p2", p23)
         log = []
         local_session(bundle, secrets, ["item01"], log)
         sent, got = "local", "peer"
-        assert log == [(sent, "Hello"), (got, "ManifestMsg"),
-                       (sent, "CtReq"), (sent, "CtReq"), (got, "CtData"),
-                       (sent, "CtReq"), (got, "CtData"), (got, "CtData"),
+        assert log == [(sent, "Hello"), (got, "ManifestMsg"), (sent, "CtReq"),
+                       (got, "CtData"), (got, "CtData"), (got, "CtData"),
                        (sent, "OtBatchQuery"), (got, "OtBatchResp"), (got, "Done")]
-
-        bundle, secrets = publish(make_catalog([1] * 5, rng), "p2", p23)
-        log = []
-        local_session(bundle, secrets, ["item04"], log)
-        lead = 0  # requests sent minus replies read
-        for side, name in log:
-            lead += (side, name) == (sent, "CtReq")
-            lead -= (side, name) == (got, "CtData")
-            assert 0 <= lead <= 2  # the reply being read and one request ahead
-        assert log.count((sent, "CtReq")) == log.count((got, "CtData")) == 5
 
 
 class TestPipelinedDelivery:
-    """The buyer keeps one request ahead and checks digests on a ``wot-digest`` thread."""
+    """The buyer checks each digest on a ``wot-digest`` thread while the next ciphertext arrives."""
 
     @staticmethod
     def buyer_joining_helpers(monkeypatch, item_ids):
@@ -580,12 +578,11 @@ class TestPipelinedDelivery:
 
     @staticmethod
     def open_delivery(tx_chan, bundle, first=None):
-        """Send the manifest and ``first`` (by default the true item00), read two requests."""
+        """Send the manifest, read the CT_REQ, send ``first`` (by default the true item00)."""
         tx_chan.recv()  # HELLO
         tx_chan.send(ManifestMsg(manifest=bundle.manifest))
-        assert tx_chan.recv() == CtReq(item_id="item00")
-        tx_chan.send(CtData(item_id="item00", ciphertext=first or bundle.ciphertexts[0]))
-        assert tx_chan.recv() == CtReq(item_id="item01")
+        assert tx_chan.recv() == CtReq()
+        tx_chan.send(CtData(ciphertext=first or bundle.ciphertexts[0]))
 
     def test_every_fetched_digest_is_checked_on_the_helper(self, p23, rng, monkeypatch):
         bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23)
@@ -612,53 +609,11 @@ class TestPipelinedDelivery:
 
             def close_mid_frame(tx_chan, first=first):
                 self.open_delivery(tx_chan, bundle, first)
-                assert tx_chan.recv() == CtReq(item_id="item02")  # nothing left unread
-                frame = encode_frame(CtData(item_id="item01", ciphertext=bundle.ciphertexts[1]))
+                frame = encode_frame(CtData(ciphertext=bundle.ciphertexts[1]))
                 tx_chan._sock.sendall(frame[:len(frame) // 2])
 
             with pytest.raises(error, match=match):
                 against(close_mid_frame, buyer)
-
-    def test_refusal_with_a_request_ahead_is_a_remote_error(self, p23, rng, monkeypatch):
-        """The seller refuses the second request and hangs up with the third unread.
-
-        Whether the buyer's third request lands before the hang-up or fails
-        after it is a race; either way the buyer reports the seller's ERROR.
-        """
-        bundle, _ = publish(make_catalog([1, 2, 3, 4], rng), "p2", p23)
-
-        def refuse_second(tx_chan):
-            self.open_delivery(tx_chan, bundle)
-            tx_chan.send(ErrorMsg(code=ERR_UNKNOWN_ITEM, text="unknown item"))
-
-        buyer = self.buyer_joining_helpers(monkeypatch, ["item03"])
-        for _ in range(20):
-            with pytest.raises(RemoteError, match=f"remote error {ERR_UNKNOWN_ITEM}: unknown item"):
-                against(refuse_second, buyer)
-
-    def test_failed_request_ahead_reads_the_pending_frame(self, p23, rng):
-        bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23)
-
-        class HungUpSeller:
-            """The seller refused the second request and closed before the third."""
-
-            def __init__(self):
-                self.sent = []
-                self.replies = iter([CtData(item_id="item00", ciphertext=bundle.ciphertexts[0]),
-                                     ErrorMsg(code=ERR_UNKNOWN_ITEM, text="unknown item")])
-
-            def send(self, msg):
-                if len(self.sent) == 2:
-                    raise BrokenPipeError(32, "Broken pipe")
-                self.sent.append(msg)
-
-            def recv(self):
-                return next(self.replies)
-
-        channel = HungUpSeller()
-        with pytest.raises(RemoteError, match="unknown item"):
-            fetch_bundle(channel, bundle.manifest)
-        assert channel.sent == [CtReq(item_id="item00"), CtReq(item_id="item01")]
 
 
 class TestBundleIO:
@@ -764,9 +719,14 @@ class TestBundleIO:
         bundle, _ = publish(cat, "p2", p23)
         save_bundle(bundle, tmp_path / "pub")
         ct_file = tmp_path / "pub" / "item00.ct"
-        ct_file.write_bytes(ct_file.read_bytes() + b"!")
+        ct = ct_file.read_bytes()
+        ct_file.write_bytes(ct[:-1] + bytes([ct[-1] ^ 1]))
         with pytest.raises(CatalogError, match="digest mismatch"):
             load_bundle(tmp_path / "pub")
+        ct_file.write_bytes(ct + b"!")  # refused by its size, before it is read
+        with pytest.raises(CatalogError) as err:
+            load_bundle(tmp_path / "pub")
+        assert str(err.value) == f"ciphertext file {ct_file} is not {len(ct)} bytes"
 
     def test_session_from_disk(self, p23, rng, tmp_path):
         cat = make_catalog([1, 2], rng)
@@ -797,7 +757,7 @@ class TestBundleIO:
 class TestFrameCap:
     """An item whose CT_DATA frame would pass the frame cap is refused up front."""
 
-    LARGEST = MAX_FRAME_LEN - 3 - len("big")  # type byte, u16 id length, id
+    LARGEST = MAX_FRAME_LEN - 1  # after the type byte
 
     @staticmethod
     def manifest(p23, ct_len):
@@ -807,14 +767,14 @@ class TestFrameCap:
     def test_boundary(self, p23):
         ct = bytes(self.LARGEST)
         bundle = PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
-        frame = encode_frame(CtData(item_id="big", ciphertext=bundle.ciphertexts[0]))
+        frame = encode_frame(CtData(ciphertext=bundle.ciphertexts[0]))
         assert len(frame) == LENGTH_FIELD + MAX_FRAME_LEN
         del frame
         ct += b"\x00"
         with pytest.raises(CatalogError, match="item 'big'"):
             PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
         with pytest.raises(FrameError, match="frame too large"):
-            encode_frame(CtData(item_id="big", ciphertext=ct))
+            encode_frame(CtData(ciphertext=ct))
 
     @pytest.mark.parametrize("mode, layers", [("p2", 1), ("p1", 3)])
     def test_publish_refuses_before_encrypting(self, p23, rng, monkeypatch, mode, layers):
@@ -832,7 +792,7 @@ class TestFrameCap:
                 assert calls == [[], [], []]
             else:  # the bound is exact: one byte less publishes
                 bundle, _ = publish(cat, mode, p23)
-                assert len(bundle.ciphertext_for("big")) == self.LARGEST
+                assert len(bundle.ciphertexts[1]) == self.LARGEST
 
     def test_oversize_reply_refused_before_any_work(self, p23, rng, channel_pair,
                                                     monkeypatch):

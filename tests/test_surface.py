@@ -1,9 +1,9 @@
 """No public name or parameter in ``src/wot`` that only tests use.
 
-Every public module-level function and class of ``src/wot`` must be
-loaded, as a name or an attribute, somewhere in ``src/wot`` or
-``perfbench`` outside its own definition. An import or an ``__all__``
-entry does not count as a use.
+Every public module-level function and class of ``src/wot``, and every
+public module-level UPPER_CASE constant, must be loaded, as a name or an
+attribute, somewhere in ``src/wot`` or ``perfbench`` outside its own
+definition. An import or an ``__all__`` entry does not count as a use.
 
 Every parameter with a default must be passed, by position or by keyword,
 by some call there outside its own definition. That covers public
@@ -18,6 +18,7 @@ shares its name with another class's read attribute passes unseen.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +35,16 @@ def _public(node):
         and not node.name.startswith("_")
 
 
+def _public_names(node):
+    """The public names a module-level statement defines: a function, a class or a constant."""
+    if _public(node):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+
+
 def test_every_public_definition_is_used_outside_tests():
     loads = []  # (path, line, name)
     for path, tree in _trees(SRC) + _trees(ROOT / "perfbench"):
@@ -46,12 +57,11 @@ def test_every_public_definition_is_used_outside_tests():
     unused = []
     for path, tree in _trees(SRC):
         for node in tree.body:
-            if not _public(node):
-                continue
             inside = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and not (where == path and line in inside)
-                       for where, line, name in loads):
-                unused.append(f"{path.name}::{node.name}")
+            for defined in _public_names(node):
+                if not any(name == defined and not (where == path and line in inside)
+                           for where, line, name in loads):
+                    unused.append(f"{path.name}::{defined}")
     assert unused == []
 
 
