@@ -21,7 +21,8 @@ from pathlib import Path
 from .errors import CatalogError, ProtocolError
 from .framing import ERR_INTERNAL, ErrorMsg, encode_frame, read_frame
 from .group import setup_params
-from .protocol import PublishedBundle, SenderSecrets, run_session_receiver, serve_session
+from .protocol import (PublishedBundle, SenderSecrets, _replace_file, run_session_receiver,
+                       serve_session)
 
 log = logging.getLogger("wot.server")
 
@@ -136,6 +137,8 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None):
     of the chosen items' weights, which the buyer can verify itself.
     A refused connection, a timeout or a reset raises ``ProtocolError``; an
     output directory it cannot create raises ``OSError`` before it connects.
+    Each output file is replaced, never written through: a symlink at
+    ``out_dir/<id>`` is removed, not followed (``protocol._replace_file``).
     """
     item_ids = list(item_ids)
     if not item_ids:
@@ -159,5 +162,5 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None):
 
     out_path.mkdir(parents=True, exist_ok=True)
     for item_id, plaintext in result.items:
-        (out_path / item_id).write_bytes(plaintext)
+        _replace_file(out_path / item_id, plaintext)
     return result

@@ -73,6 +73,7 @@ the query.
 
 from __future__ import annotations
 
+import os
 import queue
 import struct
 import threading
@@ -410,14 +411,45 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
 
 def save_bundle(bundle: PublishedBundle, directory,
                 secrets: SenderSecrets | None = None):
-    """Write manifest + ciphertext files (and, for the seller, the secrets)."""
+    """Write manifest + ciphertext files (and, for the seller, the secrets).
+
+    Each file is replaced, not rewritten in place (see ``_replace_file``).
+    The ciphertext files are written on the CPU pool
+    (``group._on_cpus``), since file writes release the GIL. The secrets
+    file is created owner-only (0600). Durability is as before: nothing is
+    ``fsync``ed, and ext4's flush on replace was never a guarantee.
+    """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    (path / MANIFEST_FILE).write_bytes(encode_manifest(bundle.manifest))
-    for entry, ct in zip(bundle.manifest.entries, bundle.ciphertexts):
-        (path / (entry.id + CT_SUFFIX)).write_bytes(ct)
+    _replace_file(path / MANIFEST_FILE, encode_manifest(bundle.manifest))
+    _on_cpus(lambda job: _replace_file(*job),
+             [(path / (entry.id + CT_SUFFIX), ct)
+              for entry, ct in zip(bundle.manifest.entries, bundle.ciphertexts)])
     if secrets is not None:
         _write_secrets(path / SECRETS_FILE, secrets)
+
+
+def _replace_file(path, data, mode: int = 0o666):
+    """Write ``data`` to a new file at ``path``; every file ``wot`` writes goes through here.
+
+    Whatever ``path`` named is unlinked first: a hard link to an old file
+    keeps its bytes, a read-only file is replaced and a symlink is removed,
+    never followed. ``O_EXCL`` then refuses anything that appears at
+    ``path`` in between. Truncating a file that holds data, or renaming
+    over it, makes ext4 start writeback of the new data on the writer's
+    thread; a fresh file does not. ``mode`` is filtered by the umask.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def load_manifest(directory) -> Manifest:
@@ -458,7 +490,7 @@ def _write_secrets(path: Path, secrets: SenderSecrets):
     for share in secrets.flat_secrets:
         out += share
     out += struct.pack("!I", 0)  # no stored item keys; see _read_secrets
-    path.write_bytes(bytes(out))
+    _replace_file(path, out, 0o600)  # it holds every key share
 
 
 def _read_secrets(path: Path) -> SenderSecrets:

@@ -111,6 +111,18 @@ class TestBuy:
         assert (tmp_path / "out" / "item02").read_bytes() == catalog.items[2].payload
         assert not (tmp_path / "out" / "item01").exists()
 
+    def test_symlinked_output_is_replaced_not_followed(self, server, tmp_path):
+        srv, catalog, _ = server
+        outside = tmp_path / "outside"
+        outside.write_bytes(b"not the buyer's to overwrite")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "item00").symlink_to(outside)
+        buy("127.0.0.1", srv.port, ["item00"], tmp_path / "out")
+        assert outside.read_bytes() == b"not the buyer's to overwrite"
+        written = tmp_path / "out" / "item00"
+        assert not written.is_symlink() and written.is_file()
+        assert written.read_bytes() == catalog.items[0].payload
+
     def test_unknown_id_fails_before_any_transfer(self, server, tmp_path):
         srv, _, billed = server
         with pytest.raises(Exception, match="unknown item"):

@@ -1,5 +1,7 @@
+import os
 import random
 import socket
+import stat
 import threading
 import concurrent.futures
 import time
@@ -735,6 +737,38 @@ class TestBundleIO:
         result, _ = local_session(load_bundle(tmp_path / "b"),
                                   load_secrets(tmp_path / "b"), ["item01"])
         assert dict(result.items) == {"item01": cat.items[1].payload}
+
+    def test_republish_replaces_every_file(self, p23, rng, tmp_path):
+        """Old files are unlinked and new ones created, never truncated and rewritten."""
+        cat = make_catalog([1, 2, 3], rng)
+        directory = tmp_path / "b"
+        old, old_secrets = publish(cat, "p2", p23)
+        save_bundle(old, directory, secrets=old_secrets)
+        linked = tmp_path / "old-item00.ct"
+        os.link(directory / "item00.ct", linked)
+        (directory / "item01.ct").chmod(0o444)
+        new, secrets = publish(cat, "p2", p23)
+        save_bundle(new, directory, secrets=secrets)
+        assert linked.read_bytes() == old.ciphertexts[0] != new.ciphertexts[0]
+        replaced = directory / "item01.ct"
+        assert replaced.read_bytes() == new.ciphertexts[1]
+        assert replaced.stat().st_mode & stat.S_IWUSR
+        assert sorted(os.listdir(directory)) == [
+            "item00.ct", "item01.ct", "item02.ct", "manifest.bin", "sender_secrets.bin"]
+        loaded = load_bundle(directory, verify=True)
+        assert loaded == new
+        result, billed = local_session(loaded, load_secrets(directory), ["item01"])
+        assert dict(result.items) == {"item01": cat.items[1].payload} and billed == 2
+
+    def test_secrets_file_is_owner_only(self, p23, rng, tmp_path):
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
+        path = tmp_path / "b" / "sender_secrets.bin"
+        path.parent.mkdir()
+        path.write_bytes(b"old")
+        path.chmod(0o644)
+        save_bundle(bundle, tmp_path / "b", secrets=secrets)
+        assert stat.S_IMODE(path.stat().st_mode) & 0o077 == 0
+        assert load_secrets(tmp_path / "b") == secrets
 
     def test_dotted_ids_round_trip(self, p23, rng, tmp_path):
         cat = make_catalog([1, 2], rng, ids=["a.b", "..."])

@@ -15,11 +15,17 @@ Every field of a public dataclass, and every public attribute that a
 public class sets on ``self`` in its ``__init__``, must be read as an
 attribute somewhere there. Reads are matched by name, so a field that
 shares its name with another class's read attribute passes unseen.
+
+Every file ``src/wot`` writes goes through ``protocol._replace_file``,
+which replaces a file rather than truncating it in place: no
+``write_bytes``, ``write_text`` or write-mode ``open`` anywhere else.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wot"
@@ -161,3 +167,69 @@ def test_every_stored_attribute_is_read_outside_tests():
     unread = sorted({f"{path.stem}.{cls}.{attr}" for path, tree in _trees(SRC)
                      for cls, attr in _stored_attributes(tree) if attr not in read})
     assert unread == []
+
+
+_WRITE_HELPER = ("protocol.py", "_replace_file")
+_WRITE_FLAGS = ("O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND")
+
+
+def _mode_argument(call, position):
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    return call.args[position] if len(call.args) > position else None
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` writes a file or opens one for writing, as far as its source shows."""
+    callee = ast.unparse(call.func)
+    if callee.split(".")[-1] in ("write_bytes", "write_text"):
+        return True
+    if callee == "os.open":
+        flags = " ".join(map(ast.unparse, call.args[1:] + [k.value for k in call.keywords]))
+        return any(flag in flags for flag in _WRITE_FLAGS) or "O_" not in flags
+    if callee in ("open", "io.open", "os.fdopen"):
+        mode = _mode_argument(call, 1)
+    elif callee.endswith(".open"):  # Path.open and the like take the mode first
+        mode = _mode_argument(call, 0)
+    else:
+        return False
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def _file_writes(path, tree):
+    helper = range(0)
+    for node in tree.body:
+        if (path.name, getattr(node, "name", None)) == _WRITE_HELPER:
+            helper = range(node.lineno, node.end_lineno + 1)
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.lineno not in helper
+            and _opens_for_writing(node)]
+
+
+def test_every_file_write_goes_through_the_replacing_helper():
+    assert [write for path, tree in _trees(SRC) for write in _file_writes(path, tree)] == []
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("p.write_bytes(b'')", True),
+    ("(d / 'x').write_text('')", True),
+    ("open(p, 'wb')", True),
+    ("open(p, mode='a')", True),
+    ("open(p, 'r+b')", True),
+    ("open(p, m)", True),
+    ("p.open('xb')", True),
+    ("os.open(p, os.O_WRONLY | os.O_CREAT)", True),
+    ("os.open(p, flags)", True),
+    ("os.fdopen(fd, 'w')", True),
+    ("open(p, encoding='utf-8')", False),
+    ("open(p, 'rb')", False),
+    ("p.open()", False),
+    ("os.open(p, os.O_RDONLY)", False),
+    ("p.read_bytes()", False),
+])
+def test_write_guard_sees_each_way_to_write(source, writes):
+    assert _opens_for_writing(ast.parse(source).body[0].value) is writes
