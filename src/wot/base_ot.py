@@ -7,26 +7,28 @@ on two generators ``g`` and ``h``:
 * Receiver, choosing index ``c``: draw a uniform exponent ``r`` and send
   ``y = g^r * h^c``. Over random ``r`` this is uniform on the subgroup
   whatever ``c`` is, so the query carries no information about the choice.
-* Sender: draw one fresh nonzero exponent ``k`` for the pick and reply with
-  ``a = g^k`` and, for every index ``i``, the mask
+* Sender: draw one nonzero exponent ``k`` for the whole batch and reply,
+  per pick, with ``a = g^k`` and, for every index ``i``, the mask
   ``m_i = pad(e_i, binding || i) XOR s_i`` where ``e_i = (y * h^-i)^k``.
   The elements form one running product: ``e_0 = y^k`` and
-  ``e_(i+1) = e_i * h^-k``, with ``h^-k = h^(q - k)``: three
-  exponentiations per pick, then one multiplication and one pad per
-  index. The reply is one element plus N masks.
+  ``e_(i+1) = e_i * h^-k``, with ``h^-k = h^(q - k)``. A batch of ``T``
+  picks shares ``g^k`` and ``h^-k``, so it costs ``T + 2``
+  exponentiations, then one multiplication and one pad per (pick,
+  index). The reply is one element plus N masks per pick.
 * Receiver: ``a^r = g^(rk) = e_c``, so exactly ``s_c`` unmasks.
 
 A batch's exponentiations run together, drawn serially. Each side draws
 every exponent of its batch on its own thread, in pick order, and only
 then hands all of the batch's constant-time exponentiations to
 ``group._powmods`` at once (see ``wot.group``): ``ot_query`` computes
-every ``g^r`` and ``h^c``, ``respond_powers`` every pick's ``g^k``,
-``h^-k`` and ``y^k``, and ``ot_recover`` every ``a^r``. So a batch reads
-``symcrypto._RNG`` in the order one pick after another would. ``ot_respond``
-then masks one pick's secrets from its three powers, with multiplications
-and pads only.
+every ``g^r`` and ``h^c``, ``respond_powers`` the batch's ``g^k`` and
+``h^-k`` and every pick's ``y^k``, and ``ot_recover`` every ``a^r``. So
+the receiver's batch reads ``symcrypto._RNG`` in the order one pick after
+another would, and a one-pick batch of the sender's draws what a lone
+pick does. ``ot_respond`` then masks one pick's secrets from its three
+powers, with multiplications and pads only.
 
-Why the receiver opens only one index. For ``i != j``,
+Why the receiver opens only what it paid for. For ``i != j``,
 ``e_i / e_j = h^((j - i) * k)``. A receiver that learned the pads of two
 indices ``i != j`` of one pick would, in the random-oracle model, have
 queried both ``e_i`` and ``e_j``, and ``(e_i / e_j)^((j - i)^-1 mod q)``
@@ -34,9 +36,17 @@ is then ``h^k``: the Diffie-Hellman value ``CDH(g, h, g^k)``, which nobody
 can compute without ``log_g h`` (``h`` is hash-derived; see ``wot.group``).
 The inverse exists because ``0 < |j - i| < N <= q``. On ``modp-2048``,
 ``N < 2^32`` is far below ``q``. The toy groups break once ``N > q``: then
-indices ``i`` and ``i + q`` share one element. ``k`` is fresh per pick and
-never shared across picks, and every pad is bound to (batch transcript,
-pick ordinal, index), so no pad is reused across picks or indices.
+indices ``i`` and ``i + q`` share one element. So a value ``a^r`` that the
+receiver can compute opens at most one index per pick, and a batch of
+``T`` picks opens at most ``T`` indices, which is what it is billed. The
+picks of a batch share ``k``, so correlated queries give equal elements
+(``y_2 = y_1 * h^d`` makes pick 2's ``e_(i+d)`` pick 1's ``e_i``); pads
+still never repeat, because each is bound to (batch transcript, pick
+ordinal, index). ``k`` is drawn only after the sender has received and
+checked the whole query batch (see ``wot.protocol``), so no ``y`` can be
+chosen with ``a`` in view; a sender that spoke first is where
+Genc-Iovino-Rial (2017) found the gap in Chou-Orlandi's proof. The
+receiver's privacy does not depend on ``k``: each ``y`` is uniform.
 
 Why nothing here checks subgroup membership. Every element a pad is
 derived from is a product or power of elements already known to lie in
@@ -48,8 +58,8 @@ are checked once at the session boundary, before any exponentiation, by
 ``e_i = y^k * h^(-ik)`` in G_q, and ``a`` in G_q gives ``a^r`` in G_q.
 ``respond_powers`` and ``ot_recover`` take that check as a precondition.
 
-A k-of-N transfer is this primitive repeated once per pick with fresh
-randomness, batched into a single request and a single response.
+A T-of-N transfer is this primitive once per pick, batched into a single
+request and a single response: a fresh ``r`` per pick, one ``k`` per batch.
 """
 
 from __future__ import annotations
@@ -92,16 +102,15 @@ def ot_query(params: GroupParams, n_secrets: int,
 
 
 def respond_powers(params: GroupParams, queries) -> tuple[tuple[int, int, int], ...]:
-    """Draw each pick's fresh nonzero ``k``; returns ``(g^k, h^-k, y^k)`` per query ``y``.
+    """Draw the batch's one nonzero ``k``; returns ``(g^k, h^-k, y^k)`` per query ``y``.
 
-    Every ``y`` must be a subgroup member; the caller checks the peer's query.
+    Every ``y`` must be a subgroup member; the caller checks the whole
+    batch first, so ``k`` is drawn only after every ``y`` is fixed.
     """
-    ks = [rand_exponent(params, include_zero=False) for _ in queries]
-    jobs = []
-    for y, k in zip(queries, ks):
-        jobs += [(params.g, k), (params.h, params.q - k), (y, k)]
-    powers = _powmods(jobs, params.p)
-    return tuple(tuple(powers[i:i + 3]) for i in range(0, len(powers), 3))
+    k = rand_exponent(params, include_zero=False)
+    a, step, *elements = _powmods([(params.g, k), (params.h, params.q - k)]
+                                  + [(y, k) for y in queries], params.p)
+    return tuple((a, step, element) for element in elements)
 
 
 def ot_respond(params: GroupParams, secrets, powers: tuple[int, int, int],

@@ -62,11 +62,12 @@ unbilled.
 
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
-every query ``y`` and ``run_session_receiver`` every reply's ``a``, and
-``wot.base_ot`` relies on those two passes. Each batch step comes after
-its pass: the seller's ``respond_powers``, which runs the batch's
-exponentiations together, follows the check of every ``y``, and the
-buyer's ``ot_recover`` follows the check of every ``a``. The buyer's
+every query ``y`` and ``run_session_receiver`` every distinct ``a`` of
+the reply, and ``wot.base_ot`` relies on those two passes. Each batch
+step comes after its pass: the seller's ``respond_powers``, which draws
+the batch's one ``k`` and runs its exponentiations together, follows the
+check of every ``y``, and the buyer's ``ot_recover`` follows the check of
+every ``a``. The buyer's
 ``ot_query`` raises its batch's powers of ``g`` and ``h`` before it sends
 the query.
 """
@@ -262,8 +263,9 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
             raise ProtocolError("response does not cover the flat index space")
         if len(r_.masks[0]) != manifest.key_bits // 8:  # the codec gives a reply one mask width
             raise ProtocolError("response mask width mismatch")
-        if not is_member(params, r_.a):
-            raise ProtocolError("invalid response element")
+    # A seller that draws one k per batch sends T equal elements; one per pick works too.
+    if not all(is_member(params, a) for a in {r_.a for r_ in resp.responses}):
+        raise ProtocolError("invalid response element")
 
     sid = batch_binding(params, queries)
     bindings = [pick_binding(sid, ordinal) for ordinal in range(len(picks))]
@@ -415,7 +417,9 @@ def save_bundle(bundle: PublishedBundle, directory,
 
     Each file is replaced, not rewritten in place (see ``_replace_file``).
     The ciphertext files are written on the CPU pool
-    (``group._on_cpus``), since file writes release the GIL. The secrets
+    (``group._on_cpus``), since file writes release the GIL. A ``.ct``
+    file of an earlier publish whose item the manifest no longer lists is
+    removed; nothing else in the directory is touched. The secrets
     file is created owner-only (0600). Durability is as before: nothing is
     ``fsync``ed, and ext4's flush on replace was never a guarantee.
     """
@@ -425,6 +429,10 @@ def save_bundle(bundle: PublishedBundle, directory,
     _on_cpus(lambda job: _replace_file(*job),
              [(path / (entry.id + CT_SUFFIX), ct)
               for entry, ct in zip(bundle.manifest.entries, bundle.ciphertexts)])
+    listed = {entry.id + CT_SUFFIX for entry in bundle.manifest.entries}
+    for name in os.listdir(path):
+        if name.endswith(CT_SUFFIX) and name not in listed and not (path / name).is_dir():
+            os.unlink(path / name)
     if secrets is not None:
         _write_secrets(path / SECRETS_FILE, secrets)
 

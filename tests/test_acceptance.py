@@ -135,8 +135,9 @@ def test_criterion_4_complexity_claims(monkeypatch):
 
     ``p2`` publish: ``n`` keys and encryptions, ``sum(p_i - 1)`` share draws.
     ``p1`` publish: ``sum(p_i)`` keys and encryptions, no share draws. The
-    buyer decrypts once per chosen item (``p2``) or per layer (``p1``), and
-    each pick draws one fresh exponent on each side, whatever ``N`` is.
+    buyer decrypts once per chosen item (``p2``) or per layer (``p1``). The
+    buyer draws one fresh exponent per pick and the seller one per batch,
+    whatever ``N`` is.
     """
     params = setup_params("p23")
     rng = seed_source(monkeypatch, random.Random(6174))
@@ -173,7 +174,7 @@ def test_criterion_4_complexity_claims(monkeypatch):
             billed_weight if mode == "p2" else 0)
         query_exponents = sum(thread is buyer for thread in exponents)
         response_exponents = len(exponents) - query_exponents
-        assert (query_exponents, response_exponents) == (billed_weight, billed_weight)
+        assert (query_exponents, response_exponents) == (billed_weight, 1)
         assert [name for _, name in log].count("OtBatchQuery") == 1
         assert [name for _, name in log].count("OtBatchResp") == 1
         checked += 1

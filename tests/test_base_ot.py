@@ -1,21 +1,31 @@
+import hashlib
 import random
 
 import pytest
 
+from wot import base_ot, protocol
 from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
                          pick_binding, respond_powers)
 from wot.errors import ProtocolError
 from wot.framing import OtBatchQuery, OtBatchResp, encode_frame
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
-from wot.protocol import SenderSecrets, run_session_sender
+from wot.net import SocketChannel
+from wot.protocol import SenderSecrets, publish, run_session_sender
 
-from conftest import count_calls, seed_source
+from conftest import count_calls, local_session, make_catalog, seed_source
+
+# SHA-256 of every frame, in the order sent, of the seeded one-pick session below.
+ONE_PICK_SESSION_SHA256 = "1e0f34e20661242f477e6bca7bf16f1b382c3883132b04811d01477a8f895a8d"
 
 
-def reference_respond(params, secrets, y, binding):
-    """Textbook sender with plain ``pow``: one ``k``, ``a = g^k``, pads from ``(y * h^-i)^k``."""
+def reference_respond(params, secrets, y, binding, k=None):
+    """Textbook sender with plain ``pow``: one ``k``, ``a = g^k``, pads from ``(y * h^-i)^k``.
+
+    ``k`` is drawn here unless the caller gives the batch's.
+    """
     p = params.p
-    k = rand_exponent(params, include_zero=False)
+    if k is None:
+        k = rand_exponent(params, include_zero=False)
     masks = []
     for i, secret in enumerate(secrets):
         element = pow(y * pow(params.h, -i, p) % p, k, p)
@@ -124,7 +134,11 @@ class TestTextbookEquivalence:
 
 
 def test_batch_frames_match_per_pick_reference(monkeypatch):
-    """A seeded batch puts the textbook per-pick bytes on the wire, both ways."""
+    """A seeded batch puts the textbook per-pick bytes on the wire, both ways.
+
+    The buyer draws one ``r`` per pick, in pick order; the seller one ``k``
+    for the whole batch, which every pick's textbook answer uses.
+    """
     params = setup_params("modp-2048")
     p = params.p
     rng = random.Random("frames")
@@ -156,8 +170,9 @@ def test_batch_frames_match_per_pick_reference(monkeypatch):
                        params)
     sid = batch_binding(params, queries)
     seed_source(monkeypatch, random.Random(seed))
+    k = rand_exponent(params, include_zero=False)
     want = OtBatchResp(elem_len=params.element_len, responses=tuple(
-        reference_respond(params, secrets, y, pick_binding(sid, ordinal))
+        reference_respond(params, secrets, y, pick_binding(sid, ordinal), k)
         for ordinal, y in enumerate(queries)))
     assert isinstance(channel.sent[0], OtBatchResp)
     assert encode_frame(channel.sent[0]) == encode_frame(want)
@@ -217,11 +232,11 @@ class TestRespondRecover:
         y, r = query(p23, 6, 1)
         assert len(draws) == 1  # one r per pick
         respond(p23, secrets, y, b"t")
-        assert len(draws) == 2  # one k per pick, whatever N is
+        assert len(draws) == 2  # one k per batch, whatever N is
         queries, _ = ot_query(p23, 6, [0, 2, 5])
         assert len(draws) == 5
         respond_powers(p23, queries)
-        assert len(draws) == 8
+        assert len(draws) == 6  # one k per batch, whatever T is
 
 
 @pytest.mark.parametrize("preset, n", [("p47", 12), ("modp-2048", 5)])
@@ -230,36 +245,99 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
 
     Knowing the elements of two indices ``i != j`` of one pick yields
     ``h^k = CDH(g, h, g^k)``; so a buyer who could open two indices could
-    compute Diffie-Hellman values without ``log_g h``.
+    compute Diffie-Hellman values without ``log_g h``. The two picks of the
+    batch share ``k`` and their queries are correlated (``y_2 = y_1 * h^d``):
+    each pick still gives ``h^k`` from any two of its indices, and one
+    ``a^r`` opens exactly one index per pick, under pads that all differ.
     """
     params = setup_params(preset)
     p, q = params.p, params.q
     rng = seed_source(monkeypatch, random.Random(f"extract-{preset}"))
     secrets = [rng.randbytes(16) for _ in range(n)]
-    c = rng.randrange(n)
+    c = rng.randrange(n - 1)
+    d = rng.randrange(1, n - c)
     y, r = query(params, n, c)
+    queries = [y, y * pow(params.h, d, p) % p]  # g^r * h^(c + d): pick c + d under the same r
+    sid = batch_binding(params, queries)
+    bindings = [pick_binding(sid, ordinal) for ordinal in range(2)]
     seed = rng.getrandbits(64)
     seed_source(monkeypatch, random.Random(seed))
-    response = respond(params, secrets, y, b"bind")
+    responses = [ot_respond(params, secrets, powers, binding)
+                 for powers, binding in zip(respond_powers(params, queries), bindings)]
     seed_source(monkeypatch, random.Random(seed))
-    k = rand_exponent(params, include_zero=False)  # the sender's draw
-    assert response.a == pow(params.g, k, p)
-    elements = [pow(y * pow(params.h, -i, p) % p, k, p) for i in range(n)]
-    for i, (element, masked) in enumerate(zip(elements, response.masks)):
-        pad = kdf_pad(params, element, b"bind" + i.to_bytes(4, "big"), 16)
-        assert bytes(x ^ y for x, y in zip(pad, masked)) == secrets[i]
+    k = rand_exponent(params, include_zero=False)  # the sender's one draw for the batch
     h_k = pow(params.h, k, p)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ratio = elements[i] * pow(elements[j], -1, p) % p
-                assert pow(ratio, pow(j - i, -1, q), p) == h_k
-    opened = pow(response.a, r, p)
-    assert [i for i in range(n) if elements[i] == opened] == [c]
-    assert recover(params, response, c, r, b"bind") == secrets[c]
-    for i in range(n):
-        if i != c:
-            assert recover(params, response, i, r, b"bind") != secrets[i]
+    pads = set()
+    for y_t, c_t, binding, response in zip(queries, (c, c + d), bindings, responses):
+        assert response.a == pow(params.g, k, p)
+        elements = [pow(y_t * pow(params.h, -i, p) % p, k, p) for i in range(n)]
+        for i, (element, masked) in enumerate(zip(elements, response.masks)):
+            pad = kdf_pad(params, element, binding + i.to_bytes(4, "big"), 16)
+            assert bytes(x ^ y for x, y in zip(pad, masked)) == secrets[i]
+            pads.add(pad)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    ratio = elements[i] * pow(elements[j], -1, p) % p
+                    assert pow(ratio, pow(j - i, -1, q), p) == h_k
+        opened = pow(response.a, r, p)
+        assert [i for i in range(n) if elements[i] == opened] == [c_t]
+        assert recover(params, response, c_t, r, binding) == secrets[c_t]
+        for i in range(n):
+            if i != c_t:
+                assert recover(params, response, i, r, binding) != secrets[i]
+    assert len(pads) == 2 * n
+
+
+@pytest.mark.parametrize("t", [1, 4])
+def test_seller_raises_t_plus_two_powers_after_every_check(t, monkeypatch):
+    """One batch: every ``y`` checked, then one draw of ``k``, then ``T + 2`` modexps at once."""
+    params = setup_params("modp-2048")
+    seed_source(monkeypatch, random.Random(f"cost-{t}"))
+    secrets = SenderSecrets(mode="p2", flat_secrets=tuple(bytes([i]) * 16 for i in range(6)))
+    queries, _ = ot_query(params, 6, range(t))
+    events = []
+
+    def logged(target, fn, record):
+        def wrapper(*args, **kwargs):
+            events.append(record(*args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(target, wrapper)
+
+    logged("wot.protocol.is_member", protocol.is_member, lambda params, y: "check")
+    logged("wot.base_ot.rand_exponent", base_ot.rand_exponent, lambda *args: "draw")
+    logged("wot.base_ot._powmods", base_ot._powmods, lambda jobs, mod: ("powmods", len(jobs)))
+
+    class Sink:
+        def send(self, msg):
+            pass
+
+    billed = run_session_sender(secrets, OtBatchQuery(elem_len=params.element_len,
+                                                      queries=queries), Sink(), params)
+    assert billed == t
+    assert events == ["check"] * t + ["draw", ("powmods", t + 2)]
+
+
+def test_one_pick_session_bytes_are_frozen(monkeypatch):
+    """A seeded ``T = 1`` session on ``modp-2048`` sends exactly the bytes it always has.
+
+    One ``k`` per batch is one ``k`` per pick when the batch has one pick,
+    so every frame of both sides, hashed in the order sent, is pinned.
+    """
+    params = setup_params("modp-2048")
+    rng = seed_source(monkeypatch, random.Random("one-pick-session"))
+    bundle, secrets = publish(make_catalog([1, 2], rng, payload_size=32), "p2", params)
+    transcript = hashlib.sha256()
+    real_send = SocketChannel.send
+
+    def hashing_send(channel, msg):
+        transcript.update(encode_frame(msg))  # before the peer can answer
+        real_send(channel, msg)
+
+    monkeypatch.setattr(SocketChannel, "send", hashing_send)
+    result, billed = local_session(bundle, secrets, ["item00"])
+    assert billed == result.total == 1
+    assert transcript.hexdigest() == ONE_PICK_SESSION_SHA256
 
 
 class TestBatch:

@@ -436,13 +436,52 @@ class TestSessions:
         assert len(workers) <= group._cpus()
 
     def test_each_peer_element_checked_once(self, p23, rng, monkeypatch):
-        """T picks: T query checks by the seller, T response checks by the buyer."""
+        """T picks: T query checks by the seller, one check of the batch's ``a`` by the buyer."""
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23)
         checks = count_calls(monkeypatch, is_member)
         _, billed = local_session(bundle, secrets, ["item01", "item03"])
         assert billed == 9
-        assert len(checks) == 2 * billed
+        assert len(checks) == billed + 1
+
+    @pytest.mark.parametrize("forged_at", [None, 0, 2])
+    def test_buyer_checks_every_distinct_response_element(self, p23, rng, monkeypatch,
+                                                          forged_at):
+        """A seller drawing ``k`` per pick still sells, and each distinct ``a`` is checked.
+
+        With one pick's ``a`` replaced by a non-member, the purchase fails
+        before any pad, wherever that pick sits in the batch.
+        """
+        cat = make_catalog([3], rng)
+        bundle, secrets = publish(cat, "p2", p23)
+        responses = []
+
+        def per_pick_sender(tx_chan):
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+            tx_chan.recv()  # CT_REQ
+            tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
+            msg = tx_chan.recv()
+            sid = batch_binding(p23, msg.queries)
+            for t, y in enumerate(msg.queries):
+                (powers,) = respond_powers(p23, [y])  # a fresh k for each pick
+                responses.append(ot_respond(p23, secrets.flat_secrets, powers,
+                                            pick_binding(sid, t)))
+            if forged_at is not None:
+                responses[forged_at] = replace(responses[forged_at], a=5)  # not a member
+            tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=tuple(responses)))
+            tx_chan.send(Done(billed=len(msg.queries)))
+
+        checks = count_calls(monkeypatch, is_member)
+        pads = count_calls(monkeypatch, kdf_pad, record=threading.current_thread)
+        if forged_at is None:
+            result = against(per_pick_sender, buying(["item00"]))
+            assert dict(result.items) == {"item00": cat.items[0].payload}
+            assert sorted(a for _, a in checks) == sorted({r.a for r in responses})
+        else:
+            with pytest.raises(ProtocolError, match="invalid response element"):
+                against(per_pick_sender, buying(["item00"]))
+            assert (p23, 5) in checks and threading.current_thread() not in pads
 
     def test_billing_echo_mismatch_aborts(self, p23, rng):
         cat = make_catalog([2], rng)
@@ -759,6 +798,25 @@ class TestBundleIO:
         assert loaded == new
         result, billed = local_session(loaded, load_secrets(directory), ["item01"])
         assert dict(result.items) == {"item01": cat.items[1].payload} and billed == 2
+
+    def test_republish_removes_ciphertexts_of_dropped_items(self, p23, rng, tmp_path):
+        """A ``.ct`` file the new manifest does not list goes; nothing else is touched."""
+        directory = tmp_path / "b"
+        cat = make_catalog([1, 2], rng, ids=["paper-a", "paper-b"])
+        bundle, secrets = publish(cat, "p2", p23)
+        save_bundle(bundle, directory, secrets=secrets)
+        kept = {"notes.txt": b"n", "paper-b.ct.bak": b"b", "paper-b.cts": b"c"}
+        for name, data in kept.items():
+            (directory / name).write_bytes(data)
+        (directory / "old.ct").mkdir()
+        (directory / "stale.ct").write_bytes(b"s")
+        smaller = Catalog(items=cat.items[:1])
+        bundle, secrets = publish(smaller, "p2", p23)
+        save_bundle(bundle, directory, secrets=secrets)
+        assert sorted(os.listdir(directory)) == sorted(
+            ["manifest.bin", "old.ct", "paper-a.ct", "sender_secrets.bin", *kept])
+        assert all((directory / name).read_bytes() == data for name, data in kept.items())
+        assert load_bundle(directory) == bundle
 
     def test_secrets_file_is_owner_only(self, p23, rng, tmp_path):
         bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
