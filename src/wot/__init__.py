@@ -13,7 +13,7 @@ from .errors import (AuthenticationError, AuditError, CatalogError, CryptoError,
 from .group import GroupParams, setup_params
 from .protocol import (PublishedBundle, PurchaseResult, SenderSecrets,
                        load_bundle, load_secrets, publish, run_session_receiver,
-                       run_session_sender, save_bundle)
+                       save_bundle, serve_session)
 from .weights import ReductionReport, approx_reduce, gcd_reduce
 
 __version__ = "0.1.0"
@@ -26,5 +26,5 @@ __all__ = [
     "PurchaseResult", "ReductionError", "ReductionReport", "RemoteError",
     "SenderSecrets", "WotError", "approx_reduce",
     "gcd_reduce", "load_bundle", "load_catalog", "load_secrets", "publish",
-    "run_session_receiver", "run_session_sender", "save_bundle", "setup_params",
+    "run_session_receiver", "save_bundle", "serve_session", "setup_params",
 ]

@@ -7,14 +7,14 @@ on two generators ``g`` and ``h``:
 * Receiver, choosing index ``c``: draw a uniform exponent ``r`` and send
   ``y = g^r * h^c``. Over random ``r`` this is uniform on the subgroup
   whatever ``c`` is, so the query carries no information about the choice.
-* Sender: draw one nonzero exponent ``k`` for the whole batch and reply,
-  per pick, with ``a = g^k`` and, for every index ``i``, the mask
+* Sender: draw one nonzero exponent ``k`` for the whole batch and reply
+  with ``a = g^k`` once and, per pick and for every index ``i``, the mask
   ``m_i = pad(e_i, binding || i) XOR s_i`` where ``e_i = (y * h^-i)^k``.
   The elements form one running product: ``e_0 = y^k`` and
   ``e_(i+1) = e_i * h^-k``, with ``h^-k = h^(q - k)``. A batch of ``T``
   picks shares ``g^k`` and ``h^-k``, so it costs ``T + 2``
   exponentiations, then one multiplication and one pad per (pick,
-  index). The reply is one element plus N masks per pick.
+  index). The reply is one element, then N masks per pick.
 * Receiver: ``a^r = g^(rk) = e_c``, so exactly ``s_c`` unmasks.
 
 A batch's exponentiations run together, drawn serially. Each side draws
@@ -25,8 +25,9 @@ every ``g^r`` and ``h^c``, ``respond_powers`` the batch's ``g^k`` and
 ``h^-k`` and every pick's ``y^k``, and ``ot_recover`` every ``a^r``. So
 the receiver's batch reads ``symcrypto._RNG`` in the order one pick after
 another would, and a one-pick batch of the sender's draws what a lone
-pick does. ``ot_respond`` then masks one pick's secrets from its three
-powers, with multiplications and pads only.
+pick does. The sender's ``ot_reply`` then has ``ot_respond`` mask each
+pick's secrets with multiplications and pads only. It and ``ot_recover``
+own the batch: each derives every pad's binding from the query batch.
 
 Why the receiver opens only what it paid for. For ``i != j``,
 ``e_i / e_j = h^((j - i) * k)``. A receiver that learned the pads of two
@@ -56,7 +57,7 @@ peer's elements, ``y`` on the sender's side and ``a`` on the receiver's,
 are checked once at the session boundary, before any exponentiation, by
 ``wot.protocol``. Then ``y``, ``h`` in G_q gives
 ``e_i = y^k * h^(-ik)`` in G_q, and ``a`` in G_q gives ``a^r`` in G_q.
-``respond_powers`` and ``ot_recover`` take that check as a precondition.
+``ot_reply`` and ``ot_recover`` take that check as a precondition.
 
 A T-of-N transfer is this primitive once per pick, batched into a single
 request and a single response: a fresh ``r`` per pick, one ``k`` per batch.
@@ -76,9 +77,8 @@ _SID_TAG = b"WOT-SID"
 
 @dataclass(frozen=True)
 class OtResponse:
-    """Sender's answer for one pick: ``a = g^k`` and N masked secrets."""
+    """Sender's answer for one pick: N masked secrets. The batch's one ``a`` travels beside."""
 
-    a: int
     masks: tuple[bytes, ...]
 
     @property
@@ -101,51 +101,59 @@ def ot_query(params: GroupParams, n_secrets: int,
     return tuple(gr * hc % p for gr, hc in zip(powers[:t], powers[t:])), exponents
 
 
-def respond_powers(params: GroupParams, queries) -> tuple[tuple[int, int, int], ...]:
-    """Draw the batch's one nonzero ``k``; returns ``(g^k, h^-k, y^k)`` per query ``y``.
+def ot_reply(params: GroupParams, secrets, queries) -> tuple[int, tuple[OtResponse, ...]]:
+    """The sender's answer to a whole batch: ``a = g^k`` once, then one response per pick.
 
     Every ``y`` must be a subgroup member; the caller checks the whole
     batch first, so ``k`` is drawn only after every ``y`` is fixed.
     """
+    sid = batch_binding(params, queries)
+    a, step, elements = respond_powers(params, queries)
+    return a, tuple(ot_respond(params, secrets, step, element, pick_binding(sid, ordinal))
+                    for ordinal, element in enumerate(elements))
+
+
+def respond_powers(params: GroupParams, queries) -> tuple[int, int, tuple[int, ...]]:
+    """Draw the batch's one nonzero ``k``; returns ``g^k``, ``h^-k`` and each query's ``y^k``."""
     k = rand_exponent(params, include_zero=False)
     a, step, *elements = _powmods([(params.g, k), (params.h, params.q - k)]
                                   + [(y, k) for y in queries], params.p)
-    return tuple((a, step, element) for element in elements)
+    return a, step, tuple(elements)
 
 
-def ot_respond(params: GroupParams, secrets, powers: tuple[int, int, int],
+def ot_respond(params: GroupParams, secrets, step: int, element: int,
                binding: bytes) -> OtResponse:
-    """Answer one pick from its ``respond_powers`` entry: mask every secret under its pad."""
+    """Answer one pick from ``h^-k`` and its ``e_0 = y^k``: mask every secret under its pad."""
     secrets = list(secrets)
     if not secrets:
         raise ProtocolError("no secrets to transfer")
     p = params.p
-    a, step, element = powers  # g^k, h^-k and e_0 = y^k
     masks = []
     for i, secret in enumerate(secrets):
         if i:
             element = element * step % p  # e_i = (y * h^-i)^k
         pad = kdf_pad(params, element, _index_binding(binding, i), len(secret))
         masks.append(xor_bytes(pad, secret))
-    return OtResponse(a=a, masks=tuple(masks))
+    return OtResponse(masks=tuple(masks))
 
 
-def ot_recover(params: GroupParams, responses, indices, exponents,
-               bindings) -> tuple[bytes, ...]:
+def ot_recover(params: GroupParams, a: int, queries, responses, indices,
+               exponents) -> tuple[bytes, ...]:
     """Unmask each pick's secret at its index, using its query's secret exponent.
 
-    Every ``response.a`` must be a subgroup member; the caller checks the peer's reply.
+    ``a`` must be a subgroup member; the caller checks the peer's reply.
     """
-    picks = list(zip(responses, indices, exponents, bindings, strict=True))
-    for response, index, _, _ in picks:
+    picks = list(zip(responses, indices, exponents, strict=True))
+    for response, index, _ in picks:
         if not 0 <= index < response.n_secrets:
             raise ProtocolError(f"pick index {index} out of range")
-    shared = _powmods([(response.a, r) for response, _, r, _ in picks], params.p)
+    sid = batch_binding(params, queries)
+    shared = _powmods([(a, r) for r in exponents], params.p)
     secrets = []
-    for (response, index, _, binding), element in zip(picks, shared):
+    for ordinal, ((response, index, _), element) in enumerate(zip(picks, shared)):
         masked = response.masks[index]
-        pad = kdf_pad(params, element, _index_binding(binding, index), len(masked))
-        secrets.append(xor_bytes(pad, masked))
+        binding = _index_binding(pick_binding(sid, ordinal), index)
+        secrets.append(xor_bytes(kdf_pad(params, element, binding, len(masked)), masked))
     return tuple(secrets)
 
 

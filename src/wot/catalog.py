@@ -145,10 +145,6 @@ class Manifest:
     def weights(self) -> tuple[int, ...]:
         return tuple(e.weight for e in self.entries)
 
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.entries)
-
     @property
     def total_weight(self) -> int:
         return sum(self.weights)

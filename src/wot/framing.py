@@ -23,26 +23,27 @@ except ``CtData.ciphertext``: it is a view over the body. The buyer's one
 copy is the join in which ``wot.net._recv_exact`` assembles the body
 from its ``recv`` chunks, and there is none when one ``recv`` fills it.
 
-Protocol version 3 delivers by position. ``HELLO`` is ``[u8 version]``
-alone: every session parameter comes from the seller's manifest. A
-version-3 HELLO with anything after its version byte is a ``FrameError``;
-a HELLO of any other version decodes from its first byte alone, whatever
-follows, so the seller can answer it with
+Protocol version 4 delivers by position and sends one ``a`` per
+transfer reply. ``HELLO`` is ``[u8 version]`` alone: every session
+parameter comes from the seller's manifest. A version-4 HELLO with
+anything after its version byte is a ``FrameError``; a HELLO of any
+other version decodes from its first byte alone, whatever follows, so
+the seller can answer it with
 ``ERROR(ERR_INCOMPATIBLE, "unsupported version N")``. ``CT_REQ`` has an
 empty payload and asks for every ciphertext, in manifest order; each
 ``CT_DATA`` is ``[type][ciphertext]``, and its place in that stream names
 the item. Version 2 named an item in each request and reply.
 
-``OT_BATCH_RESP`` (since version 2) carries one transfer reply per
-pick::
+``OT_BATCH_RESP`` carries the batch's one ``a`` and N masks per pick::
 
     [u32 count T] [u32 n N] [u16 elem_len] [u16 mask_len]
-    T times: [elem_len bytes - a = g^k] [N times: mask_len bytes - mask]
+    [elem_len bytes - a = g^k] [T * N times: mask_len bytes - mask]
 
-so the length field of a reply reads ``1 + 12 + T * (elem_len + N * mask_len)``.
-Version 1 sent N (element, mask) pairs per pick. The manifest record
-format has its own version byte (``MANIFEST_VERSION``), so bundles written
-before either bump still load.
+so the length field of a reply reads ``1 + 12 + elem_len + T * N * mask_len``.
+Version 3 sent an ``a`` before each pick's masks, version 1 N (element,
+mask) pairs per pick. The manifest record format has its own version
+byte (``MANIFEST_VERSION``), so bundles written before any bump still
+load.
 
 Session grammar (enforced on both sides in ``wot.protocol``)::
 
@@ -64,7 +65,7 @@ from .errors import CatalogError, FrameError
 LENGTH_FIELD = 4
 MAX_FRAME_LEN = 1 << 24  # cap on the length field (type byte + payload)
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MANIFEST_VERSION = 1
 
 TYPE_HELLO = 0x01
@@ -111,6 +112,7 @@ class OtBatchQuery:
 @dataclass(frozen=True)
 class OtBatchResp:
     elem_len: int
+    a: int  # g^k, one per batch
     responses: tuple[OtResponse, ...]
 
 
@@ -277,11 +279,11 @@ def _encode_payload(msg: Message) -> tuple:
         if len(mask_lens) > 1:
             raise FrameError("responses disagree on mask length")
         mask_len = mask_lens.pop() if mask_lens else 0
-        if n and not mask_len:  # read_frame refuses zero-width masks too
+        if msg.responses and not mask_len:  # read_frame refuses zero-width picks too
             raise FrameError("payload does not match its record count")
         out = bytearray(_pack("!IIHH", len(msg.responses), n, msg.elem_len, mask_len))
+        out += msg.a.to_bytes(msg.elem_len, "big")
         for resp in msg.responses:
-            out += resp.a.to_bytes(msg.elem_len, "big")
             for masked in resp.masks:
                 out += masked
         return TYPE_OT_BATCH_RESP, out
@@ -314,15 +316,12 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
         return OtBatchQuery(elem_len=elem_len, queries=queries)
     if msg_type == TYPE_OT_BATCH_RESP:
         count, n, elem_len, mask_len = r.u32(), r.u32(), r.u16(), r.u16()
-        r.expect_records(count, elem_len + n * mask_len)
-        if n and not mask_len:  # zero-width masks: expect_records cannot bound n
-            raise FrameError("payload does not match its record count")
-        responses = []
-        for _ in range(count):
-            a = int.from_bytes(r.take(elem_len), "big")
-            responses.append(OtResponse(a=a, masks=tuple(r.take(mask_len) for _ in range(n))))
+        a = int.from_bytes(r.take(elem_len), "big")
+        r.expect_records(count, n * mask_len)
+        responses = tuple(OtResponse(masks=tuple(r.take(mask_len) for _ in range(n)))
+                          for _ in range(count))
         r.done()
-        return OtBatchResp(elem_len=elem_len, responses=tuple(responses))
+        return OtBatchResp(elem_len=elem_len, a=a, responses=responses)
     if msg_type == TYPE_DONE:
         billed = r.u32()
         r.done()
@@ -343,8 +342,8 @@ def _ct_data_len(ct_len: int) -> int:
 
 
 def _ot_batch_resp_len(count: int, n: int, elem_len: int, mask_len: int) -> int:
-    """Length field of an OT_BATCH_RESP: type byte, header, then per pick a and N masks."""
-    return 1 + 12 + count * (elem_len + n * mask_len)
+    """Length field of an OT_BATCH_RESP: type byte, header, the one a, then T * N masks."""
+    return 1 + 12 + elem_len + count * n * mask_len
 
 
 def encode_frame(msg: Message) -> bytes:

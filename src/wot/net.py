@@ -136,9 +136,10 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None):
     Returns the purchase result; the printed/billed total equals the sum
     of the chosen items' weights, which the buyer can verify itself.
     A refused connection, a timeout or a reset raises ``ProtocolError``; an
-    output directory it cannot create raises ``OSError`` before it connects.
-    Each output file is replaced, never written through: a symlink at
-    ``out_dir/<id>`` is removed, not followed (``protocol._replace_file``).
+    output directory it cannot create, or a directory at ``out_dir/<id>``,
+    raises ``OSError`` before it connects. Each output file is replaced,
+    never written through: a symlink at ``out_dir/<id>`` is removed, not
+    followed (``protocol._replace_file``).
     """
     item_ids = list(item_ids)
     if not item_ids:
@@ -148,6 +149,9 @@ def buy(host: str, port: int, item_ids, out_dir, cache_dir=None):
     out_path.mkdir(parents=True, exist_ok=True)  # fails here, before the buyer pays
     for d in missing:  # deepest first: a failed purchase leaves no directory behind
         d.rmdir()
+    for target in (out_path / item_id for item_id in item_ids):
+        if target.is_dir() and not target.is_symlink():  # it could not be replaced
+            raise IsADirectoryError(f"output path {target} is a directory")
     try:
         sock = socket.create_connection((host, port), timeout=DEFAULT_TIMEOUT)
     except OSError as exc:

@@ -32,8 +32,8 @@ at all: it is taken when it loads, its digests verify and its manifest
 equals the seller's, and otherwise every ciphertext is fetched. Either
 way each ciphertext is checked against its manifest entry once.
 
-Delivery is positional (protocol version 3). ``fetch_bundle`` sends one
-CT_REQ, and the seller answers it with all ``N`` ciphertexts in manifest
+Delivery is positional (since protocol version 3). ``fetch_bundle`` sends
+one CT_REQ, and the seller answers it with all ``N`` ciphertexts in manifest
 order, so the ``k``-th CT_DATA is entry ``k``'s; one out of place fails
 that entry's length and digest check. The buyer sends nothing more until
 it has read all ``N``, so the seller's blocking sends always drain and
@@ -62,14 +62,13 @@ unbilled.
 
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
-every query ``y`` and ``run_session_receiver`` every distinct ``a`` of
-the reply, and ``wot.base_ot`` relies on those two passes. Each batch
-step comes after its pass: the seller's ``respond_powers``, which draws
-the batch's one ``k`` and runs its exponentiations together, follows the
-check of every ``y``, and the buyer's ``ot_recover`` follows the check of
-every ``a``. The buyer's
-``ot_query`` raises its batch's powers of ``g`` and ``h`` before it sends
-the query.
+every query ``y`` and ``run_session_receiver`` the reply's one ``a``,
+and ``wot.base_ot`` relies on those two passes. Each batch step comes
+after its pass: the seller's ``ot_reply``, which draws the batch's one
+``k`` and runs its exponentiations together, follows the check of every
+``y``, and the buyer's ``ot_recover`` follows the check of ``a``. The
+buyer's ``ot_query`` raises its batch's powers of ``g`` and ``h`` before
+it sends the query.
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import symcrypto
-from .base_ot import (batch_binding, ot_query, ot_recover, ot_respond, pick_binding,
-                      respond_powers)
+from .base_ot import ot_query, ot_recover, ot_reply
 from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
                       MODE_P2, MODES, ciphertext_digest)
 from .errors import (CatalogError, CryptoError, AuthenticationError, FrameError,
@@ -258,19 +256,16 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
         raise ProtocolError("response count does not match pick count")
     if resp.elem_len != params.element_len:
         raise ProtocolError("response element width mismatch")
-    for r_ in resp.responses:
-        if r_.n_secrets != total:
-            raise ProtocolError("response does not cover the flat index space")
-        if len(r_.masks[0]) != manifest.key_bits // 8:  # the codec gives a reply one mask width
-            raise ProtocolError("response mask width mismatch")
-    # A seller that draws one k per batch sends T equal elements; one per pick works too.
-    if not all(is_member(params, a) for a in {r_.a for r_ in resp.responses}):
+    first = resp.responses[0]  # the codec gives every pick N masks of one width
+    if first.n_secrets != total:
+        raise ProtocolError("response does not cover the flat index space")
+    if len(first.masks[0]) != manifest.key_bits // 8:
+        raise ProtocolError("response mask width mismatch")
+    if not is_member(params, resp.a):
         raise ProtocolError("invalid response element")
 
-    sid = batch_binding(params, queries)
-    bindings = [pick_binding(sid, ordinal) for ordinal in range(len(picks))]
-    recovered = dict(zip(picks, ot_recover(params, resp.responses, picks,
-                                           exponents, bindings)))
+    recovered = dict(zip(picks, ot_recover(params, resp.a, queries, resp.responses, picks,
+                                           exponents)))
 
     items = []
     for i in chosen:
@@ -399,12 +394,9 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
             _refuse(channel, ERR_BAD_QUERY, "invalid query",
                     "invalid query: not a subgroup member")
 
-    sid = batch_binding(params, query.queries)
-    powers = respond_powers(params, query.queries)
-    responses = tuple(ot_respond(params, flat, pick, pick_binding(sid, ordinal))
-                      for ordinal, pick in enumerate(powers))
+    a, responses = ot_reply(params, flat, query.queries)
     billed = len(query.queries)
-    channel.send(OtBatchResp(elem_len=params.element_len, responses=responses))
+    channel.send(OtBatchResp(elem_len=params.element_len, a=a, responses=responses))
     channel.send(Done(billed=billed))
     return billed
 

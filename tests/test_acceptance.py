@@ -15,7 +15,7 @@ import pytest
 
 from wot import symcrypto
 from wot.auditor import VERDICT_OK, VERDICT_UNSAFE, audit_prices
-from wot.base_ot import ot_query, ot_recover, ot_respond, respond_powers
+from wot.base_ot import ot_query, ot_recover, ot_reply
 from wot.catalog import Catalog, FlatIndexMap, Item
 from wot.errors import HarnessError, WotError
 from wot.framing import OtBatchResp
@@ -253,9 +253,8 @@ def test_criterion_7_base_transfer(monkeypatch):
         secrets = [rng.randbytes(16) for _ in range(n)]
         for index in range(n):
             (query,), (r,) = ot_query(params, n, [index])
-            (powers,) = respond_powers(params, [query])
-            response = ot_respond(params, secrets, powers, b"acc")
-            assert ot_recover(params, [response], [index], [r], [b"acc"]) == (secrets[index],)
+            a, responses = ot_reply(params, secrets, [query])
+            assert ot_recover(params, a, [query], responses, [index], [r]) == (secrets[index],)
 
     # (b) query-element distributions for two fixed choices: TV < 0.02 at 1e5
     trials = 100_000
@@ -275,10 +274,9 @@ def test_criterion_7_base_transfer(monkeypatch):
     for _ in range(adversarial):
         index = rng.randrange(4)
         (query,), (r,) = ot_query(params, 4, [index])
-        (powers,) = respond_powers(params, [query])
-        response = ot_respond(params, secrets, powers, b"adv")
+        a, responses = ot_reply(params, secrets, [query])
         wrong = (index + 1 + rng.randrange(3)) % 4
-        if ot_recover(params, [response], [wrong], [r], [b"adv"]) == (secrets[wrong],):
+        if ot_recover(params, a, [query], responses, [wrong], [r]) == (secrets[wrong],):
             cross += 1
     _report(7, cross == 0,
             f"base transfer: exhaustive recovery N<=8, query TV={tv:.4f} < 0.02, "

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from wot import base_ot, protocol
-from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
+from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_reply,
                          pick_binding, respond_powers)
 from wot.errors import ProtocolError
 from wot.framing import OtBatchQuery, OtBatchResp, encode_frame
@@ -15,23 +15,29 @@ from wot.protocol import SenderSecrets, publish, run_session_sender
 from conftest import count_calls, local_session, make_catalog, seed_source
 
 # SHA-256 of every frame, in the order sent, of the seeded one-pick session below.
-ONE_PICK_SESSION_SHA256 = "1e0f34e20661242f477e6bca7bf16f1b382c3883132b04811d01477a8f895a8d"
+ONE_PICK_SESSION_SHA256 = "05b564c61360dc7d8f15443d917e5a5493bf4518ae49b606f544710088e06f22"
 
 
-def reference_respond(params, secrets, y, binding, k=None):
+def reference_reply(params, secrets, queries, k=None):
     """Textbook sender with plain ``pow``: one ``k``, ``a = g^k``, pads from ``(y * h^-i)^k``.
 
-    ``k`` is drawn here unless the caller gives the batch's.
+    Returns ``(a, responses)``; each pad binds the batch, the pick ordinal
+    and the index. ``k`` is drawn here unless the caller gives the batch's.
     """
     p = params.p
     if k is None:
         k = rand_exponent(params, include_zero=False)
-    masks = []
-    for i, secret in enumerate(secrets):
-        element = pow(y * pow(params.h, -i, p) % p, k, p)
-        pad = kdf_pad(params, element, binding + i.to_bytes(4, "big"), len(secret))
-        masks.append(bytes(x ^ s for x, s in zip(pad, secret)))
-    return OtResponse(a=pow(params.g, k, p), masks=tuple(masks))
+    sid = batch_binding(params, queries)
+    responses = []
+    for ordinal, y in enumerate(queries):
+        masks = []
+        for i, secret in enumerate(secrets):
+            element = pow(y * pow(params.h, -i, p) % p, k, p)
+            binding = sid + ordinal.to_bytes(4, "big") + i.to_bytes(4, "big")
+            pad = kdf_pad(params, element, binding, len(secret))
+            masks.append(bytes(x ^ s for x, s in zip(pad, secret)))
+        responses.append(OtResponse(masks=tuple(masks)))
+    return pow(params.g, k, p), tuple(responses)
 
 
 class Scripted:
@@ -50,21 +56,21 @@ def query(params, n, index):
     return y, r
 
 
-def respond(params, secrets, y, binding):
-    """One pick's response: its batch of powers, then its masks."""
-    (powers,) = respond_powers(params, [y])
-    return ot_respond(params, secrets, powers, binding)
+def respond(params, secrets, y):
+    """A one-pick batch's reply: ``a`` and the pick's response."""
+    a, (response,) = ot_reply(params, secrets, [y])
+    return a, response
 
 
-def recover(params, response, index, r, binding):
-    (secret,) = ot_recover(params, [response], [index], [r], [binding])
+def recover(params, a, y, response, index, r):
+    (secret,) = ot_recover(params, a, [y], [response], [index], [r])
     return secret
 
 
-def run_single(params, secrets, index, binding=b"t"):
+def run_single(params, secrets, index):
     y, r = query(params, len(secrets), index)
-    response = respond(params, secrets, y, binding)
-    return recover(params, response, index, r, binding), response, y, r
+    a, response = respond(params, secrets, y)
+    return recover(params, a, y, response, index, r), response
 
 
 class TestQuery:
@@ -115,9 +121,9 @@ class TestTextbookEquivalence:
             seed = rng.getrandbits(64)
             with monkeypatch.context() as m:
                 seed_source(m, random.Random(seed))
-                got = respond(params, secrets, y, b"bind")
+                got = ot_reply(params, secrets, [y])
                 seed_source(m, random.Random(seed))
-                want = reference_respond(params, secrets, y, b"bind")
+                want = reference_reply(params, secrets, [y])
             assert got == want, n
 
     def test_query_element(self, preset, monkeypatch):
@@ -134,10 +140,10 @@ class TestTextbookEquivalence:
 
 
 def test_batch_frames_match_per_pick_reference(monkeypatch):
-    """A seeded batch puts the textbook per-pick bytes on the wire, both ways.
+    """A seeded batch puts the textbook bytes on the wire, both ways.
 
     The buyer draws one ``r`` per pick, in pick order; the seller one ``k``
-    for the whole batch, which every pick's textbook answer uses.
+    for the whole batch, whose ``a = g^k`` the reply carries once.
     """
     params = setup_params("modp-2048")
     p = params.p
@@ -168,12 +174,10 @@ def test_batch_frames_match_per_pick_reference(monkeypatch):
     seed_source(monkeypatch, random.Random(seed))
     run_session_sender(SenderSecrets(mode="p2", flat_secrets=secrets), query_msg, channel,
                        params)
-    sid = batch_binding(params, queries)
     seed_source(monkeypatch, random.Random(seed))
     k = rand_exponent(params, include_zero=False)
-    want = OtBatchResp(elem_len=params.element_len, responses=tuple(
-        reference_respond(params, secrets, y, pick_binding(sid, ordinal), k)
-        for ordinal, y in enumerate(queries)))
+    a, responses = reference_reply(params, secrets, queries, k)
+    want = OtBatchResp(elem_len=params.element_len, a=a, responses=responses)
     assert isinstance(channel.sent[0], OtBatchResp)
     assert encode_frame(channel.sent[0]) == encode_frame(want)
 
@@ -186,7 +190,7 @@ class TestRespondRecover:
 
     def test_full_protocol_recovers_chosen(self, p23, rng):
         secrets = [bytes([i]) * 16 for i in range(6)]
-        got, response, _, _ = run_single(p23, secrets, 2)
+        got, response = run_single(p23, secrets, 2)
         assert got == secrets[2]
         assert response.n_secrets == 6
 
@@ -197,9 +201,8 @@ class TestRespondRecover:
 
     def test_empty_secret_list_rejected(self, p23, rng):
         y, _ = query(p23, 1, 0)
-        (powers,) = respond_powers(p23, [y])
         with pytest.raises(ProtocolError):
-            ot_respond(p23, [], powers, b"t")
+            ot_reply(p23, [], [y])
 
     def test_exhaustive_recovery_small_spaces(self, p23, rng):
         for n in range(1, 9):
@@ -221,9 +224,9 @@ class TestRespondRecover:
         for _ in range(trials):
             index = rng.randrange(6)
             y, r = query(p23, 6, index)
-            response = respond(p23, secrets, y, b"t")
+            a, response = respond(p23, secrets, y)
             wrong = (index + 1 + rng.randrange(5)) % 6
-            got = recover(p23, response, wrong, r, b"t")
+            got = recover(p23, a, y, response, wrong, r)
             assert got != secrets[wrong]
 
     def test_fresh_exponents_counted(self, p23, rng, monkeypatch):
@@ -231,7 +234,7 @@ class TestRespondRecover:
         draws = count_calls(monkeypatch, rand_exponent)
         y, r = query(p23, 6, 1)
         assert len(draws) == 1  # one r per pick
-        respond(p23, secrets, y, b"t")
+        respond(p23, secrets, y)
         assert len(draws) == 2  # one k per batch, whatever N is
         queries, _ = ot_query(p23, 6, [0, 2, 5])
         assert len(draws) == 5
@@ -262,14 +265,14 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
     bindings = [pick_binding(sid, ordinal) for ordinal in range(2)]
     seed = rng.getrandbits(64)
     seed_source(monkeypatch, random.Random(seed))
-    responses = [ot_respond(params, secrets, powers, binding)
-                 for powers, binding in zip(respond_powers(params, queries), bindings)]
+    a, responses = ot_reply(params, secrets, queries)
     seed_source(monkeypatch, random.Random(seed))
     k = rand_exponent(params, include_zero=False)  # the sender's one draw for the batch
+    assert a == pow(params.g, k, p)
     h_k = pow(params.h, k, p)
     pads = set()
-    for y_t, c_t, binding, response in zip(queries, (c, c + d), bindings, responses):
-        assert response.a == pow(params.g, k, p)
+    for t, (y_t, c_t, binding, response) in enumerate(zip(queries, (c, c + d), bindings,
+                                                          responses)):
         elements = [pow(y_t * pow(params.h, -i, p) % p, k, p) for i in range(n)]
         for i, (element, masked) in enumerate(zip(elements, response.masks)):
             pad = kdf_pad(params, element, binding + i.to_bytes(4, "big"), 16)
@@ -280,12 +283,13 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
                 if i != j:
                     ratio = elements[i] * pow(elements[j], -1, p) % p
                     assert pow(ratio, pow(j - i, -1, q), p) == h_k
-        opened = pow(response.a, r, p)
+        opened = pow(a, r, p)
         assert [i for i in range(n) if elements[i] == opened] == [c_t]
-        assert recover(params, response, c_t, r, binding) == secrets[c_t]
-        for i in range(n):
-            if i != c_t:
-                assert recover(params, response, i, r, binding) != secrets[i]
+        for i in range(n):  # pick t at index i, the other pick at its own
+            indices = [c, c + d]
+            indices[t] = i
+            got = ot_recover(params, a, queries, responses, indices, (r, r))[t]
+            assert (got == secrets[i]) == (i == c_t)
     assert len(pads) == 2 * n
 
 
@@ -322,7 +326,9 @@ def test_one_pick_session_bytes_are_frozen(monkeypatch):
     """A seeded ``T = 1`` session on ``modp-2048`` sends exactly the bytes it always has.
 
     One ``k`` per batch is one ``k`` per pick when the batch has one pick,
-    so every frame of both sides, hashed in the order sent, is pinned.
+    and one ``a`` per reply is one ``a`` per pick, so every frame of both
+    sides, hashed in the order sent, is pinned. Protocol version 4 changed
+    the HELLO frame's version byte and no other frame of this session.
     """
     params = setup_params("modp-2048")
     rng = seed_source(monkeypatch, random.Random("one-pick-session"))

@@ -77,20 +77,20 @@ class TestLoadCatalog:
         """The cap on a weight is the frame cap, and ``publish`` checks it before any key.
 
         On modp-2048 with 128-bit keys, the reply to a buy of a lone item of
-        weight 1,017 would be 16,808,989 bytes; weight 1,016 fits.
+        weight 1,024 would be 269 + 16 * 1,024^2 = 16,777,485 bytes; weight 1,023 fits.
         """
         params = setup_params("modp-2048")
         key_gens = count_calls(monkeypatch, symcrypto.new_key)
         for mode in ("p1", "p2"):
-            d = write_catalog_dir(tmp_path / mode, [("a", 1017, b"A")])
+            d = write_catalog_dir(tmp_path / mode, [("a", 1024, b"A")])
             with pytest.raises(CatalogError) as err:
                 publish(load_catalog(d), mode, params)
-            assert str(err.value) == ("item 'a': a purchase of weight 1017 would need a "
-                                      "16808989-byte reply, over the 16777216-byte frame cap")
+            assert str(err.value) == ("item 'a': a purchase of weight 1024 would need a "
+                                      "16777485-byte reply, over the 16777216-byte frame cap")
             assert key_gens == []
-            (d / "items.tsv").write_text("a\t1016\ta.bin\n")
+            (d / "items.tsv").write_text("a\t1023\ta.bin\n")
             _, secrets = publish(load_catalog(d), mode, params)
-            assert len(secrets.flat_secrets) == 1016
+            assert len(secrets.flat_secrets) == 1023
             key_gens.clear()
 
     def test_comments_and_blank_lines(self, tmp_path):

@@ -50,10 +50,9 @@ def manifest_strategy():
     )
 
 
-def response_strategy(elem_len, mask_len, n):
+def response_strategy(mask_len, n):
     mask = st.binary(min_size=mask_len, max_size=mask_len)
-    return st.builds(OtResponse, a=st.integers(min_value=0, max_value=(1 << (8 * elem_len)) - 1),
-                     masks=st.lists(mask, min_size=n, max_size=n).map(tuple))
+    return st.builds(OtResponse, masks=st.lists(mask, min_size=n, max_size=n).map(tuple))
 
 
 def message_strategy():
@@ -68,7 +67,8 @@ def message_strategy():
         lambda dims: st.builds(
             OtBatchResp,
             elem_len=st.just(dims[0]),
-            responses=st.lists(response_strategy(dims[0], dims[1], dims[2]),
+            a=st.integers(min_value=0, max_value=(1 << (8 * dims[0])) - 1),
+            responses=st.lists(response_strategy(dims[1], dims[2]),
                                min_size=0, max_size=4).map(tuple),
         ))
     return st.one_of(
@@ -94,18 +94,19 @@ def test_done_frame_frozen_layout():
 def test_hello_frame_frozen_layout():
     """The version byte alone."""
     frame = encode_frame(Hello())
-    assert frame == bytes.fromhex("00000002" "01" "03")
-    assert decode(frame) == Hello(version=3)
+    assert frame == bytes.fromhex("00000002" "01" "04")
+    assert decode(frame) == Hello(version=4)
 
 
 def test_hello_is_read_version_first():
-    """A version-3 HELLO is its version byte alone; another version is read from one byte."""
+    """A version-4 HELLO is its version byte alone; another version is read from one byte."""
     assert decode(bytes.fromhex("00000007" "01" "02" "0000000000")) == Hello(version=2)
-    assert decode(bytes.fromhex("00000002" "01" "04")) == Hello(version=4)
-    assert decode(bytes.fromhex("00000004" "01" "04" "0102")) == Hello(version=4)
+    assert decode(bytes.fromhex("00000003" "01" "03" "02")) == Hello(version=3)
+    assert decode(bytes.fromhex("00000002" "01" "05")) == Hello(version=5)
+    assert decode(bytes.fromhex("00000004" "01" "05" "0102")) == Hello(version=5)
     for payload, message in (
-            ("03" "00", "trailing bytes in payload"),
-            ("03" "0000000000", "trailing bytes in payload"),  # version 2's empty fields
+            ("04" "00", "trailing bytes in payload"),
+            ("04" "0000000000", "trailing bytes in payload"),  # version 2's empty fields
             ("", "truncated payload")):
         frame = (1 + len(payload) // 2).to_bytes(4, "big") + bytes.fromhex("01" + payload)
         with pytest.raises(FrameError, match=f"^{message}$"):
@@ -157,22 +158,23 @@ def test_ct_data_ciphertext_is_a_view_over_the_body():
 
 def test_fields_other_than_the_ciphertext_are_copied_out():
     """A decoded mask is ``bytes``, not a view that holds its frame alive."""
-    msg = OtBatchResp(elem_len=1, responses=(OtResponse(a=8, masks=(b"\x01\x02", b"\x03\x04")),))
+    msg = OtBatchResp(elem_len=1, a=8,
+                      responses=(OtResponse(masks=(b"\x01\x02", b"\x03\x04")),))
     assert {type(m) for m in decode(encode_frame(msg)).responses[0].masks} == {bytes}
 
 
 def test_ot_batch_resp_frozen_layout():
     # T=2 picks over N=3 secrets on p23 (1-byte elements), 2-byte masks:
-    # header count, n, elem_len, mask_len, then per pick a and its N masks.
-    msg = OtBatchResp(elem_len=1, responses=(
-        OtResponse(a=8, masks=(b"\x01\x02", b"\x03\x04", b"\x05\x06")),
-        OtResponse(a=13, masks=(b"\xa0\xa1", b"\xa2\xa3", b"\xa4\xa5")),
+    # header count, n, elem_len, mask_len, the batch's one a, then per pick N masks.
+    msg = OtBatchResp(elem_len=1, a=8, responses=(
+        OtResponse(masks=(b"\x01\x02", b"\x03\x04", b"\x05\x06")),
+        OtResponse(masks=(b"\xa0\xa1", b"\xa2\xa3", b"\xa4\xa5")),
     ))
     frame = encode_frame(msg)
-    assert frame == bytes.fromhex("0000001b" "06" "00000002" "00000003" "0001" "0002"
-                                  "08" "0102" "0304" "0506"
-                                  "0d" "a0a1" "a2a3" "a4a5")
-    assert len(frame) == LENGTH_FIELD + 1 + 12 + 2 * (1 + 3 * 2)
+    assert frame == bytes.fromhex("0000001a" "06" "00000002" "00000003" "0001" "0002" "08"
+                                  "0102" "0304" "0506"
+                                  "a0a1" "a2a3" "a4a5")
+    assert len(frame) == LENGTH_FIELD + 1 + 12 + 1 + 2 * 3 * 2
     assert decode(frame) == msg
 
 
@@ -202,7 +204,7 @@ def check_round_trip(msg):
     payload = (bytes([0x06]) + len(msg.responses).to_bytes(4, "big")
                + msg.responses[0].n_secrets.to_bytes(4, "big")
                + msg.elem_len.to_bytes(2, "big") + bytes(2)
-               + b"".join(resp.a.to_bytes(msg.elem_len, "big") for resp in msg.responses))
+               + msg.a.to_bytes(msg.elem_len, "big"))
     with pytest.raises(FrameError, match="record count"):
         decode(len(payload).to_bytes(4, "big") + payload)
 

@@ -16,6 +16,7 @@ from wot.framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg,
                          LENGTH_FIELD, TYPE_CT_REQ, TYPE_HELLO,
                          TYPE_OT_BATCH_QUERY, encode_frame, read_frame)
 from wot import net
+from wot.cli import main
 from wot.catalog import ciphertext_digest
 from wot.net import SenderServer, SocketChannel, buy, _recv_exact
 from wot.protocol import (PublishedBundle, fetch_bundle, publish, run_session_sender,
@@ -122,6 +123,22 @@ class TestBuy:
         written = tmp_path / "out" / "item00"
         assert not written.is_symlink() and written.is_file()
         assert written.read_bytes() == catalog.items[0].payload
+
+    def test_directory_at_an_output_path_fails_before_paying(self, server, tmp_path, caplog,
+                                                              capsys, monkeypatch):
+        """``out/<id>`` as a directory cannot be replaced, so the buy stops before it connects."""
+        srv, _, _ = server
+        (tmp_path / "out" / "item02").mkdir(parents=True)
+        connects = []
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kw: connects.append(args))
+        rc = main(["buy", "--server", f"127.0.0.1:{srv.port}", "--items", "item00,item02",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: output path {tmp_path / 'out' / 'item02'} is a directory"
+        assert connects == []
+        assert billed_lines(caplog, count=1, timeout=0.5) == []
+        assert not (tmp_path / "out" / "item00").exists()
 
     def test_unknown_id_fails_before_any_transfer(self, server, tmp_path):
         srv, _, billed = server
@@ -369,20 +386,29 @@ class TestGrammar:
         assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 2")
         assert billed() == []
 
+    def test_version_3_hello_refused(self, server):
+        """Version 3 sent an ``a`` per pick; its buyer's HELLO is refused, byte for byte."""
+        srv, _, billed = server
+        with raw_client(srv.port) as sock:
+            sock.sendall(bytes.fromhex("00000002" "01" "03"))
+            reply = read_frame(lambda n: _recv_exact(sock, n))
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 3")
+        assert billed() == []
+
     def test_one_byte_later_version_hello_refused(self, server):
         """A later version's HELLO is refused by its version byte, whatever its layout."""
         srv, _, billed = server
         with raw_client(srv.port) as sock:
-            sock.sendall(bytes.fromhex("00000002" "01" "04"))
+            sock.sendall(bytes.fromhex("00000002" "01" "05"))
             reply = read_frame(lambda n: _recv_exact(sock, n))
-        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 4")
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 5")
         assert billed() == []
 
     def test_hello_with_a_trailing_byte_gets_no_manifest(self, server):
-        """A version-3 HELLO is its version byte alone; a HELLO cannot pin a session parameter."""
+        """A version-4 HELLO is its version byte alone; a HELLO cannot pin a session parameter."""
         srv, _, billed = server
         with raw_client(srv.port) as sock:
-            sock.sendall(bytes.fromhex("00000003" "01" "03" "02"))
+            sock.sendall(bytes.fromhex("00000003" "01" "04" "02"))
             reply = read_frame(lambda n: _recv_exact(sock, n))
             assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
             assert sock.recv(1) == b""  # the seller hung up

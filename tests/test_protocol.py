@@ -16,8 +16,8 @@ from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthentication
                         ProtocolError, WotError)
 from wot import group, net, protocol
 from wot import symcrypto
-from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_respond,
-                         pick_binding, respond_powers)
+from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_reply,
+                         ot_respond, pick_binding, respond_powers)
 from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN,
                          CtData, CtReq, Done, ManifestMsg, OtBatchQuery,
                          OtBatchResp, _ot_batch_resp_len, encode_frame, encode_manifest)
@@ -138,7 +138,7 @@ class TestPublish:
         assert isinstance(symcrypto._RNG, random.SystemRandom)
         assert publish(cat, "p2", p23) != publish(cat, "p2", p23)
         bindings = count_calls(monkeypatch, batch_binding)  # the query elements, both sides
-        answers = count_calls(monkeypatch, ot_respond)  # the seller's g^k, h^-k and y^k
+        answers = count_calls(monkeypatch, ot_respond)  # the seller's h^-k and y^k per pick
 
         def run():
             seed_source(monkeypatch, random.Random(7))
@@ -215,7 +215,7 @@ class TestSelectionPlan:
         reply_len = _ot_batch_resp_len(t, t, p23.element_len, 16)  # T = N picks
         start = time.perf_counter()
         with pytest.raises(ProtocolError, match=f"reply would be {reply_len} bytes"):
-            run_session_receiver(ManifestOnly(), manifest.ids)
+            run_session_receiver(ManifestOnly(), [e.id for e in manifest.entries])
         assert time.perf_counter() - start < 1.0
         assert [type(msg).__name__ for msg in sent] == ["Hello"]
 
@@ -365,14 +365,16 @@ class TestSessions:
             tx_chan.recv()  # CT_REQ
             tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
-            forged = OtResponse(a=5, masks=(bytes(16),) * n)  # 5 is not a member
-            tx_chan.send(OtBatchResp(elem_len=p23.element_len,
+            forged = OtResponse(masks=(bytes(16),) * n)
+            tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=5,  # 5 is not a member
                                      responses=(forged,) * len(msg.queries)))
             tx_chan.send(Done(billed=len(msg.queries)))
 
+        checks = count_calls(monkeypatch, is_member)
         pads = count_calls(monkeypatch, kdf_pad)
         with pytest.raises(ProtocolError, match="invalid response element"):
             against(forging_sender, buying(["item00"]))
+        assert checks == [(p23, 5)]  # one check for the reply's one a, whatever T is
         assert pads == []
 
     def test_pool_threads_run_no_public_function(self, monkeypatch):
@@ -444,17 +446,18 @@ class TestSessions:
         assert billed == 9
         assert len(checks) == billed + 1
 
-    @pytest.mark.parametrize("forged_at", [None, 0, 2])
+    @pytest.mark.parametrize("forged_at", [0, 2])
     def test_buyer_checks_every_distinct_response_element(self, p23, rng, monkeypatch,
                                                           forged_at):
-        """A seller drawing ``k`` per pick still sells, and each distinct ``a`` is checked.
+        """The reply's one ``a`` is the only element checked, and a per-pick ``k`` is refused.
 
-        With one pick's ``a`` replaced by a non-member, the purchase fails
-        before any pad, wherever that pick sits in the batch.
+        A seller that answers one pick under a fresh ``k`` can still send
+        only the batch's ``a``. The buyer checks that ``a`` once, and the
+        odd pick's share does not unmask, wherever that pick sits.
         """
         cat = make_catalog([3], rng)
         bundle, secrets = publish(cat, "p2", p23)
-        responses = []
+        sent = []
 
         def per_pick_sender(tx_chan):
             tx_chan.recv()  # HELLO
@@ -463,25 +466,21 @@ class TestSessions:
             tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
             sid = batch_binding(p23, msg.queries)
-            for t, y in enumerate(msg.queries):
-                (powers,) = respond_powers(p23, [y])  # a fresh k for each pick
-                responses.append(ot_respond(p23, secrets.flat_secrets, powers,
-                                            pick_binding(sid, t)))
-            if forged_at is not None:
-                responses[forged_at] = replace(responses[forged_at], a=5)  # not a member
-            tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=tuple(responses)))
+            a, step, elements = respond_powers(p23, msg.queries)
+            powers = [(step, element) for element in elements]
+            _, fresh_step, (fresh,) = respond_powers(p23, [msg.queries[forged_at]])
+            powers[forged_at] = (fresh_step, fresh)  # a fresh k for this pick alone
+            responses = tuple(ot_respond(p23, secrets.flat_secrets, *pick,
+                                         pick_binding(sid, t))
+                              for t, pick in enumerate(powers))
+            sent.append(a)
+            tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=a, responses=responses))
             tx_chan.send(Done(billed=len(msg.queries)))
 
         checks = count_calls(monkeypatch, is_member)
-        pads = count_calls(monkeypatch, kdf_pad, record=threading.current_thread)
-        if forged_at is None:
-            result = against(per_pick_sender, buying(["item00"]))
-            assert dict(result.items) == {"item00": cat.items[0].payload}
-            assert sorted(a for _, a in checks) == sorted({r.a for r in responses})
-        else:
-            with pytest.raises(ProtocolError, match="invalid response element"):
-                against(per_pick_sender, buying(["item00"]))
-            assert (p23, 5) in checks and threading.current_thread() not in pads
+        with pytest.raises(ItemAuthenticationError):
+            against(per_pick_sender, buying(["item00"]))
+        assert checks == [(p23, sent[0])]  # one check, of the batch's a
 
     def test_billing_echo_mismatch_aborts(self, p23, rng):
         cat = make_catalog([2], rng)
@@ -493,12 +492,8 @@ class TestSessions:
             tx_chan.recv()  # CT_REQ
             tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
-            from wot.base_ot import batch_binding, ot_respond, pick_binding, respond_powers
-            sid = batch_binding(p23, msg.queries)
-            responses = tuple(
-                ot_respond(p23, secrets.flat_secrets, powers, pick_binding(sid, t))
-                for t, powers in enumerate(respond_powers(p23, msg.queries)))
-            tx_chan.send(OtBatchResp(elem_len=p23.element_len, responses=responses))
+            a, responses = ot_reply(p23, secrets.flat_secrets, msg.queries)
+            tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=a, responses=responses))
             tx_chan.send(Done(billed=99))
 
         with pytest.raises(ProtocolError, match="billing mismatch"):
@@ -507,13 +502,13 @@ class TestSessions:
     @pytest.mark.parametrize("forge, message", [
         (lambda resp: replace(resp, responses=resp.responses[1:]),
          "response count does not match pick count"),
-        (lambda resp: replace(resp, responses=tuple(OtResponse(a=r.a, masks=r.masks[1:])
+        (lambda resp: replace(resp, responses=tuple(OtResponse(masks=r.masks[1:])
                                                     for r in resp.responses)),
          "response does not cover the flat index space"),
         (lambda resp: replace(resp, elem_len=resp.elem_len + 1),
          "response element width mismatch"),
         (lambda resp: replace(resp, responses=tuple(
-            OtResponse(a=r.a, masks=tuple(m[:8] for m in r.masks)) for r in resp.responses)),
+            OtResponse(masks=tuple(m[:8] for m in r.masks)) for r in resp.responses)),
          "response mask width mismatch"),  # 64-bit masks for 128-bit keys
     ], ids=["count", "width", "elem-width", "mask-width"])
     def test_reply_of_another_shape_refused(self, p23, rng, monkeypatch, forge, message):
@@ -528,11 +523,9 @@ class TestSessions:
             for ct in bundle.ciphertexts:
                 tx_chan.send(CtData(ciphertext=ct))
             msg = tx_chan.recv()
-            sid = batch_binding(p23, msg.queries)
-            responses = tuple(
-                ot_respond(p23, secrets.flat_secrets, powers, pick_binding(sid, t))
-                for t, powers in enumerate(respond_powers(p23, msg.queries)))
-            tx_chan.send(forge(OtBatchResp(elem_len=p23.element_len, responses=responses)))
+            a, responses = ot_reply(p23, secrets.flat_secrets, msg.queries)
+            tx_chan.send(forge(OtBatchResp(elem_len=p23.element_len, a=a,
+                                           responses=responses)))
             tx_chan.recv()  # the buyer hangs up here
 
         recoveries = count_calls(monkeypatch, ot_recover)
@@ -890,9 +883,9 @@ class TestFrameCap:
                                                     monkeypatch):
         """A batch whose reply frame would pass the cap is refused from (N, T) alone."""
         _, secrets = publish(make_catalog([1, 2, 3, 7], rng), "p2", p23)
-        per_pick = p23.element_len + sum(map(len, secrets.flat_secrets))  # a, N masks
-        picks = (MAX_FRAME_LEN - 13) // per_pick + 1
-        assert 1 + 12 + picks * per_pick > MAX_FRAME_LEN
+        per_pick = sum(map(len, secrets.flat_secrets))  # N masks; the one a is in the header
+        picks = (MAX_FRAME_LEN - 13 - p23.element_len) // per_pick + 1
+        assert 1 + 12 + p23.element_len + picks * per_pick > MAX_FRAME_LEN
         # Non-member queries: refusing them would take the membership pass.
         query = OtBatchQuery(elem_len=p23.element_len, queries=(5,) * picks)
         responses = count_calls(monkeypatch, respond_powers)
