@@ -12,6 +12,11 @@ Item ids double as wire identifiers and file names (``<id>.ct`` in a bundle,
 characters of ``[A-Za-z0-9._-]`` and may not be ``.`` or ``..``, which name a
 directory rather than a file in it.
 
+A payload of ``symcrypto.MAP_FLOOR`` bytes (1 MiB) or more is loaded as a
+read-only view of the mapped file, not copied into memory: publishing
+reads each payload once, so a copy would only add a page fault per 4 KiB
+page and a pass over the bytes (see ``load_catalog``).
+
 Indices are 0-based throughout. The flat index space enumerates all key
 shares across items: item ``i`` owns the contiguous range
 ``[offsets[i], offsets[i] + weight_i)`` and the total ``N`` is the sum of
@@ -21,15 +26,20 @@ flat index is an unambiguous reference to one share of one item's key.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import mmap
+import os
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from pickle import PickleBuffer
 
 from .errors import CatalogError
 from .group import _on_cpus
-from .symcrypto import KEY_BITS_CHOICES
+from .symcrypto import KEY_BITS_CHOICES, MAP_FLOOR, MAP_POPULATE
 
 MANIFEST_SOURCE = "items.tsv"
 # Weights, the share count N and the billed total travel as u32 fields,
@@ -53,7 +63,7 @@ def _check_id(item_id: str):
 class Item:
     id: str
     weight: int
-    payload: bytes
+    payload: bytes | memoryview  # memoryview: a mapped payload file (see ``load_catalog``)
 
     def __post_init__(self):
         _check_id(self.id)
@@ -203,8 +213,19 @@ class FlatIndexMap:
 def load_catalog(path) -> Catalog:
     """Read a catalog directory (``items.tsv`` plus payload files).
 
-    Every line is checked before any payload is read; the payloads are
-    then read on the CPU pool (``group._on_cpus``).
+    Every line is checked before any payload is opened; the payloads are
+    then opened on the CPU pool (``group._on_cpus``) by ``_open_payload``.
+    A payload of ``symcrypto.MAP_FLOOR`` bytes or more is mapped read-only,
+    not copied: its ``Item.payload`` is a read-only ``memoryview`` of the
+    file's pages in the page cache, mapped ready to read (``MAP_POPULATE``),
+    so loading it costs no copy and no page fault per 4 KiB page. A smaller
+    or empty payload, and one the OS refuses to map, is read into ``bytes``.
+
+    No file stays open. Replacing a payload file afterwards (unlink and
+    create, as ``wot publish`` writes its own files) leaves the loaded
+    payload as it was. A file edited in place afterwards reads as it is at
+    the moment it is read, and one truncated while mapped ends the process
+    with ``SIGBUS`` when the lost pages are read.
     """
     directory = Path(path)
     source = directory / MANIFEST_SOURCE
@@ -236,9 +257,47 @@ def load_catalog(path) -> Catalog:
         listed.append((item_id, weight, payload_path))
     if not listed:
         raise CatalogError(f"{source}: no items listed")
-    payloads = _on_cpus(Path.read_bytes, [payload_path for _, _, payload_path in listed])
+    payloads = _on_cpus(_open_payload, [payload_path for _, _, payload_path in listed])
     return Catalog(items=tuple(Item(id=item_id, weight=weight, payload=payload)
                                for (item_id, weight, _), payload in zip(listed, payloads)))
+
+
+def _open_payload(path) -> bytes | memoryview:
+    """The bytes of one payload file: mapped from ``MAP_FLOOR`` bytes up, else read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size >= MAP_FLOOR:
+            try:
+                return _map_file(fh.fileno(), size)
+            except OSError:
+                pass
+        return fh.read()
+
+
+_libc = ctypes.CDLL(None, use_errno=True)
+_libc.mmap.restype = ctypes.c_void_p
+_libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+                       ctypes.c_int, ctypes.c_long)
+_libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+_MAP_FAILED = ctypes.c_void_p(-1).value
+
+
+def _map_file(fd: int, size: int) -> memoryview:
+    """A read-only view of the first ``size`` bytes of ``fd``, mapped shared and pre-faulted.
+
+    It calls libc's ``mmap`` because ``mmap.mmap`` keeps a duplicate of
+    ``fd`` open for as long as the mapping lives (until Python 3.13's
+    ``trackfd``); this mapping holds no descriptor. It is unmapped when the
+    last view of it is released.
+    """
+    addr = _libc.mmap(None, size, mmap.PROT_READ, mmap.MAP_SHARED | MAP_POPULATE, fd, 0)
+    if addr == _MAP_FAILED:
+        err = ctypes.get_errno()
+        raise OSError(err, os.strerror(err))
+    pages = (ctypes.c_ubyte * size).from_address(addr)
+    weakref.finalize(pages, _libc.munmap, addr, size).atexit = False
+    # PickleBuffer.raw() is a plain unsigned-byte view; the array's own is "<B".
+    return PickleBuffer(pages).raw().toreadonly()
 
 
 def ciphertext_digest(ciphertext: bytes) -> str:

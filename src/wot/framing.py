@@ -194,6 +194,14 @@ def _pack(fmt: str, *values: int) -> bytes:
         raise FrameError(f"field out of range: {exc}") from None
 
 
+def _element(value: int, width: int) -> bytes:
+    """``value`` as ``width`` big-endian bytes; a negative or too wide one is a ``FrameError``."""
+    try:
+        return value.to_bytes(width, "big")
+    except OverflowError as exc:
+        raise FrameError(f"field out of range: {exc}") from None
+
+
 def _string(s: str) -> bytes:
     raw = s.encode()
     if len(raw) > 0xFFFF:
@@ -268,7 +276,7 @@ def _encode_payload(msg: Message) -> tuple:
     if isinstance(msg, OtBatchQuery):
         out = bytearray(_pack("!IH", len(msg.queries), msg.elem_len))
         for y in msg.queries:
-            out += y.to_bytes(msg.elem_len, "big")
+            out += _element(y, msg.elem_len)
         return TYPE_OT_BATCH_QUERY, out
     if isinstance(msg, OtBatchResp):
         counts = {resp.n_secrets for resp in msg.responses}
@@ -282,7 +290,7 @@ def _encode_payload(msg: Message) -> tuple:
         if msg.responses and not mask_len:  # read_frame refuses zero-width picks too
             raise FrameError("payload does not match its record count")
         out = bytearray(_pack("!IIHH", len(msg.responses), n, msg.elem_len, mask_len))
-        out += msg.a.to_bytes(msg.elem_len, "big")
+        out += _element(msg.a, msg.elem_len)
         for resp in msg.responses:
             for masked in resp.masks:
                 out += masked

@@ -39,16 +39,18 @@ CPU the process may use. A transfer batch's exponentiations are
 independent, so ``_powmods`` takes them all at once and maps ``_powmod``
 there; ctypes releases the GIL for the ladder, so the workers run in
 parallel. The publisher also hashes its ciphertexts there
-(``protocol.publish``), reads its payload files there
-(``catalog.load_catalog``) and writes its ciphertext files there
-(``protocol.save_bundle``); ``hashlib`` and file reads and writes release
+(``protocol.publish``), opens its payload files there
+(``catalog.load_catalog``: a file of ``symcrypto.MAP_FLOOR`` bytes or more
+is mapped with its pages populated in the ``mmap`` call, a smaller one is
+read) and writes its ciphertext files there (``protocol.save_bundle``);
+``hashlib``, file reads and writes and the ctypes ``mmap`` call release
 the GIL too. Every server session shares that pool, so concurrent
 sessions queue their work instead of oversubscribing the CPUs. The pool
 starts on the first call that needs it, never during setup. A call runs
 inline on the calling thread when it has fewer than two jobs or the
 process may use one CPU, and a ``_powmods`` batch also when its modulus
 is under 128 bits. Pool threads run ``_powmod``,
-``catalog.ciphertext_digest``, file reads and bundle file writes,
+``catalog.ciphertext_digest``, payload loads and bundle file writes,
 nothing else. So a publish's digests run off its thread, as do a
 buyer's, which its ``wot-digest`` thread (``protocol.fetch_bundle``)
 computes as the ciphertexts arrive. Every other public function runs on

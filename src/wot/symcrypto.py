@@ -20,6 +20,15 @@ layer reading the one below from the other buffer, so that the outermost
 layer lands in the buffer it returns: an item costs two allocations
 however many layers it has.
 
+A buffer that is returned, and so written once and kept, comes from
+``_new_buffer``. From ``MAP_FLOOR`` bytes up it is an anonymous mapping
+whose pages the kernel supplies when it is made (``MAP_POPULATE``, where
+the platform has it), not a ``bytearray``: one call then replaces a page
+fault per 4 KiB page as the cipher first writes it. Smaller buffers
+and ``nested_encrypt``'s short-lived second buffer are ``bytearray``
+objects; mapping that second buffer too took more
+faults per ``p1`` publish and was not faster.
+
 A key split into ``p`` shares draws ``p - 1`` uniform share strings and
 sets the last share to the XOR of the key with all of them: any proper
 subset of shares is jointly uniform and reveals nothing about the key.
@@ -31,6 +40,7 @@ caller can pass another: a predictable one would give away every key or choice.
 
 from __future__ import annotations
 
+import mmap
 import random
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -42,6 +52,19 @@ TAG_LEN = 16
 KEY_BITS_CHOICES = (128, 256)
 
 _RNG = random.SystemRandom()
+
+# Buffers and payload files of at least this many bytes are mapped
+# (``_new_buffer`` here, ``catalog._open_payload`` for payloads). Smaller
+# ones have few pages to fault, and a mapping costs system calls of its own.
+MAP_FLOOR = 1 << 20
+MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)  # 0: a plain mapping
+
+
+def _new_buffer(size: int):
+    """A writable buffer of ``size`` zero bytes, pre-faulted from ``MAP_FLOOR`` up."""
+    if size < MAP_FLOOR:
+        return bytearray(size)
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | MAP_POPULATE)
 
 
 def _check_key(key: bytes) -> bytes:
@@ -61,12 +84,13 @@ def new_key(key_bits: int = 128) -> bytes:
 def encrypt(key: bytes, plaintext, context: str = "", out=None) -> memoryview:
     """``nonce || body || tag`` as a read-only view, written into the front of ``out``.
 
-    Without ``out``, into a new buffer of exactly the ciphertext's size.
+    Without ``out``, into a new buffer of exactly the ciphertext's size
+    (``_new_buffer``).
     """
     key = _check_key(key)
     nonce = _RNG.randbytes(NONCE_LEN)
     size = NONCE_LEN + len(plaintext) + TAG_LEN
-    view = memoryview(bytearray(size) if out is None else out)[:size]
+    view = memoryview(_new_buffer(size) if out is None else out)[:size]
     view[:NONCE_LEN] = nonce
     AESGCM(key).encrypt_into(nonce, plaintext, context.encode(), view[NONCE_LEN:])
     return view.toreadonly()
@@ -120,14 +144,15 @@ def _layer_context(context: str, layer: int) -> str:
 def nested_encrypt(keys, plaintext, context: str = "") -> memoryview:
     """Encrypt under every key in turn; ``keys[0]`` ends up outermost.
 
-    Odd layers go into the outermost layer's buffer and even layers into
-    one sized for layer 2, so each layer reads the one below from the other.
+    Odd layers go into the outermost layer's buffer (``_new_buffer``) and
+    even layers into a ``bytearray`` sized for layer 2, so each layer reads
+    the one below from the other.
     """
     keys = list(keys)
     if not keys:
         raise CryptoError("nested encryption needs at least one key")
     overhead = NONCE_LEN + TAG_LEN
-    outer = bytearray(len(plaintext) + len(keys) * overhead)
+    outer = _new_buffer(len(plaintext) + len(keys) * overhead)
     second = bytearray(len(plaintext) + (len(keys) - 1) * overhead) if len(keys) > 1 else None
     buffers = (second, outer)  # indexed by layer parity
     blob = plaintext

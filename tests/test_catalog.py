@@ -1,16 +1,27 @@
+import errno
+import os
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wot import group, symcrypto
+from wot import catalog, group, protocol, symcrypto
 from wot.catalog import Catalog, FlatIndexMap, Item, ciphertext_digest, load_catalog
 from wot.errors import CatalogError
 from wot.group import setup_params
 from wot.protocol import publish
 
-from conftest import count_calls, make_catalog, write_catalog_dir
+from conftest import count_calls, local_session, make_catalog, write_catalog_dir
+
+
+def spy_payload_opens(monkeypatch) -> list:
+    """The paths ``load_catalog`` opens as payloads, mapped or read, from now on."""
+    opened = []
+    open_payload = catalog._open_payload
+    monkeypatch.setattr(catalog, "_open_payload",
+                        lambda path: opened.append(path) or open_payload(path))
+    return opened
 
 
 class TestLoadCatalog:
@@ -52,13 +63,14 @@ class TestLoadCatalog:
     def test_bad_line_is_refused_before_any_payload_is_read(self, tmp_path, monkeypatch,
                                                             bad_line, match):
         d = write_catalog_dir(tmp_path / "cat", [("a", 1, b"A"), ("b", 2, b"B")])
+        opened = spy_payload_opens(monkeypatch)
+        load_catalog(d)
+        assert sorted(opened) == [d / "a.bin", d / "b.bin"]  # the spy sees every open
+        opened.clear()
         (d / "items.tsv").write_text(f"a\t1\ta.bin\nb\t2\tb.bin\n{bad_line}\n")
-        reads = []
-        read_bytes = Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
         with pytest.raises(CatalogError, match=match):
             load_catalog(d)
-        assert reads == []
+        assert opened == []
 
     def test_payloads_are_read_in_listed_order(self, tmp_path, monkeypatch):
         """Reads run on the CPU pool; each payload still lands on its own line's item."""
@@ -103,6 +115,81 @@ class TestLoadCatalog:
         entries = [(f"i{k}", w, bytes([k])) for k, w in enumerate([105, 190, 307, 689])]
         cat = load_catalog(write_catalog_dir(tmp_path / "cat", entries))
         assert cat.total_weight == 1291
+
+
+FLOOR = symcrypto.MAP_FLOOR
+EDGE_SIZES = (0, 1, FLOOR - 1, FLOOR, FLOOR + 1)
+
+
+def edge_catalog_dir(path):
+    """One payload of each size around the mapping floor, with weights 1 and 2."""
+    return write_catalog_dir(path, [(f"s{n}", 1 + k % 2, random.Random(n).randbytes(n))
+                                    for k, n in enumerate(EDGE_SIZES)])
+
+
+class TestMappedPayloads:
+    """Payloads from ``MAP_FLOOR`` bytes up are read-only views of a mapped file."""
+
+    def test_sizes_around_the_floor_load_as_read_bytes_does(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(group, "_cpus", lambda: 2)  # opened on the CPU pool
+        d = edge_catalog_dir(tmp_path / "cat")
+        for item, size in zip(load_catalog(d).items, EDGE_SIZES):
+            assert isinstance(item.payload, memoryview) == (size >= FLOOR)
+            assert len(item.payload) == size
+            assert item.payload == (d / f"{item.id}.bin").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["p1", "p2"])
+    def test_publish_and_buy_round_trip(self, tmp_path, p23, mode):
+        d = edge_catalog_dir(tmp_path / "cat")
+        bundle, secrets = publish(load_catalog(d), mode, p23)
+        protocol.save_bundle(bundle, tmp_path / "bundle", secrets=secrets)
+        bundle = protocol.load_bundle(tmp_path / "bundle")
+        ids = [f"s{n}" for n in EDGE_SIZES]
+        result, billed = local_session(bundle, protocol.load_secrets(tmp_path / "bundle"), ids)
+        assert billed == result.total == sum(1 + k % 2 for k in range(len(ids)))
+        assert result.items == tuple((i, (d / f"{i}.bin").read_bytes()) for i in ids)
+
+    def test_mapped_payload_is_read_only(self, tmp_path):
+        d = write_catalog_dir(tmp_path / "cat", [("a", 1, bytes(FLOOR))])
+        payload = load_catalog(d).items[0].payload
+        assert payload.readonly
+        with pytest.raises(TypeError):
+            payload[0] = 1
+
+    def test_replacing_the_file_leaves_the_loaded_payload(self, tmp_path):
+        d = write_catalog_dir(tmp_path / "cat", [("a", 1, b"old" * FLOOR)])
+        payload = load_catalog(d).items[0].payload
+        (d / "a.bin").unlink()
+        (d / "a.bin").write_bytes(b"new" * FLOOR)
+        assert payload == b"old" * FLOOR
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_no_descriptor_stays_open(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(group, "_cpus", lambda: 2)
+        d = edge_catalog_dir(tmp_path / "cat")
+        load_catalog(d)  # the pool starts here, not in the count below
+        before = len(os.listdir("/proc/self/fd"))
+        loaded = load_catalog(d)  # its two mapped payloads stay alive across the count
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert isinstance(loaded.items[-1].payload, memoryview)
+
+    def test_refused_mapping_is_an_oserror(self, tmp_path):
+        """The OS's refusal comes back as ``OSError``; a directory cannot be mapped."""
+        fd = os.open(tmp_path, os.O_RDONLY)
+        try:
+            with pytest.raises(OSError) as err:
+                catalog._map_file(fd, FLOOR)
+        finally:
+            os.close(fd)
+        assert err.value.errno == errno.ENODEV
+
+    def test_refused_mapping_falls_back_to_a_read(self, tmp_path, monkeypatch):
+        def refuse(fd, size):
+            raise OSError(errno.ENODEV, "no mapping")
+
+        monkeypatch.setattr(catalog, "_map_file", refuse)
+        d = write_catalog_dir(tmp_path / "cat", [("a", 1, b"x" * FLOOR)])
+        assert load_catalog(d).items[0].payload == b"x" * FLOOR
 
 
 class TestFlatIndexMap:

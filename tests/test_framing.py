@@ -302,7 +302,10 @@ def test_manifest_rejects_duplicate_item_ids():
 def test_out_of_range_fields_refused():
     """Every wire field is fixed-width; a value that does not fit is a WotError."""
     for msg in (Done(billed=1 << 32), Done(billed=-1), Hello(version=256),
-                OtBatchQuery(elem_len=1 << 16, queries=())):
+                OtBatchQuery(elem_len=1 << 16, queries=()),
+                OtBatchResp(elem_len=1, a=256, responses=()),
+                OtBatchQuery(elem_len=1, queries=(256,)),
+                OtBatchQuery(elem_len=1, queries=(-1,))):
         with pytest.raises(FrameError, match="out of range"):
             encode_frame(msg)
     huge = Manifest(mode="p2", group_id="p23", key_bits=128,

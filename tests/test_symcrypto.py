@@ -1,3 +1,4 @@
+import mmap
 import random
 import tracemalloc
 
@@ -8,8 +9,8 @@ from scipy.stats import chisquare
 
 from wot import symcrypto
 from wot.errors import AuthenticationError, CryptoError
-from wot.symcrypto import (combine_shares, decrypt, encrypt, nested_decrypt,
-                           nested_encrypt, new_key, split_key, xor_bytes)
+from wot.symcrypto import (NONCE_LEN, TAG_LEN, combine_shares, decrypt, encrypt,
+                           nested_decrypt, nested_encrypt, new_key, split_key, xor_bytes)
 
 from conftest import count_calls, seed_source
 
@@ -267,9 +268,13 @@ class TestLayerFormat:
 
 
 class TestCiphertextAllocations:
-    """Peak traced memory, as a multiple of the ciphertext's length, for a 1 MiB payload."""
+    """Peak traced memory, as a multiple of the ciphertext's length, for a 512 KiB payload.
 
-    PAYLOAD = bytes(1 << 20)
+    Its buffers stay under ``MAP_FLOOR``, so they are ``bytearray`` objects
+    that tracemalloc sees; a mapped buffer is not traced.
+    """
+
+    PAYLOAD = bytes(symcrypto.MAP_FLOOR // 2)
 
     @staticmethod
     def peak_ratio(call):
@@ -289,6 +294,39 @@ class TestCiphertextAllocations:
     def test_nested_encrypt_uses_two_buffers(self, rng, layers):
         keys = [new_key(128) for _ in range(layers)]
         assert self.peak_ratio(lambda: nested_encrypt(keys, self.PAYLOAD, "item:a")) <= 2.01
+
+
+class TestMappedBuffers:
+    """From ``MAP_FLOOR`` bytes up a returned ciphertext's buffer is a pre-faulted mapping."""
+
+    FLOOR = symcrypto.MAP_FLOOR
+    OVERHEAD = NONCE_LEN + TAG_LEN
+
+    @staticmethod
+    def peel(key, ct, context):
+        return AESGCM(key).decrypt(ct[:NONCE_LEN], ct[NONCE_LEN:], context.encode())
+
+    @pytest.mark.parametrize("ct_len", [FLOOR - 1, FLOOR, FLOOR + 1])
+    def test_encrypt(self, rng, ct_len):
+        key = new_key(128)
+        payload = rng.randbytes(ct_len - self.OVERHEAD)
+        ct = encrypt(key, payload, "ctx")
+        assert ct.readonly and len(ct) == ct_len
+        assert isinstance(ct.obj, mmap.mmap) == (ct_len >= self.FLOOR)
+        assert self.peel(key, ct, "ctx") == payload
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("ct_len", [FLOOR - 1, FLOOR, FLOOR + 1])
+    def test_nested_encrypt(self, rng, layers, ct_len):
+        keys = [new_key(128) for _ in range(layers)]
+        payload = rng.randbytes(ct_len - layers * self.OVERHEAD)
+        ct = nested_encrypt(keys, payload, "item:a")
+        assert ct.readonly and len(ct) == ct_len
+        assert isinstance(ct.obj, mmap.mmap) == (ct_len >= self.FLOOR)
+        blob = ct
+        for layer, key in enumerate(keys, start=1):
+            blob = self.peel(key, blob, f"item:a|layer{layer}")
+        assert blob == payload
 
 
 class TestShareRecombinationContract:
