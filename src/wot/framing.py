@@ -23,12 +23,12 @@ except ``CtData.ciphertext``: it is a view over the body. The buyer's one
 copy is the join in which ``wot.net._recv_exact`` assembles the body
 from its ``recv`` chunks, and there is none when one ``recv`` fills it.
 
-Protocol version 4 delivers by position and sends one ``a`` per
-transfer reply. ``HELLO`` is ``[u8 version]`` alone: every session
-parameter comes from the seller's manifest. A version-4 HELLO with
-anything after its version byte is a ``FrameError``; a HELLO of any
-other version decodes from its first byte alone, whatever follows, so
-the seller can answer it with
+Protocol version 5 delivers by position, sends one ``a`` per transfer
+reply, and ends the session with that reply: its pick count is the bill.
+``HELLO`` is ``[u8 version]`` alone: every session parameter comes from
+the seller's manifest. A version-5 HELLO with anything after its version
+byte is a ``FrameError``; a HELLO of any other version decodes from its
+first byte alone, whatever follows, so the seller can answer it with
 ``ERROR(ERR_INCOMPATIBLE, "unsupported version N")``. ``CT_REQ`` has an
 empty payload and asks for every ciphertext, in manifest order; each
 ``CT_DATA`` is ``[type][ciphertext]``, and its place in that stream names
@@ -40,15 +40,25 @@ the item. Version 2 named an item in each request and reply.
     [elem_len bytes - a = g^k] [T * N times: mask_len bytes - mask]
 
 so the length field of a reply reads ``1 + 12 + elem_len + T * N * mask_len``.
-Version 3 sent an ``a`` before each pick's masks, version 1 N (element,
-mask) pairs per pick. The manifest record format has its own version
-byte (``MANIFEST_VERSION``), so bundles written before any bump still
-load.
+Its ``count`` is the billed total ``T``, which the seller logs and the
+buyer checks against its own pick count. Version 4 repeated that total in
+a ``DONE`` frame (type ``0x07``, now unassigned), version 3 sent an ``a``
+before each pick's masks, version 1 N (element, mask) pairs per pick. The
+manifest record format has its own version byte (``MANIFEST_VERSION``),
+so bundles written before any bump still load.
+
+A ``MANIFEST`` must fit one frame too, and its size follows from the
+group name and the item ids alone (``_manifest_len``): with 64-character
+ids, 147,168 items fit.
+
+``read_frame`` can hand a frame's type byte and undecoded payload to an
+``admit`` callable before it decodes anything, so a peer's frame can be
+refused for its type, or a query for its header, at no decoding cost.
 
 Session grammar (enforced on both sides in ``wot.protocol``)::
 
     HELLO -> MANIFEST -> [CT_REQ -> N x CT_DATA] -> OT_BATCH_QUERY
-          -> OT_BATCH_RESP -> DONE
+          -> OT_BATCH_RESP
 
 Any deviation earns an ERROR frame and a closed connection.
 """
@@ -65,7 +75,7 @@ from .errors import CatalogError, FrameError
 LENGTH_FIELD = 4
 MAX_FRAME_LEN = 1 << 24  # cap on the length field (type byte + payload)
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 MANIFEST_VERSION = 1
 
 TYPE_HELLO = 0x01
@@ -73,8 +83,7 @@ TYPE_MANIFEST = 0x02
 TYPE_CT_REQ = 0x03
 TYPE_CT_DATA = 0x04
 TYPE_OT_BATCH_QUERY = 0x05
-TYPE_OT_BATCH_RESP = 0x06
-TYPE_DONE = 0x07
+TYPE_OT_BATCH_RESP = 0x06  # 0x07 stays unassigned: version 4's DONE
 TYPE_ERROR = 0x7F
 
 ERR_GRAMMAR = 0x01  # 0x02 stays unassigned: version 2 refused an unknown item with it
@@ -117,17 +126,12 @@ class OtBatchResp:
 
 
 @dataclass(frozen=True)
-class Done:
-    billed: int  # the total the sender charges; both sides must agree
-
-
-@dataclass(frozen=True)
 class ErrorMsg:
     code: int
     text: str
 
 
-Message = Hello | ManifestMsg | CtReq | CtData | OtBatchQuery | OtBatchResp | Done | ErrorMsg
+Message = Hello | ManifestMsg | CtReq | CtData | OtBatchQuery | OtBatchResp | ErrorMsg
 
 # The one mode-code table, shared by the manifest and the secrets file.
 _MODE_CODES = {mode: i + 1 for i, mode in enumerate(MODES)}
@@ -295,8 +299,6 @@ def _encode_payload(msg: Message) -> tuple:
             for masked in resp.masks:
                 out += masked
         return TYPE_OT_BATCH_RESP, out
-    if isinstance(msg, Done):
-        return TYPE_DONE, _pack("!I", msg.billed)
     if isinstance(msg, ErrorMsg):
         return TYPE_ERROR, _pack("!B", msg.code) + msg.text.encode()
     raise FrameError(f"cannot encode {type(msg).__name__}")
@@ -330,10 +332,6 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
                           for _ in range(count))
         r.done()
         return OtBatchResp(elem_len=elem_len, a=a, responses=responses)
-    if msg_type == TYPE_DONE:
-        billed = r.u32()
-        r.done()
-        return Done(billed=billed)
     if msg_type == TYPE_ERROR:
         code = r.u8()
         try:
@@ -342,6 +340,22 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
             raise FrameError("invalid error text") from None
         return ErrorMsg(code=code, text=text)
     raise FrameError(f"unknown message type 0x{msg_type:02x}")
+
+
+def _query_header(payload: memoryview) -> tuple[int, int]:
+    """An OT_BATCH_QUERY payload's ``(count, elem_len)``, read without decoding an element."""
+    r = _Reader(payload)
+    return r.u32(), r.u16()
+
+
+def _manifest_len(group_id: str, ids) -> int:
+    """Length field of a MANIFEST: type byte, header, then one record per item id.
+
+    A record is its u32 length, the id, then fixed-width weight, ``ct_len``
+    and digest, so the size follows from the group name and the ids alone.
+    """
+    header = 1 + 1 + 2 + 2 + len(group_id.encode()) + 4
+    return 1 + header + sum(4 + 2 + len(item_id.encode()) + 4 + 8 + 32 for item_id in ids)
 
 
 def _ct_data_len(ct_len: int) -> int:
@@ -363,8 +377,13 @@ def encode_frame(msg: Message) -> bytes:
     return b"".join((struct.pack("!IB", length, msg_type), *parts))
 
 
-def read_frame(recv_exact) -> Message:
-    """Read one frame from a ``recv_exact(n) -> bytes`` callable."""
+def read_frame(recv_exact, admit=None) -> Message:
+    """Read one frame from a ``recv_exact(n) -> bytes`` callable.
+
+    ``admit(msg_type, payload)``, when given, sees the type byte and the
+    undecoded payload first and refuses the frame by raising, so nothing
+    of a refused frame is decoded.
+    """
     header = recv_exact(LENGTH_FIELD)
     length = struct.unpack("!I", header)[0]
     if length > MAX_FRAME_LEN:
@@ -372,4 +391,7 @@ def read_frame(recv_exact) -> Message:
     if length < 1:
         raise FrameError("frame has no type byte")
     body = recv_exact(length)
-    return _decode_payload(body[0], memoryview(body)[1:])
+    payload = memoryview(body)[1:]
+    if admit is not None:
+        admit(body[0], payload)
+    return _decode_payload(body[0], payload)

@@ -5,9 +5,11 @@ session grammar of both sides lives in ``wot.protocol``; this module only
 connects, accepts, times out and closes.
 
 Each connection is one session; sessions share only the immutable bundle
-and secrets. The persistent log records one line per completed sale with
-the billed total and nothing else: the server never learns which items
-were bought, and it must not log anything that could narrow them down.
+and secrets. The persistent log records one line per sale with the billed
+total and nothing else, written once the transfer reply is sent: the
+server never learns which items were bought, and it must not log anything
+that could narrow them down. The buyer hangs up as soon as the reply
+passes its checks, before it opens anything (``run_session_receiver``).
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import threading
 from pathlib import Path
 
 from .errors import CatalogError, ProtocolError
-from .framing import ERR_INTERNAL, ErrorMsg, encode_frame, read_frame
+from .framing import ERR_INTERNAL, ErrorMsg, _manifest_len, encode_frame, read_frame
 from .group import setup_params
-from .protocol import (PublishedBundle, SenderSecrets, _replace_file, run_session_receiver,
-                       serve_session)
+from .protocol import (PublishedBundle, SenderSecrets, _check_manifest_fits, _replace_file,
+                       run_session_receiver, serve_session)
 
 log = logging.getLogger("wot.server")
 
@@ -52,8 +54,9 @@ class SocketChannel:
     def send(self, msg):
         self._sock.sendall(encode_frame(msg))
 
-    def recv(self):
-        return read_frame(lambda n: _recv_exact(self._sock, n))
+    def recv(self, admit=None):
+        """The next message; ``admit`` may refuse it before it is decoded (``read_frame``)."""
+        return read_frame(lambda n: _recv_exact(self._sock, n), admit)
 
     def close(self):
         try:
@@ -94,6 +97,8 @@ class SenderServer(socketserver.ThreadingTCPServer):
         # Set the group up here, so an unknown one is refused before the
         # port is bound and every session's own setup is a cache hit.
         setup_params(manifest.group_id)
+        _check_manifest_fits(_manifest_len(manifest.group_id,
+                                           (entry.id for entry in manifest.entries)))
         if secrets.mode != manifest.mode:
             raise CatalogError(f"secrets are for mode {secrets.mode}, the bundle for {manifest.mode}")
         if len(flat) != manifest.total_weight:

@@ -18,7 +18,7 @@ This module owns the session grammar on both sides; ``wot.net`` only
 carries frames::
 
     HELLO -> MANIFEST -> [CT_REQ -> N x CT_DATA] -> OT_BATCH_QUERY
-          -> OT_BATCH_RESP -> DONE
+          -> OT_BATCH_RESP
 
 The buyer's side is one function, ``run_session_receiver``. It looks
 up the chosen ids in the manifest it receives, refuses a purchase
@@ -48,6 +48,14 @@ ciphertext is the read-only view that ``read_frame`` decoded (see
 was received, and the buyer's ``PublishedBundle.ciphertexts`` hold such
 views.
 
+The reply ends the session, and its pick count is the bill. Once the
+reply passes its checks (its count is the buyer's pick count, its widths
+are the group's and the manifest's, its ``a`` is a member), the buyer
+closes the channel, and only then recovers its keys and decrypts. So
+what the seller can see of the buyer, its bytes, their order and the
+moment it hangs up, depends only on the manifest and ``T``, and a
+failure to open an item surfaces only after the session.
+
 The seller's side is split at the query. ``serve_session`` reads at most
 three messages, in order: HELLO, then an optional CT_REQ, which it
 answers with the whole catalog, then the OT_BATCH_QUERY, which it hands
@@ -58,7 +66,11 @@ Only a session that sent a query enters ``run_session_sender``:
 readiness probe (connect, then close) must not count as one. Every
 out-of-grammar or refused message, a second CT_REQ or a frame that does
 not decode included, earns the peer an ERROR frame and ends the session
-unbilled.
+unbilled. The seller decodes nothing it refuses: a frame of a type the
+grammar does not expect next is refused from its type byte, and a query
+from its 6-byte header (``_check_query``: no picks, another element
+width, a reply over the frame cap, more picks than ``N``), before any
+payload or element is decoded.
 
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
@@ -73,6 +85,7 @@ it sends the query.
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import struct
@@ -85,12 +98,13 @@ from . import symcrypto
 from .base_ot import ot_query, ot_recover, ot_reply
 from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
                       MODE_P2, MODES, ciphertext_digest)
-from .errors import (CatalogError, CryptoError, AuthenticationError, FrameError,
-                     ItemAuthenticationError, ProtocolError, RemoteError, WotError)
-from .framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg, OtBatchQuery,
-                      OtBatchResp, ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE,
-                      MAX_FRAME_LEN, PROTOCOL_VERSION, _MODE_CODES, _MODE_NAMES,
-                      _ct_data_len, _ot_batch_resp_len, decode_manifest, encode_manifest)
+from .errors import (CatalogError, CryptoError, FrameError, ItemAuthenticationError,
+                     ProtocolError, RemoteError, WotError)
+from .framing import (CtData, CtReq, ErrorMsg, Hello, ManifestMsg, OtBatchQuery, OtBatchResp,
+                      ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, MAX_FRAME_LEN,
+                      PROTOCOL_VERSION, TYPE_CT_REQ, TYPE_HELLO, TYPE_OT_BATCH_QUERY,
+                      _MODE_CODES, _MODE_NAMES, _ct_data_len, _manifest_len,
+                      _ot_batch_resp_len, _query_header, decode_manifest, encode_manifest)
 from .group import GroupParams, _on_cpus, is_member, setup_params
 
 MANIFEST_FILE = "manifest.bin"
@@ -130,6 +144,13 @@ def _check_deliverable(item_id: str, ct_len: int):
                            f"does not fit in one {MAX_FRAME_LEN}-byte frame")
 
 
+def _check_manifest_fits(length: int):
+    """Refuse a manifest whose MANIFEST frame's length field would read ``length``."""
+    if length > MAX_FRAME_LEN:
+        raise CatalogError(f"manifest too large: it would be a {length}-byte frame, "
+                           f"over the {MAX_FRAME_LEN}-byte frame cap")
+
+
 def _matches_entry(entry: ManifestEntry, ct: bytes) -> bool:
     """Whether ``ct`` is the ciphertext the manifest lists: its length, then its digest."""
     return len(ct) == entry.ct_len and ciphertext_digest(ct) == entry.digest_hex
@@ -163,6 +184,8 @@ def publish(catalog: Catalog, mode: str, params: GroupParams,
     """
     if mode not in MODES:
         raise CatalogError(f"unknown mode {mode!r}")
+    # The manifest's size follows from the ids alone (``framing._manifest_len``).
+    _check_manifest_fits(_manifest_len(params.param_id, (item.id for item in catalog.items)))
     # Each layer adds a nonce and a tag; p2 has one layer, p1 one per unit
     # of weight. An item too big to deliver, or too heavy for the smallest
     # purchase that holds it to be answered in one frame, is refused before
@@ -223,11 +246,13 @@ def _refuse(channel, code: int, text: str, detail: str | None = None) -> NoRetur
 
 
 def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
-    """Drive the buyer's side of one session, HELLO to DONE, over an open channel.
+    """Drive the buyer's side of one session, HELLO to the reply, over an open channel.
 
     The group is the preset the manifest names; a manifest naming any
     other group raises ``GroupError`` before the query is sent.
-    ``cache_dir`` is a previously downloaded bundle directory.
+    ``cache_dir`` is a previously downloaded bundle directory. The
+    channel is closed once the reply passes its checks, before any key is
+    recovered or any item decrypted.
     """
     channel.send(Hello())
     manifest = _expect(channel.recv(), ManifestMsg).manifest
@@ -263,6 +288,8 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
         raise ProtocolError("response mask width mismatch")
     if not is_member(params, resp.a):
         raise ProtocolError("invalid response element")
+    # Hang up before any work whose time or outcome depends on the choice.
+    channel.close()
 
     recovered = dict(zip(picks, ot_recover(params, resp.a, queries, resp.responses, picks,
                                            exponents)))
@@ -278,14 +305,9 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
                 plaintext = symcrypto.decrypt(key, bundle.ciphertexts[i], context)
             else:
                 plaintext = symcrypto.nested_decrypt(material, bundle.ciphertexts[i], context)
-        except (AuthenticationError, CryptoError):
+        except CryptoError:
             raise ItemAuthenticationError(entry.id) from None
         items.append((entry.id, plaintext))
-
-    done = _expect(channel.recv(), Done)
-    if done.billed != len(picks):
-        raise ProtocolError(f"billing mismatch: sender charged {done.billed}, "
-                            f"expected {len(picks)}")
     return PurchaseResult(items=tuple(items), total=len(picks))
 
 
@@ -340,53 +362,66 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> i
     The group is the one the bundle's manifest names. Returns the billed
     pick count.
     """
-    hello = _recv_decoded(channel, Hello)
+    hello = _recv_decoded(channel, TYPE_HELLO)
     if hello.version != PROTOCOL_VERSION:
         _refuse(channel, ERR_INCOMPATIBLE, f"unsupported version {hello.version}")
     channel.send(ManifestMsg(manifest=bundle.manifest))
-    msg = _recv_decoded(channel, CtReq | OtBatchQuery)
+    params = setup_params(bundle.manifest.group_id)
+    check = functools.partial(_check_query, channel, params, secrets.flat_secrets)
+    msg = _recv_decoded(channel, TYPE_CT_REQ, TYPE_OT_BATCH_QUERY, check_query=check)
     if isinstance(msg, CtReq):
         for ct in bundle.ciphertexts:
             channel.send(CtData(ciphertext=ct))
-        msg = _recv_decoded(channel, OtBatchQuery)
-    return run_session_sender(secrets, msg, channel, setup_params(bundle.manifest.group_id))
+        msg = _recv_decoded(channel, TYPE_OT_BATCH_QUERY, check_query=check)
+    return run_session_sender(secrets, msg, channel, params)
 
 
-def _recv_decoded(channel, expected):
-    """The buyer's next message, if it is an ``expected`` one; anything else is out of grammar.
+def _recv_decoded(channel, *types: int, check_query=None):
+    """The buyer's next message, if its type byte is one of ``types``; else out of grammar.
 
-    A frame that does not decode is refused the same way.
+    A frame is refused from its type byte, and a query from its header
+    (``check_query(count, elem_len)``), before any of it is decoded. A
+    frame that does not decode is refused as out of grammar too.
     """
+    def admit(msg_type, payload):
+        if msg_type not in types:
+            _refuse(channel, ERR_GRAMMAR, "grammar")
+        if msg_type == TYPE_OT_BATCH_QUERY:
+            check_query(*_query_header(payload))
+
     try:
-        msg = channel.recv()
+        return channel.recv(admit)
     except FrameError as exc:
         _refuse(channel, ERR_GRAMMAR, "grammar", f"malformed frame: {exc}")
-    if not isinstance(msg, expected):
-        _refuse(channel, ERR_GRAMMAR, "grammar")
-    return msg
 
 
-def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
-                       params: GroupParams) -> int:
-    """Answer one buyer's batch; learns and returns only the billed pick count."""
-    if not query.queries:
+def _check_query(channel, params: GroupParams, flat, count: int, elem_len: int):
+    """Refuse a query of ``count`` picks of ``elem_len``-byte elements from its header alone."""
+    if not count:
         _refuse(channel, ERR_BAD_QUERY, "empty purchase", "empty purchase rejected")
-    if query.elem_len != params.element_len:
+    if elem_len != params.element_len:
         _refuse(channel, ERR_INCOMPATIBLE, "element width mismatch")
-
     # The reply is one frame whose size follows from (N, T) alone.
-    flat = secrets.flat_secrets
-    reply_len = _ot_batch_resp_len(len(query.queries), len(flat), params.element_len,
+    reply_len = _ot_batch_resp_len(count, len(flat), params.element_len,
                                    max(map(len, flat), default=0))
     if reply_len > MAX_FRAME_LEN:
         _refuse(channel, ERR_BAD_QUERY, "purchase too large",
                 f"purchase too large: its reply would be {reply_len} bytes, "
                 f"over the {MAX_FRAME_LEN}-byte frame cap")
     # An honest buyer picks each flat index at most once.
-    if len(query.queries) > len(flat):
+    if count > len(flat):
         _refuse(channel, ERR_BAD_QUERY, "too many picks",
-                f"too many picks: {len(query.queries)} for {len(flat)} secrets")
+                f"too many picks: {count} for {len(flat)} secrets")
 
+
+def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
+                       params: GroupParams) -> int:
+    """Answer one buyer's batch; learns and returns only the billed pick count.
+
+    ``serve_session`` has already refused a query of the wrong shape from
+    its header (``_check_query``). The reply ends the session: its pick
+    count is the bill.
+    """
     # Validate the whole batch before answering any of it: a bad element
     # must not extract partial responses.
     for y in query.queries:
@@ -394,11 +429,9 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
             _refuse(channel, ERR_BAD_QUERY, "invalid query",
                     "invalid query: not a subgroup member")
 
-    a, responses = ot_reply(params, flat, query.queries)
-    billed = len(query.queries)
+    a, responses = ot_reply(params, secrets.flat_secrets, query.queries)
     channel.send(OtBatchResp(elem_len=params.element_len, a=a, responses=responses))
-    channel.send(Done(billed=billed))
-    return billed
+    return len(query.queries)
 
 
 # --- bundle directory I/O ---------------------------------------------------
@@ -456,6 +489,7 @@ def load_manifest(directory) -> Manifest:
     path = Path(directory) / MANIFEST_FILE
     if not path.is_file():
         raise CatalogError(f"missing {path}")
+    _check_manifest_fits(1 + path.stat().st_size)  # the file is a MANIFEST frame's payload
     return decode_manifest(path.read_bytes())
 
 

@@ -85,8 +85,9 @@ def write_catalog_dir(path, entries):
 def billed_lines(caplog, count=0, timeout=10.0):
     """The seller's ``billed`` log lines, waiting until at least ``count`` are in.
 
-    A server session logs its sale after sending DONE, so a buyer can
-    return before the line is written.
+    A server session logs its sale after it sends the transfer reply, and
+    the buyer hangs up on reading that reply, so a buyer can return before
+    the line is written.
     """
     deadline = time.monotonic() + timeout
     while True:
@@ -127,8 +128,8 @@ def record(channel, log: list):
         log.append(("local", type(msg).__name__))
         send(msg)
 
-    def receiving():
-        msg = recv()
+    def receiving(*args):
+        msg = recv(*args)
         log.append(("peer", type(msg).__name__))
         return msg
 

@@ -298,7 +298,7 @@ def test_criterion_8_wire_protocol(tmp_path, caplog):
 
     # grammar fuzz: covered live in tests/test_net.py; re-run the core check here
     import socket
-    from wot.framing import (Done, Hello, OtBatchQuery, ErrorMsg,
+    from wot.framing import (Hello, OtBatchQuery, ErrorMsg,
                              encode_frame as enc, read_frame)
     from wot.net import _recv_exact
     from wot.protocol import load_bundle, load_secrets
@@ -318,15 +318,16 @@ def test_criterion_8_wire_protocol(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="wot.server")
     with serving(bundle, load_secrets(bundle_dir)) as server:
         rng = random.Random(808)
-        pool = [Hello(), Hello(version=1), Done(billed=1),
-                OtBatchQuery(elem_len=1, queries=(5,)),
-                OtBatchQuery(elem_len=1, queries=())]
+        pool = [enc(Hello()), enc(Hello(version=1)),
+                bytes.fromhex("00000005" "07" "00000001"),  # version 4's DONE(1)
+                enc(OtBatchQuery(elem_len=1, queries=(5,))),
+                enc(OtBatchQuery(elem_len=1, queries=()))]
         for _ in range(40):
             sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
             sock.settimeout(10)
             try:
                 for _ in range(rng.randint(1, 4)):
-                    sock.sendall(enc(pool[rng.randrange(len(pool))]))
+                    sock.sendall(pool[rng.randrange(len(pool))])
                     reply = read_frame(lambda n: _recv_exact(sock, n))
                     assert not isinstance(reply, OtBatchResp)
                     if isinstance(reply, ErrorMsg):

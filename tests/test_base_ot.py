@@ -15,7 +15,7 @@ from wot.protocol import SenderSecrets, publish, run_session_sender
 from conftest import count_calls, local_session, make_catalog, seed_source
 
 # SHA-256 of every frame, in the order sent, of the seeded one-pick session below.
-ONE_PICK_SESSION_SHA256 = "05b564c61360dc7d8f15443d917e5a5493bf4518ae49b606f544710088e06f22"
+ONE_PICK_SESSION_SHA256 = "9695a96e85f81e48dc00e5f8078f4176c061a8a6cb61c2cc39f9ace367d1e775"
 
 
 def reference_reply(params, secrets, queries, k=None):
@@ -327,8 +327,9 @@ def test_one_pick_session_bytes_are_frozen(monkeypatch):
 
     One ``k`` per batch is one ``k`` per pick when the batch has one pick,
     and one ``a`` per reply is one ``a`` per pick, so every frame of both
-    sides, hashed in the order sent, is pinned. Protocol version 4 changed
-    the HELLO frame's version byte and no other frame of this session.
+    sides, hashed in the order sent, is pinned. Protocol version 5 changed
+    the HELLO frame's version byte and dropped the final DONE frame; every
+    other frame of this session is version 4's, byte for byte.
     """
     params = setup_params("modp-2048")
     rng = seed_source(monkeypatch, random.Random("one-pick-session"))

@@ -7,10 +7,14 @@ from hypothesis import given, settings, strategies as st
 from wot.base_ot import OtResponse
 from wot.catalog import Manifest, ManifestEntry
 from wot.errors import CatalogError, FrameError, ProtocolError, WotError
-from wot.framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg,
+from wot import framing
+from wot.framing import (CtData, CtReq, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, OtBatchResp, LENGTH_FIELD, MAX_FRAME_LEN,
-                         decode_manifest, encode_frame, encode_manifest, read_frame)
+                         TYPE_MANIFEST, _manifest_len, decode_manifest, encode_frame,
+                         encode_manifest, read_frame)
 from wot.net import SocketChannel
+
+from conftest import count_calls
 
 # Valid item ids: dotted ids such as "a.b" and "..." stay in, "." and ".." name
 # a directory and are refused by ManifestEntry.
@@ -18,7 +22,7 @@ ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1,
               max_size=20).filter(lambda s: s not in (".", ".."))
 
 
-def decode(frame: bytes):
+def decode(frame: bytes, admit=None):
     """Decode one whole frame through ``read_frame``, the decoder the transport runs."""
     stream = io.BytesIO(frame)
 
@@ -28,7 +32,7 @@ def decode(frame: bytes):
             raise EOFError(f"short read: {len(out)} of {n} bytes")
         return out
 
-    msg = read_frame(recv_exact)
+    msg = read_frame(recv_exact, admit)
     assert stream.read() == b"", "bytes left over after the frame"
     return msg
 
@@ -78,35 +82,33 @@ def message_strategy():
         st.builds(CtData, ciphertext=st.binary(max_size=200)),
         batch_query,
         batch_resp,
-        st.builds(Done, billed=st.integers(min_value=0, max_value=(1 << 32) - 1)),
         st.builds(ErrorMsg, code=st.integers(0, 255), text=st.text(max_size=50)),
     )
 
 
-def test_done_frame_frozen_layout():
-    # Billing echo of T=4: 4-byte length (5), type 0x07, 4-byte total.
-    frame = encode_frame(Done(billed=4))
-    assert frame == bytes.fromhex("00000005" "07" "00000004")
-    assert len(frame) == 9
-    assert decode(frame) == Done(billed=4)
+def test_type_0x07_is_unassigned():
+    """Version 4's DONE is gone: the reply's pick count is the bill, and 0x07 is no type."""
+    with pytest.raises(FrameError, match="^unknown message type 0x07$"):
+        decode(bytes.fromhex("00000005" "07" "00000004"))  # version 4's DONE(4)
 
 
 def test_hello_frame_frozen_layout():
     """The version byte alone."""
     frame = encode_frame(Hello())
-    assert frame == bytes.fromhex("00000002" "01" "04")
-    assert decode(frame) == Hello(version=4)
+    assert frame == bytes.fromhex("00000002" "01" "05")
+    assert decode(frame) == Hello(version=5)
 
 
 def test_hello_is_read_version_first():
-    """A version-4 HELLO is its version byte alone; another version is read from one byte."""
+    """A version-5 HELLO is its version byte alone; another version is read from one byte."""
     assert decode(bytes.fromhex("00000007" "01" "02" "0000000000")) == Hello(version=2)
     assert decode(bytes.fromhex("00000003" "01" "03" "02")) == Hello(version=3)
-    assert decode(bytes.fromhex("00000002" "01" "05")) == Hello(version=5)
-    assert decode(bytes.fromhex("00000004" "01" "05" "0102")) == Hello(version=5)
+    assert decode(bytes.fromhex("00000003" "01" "04" "02")) == Hello(version=4)
+    assert decode(bytes.fromhex("00000002" "01" "06")) == Hello(version=6)
+    assert decode(bytes.fromhex("00000004" "01" "06" "0102")) == Hello(version=6)
     for payload, message in (
-            ("04" "00", "trailing bytes in payload"),
-            ("04" "0000000000", "trailing bytes in payload"),  # version 2's empty fields
+            ("05" "00", "trailing bytes in payload"),
+            ("05" "0000000000", "trailing bytes in payload"),  # version 2's empty fields
             ("", "truncated payload")):
         frame = (1 + len(payload) // 2).to_bytes(4, "big") + bytes.fromhex("01" + payload)
         with pytest.raises(FrameError, match=f"^{message}$"):
@@ -223,7 +225,7 @@ def test_oversize_length_rejected_before_allocation():
 
 def test_truncated_frames_rejected():
     """A peer that closes mid-frame ends the read with a ProtocolError, at any cut."""
-    frame = encode_frame(Done(billed=4))
+    frame = encode_frame(OtBatchQuery(elem_len=2, queries=(4,)))
     for cut in range(len(frame)):
         near, far = socket.socketpair()
         with far:
@@ -237,7 +239,7 @@ def test_truncated_frames_rejected():
 
 
 def test_trailing_bytes_rejected():
-    frame = encode_frame(Done(billed=4))
+    frame = encode_frame(CtReq())
     padded = (len(frame) - LENGTH_FIELD + 1).to_bytes(4, "big") + frame[LENGTH_FIELD:] + b"\x00"
     with pytest.raises(FrameError, match="trailing"):
         decode(padded)
@@ -255,8 +257,8 @@ def test_zero_length_rejected():
 
 
 def test_garbled_payload_rejected():
-    good = encode_frame(Done(billed=4))
-    short_payload = good[:4] + good[4:5] + good[5:7]  # truncated u32
+    good = encode_frame(OtBatchQuery(elem_len=1, queries=(4,)))
+    short_payload = good[:4] + good[4:5] + good[5:7]  # truncated u32 count
     fixed = (3).to_bytes(4, "big") + short_payload[4:]
     with pytest.raises(FrameError):
         decode(fixed)
@@ -301,7 +303,7 @@ def test_manifest_rejects_duplicate_item_ids():
 
 def test_out_of_range_fields_refused():
     """Every wire field is fixed-width; a value that does not fit is a WotError."""
-    for msg in (Done(billed=1 << 32), Done(billed=-1), Hello(version=256),
+    for msg in (ErrorMsg(code=256, text=""), ErrorMsg(code=-1, text=""), Hello(version=256),
                 OtBatchQuery(elem_len=1 << 16, queries=()),
                 OtBatchResp(elem_len=1, a=256, responses=()),
                 OtBatchQuery(elem_len=1, queries=(256,)),
@@ -313,7 +315,9 @@ def test_out_of_range_fields_refused():
                                            digest_hex="0" * 64),))
     with pytest.raises(FrameError, match="out of range"):
         encode_manifest(huge)
-    assert decode(encode_frame(Done(billed=(1 << 32) - 1))).billed == (1 << 32) - 1
+    assert decode(encode_frame(ErrorMsg(code=255, text=""))).code == 255
+    assert decode(encode_frame(OtBatchQuery(elem_len=(1 << 16) - 1, queries=()))).elem_len \
+        == (1 << 16) - 1
 
 
 def test_manifest_total_weight_fits_u32():
@@ -345,7 +349,7 @@ def test_manifest_rejects_bad_version():
 
 
 def test_read_frame_from_stream():
-    frames = encode_frame(CtReq()) + encode_frame(Done(billed=7))
+    frames = encode_frame(CtReq()) + encode_frame(ErrorMsg(code=7, text="x"))
     stream = {"pos": 0}
 
     def recv_exact(n):
@@ -354,4 +358,34 @@ def test_read_frame_from_stream():
         return out
 
     assert read_frame(recv_exact) == CtReq()
-    assert read_frame(recv_exact) == Done(billed=7)
+    assert read_frame(recv_exact) == ErrorMsg(code=7, text="x")
+
+
+def test_admit_refuses_before_anything_is_decoded(monkeypatch):
+    """``admit`` sees the type byte and the undecoded payload; a refusal decodes nothing."""
+    decoded = count_calls(monkeypatch, framing._decode_payload, record=lambda: "decoded")
+    frame = encode_frame(OtBatchQuery(elem_len=1, queries=(4, 5)))
+    seen = []
+
+    def refusing(msg_type, payload):
+        seen.append((msg_type, bytes(payload)))
+        raise ProtocolError("refused")
+
+    with pytest.raises(ProtocolError, match="^refused$"):
+        decode(frame, refusing)
+    assert seen == [(0x05, frame[LENGTH_FIELD + 1:])]
+    assert decoded == []
+    assert decode(frame, lambda msg_type, payload: None) == \
+        OtBatchQuery(elem_len=1, queries=(4, 5))
+    assert decoded == ["decoded"]
+
+
+@given(manifest_strategy())
+@settings(max_examples=100, deadline=None)
+def test_manifest_len_follows_from_the_ids(manifest):
+    """A MANIFEST frame's length field, computed from the group name and the ids alone."""
+    ids = [entry.id for entry in manifest.entries]
+    assert _manifest_len(manifest.group_id, ids) == 1 + len(encode_manifest(manifest))
+    frame = encode_frame(ManifestMsg(manifest=manifest))
+    assert frame[LENGTH_FIELD] == TYPE_MANIFEST
+    assert int.from_bytes(frame[:LENGTH_FIELD], "big") == _manifest_len(manifest.group_id, ids)

@@ -10,19 +10,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from wot.errors import CatalogError, GroupError, ProtocolError, RemoteError
-from wot.framing import (CtData, CtReq, Done, ErrorMsg, Hello, ManifestMsg,
+from wot.errors import (CatalogError, GroupError, ItemAuthenticationError, ProtocolError,
+                        RemoteError)
+from wot.framing import (CtData, CtReq, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_INTERNAL,
                          LENGTH_FIELD, TYPE_CT_REQ, TYPE_HELLO,
                          TYPE_OT_BATCH_QUERY, encode_frame, read_frame)
-from wot import net
+from wot import net, symcrypto
 from wot.cli import main
 from wot.catalog import ciphertext_digest
 from wot.net import SenderServer, SocketChannel, buy, _recv_exact
 from wot.protocol import (PublishedBundle, fetch_bundle, publish, run_session_sender,
-                          save_bundle)
+                          save_bundle, serve_session)
 
-from conftest import billed_lines, count_calls, make_catalog, serving
+from conftest import SELLER_THREAD, billed_lines, count_calls, make_catalog, record, serving
 
 
 @pytest.fixture
@@ -60,8 +61,8 @@ def message_log(monkeypatch):
             log.append(type(msg).__name__)
         send(chan, msg)
 
-    def receiving(chan):
-        msg = recv(chan)
+    def receiving(chan, *args):
+        msg = recv(chan, *args)
         if threading.current_thread() is buyer:
             log.append(type(msg).__name__)
         return msg
@@ -275,7 +276,7 @@ class TestBuy:
         log = message_log(monkeypatch)
         buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out")
         assert log == ["Hello", "ManifestMsg", "CtReq"] + ["CtData"] * catalog.n \
-            + ["OtBatchQuery", "OtBatchResp", "Done"]
+            + ["OtBatchQuery", "OtBatchResp"]
 
     def test_bad_ciphertext_aborts_before_transfer(self, server, tmp_path):
         """The buyer checks each digest once, before its first transfer message."""
@@ -395,20 +396,29 @@ class TestGrammar:
         assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 3")
         assert billed() == []
 
+    def test_version_4_hello_refused(self, server):
+        """Version 4 ended a session with DONE, which its buyer would wait for; refused."""
+        srv, _, billed = server
+        with raw_client(srv.port) as sock:
+            sock.sendall(bytes.fromhex("00000002" "01" "04"))
+            reply = read_frame(lambda n: _recv_exact(sock, n))
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 4")
+        assert billed() == []
+
     def test_one_byte_later_version_hello_refused(self, server):
         """A later version's HELLO is refused by its version byte, whatever its layout."""
         srv, _, billed = server
         with raw_client(srv.port) as sock:
-            sock.sendall(bytes.fromhex("00000002" "01" "05"))
+            sock.sendall(bytes.fromhex("00000002" "01" "06"))
             reply = read_frame(lambda n: _recv_exact(sock, n))
-        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 5")
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="unsupported version 6")
         assert billed() == []
 
     def test_hello_with_a_trailing_byte_gets_no_manifest(self, server):
-        """A version-4 HELLO is its version byte alone; a HELLO cannot pin a session parameter."""
+        """A version-5 HELLO is its version byte alone; a HELLO cannot pin a session parameter."""
         srv, _, billed = server
         with raw_client(srv.port) as sock:
-            sock.sendall(bytes.fromhex("00000003" "01" "04" "02"))
+            sock.sendall(bytes.fromhex("00000003" "01" "05" "02"))
             reply = read_frame(lambda n: _recv_exact(sock, n))
             assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
             assert sock.recv(1) == b""  # the seller hung up
@@ -443,11 +453,14 @@ class TestGrammar:
         assert billed() == []
 
     def test_done_from_client_is_grammar_error(self, server):
-        srv, _, _ = server
+        """Version 4's DONE frame, type 0x07, is no message at all now: out of grammar."""
+        srv, _, billed = server
         with raw_client(srv.port) as sock:
             exchange(sock, Hello())
-            reply = exchange(sock, Done(billed=1))
-        assert isinstance(reply, ErrorMsg) and reply.code == ERR_GRAMMAR
+            sock.sendall(bytes.fromhex("00000005" "07" "00000001"))
+            reply = read_frame(lambda n: _recv_exact(sock, n))
+        assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
+        assert billed() == []
 
     def test_query_of_another_width_refused(self, server, caplog):
         """A query whose elements are not the group's width earns an ERROR and no bill."""
@@ -470,22 +483,21 @@ class TestGrammar:
         srv, _, billed = server
         rng = random.Random(404)
         pool = [
-            Hello(),
-            Hello(version=2),
-            CtReq(),
-            Done(billed=5),
-            ErrorMsg(code=1, text="client says no"),
-            OtBatchQuery(elem_len=1, queries=(5,)),   # non-member element
-            OtBatchQuery(elem_len=1, queries=()),     # empty purchase
-            OtBatchQuery(elem_len=4, queries=(2,)),   # wrong width
+            encode_frame(Hello()),
+            encode_frame(Hello(version=2)),
+            encode_frame(CtReq()),
+            bytes.fromhex("00000005" "07" "00000005"),  # version 4's DONE(5)
+            encode_frame(ErrorMsg(code=1, text="client says no")),
+            encode_frame(OtBatchQuery(elem_len=1, queries=(5,))),   # non-member element
+            encode_frame(OtBatchQuery(elem_len=1, queries=())),     # empty purchase
+            encode_frame(OtBatchQuery(elem_len=4, queries=(2,))),   # wrong width
         ]
         for _ in range(60):
             got_resp = False
             with raw_client(srv.port) as sock:
                 try:
                     for _ in range(rng.randint(1, 5)):
-                        msg = pool[rng.randrange(len(pool))]
-                        sock.sendall(encode_frame(msg))
+                        sock.sendall(pool[rng.randrange(len(pool))])
                         reply = read_frame(lambda n: _recv_exact(sock, n))
                         if type(reply).__name__ == "OtBatchResp":
                             got_resp = True
@@ -515,11 +527,78 @@ class TestSales:
         assert len(entered) == 1
 
 
+class TestHangUp:
+    """The buyer hangs up on reading the reply, before it opens anything."""
+
+    class Counted:
+        """A socket that counts the bytes read from it."""
+
+        def __init__(self, sock):
+            self.sock, self.nbytes = sock, 0
+
+        def recv(self, n):
+            data = self.sock.recv(n)
+            self.nbytes += len(data)
+            return data
+
+        def __getattr__(self, name):
+            return getattr(self.sock, name)
+
+    @classmethod
+    def sell(cls, listener, bundle, secrets, eof, views):
+        """One session, then the seller waits for the buyer's EOF and records what it saw."""
+        conn, _ = listener.accept()
+        with conn:
+            counted, log = cls.Counted(conn), []
+            chan = SocketChannel(counted)
+            record(chan, log)
+            billed = serve_session(chan, bundle, secrets)
+            tail = conn.recv(1)
+            eof.set()
+            views.append((billed, counted.nbytes, tail, tuple(log)))
+
+    def test_seller_reads_eof_before_any_decrypt(self, p23, tmp_path, monkeypatch):
+        """A seller that corrupted one item's share has read EOF before the buyer decrypts.
+
+        This holds for a choice with that item and one without; only the
+        buyer's result differs. The ``decrypt`` spy waits for the seller's
+        EOF, which can come only from a close made before ``decrypt``,
+        since the buyer is held inside the spy.
+        """
+        catalog = make_catalog([1, 1], random.Random(23))
+        bundle, secrets = publish(catalog, "p2", p23)
+        corrupt = replace(secrets, flat_secrets=(bytes(16),) + secrets.flat_secrets[1:])
+        eof = threading.Event()
+        at_decrypt = count_calls(monkeypatch, symcrypto.decrypt, record=lambda: eof.wait(10))
+        views, results = [], []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            for item in ("item00", "item01"):
+                eof.clear()
+                seller = threading.Thread(target=self.sell, name=SELLER_THREAD,
+                                          args=(listener, bundle, corrupt, eof, views))
+                seller.start()
+                try:
+                    results.append(buy("127.0.0.1", listener.getsockname()[1], [item],
+                                       tmp_path / item))
+                except ItemAuthenticationError as exc:
+                    results.append(exc)
+                finally:
+                    seller.join(timeout=10)
+        assert at_decrypt == [True, True]
+        assert len(views) == 2 and views[0] == views[1]
+        billed, _, tail, log = views[0]
+        assert (billed, tail) == (1, b"")
+        assert log[-2:] == (("peer", "OtBatchQuery"), ("local", "OtBatchResp"))  # then EOF
+        assert str(results[0]) == "authentication failure for item 'item00'"
+        assert results[1].items == (("item01", catalog.items[1].payload),)
+
+
 class TestServerLog:
     def test_log_contains_only_billing_lines(self, server, tmp_path, caplog):
-        srv, _, _ = server
+        srv, _, billed = server
         with caplog.at_level(logging.INFO, logger="wot.server"):
             buy("127.0.0.1", srv.port, ["item01", "item02"], tmp_path / "out")
+            billed(1)  # the buyer hangs up on the reply and can return before the line
         lines = [r.getMessage() for r in caplog.records if r.name == "wot.server"]
         billing = [l for l in lines if l.startswith("session=")]
         assert len(billing) == 1

@@ -1,6 +1,7 @@
 import os
 import random
 import socket
+import socketserver
 import stat
 import threading
 import concurrent.futures
@@ -14,15 +15,16 @@ from wot.catalog import (Catalog, FlatIndexMap, Item, Manifest, ManifestEntry,
 from wot.cli import main
 from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthenticationError,
                         ProtocolError, WotError)
-from wot import group, net, protocol
+from wot import framing, group, net, protocol
 from wot import symcrypto
 from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_reply,
                          ot_respond, pick_binding, respond_powers)
-from wot.framing import (ERR_BAD_QUERY, LENGTH_FIELD, MAX_FRAME_LEN,
-                         CtData, CtReq, Done, ManifestMsg, OtBatchQuery,
-                         OtBatchResp, _ot_batch_resp_len, encode_frame, encode_manifest)
+from wot.framing import (ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, LENGTH_FIELD,
+                         MAX_FRAME_LEN, TYPE_HELLO, CtData, CtReq, ErrorMsg, Hello,
+                         ManifestMsg, OtBatchQuery, OtBatchResp, _manifest_len,
+                         _ot_batch_resp_len, decode_manifest, encode_frame, encode_manifest)
 from wot.group import is_member, kdf_pad, setup_params
-from wot.net import SocketChannel, buy
+from wot.net import SenderServer, SocketChannel, buy
 from wot.protocol import (PublishedBundle, item_context, publish,
                           load_bundle, load_secrets, run_session_receiver,
                           run_session_sender, save_bundle, serve_session)
@@ -64,6 +66,23 @@ def against(seller, buyer):
         rx_chan.close()
         worker.join(timeout=5)
         assert not worker.is_alive()
+
+
+def query_refusal(channel_pair, bundle, secrets, query, monkeypatch):
+    """``serve_session``'s ERROR for a HELLO then ``query``, and the error it raised.
+
+    The buyer's frames wait in the socket before the seller runs. No
+    query is decoded: the seller must refuse this one from its header.
+    """
+    decoded = count_calls(monkeypatch, framing._decode_payload)
+    rx_chan, tx_chan = channel_pair
+    rx_chan.send(Hello())
+    rx_chan.send(query)
+    with pytest.raises(ProtocolError) as err:
+        serve_session(tx_chan, bundle, secrets)
+    assert [msg_type for msg_type, _ in decoded] == [TYPE_HELLO]
+    assert isinstance(rx_chan.recv(), ManifestMsg)
+    return rx_chan.recv(), str(err.value)
 
 
 def buying(item_ids, log=None):
@@ -319,13 +338,12 @@ class TestSessions:
             assert ("local", "OtBatchQuery") not in log
         assert sales == []
 
-    def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair):
-        cat = make_catalog([1, 2], rng)
-        _, secrets = publish(cat, "p2", p23)
-        rx_chan, tx_chan = channel_pair
+    def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair, monkeypatch):
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         query = OtBatchQuery(elem_len=p23.element_len, queries=())
-        with pytest.raises(ProtocolError, match="empty purchase"):
-            run_session_sender(secrets, query, tx_chan, p23)
+        reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
+        assert reply == ErrorMsg(code=ERR_BAD_QUERY, text="empty purchase")
+        assert error == "empty purchase rejected"
 
     def test_nonmember_query_aborts_without_responses(self, p23, rng, channel_pair,
                                                       monkeypatch):
@@ -343,16 +361,23 @@ class TestSessions:
 
     def test_more_picks_than_secrets_refused(self, p23, rng, channel_pair, monkeypatch):
         """An honest buyer picks each of the N flat indices at most once."""
-        _, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         n = len(secrets.flat_secrets)
-        rx_chan, tx_chan = channel_pair
         query = OtBatchQuery(elem_len=p23.element_len, queries=(2,) * (n + 1))
         responses = count_calls(monkeypatch, respond_powers)
-        with pytest.raises(ProtocolError, match="too many picks"):
-            run_session_sender(secrets, query, tx_chan, p23)
-        reply = rx_chan.recv()
-        assert (reply.code, reply.text) == (ERR_BAD_QUERY, "too many picks")
+        reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
+        assert reply == ErrorMsg(code=ERR_BAD_QUERY, text="too many picks")
+        assert error == f"too many picks: {n + 1} for {n} secrets"
         assert responses == []
+
+    def test_query_of_another_width_refused_undecoded(self, channel_pair, monkeypatch):
+        """A ``modp-2048`` seller refuses 1-byte elements from the header, not after decoding them."""
+        params = setup_params("modp-2048")
+        bundle, secrets = publish(make_catalog([1, 2], random.Random(31)), "p2", params)
+        query = OtBatchQuery(elem_len=1, queries=(2, 3))
+        reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
+        assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="element width mismatch")
+        assert error == "element width mismatch"
 
     def test_nonmember_response_aborts_before_any_pad(self, p23, rng, monkeypatch):
         cat = make_catalog([2], rng)
@@ -368,7 +393,6 @@ class TestSessions:
             forged = OtResponse(masks=(bytes(16),) * n)
             tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=5,  # 5 is not a member
                                      responses=(forged,) * len(msg.queries)))
-            tx_chan.send(Done(billed=len(msg.queries)))
 
         checks = count_calls(monkeypatch, is_member)
         pads = count_calls(monkeypatch, kdf_pad)
@@ -475,33 +499,17 @@ class TestSessions:
                               for t, pick in enumerate(powers))
             sent.append(a)
             tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=a, responses=responses))
-            tx_chan.send(Done(billed=len(msg.queries)))
 
         checks = count_calls(monkeypatch, is_member)
         with pytest.raises(ItemAuthenticationError):
             against(per_pick_sender, buying(["item00"]))
         assert checks == [(p23, sent[0])]  # one check, of the batch's a
 
-    def test_billing_echo_mismatch_aborts(self, p23, rng):
-        cat = make_catalog([2], rng)
-        bundle, secrets = publish(cat, "p2", p23)
-
-        def lying_sender(tx_chan):
-            tx_chan.recv()  # HELLO
-            tx_chan.send(ManifestMsg(manifest=bundle.manifest))
-            tx_chan.recv()  # CT_REQ
-            tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
-            msg = tx_chan.recv()
-            a, responses = ot_reply(p23, secrets.flat_secrets, msg.queries)
-            tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=a, responses=responses))
-            tx_chan.send(Done(billed=99))
-
-        with pytest.raises(ProtocolError, match="billing mismatch"):
-            against(lying_sender, buying(["item00"]))
-
     @pytest.mark.parametrize("forge, message", [
         (lambda resp: replace(resp, responses=resp.responses[1:]),
-         "response count does not match pick count"),
+         "response count does not match pick count"),  # the bill: one pick dropped
+        (lambda resp: replace(resp, responses=resp.responses + resp.responses[:1]),
+         "response count does not match pick count"),  # the bill: one pick added
         (lambda resp: replace(resp, responses=tuple(OtResponse(masks=r.masks[1:])
                                                     for r in resp.responses)),
          "response does not cover the flat index space"),
@@ -510,10 +518,14 @@ class TestSessions:
         (lambda resp: replace(resp, responses=tuple(
             OtResponse(masks=tuple(m[:8] for m in r.masks)) for r in resp.responses)),
          "response mask width mismatch"),  # 64-bit masks for 128-bit keys
-    ], ids=["count", "width", "elem-width", "mask-width"])
+    ], ids=["count", "extra-pick", "width", "elem-width", "mask-width"])
     def test_reply_of_another_shape_refused(self, p23, rng, monkeypatch, forge, message):
         """A reply that does not answer every pick over all N secrets, at the widths the
-        group and the manifest fix, is refused before recovery."""
+        group and the manifest fix, is refused before recovery.
+
+        The reply's count is the bill, so a dropped or an added pick is a
+        seller that bills another total than the buyer's.
+        """
         bundle, secrets = publish(make_catalog([2, 1], rng), "p2", p23)
 
         def forging_sender(tx_chan):
@@ -567,6 +579,24 @@ class TestSessions:
         assert ("local", "CtReq") not in log
         assert queries == []
 
+    @pytest.mark.parametrize("mode", ["p1", "p2"])
+    def test_buyer_hangs_up_before_it_opens_anything(self, p23, rng, monkeypatch, mode):
+        """The reply ends the session: the buyer closes before it recovers a key or decrypts."""
+        bundle, secrets = publish(make_catalog([1, 2], rng), mode, p23)
+        order = []
+
+        def buyer(rx_chan):
+            close = rx_chan.close
+            rx_chan.close = lambda: order.append("close") or close()
+            return run_session_receiver(rx_chan, ["item00", "item01"])
+
+        count_calls(monkeypatch, ot_recover, record=lambda: order.append("ot_recover"))
+        count_calls(monkeypatch, decrypt, record=lambda: order.append("decrypt"))
+        result = against(lambda tx: serve_session(tx, bundle, secrets), buyer)
+        assert result.total == 3
+        opens = 2 if mode == "p2" else 3  # one per item in p2, one per unit of weight in p1
+        assert order == ["close", "ot_recover"] + ["decrypt"] * opens + ["close"]
+
     def test_sender_bills_exactly_the_pick_count(self, p23, rng):
         cat = make_catalog([1, 2, 3, 7], rng)
         bundle, secrets = publish(cat, "p2", p23)
@@ -588,7 +618,7 @@ class TestSessions:
         sent, got = "local", "peer"
         assert log == [(sent, "Hello"), (got, "ManifestMsg"), (sent, "CtReq"),
                        (got, "CtData"), (got, "CtData"), (got, "CtData"),
-                       (sent, "OtBatchQuery"), (got, "OtBatchResp"), (got, "Done")]
+                       (sent, "OtBatchQuery"), (got, "OtBatchResp")]
 
 
 class TestPipelinedDelivery:
@@ -882,18 +912,16 @@ class TestFrameCap:
     def test_oversize_reply_refused_before_any_work(self, p23, rng, channel_pair,
                                                     monkeypatch):
         """A batch whose reply frame would pass the cap is refused from (N, T) alone."""
-        _, secrets = publish(make_catalog([1, 2, 3, 7], rng), "p2", p23)
+        bundle, secrets = publish(make_catalog([1, 2, 3, 7], rng), "p2", p23)
         per_pick = sum(map(len, secrets.flat_secrets))  # N masks; the one a is in the header
         picks = (MAX_FRAME_LEN - 13 - p23.element_len) // per_pick + 1
         assert 1 + 12 + p23.element_len + picks * per_pick > MAX_FRAME_LEN
         # Non-member queries: refusing them would take the membership pass.
         query = OtBatchQuery(elem_len=p23.element_len, queries=(5,) * picks)
         responses = count_calls(monkeypatch, respond_powers)
-        rx_chan, tx_chan = channel_pair
-        with pytest.raises(ProtocolError, match="purchase too large"):
-            run_session_sender(secrets, query, tx_chan, p23)
-        reply = rx_chan.recv()
-        assert (reply.code, reply.text) == (ERR_BAD_QUERY, "purchase too large")
+        reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
+        assert reply == ErrorMsg(code=ERR_BAD_QUERY, text="purchase too large")
+        assert error.startswith("purchase too large: its reply would be")
         assert responses == []
 
     def test_publish_load_and_serve_refuse(self, p23, rng, tmp_path, capsys):
@@ -927,3 +955,86 @@ def test_exhaustive_small_catalog_correctness(p23):
             assert dict(result.items) == {cat.items[i].id: cat.items[i].payload
                                           for i in choice}
             assert billed == sum(cat.items[i].weight for i in choice)
+
+
+class TestManifestCap:
+    """A manifest must travel in one MANIFEST frame: with 64-character ids, 147,168 items fit."""
+
+    FITS = 147_168
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        """``FITS + 1`` entries with 64-character ids; the frame's size follows from the ids."""
+        return tuple(ManifestEntry(id=f"{i:064d}", weight=1, ct_len=0, digest_hex="0" * 64)
+                     for i in range(self.FITS + 1))
+
+    @staticmethod
+    def manifest(entries):
+        return Manifest(mode="p2", group_id="p23", key_bits=128, entries=entries)
+
+    def test_boundary(self, entries):
+        fits, over = self.manifest(entries[:-1]), self.manifest(entries)
+        assert _manifest_len("p23", (e.id for e in fits.entries)) == MAX_FRAME_LEN - 50
+        assert _manifest_len("p23", (e.id for e in over.entries)) == MAX_FRAME_LEN + 64
+        frame = encode_frame(ManifestMsg(manifest=fits))
+        assert len(frame) == LENGTH_FIELD + MAX_FRAME_LEN - 50
+        del frame
+        with pytest.raises(FrameError, match="frame too large: 16777280 bytes"):
+            encode_frame(ManifestMsg(manifest=over))
+
+    def test_publish_refuses_before_drawing_a_key(self, entries, p23, monkeypatch):
+        cat = Catalog(items=tuple(Item(id=e.id, weight=1, payload=b"") for e in entries))
+        keys = count_calls(monkeypatch, symcrypto.new_key)
+        with pytest.raises(CatalogError, match="^manifest too large: it would be a 16777280-byte "
+                                               "frame, over the 16777216-byte frame cap$"):
+            publish(cat, "p2", p23)
+        assert keys == []
+
+    def test_server_refuses_before_it_binds(self, entries, monkeypatch):
+        def bind(server):
+            raise AssertionError("bound a port")
+
+        monkeypatch.setattr(socketserver.TCPServer, "server_bind", bind)
+        no_secrets = protocol.SenderSecrets(mode="p2", flat_secrets=())
+        over = PublishedBundle(manifest=self.manifest(entries),
+                               ciphertexts=(b"",) * len(entries))
+        with pytest.raises(CatalogError, match="^manifest too large"):
+            SenderServer(("127.0.0.1", 0), over, no_secrets)
+        fits = PublishedBundle(manifest=self.manifest(entries[:-1]),
+                               ciphertexts=(b"",) * self.FITS)
+        with pytest.raises(CatalogError, match=f"^secrets hold 0 shares, the bundle prices "
+                                               f"{self.FITS}$"):  # the next check
+            SenderServer(("127.0.0.1", 0), fits, no_secrets)
+
+    def test_hand_made_bundle_refused_unread(self, entries, tmp_path, monkeypatch, capsys):
+        """``load_bundle`` refuses it from the file's size, so ``wot serve`` exits with one line."""
+        (tmp_path / "manifest.bin").write_bytes(encode_manifest(self.manifest(entries)))
+        decodes = count_calls(monkeypatch, decode_manifest)
+        with pytest.raises(CatalogError, match="^manifest too large"):
+            load_bundle(tmp_path)
+        assert main(["serve", "--bundle", str(tmp_path), "--listen", "127.0.0.1:0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: manifest too large")
+        assert decodes == []
+
+
+class TestSellerDecodesNothingItRefuses:
+    """A hostile buyer cannot make the seller decode a frame it will refuse."""
+
+    @pytest.mark.parametrize("before", [[], [Hello()], [Hello(), CtReq()]],
+                             ids=["first", "after-hello", "after-delivery"])
+    def test_manifest_frame_refused_from_its_type_byte(self, p23, rng, channel_pair,
+                                                       monkeypatch, before):
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
+        rx_chan, tx_chan = channel_pair
+        for msg in before:
+            rx_chan.send(msg)
+        rx_chan.send(ManifestMsg(manifest=bundle.manifest))
+        decodes = count_calls(monkeypatch, decode_manifest)
+        with pytest.raises(ProtocolError, match="^grammar$"):
+            serve_session(tx_chan, bundle, secrets)
+        assert decodes == []
+        while not isinstance(reply := rx_chan.recv(), ErrorMsg):
+            pass  # the manifest and the ciphertexts the seller sent before
+        assert reply == ErrorMsg(code=ERR_GRAMMAR, text="grammar")
+
