@@ -14,14 +14,18 @@ codec self-contained. ``encode_frame`` is the only encoder and
 ``read_frame``, which pulls one frame from a ``recv_exact(n)`` callable,
 the only decoder; in-process sessions run both over a socket pair too.
 
-Each ciphertext is copied once on each side. ``encode_frame`` joins the
-header and the payload's parts in one pass, and a ``CT_DATA`` ciphertext
-is a part of its own, so the seller's one copy is that join.
-``read_frame`` decodes from a read-only view over the frame body. Every
-field is copied out as ``bytes`` or decoded to an ``int`` or ``str``,
-except ``CtData.ciphertext``: it is a view over the body. The buyer's one
-copy is the join in which ``wot.net._recv_exact`` assembles the body
-from its ``recv`` chunks, and there is none when one ``recv`` fills it.
+A seller sends each ciphertext without copying it, and a buyer copies it
+once. ``_frame_parts`` gives a frame's header, then its payload's parts,
+and ``encode_frame`` joins them in one pass. A ``CT_DATA`` ciphertext is
+a part of its own, so ``wot.net.SocketChannel`` sends the header and then
+the ciphertext from where it lies: the bytes on the wire are
+``encode_frame``'s, and no frame is joined. ``read_frame`` decodes from
+a read-only view over the frame body. Every field is copied out as
+``bytes`` or decoded to an ``int`` or ``str``, except
+``CtData.ciphertext``: it is a view over the body. The buyer's one copy
+is ``wot.net._recv_exact``'s, from its ``recv`` chunks into the body: a
+join, or none when one ``recv`` fills it, under ``symcrypto.MAP_FLOOR``
+bytes, and one pre-faulted mapping from there up.
 
 Protocol version 5 delivers by position, sends one ``a`` per transfer
 reply, and ends the session with that reply: its pick count is the bill.
@@ -370,11 +374,16 @@ def _ot_batch_resp_len(count: int, n: int, elem_len: int, mask_len: int) -> int:
 
 def encode_frame(msg: Message) -> bytes:
     """The whole frame as one ``bytes``, built by a single join of its parts."""
+    return b"".join(_frame_parts(msg))
+
+
+def _frame_parts(msg: Message) -> tuple:
+    """The frame's header (length field and type byte), then its payload's parts."""
     msg_type, *parts = _encode_payload(msg)
     length = 1 + sum(map(len, parts))
     if length > MAX_FRAME_LEN:
         raise FrameError(f"frame too large: {length} bytes")
-    return b"".join((struct.pack("!IB", length, msg_type), *parts))
+    return struct.pack("!IB", length, msg_type), *parts
 
 
 def read_frame(recv_exact, admit=None) -> Message:

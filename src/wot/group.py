@@ -35,26 +35,29 @@ preset, the toy ones included.
 
 Work that runs without the GIL goes through ``_on_cpus``, which maps a
 function over its jobs on one process-wide thread pool with a worker per
-CPU the process may use. A transfer batch's exponentiations are
-independent, so ``_powmods`` takes them all at once and maps ``_powmod``
-there; ctypes releases the GIL for the ladder, so the workers run in
+CPU the process may use (``_cpu_pool``). A transfer batch's
+exponentiations are independent, so ``_powmods`` takes them all at once
+and maps ``_powmod`` there; ctypes releases the GIL for the ladder, so the workers run in
 parallel. The publisher also hashes its ciphertexts there
 (``protocol.publish``), opens its payload files there
 (``catalog.load_catalog``: a file of ``symcrypto.MAP_FLOOR`` bytes or more
 is mapped with its pages populated in the ``mmap`` call, a smaller one is
-read) and writes its ciphertext files there (``protocol.save_bundle``);
-``hashlib``, file reads and writes and the ctypes ``mmap`` call release
-the GIL too. Every server session shares that pool, so concurrent
-sessions queue their work instead of oversubscribing the CPUs. The pool
-starts on the first call that needs it, never during setup. A call runs
-inline on the calling thread when it has fewer than two jobs or the
-process may use one CPU, and a ``_powmods`` batch also when its modulus
-is under 128 bits. Pool threads run ``_powmod``,
-``catalog.ciphertext_digest``, payload loads and bundle file writes,
-nothing else. So a publish's digests run off its thread, as do a
-buyer's, which its ``wot-digest`` thread (``protocol.fetch_bundle``)
-computes as the ciphertexts arrive. Every other public function runs on
-the thread of the session that called it, so whatever watches a session
+read) and writes its ciphertext files there (``protocol.save_bundle``).
+``protocol.load_bundle`` reads ciphertext files there and
+``PublishedBundle.verify_digests`` hashes them there, and the buyer's
+``protocol.fetch_bundle`` submits each fetched ciphertext's check to the
+pool as the next one arrives. ``hashlib``, file reads and writes and the
+ctypes ``mmap`` call release the GIL too. Every server session shares
+that pool, so concurrent sessions queue their work instead of
+oversubscribing the CPUs. The pool starts on the first call that needs
+it, never during setup. An ``_on_cpus`` call runs inline on the calling
+thread when it has fewer than two jobs or the process may use one CPU,
+and a ``_powmods`` batch also when its modulus is under 128 bits. Pool
+threads run ``_powmod``, digest checks (``catalog.ciphertext_digest``),
+payload and ciphertext file loads and bundle file writes, nothing else.
+So the digests of a publish, of a served bundle and of a buyer's fetch
+run off the calling thread. Every other public function runs on the
+thread of the session that called it, so whatever watches a session
 per thread sees all of its other calls.
 
 Wire encoding of an element is a fixed-width big-endian integer of
@@ -190,15 +193,19 @@ def _on_cpus(fn, jobs) -> list:
 
     See the module docstring for the pool and the calls that run inline.
     """
-    global _pool
     if len(jobs) < 2 or _cpus() < 2:
         return [fn(job) for job in jobs]
+    return list(_cpu_pool().map(fn, jobs))
+
+
+def _cpu_pool():
+    """The process-wide pool, started by the first call that needs it."""
+    global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor  # kept out of cold start
             _pool = ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="wot-cpu")
-        pool = _pool
-    return list(pool.map(fn, jobs))
+        return _pool
 
 
 def _powmods(jobs: list[tuple[int, int]], mod: int) -> list[int]:

@@ -15,33 +15,77 @@ passes its checks, before it opens anything (``run_session_receiver``).
 from __future__ import annotations
 
 import logging
+import mmap
 import socket
 import socketserver
 import threading
 from pathlib import Path
 
 from .errors import CatalogError, ProtocolError
-from .framing import ERR_INTERNAL, ErrorMsg, _manifest_len, encode_frame, read_frame
+from .framing import (ERR_INTERNAL, CtData, ErrorMsg, _frame_parts, _manifest_len,
+                      encode_frame, read_frame)
 from .group import setup_params
 from .protocol import (PublishedBundle, SenderSecrets, _check_manifest_fits, _replace_file,
                        run_session_receiver, serve_session)
+from .symcrypto import MAP_FLOOR
 
 log = logging.getLogger("wot.server")
 
 DEFAULT_TIMEOUT = 30.0
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes: the chunk itself if one ``recv`` fills them, else one join."""
-    chunks = []
+# Read here, once: a stand-in for ``socket`` (``perfbench``) may lack it.
+_MSG_MORE = getattr(socket, "MSG_MORE", 0)
+_MADV_POPULATE_WRITE = 23  # Linux 5.14 and later
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytes | memoryview:
+    """Read exactly ``n`` bytes, in ``recv`` calls of at most ``MAP_FLOOR`` bytes.
+
+    Under ``MAP_FLOOR`` bytes: the chunk itself if one ``recv`` fills them,
+    else one join. From ``MAP_FLOOR`` up: a read-only view of one anonymous
+    mapping, each ``MAP_FLOOR`` window of which is populated (``_populate``)
+    when the first bytes for it arrive. So the pages are not faulted in one
+    at a time, and a peer cannot make this side commit memory more than
+    one window ahead of the bytes it has sent.
+    """
+    chunks = _chunks(sock, n)
+    if n < MAP_FLOOR:
+        chunks = list(chunks)
+        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    body = mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    pos = populated = 0
+    for chunk in chunks:
+        end = pos + len(chunk)
+        while populated < end:
+            _populate(body, populated, min(MAP_FLOOR, n - populated))
+            populated += MAP_FLOOR
+        body[pos:end] = chunk
+        pos = end
+    return memoryview(body).toreadonly()
+
+
+def _chunks(sock: socket.socket, n: int):
+    """``recv`` chunks of at most ``MAP_FLOOR`` bytes that add up to ``n`` bytes."""
     remaining = n
     while remaining:
-        chunk = sock.recv(remaining)
+        chunk = sock.recv(min(remaining, MAP_FLOOR))
         if not chunk:
             raise ProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
+        yield chunk
         remaining -= len(chunk)
-    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+
+
+def _populate(buf: mmap.mmap, start: int, length: int):
+    """Fault ``buf[start:start + length]`` in with one call, where the kernel can.
+
+    Where it cannot (before Linux 5.14, or another system), the pages fault
+    in as they are written.
+    """
+    try:
+        buf.madvise(_MADV_POPULATE_WRITE, start, length)
+    except OSError:
+        pass
 
 
 class SocketChannel:
@@ -52,7 +96,14 @@ class SocketChannel:
         self._sock = sock
 
     def send(self, msg):
-        self._sock.sendall(encode_frame(msg))
+        if isinstance(msg, CtData):
+            # The header is held back for the ciphertext, which is sent from
+            # where it lies: no frame is joined per delivery.
+            header, ciphertext = _frame_parts(msg)
+            self._sock.sendall(header, _MSG_MORE)
+            self._sock.sendall(ciphertext)
+        else:
+            self._sock.sendall(encode_frame(msg))
 
     def recv(self, admit=None):
         """The next message; ``admit`` may refuse it before it is decoded (``read_frame``)."""

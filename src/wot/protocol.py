@@ -37,16 +37,22 @@ one CT_REQ, and the seller answers it with all ``N`` ciphertexts in manifest
 order, so the ``k``-th CT_DATA is entry ``k``'s; one out of place fails
 that entry's length and digest check. The buyer sends nothing more until
 it has read all ``N``, so the seller's blocking sends always drain and
-neither side can deadlock on full socket buffers. The buyer hands each
-received ciphertext, in manifest order, to one ``wot-digest`` thread that
-hashes it while the next one arrives. That thread is joined before
-``fetch_bundle`` returns or raises, and the first mismatch in manifest
-order is raised then, so a bad ciphertext still aborts the session
-before the first transfer message, whatever the choice. A fetched
-ciphertext is the read-only view that ``read_frame`` decoded (see
-``wot.framing``): it is length-checked, hashed and decrypted where it
-was received, and the buyer's ``PublishedBundle.ciphertexts`` hold such
-views.
+neither side can deadlock on full socket buffers. The seller sends each
+ciphertext from where it lies, after its frame header (``wot.net``). The
+buyer hands each received ciphertext's length and digest check to the
+CPU pool (``group._cpu_pool``) while the next one arrives. Every check
+ends before ``fetch_bundle`` returns or raises, and the first mismatch
+in manifest order is raised then, so a bad ciphertext still aborts the
+session before the first transfer message, whatever the choice. Every
+ciphertext, chosen or not, is received, buffered and checked the same
+way. A fetched ciphertext is the read-only view that ``read_frame``
+decoded (see ``wot.framing``): it is length-checked, hashed and
+decrypted where it was received, and the buyer's
+``PublishedBundle.ciphertexts`` hold such views.
+
+The buyer decodes nothing it refuses: a frame of any type but the one
+the grammar expects next, or ERROR, is refused from its type byte
+(``_expect``).
 
 The reply ends the session, and its pick count is the bill. Once the
 reply passes its checks (its count is the buyer's pick count, its widths
@@ -87,9 +93,7 @@ from __future__ import annotations
 
 import functools
 import os
-import queue
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -102,10 +106,11 @@ from .errors import (CatalogError, CryptoError, FrameError, ItemAuthenticationEr
                      ProtocolError, RemoteError, WotError)
 from .framing import (CtData, CtReq, ErrorMsg, Hello, ManifestMsg, OtBatchQuery, OtBatchResp,
                       ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, MAX_FRAME_LEN,
-                      PROTOCOL_VERSION, TYPE_CT_REQ, TYPE_HELLO, TYPE_OT_BATCH_QUERY,
+                      PROTOCOL_VERSION, TYPE_CT_DATA, TYPE_CT_REQ, TYPE_ERROR, TYPE_HELLO,
+                      TYPE_MANIFEST, TYPE_OT_BATCH_QUERY, TYPE_OT_BATCH_RESP,
                       _MODE_CODES, _MODE_NAMES, _ct_data_len, _manifest_len,
                       _ot_batch_resp_len, _query_header, decode_manifest, encode_manifest)
-from .group import GroupParams, _on_cpus, is_member, setup_params
+from .group import GroupParams, _cpu_pool, _on_cpus, is_member, setup_params
 
 MANIFEST_FILE = "manifest.bin"
 SECRETS_FILE = "sender_secrets.bin"
@@ -121,8 +126,8 @@ class PublishedBundle:
     """Everything a buyer may see before a session."""
 
     manifest: Manifest
-    # A seller's are read-only views over its encryption buffers, a buyer's
-    # views over received frames; a bundle loaded from disk holds bytes.
+    # Read-only views: over a seller's encryption buffers, over the frames a
+    # buyer received, or over the buffers ``load_bundle`` read the files into.
     ciphertexts: tuple[bytes | memoryview, ...]
 
     def __post_init__(self):
@@ -132,9 +137,10 @@ class PublishedBundle:
             _check_deliverable(entry.id, len(ct))
 
     def verify_digests(self):
-        for entry, ct in zip(self.manifest.entries, self.ciphertexts):
-            if not _matches_entry(entry, ct):
-                raise CatalogError(f"ciphertext digest mismatch for item {entry.id!r}")
+        """Check every ciphertext, on the CPU pool; the first mismatch in manifest order raises."""
+        entries = self.manifest.entries
+        _refuse_mismatch(entries, _on_cpus(lambda job: _matches_entry(*job),
+                                           list(zip(entries, self.ciphertexts))))
 
 
 def _check_deliverable(item_id: str, ct_len: int):
@@ -154,6 +160,13 @@ def _check_manifest_fits(length: int):
 def _matches_entry(entry: ManifestEntry, ct: bytes) -> bool:
     """Whether ``ct`` is the ciphertext the manifest lists: its length, then its digest."""
     return len(ct) == entry.ct_len and ciphertext_digest(ct) == entry.digest_hex
+
+
+def _refuse_mismatch(entries, matched: list[bool]):
+    """Raise for the first of ``entries`` whose ciphertext did not match (``matched``)."""
+    if False in matched:
+        raise CatalogError(f"ciphertext digest mismatch for item "
+                           f"{entries[matched.index(False)].id!r}")
 
 
 @dataclass(frozen=True)
@@ -224,11 +237,18 @@ def publish(catalog: Catalog, mode: str, params: GroupParams,
     return bundle, secrets
 
 
-def _expect(msg, expected_type):
+def _expect(channel, msg_type: int):
+    """The seller's next message, which must be of type ``msg_type``; an ERROR is raised.
+
+    Any other frame is refused from its type byte, before it is decoded.
+    """
+    def admit(got: int, payload):
+        if got not in (msg_type, TYPE_ERROR):
+            raise ProtocolError(f"expected message type 0x{msg_type:02x}, got 0x{got:02x}")
+
+    msg = channel.recv(admit)
     if isinstance(msg, ErrorMsg):
         raise RemoteError(msg.code, msg.text)
-    if not isinstance(msg, expected_type):
-        raise ProtocolError(f"expected {expected_type.__name__}, got {type(msg).__name__}")
     return msg
 
 
@@ -255,7 +275,7 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
     recovered or any item decrypted.
     """
     channel.send(Hello())
-    manifest = _expect(channel.recv(), ManifestMsg).manifest
+    manifest = _expect(channel, TYPE_MANIFEST).manifest
     # Validate the request before any transfer-related traffic, and its
     # size from (N, T) alone before any work that grows with T.
     chosen = sorted({manifest.index_of(item_id) for item_id in item_ids})
@@ -276,7 +296,7 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
     queries, exponents = ot_query(params, total, picks)
     channel.send(OtBatchQuery(elem_len=params.element_len, queries=queries))
 
-    resp = _expect(channel.recv(), OtBatchResp)
+    resp = _expect(channel, TYPE_OT_BATCH_RESP)
     if len(resp.responses) != len(picks):
         raise ProtocolError("response count does not match pick count")
     if resp.elem_len != params.element_len:
@@ -317,9 +337,10 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
     The cache is used when it loads, its digests verify and its manifest
     equals the seller's; otherwise, a cache from another publish or with
     one bad file included, every ciphertext is fetched: one CT_REQ, then
-    ``N`` CT_DATA in manifest order, each checked on a ``wot-digest``
-    thread as the next arrives. The thread is joined before this returns
-    or raises, and the first mismatch is raised then.
+    ``N`` CT_DATA in manifest order, each checked on the CPU pool
+    (``group._cpu_pool``) as the next arrives. Every check ends before
+    this returns or raises, and the first mismatch in manifest order is
+    raised then.
     """
     if cache_dir is not None:
         try:
@@ -328,32 +349,22 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
         except WotError:
             pass
 
+    from concurrent.futures import wait  # kept out of cold start, as in ``group._cpu_pool``
+
     entries = manifest.entries
-    cts = []
-    handed = queue.SimpleQueue()
-    checked: list[ManifestEntry] = []
-    helper = threading.Thread(target=_check_digests, args=(handed, checked),
-                              name="wot-digest", daemon=True)
-    helper.start()
+    cts, checks = [], []
+    pool = _cpu_pool()
     try:
         channel.send(CtReq())
         for entry in entries:
-            ct = _expect(channel.recv(), CtData).ciphertext
+            ct = _expect(channel, TYPE_CT_DATA).ciphertext
             cts.append(ct)
-            handed.put((entry, ct))
+            checks.append(pool.submit(_matches_entry, entry, ct))
     finally:
-        handed.put(None)
-        helper.join()
-        if len(checked) < len(cts):
-            # An earlier item's mismatch stands before any later failure.
-            raise CatalogError(f"ciphertext digest mismatch for item {entries[len(checked)].id!r}")
+        wait(checks)
+        # An earlier item's mismatch stands before any later failure.
+        _refuse_mismatch(entries, [check.result() for check in checks])
     return PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
-
-
-def _check_digests(handed: queue.SimpleQueue, checked: list):
-    """Check each ``(entry, ciphertext)`` handed over, in order, up to the first mismatch."""
-    while (item := handed.get()) is not None and _matches_entry(*item):
-        checked.append(item[0])
 
 
 def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> int:
@@ -494,20 +505,40 @@ def load_manifest(directory) -> Manifest:
 
 
 def load_bundle(directory, verify: bool = True) -> PublishedBundle:
+    """The bundle in ``directory``; its ``.ct`` files are read on the CPU pool (``_load_ct``)."""
     path = Path(directory)
     manifest = load_manifest(path)
-    cts = []
-    for entry in manifest.entries:
-        ct_path = path / (entry.id + CT_SUFFIX)
-        if not ct_path.is_file():
-            raise CatalogError(f"missing ciphertext file {ct_path}")
-        if ct_path.stat().st_size != entry.ct_len:  # before a forged size is read in
-            raise CatalogError(f"ciphertext file {ct_path} is not {entry.ct_len} bytes")
-        cts.append(ct_path.read_bytes())
+    cts = _on_cpus(lambda job: _load_ct(*job),
+                   [(path / (entry.id + CT_SUFFIX), entry.ct_len) for entry in manifest.entries])
     bundle = PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
     if verify:
         bundle.verify_digests()
     return bundle
+
+
+def _load_ct(path: Path, ct_len: int) -> memoryview:
+    """The ``ct_len``-byte file at ``path``, read into a ``symcrypto._new_buffer``.
+
+    Its size is checked first, so a forged one is refused before the file is read.
+    """
+    if not path.is_file():
+        raise CatalogError(f"missing ciphertext file {path}")
+    if path.stat().st_size != ct_len:
+        raise CatalogError(f"ciphertext file {path} is not {ct_len} bytes")
+    return _read_into(path, symcrypto._new_buffer(ct_len))
+
+
+def _read_into(path: Path, buf) -> memoryview:
+    """Fill ``buf`` from the start of the file at ``path``; a read-only view of it."""
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        filled = 0
+        while filled < len(view):
+            got = fh.readinto(view[filled:])
+            if not got:
+                raise CatalogError(f"ciphertext file {path} is shorter than {len(view)} bytes")
+            filled += got
+    return view.toreadonly()
 
 
 def load_secrets(directory) -> SenderSecrets:

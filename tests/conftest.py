@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import random
 import socket
 import sys
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from wot import symcrypto
+from wot import protocol, symcrypto
 from wot.catalog import Catalog, Item
 from wot.errors import ProtocolError
 from wot.group import setup_params
@@ -30,15 +31,26 @@ def p47():
 
 
 @pytest.fixture(autouse=True)
-def no_digest_thread_left():
-    """Fail a test that leaves a buyer's digest helper running.
+def no_digest_check_left(monkeypatch):
+    """Fail a test that leaves a digest check running.
 
-    ``fetch_bundle`` joins its ``wot-digest`` thread before it returns or
-    raises, on every path.
+    ``fetch_bundle`` waits for every check it hands the CPU pool before it
+    returns or raises, on every path.
     """
+    running = []
+    matches = protocol._matches_entry
+
+    @functools.wraps(matches)
+    def checking(entry, ct):
+        running.append(entry)
+        try:
+            return matches(entry, ct)
+        finally:
+            running.remove(entry)
+
+    monkeypatch.setattr(protocol, "_matches_entry", checking)
     yield
-    left = [t for t in threading.enumerate() if t.name == "wot-digest"]
-    assert not left, f"live digest helper threads: {left}"
+    assert not running, f"digest checks still running: {running}"
 
 
 @pytest.fixture(autouse=True)

@@ -2,10 +2,10 @@ import logging
 import random
 import socket
 import socketserver
+import struct
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,9 +14,9 @@ from wot.errors import (CatalogError, GroupError, ItemAuthenticationError, Proto
                         RemoteError)
 from wot.framing import (CtData, CtReq, ErrorMsg, Hello, ManifestMsg,
                          OtBatchQuery, ERR_GRAMMAR, ERR_INCOMPATIBLE, ERR_INTERNAL,
-                         LENGTH_FIELD, TYPE_CT_REQ, TYPE_HELLO,
+                         LENGTH_FIELD, MAX_FRAME_LEN, TYPE_CT_DATA, TYPE_CT_REQ, TYPE_HELLO,
                          TYPE_OT_BATCH_QUERY, encode_frame, read_frame)
-from wot import net, symcrypto
+from wot import net, protocol, symcrypto
 from wot.cli import main
 from wot.catalog import ciphertext_digest
 from wot.net import SenderServer, SocketChannel, buy, _recv_exact
@@ -24,6 +24,8 @@ from wot.protocol import (PublishedBundle, fetch_bundle, publish, run_session_se
                           save_bundle, serve_session)
 
 from conftest import SELLER_THREAD, billed_lines, count_calls, make_catalog, record, serving
+
+FLOOR = symcrypto.MAP_FLOOR
 
 
 @pytest.fixture
@@ -73,12 +75,16 @@ def message_log(monkeypatch):
 
 
 class ChunkedSocket:
-    """A peer that hands out ``data`` in ``recv`` chunks of the sizes ``sizes`` draws."""
+    """A peer that hands out ``data`` in ``recv`` chunks of the sizes ``sizes`` draws.
+
+    ``asked`` records the size of every ``recv`` call.
+    """
 
     def __init__(self, data, sizes):
-        self.data, self.pos, self.sizes = data, 0, sizes
+        self.data, self.pos, self.sizes, self.asked = data, 0, sizes, []
 
     def recv(self, n):
+        self.asked.append(n)
         chunk = self.data[self.pos:self.pos + min(n, self.sizes())]
         self.pos += len(chunk)
         return chunk
@@ -102,6 +108,48 @@ class TestRecvExact:
         sock = ChunkedSocket(b"\x00" * 10, lambda: 3)
         with pytest.raises(ProtocolError, match="connection closed mid-frame"):
             _recv_exact(sock, 11)
+
+    @pytest.mark.parametrize("size", [FLOOR - 1, FLOOR, FLOOR + 1, 3 * FLOOR + 1])
+    def test_bodies_around_the_floor_arrive_whole_and_read_only(self, size, monkeypatch):
+        """Each ``recv`` asks for at most ``MAP_FLOOR`` bytes, whatever the peer sends.
+
+        A body of ``MAP_FLOOR`` bytes or more is populated one window at a time.
+        """
+        populated = count_calls(monkeypatch, net._populate)
+        rng = random.Random(size)
+        data = rng.randbytes(size)
+        sock = ChunkedSocket(data, lambda: rng.choice((1, 4096, FLOOR - 1, 2 * FLOOR)))
+        body = _recv_exact(sock, size)
+        assert body == data and memoryview(body).readonly
+        assert sock.pos == size and max(sock.asked) <= FLOOR
+        windows = range(0, size, FLOOR) if size >= FLOOR else ()
+        assert [(start, length) for _, start, length in populated] \
+            == [(start, min(FLOOR, size - start)) for start in windows]
+
+    def test_announced_body_is_populated_only_as_it_arrives(self, monkeypatch):
+        """A peer that announces 16 MiB and sends one byte gets one window populated."""
+        populated = count_calls(monkeypatch, net._populate)
+        sock = ChunkedSocket(struct.pack("!IB", MAX_FRAME_LEN, TYPE_CT_DATA), lambda: 4)
+        with pytest.raises(ProtocolError, match="connection closed mid-frame"):
+            read_frame(lambda n: _recv_exact(sock, n))
+        assert [(start, length) for _, start, length in populated] == [(0, FLOOR)]
+
+    @pytest.mark.parametrize("size", [28, FLOOR - 1, FLOOR, FLOOR + 1])
+    def test_ciphertext_goes_out_as_its_encoded_frame(self, size):
+        """The seller sends a CT_DATA's header, then the ciphertext from where it lies."""
+        ct = memoryview(random.Random(size).randbytes(size)).toreadonly()
+        frame = encode_frame(CtData(ciphertext=ct))
+        rx_sock, tx_sock = socket.socketpair()
+        with rx_sock, tx_sock:
+            sender = threading.Thread(target=SocketChannel(tx_sock).send,
+                                      args=(CtData(ciphertext=ct),))
+            sender.start()
+            received = bytearray()
+            while len(received) < len(frame):
+                received += rx_sock.recv(len(frame) - len(received))
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+        assert received == frame
 
 
 class TestBuy:
@@ -182,13 +230,13 @@ class TestBuy:
         save_bundle(srv.bundle, tmp_path / "cache")
         oversized = tmp_path / "cache" / "item02.ct"
         oversized.write_bytes(oversized.read_bytes() + b"\x00")
-        read, read_bytes = [], Path.read_bytes
+        read, read_into = [], protocol._read_into
 
-        def spy(path):
+        def spy(path, buf):
             read.append(path)
-            return read_bytes(path)
+            return read_into(path, buf)
 
-        monkeypatch.setattr(Path, "read_bytes", spy)
+        monkeypatch.setattr(protocol, "_read_into", spy)
         log = message_log(monkeypatch)
         result = buy("127.0.0.1", srv.port, ["item02"], tmp_path / "out",
                      cache_dir=tmp_path / "cache")

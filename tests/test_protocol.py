@@ -3,6 +3,7 @@ import random
 import socket
 import socketserver
 import stat
+import struct
 import threading
 import concurrent.futures
 import time
@@ -20,8 +21,8 @@ from wot import symcrypto
 from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_reply,
                          ot_respond, pick_binding, respond_powers)
 from wot.framing import (ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, LENGTH_FIELD,
-                         MAX_FRAME_LEN, TYPE_HELLO, CtData, CtReq, ErrorMsg, Hello,
-                         ManifestMsg, OtBatchQuery, OtBatchResp, _manifest_len,
+                         MAX_FRAME_LEN, TYPE_HELLO, TYPE_OT_BATCH_QUERY, CtData, CtReq,
+                         ErrorMsg, Hello, ManifestMsg, OtBatchQuery, OtBatchResp, _manifest_len,
                          _ot_batch_resp_len, decode_manifest, encode_frame, encode_manifest)
 from wot.group import is_member, kdf_pad, setup_params
 from wot.net import SenderServer, SocketChannel, buy
@@ -227,7 +228,7 @@ class TestSelectionPlan:
         class ManifestOnly:
             send = sent.append
 
-            def recv(self):
+            def recv(self, admit=None):
                 return ManifestMsg(manifest=manifest)
 
         t = manifest.total_weight
@@ -415,12 +416,12 @@ class TestSessions:
         assert seller is not buyer and not seller.name.startswith("wot-cpu")
         assert set(threads["kdf_pad"]) == set(threads["is_member"]) == {buyer, seller}
 
-    def test_toy_group_session_starts_no_pool(self, p23, rng, monkeypatch):
+    def test_toy_group_exponentiations_stay_off_the_pool(self, p23, rng, monkeypatch):
         cat = make_catalog([1, 2, 3, 7], rng)
-        bundle, secrets = publish(cat, "p2", p23)  # may start the pool for its digests
-        monkeypatch.setattr(group, "_pool", None)
+        bundle, secrets = publish(cat, "p2", p23)
+        threads = count_calls(monkeypatch, group._powmod, record=threading.current_thread)
         local_session(bundle, secrets, ["item01", "item03"])
-        assert group._pool is None
+        assert threads and not any(t.name.startswith("wot-cpu") for t in threads)
 
     def test_concurrent_buys_share_one_cpu_sized_pool(self, tmp_path, monkeypatch):
         params = setup_params("modp-2048")
@@ -622,21 +623,34 @@ class TestSessions:
 
 
 class TestPipelinedDelivery:
-    """The buyer checks each digest on a ``wot-digest`` thread while the next ciphertext arrives."""
+    """The buyer checks each digest on the CPU pool while the next ciphertext arrives."""
 
     @staticmethod
-    def buyer_joining_helpers(monkeypatch, item_ids):
-        """The buyer's side, checking as it returns or raises that its digest helper has ended."""
-        helpers = count_calls(monkeypatch, protocol._check_digests,
-                              record=threading.current_thread)
+    def buyer_awaiting_checks(monkeypatch, item_ids):
+        """The buyer's side, checking as it returns or raises that every digest check has ended.
+
+        There is one check per ciphertext received, and each ran on the pool.
+        """
+        checks, matches = [], protocol._matches_entry  # [thread, ended] per check
+
+        def checking(entry, ct):
+            checks.append(check := [threading.current_thread(), False])
+            try:
+                return matches(entry, ct)
+            finally:
+                check[1] = True
+
+        monkeypatch.setattr(protocol, "_matches_entry", checking)
 
         def buyer(rx_chan):
-            started = len(helpers)
+            log, started = [], len(checks)
+            record(rx_chan, log)
             try:
                 return run_session_receiver(rx_chan, item_ids)
             finally:
-                assert len(helpers) == started + 1
-                assert helpers[-1].name == "wot-digest" and not helpers[-1].is_alive()
+                assert len(checks) - started == log.count(("peer", "CtData")) > 0
+                assert all(ended and thread.name.startswith("wot-cpu")
+                           for thread, ended in checks[started:])
 
         return buyer
 
@@ -648,24 +662,24 @@ class TestPipelinedDelivery:
         assert tx_chan.recv() == CtReq()
         tx_chan.send(CtData(ciphertext=first or bundle.ciphertexts[0]))
 
-    def test_every_fetched_digest_is_checked_on_the_helper(self, p23, rng, monkeypatch):
+    def test_every_fetched_digest_is_checked_on_the_pool(self, p23, rng, monkeypatch):
         bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23)
         threads = count_calls(monkeypatch, ciphertext_digest, record=threading.current_thread)
         local_session(bundle, secrets, ["item01"])
-        assert len(threads) == 3 and {t.name for t in threads} == {"wot-digest"}
+        assert len(threads) == 3 and all(t.name.startswith("wot-cpu") for t in threads)
 
-    def test_helper_is_joined_when_a_digest_fails(self, p23, rng, monkeypatch):
+    def test_checks_end_when_a_digest_fails(self, p23, rng, monkeypatch):
         bundle, secrets = publish(make_catalog([1, 2, 3], rng), "p2", p23)
         corrupted = replace(bundle, ciphertexts=(bytes(bundle.ciphertexts[0]) + b"x",
                                                  *bundle.ciphertexts[1:]))
         with pytest.raises(CatalogError, match="digest mismatch for item 'item00'"):
             against(lambda tx: serve_session(tx, corrupted, secrets),
-                         self.buyer_joining_helpers(monkeypatch, ["item02"]))
+                         self.buyer_awaiting_checks(monkeypatch, ["item02"]))
 
-    def test_helper_is_joined_when_the_seller_closes_mid_frame(self, p23, rng, monkeypatch):
+    def test_checks_end_when_the_seller_closes_mid_frame(self, p23, rng, monkeypatch):
         """A bad item received before the cut is reported over the cut, as it was first."""
         bundle, _ = publish(make_catalog([1, 2, 3], rng), "p2", p23)
-        buyer = self.buyer_joining_helpers(monkeypatch, ["item00"])
+        buyer = self.buyer_awaiting_checks(monkeypatch, ["item00"])
         for first, error, match in (
                 (None, ProtocolError, "connection closed mid-frame"),
                 (bytes(bundle.ciphertexts[0]) + b"x", CatalogError,
@@ -1016,6 +1030,27 @@ class TestManifestCap:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: manifest too large")
         assert decodes == []
+
+
+class TestBuyerDecodesNothingItRefuses:
+    """A hostile seller cannot make the buyer decode a frame it will refuse."""
+
+    def test_query_in_place_of_the_manifest_refused_from_its_type_byte(self, channel_pair,
+                                                                      monkeypatch):
+        """A 16 MiB query of 1-byte elements: 16 million of them to decode, were it decoded."""
+        count = MAX_FRAME_LEN - 7  # type byte, count and element width, then the elements
+        frame = struct.pack("!IBIH", MAX_FRAME_LEN, TYPE_OT_BATCH_QUERY, count, 1) + bytes(count)
+        rx_chan, tx_chan = channel_pair
+        decoded = count_calls(monkeypatch, framing._decode_payload)
+        seller = threading.Thread(target=tx_chan._sock.sendall, args=(frame,))
+        seller.start()
+        try:
+            with pytest.raises(ProtocolError, match="^expected message type 0x02, got 0x05$"):
+                run_session_receiver(rx_chan, ["item00"])
+        finally:
+            seller.join(timeout=10)
+        assert not seller.is_alive()
+        assert decoded == []
 
 
 class TestSellerDecodesNothingItRefuses:
