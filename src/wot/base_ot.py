@@ -14,7 +14,8 @@ on two generators ``g`` and ``h``:
   ``e_(i+1) = e_i * h^-k``, with ``h^-k = h^(q - k)``. A batch of ``T``
   picks shares ``g^k`` and ``h^-k``, so it costs ``T + 2``
   exponentiations, then one multiplication and one pad per (pick,
-  index). The reply is one element, then N masks per pick.
+  index). The reply is one element, then one block of N masks per pick,
+  pick after pick.
 * Receiver: ``a^r = g^(rk) = e_c``, so exactly ``s_c`` unmasks.
 
 A batch's exponentiations run together, drawn serially. Each side draws
@@ -77,7 +78,7 @@ _SID_TAG = b"WOT-SID"
 
 @dataclass(frozen=True)
 class OtResponse:
-    """Sender's answer for one pick: N masked secrets. The batch's one ``a`` travels beside."""
+    """Sender's answer for one pick: N masked secrets, which ``ot_reply`` joins into its block."""
 
     masks: tuple[bytes, ...]
 
@@ -101,16 +102,18 @@ def ot_query(params: GroupParams, n_secrets: int,
     return tuple(gr * hc % p for gr, hc in zip(powers[:t], powers[t:])), exponents
 
 
-def ot_reply(params: GroupParams, secrets, queries) -> tuple[int, tuple[OtResponse, ...]]:
-    """The sender's answer to a whole batch: ``a = g^k`` once, then one response per pick.
+def ot_reply(params: GroupParams, secrets, queries) -> tuple[int, bytes]:
+    """The sender's answer to a whole batch: ``a = g^k`` once, then every pick's N masks.
 
-    Every ``y`` must be a subgroup member; the caller checks the whole
-    batch first, so ``k`` is drawn only after every ``y`` is fixed.
+    The masks come as one block, pick after pick. Every ``y`` must be a
+    subgroup member; the caller checks the whole batch first, so ``k`` is
+    drawn only after every ``y`` is fixed.
     """
     sid = batch_binding(params, queries)
     a, step, elements = respond_powers(params, queries)
-    return a, tuple(ot_respond(params, secrets, step, element, pick_binding(sid, ordinal))
-                    for ordinal, element in enumerate(elements))
+    return a, b"".join(mask for ordinal, element in enumerate(elements)
+                       for mask in ot_respond(params, secrets, step, element,
+                                              pick_binding(sid, ordinal)).masks)
 
 
 def respond_powers(params: GroupParams, queries) -> tuple[int, int, tuple[int, ...]]:
@@ -137,23 +140,27 @@ def ot_respond(params: GroupParams, secrets, step: int, element: int,
     return OtResponse(masks=tuple(masks))
 
 
-def ot_recover(params: GroupParams, a: int, queries, responses, indices,
+def ot_recover(params: GroupParams, a: int, queries, masks, n_secrets: int, indices,
                exponents) -> tuple[bytes, ...]:
     """Unmask each pick's secret at its index, using its query's secret exponent.
 
-    ``a`` must be a subgroup member; the caller checks the peer's reply.
+    ``masks`` is the reply's block: ``n_secrets`` masks per pick, pick
+    after pick, all of one width. ``a`` must be a subgroup member; the
+    caller checks the peer's reply.
     """
-    picks = list(zip(responses, indices, exponents, strict=True))
-    for response, index, _ in picks:
-        if not 0 <= index < response.n_secrets:
+    picks = list(zip(indices, exponents, strict=True))
+    for index, _ in picks:
+        if not 0 <= index < n_secrets:
             raise ProtocolError(f"pick index {index} out of range")
+    mask_len = len(masks) // (len(picks) * n_secrets or 1)
     sid = batch_binding(params, queries)
-    shared = _powmods([(a, r) for r in exponents], params.p)
+    shared = _powmods([(a, r) for _, r in picks], params.p)
     secrets = []
-    for ordinal, ((response, index, _), element) in enumerate(zip(picks, shared)):
-        masked = response.masks[index]
+    for ordinal, ((index, _), element) in enumerate(zip(picks, shared)):
+        start = (ordinal * n_secrets + index) * mask_len
         binding = _index_binding(pick_binding(sid, ordinal), index)
-        secrets.append(xor_bytes(kdf_pad(params, element, binding, len(masked)), masked))
+        secrets.append(xor_bytes(kdf_pad(params, element, binding, mask_len),
+                                 masks[start:start + mask_len]))
     return tuple(secrets)
 
 

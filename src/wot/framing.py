@@ -22,10 +22,11 @@ the ciphertext from where it lies: the bytes on the wire are
 ``encode_frame``'s, and no frame is joined. ``read_frame`` decodes from
 a read-only view over the frame body. Every field is copied out as
 ``bytes`` or decoded to an ``int`` or ``str``, except
-``CtData.ciphertext``: it is a view over the body. The buyer's one copy
-is ``wot.net._recv_exact``'s, from its ``recv`` chunks into the body: a
-join, or none when one ``recv`` fills it, under ``symcrypto.MAP_FLOOR``
-bytes, and one pre-faulted mapping from there up.
+``CtData.ciphertext`` and ``OtBatchResp.masks``: each is a view over the
+body. The buyer's one copy is ``wot.net._recv_exact``'s, from its
+``recv`` chunks into the body: a join, or none when one ``recv`` fills
+it, under ``symcrypto.MAP_FLOOR`` bytes, and one pre-faulted mapping from
+there up.
 
 Protocol version 5 delivers by position, sends one ``a`` per transfer
 reply, and ends the session with that reply: its pick count is the bill.
@@ -44,12 +45,20 @@ the item. Version 2 named an item in each request and reply.
     [elem_len bytes - a = g^k] [T * N times: mask_len bytes - mask]
 
 so the length field of a reply reads ``1 + 12 + elem_len + T * N * mask_len``.
-Its ``count`` is the billed total ``T``, which the seller logs and the
-buyer checks against its own pick count. Version 4 repeated that total in
-a ``DONE`` frame (type ``0x07``, now unassigned), version 3 sent an ``a``
-before each pick's masks, version 1 N (element, mask) pairs per pick. The
-manifest record format has its own version byte (``MANIFEST_VERSION``),
-so bundles written before any bump still load.
+``OtBatchResp`` copies out the header's four fields and ``a``, and holds
+the ``T * N`` masks as one block, pick after pick, which ``_frame_parts``
+gives as a part of its own. The codec knows nothing of the transfer: its
+one rule for a reply is the record-count rule, the same on both sides
+(the block is ``count * n`` masks of ``mask_len`` bytes, and no pick is
+of zero width). Decoding a reply builds no object per pick or per mask,
+so the buyer checks its fields (``wot.protocol``) at a cost that does not
+grow with ``T * N``. Its ``count`` is the billed total ``T``, which the
+seller logs and the buyer checks against its own pick count. Version 4
+repeated that total in a ``DONE`` frame (type ``0x07``, now unassigned),
+version 3 sent an ``a`` before each pick's masks, version 1 N (element,
+mask) pairs per pick. The manifest record format has its own version
+byte (``MANIFEST_VERSION``), so bundles written before any bump still
+load.
 
 A ``MANIFEST`` must fit one frame too, and its size follows from the
 group name and the item ids alone (``_manifest_len``): with 64-character
@@ -72,7 +81,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .base_ot import OtResponse
 from .catalog import Manifest, ManifestEntry, MODES
 from .errors import CatalogError, FrameError
 
@@ -124,9 +132,12 @@ class OtBatchQuery:
 
 @dataclass(frozen=True)
 class OtBatchResp:
+    count: int  # T, the bill
+    n: int  # N masks per pick
     elem_len: int
+    mask_len: int
     a: int  # g^k, one per batch
-    responses: tuple[OtResponse, ...]
+    masks: bytes | memoryview  # T * N masks, pick after pick; decoded: a view over the frame
 
 
 @dataclass(frozen=True)
@@ -176,13 +187,7 @@ class _Reader:
             raise FrameError("invalid string encoding") from None
 
     def expect_records(self, count: int, size: int):
-        """Refuse a record count the rest of the payload cannot hold.
-
-        Checked before any record is built, so a small frame cannot make
-        the decoder loop over a forged u32 count of zero-width records.
-        """
-        if count * size != len(self.data) - self.pos or (count and not size):
-            raise FrameError("payload does not match its record count")
+        _check_records(count, size, len(self.data) - self.pos)
 
     def rest(self) -> memoryview:
         out = self.data[self.pos:]
@@ -192,6 +197,16 @@ class _Reader:
     def done(self):
         if self.pos != len(self.data):
             raise FrameError("trailing bytes in payload")
+
+
+def _check_records(count: int, size: int, length: int):
+    """Refuse ``count`` records of ``size`` bytes that ``length`` bytes do not hold exactly.
+
+    Checked before any record is built, so a small frame cannot make the
+    decoder loop over a forged u32 count of zero-width records.
+    """
+    if count * size != length or (count and not size):
+        raise FrameError("payload does not match its record count")
 
 
 def _pack(fmt: str, *values: int) -> bytes:
@@ -287,22 +302,9 @@ def _encode_payload(msg: Message) -> tuple:
             out += _element(y, msg.elem_len)
         return TYPE_OT_BATCH_QUERY, out
     if isinstance(msg, OtBatchResp):
-        counts = {resp.n_secrets for resp in msg.responses}
-        if len(counts) > 1:
-            raise FrameError("responses disagree on secret count")
-        n = counts.pop() if counts else 0
-        mask_lens = {len(m) for resp in msg.responses for m in resp.masks}
-        if len(mask_lens) > 1:
-            raise FrameError("responses disagree on mask length")
-        mask_len = mask_lens.pop() if mask_lens else 0
-        if msg.responses and not mask_len:  # read_frame refuses zero-width picks too
-            raise FrameError("payload does not match its record count")
-        out = bytearray(_pack("!IIHH", len(msg.responses), n, msg.elem_len, mask_len))
-        out += _element(msg.a, msg.elem_len)
-        for resp in msg.responses:
-            for masked in resp.masks:
-                out += masked
-        return TYPE_OT_BATCH_RESP, out
+        _check_records(msg.count, msg.n * msg.mask_len, len(msg.masks))
+        header = _pack("!IIHH", msg.count, msg.n, msg.elem_len, msg.mask_len)
+        return TYPE_OT_BATCH_RESP, header + _element(msg.a, msg.elem_len), msg.masks
     if isinstance(msg, ErrorMsg):
         return TYPE_ERROR, _pack("!B", msg.code) + msg.text.encode()
     raise FrameError(f"cannot encode {type(msg).__name__}")
@@ -332,10 +334,8 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
         count, n, elem_len, mask_len = r.u32(), r.u32(), r.u16(), r.u16()
         a = int.from_bytes(r.take(elem_len), "big")
         r.expect_records(count, n * mask_len)
-        responses = tuple(OtResponse(masks=tuple(r.take(mask_len) for _ in range(n)))
-                          for _ in range(count))
-        r.done()
-        return OtBatchResp(elem_len=elem_len, a=a, responses=responses)
+        return OtBatchResp(count=count, n=n, elem_len=elem_len, mask_len=mask_len, a=a,
+                           masks=r.rest())
     if msg_type == TYPE_ERROR:
         code = r.u8()
         try:

@@ -51,8 +51,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | memoryview:
     """
     chunks = _chunks(sock, n)
     if n < MAP_FLOOR:
-        chunks = list(chunks)
-        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        return b"".join(chunks)  # a lone chunk is returned as it is, not copied
     body = mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     pos = populated = 0
     for chunk in chunks:

@@ -55,12 +55,15 @@ the grammar expects next, or ERROR, is refused from its type byte
 (``_expect``).
 
 The reply ends the session, and its pick count is the bill. Once the
-reply passes its checks (its count is the buyer's pick count, its widths
-are the group's and the manifest's, its ``a`` is a member), the buyer
-closes the channel, and only then recovers its keys and decrypts. So
-what the seller can see of the buyer, its bytes, their order and the
-moment it hangs up, depends only on the manifest and ``T``, and a
-failure to open an item surfaces only after the session.
+reply passes its checks, the buyer closes the channel, and only then
+recovers its keys and decrypts. The checks read the reply's header fields
+and its ``a``, before any mask: its count is the buyer's pick count, its
+``n`` the manifest's ``N``, its widths the group's and the manifest's, and
+its ``a`` a member. The codec has matched the mask block to the header,
+and ``ot_recover`` reads one mask per pick from it. So what the seller
+can see of the buyer, its bytes, their order and the moment it hangs up,
+depends only on the manifest and ``T``, and a failure to open an item
+surfaces only after the session.
 
 The seller's side is split at the query. ``serve_session`` reads at most
 three messages, in order: HELLO, then an optional CT_REQ, which it
@@ -76,7 +79,8 @@ unbilled. The seller decodes nothing it refuses: a frame of a type the
 grammar does not expect next is refused from its type byte, and a query
 from its 6-byte header (``_check_query``: no picks, another element
 width, a reply over the frame cap, more picks than ``N``), before any
-payload or element is decoded.
+payload or element is decoded. ``N`` and the mask width come from the
+manifest, as on the buyer's side and in ``publish``.
 
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
@@ -296,22 +300,21 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
     queries, exponents = ot_query(params, total, picks)
     channel.send(OtBatchQuery(elem_len=params.element_len, queries=queries))
 
-    resp = _expect(channel, TYPE_OT_BATCH_RESP)
-    if len(resp.responses) != len(picks):
+    resp = _expect(channel, TYPE_OT_BATCH_RESP)  # the codec matched its masks to its header
+    if resp.count != len(picks):
         raise ProtocolError("response count does not match pick count")
     if resp.elem_len != params.element_len:
         raise ProtocolError("response element width mismatch")
-    first = resp.responses[0]  # the codec gives every pick N masks of one width
-    if first.n_secrets != total:
+    if resp.n != total:
         raise ProtocolError("response does not cover the flat index space")
-    if len(first.masks[0]) != manifest.key_bits // 8:
+    if resp.mask_len != manifest.key_bits // 8:
         raise ProtocolError("response mask width mismatch")
     if not is_member(params, resp.a):
         raise ProtocolError("invalid response element")
     # Hang up before any work whose time or outcome depends on the choice.
     channel.close()
 
-    recovered = dict(zip(picks, ot_recover(params, resp.a, queries, resp.responses, picks,
+    recovered = dict(zip(picks, ot_recover(params, resp.a, queries, resp.masks, total, picks,
                                            exponents)))
 
     items = []
@@ -378,7 +381,7 @@ def serve_session(channel, bundle: PublishedBundle, secrets: SenderSecrets) -> i
         _refuse(channel, ERR_INCOMPATIBLE, f"unsupported version {hello.version}")
     channel.send(ManifestMsg(manifest=bundle.manifest))
     params = setup_params(bundle.manifest.group_id)
-    check = functools.partial(_check_query, channel, params, secrets.flat_secrets)
+    check = functools.partial(_check_query, channel, params, bundle.manifest)
     msg = _recv_decoded(channel, TYPE_CT_REQ, TYPE_OT_BATCH_QUERY, check_query=check)
     if isinstance(msg, CtReq):
         for ct in bundle.ciphertexts:
@@ -406,23 +409,27 @@ def _recv_decoded(channel, *types: int, check_query=None):
         _refuse(channel, ERR_GRAMMAR, "grammar", f"malformed frame: {exc}")
 
 
-def _check_query(channel, params: GroupParams, flat, count: int, elem_len: int):
-    """Refuse a query of ``count`` picks of ``elem_len``-byte elements from its header alone."""
+def _check_query(channel, params: GroupParams, manifest: Manifest, count: int, elem_len: int):
+    """Refuse a query of ``count`` picks of ``elem_len``-byte elements from its header alone.
+
+    ``N`` and the mask width are the manifest's, which ``wot.net.SenderServer``
+    checks the secrets against before it serves.
+    """
     if not count:
         _refuse(channel, ERR_BAD_QUERY, "empty purchase", "empty purchase rejected")
     if elem_len != params.element_len:
         _refuse(channel, ERR_INCOMPATIBLE, "element width mismatch")
+    n = manifest.total_weight
     # The reply is one frame whose size follows from (N, T) alone.
-    reply_len = _ot_batch_resp_len(count, len(flat), params.element_len,
-                                   max(map(len, flat), default=0))
+    reply_len = _ot_batch_resp_len(count, n, params.element_len, manifest.key_bits // 8)
     if reply_len > MAX_FRAME_LEN:
         _refuse(channel, ERR_BAD_QUERY, "purchase too large",
                 f"purchase too large: its reply would be {reply_len} bytes, "
                 f"over the {MAX_FRAME_LEN}-byte frame cap")
     # An honest buyer picks each flat index at most once.
-    if count > len(flat):
+    if count > n:
         _refuse(channel, ERR_BAD_QUERY, "too many picks",
-                f"too many picks: {count} for {len(flat)} secrets")
+                f"too many picks: {count} for {n} secrets")
 
 
 def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
@@ -440,8 +447,10 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
             _refuse(channel, ERR_BAD_QUERY, "invalid query",
                     "invalid query: not a subgroup member")
 
-    a, responses = ot_reply(params, secrets.flat_secrets, query.queries)
-    channel.send(OtBatchResp(elem_len=params.element_len, a=a, responses=responses))
+    flat = secrets.flat_secrets
+    a, masks = ot_reply(params, flat, query.queries)
+    channel.send(OtBatchResp(count=len(query.queries), n=len(flat), elem_len=params.element_len,
+                             mask_len=len(flat[0]), a=a, masks=masks))
     return len(query.queries)
 
 

@@ -253,8 +253,8 @@ def test_criterion_7_base_transfer(monkeypatch):
         secrets = [rng.randbytes(16) for _ in range(n)]
         for index in range(n):
             (query,), (r,) = ot_query(params, n, [index])
-            a, responses = ot_reply(params, secrets, [query])
-            assert ot_recover(params, a, [query], responses, [index], [r]) == (secrets[index],)
+            a, masks = ot_reply(params, secrets, [query])
+            assert ot_recover(params, a, [query], masks, n, [index], [r]) == (secrets[index],)
 
     # (b) query-element distributions for two fixed choices: TV < 0.02 at 1e5
     trials = 100_000
@@ -274,9 +274,9 @@ def test_criterion_7_base_transfer(monkeypatch):
     for _ in range(adversarial):
         index = rng.randrange(4)
         (query,), (r,) = ot_query(params, 4, [index])
-        a, responses = ot_reply(params, secrets, [query])
+        a, masks = ot_reply(params, secrets, [query])
         wrong = (index + 1 + rng.randrange(3)) % 4
-        if ot_recover(params, a, [query], responses, [wrong], [r]) == (secrets[wrong],):
+        if ot_recover(params, a, [query], masks, 4, [wrong], [r]) == (secrets[wrong],):
             cross += 1
     _report(7, cross == 0,
             f"base transfer: exhaustive recovery N<=8, query TV={tv:.4f} < 0.02, "

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from wot import base_ot, protocol
-from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_reply,
-                         pick_binding, respond_powers)
+from wot.base_ot import (batch_binding, ot_query, ot_recover, ot_reply, pick_binding,
+                         respond_powers)
 from wot.errors import ProtocolError
 from wot.framing import OtBatchQuery, OtBatchResp, encode_frame
 from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
@@ -21,23 +21,22 @@ ONE_PICK_SESSION_SHA256 = "9695a96e85f81e48dc00e5f8078f4176c061a8a6cb61c2cc39f9a
 def reference_reply(params, secrets, queries, k=None):
     """Textbook sender with plain ``pow``: one ``k``, ``a = g^k``, pads from ``(y * h^-i)^k``.
 
-    Returns ``(a, responses)``; each pad binds the batch, the pick ordinal
-    and the index. ``k`` is drawn here unless the caller gives the batch's.
+    Returns ``a`` and the reply's block, N masks per pick; each pad binds
+    the batch, the pick ordinal and the index. ``k`` is drawn here unless
+    the caller gives the batch's.
     """
     p = params.p
     if k is None:
         k = rand_exponent(params, include_zero=False)
     sid = batch_binding(params, queries)
-    responses = []
+    masks = []
     for ordinal, y in enumerate(queries):
-        masks = []
         for i, secret in enumerate(secrets):
             element = pow(y * pow(params.h, -i, p) % p, k, p)
             binding = sid + ordinal.to_bytes(4, "big") + i.to_bytes(4, "big")
             pad = kdf_pad(params, element, binding, len(secret))
             masks.append(bytes(x ^ s for x, s in zip(pad, secret)))
-        responses.append(OtResponse(masks=tuple(masks)))
-    return pow(params.g, k, p), tuple(responses)
+    return pow(params.g, k, p), b"".join(masks)
 
 
 class Scripted:
@@ -57,20 +56,19 @@ def query(params, n, index):
 
 
 def respond(params, secrets, y):
-    """A one-pick batch's reply: ``a`` and the pick's response."""
-    a, (response,) = ot_reply(params, secrets, [y])
-    return a, response
+    """A one-pick batch's reply: ``a`` and the pick's N masks."""
+    return ot_reply(params, secrets, [y])
 
 
-def recover(params, a, y, response, index, r):
-    (secret,) = ot_recover(params, a, [y], [response], [index], [r])
+def recover(params, a, y, masks, n, index, r):
+    (secret,) = ot_recover(params, a, [y], masks, n, [index], [r])
     return secret
 
 
 def run_single(params, secrets, index):
     y, r = query(params, len(secrets), index)
-    a, response = respond(params, secrets, y)
-    return recover(params, a, y, response, index, r), response
+    a, masks = respond(params, secrets, y)
+    return recover(params, a, y, masks, len(secrets), index, r), masks
 
 
 class TestQuery:
@@ -176,8 +174,9 @@ def test_batch_frames_match_per_pick_reference(monkeypatch):
                        params)
     seed_source(monkeypatch, random.Random(seed))
     k = rand_exponent(params, include_zero=False)
-    a, responses = reference_reply(params, secrets, queries, k)
-    want = OtBatchResp(elem_len=params.element_len, a=a, responses=responses)
+    a, masks = reference_reply(params, secrets, queries, k)
+    want = OtBatchResp(count=len(picks), n=len(secrets), elem_len=params.element_len,
+                       mask_len=16, a=a, masks=masks)
     assert isinstance(channel.sent[0], OtBatchResp)
     assert encode_frame(channel.sent[0]) == encode_frame(want)
 
@@ -190,9 +189,9 @@ class TestRespondRecover:
 
     def test_full_protocol_recovers_chosen(self, p23, rng):
         secrets = [bytes([i]) * 16 for i in range(6)]
-        got, response = run_single(p23, secrets, 2)
+        got, masks = run_single(p23, secrets, 2)
         assert got == secrets[2]
-        assert response.n_secrets == 6
+        assert len(masks) == 6 * 16  # N masks for the one pick
 
     def test_zero_secret_round_trips(self, p23, rng):
         secrets = [b"\x00" * 16, b"\xff" * 16]
@@ -224,9 +223,9 @@ class TestRespondRecover:
         for _ in range(trials):
             index = rng.randrange(6)
             y, r = query(p23, 6, index)
-            a, response = respond(p23, secrets, y)
+            a, masks = respond(p23, secrets, y)
             wrong = (index + 1 + rng.randrange(5)) % 6
-            got = recover(p23, a, y, response, wrong, r)
+            got = recover(p23, a, y, masks, 6, wrong, r)
             assert got != secrets[wrong]
 
     def test_fresh_exponents_counted(self, p23, rng, monkeypatch):
@@ -265,16 +264,16 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
     bindings = [pick_binding(sid, ordinal) for ordinal in range(2)]
     seed = rng.getrandbits(64)
     seed_source(monkeypatch, random.Random(seed))
-    a, responses = ot_reply(params, secrets, queries)
+    a, masks = ot_reply(params, secrets, queries)
     seed_source(monkeypatch, random.Random(seed))
     k = rand_exponent(params, include_zero=False)  # the sender's one draw for the batch
     assert a == pow(params.g, k, p)
     h_k = pow(params.h, k, p)
     pads = set()
-    for t, (y_t, c_t, binding, response) in enumerate(zip(queries, (c, c + d), bindings,
-                                                          responses)):
+    for t, (y_t, c_t, binding) in enumerate(zip(queries, (c, c + d), bindings)):
         elements = [pow(y_t * pow(params.h, -i, p) % p, k, p) for i in range(n)]
-        for i, (element, masked) in enumerate(zip(elements, response.masks)):
+        pick_masks = [masks[(t * n + i) * 16:(t * n + i + 1) * 16] for i in range(n)]
+        for i, (element, masked) in enumerate(zip(elements, pick_masks)):
             pad = kdf_pad(params, element, binding + i.to_bytes(4, "big"), 16)
             assert bytes(x ^ y for x, y in zip(pad, masked)) == secrets[i]
             pads.add(pad)
@@ -288,7 +287,7 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
         for i in range(n):  # pick t at index i, the other pick at its own
             indices = [c, c + d]
             indices[t] = i
-            got = ot_recover(params, a, queries, responses, indices, (r, r))[t]
+            got = ot_recover(params, a, queries, masks, n, indices, (r, r))[t]
             assert (got == secrets[i]) == (i == c_t)
     assert len(pads) == 2 * n
 

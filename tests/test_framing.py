@@ -4,7 +4,6 @@ import socket
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wot.base_ot import OtResponse
 from wot.catalog import Manifest, ManifestEntry
 from wot.errors import CatalogError, FrameError, ProtocolError, WotError
 from wot import framing
@@ -54,11 +53,6 @@ def manifest_strategy():
     )
 
 
-def response_strategy(mask_len, n):
-    mask = st.binary(min_size=mask_len, max_size=mask_len)
-    return st.builds(OtResponse, masks=st.lists(mask, min_size=n, max_size=n).map(tuple))
-
-
 def message_strategy():
     batch_query = st.integers(min_value=1, max_value=4).flatmap(
         lambda elem_len: st.builds(
@@ -67,13 +61,14 @@ def message_strategy():
             queries=st.lists(st.integers(min_value=0, max_value=(1 << (8 * elem_len)) - 1),
                              min_size=0, max_size=8).map(tuple),
         ))
-    batch_resp = st.tuples(st.integers(1, 3), st.integers(0, 24), st.integers(1, 4)).flatmap(
+    # (count, n, elem_len, mask_len); the block holds count * n masks.
+    batch_resp = st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(1, 3),
+                           st.integers(0, 24)).flatmap(
         lambda dims: st.builds(
-            OtBatchResp,
-            elem_len=st.just(dims[0]),
-            a=st.integers(min_value=0, max_value=(1 << (8 * dims[0])) - 1),
-            responses=st.lists(response_strategy(dims[1], dims[2]),
-                               min_size=0, max_size=4).map(tuple),
+            OtBatchResp, *map(st.just, dims),
+            a=st.integers(min_value=0, max_value=(1 << (8 * dims[2])) - 1),
+            masks=st.binary(min_size=dims[0] * dims[1] * dims[3],
+                            max_size=dims[0] * dims[1] * dims[3]),
         ))
     return st.one_of(
         st.builds(Hello, version=st.integers(0, 255)),
@@ -158,20 +153,27 @@ def test_ct_data_ciphertext_is_a_view_over_the_body():
     assert msg.ciphertext == ciphertext
 
 
-def test_fields_other_than_the_ciphertext_are_copied_out():
-    """A decoded mask is ``bytes``, not a view that holds its frame alive."""
-    msg = OtBatchResp(elem_len=1, a=8,
-                      responses=(OtResponse(masks=(b"\x01\x02", b"\x03\x04")),))
-    assert {type(m) for m in decode(encode_frame(msg)).responses[0].masks} == {bytes}
+def test_reply_masks_are_a_view_over_the_body():
+    """The decoder builds no object per pick or per mask: the block is a view over the body."""
+    msg = OtBatchResp(count=1, n=2, elem_len=1, mask_len=2, a=8, masks=b"\x01\x02\x03\x04")
+    stream, received = io.BytesIO(encode_frame(msg)), []
+
+    def recv_exact(n):
+        received.append(stream.read(n))
+        return received[-1]
+
+    got = read_frame(recv_exact)
+    header, body = received
+    assert got == msg
+    assert isinstance(got.masks, memoryview) and got.masks.readonly
+    assert got.masks.obj is body
 
 
 def test_ot_batch_resp_frozen_layout():
     # T=2 picks over N=3 secrets on p23 (1-byte elements), 2-byte masks:
     # header count, n, elem_len, mask_len, the batch's one a, then per pick N masks.
-    msg = OtBatchResp(elem_len=1, a=8, responses=(
-        OtResponse(masks=(b"\x01\x02", b"\x03\x04", b"\x05\x06")),
-        OtResponse(masks=(b"\xa0\xa1", b"\xa2\xa3", b"\xa4\xa5")),
-    ))
+    msg = OtBatchResp(count=2, n=3, elem_len=1, mask_len=2, a=8,
+                      masks=bytes.fromhex("0102" "0304" "0506" "a0a1" "a2a3" "a4a5"))
     frame = encode_frame(msg)
     assert frame == bytes.fromhex("0000001a" "06" "00000002" "00000003" "0001" "0002" "08"
                                   "0102" "0304" "0506"
@@ -194,17 +196,28 @@ def test_forged_record_counts_refused():
             decode(frame)
 
 
+def test_reply_block_must_fill_its_header():
+    """The encoder applies the decoder's record-count rule to the mask block, and no other."""
+    for count, n, mask_len, masks in ((1, 2, 1, b"\x01"),          # a mask short
+                                      (1, 1, 1, b"\x01\x02"),      # a mask over
+                                      (2, 0, 1, b""),              # picks of no masks
+                                      (3, 2, 0, b"")):             # zero-width masks
+        with pytest.raises(FrameError, match="^payload does not match its record count$"):
+            encode_frame(OtBatchResp(count=count, n=n, elem_len=1, mask_len=mask_len, a=8,
+                                     masks=masks))
+    empty = OtBatchResp(count=0, n=5, elem_len=1, mask_len=2, a=8, masks=b"")
+    assert decode(encode_frame(empty)) == empty
+
+
 def check_round_trip(msg):
     """``msg`` decodes back to itself, or, with zero-width masks, both sides refuse it."""
-    zero_width = isinstance(msg, OtBatchResp) and any(
-        masked == b"" for resp in msg.responses for masked in resp.masks)
+    zero_width = isinstance(msg, OtBatchResp) and msg.count and not msg.mask_len
     if not zero_width:
         assert decode(encode_frame(msg)) == msg
         return
     with pytest.raises(FrameError, match="record count"):
         encode_frame(msg)
-    payload = (bytes([0x06]) + len(msg.responses).to_bytes(4, "big")
-               + msg.responses[0].n_secrets.to_bytes(4, "big")
+    payload = (bytes([0x06]) + msg.count.to_bytes(4, "big") + msg.n.to_bytes(4, "big")
                + msg.elem_len.to_bytes(2, "big") + bytes(2)
                + msg.a.to_bytes(msg.elem_len, "big"))
     with pytest.raises(FrameError, match="record count"):
@@ -305,7 +318,7 @@ def test_out_of_range_fields_refused():
     """Every wire field is fixed-width; a value that does not fit is a WotError."""
     for msg in (ErrorMsg(code=256, text=""), ErrorMsg(code=-1, text=""), Hello(version=256),
                 OtBatchQuery(elem_len=1 << 16, queries=()),
-                OtBatchResp(elem_len=1, a=256, responses=()),
+                OtBatchResp(count=0, n=0, elem_len=1, mask_len=0, a=256, masks=b""),
                 OtBatchQuery(elem_len=1, queries=(256,)),
                 OtBatchQuery(elem_len=1, queries=(-1,))):
         with pytest.raises(FrameError, match="out of range"):

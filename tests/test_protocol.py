@@ -18,8 +18,8 @@ from wot.errors import (CatalogError, FrameError, GroupError, ItemAuthentication
                         ProtocolError, WotError)
 from wot import framing, group, net, protocol
 from wot import symcrypto
-from wot.base_ot import (OtResponse, batch_binding, ot_query, ot_recover, ot_reply,
-                         ot_respond, pick_binding, respond_powers)
+from wot.base_ot import (batch_binding, ot_query, ot_recover, ot_reply, ot_respond,
+                         pick_binding, respond_powers)
 from wot.framing import (ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, LENGTH_FIELD,
                          MAX_FRAME_LEN, TYPE_HELLO, TYPE_OT_BATCH_QUERY, CtData, CtReq,
                          ErrorMsg, Hello, ManifestMsg, OtBatchQuery, OtBatchResp, _manifest_len,
@@ -391,9 +391,9 @@ class TestSessions:
             tx_chan.recv()  # CT_REQ
             tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
-            forged = OtResponse(masks=(bytes(16),) * n)
-            tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=5,  # 5 is not a member
-                                     responses=(forged,) * len(msg.queries)))
+            count = len(msg.queries)
+            tx_chan.send(OtBatchResp(count=count, n=n, elem_len=p23.element_len, mask_len=16,
+                                     a=5, masks=bytes(count * n * 16)))  # 5 is not a member
 
         checks = count_calls(monkeypatch, is_member)
         pads = count_calls(monkeypatch, kdf_pad)
@@ -495,11 +495,12 @@ class TestSessions:
             powers = [(step, element) for element in elements]
             _, fresh_step, (fresh,) = respond_powers(p23, [msg.queries[forged_at]])
             powers[forged_at] = (fresh_step, fresh)  # a fresh k for this pick alone
-            responses = tuple(ot_respond(p23, secrets.flat_secrets, *pick,
-                                         pick_binding(sid, t))
-                              for t, pick in enumerate(powers))
+            masks = b"".join(mask for t, pick in enumerate(powers)
+                             for mask in ot_respond(p23, secrets.flat_secrets, *pick,
+                                                    pick_binding(sid, t)).masks)
             sent.append(a)
-            tx_chan.send(OtBatchResp(elem_len=p23.element_len, a=a, responses=responses))
+            tx_chan.send(OtBatchResp(count=len(powers), n=len(secrets.flat_secrets),
+                                     elem_len=p23.element_len, mask_len=16, a=a, masks=masks))
 
         checks = count_calls(monkeypatch, is_member)
         with pytest.raises(ItemAuthenticationError):
@@ -507,17 +508,18 @@ class TestSessions:
         assert checks == [(p23, sent[0])]  # one check, of the batch's a
 
     @pytest.mark.parametrize("forge, message", [
-        (lambda resp: replace(resp, responses=resp.responses[1:]),
+        (lambda resp: replace(resp, count=resp.count - 1,
+                              masks=resp.masks[resp.n * resp.mask_len:]),
          "response count does not match pick count"),  # the bill: one pick dropped
-        (lambda resp: replace(resp, responses=resp.responses + resp.responses[:1]),
+        (lambda resp: replace(resp, count=resp.count + 1,
+                              masks=resp.masks + resp.masks[:resp.n * resp.mask_len]),
          "response count does not match pick count"),  # the bill: one pick added
-        (lambda resp: replace(resp, responses=tuple(OtResponse(masks=r.masks[1:])
-                                                    for r in resp.responses)),
+        (lambda resp: replace(resp, n=resp.n - 1,
+                              masks=resp.masks[:resp.count * (resp.n - 1) * resp.mask_len]),
          "response does not cover the flat index space"),
         (lambda resp: replace(resp, elem_len=resp.elem_len + 1),
          "response element width mismatch"),
-        (lambda resp: replace(resp, responses=tuple(
-            OtResponse(masks=tuple(m[:8] for m in r.masks)) for r in resp.responses)),
+        (lambda resp: replace(resp, mask_len=8, masks=resp.masks[:resp.count * resp.n * 8]),
          "response mask width mismatch"),  # 64-bit masks for 128-bit keys
     ], ids=["count", "extra-pick", "width", "elem-width", "mask-width"])
     def test_reply_of_another_shape_refused(self, p23, rng, monkeypatch, forge, message):
@@ -536,9 +538,10 @@ class TestSessions:
             for ct in bundle.ciphertexts:
                 tx_chan.send(CtData(ciphertext=ct))
             msg = tx_chan.recv()
-            a, responses = ot_reply(p23, secrets.flat_secrets, msg.queries)
-            tx_chan.send(forge(OtBatchResp(elem_len=p23.element_len, a=a,
-                                           responses=responses)))
+            a, masks = ot_reply(p23, secrets.flat_secrets, msg.queries)
+            tx_chan.send(forge(OtBatchResp(count=len(msg.queries), n=len(secrets.flat_secrets),
+                                           elem_len=p23.element_len, mask_len=16, a=a,
+                                           masks=masks)))
             tx_chan.recv()  # the buyer hangs up here
 
         recoveries = count_calls(monkeypatch, ot_recover)
@@ -1051,6 +1054,47 @@ class TestBuyerDecodesNothingItRefuses:
             seller.join(timeout=10)
         assert not seller.is_alive()
         assert decoded == []
+
+    @pytest.mark.parametrize("count, n, message", [
+        (1, MAX_FRAME_LEN - 13 - 256, "response does not cover the flat index space"),
+        (MAX_FRAME_LEN - 13 - 256, 1, "response count does not match pick count"),
+    ], ids=["one-pick-of-16M-masks", "16M-picks"])
+    def test_cap_size_reply_refused_from_its_fields(self, monkeypatch, count, n, message):
+        """A 16 MiB ``modp-2048`` reply of 1-byte masks: 16 million of them, were each decoded.
+
+        The buyer bought one pick of one secret. Decoding the reply reads its
+        header and its ``a``, and the masks not at all: the field checks
+        refuse it, with no recovery and so no purchase.
+        """
+        params = setup_params("modp-2048")
+        bundle, _ = publish(make_catalog([1], random.Random("cap-reply")), "p2", params)
+        frame = (struct.pack("!IBIIHH", MAX_FRAME_LEN, framing.TYPE_OT_BATCH_RESP, count, n,
+                             params.element_len, 1)
+                 + params.encode_element(params.g) + bytes(count * n))
+        assert len(frame) == LENGTH_FIELD + MAX_FRAME_LEN
+
+        def hostile_sender(tx_chan):
+            tx_chan.recv()  # HELLO
+            tx_chan.send(ManifestMsg(manifest=bundle.manifest))
+            tx_chan.recv()  # CT_REQ
+            tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
+            tx_chan.recv()  # the query
+            tx_chan._sock.sendall(frame)
+            tx_chan.recv()  # the buyer hangs up here
+
+        takes, take = [], framing._Reader.take
+
+        def bounded_take(reader, size):
+            takes.append(size)
+            if len(takes) > 64:  # every frame of this session, both sides, needs fewer
+                raise AssertionError("the decoder's work grows with the reply")
+            return take(reader, size)
+
+        monkeypatch.setattr(framing._Reader, "take", bounded_take)
+        recoveries = count_calls(monkeypatch, ot_recover)
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            against(hostile_sender, buying(["item00"]))
+        assert recoveries == []
 
 
 class TestSellerDecodesNothingItRefuses:

@@ -19,6 +19,9 @@ shares its name with another class's read attribute passes unseen.
 Every file ``src/wot`` writes goes through ``protocol._replace_file``,
 which replaces a file rather than truncating it in place: no
 ``write_bytes``, ``write_text`` or write-mode ``open`` anywhere else.
+
+The frame codec, ``wot.framing``, imports nothing from ``wot.base_ot``: it
+moves the transfer's fields and mask block without knowing the transfer.
 """
 
 import ast
@@ -233,3 +236,10 @@ def test_every_file_write_goes_through_the_replacing_helper():
 ])
 def test_write_guard_sees_each_way_to_write(source, writes):
     assert _opens_for_writing(ast.parse(source).body[0].value) is writes
+
+
+def test_framing_imports_nothing_from_base_ot():
+    tree = ast.parse((SRC / "framing.py").read_text(encoding="utf-8"))
+    names = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
+    assert [name for name in names if "base_ot" in name.split(".")] == []
