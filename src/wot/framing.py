@@ -60,9 +60,15 @@ mask) pairs per pick. The manifest record format has its own version
 byte (``MANIFEST_VERSION``), so bundles written before any bump still
 load.
 
-A ``MANIFEST`` must fit one frame too, and its size follows from the
-group name and the item ids alone (``_manifest_len``): with 64-character
-ids, 147,168 items fit.
+This module owns the frame cap, ``MAX_FRAME_LEN``; no other module reads
+it. The codec refuses a frame over it (``frame too large``), and every
+earlier size check asks ``_over_cap`` why a length field cannot be sent,
+so each refusal ends in the same words. Those checks compute the length
+field without encoding the frame: ``_ct_data_len`` for a ciphertext,
+``_ot_batch_resp_len`` for a reply, from ``(N, T)``, and
+``_manifest_len`` for a ``MANIFEST``, from the group name and the item
+ids alone (with 64-character ids, 147,168 items fit). ``wot.protocol``
+makes them where each size enters.
 
 ``read_frame`` can hand a frame's type byte and undecoded payload to an
 ``admit`` callable before it decodes anything, so a peer's frame can be
@@ -370,6 +376,13 @@ def _ct_data_len(ct_len: int) -> int:
 def _ot_batch_resp_len(count: int, n: int, elem_len: int, mask_len: int) -> int:
     """Length field of an OT_BATCH_RESP: type byte, header, the one a, then T * N masks."""
     return 1 + 12 + elem_len + count * n * mask_len
+
+
+def _over_cap(length: int) -> str | None:
+    """Why a frame whose length field reads ``length`` cannot be sent; ``None`` if it can."""
+    if length > MAX_FRAME_LEN:
+        return f"a {length}-byte frame, over the {MAX_FRAME_LEN}-byte frame cap"
+    return None
 
 
 def encode_frame(msg: Message) -> bytes:

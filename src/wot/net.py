@@ -22,11 +22,10 @@ import threading
 from pathlib import Path
 
 from .errors import CatalogError, ProtocolError
-from .framing import (ERR_INTERNAL, CtData, ErrorMsg, _frame_parts, _manifest_len,
-                      encode_frame, read_frame)
+from .framing import ERR_INTERNAL, CtData, ErrorMsg, _frame_parts, encode_frame, read_frame
 from .group import setup_params
-from .protocol import (PublishedBundle, SenderSecrets, _check_manifest_fits, _replace_file,
-                       run_session_receiver, serve_session)
+from .protocol import (PublishedBundle, SenderSecrets, _replace_file, run_session_receiver,
+                       serve_session)
 from .symcrypto import MAP_FLOOR
 
 log = logging.getLogger("wot.server")
@@ -137,7 +136,14 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 
 
 class SenderServer(socketserver.ThreadingTCPServer):
-    """One listening socket, one thread per buyer session."""
+    """One listening socket, one thread per buyer session.
+
+    Before it binds, it refuses a bundle of an unknown group, secrets that
+    do not fit the bundle, and a ciphertext that does not match its
+    digest. It re-checks no size: a bundle comes from ``publish`` or
+    ``load_bundle``, which refuse one whose manifest or ciphertexts do
+    not fit a frame.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -147,8 +153,6 @@ class SenderServer(socketserver.ThreadingTCPServer):
         # Set the group up here, so an unknown one is refused before the
         # port is bound and every session's own setup is a cache hit.
         setup_params(manifest.group_id)
-        _check_manifest_fits(_manifest_len(manifest.group_id,
-                                           (entry.id for entry in manifest.entries)))
         if secrets.mode != manifest.mode:
             raise CatalogError(f"secrets are for mode {secrets.mode}, the bundle for {manifest.mode}")
         if len(flat) != manifest.total_weight:

@@ -82,6 +82,17 @@ width, a reply over the frame cap, more picks than ``N``), before any
 payload or element is decoded. ``N`` and the mask width come from the
 manifest, as on the buyer's side and in ``publish``.
 
+Each size is checked once, where it enters, against the frame cap that
+``wot.framing`` owns (``framing._over_cap``). ``publish`` checks the
+manifest, every ciphertext and every item's smallest reply before it
+draws a key. ``load_manifest`` checks a manifest file's size before it
+decodes it, and ``load_bundle`` every listed ``ct_len`` before it opens
+a ``.ct`` file. The buyer checks its purchase's reply right after the
+manifest, and the seller a query's from its header. So a
+``PublishedBundle`` checks only its ciphertext count, and
+``wot.net.SenderServer`` re-checks no size. ``load_secrets`` checks a
+secrets file's size against its header before it reads a share.
+
 Each group element a peer sends is checked for subgroup membership once,
 here, before any exponentiation or pad: ``run_session_sender`` checks
 every query ``y`` and ``run_session_receiver`` the reply's one ``a``,
@@ -109,11 +120,11 @@ from .catalog import (Catalog, FlatIndexMap, Manifest, ManifestEntry,
 from .errors import (CatalogError, CryptoError, FrameError, ItemAuthenticationError,
                      ProtocolError, RemoteError, WotError)
 from .framing import (CtData, CtReq, ErrorMsg, Hello, ManifestMsg, OtBatchQuery, OtBatchResp,
-                      ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, MAX_FRAME_LEN,
-                      PROTOCOL_VERSION, TYPE_CT_DATA, TYPE_CT_REQ, TYPE_ERROR, TYPE_HELLO,
-                      TYPE_MANIFEST, TYPE_OT_BATCH_QUERY, TYPE_OT_BATCH_RESP,
-                      _MODE_CODES, _MODE_NAMES, _ct_data_len, _manifest_len,
-                      _ot_batch_resp_len, _query_header, decode_manifest, encode_manifest)
+                      ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, PROTOCOL_VERSION,
+                      TYPE_CT_DATA, TYPE_CT_REQ, TYPE_ERROR, TYPE_HELLO, TYPE_MANIFEST,
+                      TYPE_OT_BATCH_QUERY, TYPE_OT_BATCH_RESP, _MODE_CODES, _MODE_NAMES,
+                      _ct_data_len, _manifest_len, _ot_batch_resp_len, _over_cap,
+                      _query_header, decode_manifest, encode_manifest)
 from .group import GroupParams, _cpu_pool, _on_cpus, is_member, setup_params
 
 MANIFEST_FILE = "manifest.bin"
@@ -127,7 +138,13 @@ def item_context(mode: str, item_id: str) -> str:
 
 @dataclass(frozen=True)
 class PublishedBundle:
-    """Everything a buyer may see before a session."""
+    """Everything a buyer may see before a session.
+
+    It checks only that there is one ciphertext per manifest entry. Each
+    ciphertext's size is checked where the bundle is made: ``publish``
+    and ``load_bundle`` refuse one that cannot travel in one CT_DATA
+    frame, and ``fetch_bundle`` one whose length is not its entry's.
+    """
 
     manifest: Manifest
     # Read-only views: over a seller's encryption buffers, over the frames a
@@ -137,8 +154,6 @@ class PublishedBundle:
     def __post_init__(self):
         if len(self.ciphertexts) != self.manifest.n:
             raise CatalogError("ciphertext count does not match manifest")
-        for entry, ct in zip(self.manifest.entries, self.ciphertexts):
-            _check_deliverable(entry.id, len(ct))
 
     def verify_digests(self):
         """Check every ciphertext, on the CPU pool; the first mismatch in manifest order raises."""
@@ -149,16 +164,14 @@ class PublishedBundle:
 
 def _check_deliverable(item_id: str, ct_len: int):
     """Refuse an item whose ciphertext cannot travel in one CT_DATA frame."""
-    if _ct_data_len(ct_len) > MAX_FRAME_LEN:
-        raise CatalogError(f"item {item_id!r}: ciphertext of {ct_len} bytes "
-                           f"does not fit in one {MAX_FRAME_LEN}-byte frame")
+    if why := _over_cap(_ct_data_len(ct_len)):
+        raise CatalogError(f"item {item_id!r}: ciphertext of {ct_len} bytes would need {why}")
 
 
 def _check_manifest_fits(length: int):
     """Refuse a manifest whose MANIFEST frame's length field would read ``length``."""
-    if length > MAX_FRAME_LEN:
-        raise CatalogError(f"manifest too large: it would be a {length}-byte frame, "
-                           f"over the {MAX_FRAME_LEN}-byte frame cap")
+    if why := _over_cap(length):
+        raise CatalogError(f"manifest too large: it would be {why}")
 
 
 def _matches_entry(entry: ManifestEntry, ct: bytes) -> bool:
@@ -212,11 +225,10 @@ def publish(catalog: Catalog, mode: str, params: GroupParams,
         layers = 1 if mode == MODE_P2 else item.weight
         _check_deliverable(item.id, len(item.payload)
                            + layers * (symcrypto.NONCE_LEN + symcrypto.TAG_LEN))
-        reply_len = _ot_batch_resp_len(item.weight, total, params.element_len, key_bits // 8)
-        if reply_len > MAX_FRAME_LEN:
+        if why := _over_cap(_ot_batch_resp_len(item.weight, total, params.element_len,
+                                               key_bits // 8)):
             raise CatalogError(f"item {item.id!r}: a purchase of weight {item.weight} "
-                               f"would need a {reply_len}-byte reply, over the "
-                               f"{MAX_FRAME_LEN}-byte frame cap")
+                               f"would need {why}")
     flat_secrets: list[bytes] = []
     ciphertexts: list[memoryview] = []
     for item in catalog.items:
@@ -286,12 +298,10 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
     if not chosen:
         raise ProtocolError("empty choice set")
     params = setup_params(manifest.group_id)
-    reply_len = _ot_batch_resp_len(sum(manifest.entries[i].weight for i in chosen),
-                                   manifest.total_weight, params.element_len,
-                                   manifest.key_bits // 8)
-    if reply_len > MAX_FRAME_LEN:
-        raise ProtocolError(f"purchase too large: its reply would be {reply_len} bytes, "
-                            f"over the {MAX_FRAME_LEN}-byte frame cap")
+    if why := _over_cap(_ot_batch_resp_len(sum(manifest.entries[i].weight for i in chosen),
+                                           manifest.total_weight, params.element_len,
+                                           manifest.key_bits // 8)):
+        raise ProtocolError(f"purchase too large: its reply would be {why}")
     flat_map = FlatIndexMap(manifest.weights)
     picks = flat_map.picks(chosen)  # the bill is the pick count
     bundle = fetch_bundle(channel, manifest, cache_dir)
@@ -421,11 +431,10 @@ def _check_query(channel, params: GroupParams, manifest: Manifest, count: int, e
         _refuse(channel, ERR_INCOMPATIBLE, "element width mismatch")
     n = manifest.total_weight
     # The reply is one frame whose size follows from (N, T) alone.
-    reply_len = _ot_batch_resp_len(count, n, params.element_len, manifest.key_bits // 8)
-    if reply_len > MAX_FRAME_LEN:
+    if why := _over_cap(_ot_batch_resp_len(count, n, params.element_len,
+                                           manifest.key_bits // 8)):
         _refuse(channel, ERR_BAD_QUERY, "purchase too large",
-                f"purchase too large: its reply would be {reply_len} bytes, "
-                f"over the {MAX_FRAME_LEN}-byte frame cap")
+                f"purchase too large: its reply would be {why}")
     # An honest buyer picks each flat index at most once.
     if count > n:
         _refuse(channel, ERR_BAD_QUERY, "too many picks",
@@ -514,9 +523,15 @@ def load_manifest(directory) -> Manifest:
 
 
 def load_bundle(directory, verify: bool = True) -> PublishedBundle:
-    """The bundle in ``directory``; its ``.ct`` files are read on the CPU pool (``_load_ct``)."""
+    """The bundle in ``directory``; its ``.ct`` files are read on the CPU pool (``_load_ct``).
+
+    Every listed ciphertext must fit one CT_DATA frame, which is checked
+    from the manifest before any ``.ct`` file is opened.
+    """
     path = Path(directory)
     manifest = load_manifest(path)
+    for entry in manifest.entries:
+        _check_deliverable(entry.id, entry.ct_len)
     cts = _on_cpus(lambda job: _load_ct(*job),
                    [(path / (entry.id + CT_SUFFIX), entry.ct_len) for entry in manifest.entries])
     bundle = PublishedBundle(manifest=manifest, ciphertexts=tuple(cts))
@@ -568,26 +583,35 @@ def _write_secrets(path: Path, secrets: SenderSecrets):
 
 
 def _read_secrets(path: Path) -> SenderSecrets:
-    data = path.read_bytes()
-    if len(data) < 8:
-        raise CatalogError("corrupt secrets file: truncated header")
-    version, mode_code, share_len, count = struct.unpack("!BBHI", data[:8])
-    if version != 1:
-        raise CatalogError(f"unsupported secrets file version {version}")
-    mode = _MODE_NAMES.get(mode_code)
-    if mode is None:
-        raise CatalogError(f"corrupt secrets file: unknown mode code {mode_code}")
-    keys_at = 8 + count * share_len
-    if len(data) < keys_at + 4:
-        raise CatalogError("corrupt secrets file: truncated")
-    # Older publishers stored p2 item keys after the shares; the block is
-    # length-checked and ignored, since each key is the XOR of its shares.
-    (key_count,) = struct.unpack("!I", data[keys_at:keys_at + 4])
-    # Sizes are checked before slicing, so forged counts cannot make the
-    # slicing below run long.
-    if len(data) != keys_at + 4 + key_count * share_len:
-        raise CatalogError("corrupt secrets file")
-    if (count or key_count) and not share_len:
-        raise CatalogError("corrupt secrets file: zero-length shares")
-    flat = tuple(data[8 + i * share_len:8 + (i + 1) * share_len] for i in range(count))
+    """The secrets file at ``path``, whose shares are read only once its size is checked.
+
+    The header and the u32 key count after the shares give the file's
+    exact size, so a forged count or an extended file is refused from at
+    most 12 bytes read.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(8)
+        if len(header) < 8:
+            raise CatalogError("corrupt secrets file: truncated header")
+        version, mode_code, share_len, count = struct.unpack("!BBHI", header)
+        if version != 1:
+            raise CatalogError(f"unsupported secrets file version {version}")
+        mode = _MODE_NAMES.get(mode_code)
+        if mode is None:
+            raise CatalogError(f"corrupt secrets file: unknown mode code {mode_code}")
+        keys_at = 8 + count * share_len
+        if size < keys_at + 4:
+            raise CatalogError("corrupt secrets file: truncated")
+        # Older publishers stored p2 item keys after the shares; the block is
+        # length-checked and ignored, since each key is the XOR of its shares.
+        fh.seek(keys_at)
+        key_count = int.from_bytes(fh.read(4), "big")
+        if size != keys_at + 4 + key_count * share_len:
+            raise CatalogError("corrupt secrets file")
+        if (count or key_count) and not share_len:
+            raise CatalogError("corrupt secrets file: zero-length shares")
+        fh.seek(8)
+        shares = fh.read(keys_at - 8)
+    flat = tuple(shares[i * share_len:(i + 1) * share_len] for i in range(count))
     return SenderSecrets(mode=mode, flat_secrets=flat)

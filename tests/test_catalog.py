@@ -98,7 +98,7 @@ class TestLoadCatalog:
             with pytest.raises(CatalogError) as err:
                 publish(load_catalog(d), mode, params)
             assert str(err.value) == ("item 'a': a purchase of weight 1024 would need a "
-                                      "16777485-byte reply, over the 16777216-byte frame cap")
+                                      "16777485-byte frame, over the 16777216-byte frame cap")
             assert key_gens == []
             (d / "items.tsv").write_text("a\t1023\ta.bin\n")
             _, secrets = publish(load_catalog(d), mode, params)

@@ -3,6 +3,7 @@ import random
 import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -573,6 +574,34 @@ class TestSales:
         buy("127.0.0.1", srv.port, ["item00"], tmp_path / "out")
         assert len(billed(1)) == 1
         assert len(entered) == 1
+
+
+class TestInternalError:
+    def test_seller_fault_is_an_internal_error_and_the_next_buyer_is_served(
+            self, server, tmp_path, monkeypatch):
+        """A fault in the transfer reaches the buyer as ERR_INTERNAL, bills nothing, and is
+        re-raised to ``socketserver``, whose other sessions run on."""
+        srv, catalog, billed = server
+        faults, handled = [], threading.Event()
+
+        def handle_error(request, client_address):
+            faults.append(sys.exc_info()[1])
+            handled.set()
+
+        def failing_reply(*args):
+            raise RuntimeError("seller fault")
+
+        monkeypatch.setattr(srv, "handle_error", handle_error)
+        with monkeypatch.context() as patched:
+            patched.setattr(protocol, "ot_reply", failing_reply)
+            with pytest.raises(RemoteError,
+                               match=f"^remote error {ERR_INTERNAL}: internal error$"):
+                buy("127.0.0.1", srv.port, ["item01"], tmp_path / "failed")
+        assert handled.wait(10)
+        assert [str(fault) for fault in faults] == ["seller fault"]
+        result = buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out")
+        assert result.items == (("item01", catalog.items[1].payload),)
+        assert billed(1) == ["session=2 billed T=2"]
 
 
 class TestHangUp:

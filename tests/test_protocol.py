@@ -1,7 +1,6 @@
 import os
 import random
 import socket
-import socketserver
 import stat
 import struct
 import threading
@@ -25,7 +24,7 @@ from wot.framing import (ERR_BAD_QUERY, ERR_GRAMMAR, ERR_INCOMPATIBLE, LENGTH_FI
                          ErrorMsg, Hello, ManifestMsg, OtBatchQuery, OtBatchResp, _manifest_len,
                          _ot_batch_resp_len, decode_manifest, encode_frame, encode_manifest)
 from wot.group import is_member, kdf_pad, setup_params
-from wot.net import SenderServer, SocketChannel, buy
+from wot.net import SocketChannel, buy
 from wot.protocol import (PublishedBundle, item_context, publish,
                           load_bundle, load_secrets, run_session_receiver,
                           run_session_sender, save_bundle, serve_session)
@@ -234,7 +233,7 @@ class TestSelectionPlan:
         t = manifest.total_weight
         reply_len = _ot_batch_resp_len(t, t, p23.element_len, 16)  # T = N picks
         start = time.perf_counter()
-        with pytest.raises(ProtocolError, match=f"reply would be {reply_len} bytes"):
+        with pytest.raises(ProtocolError, match=f"reply would be a {reply_len}-byte frame"):
             run_session_receiver(ManifestOnly(), [e.id for e in manifest.entries])
         assert time.perf_counter() - start < 1.0
         assert [type(msg).__name__ for msg in sent] == ["Hello"]
@@ -770,6 +769,29 @@ class TestBundleIO:
         with pytest.raises(CatalogError, match="corrupt secrets file"):
             load_secrets(tmp_path / "b")
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+    def test_extended_secrets_file_refused_unread(self, p23, rng, tmp_path):
+        """A secrets file longer than its header says is refused from its header and key count.
+
+        The header says 3 shares of 16 bytes; the file is extended to 64 MiB
+        (sparse, so nothing is written). ``rchar`` in ``/proc/self/io`` counts
+        every byte this process reads, its own read of that file included.
+        """
+        bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
+        save_bundle(bundle, tmp_path / "b", secrets=secrets)
+        os.truncate(tmp_path / "b" / "sender_secrets.bin", 64 << 20)
+
+        def bytes_read():
+            with open("/proc/self/io") as fh:
+                return int(next(line for line in fh if line.startswith("rchar:")).split()[1])
+
+        before = bytes_read()
+        with pytest.raises(CatalogError) as err:
+            load_secrets(tmp_path / "b")
+        read = bytes_read() - before
+        assert str(err.value) == "corrupt secrets file"
+        assert read < 1024  # 12 bytes of the file, and one read of /proc/self/io
+
     def test_missing_ct_file_refused(self, p23, rng, tmp_path):
         bundle, _ = publish(make_catalog([1, 2], rng), "p2", p23)
         save_bundle(bundle, tmp_path / "pub")
@@ -896,17 +918,20 @@ class TestFrameCap:
         entry = ManifestEntry(id="big", weight=1, ct_len=ct_len, digest_hex="0" * 64)
         return Manifest(mode="p2", group_id=p23.param_id, key_bits=128, entries=(entry,))
 
-    def test_boundary(self, p23):
-        ct = bytes(self.LARGEST)
-        bundle = PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
+    def test_boundary(self, p23, tmp_path):
+        """A bundle may list a ciphertext that fills a CT_DATA frame, and not one byte more."""
+        (tmp_path / "big.ct").write_bytes(bytes(self.LARGEST))
+        (tmp_path / "manifest.bin").write_bytes(encode_manifest(self.manifest(p23, self.LARGEST)))
+        bundle = load_bundle(tmp_path, verify=False)
         frame = encode_frame(CtData(ciphertext=bundle.ciphertexts[0]))
         assert len(frame) == LENGTH_FIELD + MAX_FRAME_LEN
-        del frame
-        ct += b"\x00"
+        del frame, bundle
+        (tmp_path / "manifest.bin").write_bytes(
+            encode_manifest(self.manifest(p23, self.LARGEST + 1)))
         with pytest.raises(CatalogError, match="item 'big'"):
-            PublishedBundle(manifest=self.manifest(p23, len(ct)), ciphertexts=(ct,))
+            load_bundle(tmp_path, verify=False)
         with pytest.raises(FrameError, match="frame too large"):
-            encode_frame(CtData(ciphertext=ct))
+            encode_frame(CtData(ciphertext=bytes(self.LARGEST + 1)))
 
     @pytest.mark.parametrize("mode, layers", [("p2", 1), ("p1", 3)])
     def test_publish_refuses_before_encrypting(self, p23, rng, monkeypatch, mode, layers):
@@ -958,6 +983,25 @@ class TestFrameCap:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: item 'big': ciphertext of")
 
+    def test_hand_made_bundle_refused_unread(self, p23, tmp_path, monkeypatch, capsys):
+        """``load_bundle`` refuses a ciphertext one byte over from its manifest entry.
+
+        No ``.ct`` file is opened, though this one is there and of the listed
+        size, so ``wot serve`` exits with one line and reads nothing.
+        """
+        over = self.LARGEST + 1
+        (tmp_path / "manifest.bin").write_bytes(encode_manifest(self.manifest(p23, over)))
+        (tmp_path / "big.ct").write_bytes(bytes(over))
+        loads = count_calls(monkeypatch, protocol._load_ct)
+        with pytest.raises(CatalogError) as err:
+            load_bundle(tmp_path)
+        assert str(err.value) == (f"item 'big': ciphertext of {over} bytes would need a "
+                                  f"{over + 1}-byte frame, over the {MAX_FRAME_LEN}-byte frame cap")
+        assert main(["serve", "--bundle", str(tmp_path), "--listen", "127.0.0.1:0"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {err.value}"]
+        assert loads == []
+
 
 def test_exhaustive_small_catalog_correctness(p23):
     """Every nonempty choice set of a 4-item catalog, both modes."""
@@ -1006,22 +1050,6 @@ class TestManifestCap:
                                                "frame, over the 16777216-byte frame cap$"):
             publish(cat, "p2", p23)
         assert keys == []
-
-    def test_server_refuses_before_it_binds(self, entries, monkeypatch):
-        def bind(server):
-            raise AssertionError("bound a port")
-
-        monkeypatch.setattr(socketserver.TCPServer, "server_bind", bind)
-        no_secrets = protocol.SenderSecrets(mode="p2", flat_secrets=())
-        over = PublishedBundle(manifest=self.manifest(entries),
-                               ciphertexts=(b"",) * len(entries))
-        with pytest.raises(CatalogError, match="^manifest too large"):
-            SenderServer(("127.0.0.1", 0), over, no_secrets)
-        fits = PublishedBundle(manifest=self.manifest(entries[:-1]),
-                               ciphertexts=(b"",) * self.FITS)
-        with pytest.raises(CatalogError, match=f"^secrets hold 0 shares, the bundle prices "
-                                               f"{self.FITS}$"):  # the next check
-            SenderServer(("127.0.0.1", 0), fits, no_secrets)
 
     def test_hand_made_bundle_refused_unread(self, entries, tmp_path, monkeypatch, capsys):
         """``load_bundle`` refuses it from the file's size, so ``wot serve`` exits with one line."""

@@ -22,6 +22,10 @@ which replaces a file rather than truncating it in place: no
 
 The frame codec, ``wot.framing``, imports nothing from ``wot.base_ot``: it
 moves the transfer's fields and mask block without knowing the transfer.
+
+The frame cap has one owner: no module of ``src/wot`` but ``wot.framing``
+reads ``MAX_FRAME_LEN``, and ``wot.net``, which only carries frames,
+imports no frame-size helper.
 """
 
 import ast
@@ -243,3 +247,26 @@ def test_framing_imports_nothing_from_base_ot():
     names = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
              for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
     assert [name for name in names if "base_ot" in name.split(".")] == []
+
+
+FRAME_SIZE_HELPERS = {"_manifest_len", "_ct_data_len", "_ot_batch_resp_len",
+                      "_check_manifest_fits"}
+
+
+def _names(tree):
+    """Every name a module loads or imports, as a name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+
+
+def test_only_framing_reads_the_frame_cap():
+    readers = [path.name for path, tree in _trees(SRC)
+               if path.name != "framing.py" and "MAX_FRAME_LEN" in _names(tree)]
+    assert readers == []
+    net = ast.parse((SRC / "net.py").read_text(encoding="utf-8"))
+    assert FRAME_SIZE_HELPERS & set(_names(net)) == set()

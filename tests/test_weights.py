@@ -110,3 +110,12 @@ def test_reduction_report_text():
     text = gcd_reduce([100, 200]).to_text()
     assert "q=100" in text
     assert "100\t1\t100" in text
+
+
+def test_candidate_divisors_include_the_medians_divisors():
+    """The median 360 is not prime: its divisors 9 and 6, neither a round number, are suggested."""
+    weights = [101, 360, 997]
+    suggested = candidate_divisors(weights)
+    assert {9, 6} <= set(suggested)
+    for q in suggested:
+        assert all(r >= 1 for r in approx_reduce(weights, q).reduced)
