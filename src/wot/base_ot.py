@@ -53,12 +53,19 @@ receiver's privacy does not depend on ``k``: each ``y`` is uniform.
 Why nothing here checks subgroup membership. Every element a pad is
 derived from is a product or power of elements already known to lie in
 the order-``q`` subgroup G_q, and G_q is closed under both. ``h`` is
-checked once, when the parameters are validated (see ``wot.group``). The
-peer's elements, ``y`` on the sender's side and ``a`` on the receiver's,
-are checked once at the session boundary, before any exponentiation, by
-``wot.protocol``. Then ``y``, ``h`` in G_q gives
+a member by construction, which tier-1 proves for every preset (see
+``wot.group``). The peer's elements, the query block on the sender's
+side and ``a`` on the receiver's, reach this module only through
+``group.decode_elements``, which ``wot.protocol`` calls once per side at
+the session boundary, before any exponentiation, and which returns
+elements only if every one is a member. Then ``y``, ``h`` in G_q gives
 ``e_i = y^k * h^(-ik)`` in G_q, and ``a`` in G_q gives ``a^r`` in G_q.
-``ot_reply`` and ``ot_recover`` take that check as a precondition.
+``ot_reply`` and ``ot_recover`` take those decoded elements as given.
+
+Each pad is bound to the query block as it crossed the wire
+(``batch_binding``): the sender hashes the bytes it received and the
+receiver the bytes it sent, so both derive one binding from one byte
+string, with no element encoded again.
 
 A T-of-N transfer is this primitive once per pick, batched into a single
 request and a single response: a fresh ``r`` per pick, one ``k`` per batch.
@@ -102,15 +109,16 @@ def ot_query(params: GroupParams, n_secrets: int,
     return tuple(gr * hc % p for gr, hc in zip(powers[:t], powers[t:])), exponents
 
 
-def ot_reply(params: GroupParams, secrets, queries) -> tuple[int, bytes]:
+def ot_reply(params: GroupParams, secrets, queries, ys) -> tuple[int, bytes]:
     """The sender's answer to a whole batch: ``a = g^k`` once, then every pick's N masks.
 
-    The masks come as one block, pick after pick. Every ``y`` must be a
-    subgroup member; the caller checks the whole batch first, so ``k`` is
-    drawn only after every ``y`` is fixed.
+    ``queries`` is the query block as received, and ``ys`` its elements,
+    which ``group.decode_elements`` has checked, the whole batch first: so
+    ``k`` is drawn only after every ``y`` is fixed. The masks come as one
+    block, pick after pick.
     """
-    sid = batch_binding(params, queries)
-    a, step, elements = respond_powers(params, queries)
+    sid = batch_binding(queries)
+    a, step, elements = respond_powers(params, ys)
     return a, b"".join(mask for ordinal, element in enumerate(elements)
                        for mask in ot_respond(params, secrets, step, element,
                                               pick_binding(sid, ordinal)).masks)
@@ -144,16 +152,17 @@ def ot_recover(params: GroupParams, a: int, queries, masks, n_secrets: int, indi
                exponents) -> tuple[bytes, ...]:
     """Unmask each pick's secret at its index, using its query's secret exponent.
 
-    ``masks`` is the reply's block: ``n_secrets`` masks per pick, pick
-    after pick, all of one width. ``a`` must be a subgroup member; the
-    caller checks the peer's reply.
+    ``queries`` is the query block as sent. ``masks`` is the reply's
+    block: ``n_secrets`` masks per pick, pick after pick, all of one
+    width. ``a`` is the reply's element as ``group.decode_elements``
+    returned it, so a member.
     """
     picks = list(zip(indices, exponents, strict=True))
     for index, _ in picks:
         if not 0 <= index < n_secrets:
             raise ProtocolError(f"pick index {index} out of range")
     mask_len = len(masks) // (len(picks) * n_secrets or 1)
-    sid = batch_binding(params, queries)
+    sid = batch_binding(queries)
     shared = _powmods([(a, r) for _, r in picks], params.p)
     secrets = []
     for ordinal, ((index, _), element) in enumerate(zip(picks, shared)):
@@ -172,9 +181,8 @@ def pick_binding(batch_binding: bytes, ordinal: int) -> bytes:
     return bytes(batch_binding) + ordinal.to_bytes(4, "big")
 
 
-def batch_binding(params: GroupParams, queries) -> bytes:
-    """Session binding derived from the query batch both sides observe."""
+def batch_binding(queries) -> bytes:
+    """SHA-256 of the query block, as one side sent it and the other received it."""
     digest = hashlib.sha256(_SID_TAG)
-    for y in queries:
-        digest.update(params.encode_element(y))
+    digest.update(queries)
     return digest.digest()

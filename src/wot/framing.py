@@ -8,9 +8,11 @@ Frame layout::
 
 The length field therefore equals ``1 + len(payload)`` and is capped at
 16 MiB; a frame claiming more is rejected before any allocation. All
-integers on the wire are big-endian. Group elements travel as fixed-width
-integers whose width is carried inside the transfer messages, keeping the
-codec self-contained. ``encode_frame`` is the only encoder and
+integers on the wire are big-endian. Group elements are opaque bytes
+here: the transfer messages carry them in blocks of ``elem_len``-byte
+elements, with that width in their headers, and only ``wot.group``
+decodes one (``decode_elements``, through its membership check).
+``encode_frame`` is the only encoder and
 ``read_frame``, which pulls one frame from a ``recv_exact(n)`` callable,
 the only decoder; in-process sessions run both over a socket pair too.
 
@@ -22,11 +24,11 @@ the ciphertext from where it lies: the bytes on the wire are
 ``encode_frame``'s, and no frame is joined. ``read_frame`` decodes from
 a read-only view over the frame body. Every field is copied out as
 ``bytes`` or decoded to an ``int`` or ``str``, except
-``CtData.ciphertext`` and ``OtBatchResp.masks``: each is a view over the
-body. The buyer's one copy is ``wot.net._recv_exact``'s, from its
-``recv`` chunks into the body: a join, or none when one ``recv`` fills
-it, under ``symcrypto.MAP_FLOOR`` bytes, and one pre-faulted mapping from
-there up.
+``CtData.ciphertext``, ``OtBatchQuery.queries`` and ``OtBatchResp.masks``:
+each is a view over the body. The buyer's one copy is
+``wot.net._recv_exact``'s, from its ``recv`` chunks into the body: a
+join, or none when one ``recv`` fills it, under ``symcrypto.MAP_FLOOR``
+bytes, and one pre-faulted mapping from there up.
 
 Protocol version 5 delivers by position, sends one ``a`` per transfer
 reply, and ends the session with that reply: its pick count is the bill.
@@ -39,20 +41,30 @@ empty payload and asks for every ciphertext, in manifest order; each
 ``CT_DATA`` is ``[type][ciphertext]``, and its place in that stream names
 the item. Version 2 named an item in each request and reply.
 
+``OT_BATCH_QUERY`` carries one blinded element ``y`` per pick::
+
+    [u32 count T] [u16 elem_len] [T times: elem_len bytes - y]
+
+and ``OtBatchQuery`` copies out the header and holds the ``T`` elements
+as one block, the ``queries``. The codec's rule for that block is the
+record-count rule, the same on both sides: it is ``count`` elements of
+``elem_len`` bytes, and no element is of zero width.
+
 ``OT_BATCH_RESP`` carries the batch's one ``a`` and N masks per pick::
 
     [u32 count T] [u32 n N] [u16 elem_len] [u16 mask_len]
     [elem_len bytes - a = g^k] [T * N times: mask_len bytes - mask]
 
 so the length field of a reply reads ``1 + 12 + elem_len + T * N * mask_len``.
-``OtBatchResp`` copies out the header's four fields and ``a``, and holds
-the ``T * N`` masks as one block, pick after pick, which ``_frame_parts``
-gives as a part of its own. The codec knows nothing of the transfer: its
-one rule for a reply is the record-count rule, the same on both sides
-(the block is ``count * n`` masks of ``mask_len`` bytes, and no pick is
-of zero width). Decoding a reply builds no object per pick or per mask,
-so the buyer checks its fields (``wot.protocol``) at a cost that does not
-grow with ``T * N``. Its ``count`` is the billed total ``T``, which the
+``OtBatchResp`` copies out the header's four fields and ``a``, which must
+be ``elem_len`` bytes, and holds the ``T * N`` masks as one block, pick
+after pick, which ``_frame_parts`` gives as a part of its own. The codec
+knows nothing of the transfer: its rule for the mask block is the
+record-count rule too (``count * n`` masks of ``mask_len`` bytes, and no
+pick of zero width). Decoding a query or a reply builds no object per
+pick or per mask: each block is handed on as it came, so the buyer
+checks a reply's fields (``wot.protocol``) at a cost that does not grow
+with ``T * N``. A reply's ``count`` is the billed total ``T``, which the
 seller logs and the buyer checks against its own pick count. Version 4
 repeated that total in a ``DONE`` frame (type ``0x07``, now unassigned),
 version 3 sent an ``a`` before each pick's masks, version 1 N (element,
@@ -132,8 +144,9 @@ class CtData:
 
 @dataclass(frozen=True)
 class OtBatchQuery:
+    count: int  # T picks
     elem_len: int
-    queries: tuple[int, ...]  # one blinded element per pick
+    queries: bytes | memoryview  # T elements, one per pick; decoded: a view over the frame
 
 
 @dataclass(frozen=True)
@@ -142,7 +155,7 @@ class OtBatchResp:
     n: int  # N masks per pick
     elem_len: int
     mask_len: int
-    a: int  # g^k, one per batch
+    a: bytes  # g^k, one per batch: elem_len bytes
     masks: bytes | memoryview  # T * N masks, pick after pick; decoded: a view over the frame
 
 
@@ -223,14 +236,6 @@ def _pack(fmt: str, *values: int) -> bytes:
         raise FrameError(f"field out of range: {exc}") from None
 
 
-def _element(value: int, width: int) -> bytes:
-    """``value`` as ``width`` big-endian bytes; a negative or too wide one is a ``FrameError``."""
-    try:
-        return value.to_bytes(width, "big")
-    except OverflowError as exc:
-        raise FrameError(f"field out of range: {exc}") from None
-
-
 def _string(s: str) -> bytes:
     raw = s.encode()
     if len(raw) > 0xFFFF:
@@ -303,14 +308,14 @@ def _encode_payload(msg: Message) -> tuple:
     if isinstance(msg, CtData):
         return TYPE_CT_DATA, msg.ciphertext
     if isinstance(msg, OtBatchQuery):
-        out = bytearray(_pack("!IH", len(msg.queries), msg.elem_len))
-        for y in msg.queries:
-            out += _element(y, msg.elem_len)
-        return TYPE_OT_BATCH_QUERY, out
+        _check_records(msg.count, msg.elem_len, len(msg.queries))
+        return TYPE_OT_BATCH_QUERY, _pack("!IH", msg.count, msg.elem_len), msg.queries
     if isinstance(msg, OtBatchResp):
         _check_records(msg.count, msg.n * msg.mask_len, len(msg.masks))
+        if len(msg.a) != msg.elem_len:
+            raise FrameError("a does not match its width")
         header = _pack("!IIHH", msg.count, msg.n, msg.elem_len, msg.mask_len)
-        return TYPE_OT_BATCH_RESP, header + _element(msg.a, msg.elem_len), msg.masks
+        return TYPE_OT_BATCH_RESP, header + msg.a, msg.masks
     if isinstance(msg, ErrorMsg):
         return TYPE_ERROR, _pack("!B", msg.code) + msg.text.encode()
     raise FrameError(f"cannot encode {type(msg).__name__}")
@@ -333,12 +338,10 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
     if msg_type == TYPE_OT_BATCH_QUERY:
         count, elem_len = r.u32(), r.u16()
         r.expect_records(count, elem_len)
-        queries = tuple(int.from_bytes(r.take(elem_len), "big") for _ in range(count))
-        r.done()
-        return OtBatchQuery(elem_len=elem_len, queries=queries)
+        return OtBatchQuery(count=count, elem_len=elem_len, queries=r.rest())
     if msg_type == TYPE_OT_BATCH_RESP:
         count, n, elem_len, mask_len = r.u32(), r.u32(), r.u16(), r.u16()
-        a = int.from_bytes(r.take(elem_len), "big")
+        a = r.take(elem_len)
         r.expect_records(count, n * mask_len)
         return OtBatchResp(count=count, n=n, elem_len=elem_len, mask_len=mask_len, a=a,
                            masks=r.rest())
@@ -353,7 +356,7 @@ def _decode_payload(msg_type: int, payload: memoryview) -> Message:
 
 
 def _query_header(payload: memoryview) -> tuple[int, int]:
-    """An OT_BATCH_QUERY payload's ``(count, elem_len)``, read without decoding an element."""
+    """An OT_BATCH_QUERY payload's ``(count, elem_len)``, read before its block is checked."""
     r = _Reader(payload)
     return r.u32(), r.u16()
 

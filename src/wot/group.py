@@ -21,7 +21,10 @@ manifest can only name one, so ``setup_params`` proves nothing at run time.
 Membership: every preset has ``p = 2q + 1``, so the order-``q`` subgroup
 is exactly the set of quadratic residues mod ``p``, and by Euler's
 criterion ``x^q mod p`` equals the Legendre symbol ``(x/p)``, which
-``is_member`` computes as a Jacobi symbol; the answer is exact.
+``is_member`` computes as a Jacobi symbol; the answer is exact. A peer's
+bytes become elements only through ``decode_elements``, which returns a
+block's elements only if each one passes ``is_member``. No other module
+calls ``is_member``.
 
 Arithmetic: every modexp and Jacobi symbol goes through one kernel,
 ``_powmod`` and ``_jacobi``, which call ``BN_mod_exp_mont_consttime`` and
@@ -61,7 +64,10 @@ thread of the session that called it, so whatever watches a session
 per thread sees all of its other calls.
 
 Wire encoding of an element is a fixed-width big-endian integer of
-``ceil(bitlen(p) / 8)`` bytes. Pads are derived as
+``ceil(bitlen(p) / 8)`` bytes (``element_len``), and elements travel as
+blocks of such encodings: ``encode_elements`` makes one and
+``decode_elements`` reads one. Outside this module an element on the
+wire is opaque bytes. Pads are derived as
 ``SHA-256("WOT-PAD" || binding || element || counter)`` blocks truncated
 to the requested length.
 """
@@ -117,6 +123,25 @@ class GroupParams:
 def is_member(params: GroupParams, x: int) -> bool:
     """True iff ``x`` is in [1, p-1] and the order-``q`` subgroup; see the module docstring."""
     return 1 <= x < params.p and _jacobi(x, params.p) == 1
+
+
+def encode_elements(params: GroupParams, elements) -> bytes:
+    """One block of ``element_len``-byte encodings, in order: the form elements travel in."""
+    return b"".join(map(params.encode_element, elements))
+
+
+def decode_elements(params: GroupParams, block) -> tuple[int, ...] | None:
+    """The elements of a block from a peer, or ``None`` unless every one is a member.
+
+    The only way a peer's bytes become elements. The checks stop at the
+    first non-member. A block that is not a whole number of
+    ``element_len``-byte elements raises ``GroupError``.
+    """
+    width = params.element_len
+    if len(block) % width:
+        raise GroupError(f"a {len(block)}-byte block is not whole {width}-byte elements")
+    ys = tuple(int.from_bytes(block[i:i + width], "big") for i in range(0, len(block), width))
+    return ys if all(is_member(params, y) for y in ys) else None
 
 
 _LIBCRYPTO = "libcrypto.so.3"

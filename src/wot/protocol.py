@@ -93,15 +93,19 @@ manifest, and the seller a query's from its header. So a
 ``wot.net.SenderServer`` re-checks no size. ``load_secrets`` checks a
 secrets file's size against its header before it reads a share.
 
-Each group element a peer sends is checked for subgroup membership once,
-here, before any exponentiation or pad: ``run_session_sender`` checks
-every query ``y`` and ``run_session_receiver`` the reply's one ``a``,
-and ``wot.base_ot`` relies on those two passes. Each batch step comes
-after its pass: the seller's ``ot_reply``, which draws the batch's one
-``k`` and runs its exponentiations together, follows the check of every
-``y``, and the buyer's ``ot_recover`` follows the check of ``a``. The
-buyer's ``ot_query`` raises its batch's powers of ``g`` and ``h`` before
-it sends the query.
+Group elements cross the wire as opaque byte blocks (see
+``wot.framing``), and this module converts them only through
+``wot.group``: ``encode_elements`` for what a side sends, and
+``decode_elements``, whose membership check every element passes, for
+what it receives. Each side decodes once, before any exponentiation or
+pad: ``run_session_sender`` the query block and ``run_session_receiver``
+the reply's one ``a``, and ``wot.base_ot`` relies on those two decodes.
+Each batch step comes after its decode: the seller's ``ot_reply``, which
+draws the batch's one ``k`` and runs its exponentiations together,
+follows the check of every ``y``, and the buyer's ``ot_recover`` follows
+the check of ``a``. Both bind their pads to the query block itself, as
+the buyer sent it and the seller received it. The buyer's ``ot_query``
+raises its batch's powers of ``g`` and ``h`` before it sends the query.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ from .framing import (CtData, CtReq, ErrorMsg, Hello, ManifestMsg, OtBatchQuery,
                       TYPE_OT_BATCH_QUERY, TYPE_OT_BATCH_RESP, _MODE_CODES, _MODE_NAMES,
                       _ct_data_len, _manifest_len, _ot_batch_resp_len, _over_cap,
                       _query_header, decode_manifest, encode_manifest)
-from .group import GroupParams, _cpu_pool, _on_cpus, is_member, setup_params
+from .group import GroupParams, _cpu_pool, _on_cpus, decode_elements, encode_elements, setup_params
 
 MANIFEST_FILE = "manifest.bin"
 SECRETS_FILE = "sender_secrets.bin"
@@ -307,8 +311,9 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
     bundle = fetch_bundle(channel, manifest, cache_dir)
 
     total = flat_map.total
-    queries, exponents = ot_query(params, total, picks)
-    channel.send(OtBatchQuery(elem_len=params.element_len, queries=queries))
+    ys, exponents = ot_query(params, total, picks)
+    queries = encode_elements(params, ys)
+    channel.send(OtBatchQuery(count=len(picks), elem_len=params.element_len, queries=queries))
 
     resp = _expect(channel, TYPE_OT_BATCH_RESP)  # the codec matched its masks to its header
     if resp.count != len(picks):
@@ -319,12 +324,12 @@ def run_session_receiver(channel, item_ids, cache_dir=None) -> PurchaseResult:
         raise ProtocolError("response does not cover the flat index space")
     if resp.mask_len != manifest.key_bits // 8:
         raise ProtocolError("response mask width mismatch")
-    if not is_member(params, resp.a):
+    if (a := decode_elements(params, resp.a)) is None:  # one element, of the checked width
         raise ProtocolError("invalid response element")
     # Hang up before any work whose time or outcome depends on the choice.
     channel.close()
 
-    recovered = dict(zip(picks, ot_recover(params, resp.a, queries, resp.masks, total, picks,
+    recovered = dict(zip(picks, ot_recover(params, a[0], queries, resp.masks, total, picks,
                                            exponents)))
 
     items = []
@@ -353,12 +358,13 @@ def fetch_bundle(channel, manifest: Manifest, cache_dir=None) -> PublishedBundle
     ``N`` CT_DATA in manifest order, each checked on the CPU pool
     (``group._cpu_pool``) as the next arrives. Every check ends before
     this returns or raises, and the first mismatch in manifest order is
-    raised then.
+    raised then. The cache's manifest file is decoded once: the ``.ct``
+    files are read against it once it equals the seller's.
     """
     if cache_dir is not None:
         try:
             if load_manifest(cache_dir) == manifest:  # else its files are not worth reading
-                return load_bundle(cache_dir)
+                return _read_bundle(Path(cache_dir), manifest, verify=True)
         except WotError:
             pass
 
@@ -451,16 +457,14 @@ def run_session_sender(secrets: SenderSecrets, query: OtBatchQuery, channel,
     """
     # Validate the whole batch before answering any of it: a bad element
     # must not extract partial responses.
-    for y in query.queries:
-        if not is_member(params, y):
-            _refuse(channel, ERR_BAD_QUERY, "invalid query",
-                    "invalid query: not a subgroup member")
+    if (ys := decode_elements(params, query.queries)) is None:
+        _refuse(channel, ERR_BAD_QUERY, "invalid query", "invalid query: not a subgroup member")
 
     flat = secrets.flat_secrets
-    a, masks = ot_reply(params, flat, query.queries)
-    channel.send(OtBatchResp(count=len(query.queries), n=len(flat), elem_len=params.element_len,
-                             mask_len=len(flat[0]), a=a, masks=masks))
-    return len(query.queries)
+    a, masks = ot_reply(params, flat, query.queries, ys)
+    channel.send(OtBatchResp(count=query.count, n=len(flat), elem_len=params.element_len,
+                             mask_len=len(flat[0]), a=encode_elements(params, (a,)), masks=masks))
+    return query.count
 
 
 # --- bundle directory I/O ---------------------------------------------------
@@ -523,13 +527,17 @@ def load_manifest(directory) -> Manifest:
 
 
 def load_bundle(directory, verify: bool = True) -> PublishedBundle:
-    """The bundle in ``directory``; its ``.ct`` files are read on the CPU pool (``_load_ct``).
+    """The bundle in ``directory``; see ``_read_bundle``."""
+    return _read_bundle(Path(directory), load_manifest(directory), verify)
 
-    Every listed ciphertext must fit one CT_DATA frame, which is checked
-    from the manifest before any ``.ct`` file is opened.
+
+def _read_bundle(path: Path, manifest: Manifest, verify: bool) -> PublishedBundle:
+    """The bundle of ``manifest``, already loaded from ``path``, with ``path``'s ``.ct`` files.
+
+    The files are read on the CPU pool (``_load_ct``). Every listed
+    ciphertext must fit one CT_DATA frame, which is checked from the
+    manifest before any ``.ct`` file is opened.
     """
-    path = Path(directory)
-    manifest = load_manifest(path)
     for entry in manifest.entries:
         _check_deliverable(entry.id, entry.ct_len)
     cts = _on_cpus(lambda job: _load_ct(*job),

@@ -131,12 +131,7 @@ def candidate_divisors(weights) -> tuple[int, ...]:
 
     scored = []
     for q in sorted(candidates):
-        if q < 2 or q > cap:
-            continue
-        try:
-            report = approx_reduce(weights, q)
-        except ReductionError:
-            continue
-        scored.append((report.max_relative_error, -q))
+        if 2 <= q <= cap:  # within the cap, no rounded weight is zero
+            scored.append((approx_reduce(weights, q).max_relative_error, -q))
     scored.sort()
     return tuple(-negq for _, negq in scored[:MAX_CANDIDATES])

@@ -19,7 +19,7 @@ from wot.base_ot import ot_query, ot_recover, ot_reply
 from wot.catalog import Catalog, FlatIndexMap, Item
 from wot.errors import HarnessError, WotError
 from wot.framing import OtBatchResp
-from wot.group import rand_exponent, setup_params
+from wot.group import encode_elements, rand_exponent, setup_params
 from wot.harness import privacy_experiment
 from wot.protocol import item_context, publish
 from wot.symcrypto import combine_shares, decrypt, nested_decrypt
@@ -253,8 +253,9 @@ def test_criterion_7_base_transfer(monkeypatch):
         secrets = [rng.randbytes(16) for _ in range(n)]
         for index in range(n):
             (query,), (r,) = ot_query(params, n, [index])
-            a, masks = ot_reply(params, secrets, [query])
-            assert ot_recover(params, a, [query], masks, n, [index], [r]) == (secrets[index],)
+            block = encode_elements(params, [query])  # as it crosses the wire
+            a, masks = ot_reply(params, secrets, block, [query])
+            assert ot_recover(params, a, block, masks, n, [index], [r]) == (secrets[index],)
 
     # (b) query-element distributions for two fixed choices: TV < 0.02 at 1e5
     trials = 100_000
@@ -274,9 +275,10 @@ def test_criterion_7_base_transfer(monkeypatch):
     for _ in range(adversarial):
         index = rng.randrange(4)
         (query,), (r,) = ot_query(params, 4, [index])
-        a, masks = ot_reply(params, secrets, [query])
+        block = encode_elements(params, [query])
+        a, masks = ot_reply(params, secrets, block, [query])
         wrong = (index + 1 + rng.randrange(3)) % 4
-        if ot_recover(params, a, [query], masks, 4, [wrong], [r]) == (secrets[wrong],):
+        if ot_recover(params, a, block, masks, 4, [wrong], [r]) == (secrets[wrong],):
             cross += 1
     _report(7, cross == 0,
             f"base transfer: exhaustive recovery N<=8, query TV={tv:.4f} < 0.02, "
@@ -320,8 +322,8 @@ def test_criterion_8_wire_protocol(tmp_path, caplog):
         rng = random.Random(808)
         pool = [enc(Hello()), enc(Hello(version=1)),
                 bytes.fromhex("00000005" "07" "00000001"),  # version 4's DONE(1)
-                enc(OtBatchQuery(elem_len=1, queries=(5,))),
-                enc(OtBatchQuery(elem_len=1, queries=()))]
+                enc(OtBatchQuery(count=1, elem_len=1, queries=b"\x05")),
+                enc(OtBatchQuery(count=0, elem_len=1, queries=b""))]
         for _ in range(40):
             sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
             sock.settimeout(10)

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from wot import base_ot, protocol
+from wot import base_ot, group
 from wot.base_ot import (batch_binding, ot_query, ot_recover, ot_reply, pick_binding,
                          respond_powers)
 from wot.errors import ProtocolError
 from wot.framing import OtBatchQuery, OtBatchResp, encode_frame
-from wot.group import GroupParams, kdf_pad, rand_exponent, setup_params
+from wot.group import GroupParams, encode_elements, kdf_pad, rand_exponent, setup_params
 from wot.net import SocketChannel
 from wot.protocol import SenderSecrets, publish, run_session_sender
 
@@ -28,7 +28,7 @@ def reference_reply(params, secrets, queries, k=None):
     p = params.p
     if k is None:
         k = rand_exponent(params, include_zero=False)
-    sid = batch_binding(params, queries)
+    sid = batch_binding(encode_elements(params, queries))
     masks = []
     for ordinal, y in enumerate(queries):
         for i, secret in enumerate(secrets):
@@ -57,11 +57,11 @@ def query(params, n, index):
 
 def respond(params, secrets, y):
     """A one-pick batch's reply: ``a`` and the pick's N masks."""
-    return ot_reply(params, secrets, [y])
+    return ot_reply(params, secrets, encode_elements(params, [y]), [y])
 
 
 def recover(params, a, y, masks, n, index, r):
-    (secret,) = ot_recover(params, a, [y], masks, n, [index], [r])
+    (secret,) = ot_recover(params, a, encode_elements(params, [y]), masks, n, [index], [r])
     return secret
 
 
@@ -119,7 +119,7 @@ class TestTextbookEquivalence:
             seed = rng.getrandbits(64)
             with monkeypatch.context() as m:
                 seed_source(m, random.Random(seed))
-                got = ot_reply(params, secrets, [y])
+                got = respond(params, secrets, y)
                 seed_source(m, random.Random(seed))
                 want = reference_reply(params, secrets, [y])
             assert got == want, n
@@ -157,9 +157,12 @@ def test_batch_frames_match_per_pick_reference(monkeypatch):
     for index in picks:
         r = rand_exponent(params)
         want_queries.append(pow(params.g, r, p) * pow(params.h, index, p) % p)
-    query_msg = OtBatchQuery(elem_len=params.element_len, queries=queries)
+    query_msg = OtBatchQuery(count=len(picks), elem_len=params.element_len,
+                             queries=encode_elements(params, queries))
     assert encode_frame(query_msg) == encode_frame(
-        OtBatchQuery(elem_len=params.element_len, queries=tuple(want_queries)))
+        OtBatchQuery(count=len(picks), elem_len=params.element_len,
+                     queries=b"".join(y.to_bytes(params.element_len, "big")
+                                      for y in want_queries)))
 
     class Recorder:
         def __init__(self):
@@ -176,7 +179,7 @@ def test_batch_frames_match_per_pick_reference(monkeypatch):
     k = rand_exponent(params, include_zero=False)
     a, masks = reference_reply(params, secrets, queries, k)
     want = OtBatchResp(count=len(picks), n=len(secrets), elem_len=params.element_len,
-                       mask_len=16, a=a, masks=masks)
+                       mask_len=16, a=a.to_bytes(params.element_len, "big"), masks=masks)
     assert isinstance(channel.sent[0], OtBatchResp)
     assert encode_frame(channel.sent[0]) == encode_frame(want)
 
@@ -201,7 +204,7 @@ class TestRespondRecover:
     def test_empty_secret_list_rejected(self, p23, rng):
         y, _ = query(p23, 1, 0)
         with pytest.raises(ProtocolError):
-            ot_reply(p23, [], [y])
+            respond(p23, [], y)
 
     def test_exhaustive_recovery_small_spaces(self, p23, rng):
         for n in range(1, 9):
@@ -260,11 +263,12 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
     d = rng.randrange(1, n - c)
     y, r = query(params, n, c)
     queries = [y, y * pow(params.h, d, p) % p]  # g^r * h^(c + d): pick c + d under the same r
-    sid = batch_binding(params, queries)
+    block = encode_elements(params, queries)
+    sid = batch_binding(block)
     bindings = [pick_binding(sid, ordinal) for ordinal in range(2)]
     seed = rng.getrandbits(64)
     seed_source(monkeypatch, random.Random(seed))
-    a, masks = ot_reply(params, secrets, queries)
+    a, masks = ot_reply(params, secrets, block, queries)
     seed_source(monkeypatch, random.Random(seed))
     k = rand_exponent(params, include_zero=False)  # the sender's one draw for the batch
     assert a == pow(params.g, k, p)
@@ -287,7 +291,7 @@ def test_two_pads_of_one_pick_extract_h_to_the_k(preset, n, monkeypatch):
         for i in range(n):  # pick t at index i, the other pick at its own
             indices = [c, c + d]
             indices[t] = i
-            got = ot_recover(params, a, queries, masks, n, indices, (r, r))[t]
+            got = ot_recover(params, a, block, masks, n, indices, (r, r))[t]
             assert (got == secrets[i]) == (i == c_t)
     assert len(pads) == 2 * n
 
@@ -307,7 +311,7 @@ def test_seller_raises_t_plus_two_powers_after_every_check(t, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(target, wrapper)
 
-    logged("wot.protocol.is_member", protocol.is_member, lambda params, y: "check")
+    logged("wot.group.is_member", group.is_member, lambda params, y: "check")
     logged("wot.base_ot.rand_exponent", base_ot.rand_exponent, lambda *args: "draw")
     logged("wot.base_ot._powmods", base_ot._powmods, lambda jobs, mod: ("powmods", len(jobs)))
 
@@ -315,8 +319,9 @@ def test_seller_raises_t_plus_two_powers_after_every_check(t, monkeypatch):
         def send(self, msg):
             pass
 
-    billed = run_session_sender(secrets, OtBatchQuery(elem_len=params.element_len,
-                                                      queries=queries), Sink(), params)
+    query = OtBatchQuery(count=t, elem_len=params.element_len,
+                         queries=encode_elements(params, queries))
+    billed = run_session_sender(secrets, query, Sink(), params)
     assert billed == t
     assert events == ["check"] * t + ["draw", ("powmods", t + 2)]
 
@@ -364,6 +369,7 @@ class TestBatch:
 
     def test_pick_bindings_differ_per_ordinal(self, p23, rng):
         queries, _ = ot_query(p23, 6, (1, 2))
-        sid = batch_binding(p23, queries)
+        block = encode_elements(p23, queries)
+        sid = batch_binding(block)
         assert pick_binding(sid, 0) != pick_binding(sid, 1)
-        assert batch_binding(p23, queries) == sid  # deterministic in the batch
+        assert batch_binding(encode_elements(p23, queries)) == sid  # deterministic in the batch

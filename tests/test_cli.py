@@ -71,7 +71,7 @@ def test_seed_variable_seeds_nothing(catalog_dir, tmp_path, monkeypatch):
         for k in range(2):
             assert main(["buy", "--server", f"127.0.0.1:{server.port}",
                          "--items", "paper-c,paper-d", "--out", str(tmp_path / f"got{k}")]) == 0
-    assert len(batches) == 4 and len({queries for _, queries in batches}) == 2
+    assert len(batches) == 4 and len({bytes(queries) for (queries,) in batches}) == 2
 
 
 def _run_cli(*args, timeout=30):
@@ -191,6 +191,18 @@ def test_serve_refuses_unknown_group(p23_bundle, never_serves, capsys):
     capsys.readouterr()
     assert main(["serve", "--bundle", str(p23_bundle), "--listen", "127.0.0.1:0"]) == 2
     assert _one_error_line(capsys) == "error: unknown group preset 'toy-g4'\n"
+
+
+@pytest.mark.parametrize("command", ["manifest", "serve"])
+def test_unknown_manifest_mode_code_is_one_line(p23_bundle, never_serves, capsys, command):
+    """A ``manifest.bin`` whose mode byte names no mode is refused as it is decoded."""
+    raw = bytearray((p23_bundle / "manifest.bin").read_bytes())
+    raw[1] = 9  # after the version byte
+    (p23_bundle / "manifest.bin").write_bytes(bytes(raw))
+    capsys.readouterr()
+    extra = ["--listen", "127.0.0.1:0"] if command == "serve" else []
+    assert main([command, "--bundle", str(p23_bundle), *extra]) == 2
+    assert _one_error_line(capsys) == "error: unknown mode code 9\n"
 
 
 def test_serve_on_busy_port_is_one_line(p23_bundle, capsys):
@@ -356,8 +368,10 @@ def test_buy_transport_error_is_one_line(tmp_path, capsys):
      "--weights: 'x' is not an integer"),
     (["--weights", "1,1", "--choice-a", "0", "--choice-b", "1.0"],
      "--choice-b: '1.0' is not an integer"),
+    (["--weights", "1,0", "--choice-a", "0", "--choice-b", "1"], "nonpositive weight 0"),
+    (["--weights", "", "--choice-a", "0", "--choice-b", "1"], "no weights"),
 ], ids=["index-past-weights", "zero-sessions", "empty-choice", "weight-not-int",
-        "choice-not-int"])
+        "choice-not-int", "zero-weight", "no-weights"])
 def test_privacy_test_bad_input_is_one_line(argv, message, capsys):
     assert main(["privacy-test", "--group", "p23", *argv]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

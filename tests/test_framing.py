@@ -54,19 +54,18 @@ def manifest_strategy():
 
 
 def message_strategy():
-    batch_query = st.integers(min_value=1, max_value=4).flatmap(
-        lambda elem_len: st.builds(
-            OtBatchQuery,
-            elem_len=st.just(elem_len),
-            queries=st.lists(st.integers(min_value=0, max_value=(1 << (8 * elem_len)) - 1),
-                             min_size=0, max_size=8).map(tuple),
+    # (count, elem_len); the block holds count elements.
+    batch_query = st.tuples(st.integers(0, 8), st.integers(1, 4)).flatmap(
+        lambda dims: st.builds(
+            OtBatchQuery, *map(st.just, dims),
+            queries=st.binary(min_size=dims[0] * dims[1], max_size=dims[0] * dims[1]),
         ))
     # (count, n, elem_len, mask_len); the block holds count * n masks.
     batch_resp = st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(1, 3),
                            st.integers(0, 24)).flatmap(
         lambda dims: st.builds(
             OtBatchResp, *map(st.just, dims),
-            a=st.integers(min_value=0, max_value=(1 << (8 * dims[2])) - 1),
+            a=st.binary(min_size=dims[2], max_size=dims[2]),
             masks=st.binary(min_size=dims[0] * dims[1] * dims[3],
                             max_size=dims[0] * dims[1] * dims[3]),
         ))
@@ -155,7 +154,7 @@ def test_ct_data_ciphertext_is_a_view_over_the_body():
 
 def test_reply_masks_are_a_view_over_the_body():
     """The decoder builds no object per pick or per mask: the block is a view over the body."""
-    msg = OtBatchResp(count=1, n=2, elem_len=1, mask_len=2, a=8, masks=b"\x01\x02\x03\x04")
+    msg = OtBatchResp(count=1, n=2, elem_len=1, mask_len=2, a=b"\x08", masks=b"\x01\x02\x03\x04")
     stream, received = io.BytesIO(encode_frame(msg)), []
 
     def recv_exact(n):
@@ -169,10 +168,27 @@ def test_reply_masks_are_a_view_over_the_body():
     assert got.masks.obj is body
 
 
+def test_query_block_is_a_view_over_the_body():
+    """The decoder converts no element: the query block is a read-only view over the body."""
+    msg = OtBatchQuery(count=2, elem_len=2, queries=b"\x00\x04\x01\x05")
+    stream, received = io.BytesIO(encode_frame(msg)), []
+
+    def recv_exact(n):
+        received.append(stream.read(n))
+        return received[-1]
+
+    got = read_frame(recv_exact)
+    header, body = received
+    assert body == bytes.fromhex("05" "00000002" "0002" "0004" "0105")
+    assert got == msg
+    assert isinstance(got.queries, memoryview) and got.queries.readonly
+    assert got.queries.obj is body
+
+
 def test_ot_batch_resp_frozen_layout():
     # T=2 picks over N=3 secrets on p23 (1-byte elements), 2-byte masks:
     # header count, n, elem_len, mask_len, the batch's one a, then per pick N masks.
-    msg = OtBatchResp(count=2, n=3, elem_len=1, mask_len=2, a=8,
+    msg = OtBatchResp(count=2, n=3, elem_len=1, mask_len=2, a=b"\x08",
                       masks=bytes.fromhex("0102" "0304" "0506" "a0a1" "a2a3" "a4a5"))
     frame = encode_frame(msg)
     assert frame == bytes.fromhex("0000001a" "06" "00000002" "00000003" "0001" "0002" "08"
@@ -203,9 +219,9 @@ def test_reply_block_must_fill_its_header():
                                       (2, 0, 1, b""),              # picks of no masks
                                       (3, 2, 0, b"")):             # zero-width masks
         with pytest.raises(FrameError, match="^payload does not match its record count$"):
-            encode_frame(OtBatchResp(count=count, n=n, elem_len=1, mask_len=mask_len, a=8,
+            encode_frame(OtBatchResp(count=count, n=n, elem_len=1, mask_len=mask_len, a=b"\x08",
                                      masks=masks))
-    empty = OtBatchResp(count=0, n=5, elem_len=1, mask_len=2, a=8, masks=b"")
+    empty = OtBatchResp(count=0, n=5, elem_len=1, mask_len=2, a=b"\x08", masks=b"")
     assert decode(encode_frame(empty)) == empty
 
 
@@ -219,7 +235,7 @@ def check_round_trip(msg):
         encode_frame(msg)
     payload = (bytes([0x06]) + msg.count.to_bytes(4, "big") + msg.n.to_bytes(4, "big")
                + msg.elem_len.to_bytes(2, "big") + bytes(2)
-               + msg.a.to_bytes(msg.elem_len, "big"))
+               + msg.a)
     with pytest.raises(FrameError, match="record count"):
         decode(len(payload).to_bytes(4, "big") + payload)
 
@@ -238,7 +254,7 @@ def test_oversize_length_rejected_before_allocation():
 
 def test_truncated_frames_rejected():
     """A peer that closes mid-frame ends the read with a ProtocolError, at any cut."""
-    frame = encode_frame(OtBatchQuery(elem_len=2, queries=(4,)))
+    frame = encode_frame(OtBatchQuery(count=1, elem_len=2, queries=b"\x00\x04"))
     for cut in range(len(frame)):
         near, far = socket.socketpair()
         with far:
@@ -270,7 +286,7 @@ def test_zero_length_rejected():
 
 
 def test_garbled_payload_rejected():
-    good = encode_frame(OtBatchQuery(elem_len=1, queries=(4,)))
+    good = encode_frame(OtBatchQuery(count=1, elem_len=1, queries=b"\x04"))
     short_payload = good[:4] + good[4:5] + good[5:7]  # truncated u32 count
     fixed = (3).to_bytes(4, "big") + short_payload[4:]
     with pytest.raises(FrameError):
@@ -317,20 +333,25 @@ def test_manifest_rejects_duplicate_item_ids():
 def test_out_of_range_fields_refused():
     """Every wire field is fixed-width; a value that does not fit is a WotError."""
     for msg in (ErrorMsg(code=256, text=""), ErrorMsg(code=-1, text=""), Hello(version=256),
-                OtBatchQuery(elem_len=1 << 16, queries=()),
-                OtBatchResp(count=0, n=0, elem_len=1, mask_len=0, a=256, masks=b""),
-                OtBatchQuery(elem_len=1, queries=(256,)),
-                OtBatchQuery(elem_len=1, queries=(-1,))):
+                OtBatchQuery(count=0, elem_len=1 << 16, queries=b"")):
         with pytest.raises(FrameError, match="out of range"):
             encode_frame(msg)
+    # An element is bytes: one that does not fill its width is refused as a short or long block.
+    for msg in (OtBatchQuery(count=1, elem_len=1, queries=b"\x01\x00"),
+                OtBatchQuery(count=1, elem_len=1, queries=b"")):
+        with pytest.raises(FrameError, match="^payload does not match its record count$"):
+            encode_frame(msg)
+    for a in (b"\x01\x00", b""):
+        with pytest.raises(FrameError, match="^a does not match its width$"):
+            encode_frame(OtBatchResp(count=0, n=0, elem_len=1, mask_len=0, a=a, masks=b""))
     huge = Manifest(mode="p2", group_id="p23", key_bits=128,
                     entries=(ManifestEntry(id="a", weight=1, ct_len=1 << 64,
                                            digest_hex="0" * 64),))
     with pytest.raises(FrameError, match="out of range"):
         encode_manifest(huge)
     assert decode(encode_frame(ErrorMsg(code=255, text=""))).code == 255
-    assert decode(encode_frame(OtBatchQuery(elem_len=(1 << 16) - 1, queries=()))).elem_len \
-        == (1 << 16) - 1
+    assert decode(encode_frame(OtBatchQuery(count=0, elem_len=(1 << 16) - 1,
+                                            queries=b""))).elem_len == (1 << 16) - 1
 
 
 def test_manifest_total_weight_fits_u32():
@@ -377,7 +398,7 @@ def test_read_frame_from_stream():
 def test_admit_refuses_before_anything_is_decoded(monkeypatch):
     """``admit`` sees the type byte and the undecoded payload; a refusal decodes nothing."""
     decoded = count_calls(monkeypatch, framing._decode_payload, record=lambda: "decoded")
-    frame = encode_frame(OtBatchQuery(elem_len=1, queries=(4, 5)))
+    frame = encode_frame(OtBatchQuery(count=2, elem_len=1, queries=b"\x04\x05"))
     seen = []
 
     def refusing(msg_type, payload):
@@ -389,7 +410,7 @@ def test_admit_refuses_before_anything_is_decoded(monkeypatch):
     assert seen == [(0x05, frame[LENGTH_FIELD + 1:])]
     assert decoded == []
     assert decode(frame, lambda msg_type, payload: None) == \
-        OtBatchQuery(elem_len=1, queries=(4, 5))
+        OtBatchQuery(count=2, elem_len=1, queries=b"\x04\x05")
     assert decoded == ["decoded"]
 
 

@@ -7,8 +7,9 @@ from scipy.stats import chisquare
 
 from wot import group
 from wot.errors import GroupError
-from wot.group import (GroupParams, derive_h, is_member, kdf_pad, rand_exponent,
-                       setup_params, _jacobi, _on_cpus, _powmod, _powmods)
+from wot.group import (GroupParams, decode_elements, derive_h, encode_elements, is_member,
+                       kdf_pad, rand_exponent, setup_params, _jacobi, _on_cpus, _powmod,
+                       _powmods)
 
 from conftest import count_calls, seed_source
 
@@ -78,6 +79,32 @@ class TestMembership:
     def test_out_of_range(self, p23):
         assert not is_member(p23, 23)
         assert not is_member(p23, -1)
+
+
+class TestElementBlocks:
+    """Elements travel as blocks of ``element_len`` bytes; a peer's decode only as members."""
+
+    def test_block_of_members_decodes(self, p23):
+        assert decode_elements(p23, b"\x02\x01\x0c") == (2, 1, 12)
+        assert decode_elements(p23, memoryview(b"\x0c").toreadonly()) == (12,)
+        assert decode_elements(p23, b"") == ()
+
+    def test_one_non_member_decodes_nothing(self, p23, monkeypatch):
+        for block in (b"\x02\x05", b"\x00", b"\x17", b"\x02\xff"):  # 5, 0, p, past p
+            assert decode_elements(p23, block) is None
+        checks = count_calls(monkeypatch, is_member)
+        assert decode_elements(p23, b"\x05\x02\x03") is None
+        assert checks == [(p23, 5)]  # the checks stop at the first non-member
+
+    def test_round_trip_and_ragged_block(self):
+        params = setup_params("modp-2048")
+        block = encode_elements(params, [params.g, params.h, 1])
+        assert len(block) == 3 * params.element_len == 768
+        assert block[:params.element_len] == params.g.to_bytes(256, "big")
+        assert decode_elements(params, block) == (params.g, params.h, 1)
+        for ragged in (block[:-1], block + b"\x00", bytes(1)):
+            with pytest.raises(GroupError, match="not whole 256-byte elements"):
+                decode_elements(params, ragged)
 
 
 class TestMembershipEquivalence:

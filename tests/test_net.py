@@ -269,6 +269,25 @@ class TestBuy:
         assert sorted(bytes(args[0]) for args in hashed) == sorted(
             bytes(ct) for ct in srv.bundle.ciphertexts)
 
+    def test_cached_buy_decodes_the_cached_manifest_once(self, server, tmp_path, monkeypatch):
+        """The cache's ``manifest.bin`` is compared with the seller's, then its files are read
+        against that one decode."""
+        srv, catalog, _ = server
+        save_bundle(srv.bundle, tmp_path / "cache")
+        decodes, decode = [], protocol.decode_manifest
+
+        def spy(data):  # the file's decodes; the MANIFEST frame is decoded in wot.framing
+            decodes.append(data)
+            return decode(data)
+
+        monkeypatch.setattr(protocol, "decode_manifest", spy)
+        log = message_log(monkeypatch)
+        result = buy("127.0.0.1", srv.port, ["item01"], tmp_path / "out",
+                     cache_dir=tmp_path / "cache")
+        assert result.items == (("item01", catalog.items[1].payload),)
+        assert "CtReq" not in log  # the cache was used
+        assert len(decodes) == 1
+
     def test_buy_uses_only_create_connection_sendall_and_recv(self, server, tmp_path,
                                                               monkeypatch):
         """A stand-in for ``socket`` with only these names sees every byte of a buy."""
@@ -401,7 +420,7 @@ class TestGrammar:
     def test_query_before_hello(self, server):
         srv, _, _ = server
         with raw_client(srv.port) as sock:
-            reply = exchange(sock, OtBatchQuery(elem_len=1, queries=(2,)))
+            reply = exchange(sock, OtBatchQuery(count=1, elem_len=1, queries=b"\x02"))
         assert isinstance(reply, ErrorMsg)
         assert reply.code == ERR_GRAMMAR
         assert reply.text == "grammar"
@@ -517,7 +536,7 @@ class TestGrammar:
         caplog.set_level(logging.DEBUG, logger="wot.server")
         with raw_client(srv.port) as sock:
             exchange(sock, Hello())
-            reply = exchange(sock, OtBatchQuery(elem_len=4, queries=(2,)))
+            reply = exchange(sock, OtBatchQuery(count=1, elem_len=4, queries=b"\0\0\0\x02"))
         assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="element width mismatch")
         deadline = time.monotonic() + 10
         while not (aborted := [r.getMessage() for r in caplog.records
@@ -537,9 +556,9 @@ class TestGrammar:
             encode_frame(CtReq()),
             bytes.fromhex("00000005" "07" "00000005"),  # version 4's DONE(5)
             encode_frame(ErrorMsg(code=1, text="client says no")),
-            encode_frame(OtBatchQuery(elem_len=1, queries=(5,))),   # non-member element
-            encode_frame(OtBatchQuery(elem_len=1, queries=())),     # empty purchase
-            encode_frame(OtBatchQuery(elem_len=4, queries=(2,))),   # wrong width
+            encode_frame(OtBatchQuery(count=1, elem_len=1, queries=b"\x05")),  # non-member
+            encode_frame(OtBatchQuery(count=0, elem_len=1, queries=b"")),  # empty purchase
+            encode_frame(OtBatchQuery(count=1, elem_len=4, queries=b"\0\0\0\x02")),  # wrong width
         ]
         for _ in range(60):
             got_resp = False

@@ -156,7 +156,7 @@ class TestPublish:
         cat = make_catalog([1, 2, 3])
         assert isinstance(symcrypto._RNG, random.SystemRandom)
         assert publish(cat, "p2", p23) != publish(cat, "p2", p23)
-        bindings = count_calls(monkeypatch, batch_binding)  # the query elements, both sides
+        bindings = count_calls(monkeypatch, batch_binding)  # the query block, both sides
         answers = count_calls(monkeypatch, ot_respond)  # the seller's h^-k and y^k per pick
 
         def run():
@@ -340,7 +340,7 @@ class TestSessions:
 
     def test_empty_batch_rejected_by_sender(self, p23, rng, channel_pair, monkeypatch):
         bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
-        query = OtBatchQuery(elem_len=p23.element_len, queries=())
+        query = OtBatchQuery(count=0, elem_len=p23.element_len, queries=b"")
         reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
         assert reply == ErrorMsg(code=ERR_BAD_QUERY, text="empty purchase")
         assert error == "empty purchase rejected"
@@ -352,7 +352,7 @@ class TestSessions:
         rx_chan, tx_chan = channel_pair
         responses = count_calls(monkeypatch, respond_powers)
         for bad in (5, 0):  # neither is in the order-11 subgroup
-            query = OtBatchQuery(elem_len=p23.element_len, queries=(2, bad))
+            query = OtBatchQuery(count=2, elem_len=p23.element_len, queries=bytes([2, bad]))
             with pytest.raises(ProtocolError, match="not a subgroup member"):
                 run_session_sender(secrets, query, tx_chan, p23)
             reply = rx_chan.recv()
@@ -363,7 +363,7 @@ class TestSessions:
         """An honest buyer picks each of the N flat indices at most once."""
         bundle, secrets = publish(make_catalog([1, 2], rng), "p2", p23)
         n = len(secrets.flat_secrets)
-        query = OtBatchQuery(elem_len=p23.element_len, queries=(2,) * (n + 1))
+        query = OtBatchQuery(count=n + 1, elem_len=p23.element_len, queries=b"\x02" * (n + 1))
         responses = count_calls(monkeypatch, respond_powers)
         reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
         assert reply == ErrorMsg(code=ERR_BAD_QUERY, text="too many picks")
@@ -374,7 +374,7 @@ class TestSessions:
         """A ``modp-2048`` seller refuses 1-byte elements from the header, not after decoding them."""
         params = setup_params("modp-2048")
         bundle, secrets = publish(make_catalog([1, 2], random.Random(31)), "p2", params)
-        query = OtBatchQuery(elem_len=1, queries=(2, 3))
+        query = OtBatchQuery(count=2, elem_len=1, queries=b"\x02\x03")
         reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
         assert reply == ErrorMsg(code=ERR_INCOMPATIBLE, text="element width mismatch")
         assert error == "element width mismatch"
@@ -390,9 +390,9 @@ class TestSessions:
             tx_chan.recv()  # CT_REQ
             tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
-            count = len(msg.queries)
+            count = msg.count
             tx_chan.send(OtBatchResp(count=count, n=n, elem_len=p23.element_len, mask_len=16,
-                                     a=5, masks=bytes(count * n * 16)))  # 5 is not a member
+                                     a=b"\x05", masks=bytes(count * n * 16)))  # not a member
 
         checks = count_calls(monkeypatch, is_member)
         pads = count_calls(monkeypatch, kdf_pad)
@@ -489,17 +489,19 @@ class TestSessions:
             tx_chan.recv()  # CT_REQ
             tx_chan.send(CtData(ciphertext=bundle.ciphertexts[0]))
             msg = tx_chan.recv()
-            sid = batch_binding(p23, msg.queries)
-            a, step, elements = respond_powers(p23, msg.queries)
+            ys = tuple(msg.queries)  # p23's elements are one byte each
+            sid = batch_binding(msg.queries)
+            a, step, elements = respond_powers(p23, ys)
             powers = [(step, element) for element in elements]
-            _, fresh_step, (fresh,) = respond_powers(p23, [msg.queries[forged_at]])
+            _, fresh_step, (fresh,) = respond_powers(p23, [ys[forged_at]])
             powers[forged_at] = (fresh_step, fresh)  # a fresh k for this pick alone
             masks = b"".join(mask for t, pick in enumerate(powers)
                              for mask in ot_respond(p23, secrets.flat_secrets, *pick,
                                                     pick_binding(sid, t)).masks)
             sent.append(a)
             tx_chan.send(OtBatchResp(count=len(powers), n=len(secrets.flat_secrets),
-                                     elem_len=p23.element_len, mask_len=16, a=a, masks=masks))
+                                     elem_len=p23.element_len, mask_len=16, a=bytes([a]),
+                                     masks=masks))
 
         checks = count_calls(monkeypatch, is_member)
         with pytest.raises(ItemAuthenticationError):
@@ -516,7 +518,7 @@ class TestSessions:
         (lambda resp: replace(resp, n=resp.n - 1,
                               masks=resp.masks[:resp.count * (resp.n - 1) * resp.mask_len]),
          "response does not cover the flat index space"),
-        (lambda resp: replace(resp, elem_len=resp.elem_len + 1),
+        (lambda resp: replace(resp, elem_len=resp.elem_len + 1, a=b"\x00" + resp.a),
          "response element width mismatch"),
         (lambda resp: replace(resp, mask_len=8, masks=resp.masks[:resp.count * resp.n * 8]),
          "response mask width mismatch"),  # 64-bit masks for 128-bit keys
@@ -537,9 +539,9 @@ class TestSessions:
             for ct in bundle.ciphertexts:
                 tx_chan.send(CtData(ciphertext=ct))
             msg = tx_chan.recv()
-            a, masks = ot_reply(p23, secrets.flat_secrets, msg.queries)
-            tx_chan.send(forge(OtBatchResp(count=len(msg.queries), n=len(secrets.flat_secrets),
-                                           elem_len=p23.element_len, mask_len=16, a=a,
+            a, masks = ot_reply(p23, secrets.flat_secrets, msg.queries, tuple(msg.queries))
+            tx_chan.send(forge(OtBatchResp(count=msg.count, n=len(secrets.flat_secrets),
+                                           elem_len=p23.element_len, mask_len=16, a=bytes([a]),
                                            masks=masks)))
             tx_chan.recv()  # the buyer hangs up here
 
@@ -959,7 +961,7 @@ class TestFrameCap:
         picks = (MAX_FRAME_LEN - 13 - p23.element_len) // per_pick + 1
         assert 1 + 12 + p23.element_len + picks * per_pick > MAX_FRAME_LEN
         # Non-member queries: refusing them would take the membership pass.
-        query = OtBatchQuery(elem_len=p23.element_len, queries=(5,) * picks)
+        query = OtBatchQuery(count=picks, elem_len=p23.element_len, queries=b"\x05" * picks)
         responses = count_calls(monkeypatch, respond_powers)
         reply, error = query_refusal(channel_pair, bundle, secrets, query, monkeypatch)
         assert reply == ErrorMsg(code=ERR_BAD_QUERY, text="purchase too large")

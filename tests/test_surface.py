@@ -26,6 +26,11 @@ moves the transfer's fields and mask block without knowing the transfer.
 The frame cap has one owner: no module of ``src/wot`` but ``wot.framing``
 reads ``MAX_FRAME_LEN``, and ``wot.net``, which only carries frames,
 imports no frame-size helper.
+
+Group elements are bytes outside ``wot.group``: ``wot.framing`` converts
+no bytes to an integer or back (no ``from_bytes``, no ``to_bytes``), and
+no module but ``wot.group`` loads ``is_member``, so a peer's element
+becomes one only through ``group.decode_elements``.
 """
 
 import ast
@@ -270,3 +275,14 @@ def test_only_framing_reads_the_frame_cap():
     assert readers == []
     net = ast.parse((SRC / "net.py").read_text(encoding="utf-8"))
     assert FRAME_SIZE_HELPERS & set(_names(net)) == set()
+
+
+def test_framing_converts_no_element():
+    framing = ast.parse((SRC / "framing.py").read_text(encoding="utf-8"))
+    assert {"from_bytes", "to_bytes"} & set(_names(framing)) == set()
+
+
+def test_only_group_checks_membership():
+    checkers = [path.name for path, tree in _trees(SRC)
+                if path.name != "group.py" and "is_member" in _names(tree)]
+    assert checkers == []
